@@ -364,6 +364,25 @@ mod tests {
     }
 
     #[test]
+    fn more_graph_families_verify() {
+        for seed in 0..3 {
+            for g in [
+                generators::tree_plus_chords(30, 8, seed),
+                generators::hub_and_spokes(3, 8, 2, seed),
+                generators::cluster_graph(3, 8, 0.4, 1, seed),
+            ] {
+                let w = TieBreak::new(&g, seed);
+                let built = approx_ftbfs(&g, &w, VertexId(0), ApproxParams::DEFAULT);
+                verify_approx(&g, &built, VertexId(0));
+            }
+        }
+        let g = generators::complete_bipartite(3, 6);
+        let w = TieBreak::new(&g, 1);
+        let built = approx_ftbfs(&g, &w, VertexId(0), ApproxParams::DEFAULT);
+        verify_approx(&g, &built, VertexId(0));
+    }
+
+    #[test]
     fn theta_zero_still_verifies() {
         let g = generators::connected_gnp(24, 0.16, 11);
         let w = TieBreak::new(&g, 11);

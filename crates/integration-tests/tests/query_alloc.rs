@@ -6,7 +6,9 @@
 //!
 //! Measured with a counting wrapper around the system allocator, which
 //! needs `unsafe` for the `GlobalAlloc` impl — the one place in the
-//! workspace where the `unsafe_code` lint is locally allowed.
+//! workspace where the `unsafe_code` lint is locally allowed.  The count is
+//! per thread, so tests running in parallel never see each other's
+//! allocations.
 
 #![allow(unsafe_code)]
 
@@ -15,17 +17,28 @@ use ftbfs_core::multi_failure_ftmbfs_parts;
 use ftbfs_graph::{generators, EdgeId, FaultSpec, TieBreak, VertexId};
 use ftbfs_oracle::{Freeze, FrozenMultiStructure, FrozenView, Query, QueryEngine, SnapshotVersion};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counts every allocation and reallocation routed through the global
-/// allocator (deallocations are free and not counted).
+/// allocator on the calling thread (deallocations are free and not
+/// counted).
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor registers anything.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Bumps this thread's count; `try_with` tolerates the thread-local being
+/// gone during thread teardown instead of panicking inside the allocator.
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -34,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,8 +55,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
@@ -245,6 +259,54 @@ fn fault_free_queries_allocate_nothing_at_all_after_freeze() {
 }
 
 #[test]
+fn path_disjoint_tree_hits_allocate_nothing_after_warmup() {
+    // Dual faults on two tree edges: every target whose tree path misses
+    // both is answered from the tree, which must allocate nothing once the
+    // binding query has built the engine's tree index.
+    let g = generators::connected_gnp(120, 0.08, 44);
+    let w = TieBreak::new(&g, 44);
+    let h = DualFtBfsBuilder::new(&g, &w, VertexId(0)).build().structure;
+    let frozen = h.freeze(&g);
+    let tree = frozen.tree_for(VertexId(0)).unwrap();
+    let tree_edge = |c: u32| {
+        let c = VertexId(c);
+        g.edge_between(tree.parent(c).unwrap(), c).unwrap()
+    };
+    let spec = FaultSpec::from((tree_edge(7), tree_edge(60)));
+    let faults = spec.to_fault_set();
+    let disjoint: Vec<VertexId> = g
+        .vertices()
+        .filter(|&t| {
+            tree.path_to(t)
+                .is_some_and(|p| !faults.intersects_path(&g, &p))
+        })
+        .collect();
+    assert!(disjoint.len() > g.vertex_count() / 2);
+
+    // One warm-up query binds the engine and sizes its fault buffer.
+    let mut engine = QueryEngine::new();
+    let _ = engine.try_distance(&frozen, disjoint[0], &spec);
+    let stats = engine.stats();
+    let before = allocation_count();
+    for &t in &disjoint {
+        let answer = engine.try_distance(&frozen, t, &spec).unwrap();
+        assert!(answer.is_exact());
+        assert_eq!(answer.into_value(), tree.distance(t));
+    }
+    let after = allocation_count();
+    assert_eq!(
+        after - before,
+        0,
+        "path-disjoint tree hits must not allocate"
+    );
+    assert_eq!(engine.stats().searches, stats.searches);
+    assert_eq!(
+        engine.stats().tree_hits - stats.tree_hits,
+        disjoint.len() as u64
+    );
+}
+
+#[test]
 fn multi_source_matrix_allocates_nothing_into_a_preallocated_slice() {
     let g = generators::tree_plus_chords(40, 14, 17);
     let w = TieBreak::new(&g, 17);
@@ -273,7 +335,9 @@ fn multi_source_matrix_allocates_nothing_into_a_preallocated_slice() {
             .unwrap();
         assert!(guarantee.is_exact());
     }
-    // Point queries across sources stay allocation-free too.
+    // Point queries across sources stay allocation-free too: the tree
+    // index they may use was built when the matrix warm-up bound the
+    // engine, not on their first use.
     for (i, &s) in sources.iter().enumerate() {
         let _ = engine
             .try_distance_from(&multi, s, VertexId((i * 11) as u32), &specs[2])

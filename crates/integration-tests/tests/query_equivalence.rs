@@ -28,7 +28,9 @@ use ftbfs_oracle::{
     FrozenMultiView, FrozenStructure, FrozenView, Guarantee, Query, QueryEngine, QueryError,
     SnapshotSource, SnapshotVersion,
 };
-use ftbfs_serve::ThroughputHarness;
+use ftbfs_serve::{
+    EpochSnapshot, ServeConfig, ServeOutput, ServeRequest, StreamServer, ThroughputHarness,
+};
 use proptest::prelude::*;
 
 /// Ground truth `dist(s, ·, G ∖ F)` for all vertices.
@@ -252,6 +254,160 @@ fn approx_view_honours_the_stretch_contract_from_mapped_bytes() {
             );
         }
     }
+}
+
+/// Every fault spec of at most two edges of `g`.
+fn all_small_fault_specs(g: &Graph) -> Vec<FaultSpec> {
+    let edges: Vec<EdgeId> = g.edges().collect();
+    let mut specs = vec![FaultSpec::None];
+    for (i, &a) in edges.iter().enumerate() {
+        specs.push(FaultSpec::One(a));
+        for &b in &edges[i + 1..] {
+            specs.push(FaultSpec::from((a, b)));
+        }
+    }
+    specs
+}
+
+/// Checks every `(s, v, F)` with `|F| ≤ 2` from every served source: the
+/// distance equals `truth(s, F)[v]`, and the path exists exactly when the
+/// distance does, runs `s → v` inside `G`, avoids `F`, and has that length.
+/// Returns how many faulted queries were answered from the tree.
+fn sweep_every_small_fault_set<O: DistanceOracle>(
+    g: &Graph,
+    oracle: &O,
+    truth: impl Fn(VertexId, &FaultSpec) -> Vec<Option<u32>>,
+) -> u64 {
+    let mut engine = QueryEngine::new();
+    let mut faulted_tree_hits = 0;
+    for spec in all_small_fault_specs(g) {
+        let faults = spec.to_fault_set();
+        for &s in oracle.sources() {
+            let expected = truth(s, &spec);
+            for v in g.vertices() {
+                let before = engine.stats().tree_hits;
+                let d = engine
+                    .try_distance_from(oracle, s, v, &spec)
+                    .unwrap()
+                    .into_value();
+                if !spec.is_empty() {
+                    faulted_tree_hits += engine.stats().tree_hits - before;
+                }
+                assert_eq!(d, expected[v.index()], "{s:?} → {v:?} under {spec:?}");
+                match engine
+                    .try_shortest_path_from(oracle, s, v, &spec)
+                    .unwrap()
+                    .into_value()
+                {
+                    Some(p) => {
+                        assert_eq!(Some(p.len() as u32), d, "{s:?} → {v:?} under {spec:?}");
+                        assert_eq!((p.source(), p.target()), (s, v));
+                        assert!(p.is_valid_in(g));
+                        assert!(!faults.intersects_path(g, &p), "path crosses {spec:?}");
+                    }
+                    None => assert_eq!(d, None, "missing path {s:?} → {v:?} under {spec:?}"),
+                }
+            }
+        }
+    }
+    assert!(engine.stats().searches > 0, "some query must search");
+    faulted_tree_hits
+}
+
+#[test]
+fn tree_rule_matches_bfs_on_every_small_fault_set() {
+    // The tree answers a faulted query only when no fault lies on π(s, v);
+    // an exhaustive sweep over every (v, F) with |F| ≤ 2 shows that rule
+    // never changes an answer, on all four backends.
+    for g in [
+        generators::connected_gnp(14, 0.3, 3),
+        generators::grid(3, 4),
+        generators::tree_plus_chords(12, 4, 6),
+    ] {
+        let last = VertexId(g.vertex_count() as u32 - 1);
+        let g_truth = |s: VertexId, spec: &FaultSpec| ground_truth(&g, s, spec);
+        let frozen = frozen_for(&g, 5);
+        let bytes = frozen.save_with(SnapshotVersion::V2);
+        let view = FrozenView::open_bytes(&bytes).expect("v2 snapshot opens");
+        let multi = multi_frozen_for(&g, &[VertexId(0), last], 5);
+        let w = TieBreak::new(&g, 5);
+        let built = approx_ftbfs(&g, &w, VertexId(0), ApproxParams::DEFAULT);
+        let approx = FrozenApproxStructure::freeze(&g, &built);
+        // Approximate answers are exact inside H; against G ∖ F they agree
+        // on reachability (their distances are covered by the stretch
+        // suites above).
+        let h_truth = |s: VertexId, spec: &FaultSpec| {
+            let faults = spec.to_fault_set();
+            let res = bfs(&built.structure.as_view(&g).without_faults(&faults), s);
+            let h: Vec<Option<u32>> = g.vertices().map(|v| res.distance(v)).collect();
+            let reach = |d: &[Option<u32>]| d.iter().map(Option::is_some).collect::<Vec<_>>();
+            assert_eq!(reach(&h), reach(&ground_truth(&g, s, spec)), "{spec:?}");
+            h
+        };
+        let hits = [
+            sweep_every_small_fault_set(&g, &frozen, g_truth),
+            sweep_every_small_fault_set(&g, &view, g_truth),
+            sweep_every_small_fault_set(&g, &multi, g_truth),
+            sweep_every_small_fault_set(&g, &approx, h_truth),
+        ];
+        assert!(
+            hits.iter().all(|&h| h > 0),
+            "faulted queries must reach the tree rule: {hits:?}"
+        );
+    }
+}
+
+#[test]
+fn whole_vertex_reads_never_take_the_tree_under_a_faulted_tree_edge() {
+    // π(0, 1) on an 8-cycle is the edge 0-1.  Cutting it moves vertex 1 to
+    // distance 7, while the tree still says 1: every all-vertex read must
+    // report the post-fault distance, not the tree's.
+    let g = generators::cycle(8);
+    let frozen = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, g.edges());
+    let spec = FaultSpec::One(g.edge_between(VertexId(0), VertexId(1)).unwrap());
+    let expected = ground_truth(&g, VertexId(0), &spec);
+    assert_eq!(expected[1], Some(7));
+    let mut engine = QueryEngine::new();
+    // A tree hit under the same spec first, so the engine is warm.
+    assert_eq!(
+        engine
+            .try_distance(&frozen, VertexId(6), &spec)
+            .unwrap()
+            .into_value(),
+        Some(2)
+    );
+    assert_eq!(engine.stats().tree_hits, 1);
+    assert_eq!(
+        engine
+            .try_all_distances(&frozen, &spec)
+            .unwrap()
+            .into_value(),
+        expected
+    );
+    let matrix = engine
+        .try_distance_matrix(&frozen, &spec)
+        .unwrap()
+        .into_value();
+    assert_eq!(matrix.row(0), &expected[..]);
+
+    let snapshot = EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2))
+        .expect("freshly saved v2 snapshot validates");
+    let server = StreamServer::launch(snapshot, ServeConfig::new().workers(2));
+    let mut stream = server.open_stream();
+    stream
+        .submit(ServeRequest::distance(VertexId(6), spec.clone()))
+        .expect("server is live");
+    stream
+        .submit(ServeRequest::all_distances(spec.clone()))
+        .expect("server is live");
+    let responses = stream.drain().expect("every response arrives");
+    assert_eq!(responses[0].distance(), Some(Some(2)));
+    match responses[1].outcome.clone().map(|a| a.into_value()) {
+        Ok(ServeOutput::Distances(d)) => assert_eq!(d, expected),
+        other => panic!("unexpected all-distances outcome {other:?}"),
+    }
+    drop(stream);
+    server.shutdown();
 }
 
 #[test]

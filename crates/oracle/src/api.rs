@@ -304,11 +304,6 @@ impl<'a> OracleSlab<'a> {
         self.edge_orig.binary_search(e.0).ok().map(|i| i as u32)
     }
 
-    /// Whether the slab carries a precomputed fault-free tree.
-    pub fn has_tree(&self) -> bool {
-        self.tree.is_some()
-    }
-
     // -- raw access for the engine's BFS kernel (same crate) --------------
 
     #[inline]
