@@ -1,6 +1,6 @@
 //! E14 — approximate FT-ABFS at corpus scale: structure size,
 //! construction speed, query throughput and *observed* stretch of the
-//! `FrozenApproxStructure` backend on `n ≥ 5,000` graphs, against the
+//! approximate `FrozenStructure` backend on `n ≥ 5,000` graphs, against the
 //! exact dual-failure construction where that construction is feasible.
 //!
 //! The experiment answers the question the `Guarantee::Approx` API
@@ -41,7 +41,7 @@ use ftbfs_bench::{json, Table};
 use ftbfs_core::{approx_ftbfs, dual_failure_ftbfs, ApproxParams};
 use ftbfs_corpus::{layered_expander, road_like, EmbeddedGraph};
 use ftbfs_graph::{bfs, EdgeId, FaultSpec, Graph, GraphView, TieBreak, VertexId};
-use ftbfs_oracle::{FrozenApproxStructure, Guarantee, QueryEngine};
+use ftbfs_oracle::{FrozenStructure, Guarantee, QueryEngine};
 use std::time::Instant;
 
 /// Largest `n` the exact dual-failure construction is run at — beyond
@@ -112,7 +112,7 @@ fn sample_specs(graph: &Graph, count: usize, seed: u64) -> Vec<FaultSpec> {
 /// `(queries, violations, max observed stretch, qps)`.
 fn audit_stretch(
     graph: &Graph,
-    frozen: &FrozenApproxStructure,
+    frozen: &FrozenStructure,
     params: ApproxParams,
     specs: &[FaultSpec],
     targets_per_spec: usize,
@@ -212,7 +212,7 @@ fn run_family(
         (None, None)
     };
 
-    let frozen = FrozenApproxStructure::freeze(graph, &built);
+    let frozen = FrozenStructure::freeze_approx(graph, &built);
     let spec_list = sample_specs(graph, specs, seed ^ 0xE14B_0002);
     let (queries, violations, max_stretch, qps) =
         audit_stretch(graph, &frozen, params, &spec_list, targets_per_spec, seed);

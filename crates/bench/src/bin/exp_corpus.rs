@@ -58,7 +58,7 @@ use ftbfs_corpus::{
 };
 use ftbfs_graph::io::IngestOptions;
 use ftbfs_graph::{bfs, FaultSpec, Graph, GraphView, TieBreak, VertexId};
-use ftbfs_oracle::{FrozenApproxStructure, FrozenStructure, Guarantee, SnapshotVersion};
+use ftbfs_oracle::{FrozenStructure, Guarantee, SnapshotVersion};
 use ftbfs_serve::{EpochSnapshot, ServeConfig, ServeRequest, StreamServer};
 use ftbfs_telemetry::{names, MetricsRegistry};
 use std::collections::VecDeque;
@@ -487,7 +487,7 @@ fn main() {
                 params.add,
                 params.theta
             );
-            FrozenApproxStructure::freeze(&graph, &built).save_with(SnapshotVersion::V2)
+            FrozenStructure::freeze_approx(&graph, &built).save_with(SnapshotVersion::V2)
         }
     };
     let snapshot =

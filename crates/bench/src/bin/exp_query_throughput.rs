@@ -16,7 +16,7 @@
 //! enforces the checked-in floors**: the throughput floor
 //! ([`SMOKE_QPS_FLOOR`], set with a ~3× margin below the container
 //! baseline) and the snapshot floor ([`SMOKE_SNAPSHOT_SPEEDUP_FLOOR`]:
-//! v2 open-and-first-query must be ≥ 5× faster than the v1
+//! view open-and-first-query must be ≥ 3× faster than the owned
 //! load-and-first-query rebuild path).  If either is violated the binary
 //! exits non-zero so a serving- or load-path regression fails the build
 //! instead of silently landing.
@@ -24,8 +24,9 @@
 //! per-partition LRU capacities {2, 4, 8, 16, 32} under tight and wide
 //! fault-pair locality, recorded in a `lru_sweep` section of the JSON.
 //! `--snapshot-bench` (implied by `--smoke`) measures snapshot load time —
-//! v1 load (full CSR + tree rebuild) vs v2 view open (validate only, zero
-//! rebuild) for both formats — into a `snapshot_bench` JSON section.
+//! owned load (validate, then full CSR + tree rebuild) vs view open
+//! (validate only, zero rebuild) for both formats — into a
+//! `snapshot_bench` JSON section.
 //! `--out` overrides the JSON path (default `BENCH_query.json`).
 //!
 //! The query mix models a serving tail: 25% fault-free (precomputed-tree
@@ -52,12 +53,18 @@ use std::time::Instant;
 /// regression (not scheduler noise) trips it.
 const SMOKE_QPS_FLOOR: f64 = 1_000_000.0;
 
-/// The `--smoke` floor on the v2-open vs v1-load speedup for the
+/// The `--smoke` floor on the view-open vs owned-load speedup for the
 /// single-source format: open-and-first-query must beat
 /// load-and-first-query by at least this factor on the smoke graph — the
-/// acceptance bar of the mmap-snapshot format (v2 validates but never
+/// acceptance bar of the snapshot format (a view validates but never
 /// rebuilds, so if this ratio collapses the zero-rebuild path regressed).
-const SMOKE_SNAPSHOT_SPEEDUP_FLOOR: f64 = 5.0;
+///
+/// An owned load runs the same validation as an open and then rebuilds,
+/// so the ratio is `1 + rebuild / open`: about 4.5–5× on the smoke graph
+/// (n = 40, one thread, 2-vCPU Intel Xeon host).  The floor leaves room for
+/// that noise while still catching an open that starts rebuilding
+/// (ratio near 1).
+const SMOKE_SNAPSHOT_SPEEDUP_FLOOR: f64 = 3.0;
 
 /// The `--smoke` ceiling on telemetry overhead, as a fraction of baseline
 /// throughput: the fully instrumented hot path (engine counters + batch
@@ -256,10 +263,9 @@ struct SnapRow {
     format: &'static str,
     n: usize,
     structure_edges: usize,
-    v1_bytes: usize,
-    v2_bytes: usize,
-    load_v1_us: f64,
-    open_v2_us: f64,
+    bytes: usize,
+    load_us: f64,
+    open_us: f64,
     speedup: f64,
 }
 
@@ -293,9 +299,9 @@ fn time_pair_us<R, S>(
     (best_a, best_b)
 }
 
-/// The snapshot experiment: time-to-first-answer from bytes, v1 (load =
-/// parse + full CSR/tree rebuild) vs v2 (open = validate only, serve from
-/// the mapped bytes), for both formats.
+/// The snapshot experiment: time-to-first-answer from bytes, owned load
+/// (validate + full CSR/tree rebuild) vs view open (validate only, serve
+/// from the bytes), for both formats.
 ///
 /// One long-lived `QueryEngine` per measurement models the server shape —
 /// per-thread engines persist across snapshot (re)loads; the reloaded
@@ -311,22 +317,21 @@ fn snapshot_bench(
     let target = VertexId((n / 2) as u32);
     let mut rows = Vec::new();
     {
-        let v1 = frozen.save();
-        let v2 = frozen.save_with(SnapshotVersion::V2);
-        let mut engine_v1 = QueryEngine::new();
-        let mut engine_v2 = QueryEngine::new();
-        let (load_v1_us, open_v2_us) = time_pair_us(
+        let bytes = frozen.save_with(SnapshotVersion::V2);
+        let mut engine_load = QueryEngine::new();
+        let mut engine_open = QueryEngine::new();
+        let (load_us, open_us) = time_pair_us(
             reps,
             || {
-                let s = FrozenStructure::load(&v1).expect("v1 snapshot loads");
-                engine_v1
+                let s = FrozenStructure::load(&bytes).expect("snapshot loads");
+                engine_load
                     .try_distance(&s, target, &FaultSpec::None)
                     .expect("in-range query")
                     .into_value()
             },
             || {
-                let view = FrozenView::open_bytes(&v2).expect("v2 snapshot opens");
-                engine_v2
+                let view = FrozenView::open_bytes(&bytes).expect("snapshot opens");
+                engine_open
                     .try_distance(&view, target, &FaultSpec::None)
                     .expect("in-range query")
                     .into_value()
@@ -336,31 +341,29 @@ fn snapshot_bench(
             format: "single",
             n,
             structure_edges: frozen.edge_count(),
-            v1_bytes: v1.len(),
-            v2_bytes: v2.len(),
-            load_v1_us,
-            open_v2_us,
-            speedup: load_v1_us / open_v2_us,
+            bytes: bytes.len(),
+            load_us,
+            open_us,
+            speedup: load_us / open_us,
         });
     }
     {
-        let v1 = multi.save();
-        let v2 = multi.save_with(SnapshotVersion::V2);
+        let bytes = multi.save_with(SnapshotVersion::V2);
         let source = multi.sources()[0];
-        let mut engine_v1 = QueryEngine::new();
-        let mut engine_v2 = QueryEngine::new();
-        let (load_v1_us, open_v2_us) = time_pair_us(
+        let mut engine_load = QueryEngine::new();
+        let mut engine_open = QueryEngine::new();
+        let (load_us, open_us) = time_pair_us(
             reps,
             || {
-                let s = FrozenMultiStructure::load(&v1).expect("v1 snapshot loads");
-                engine_v1
+                let s = FrozenMultiStructure::load(&bytes).expect("snapshot loads");
+                engine_load
                     .try_distance_from(&s, source, target, &FaultSpec::None)
                     .expect("in-range query")
                     .into_value()
             },
             || {
-                let view = FrozenMultiView::open_bytes(&v2).expect("v2 snapshot opens");
-                engine_v2
+                let view = FrozenMultiView::open_bytes(&bytes).expect("snapshot opens");
+                engine_open
                     .try_distance_from(&view, source, target, &FaultSpec::None)
                     .expect("in-range query")
                     .into_value()
@@ -370,11 +373,10 @@ fn snapshot_bench(
             format: "multi",
             n,
             structure_edges: multi.union_edge_count(),
-            v1_bytes: v1.len(),
-            v2_bytes: v2.len(),
-            load_v1_us,
-            open_v2_us,
-            speedup: load_v1_us / open_v2_us,
+            bytes: bytes.len(),
+            load_us,
+            open_us,
+            speedup: load_us / open_us,
         });
     }
     rows
@@ -485,7 +487,7 @@ fn main() {
     };
     print!("{}", table.render());
 
-    // The snapshot experiment: v1 rebuild-on-load vs v2 zero-rebuild open,
+    // The snapshot experiment: rebuild-on-load vs zero-rebuild open,
     // time-to-first-answer from bytes on the first workload's structures.
     let snap_rows: Vec<SnapRow> = if snap {
         let (_, g) = &workloads[0];
@@ -497,16 +499,9 @@ fn main() {
             reps,
         );
         let mut snap_table = Table::new(
-            "E10b — snapshot load time: v1 rebuild vs v2 mmap-style open (+1 query)",
+            "E10b — snapshot load time: owned rebuild vs zero-rebuild view open (+1 query)",
             &[
-                "format",
-                "n",
-                "|E|",
-                "v1_bytes",
-                "v2_bytes",
-                "load_v1_us",
-                "open_v2_us",
-                "speedup",
+                "format", "n", "|E|", "bytes", "load_us", "open_us", "speedup",
             ],
         );
         for r in &measured {
@@ -514,10 +509,9 @@ fn main() {
                 r.format.to_string(),
                 r.n.to_string(),
                 r.structure_edges.to_string(),
-                r.v1_bytes.to_string(),
-                r.v2_bytes.to_string(),
-                format!("{:.2}", r.load_v1_us),
-                format!("{:.2}", r.open_v2_us),
+                r.bytes.to_string(),
+                format!("{:.2}", r.load_us),
+                format!("{:.2}", r.open_us),
                 format!("{:.1}x", r.speedup),
             ]);
         }
@@ -598,15 +592,14 @@ fn main() {
         for (i, r) in snap_rows.iter().enumerate() {
             json.push_str(&format!(
                 "    {{\"format\": \"{}\", \"n\": {}, \"structure_edges\": {}, \
-                 \"v1_bytes\": {}, \"v2_bytes\": {}, \"load_v1_us\": {:.3}, \
-                 \"open_v2_us\": {:.3}, \"speedup\": {:.2}}}{}\n",
+                 \"bytes\": {}, \"load_us\": {:.3}, \"open_us\": {:.3}, \
+                 \"speedup\": {:.2}}}{}\n",
                 r.format,
                 r.n,
                 r.structure_edges,
-                r.v1_bytes,
-                r.v2_bytes,
-                r.load_v1_us,
-                r.open_v2_us,
+                r.bytes,
+                r.load_us,
+                r.open_us,
                 r.speedup,
                 if i + 1 < snap_rows.len() { "," } else { "" },
             ));
@@ -638,14 +631,15 @@ fn main() {
             .expect("smoke mode ran the snapshot bench");
         if single.speedup < SMOKE_SNAPSHOT_SPEEDUP_FLOOR {
             eprintln!(
-                "SMOKE SNAPSHOT FLOOR VIOLATION: v2 open {:.2}us is only {:.1}x faster than \
-                 v1 load {:.2}us (floor {SMOKE_SNAPSHOT_SPEEDUP_FLOOR}x)",
-                single.open_v2_us, single.speedup, single.load_v1_us
+                "SMOKE SNAPSHOT FLOOR VIOLATION: view open {:.2}us is only {:.1}x faster \
+                 than owned load {:.2}us (floor {SMOKE_SNAPSHOT_SPEEDUP_FLOOR}x)",
+                single.open_us, single.speedup, single.load_us
             );
             std::process::exit(1);
         }
         println!(
-            "smoke snapshot floor ok: v2 open beats v1 load {:.1}x >= {SMOKE_SNAPSHOT_SPEEDUP_FLOOR}x",
+            "smoke snapshot floor ok: view open beats owned load {:.1}x >= \
+             {SMOKE_SNAPSHOT_SPEEDUP_FLOOR}x",
             single.speedup
         );
         if overhead_inst < overhead_base / (1.0 + SMOKE_TELEMETRY_OVERHEAD_MAX) {

@@ -3,16 +3,15 @@
 //! Three subcommands, all file-in/text-out so they compose with shell
 //! tooling:
 //!
-//! * `inspect <snapshot> [--check]` — prints the v2 outer layout of a
-//!   snapshot file (format, version, fingerprint, base range, and the
-//!   full section table with decoded four-character kind tags); for
-//!   approximate (`FTBA`) snapshots, also the stored `(α, β, θ)` stretch
-//!   contract.  Parsing already validates frame and per-section
-//!   checksums; `--check` additionally opens the snapshot as a serving
-//!   view, running the full semantic validation a server would.
-//! * `verify <snapshot>...` — deep-validates each file (v1 snapshots are
-//!   loaded, v2 snapshots are opened as views) and reports one `ok`/
-//!   `FAIL` line per file; exits non-zero if any file fails.
+//! * `inspect <snapshot> [--check]` — prints the outer layout of a
+//!   snapshot file (format, version, answer contract, fingerprint, base
+//!   range, and the full section table with decoded four-character kind
+//!   tags).  Parsing already validates frame and per-section checksums;
+//!   `--check` additionally opens the snapshot as a serving view, running
+//!   the full semantic validation a server would.
+//! * `verify <snapshot>...` — deep-validates each file (opens it as a
+//!   serving view) and reports one `ok`/`FAIL` line per file; exits
+//!   non-zero if any file fails.
 //! * `scrape <telemetry.json> [--json]` — converts a JSON telemetry
 //!   snapshot (as written by [`TelemetrySnapshot::to_json`], e.g. from
 //!   `StreamServer::scrape`) to Prometheus text exposition format; with
@@ -22,11 +21,8 @@
 //! errors.
 
 use ftbfs_bench::Table;
-use ftbfs_core::ApproxParams;
 use ftbfs_oracle::{
-    snapshot_layout, FrozenApproxStructure, FrozenApproxView, FrozenMultiStructure,
-    FrozenMultiView, FrozenStructure, FrozenView, SnapshotError, SNAPSHOT_APPROX_MAGIC,
-    SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
+    snapshot_layout, Contract, FrozenMultiView, FrozenView, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
 };
 use ftbfs_telemetry::TelemetrySnapshot;
 use std::process::ExitCode;
@@ -41,74 +37,36 @@ fn fourcc(kind: u32) -> String {
 
 /// The snapshot family, by magic.
 fn family(data: &[u8]) -> Option<&'static str> {
-    if data.len() < 4 {
-        None
-    } else if data[..4] == SNAPSHOT_MAGIC {
+    if data.starts_with(&SNAPSHOT_MAGIC) {
         Some("single (FTBO)")
-    } else if data[..4] == SNAPSHOT_MULTI_MAGIC {
+    } else if data.starts_with(&SNAPSHOT_MULTI_MAGIC) {
         Some("multi (FTBM)")
-    } else if data[..4] == SNAPSHOT_APPROX_MAGIC {
-        Some("approx (FTBA)")
     } else {
         None
     }
 }
 
-/// Renders the stored stretch contract of an approximate snapshot.
-fn stretch_line(p: ApproxParams) -> String {
-    format!(
-        "stretch contract: alpha = {}/{}, beta = {}, theta = {}",
-        p.mult_num, p.mult_den, p.add, p.theta
-    )
-}
-
-/// Reads the `(α, β, θ)` an approximate snapshot's header declares,
-/// whatever its framing version.
-fn approx_params(data: &[u8]) -> Result<ApproxParams, String> {
-    match snapshot_layout(data) {
-        Ok(_) => FrozenApproxView::open_bytes(data)
-            .map(|v| v.params())
-            .map_err(|e| e.to_string()),
-        Err(SnapshotError::UnsupportedVersion(1)) => FrozenApproxStructure::load(data)
-            .map(|s| s.params())
-            .map_err(|e| e.to_string()),
-        Err(e) => Err(e.to_string()),
+/// Renders a snapshot's declared answer contract.
+fn contract_line(contract: Contract) -> String {
+    match contract {
+        Contract::Exact => "contract: exact".to_string(),
+        Contract::Approx(p) => format!(
+            "contract: approximate, alpha = {}/{}, beta = {}, theta = {}",
+            p.mult_num, p.mult_den, p.add, p.theta
+        ),
     }
 }
 
 /// Opens `data` the way a server would, running full semantic validation.
-/// v2 bytes open as zero-rebuild views; v1 bytes take the load path.
 fn deep_validate(data: &[u8]) -> Result<String, String> {
-    match family(data) {
-        Some("single (FTBO)") => match snapshot_layout(data) {
-            Ok(_) => FrozenView::open_bytes(data)
-                .map(|_| "v2 view opened".to_string())
-                .map_err(|e| e.to_string()),
-            Err(SnapshotError::UnsupportedVersion(1)) => FrozenStructure::load(data)
-                .map(|_| "v1 loaded".to_string())
-                .map_err(|e| e.to_string()),
-            Err(e) => Err(e.to_string()),
-        },
-        Some("approx (FTBA)") => match snapshot_layout(data) {
-            Ok(_) => FrozenApproxView::open_bytes(data)
-                .map(|v| format!("v2 view opened, {}", stretch_line(v.params())))
-                .map_err(|e| e.to_string()),
-            Err(SnapshotError::UnsupportedVersion(1)) => FrozenApproxStructure::load(data)
-                .map(|s| format!("v1 loaded, {}", stretch_line(s.params())))
-                .map_err(|e| e.to_string()),
-            Err(e) => Err(e.to_string()),
-        },
-        Some(_) => match snapshot_layout(data) {
-            Ok(_) => FrozenMultiView::open_bytes(data)
-                .map(|_| "v2 view opened".to_string())
-                .map_err(|e| e.to_string()),
-            Err(SnapshotError::UnsupportedVersion(1)) => FrozenMultiStructure::load(data)
-                .map(|_| "v1 loaded".to_string())
-                .map_err(|e| e.to_string()),
-            Err(e) => Err(e.to_string()),
-        },
-        None => Err("not an FT-BFS snapshot (bad magic)".to_string()),
-    }
+    let opened = if data.starts_with(&SNAPSHOT_MULTI_MAGIC) {
+        FrozenMultiView::open_bytes(data).map(|_| Contract::Exact)
+    } else {
+        FrozenView::open_bytes(data).map(|v| v.contract())
+    };
+    opened
+        .map(|c| format!("view opened, {}", contract_line(c)))
+        .map_err(|e| e.to_string())
 }
 
 fn inspect(path: &str, check: bool) -> ExitCode {
@@ -125,25 +83,6 @@ fn inspect(path: &str, check: bool) -> ExitCode {
     };
     let layout = match snapshot_layout(&data) {
         Ok(l) => l,
-        Err(SnapshotError::UnsupportedVersion(1)) => {
-            println!(
-                "{path}: {kind} v1 snapshot, {} bytes (no section table; v1 rebuilds on load)",
-                data.len()
-            );
-            if kind == "approx (FTBA)" {
-                match approx_params(&data) {
-                    Ok(p) => println!("{}", stretch_line(p)),
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        return ExitCode::from(1);
-                    }
-                }
-            }
-            if check {
-                return report_check(path, &data);
-            }
-            return ExitCode::SUCCESS;
-        }
         Err(e) => {
             eprintln!("{path}: {e}");
             return ExitCode::from(1);
@@ -154,6 +93,7 @@ fn inspect(path: &str, check: bool) -> ExitCode {
         layout.version,
         data.len()
     );
+    println!("{}", contract_line(layout.contract));
     println!(
         "fingerprint {:#018x}, base payload bytes {}..{}",
         layout.fingerprint, layout.base.start, layout.base.end
@@ -171,15 +111,6 @@ fn inspect(path: &str, check: bool) -> ExitCode {
         ]);
     }
     table.print();
-    if kind == "approx (FTBA)" {
-        match approx_params(&data) {
-            Ok(p) => println!("{}", stretch_line(p)),
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
     if check {
         return report_check(path, &data);
     }

@@ -8,7 +8,8 @@
 //! selection cannot move them; only a change to the snapshot byte format
 //! (or the generators) can.  That is exactly what the compat gate wants:
 //! if an encoder change alters any golden byte without a format version
-//! bump, `--check` fails.
+//! bump, `--check` fails.  There is one fixture per contract kind: exact
+//! single-slab, approximate single-slab, and multi-source.
 //!
 //! Usage:
 //!
@@ -25,7 +26,7 @@
 
 use ftbfs_core::{ApproxBuildStats, ApproxFtBfs, ApproxParams, FtBfsStructure, APPROX_RESILIENCE};
 use ftbfs_graph::{generators, EdgeId, Graph, VertexId};
-use ftbfs_oracle::{FrozenApproxStructure, FrozenMultiStructure, FrozenStructure, SnapshotVersion};
+use ftbfs_oracle::{FrozenMultiStructure, FrozenStructure};
 use std::path::PathBuf;
 
 /// The deterministic single-source fixture: an explicit full-edge-set
@@ -58,15 +59,15 @@ fn golden_multi() -> (Graph, FrozenMultiStructure) {
 /// The deterministic approximate fixture: the whole edge set of a seeded
 /// G(n, p) draw under the default `(α, β, θ)` contract.  Like the other
 /// fixtures it bypasses the construction algorithm — the explicit edge
-/// set pins the bytes to the generators and the FTBA encoder alone.
-fn golden_approx() -> (Graph, FrozenApproxStructure) {
+/// set pins the bytes to the generators and the encoder alone.
+fn golden_approx() -> (Graph, FrozenStructure) {
     let g = generators::connected_gnp(18, 0.22, 1504);
     let built = ApproxFtBfs {
         structure: FtBfsStructure::from_edges(vec![VertexId(0)], APPROX_RESILIENCE, g.edges()),
         params: ApproxParams::DEFAULT,
         stats: ApproxBuildStats::default(),
     };
-    let frozen = FrozenApproxStructure::freeze(&g, &built);
+    let frozen = FrozenStructure::freeze_approx(&g, &built);
     (g, frozen)
 }
 
@@ -83,36 +84,9 @@ fn main() {
     let (_, multi) = golden_multi();
     let (_, approx) = golden_approx();
     let goldens: Vec<(&str, u64, Vec<u8>)> = vec![
-        (
-            "golden_single_v1.ftbo",
-            single.fingerprint(),
-            single.save_with(SnapshotVersion::V1),
-        ),
-        (
-            "golden_single_v2.ftbo",
-            single.fingerprint(),
-            single.save_with(SnapshotVersion::V2),
-        ),
-        (
-            "golden_multi_v1.ftbm",
-            multi.fingerprint(),
-            multi.save_with(SnapshotVersion::V1),
-        ),
-        (
-            "golden_multi_v2.ftbm",
-            multi.fingerprint(),
-            multi.save_with(SnapshotVersion::V2),
-        ),
-        (
-            "golden_approx_v1.ftba",
-            approx.fingerprint(),
-            approx.save_with(SnapshotVersion::V1),
-        ),
-        (
-            "golden_approx_v2.ftba",
-            approx.fingerprint(),
-            approx.save_with(SnapshotVersion::V2),
-        ),
+        ("golden_single_v2.ftbo", single.fingerprint(), single.save()),
+        ("golden_approx_v2.ftbo", approx.fingerprint(), approx.save()),
+        ("golden_multi_v2.ftbm", multi.fingerprint(), multi.save()),
     ];
 
     let dir = testdata_dir();

@@ -41,8 +41,9 @@
 //!
 //! The declared `(α, β)` stretch of the output is carried by
 //! [`ApproxParams`] and travels with the structure into the serving stack
-//! (`ftbfs-oracle`'s `FrozenApproxStructure` and the
-//! `Guarantee::Approx { .. }` answer contract).
+//! (`ftbfs-oracle`'s `FrozenStructure::freeze_approx`, which records it
+//! as the snapshot's `Contract::Approx`, and the `Guarantee::Approx { .. }`
+//! answer contract).
 
 use crate::structure::FtBfsStructure;
 use ftbfs_graph::{EdgeId, Graph, SpTree, TieBreak, VertexId};

@@ -14,19 +14,19 @@
 //! answer [`Guarantee::BestEffort`] and the value equals ground-truth BFS
 //! on `H ∖ F` (exact inside the structure, an upper bound on `G ∖ F`).
 //!
-//! Approximate backends (`FrozenApproxStructure` / `FrozenApproxView`) get
-//! a *stretch* variant of the suite instead of equality: every faulted
-//! in-resilience answer must be flagged [`Guarantee::Approx`], agree with
-//! `G ∖ F` on reachability, and satisfy `true_d ≤ d_H ≤ ⌈α·true_d⌉ + β` —
-//! while exact backends must **never** report `Approx` (property-tested).
+//! Approximate backends (a `FrozenStructure` / `FrozenView` declaring
+//! `Contract::Approx`) get a *stretch* variant of the suite instead of
+//! equality: every faulted in-resilience answer must be flagged
+//! [`Guarantee::Approx`], agree with `G ∖ F` on reachability, and satisfy
+//! `true_d ≤ d_H ≤ ⌈α·true_d⌉ + β` — while exact backends must **never**
+//! report `Approx` (property-tested).
 
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::{approx_ftbfs, multi_failure_ftmbfs_parts, ApproxParams};
 use ftbfs_graph::{bfs, generators, EdgeId, FaultSpec, Graph, GraphView, TieBreak, VertexId};
 use ftbfs_oracle::{
-    DistanceOracle, Freeze, FrozenApproxStructure, FrozenApproxView, FrozenMultiStructure,
-    FrozenMultiView, FrozenStructure, FrozenView, Guarantee, Query, QueryEngine, QueryError,
-    SnapshotSource, SnapshotVersion,
+    Contract, DistanceOracle, Freeze, FrozenMultiStructure, FrozenMultiView, FrozenStructure,
+    FrozenView, Guarantee, Query, QueryEngine, QueryError, SnapshotSource, SnapshotVersion,
 };
 use ftbfs_serve::{
     EpochSnapshot, ServeConfig, ServeOutput, ServeRequest, StreamServer, ThroughputHarness,
@@ -210,9 +210,9 @@ fn assert_approx_oracle_honours_contract<O: DistanceOracle>(
     assert_eq!(answer.guarantee(), Guarantee::BestEffort);
 }
 
-fn approx_frozen_for(g: &Graph, params: ApproxParams, seed: u64) -> FrozenApproxStructure {
+fn approx_frozen_for(g: &Graph, params: ApproxParams, seed: u64) -> FrozenStructure {
     let w = TieBreak::new(g, seed);
-    FrozenApproxStructure::freeze(g, &approx_ftbfs(g, &w, VertexId(0), params))
+    FrozenStructure::freeze_approx(g, &approx_ftbfs(g, &w, VertexId(0), params))
 }
 
 #[test]
@@ -234,14 +234,16 @@ fn approx_backend_honours_the_stretch_contract() {
 
 #[test]
 fn approx_view_honours_the_stretch_contract_from_mapped_bytes() {
-    // The FTBA v2 acceptance bar mirrors the exact backends': a view
-    // opened from the bytes passes the same contract suite the rebuilt
-    // structure does, and the two answer identically.
+    // The approximate acceptance bar mirrors the exact backends': a view
+    // opened from the bytes reads the contract from the header, passes
+    // the same contract suite the rebuilt structure does, and the two
+    // answer identically.
     let g = generators::connected_gnp(30, 0.16, 21);
     let frozen = approx_frozen_for(&g, ApproxParams::DEFAULT, 21);
     let bytes = frozen.save_with(SnapshotVersion::V2);
-    let view = FrozenApproxView::open_bytes(&bytes).expect("FTBA v2 opens");
+    let view = FrozenView::open_bytes(&bytes).expect("approximate snapshot opens");
     assert_eq!(view.fingerprint(), frozen.fingerprint());
+    assert_eq!(view.contract(), Contract::Approx(ApproxParams::DEFAULT));
     assert_approx_oracle_honours_contract(&g, &view, ApproxParams::DEFAULT, 6);
     let mut ea = QueryEngine::new();
     let mut eb = QueryEngine::new();
@@ -332,7 +334,7 @@ fn tree_rule_matches_bfs_on_every_small_fault_set() {
         let multi = multi_frozen_for(&g, &[VertexId(0), last], 5);
         let w = TieBreak::new(&g, 5);
         let built = approx_ftbfs(&g, &w, VertexId(0), ApproxParams::DEFAULT);
-        let approx = FrozenApproxStructure::freeze(&g, &built);
+        let approx = FrozenStructure::freeze_approx(&g, &built);
         // Approximate answers are exact inside H; against G ∖ F they agree
         // on reachability (their distances are covered by the stretch
         // suites above).
@@ -647,15 +649,13 @@ proptest! {
     fn snapshot_roundtrip_preserves_answers(n in 10usize..26, p in 0.12f64..0.3, seed in 0u64..400) {
         let g = generators::connected_gnp(n, p, seed);
         let frozen = frozen_for(&g, seed);
-        let loaded = FrozenStructure::load(&frozen.save()).expect("snapshot loads");
+        let bytes = frozen.save();
+        let loaded = FrozenStructure::load(&bytes).expect("snapshot loads");
         prop_assert_eq!(&loaded, &frozen);
         prop_assert_eq!(loaded.fingerprint(), frozen.fingerprint());
-        // The v2 encoding round-trips identically and opens as a view with
-        // the same identity.
-        let v2 = frozen.save_with(SnapshotVersion::V2);
-        prop_assert_eq!(&FrozenStructure::load(&v2).expect("v2 loads"), &frozen);
+        // The bytes also open as a view with the same identity.
         prop_assert_eq!(
-            FrozenView::open_bytes(&v2).expect("v2 opens").fingerprint(),
+            FrozenView::open_bytes(&bytes).expect("snapshot opens").fingerprint(),
             frozen.fingerprint()
         );
         let mut engine_a = QueryEngine::new();
@@ -724,13 +724,12 @@ proptest! {
         let g = generators::tree_plus_chords(n, chords, seed);
         let sources = [VertexId(0), VertexId((n as u32) - 1)];
         let multi = multi_frozen_for(&g, &sources, seed);
-        let loaded = FrozenMultiStructure::load(&multi.save()).expect("snapshot loads");
+        let bytes = multi.save();
+        let loaded = FrozenMultiStructure::load(&bytes).expect("snapshot loads");
         prop_assert_eq!(&loaded, &multi);
         prop_assert_eq!(loaded.fingerprint(), multi.fingerprint());
-        let v2 = multi.save_with(SnapshotVersion::V2);
-        prop_assert_eq!(&FrozenMultiStructure::load(&v2).expect("v2 loads"), &multi);
         prop_assert_eq!(
-            FrozenMultiView::open_bytes(&v2).expect("v2 opens").fingerprint(),
+            FrozenMultiView::open_bytes(&bytes).expect("snapshot opens").fingerprint(),
             multi.fingerprint()
         );
         let mut engine_a = QueryEngine::new();

@@ -3,9 +3,9 @@
 //! network must get a typed [`SnapshotError`] for *any* corruption —
 //! truncation at every prefix length, bit flips at every offset, wrong or
 //! foreign magic, and adversarial length fields — and must **never panic**.
-//! Both formats are covered: the single-source `"FTBO"` snapshots of
-//! [`FrozenStructure`] and the multi-source `"FTBM"` snapshots of
-//! [`FrozenMultiStructure`].
+//! Both formats are covered: the single-slab `"FTBO"` snapshots of
+//! [`FrozenStructure`], under the exact and the approximate contract, and
+//! the multi-source `"FTBM"` snapshots of [`FrozenMultiStructure`].
 //!
 //! Deterministic sweeps cover every truncation point and every byte
 //! position (one flip per byte) on small instances; proptest then fuzzes
@@ -14,43 +14,44 @@
 //! structural validation behind it must still reject — on larger instances.
 
 use ftbfs_core::dual::DualFtBfsBuilder;
-use ftbfs_core::multi_failure_ftmbfs_parts;
+use ftbfs_core::{approx_ftbfs, multi_failure_ftmbfs_parts, ApproxParams};
 use ftbfs_graph::bytes::{fnv1a64, fnv1a64_words, put_u32, put_u64};
 use ftbfs_graph::{generators, TieBreak, VertexId};
 use ftbfs_oracle::{
     snapshot_layout, Freeze, FrozenMultiStructure, FrozenMultiView, FrozenStructure, FrozenView,
-    SnapshotError, SnapshotVersion, SNAPSHOT_ALIGN, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
+    SnapshotError, SNAPSHOT_ALIGN, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC, SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 
-fn single_snapshot_with(seed: u64, version: SnapshotVersion) -> Vec<u8> {
+/// An exact single-slab snapshot of the paper's dual-failure structure.
+fn exact_snapshot(seed: u64) -> Vec<u8> {
     let g = generators::connected_gnp(24, 0.18, seed);
     let w = TieBreak::new(&g, seed);
     DualFtBfsBuilder::new(&g, &w, VertexId(0))
         .build()
         .structure
         .freeze(&g)
-        .save_with(version)
+        .save()
 }
 
-fn single_snapshot(seed: u64) -> Vec<u8> {
-    single_snapshot_with(seed, SnapshotVersion::V1)
+/// A single-slab snapshot whose header carries the approximate contract.
+fn approx_snapshot(seed: u64) -> Vec<u8> {
+    let g = generators::connected_gnp(24, 0.18, seed);
+    let w = TieBreak::new(&g, seed);
+    let built = approx_ftbfs(&g, &w, VertexId(0), ApproxParams::DEFAULT);
+    FrozenStructure::freeze_approx(&g, &built).save()
 }
 
-fn multi_snapshot_with(seed: u64, version: SnapshotVersion) -> Vec<u8> {
+fn multi_snapshot(seed: u64) -> Vec<u8> {
     let g = generators::tree_plus_chords(12, 5, seed);
     let w = TieBreak::new(&g, seed);
     let sources = [VertexId(0), VertexId(7)];
     let parts = multi_failure_ftmbfs_parts(&g, &w, &sources, 2);
-    FrozenMultiStructure::freeze(&g, &parts).save_with(version)
-}
-
-fn multi_snapshot(seed: u64) -> Vec<u8> {
-    multi_snapshot_with(seed, SnapshotVersion::V1)
+    FrozenMultiStructure::freeze(&g, &parts).save()
 }
 
 /// Every load attempt must produce `Err`, never a panic and never a
-/// structure (the input is corrupted by construction).  For v2 input the
+/// structure (the input is corrupted by construction), and the
 /// zero-rebuild view open must reject identically to the owned load.
 fn assert_single_rejects(data: &[u8], what: &str) {
     match FrozenStructure::load(data) {
@@ -72,7 +73,7 @@ fn assert_multi_rejects(data: &[u8], what: &str) {
     }
 }
 
-/// Re-implements the v2 frame writer from its spec (module docs of
+/// Re-implements the frame writer from its spec (module docs of
 /// `ftbfs_oracle::snapshot`), so tests can build variant files — e.g. with
 /// an extra unknown section — independently of the production encoder.
 fn assemble_v2_like(
@@ -112,10 +113,10 @@ fn assemble_v2_like(
     out
 }
 
-/// Rebuilds a valid v2 snapshot with one extra section of an unknown kind
+/// Rebuilds a valid snapshot with one extra section of an unknown kind
 /// appended.
 fn with_unknown_section(data: &[u8]) -> Vec<u8> {
-    let layout = snapshot_layout(data).expect("input is a valid v2 snapshot");
+    let layout = snapshot_layout(data).expect("input is a valid snapshot");
     let magic: [u8; 4] = data[..4].try_into().unwrap();
     let base = &data[layout.base.clone()];
     let mut sections: Vec<(u32, Vec<u8>)> = layout
@@ -132,37 +133,29 @@ fn with_unknown_section(data: &[u8]) -> Vec<u8> {
 
 #[test]
 fn every_truncation_point_is_a_typed_error() {
-    let single = single_snapshot(3);
-    for cut in 0..single.len() {
-        assert_single_rejects(&single[..cut], "truncation");
-    }
-    let multi = multi_snapshot(3);
-    for cut in 0..multi.len() {
-        assert_multi_rejects(&multi[..cut], "truncation");
+    // The approximate header (four extra contract words) gets the same
+    // sweep the exact and multi layouts get below.
+    let approx = approx_snapshot(3);
+    for cut in 0..approx.len() {
+        assert_single_rejects(&approx[..cut], "truncation");
     }
 }
 
 #[test]
 fn every_single_bit_flip_is_rejected() {
     // One flip per byte position (bit chosen by position) keeps the sweep
-    // linear while still touching every field of both layouts.
-    let single = single_snapshot(5);
-    for i in 0..single.len() {
-        let mut bytes = single.clone();
+    // linear while still touching every field, contract words included.
+    let approx = approx_snapshot(5);
+    for i in 0..approx.len() {
+        let mut bytes = approx.clone();
         bytes[i] ^= 1 << (i % 8);
         assert_single_rejects(&bytes, "bit flip");
-    }
-    let multi = multi_snapshot(5);
-    for i in 0..multi.len() {
-        let mut bytes = multi.clone();
-        bytes[i] ^= 1 << (i % 8);
-        assert_multi_rejects(&bytes, "bit flip");
     }
 }
 
 #[test]
 fn wrong_and_foreign_magic_are_bad_magic() {
-    let single = single_snapshot(7);
+    let single = approx_snapshot(7);
     let multi = multi_snapshot(7);
     // Swapping the two formats' magics must fail cleanly in both
     // directions (a multi payload under a single magic and vice versa).
@@ -186,19 +179,26 @@ fn wrong_and_foreign_magic_are_bad_magic() {
         FrozenStructure::load(b"FTBMxxxxxxxxxxxx").unwrap_err(),
         SnapshotError::BadMagic
     );
+    // The retired approximate magic is foreign too.
+    let mut retired = single.clone();
+    retired[..4].copy_from_slice(b"FTBA");
+    assert_eq!(
+        FrozenStructure::load(&retired).unwrap_err(),
+        SnapshotError::BadMagic
+    );
 }
 
 #[test]
 fn v2_every_truncation_point_is_a_typed_error() {
-    // The v2 writer pads the file to the aligned end of the last section
+    // The writer pads the file to the aligned end of the last section
     // and the loader demands that full length, so *every* proper prefix —
     // including cuts inside trailing padding and at every section
     // boundary — must be rejected, by load and by view open alike.
-    let single = single_snapshot_with(3, SnapshotVersion::V2);
+    let single = exact_snapshot(3);
     for cut in 0..single.len() {
         assert_single_rejects(&single[..cut], "v2 truncation");
     }
-    let multi = multi_snapshot_with(3, SnapshotVersion::V2);
+    let multi = multi_snapshot(3);
     for cut in 0..multi.len() {
         assert_multi_rejects(&multi[..cut], "v2 truncation");
     }
@@ -212,7 +212,7 @@ fn v2_truncation_at_every_section_boundary_is_rejected() {
     // (A "cut" equal to the full file length is the intact snapshot, which
     // can happen when the last section ends exactly on the 64-byte
     // boundary — skip that one.)
-    let single = single_snapshot_with(9, SnapshotVersion::V2);
+    let single = exact_snapshot(9);
     let layout = snapshot_layout(&single).unwrap();
     for s in &layout.sections {
         for cut in [s.offset, s.offset + 1, s.offset + s.len] {
@@ -221,7 +221,7 @@ fn v2_truncation_at_every_section_boundary_is_rejected() {
             }
         }
     }
-    let multi = multi_snapshot_with(9, SnapshotVersion::V2);
+    let multi = multi_snapshot(9);
     let layout = snapshot_layout(&multi).unwrap();
     for s in &layout.sections {
         for cut in [s.offset, s.offset + 1, s.offset + s.len] {
@@ -237,13 +237,13 @@ fn v2_every_single_bit_flip_is_rejected() {
     // Every byte of a v2 snapshot is covered by the magic, a checksum, or
     // the zero-padding rule, so a flip anywhere — header, TOC, section
     // data, padding — must be caught.
-    let single = single_snapshot_with(5, SnapshotVersion::V2);
+    let single = exact_snapshot(5);
     for i in 0..single.len() {
         let mut bytes = single.clone();
         bytes[i] ^= 1 << (i % 8);
         assert_single_rejects(&bytes, "v2 bit flip");
     }
-    let multi = multi_snapshot_with(5, SnapshotVersion::V2);
+    let multi = multi_snapshot(5);
     for i in 0..multi.len() {
         let mut bytes = multi.clone();
         bytes[i] ^= 1 << (i % 8);
@@ -253,7 +253,7 @@ fn v2_every_single_bit_flip_is_rejected() {
 
 #[test]
 fn v2_per_section_checksum_corruption_is_attributed() {
-    let single = single_snapshot_with(7, SnapshotVersion::V2);
+    let single = exact_snapshot(7);
     let layout = snapshot_layout(&single).unwrap();
     for s in &layout.sections {
         let mut bytes = single.clone();
@@ -266,7 +266,7 @@ fn v2_per_section_checksum_corruption_is_attributed() {
         );
         assert_single_rejects(&bytes, "section corruption");
     }
-    let multi = multi_snapshot_with(7, SnapshotVersion::V2);
+    let multi = multi_snapshot(7);
     let layout = snapshot_layout(&multi).unwrap();
     for s in &layout.sections {
         let mut bytes = multi.clone();
@@ -284,7 +284,7 @@ fn v2_unknown_sections_are_skipped_forward_compatibly() {
     // A future writer may add sections this reader does not know; after
     // the bounds + checksum check they must be ignored, and the snapshot
     // must load and open with unchanged answers.
-    let single = single_snapshot_with(11, SnapshotVersion::V2);
+    let single = exact_snapshot(11);
     let extended = with_unknown_section(&single);
     assert_ne!(extended, single);
     let plain = FrozenStructure::load(&single).unwrap();
@@ -303,7 +303,7 @@ fn v2_unknown_sections_are_skipped_forward_compatibly() {
     corrupted[unknown.offset] ^= 0x80;
     assert_single_rejects(&corrupted, "unknown-section corruption");
 
-    let multi = multi_snapshot_with(11, SnapshotVersion::V2);
+    let multi = multi_snapshot(11);
     let extended = with_unknown_section(&multi);
     let plain = FrozenMultiStructure::load(&multi).unwrap();
     let with_extra = FrozenMultiStructure::load(&extended).expect("unknown section skipped");
@@ -317,7 +317,7 @@ fn v2_forged_fingerprint_is_rejected_on_load() {
     // frame checksum), but the rebuild path recomputes the real value and
     // must reject a file whose base and fingerprint disagree — the
     // buggy-external-writer case.
-    let single = single_snapshot_with(23, SnapshotVersion::V2);
+    let single = exact_snapshot(23);
     let layout = snapshot_layout(&single).unwrap();
     let base = &single[layout.base.clone()];
     let sections: Vec<(u32, Vec<u8>)> = layout
@@ -336,7 +336,7 @@ fn v2_forged_fingerprint_is_rejected_on_load() {
         other => panic!("expected Corrupt(fingerprint...), got {other:?}"),
     }
 
-    let multi = multi_snapshot_with(23, SnapshotVersion::V2);
+    let multi = multi_snapshot(23);
     let layout = snapshot_layout(&multi).unwrap();
     let base = &multi[layout.base.clone()];
     let sections: Vec<(u32, Vec<u8>)> = layout
@@ -359,13 +359,13 @@ fn v2_trailing_extension_is_rejected_even_when_zero() {
     // structure — so appended bytes must be rejected even if they are
     // zeros that would pass a padding rule.
     for extra in [1usize, 7, 64, 4096] {
-        let single = single_snapshot_with(21, SnapshotVersion::V2);
+        let single = exact_snapshot(21);
         let mut extended = single.clone();
         extended.resize(single.len() + extra, 0);
         assert_single_rejects(&extended, "zero-extended tail");
         extended[single.len()] = 0xFF;
         assert_single_rejects(&extended, "nonzero-extended tail");
-        let multi = multi_snapshot_with(21, SnapshotVersion::V2);
+        let multi = multi_snapshot(21);
         let mut extended = multi.clone();
         extended.resize(multi.len() + extra, 0);
         assert_multi_rejects(&extended, "zero-extended tail");
@@ -374,34 +374,47 @@ fn v2_trailing_extension_is_rejected_even_when_zero() {
 
 #[test]
 fn v2_magic_with_v1_body_is_rejected() {
-    // Rewrite a v1 snapshot's version field to 2 and fix up the v1
-    // trailing checksum: the loader takes the v2 path, finds no frame
-    // after the base payload, and must reject cleanly (no panic, no
-    // misparse) — for both formats, load and open.
-    for (bytes, is_single) in [(single_snapshot(13), true), (multi_snapshot(13), false)] {
-        let mut payload = bytes[4..bytes.len() - 8].to_vec();
-        payload[0] = 0x02;
-        payload[1] = 0x00;
-        let mut crafted = Vec::new();
-        crafted.extend_from_slice(&bytes[..4]);
-        crafted.extend_from_slice(&payload);
-        put_u64(&mut crafted, fnv1a64(&payload));
-        if is_single {
-            assert_single_rejects(&crafted, "v2 magic with v1 body");
-        } else {
-            assert_multi_rejects(&crafted, "v2 magic with v1 body");
+    // The retired version-1 layout was the base payload under one
+    // byte-stepped FNV-1a checksum.  Such a body must be rejected cleanly
+    // (no panic, no misparse) whether its version field says 2 — the
+    // loader finds no frame after the base — or 1, for all three
+    // header kinds, load and open.
+    for (bytes, is_single) in [
+        (exact_snapshot(13), true),
+        (approx_snapshot(13), true),
+        (multi_snapshot(13), false),
+    ] {
+        let layout = snapshot_layout(&bytes).unwrap();
+        for version in [SNAPSHOT_VERSION, 1] {
+            let mut payload = bytes[layout.base.clone()].to_vec();
+            payload[..2].copy_from_slice(&version.to_le_bytes());
+            let mut crafted = Vec::new();
+            crafted.extend_from_slice(&bytes[..4]);
+            crafted.extend_from_slice(&payload);
+            put_u64(&mut crafted, fnv1a64(&payload));
+            if is_single {
+                assert_single_rejects(&crafted, "v1 body");
+            } else {
+                assert_multi_rejects(&crafted, "v1 body");
+            }
+            if version == 1 {
+                assert_eq!(
+                    snapshot_layout(&crafted).unwrap_err(),
+                    SnapshotError::UnsupportedVersion(1)
+                );
+            }
         }
     }
 }
 
 #[test]
 fn v2_cross_magic_is_rejected() {
-    let single = single_snapshot_with(15, SnapshotVersion::V2);
+    let single = exact_snapshot(15);
     let mut crossed = single.clone();
     crossed[..4].copy_from_slice(&SNAPSHOT_MULTI_MAGIC);
     assert_multi_rejects(&crossed, "v2 cross magic");
     assert_single_rejects(&crossed, "v2 cross magic");
-    let multi = multi_snapshot_with(15, SnapshotVersion::V2);
+    let multi = multi_snapshot(15);
     let mut crossed = multi.clone();
     crossed[..4].copy_from_slice(&SNAPSHOT_MAGIC);
     assert_single_rejects(&crossed, "v2 cross magic");
@@ -414,7 +427,7 @@ fn adversarial_length_fields_do_not_overallocate_or_panic() {
     // out of bytes (typed error) without trusting the counts.
     for magic in [SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC] {
         let mut payload = Vec::new();
-        ftbfs_graph::bytes::put_u16(&mut payload, 1); // version
+        ftbfs_graph::bytes::put_u16(&mut payload, SNAPSHOT_VERSION);
         ftbfs_graph::bytes::put_u16(&mut payload, 0); // flags
         ftbfs_graph::bytes::put_u32(&mut payload, 10); // n
         ftbfs_graph::bytes::put_u32(&mut payload, 2); // resilience
@@ -432,14 +445,15 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
     /// Random single-byte mutations at proptest-chosen offsets never panic
-    /// and never load, across seeds (single-source format).
+    /// and never load, across seeds (single-slab format, approximate
+    /// contract).
     #[test]
     fn single_snapshot_mutations_never_panic(
         seed in 0u64..50,
         offset_sel in 0.0f64..1.0,
         xor in 1u8..=255,
     ) {
-        let bytes = single_snapshot(seed);
+        let bytes = approx_snapshot(seed);
         let offset = ((bytes.len() - 1) as f64 * offset_sel) as usize;
         let mut mutated = bytes.clone();
         mutated[offset] ^= xor;
@@ -481,7 +495,7 @@ proptest! {
     /// both formats.
     #[test]
     fn truncations_never_panic(seed in 0u64..30, cut_sel in 0.0f64..1.0) {
-        let single = single_snapshot(seed);
+        let single = approx_snapshot(seed);
         let cut = (single.len() as f64 * cut_sel) as usize;
         prop_assert!(FrozenStructure::load(&single[..cut.min(single.len() - 1)]).is_err());
         let multi = multi_snapshot(seed);
@@ -489,15 +503,15 @@ proptest! {
         prop_assert!(FrozenMultiStructure::load(&multi[..cut.min(multi.len() - 1)]).is_err());
     }
 
-    /// Random single-byte mutations of v2 snapshots never panic and never
-    /// load or open, across seeds and both formats.
+    /// Random single-byte mutations never panic and never load or open,
+    /// across seeds and both formats (exact contract).
     #[test]
     fn v2_snapshot_mutations_never_panic(
         seed in 0u64..16,
         offset_sel in 0.0f64..1.0,
         xor in 1u8..=255,
     ) {
-        let single = single_snapshot_with(seed, SnapshotVersion::V2);
+        let single = exact_snapshot(seed);
         let offset = ((single.len() - 1) as f64 * offset_sel) as usize;
         let mut mutated = single.clone();
         mutated[offset] ^= xor;
@@ -505,7 +519,7 @@ proptest! {
         prop_assert!(FrozenView::open_bytes(&mutated).is_err());
         prop_assert!(FrozenStructure::load(&single).is_ok());
 
-        let multi = multi_snapshot_with(seed, SnapshotVersion::V2);
+        let multi = multi_snapshot(seed);
         let offset = ((multi.len() - 1) as f64 * offset_sel) as usize;
         let mut mutated = multi.clone();
         mutated[offset] ^= xor;

@@ -22,13 +22,16 @@
 //! A structure built for resilience `f` answers `dist(s, v, H ∖ F)` for
 //! *any* fault set — the engine simply runs inside the surviving subgraph.
 //! The paper's theorems only promise `dist(s, v, H ∖ F) = dist(s, v, G ∖ F)`
-//! for `|F| ≤ f`.  [`DistanceOracle::guarantee`] derives exactly that:
+//! for `|F| ≤ f`.  [`DistanceOracle::guarantee`] derives exactly that from
+//! the oracle's [`DistanceOracle::contract`] and resilience:
 //! [`Guarantee::Exact`] when the spec's (distinct) size is within the
-//! declared resilience, [`Guarantee::BestEffort`] beyond it.  Best-effort
+//! declared resilience, [`Guarantee::BestEffort`] beyond it (approximate
+//! contracts put [`Guarantee::Approx`] in between).  Best-effort
 //! answers are still *exact inside `H`* and always upper-bound the true
 //! `G ∖ F` distance (`H ⊆ G` implies `dist(s,v,H∖F) ≥ dist(s,v,G∖F)`);
 //! they are never silently wrong in the "too short" direction.
 
+use ftbfs_core::ApproxParams;
 use ftbfs_graph::bytes::WordSlice;
 use ftbfs_graph::{EdgeId, FaultSpec, VertexId};
 use std::fmt;
@@ -103,6 +106,45 @@ impl Guarantee {
                 Some((d * mult_num as u64).div_ceil(mult_den.max(1) as u64) + add as u64)
             }
             _ => None,
+        }
+    }
+}
+
+/// The answer contract a frozen structure declares: what its answers
+/// promise about the true post-failure distance for fault sets within its
+/// resilience.  Stored in the snapshot header and covered by the
+/// fingerprint, so the same edges under two contracts are two different
+/// serving artifacts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum Contract {
+    /// The paper's structures: within the resilience, answers equal
+    /// `dist(s, v, G ∖ F)`.
+    #[default]
+    Exact,
+    /// The FT-ABFS structures of `ftbfs_core::approx_ftbfs`: within the
+    /// resilience, answers are within the declared `(α, β)` stretch, with
+    /// reachability preserved exactly; `θ` records the construction knob.
+    Approx(ApproxParams),
+}
+
+impl Contract {
+    /// The guarantee an answer under `spec` carries on a structure with
+    /// this contract and `resilience`: beyond the resilience it is
+    /// [`Guarantee::BestEffort`]; within it, [`Guarantee::Exact`] for the
+    /// exact contract, and [`Guarantee::Approx`] for the approximate one
+    /// once any fault is present (fault-free answers read the embedded BFS
+    /// tree, so they are exact on either contract).
+    #[inline]
+    pub fn guarantee(self, resilience: usize, spec: &FaultSpec) -> Guarantee {
+        let faults = spec.len();
+        match self {
+            _ if faults > resilience => Guarantee::BestEffort,
+            Contract::Approx(p) if faults > 0 => Guarantee::Approx {
+                mult_num: p.mult_num,
+                mult_den: p.mult_den,
+                add: p.add,
+            },
+            _ => Guarantee::Exact,
         }
     }
 }
@@ -398,14 +440,17 @@ pub trait DistanceOracle {
         self.sources().iter().position(|&s| s == source)
     }
 
+    /// The answer contract the structure declares (exact unless
+    /// overridden).
+    fn contract(&self) -> Contract {
+        Contract::Exact
+    }
+
     /// The guarantee answers under `spec` carry, derived from
-    /// [`Self::resilience`]; see the [module docs](self) for the contract.
+    /// [`Self::contract`] and [`Self::resilience`]; see the
+    /// [module docs](self) for the contract.
     fn guarantee(&self, spec: &FaultSpec) -> Guarantee {
-        if spec.len() <= self.resilience() {
-            Guarantee::Exact
-        } else {
-            Guarantee::BestEffort
-        }
+        self.contract().guarantee(self.resilience(), spec)
     }
 }
 

@@ -1,6 +1,6 @@
-//! The approximate serving backend: [`FrozenApproxStructure`] and its
-//! zero-rebuild counterpart [`FrozenApproxView`], compiled from the
-//! FT-ABFS construction of `ftbfs_core::approx_ftbfs`.
+//! Serving the approximate FT-ABFS backend of `ftbfs_core::approx_ftbfs`
+//! through the one single-slab frozen type: a [`FrozenStructure`] whose
+//! header declares [`Contract::Approx`].
 //!
 //! An FT-ABFS structure trades the paper's exactness theorem for size: it
 //! keeps `O(n·θ)` edges instead of `O(n^{5/3})` and promises, for every
@@ -10,607 +10,86 @@
 //! dist(s, v, G ∖ F)  ≤  dist(s, v, H ∖ F)  ≤  ⌈α · dist(s, v, G ∖ F)⌉ + β
 //! ```
 //!
-//! with reachability preserved exactly.  This module makes that contract a
-//! first-class serving artifact:
+//! with reachability preserved exactly.  Nothing about serving it differs
+//! from an exact structure — same CSR, same trees, same engine — except
+//! the [`Guarantee`] its answers carry, which [`Contract::guarantee`]
+//! derives: [`Guarantee::Exact`] fault-free (the primary BFS tree is
+//! embedded whole), [`Guarantee::Approx`] within the designed resilience,
+//! and [`Guarantee::BestEffort`] beyond it.  The contract `(α, β, θ)` is
+//! stored in the snapshot header (flag bit 0 of the `"FTBO"` base, see
+//! [`crate::snapshot`]) and covered by the fingerprint, so two structures
+//! with identical edges but different declared contracts are different
+//! serving artifacts and never share engine caches.
 //!
-//! * [`FrozenApproxStructure`] wraps the frozen CSR compilation of the
-//!   FT-ABFS edge set together with its [`ApproxParams`] `(α, β, θ)`, and
-//!   overrides [`DistanceOracle::guarantee`] to answer
-//!   [`Guarantee::Exact`] fault-free (the primary BFS tree is embedded
-//!   whole), [`Guarantee::Approx`] within the designed resilience, and
-//!   [`Guarantee::BestEffort`] beyond it — so the stretch contract rides
-//!   on every `Answer` without any engine change;
-//! * snapshots use their own magic (`"FTBA"`, see
-//!   [`crate::snapshot::SNAPSHOT_APPROX_MAGIC`]) with the same v1/v2
-//!   framing as "FTBO", storing `(mult_num, mult_den, add, theta)` as four
-//!   extra header words, so the contract survives save/load and tooling
-//!   can print it without rebuilding;
-//! * [`FrozenApproxView`] opens v2 snapshot bytes with zero rebuild,
-//!   exactly like [`crate::FrozenView`], and carries the same guarantee
-//!   override.
-//!
-//! The approximate fingerprint hashes the *parameters as well as* the edge
-//! list: two structures with identical edges but different declared
-//! contracts are different serving artifacts and must not share engine
-//! caches.
+//! [`Guarantee`]: crate::Guarantee
+//! [`Guarantee::Exact`]: crate::Guarantee::Exact
+//! [`Guarantee::Approx`]: crate::Guarantee::Approx
+//! [`Guarantee::BestEffort`]: crate::Guarantee::BestEffort
 
-use crate::api::{DistanceOracle, Guarantee, OracleSlab};
+use crate::api::Contract;
 use crate::frozen::FrozenStructure;
-use crate::snapshot::{
-    assemble_v2, corrupt, read_v2_frame, require_section, ApproxBase, SnapshotError,
-    SnapshotVersion, SEC_ARC_EDGES, SEC_ARC_HEADS, SEC_EDGE_ORIG, SEC_TREES, SEC_XADJ,
-    SNAPSHOT_APPROX_MAGIC, SNAPSHOT_APPROX_VERSION, SNAPSHOT_VERSION_V2,
-};
-use crate::view::{check_csr, check_tree, section_words, SnapshotSource};
-use ftbfs_core::{ApproxFtBfs, ApproxParams};
-use ftbfs_graph::bytes::{fnv1a64, put_u16, put_u32, put_u32_slice, put_u64, ByteReader, LeU32s};
-use ftbfs_graph::{FaultSpec, Graph, VertexId};
+use ftbfs_core::ApproxFtBfs;
+use ftbfs_graph::Graph;
 
-/// The [`Guarantee`] an approximate backend attaches to answers within its
-/// resilience: the stretch contract of `params`.
-fn approx_guarantee(params: ApproxParams) -> Guarantee {
-    Guarantee::Approx {
-        mult_num: params.mult_num,
-        mult_den: params.mult_den,
-        add: params.add,
-    }
-}
-
-/// Derives the guarantee of an approximate backend for `spec`: exact
-/// fault-free, the stretch contract within `resilience`, best-effort
-/// beyond.
-fn approx_guarantee_for(params: ApproxParams, resilience: usize, spec: &FaultSpec) -> Guarantee {
-    let faults = spec.len();
-    if faults == 0 {
-        Guarantee::Exact
-    } else if faults <= resilience {
-        approx_guarantee(params)
-    } else {
-        Guarantee::BestEffort
-    }
-}
-
-/// An FT-ABFS structure compiled for query serving: the frozen CSR of the
-/// approximate edge set plus its declared stretch contract.
-///
-/// Built with [`FrozenApproxStructure::freeze`] from an
-/// [`ftbfs_core::ApproxFtBfs`]; implements [`DistanceOracle`] so every
-/// engine feature (fault LRU, tree fast path, batched serving) works
-/// unchanged — the only observable difference from an exact backend is the
-/// [`Guarantee::Approx`] its in-resilience faulted answers carry.
-///
-/// # Examples
-///
-/// ```
-/// use ftbfs_core::{approx_ftbfs, ApproxParams};
-/// use ftbfs_graph::{generators, FaultSpec, TieBreak, VertexId};
-/// use ftbfs_oracle::{FrozenApproxStructure, QueryEngine};
-///
-/// let g = generators::connected_gnp(30, 0.15, 11);
-/// let w = TieBreak::new(&g, 11);
-/// let built = approx_ftbfs(&g, &w, VertexId(0), ApproxParams::DEFAULT);
-/// let frozen = FrozenApproxStructure::freeze(&g, &built);
-///
-/// let mut engine = QueryEngine::new();
-/// let e = g.edges().next().unwrap();
-/// let answer = engine
-///     .try_distance(&frozen, VertexId(7), &FaultSpec::One(e))
-///     .unwrap();
-/// assert!(answer.guarantee().is_approx());
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FrozenApproxStructure {
-    inner: FrozenStructure,
-    params: ApproxParams,
-    fingerprint: u64,
-}
-
-impl FrozenApproxStructure {
+impl FrozenStructure {
     /// Compiles a built FT-ABFS structure over `graph` for serving,
-    /// carrying the construction's stretch contract.
+    /// declaring the construction's stretch contract.
     ///
     /// # Panics
     ///
-    /// Panics (via the inner freeze) if the structure references edges not
-    /// in `graph`, and if the contract is malformed (`mult_den == 0` or
-    /// `α < 1`).
-    pub fn freeze(graph: &Graph, built: &ApproxFtBfs) -> Self {
-        assert!(built.params.mult_den != 0, "stretch denominator is zero");
-        assert!(
-            built.params.mult_num >= built.params.mult_den,
-            "multiplicative stretch must be at least one"
-        );
-        Self::with_fingerprint(
-            FrozenStructure::freeze(graph, &built.structure),
-            built.params,
+    /// Panics if the structure references edges not in `graph`, or if the
+    /// contract is malformed (`mult_den == 0` or `α < 1`).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ftbfs_core::{approx_ftbfs, ApproxParams};
+    /// use ftbfs_graph::{generators, FaultSpec, TieBreak, VertexId};
+    /// use ftbfs_oracle::{Contract, FrozenStructure, QueryEngine};
+    ///
+    /// let g = generators::connected_gnp(30, 0.15, 11);
+    /// let w = TieBreak::new(&g, 11);
+    /// let built = approx_ftbfs(&g, &w, VertexId(0), ApproxParams::DEFAULT);
+    /// let frozen = FrozenStructure::freeze_approx(&g, &built);
+    /// assert_eq!(frozen.contract(), Contract::Approx(ApproxParams::DEFAULT));
+    ///
+    /// let mut engine = QueryEngine::new();
+    /// let e = g.edges().next().unwrap();
+    /// let answer = engine
+    ///     .try_distance(&frozen, VertexId(7), &FaultSpec::One(e))
+    ///     .unwrap();
+    /// assert!(answer.guarantee().is_approx());
+    /// ```
+    pub fn freeze_approx(graph: &Graph, built: &ApproxFtBfs) -> Self {
+        FrozenStructure::with_contract(
+            graph,
+            built.structure.sources(),
+            built.structure.resilience(),
+            Contract::Approx(built.params),
+            built.structure.edges(),
         )
-    }
-
-    /// Rebuilds a structure from validated determining data (the loaders'
-    /// entry point).
-    pub(crate) fn from_parts(
-        n: u32,
-        sources: Vec<VertexId>,
-        resilience: u32,
-        params: ApproxParams,
-        edge_orig: Vec<u32>,
-        edge_u: Vec<u32>,
-        edge_v: Vec<u32>,
-    ) -> Result<Self, SnapshotError> {
-        if params.mult_den == 0 {
-            return corrupt("stretch denominator must be nonzero");
-        }
-        if params.mult_num < params.mult_den {
-            return corrupt("multiplicative stretch must be at least one");
-        }
-        let inner = FrozenStructure::from_parts(n, sources, resilience, edge_orig, edge_u, edge_v)?;
-        Ok(Self::with_fingerprint(inner, params))
-    }
-
-    fn with_fingerprint(inner: FrozenStructure, params: ApproxParams) -> Self {
-        let mut s = FrozenApproxStructure {
-            inner,
-            params,
-            fingerprint: 0,
-        };
-        s.fingerprint = fnv1a64(&s.payload_bytes());
-        s
-    }
-
-    /// The declared stretch contract and construction knob `(α, β, θ)`.
-    pub fn params(&self) -> ApproxParams {
-        self.params
-    }
-
-    /// The underlying frozen CSR compilation — same arrays an exact
-    /// backend would serve from, without the approximate guarantee
-    /// wrapper.
-    pub fn as_frozen(&self) -> &FrozenStructure {
-        &self.inner
-    }
-
-    /// Number of vertices of the underlying graph.
-    pub fn vertex_count(&self) -> usize {
-        self.inner.vertex_count()
-    }
-
-    /// Number of edges in the frozen structure — the paper's cost measure
-    /// `|E(H)|`.
-    pub fn edge_count(&self) -> usize {
-        self.inner.edge_count()
-    }
-
-    /// The source set, in freeze order.
-    pub fn sources(&self) -> &[VertexId] {
-        self.inner.sources()
-    }
-
-    /// The designed resilience `f` (2 for the FT-ABFS construction).
-    pub fn resilience(&self) -> usize {
-        self.inner.resilience()
-    }
-
-    /// The structure fingerprint: FNV-1a over the canonical v1 payload,
-    /// which covers the stretch parameters as well as the edge list (same
-    /// edges under a different declared contract fingerprint differently).
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// The canonical payload encoding (everything between the magic and
-    /// the checksum) with an explicit version field value.
-    fn payload_bytes_versioned(&self, version: u16) -> Vec<u8> {
-        let (edge_u, edge_v) = self.inner.raw_edge_uv();
-        let edge_orig = self.inner.raw_edge_orig();
-        let mut out = Vec::with_capacity(36 + 4 * self.sources().len() + 12 * edge_orig.len());
-        put_u16(&mut out, version);
-        put_u16(&mut out, 0); // flags, reserved
-        put_u32(&mut out, self.vertex_count() as u32);
-        put_u32(&mut out, self.resilience() as u32);
-        put_u32(&mut out, self.params.mult_num);
-        put_u32(&mut out, self.params.mult_den);
-        put_u32(&mut out, self.params.add);
-        put_u32(&mut out, self.params.theta);
-        put_u32(&mut out, self.sources().len() as u32);
-        for s in self.sources() {
-            put_u32(&mut out, s.0);
-        }
-        put_u32(&mut out, edge_orig.len() as u32);
-        for i in 0..edge_orig.len() {
-            put_u32(&mut out, edge_orig[i]);
-            put_u32(&mut out, edge_u[i]);
-            put_u32(&mut out, edge_v[i]);
-        }
-        out
-    }
-
-    /// The canonical v1 payload — also the fingerprint input.
-    fn payload_bytes(&self) -> Vec<u8> {
-        self.payload_bytes_versioned(SNAPSHOT_APPROX_VERSION)
-    }
-
-    /// Serialises the structure to the default (v1) binary snapshot
-    /// format; equivalent to `save_with(SnapshotVersion::V1)`.
-    pub fn save(&self) -> Vec<u8> {
-        self.save_with(SnapshotVersion::V1)
-    }
-
-    /// Serialises the structure to the chosen snapshot format version —
-    /// the "FTBO" layouts of [`crate::snapshot`] under the "FTBA" magic,
-    /// with the stretch parameters as four extra header words.
-    pub fn save_with(&self, version: SnapshotVersion) -> Vec<u8> {
-        match version {
-            SnapshotVersion::V1 => {
-                let payload = self.payload_bytes();
-                let mut out = Vec::with_capacity(4 + payload.len() + 8);
-                out.extend_from_slice(&SNAPSHOT_APPROX_MAGIC);
-                out.extend_from_slice(&payload);
-                put_u64(&mut out, fnv1a64(&payload));
-                out
-            }
-            SnapshotVersion::V2 => {
-                let base = self.payload_bytes_versioned(SNAPSHOT_VERSION_V2);
-                let (xadj, adj_head, adj_edge) = self.inner.raw_csr();
-                let n = self.vertex_count();
-                let mut eori = Vec::new();
-                put_u32_slice(&mut eori, self.inner.raw_edge_orig());
-                let mut xadj_bytes = Vec::new();
-                put_u32_slice(&mut xadj_bytes, xadj);
-                let mut head_bytes = Vec::new();
-                put_u32_slice(&mut head_bytes, adj_head);
-                let mut edge_bytes = Vec::new();
-                put_u32_slice(&mut edge_bytes, adj_edge);
-                let mut tree_bytes = Vec::with_capacity(8 * n * self.inner.trees().len());
-                for tree in self.inner.trees() {
-                    let (dist, parent) = tree.raw_dist_parent();
-                    put_u32_slice(&mut tree_bytes, dist);
-                    put_u32_slice(&mut tree_bytes, parent);
-                }
-                assemble_v2(
-                    SNAPSHOT_APPROX_MAGIC,
-                    &base,
-                    self.fingerprint,
-                    &[
-                        (SEC_EDGE_ORIG, eori),
-                        (SEC_XADJ, xadj_bytes),
-                        (SEC_ARC_HEADS, head_bytes),
-                        (SEC_ARC_EDGES, edge_bytes),
-                        (SEC_TREES, tree_bytes),
-                    ],
-                )
-            }
-        }
-    }
-
-    /// Deserialises a snapshot produced by [`FrozenApproxStructure::save`]
-    /// / [`FrozenApproxStructure::save_with`], accepting both format
-    /// versions; the loaded structure is equal to the saved one (same
-    /// fingerprint, identical query answers, same declared contract).
-    pub fn load(data: &[u8]) -> Result<Self, SnapshotError> {
-        if data.len() < 4 || data[..4] != SNAPSHOT_APPROX_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if data.len() < 6 {
-            return Err(SnapshotError::Truncated { at: data.len() });
-        }
-        match u16::from_le_bytes([data[4], data[5]]) {
-            SNAPSHOT_APPROX_VERSION => Self::load_v1(data),
-            SNAPSHOT_VERSION_V2 => FrozenApproxView::open_bytes(data)?.to_frozen(),
-            v => Err(SnapshotError::UnsupportedVersion(v)),
-        }
-    }
-
-    fn load_v1(data: &[u8]) -> Result<Self, SnapshotError> {
-        if data.len() < 4 + 8 {
-            return Err(SnapshotError::Truncated { at: data.len() });
-        }
-        let (payload, checksum_bytes) = data[4..].split_at(data.len() - 4 - 8);
-        let mut check_reader = ByteReader::new(checksum_bytes);
-        let stored = check_reader.take_u64()?;
-        if fnv1a64(payload) != stored {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let base = ApproxBase::walk(data)?;
-        if base.end != data.len() - 8 {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} trailing payload bytes",
-                data.len() - 8 - base.end
-            )));
-        }
-        let params = ApproxParams {
-            mult_num: base.mult_num,
-            mult_den: base.mult_den,
-            add: base.add,
-            theta: base.theta,
-        };
-        let mut edge_orig = Vec::with_capacity(base.m.min(1 << 24));
-        let mut edge_u = Vec::with_capacity(base.m.min(1 << 24));
-        let mut edge_v = Vec::with_capacity(base.m.min(1 << 24));
-        for (orig, u, v) in base.edges() {
-            edge_orig.push(orig);
-            edge_u.push(u);
-            edge_v.push(v);
-        }
-        let sources = (0..base.source_count)
-            .map(|i| VertexId(base.source(i)))
-            .collect();
-        Self::from_parts(
-            base.n,
-            sources,
-            base.resilience,
-            params,
-            edge_orig,
-            edge_u,
-            edge_v,
-        )
-    }
-}
-
-impl DistanceOracle for FrozenApproxStructure {
-    fn vertex_count(&self) -> usize {
-        FrozenApproxStructure::vertex_count(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        FrozenApproxStructure::edge_count(self)
-    }
-
-    fn sources(&self) -> &[VertexId] {
-        FrozenApproxStructure::sources(self)
-    }
-
-    fn resilience(&self) -> usize {
-        FrozenApproxStructure::resilience(self)
-    }
-
-    fn fingerprint(&self) -> u64 {
-        FrozenApproxStructure::fingerprint(self)
-    }
-
-    fn slab(&self, source: VertexId) -> Option<OracleSlab<'_>> {
-        self.inner.slab(source)
-    }
-
-    /// Fault-free answers are exact (the primary BFS tree is embedded
-    /// whole); in-resilience faulted answers carry the structure's stretch
-    /// contract; beyond-resilience answers are best-effort.
-    fn guarantee(&self, spec: &FaultSpec) -> Guarantee {
-        approx_guarantee_for(self.params, self.resilience(), spec)
-    }
-}
-
-/// A borrowed, zero-rebuild serving view over the bytes of a v2
-/// approximate ("FTBA") snapshot — the mmap-served counterpart of
-/// [`FrozenApproxStructure`], with the same guarantee override.
-pub struct FrozenApproxView<'a> {
-    n: u32,
-    resilience: u32,
-    params: ApproxParams,
-    sources: Vec<VertexId>,
-    fingerprint: u64,
-    base: ApproxBase<'a>,
-    edge_orig: LeU32s<'a>,
-    xadj: LeU32s<'a>,
-    adj_head: LeU32s<'a>,
-    adj_edge: LeU32s<'a>,
-    /// `k × 2n` words: per source, the dist row then the parent row.
-    trees: LeU32s<'a>,
-}
-
-impl std::fmt::Debug for FrozenApproxView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrozenApproxView")
-            .field("n", &self.n)
-            .field("sources", &self.sources)
-            .field("resilience", &self.resilience)
-            .field("params", &self.params)
-            .field("edges", &self.edge_orig.len())
-            .field("fingerprint", &self.fingerprint)
-            .finish()
-    }
-}
-
-impl<'a> FrozenApproxView<'a> {
-    /// Opens a view over a [`SnapshotSource`], validating the snapshot
-    /// without rebuilding it; see [`crate::view`].
-    pub fn open(source: &'a SnapshotSource<'_>) -> Result<Self, SnapshotError> {
-        Self::open_bytes(source.bytes())
-    }
-
-    /// Opens a view directly over snapshot bytes (v2 only — use
-    /// [`FrozenApproxStructure::load`] for v1 input).
-    pub fn open_bytes(data: &'a [u8]) -> Result<Self, SnapshotError> {
-        if data.len() < 4 || data[..4] != SNAPSHOT_APPROX_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let base = ApproxBase::walk(data)?;
-        if base.version != SNAPSHOT_VERSION_V2 {
-            return Err(SnapshotError::UnsupportedVersion(base.version));
-        }
-        base.validate_invariants()?;
-        let frame = read_v2_frame(data, base.end)?;
-        let n = base.n as usize;
-        let m = base.m;
-        let k = base.source_count;
-        let eori = require_section(&frame.sections, SEC_EDGE_ORIG, 4 * m)?;
-        let xadj = require_section(&frame.sections, SEC_XADJ, 4 * (n + 1))?;
-        let heads = require_section(&frame.sections, SEC_ARC_HEADS, 8 * m)?;
-        let edges = require_section(&frame.sections, SEC_ARC_EDGES, 8 * m)?;
-        let trees = require_section(&frame.sections, SEC_TREES, 4 * k * 2 * n)?;
-        let eori = section_words(data, &eori);
-        let xadj = section_words(data, &xadj);
-        let heads = section_words(data, &heads);
-        let edges = section_words(data, &edges);
-        let trees = section_words(data, &trees);
-        if eori
-            .iter()
-            .zip(base.edges())
-            .any(|(derived, (orig, _, _))| derived != orig)
-        {
-            return corrupt("edge-id section disagrees with the base edge list");
-        }
-        check_csr(xadj, heads, edges, n, m)?;
-        let sources: Vec<VertexId> = (0..k).map(|i| VertexId(base.source(i))).collect();
-        for (i, s) in sources.iter().enumerate() {
-            check_tree(
-                trees.slice(i * 2 * n, i * 2 * n + n),
-                trees.slice(i * 2 * n + n, (i + 1) * 2 * n),
-                s.index(),
-                n,
-            )?;
-        }
-        let params = ApproxParams {
-            mult_num: base.mult_num,
-            mult_den: base.mult_den,
-            add: base.add,
-            theta: base.theta,
-        };
-        Ok(FrozenApproxView {
-            n: base.n,
-            resilience: base.resilience,
-            params,
-            sources,
-            fingerprint: frame.fingerprint,
-            base,
-            edge_orig: eori,
-            xadj,
-            adj_head: heads,
-            adj_edge: edges,
-            trees,
-        })
-    }
-
-    /// Number of vertices of the underlying graph.
-    pub fn vertex_count(&self) -> usize {
-        self.n as usize
-    }
-
-    /// Number of edges in the frozen structure.
-    pub fn edge_count(&self) -> usize {
-        self.edge_orig.len()
-    }
-
-    /// The source set, in snapshot order.
-    pub fn sources(&self) -> &[VertexId] {
-        &self.sources
-    }
-
-    /// The designed resilience `f`.
-    pub fn resilience(&self) -> usize {
-        self.resilience as usize
-    }
-
-    /// The declared stretch contract and construction knob `(α, β, θ)`,
-    /// read straight from the snapshot header.
-    pub fn params(&self) -> ApproxParams {
-        self.params
-    }
-
-    /// The structure fingerprint — equal to the fingerprint of the
-    /// [`FrozenApproxStructure`] the snapshot was saved from.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Rebuilds an owned [`FrozenApproxStructure`] from the view's
-    /// determining data, cross-checking the writer-attested fingerprint
-    /// stored in the frame (which covers the stretch parameters, so a
-    /// patched contract is rejected here too).
-    pub fn to_frozen(&self) -> Result<FrozenApproxStructure, SnapshotError> {
-        let m = self.base.m;
-        let mut edge_orig = Vec::with_capacity(m);
-        let mut edge_u = Vec::with_capacity(m);
-        let mut edge_v = Vec::with_capacity(m);
-        for i in 0..m {
-            let (orig, u, v) = self.base.edge(i);
-            edge_orig.push(orig);
-            edge_u.push(u);
-            edge_v.push(v);
-        }
-        let rebuilt = FrozenApproxStructure::from_parts(
-            self.n,
-            self.sources.clone(),
-            self.resilience,
-            self.params,
-            edge_orig,
-            edge_u,
-            edge_v,
-        )?;
-        if rebuilt.fingerprint() != self.fingerprint {
-            return corrupt("stored fingerprint disagrees with the determining data");
-        }
-        Ok(rebuilt)
-    }
-}
-
-impl DistanceOracle for FrozenApproxView<'_> {
-    fn vertex_count(&self) -> usize {
-        FrozenApproxView::vertex_count(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        FrozenApproxView::edge_count(self)
-    }
-
-    fn sources(&self) -> &[VertexId] {
-        FrozenApproxView::sources(self)
-    }
-
-    fn resilience(&self) -> usize {
-        FrozenApproxView::resilience(self)
-    }
-
-    fn fingerprint(&self) -> u64 {
-        FrozenApproxView::fingerprint(self)
-    }
-
-    /// Mirrors [`FrozenApproxStructure`]: any in-range vertex is servable
-    /// over the shared CSR; declared sources additionally get their mapped
-    /// fault-free tree.
-    fn slab(&self, source: VertexId) -> Option<OracleSlab<'_>> {
-        if source.index() >= self.vertex_count() {
-            return None;
-        }
-        let n = self.vertex_count();
-        let tree = self.sources.iter().position(|&s| s == source).map(|i| {
-            crate::api::SlabTree::new(
-                self.trees.slice(i * 2 * n, i * 2 * n + n),
-                self.trees.slice(i * 2 * n + n, (i + 1) * 2 * n),
-            )
-        });
-        Some(OracleSlab::new(
-            source,
-            self.xadj,
-            self.adj_head,
-            self.adj_edge,
-            self.edge_orig,
-            tree,
-        ))
-    }
-
-    /// Same contract as [`FrozenApproxStructure::guarantee`].
-    fn guarantee(&self, spec: &FaultSpec) -> Guarantee {
-        approx_guarantee_for(self.params, self.resilience(), spec)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::snapshot::snapshot_layout;
+    use crate::api::{Contract, DistanceOracle, Guarantee};
+    use crate::frozen::FrozenStructure;
+    use crate::snapshot::{snapshot_layout, SnapshotError, SnapshotVersion};
+    use crate::view::{FrozenView, SnapshotSource};
     use crate::QueryEngine;
-    use ftbfs_core::approx_ftbfs;
-    use ftbfs_graph::{bfs, generators, EdgeId, GraphView, TieBreak};
+    use ftbfs_core::{approx_ftbfs, ApproxParams};
+    use ftbfs_graph::{bfs, generators, EdgeId, FaultSpec, Graph, GraphView, TieBreak, VertexId};
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
     }
 
-    fn sample() -> (Graph, FrozenApproxStructure) {
+    fn sample() -> (Graph, FrozenStructure) {
         let g = generators::connected_gnp(34, 0.14, 6);
         let w = TieBreak::new(&g, 6);
         let built = approx_ftbfs(&g, &w, v(0), ApproxParams::DEFAULT);
-        let frozen = FrozenApproxStructure::freeze(&g, &built);
+        let frozen = FrozenStructure::freeze_approx(&g, &built);
         (g, frozen)
     }
 
@@ -620,7 +99,9 @@ mod tests {
         let edges: Vec<EdgeId> = g.edges().collect();
         assert_eq!(frozen.resilience(), 2);
         assert_eq!(frozen.guarantee(&FaultSpec::None), Guarantee::Exact);
-        let p = frozen.params();
+        let Contract::Approx(p) = frozen.contract() else {
+            panic!("approximate freeze declares the approximate contract");
+        };
         let expected = Guarantee::Approx {
             mult_num: p.mult_num,
             mult_den: p.mult_den,
@@ -678,30 +159,27 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip_both_versions() {
+    fn save_load_roundtrip_keeps_the_contract() {
         let (_g, frozen) = sample();
-        for version in [SnapshotVersion::V1, SnapshotVersion::V2] {
-            let bytes = frozen.save_with(version);
-            assert_eq!(&bytes[..4], &SNAPSHOT_APPROX_MAGIC);
-            let loaded = FrozenApproxStructure::load(&bytes).unwrap();
-            assert_eq!(loaded, frozen);
-            assert_eq!(loaded.fingerprint(), frozen.fingerprint());
-            assert_eq!(loaded.params(), frozen.params());
-            // Canonical encoding: saving again is byte-identical.
-            assert_eq!(loaded.save_with(version), bytes);
-        }
+        let bytes = frozen.save();
+        let loaded = FrozenStructure::load(&bytes).unwrap();
+        assert_eq!(loaded, frozen);
+        assert_eq!(loaded.fingerprint(), frozen.fingerprint());
+        assert_eq!(loaded.contract(), frozen.contract());
+        // Canonical encoding: saving again is byte-identical.
+        assert_eq!(loaded.save(), bytes);
     }
 
     #[test]
     fn view_answers_identically_to_the_structure() {
         let (g, frozen) = sample();
-        let bytes = frozen.save_with(SnapshotVersion::V2);
-        let view = FrozenApproxView::open_bytes(&bytes).unwrap();
+        let bytes = frozen.save();
+        let view = FrozenView::open_bytes(&bytes).unwrap();
         assert_eq!(view.vertex_count(), frozen.vertex_count());
         assert_eq!(view.edge_count(), frozen.edge_count());
         assert_eq!(view.sources(), frozen.sources());
         assert_eq!(view.resilience(), frozen.resilience());
-        assert_eq!(view.params(), frozen.params());
+        assert_eq!(view.contract(), frozen.contract());
         assert_eq!(view.fingerprint(), frozen.fingerprint());
         let mut ea = QueryEngine::new();
         let mut eb = QueryEngine::new();
@@ -720,25 +198,29 @@ mod tests {
             }
         }
         assert_eq!(view.to_frozen().unwrap(), frozen);
-        let dbg = format!("{view:?}");
-        assert!(dbg.contains("FrozenApproxView"));
     }
 
     #[test]
-    fn sources_open_views_and_layout_reads_ftba() {
-        let (_g, frozen) = sample();
+    fn layout_reads_the_contract_from_the_header() {
+        let (g, frozen) = sample();
         let bytes = frozen.save_with(SnapshotVersion::V2);
         let owned = SnapshotSource::owned(bytes.clone());
-        assert!(FrozenApproxView::open(&owned).is_ok());
+        assert!(FrozenView::open(&owned).is_ok());
         let layout = snapshot_layout(&bytes).unwrap();
-        assert_eq!(layout.version, SNAPSHOT_VERSION_V2);
+        assert_eq!(layout.contract, Contract::Approx(ApproxParams::DEFAULT));
         assert_eq!(layout.fingerprint, frozen.fingerprint());
         assert_eq!(layout.sections.len(), 5);
-        // v1 FTBA snapshots carry no section layout.
-        assert_eq!(
-            snapshot_layout(&frozen.save()).unwrap_err(),
-            SnapshotError::UnsupportedVersion(1)
+        // The contract is four header words: the approximate base is 16
+        // bytes longer than the exact one over the same edges.
+        let exact = FrozenStructure::from_edges(
+            &g,
+            frozen.sources(),
+            frozen.resilience(),
+            (0..frozen.edge_count() as u32).map(|i| frozen.original_edge(i)),
         );
+        let exact_layout = snapshot_layout(&exact.save()).unwrap();
+        assert_eq!(exact_layout.contract, Contract::Exact);
+        assert_eq!(layout.base.len(), exact_layout.base.len() + 16);
     }
 
     #[test]
@@ -748,48 +230,46 @@ mod tests {
         // Same built edge set, re-declared under a different contract: the
         // serving artifacts must not be interchangeable.
         let built = approx_ftbfs(&g, &w, v(0), ApproxParams::DEFAULT);
-        let a = FrozenApproxStructure::freeze(&g, &built);
+        let a = FrozenStructure::freeze_approx(&g, &built);
         let mut relabelled = built.clone();
         relabelled.params.add += 1;
-        let b = FrozenApproxStructure::freeze(&g, &relabelled);
+        let b = FrozenStructure::freeze_approx(&g, &relabelled);
         assert_eq!(a.edge_count(), b.edge_count());
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_ne!(a, b);
         // And differs from an exact frozen structure over the same edges.
-        assert_ne!(a.fingerprint(), a.as_frozen().fingerprint());
+        let exact = FrozenStructure::freeze(&g, &built.structure);
+        assert_ne!(a.fingerprint(), exact.fingerprint());
     }
 
     #[test]
     fn malformed_snapshots_are_rejected() {
         let (_g, frozen) = sample();
-        assert_eq!(
-            FrozenApproxStructure::load(b"FTBO....").unwrap_err(),
-            SnapshotError::BadMagic
-        );
-        for version in [SnapshotVersion::V1, SnapshotVersion::V2] {
-            let bytes = frozen.save_with(version);
-            for cut in [3, 5, bytes.len() / 2, bytes.len() - 1] {
-                assert!(
-                    FrozenApproxStructure::load(&bytes[..cut]).is_err(),
-                    "{version:?} cut at {cut} must not load"
-                );
-            }
-            let mut flipped = bytes.clone();
-            let mid = flipped.len() / 2;
-            flipped[mid] ^= 0x20;
-            assert!(FrozenApproxStructure::load(&flipped).is_err());
-        }
-        // A crafted v1 snapshot with a zero stretch denominator (checksum
-        // fixed up) is rejected by the invariant check, not the checksum.
         let bytes = frozen.save();
-        let mut payload = bytes[4..bytes.len() - 8].to_vec();
-        payload[16..20].copy_from_slice(&0u32.to_le_bytes()); // mult_den
-        let mut crafted = Vec::new();
-        crafted.extend_from_slice(&SNAPSHOT_APPROX_MAGIC);
-        crafted.extend_from_slice(&payload);
-        put_u64(&mut crafted, fnv1a64(&payload));
-        match FrozenApproxStructure::load(&crafted).unwrap_err() {
+        for cut in [3, 5, bytes.len() / 2, bytes.len() - 1] {
+            assert!(
+                FrozenStructure::load(&bytes[..cut]).is_err(),
+                "cut at {cut} must not load"
+            );
+        }
+        let mut flipped = bytes.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x20;
+        assert!(FrozenStructure::load(&flipped).is_err());
+        // A zero stretch denominator (header words: version, flags, n,
+        // resilience, then α's numerator and denominator) is rejected by
+        // the invariant check before any checksum is consulted.
+        let mut crafted = bytes.clone();
+        crafted[20..24].copy_from_slice(&0u32.to_le_bytes());
+        match FrozenStructure::load(&crafted).unwrap_err() {
             SnapshotError::Corrupt(why) => assert!(why.contains("denominator"), "{why}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // So is a contract promising a stretch below one.
+        let mut crafted = bytes.clone();
+        crafted[20..24].copy_from_slice(&9u32.to_le_bytes());
+        match FrozenStructure::load(&crafted).unwrap_err() {
+            SnapshotError::Corrupt(why) => assert!(why.contains("at least one"), "{why}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
     }
@@ -797,19 +277,20 @@ mod tests {
     #[test]
     fn view_rejects_v1_and_foreign_magics() {
         let (_g, frozen) = sample();
+        let mut v1 = frozen.save();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
         assert_eq!(
-            FrozenApproxView::open_bytes(&frozen.save()).unwrap_err(),
+            FrozenView::open_bytes(&v1).unwrap_err(),
             SnapshotError::UnsupportedVersion(1)
         );
         assert_eq!(
-            FrozenApproxView::open_bytes(b"FTBO....").unwrap_err(),
+            FrozenView::open_bytes(b"FTBM....").unwrap_err(),
             SnapshotError::BadMagic
         );
-        // An exact v2 snapshot is not an approximate one.
-        let exact = frozen.as_frozen().save_with(SnapshotVersion::V2);
         assert_eq!(
-            FrozenApproxView::open_bytes(&exact).unwrap_err(),
-            SnapshotError::BadMagic
+            FrozenView::open_bytes(b"FTBA....").unwrap_err(),
+            SnapshotError::BadMagic,
+            "the retired approximate magic is not a snapshot"
         );
     }
 }

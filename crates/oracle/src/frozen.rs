@@ -17,14 +17,19 @@
 //! * the **fault-free BFS tree** (distance + parent) from every source is
 //!   computed at freeze time, making fault-free distance queries `O(1)` and
 //!   fault-free path queries `O(path)`;
-//! * a structural **fingerprint** (FNV-1a over the canonical byte encoding)
-//!   identifies the frozen structure — the query engine uses it to detect
-//!   being handed a different structure, and the binary snapshot format
+//! * the structure's answer [`Contract`] — exact for the paper's
+//!   structures, a declared `(α, β)` stretch for the FT-ABFS backend (see
+//!   [`crate::approx`]) — rides along and derives every answer's
+//!   [`crate::Guarantee`];
+//! * a structural **fingerprint** (FNV-1a over the canonical byte encoding
+//!   of the header, contract and edge list) identifies the frozen
+//!   structure — the query engine uses it to detect being handed a
+//!   different structure, and the binary snapshot format
 //!   ([`FrozenStructure::save`] / [`FrozenStructure::load`], see
-//!   [`crate::snapshot`]) uses the same encoding.
+//!   [`crate::snapshot`]) stores the same encoding as its base payload.
 
-use crate::api::{DistanceOracle, OracleSlab, SlabTree};
-use crate::snapshot::SnapshotError;
+use crate::api::{Contract, DistanceOracle, OracleSlab, SlabTree};
+use crate::snapshot::{check_contract, put_base, SnapshotError};
 use ftbfs_core::FtBfsStructure;
 use ftbfs_graph::{EdgeId, Graph, Path, VertexId};
 
@@ -37,8 +42,10 @@ pub(crate) const NO_PARENT: u32 = u32::MAX;
 ///
 /// See the module docs for the layout.  Obtain one with
 /// [`FrozenStructure::freeze`] (from an [`FtBfsStructure`]), with
-/// [`FrozenStructure::from_edges`] (from a raw edge-id collection), or with
-/// [`FrozenStructure::load`] (from a snapshot).  Queries are answered
+/// [`FrozenStructure::freeze_approx`] (from an FT-ABFS structure, under
+/// its approximate [`Contract`]), with [`FrozenStructure::from_edges`]
+/// (from a raw edge-id collection), or with [`FrozenStructure::load`]
+/// (from a snapshot).  Queries are answered
 /// through a [`crate::QueryEngine`], which keeps the mutable per-thread
 /// scratch state separate so one frozen structure can serve many threads.
 ///
@@ -68,6 +75,7 @@ pub struct FrozenStructure {
     n: u32,
     sources: Vec<VertexId>,
     resilience: u32,
+    contract: Contract,
     /// Original edge ids, strictly increasing; the frozen edge index is the
     /// position in this array.
     edge_orig: Vec<u32>,
@@ -156,14 +164,34 @@ impl FrozenStructure {
         )
     }
 
-    /// Freezes a raw edge-id collection (deduplicated automatically), for
-    /// callers that do not hold an [`FtBfsStructure`].
+    /// Freezes a raw edge-id collection (deduplicated automatically) under
+    /// the exact contract, for callers that do not hold an
+    /// [`FtBfsStructure`].
     ///
     /// # Panics
     ///
     /// Panics if `sources` is empty or out of range, or if an edge id does
     /// not exist in `graph`.
     pub fn from_edges<I>(graph: &Graph, sources: &[VertexId], resilience: usize, edges: I) -> Self
+    where
+        I: IntoIterator<Item = EdgeId>,
+    {
+        Self::with_contract(graph, sources, resilience, Contract::Exact, edges)
+    }
+
+    /// [`Self::from_edges`] under an explicit answer contract.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::from_edges`], and if an approximate contract is
+    /// malformed (`α` denominator zero or `α < 1`).
+    pub(crate) fn with_contract<I>(
+        graph: &Graph,
+        sources: &[VertexId],
+        resilience: usize,
+        contract: Contract,
+        edges: I,
+    ) -> Self
     where
         I: IntoIterator<Item = EdgeId>,
     {
@@ -187,11 +215,12 @@ impl FrozenStructure {
             graph.vertex_count() as u32,
             sources.to_vec(),
             resilience as u32,
+            contract,
             edge_orig,
             edge_u,
             edge_v,
         )
-        .expect("graph-derived edges are always consistent")
+        .unwrap_or_else(|e| panic!("cannot freeze: {e}"))
     }
 
     /// Assembles a frozen structure from validated raw parts; shared by
@@ -200,11 +229,13 @@ impl FrozenStructure {
         n: u32,
         sources: Vec<VertexId>,
         resilience: u32,
+        contract: Contract,
         edge_orig: Vec<u32>,
         edge_u: Vec<u32>,
         edge_v: Vec<u32>,
     ) -> Result<Self, SnapshotError> {
         let corrupt = |why: &str| Err(SnapshotError::Corrupt(why.to_string()));
+        check_contract(contract)?;
         if sources.is_empty() {
             return corrupt("a frozen structure needs at least one source");
         }
@@ -228,6 +259,7 @@ impl FrozenStructure {
             n,
             sources,
             resilience,
+            contract,
             edge_orig,
             edge_u,
             edge_v,
@@ -239,8 +271,23 @@ impl FrozenStructure {
         };
         structure.build_csr();
         structure.build_trees();
-        structure.fingerprint = ftbfs_graph::bytes::fnv1a64(&structure.payload_bytes());
+        structure.fingerprint = ftbfs_graph::bytes::fnv1a64(&structure.base_bytes());
         Ok(structure)
+    }
+
+    /// The canonical encoding of the determining data — the snapshot's
+    /// base payload and the input of [`Self::fingerprint`].
+    pub(crate) fn base_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(36 + 4 * self.sources.len() + 12 * self.edge_orig.len());
+        put_base(
+            &mut out,
+            self.contract,
+            self.n,
+            self.resilience,
+            &self.sources,
+            (&self.edge_orig, &self.edge_u, &self.edge_v),
+        );
+        out
     }
 
     /// Packs the edge list into the CSR arrays, with each vertex's arcs
@@ -355,6 +402,11 @@ impl FrozenStructure {
         self.resilience as usize
     }
 
+    /// The answer contract the structure declares.
+    pub fn contract(&self) -> Contract {
+        self.contract
+    }
+
     /// The frozen index of original edge `e`, or `None` if `e` is not part
     /// of the structure.  `O(log |E(H)|)`.
     #[inline]
@@ -402,14 +454,15 @@ impl FrozenStructure {
     /// The FNV-1a fingerprint of the structure's canonical byte encoding.
     ///
     /// Two frozen structures answer identically iff their fingerprints
-    /// (over `n`, sources, resilience and the edge list) agree; the query
-    /// engine uses this to invalidate its cache when rebound.
+    /// (over `n`, resilience, contract, sources and the edge list) agree;
+    /// the query engine uses this to invalidate its cache when rebound.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
     /// Reconstructs a mutable [`FtBfsStructure`] with the same sources,
-    /// resilience and edge set (the inverse of [`FrozenStructure::freeze`]).
+    /// resilience and edge set (the inverse of [`FrozenStructure::freeze`];
+    /// the contract is not part of it).
     pub fn to_structure(&self) -> FtBfsStructure {
         FtBfsStructure::from_edges(
             self.sources.clone(),
@@ -425,11 +478,7 @@ impl FrozenStructure {
         &self.edge_orig
     }
 
-    pub(crate) fn raw_edge_uv(&self) -> (&[u32], &[u32]) {
-        (&self.edge_u, &self.edge_v)
-    }
-
-    /// The CSR arrays `(xadj, adj_head, adj_edge)` — what the v2 snapshot
+    /// The CSR arrays `(xadj, adj_head, adj_edge)` — what the snapshot
     /// sections persist so a view can serve without rebuilding them.
     pub(crate) fn raw_csr(&self) -> (&[u32], &[u32], &[u32]) {
         (&self.xadj, &self.adj_head, &self.adj_edge)
@@ -437,7 +486,7 @@ impl FrozenStructure {
 }
 
 impl SourceTree {
-    /// The dense `(dist, parent_head)` arrays persisted by v2 snapshots
+    /// The dense `(dist, parent_head)` arrays persisted by snapshots
     /// (`parent_edge` is derivable and not stored).
     pub(crate) fn raw_dist_parent(&self) -> (&[u32], &[u32]) {
         (&self.dist, &self.parent_head)
@@ -463,6 +512,11 @@ impl DistanceOracle for FrozenStructure {
 
     fn fingerprint(&self) -> u64 {
         FrozenStructure::fingerprint(self)
+    }
+
+    #[inline]
+    fn contract(&self) -> Contract {
+        self.contract
     }
 
     /// Any in-range vertex can serve as a source: the structure keeps one

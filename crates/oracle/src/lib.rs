@@ -13,20 +13,20 @@
 //!   queries ([`ftbfs_graph::FaultSpec`]) and answers ([`Answer`] carrying
 //!   a [`Guarantee`], [`QueryError`] instead of panics);
 //! * [`FrozenStructure`] / [`FrozenMultiStructure`] — the two heap-built
-//!   oracle backends: a single-source (or union) structure compiled into
-//!   one immutable CSR adjacency, and a multi-source FT-MBFS structure
-//!   compiled into per-source CSR slabs for `S × V` workloads; both with
-//!   fault-free BFS trees precomputed at freeze time, versioned compact
-//!   binary [`snapshot`] formats (`save`/`load`, magic + checksum) and
-//!   structural fingerprints — plus [`FrozenView`] / [`FrozenMultiView`]
-//!   (module [`view`]), their zero-rebuild counterparts that serve
-//!   directly out of mapped v2 snapshot bytes;
-//! * [`FrozenApproxStructure`] / [`FrozenApproxView`] (module [`approx`])
-//!   — the approximate FT-ABFS backend: `O(n·θ)` edges instead of
-//!   `O(n^{5/3})`, answers within a declared `(α, β)` stretch of the true
-//!   post-failure distance, surfaced as [`Guarantee::Approx`] on every
-//!   in-resilience faulted answer and snapshotted under its own "FTBA"
-//!   magic;
+//!   oracle backends: a single-slab structure compiled into one immutable
+//!   CSR adjacency, and a multi-source FT-MBFS structure compiled into
+//!   per-source CSR slabs for `S × V` workloads; both with fault-free BFS
+//!   trees precomputed at freeze time, one compact binary [`snapshot`]
+//!   format (`save`/`load`, magic + checksums) and structural
+//!   fingerprints — plus [`FrozenView`] / [`FrozenMultiView`] (module
+//!   [`view`]), their zero-rebuild counterparts that serve directly out
+//!   of snapshot bytes;
+//! * [`Contract`] — what a single-slab structure's answers promise:
+//!   exact for the paper's structures, or (module [`approx`],
+//!   [`FrozenStructure::freeze_approx`]) the FT-ABFS backend's declared
+//!   `(α, β)` stretch — `O(n·θ)` edges instead of `O(n^{5/3})`, surfaced
+//!   as [`Guarantee::Approx`] on every in-resilience faulted answer and
+//!   stored in the snapshot header;
 //! * [`QueryEngine`] — per-thread zero-allocation query answering over any
 //!   oracle ([`QueryEngine::try_distance`],
 //!   [`QueryEngine::try_shortest_path`],
@@ -80,9 +80,8 @@ pub mod snapshot;
 pub mod view;
 
 pub use api::{
-    Answer, DistanceMatrix, DistanceOracle, Guarantee, OracleSlab, QueryError, SlabTree,
+    Answer, Contract, DistanceMatrix, DistanceOracle, Guarantee, OracleSlab, QueryError, SlabTree,
 };
-pub use approx::{FrozenApproxStructure, FrozenApproxView};
 pub use engine::{Query, QueryEngine, QueryStats, BUDGET_CHECK_STRIDE, DEFAULT_CACHE_CAPACITY};
 pub use frozen::{FrozenStructure, SourceTree};
 pub use ftbfs_telemetry::{NoopRecorder, QueryRecorder};
@@ -90,8 +89,7 @@ pub use multi::FrozenMultiStructure;
 pub use report::BatchReport;
 pub use snapshot::{
     snapshot_layout, SectionEntry, SnapshotError, SnapshotLayout, SnapshotVersion, SNAPSHOT_ALIGN,
-    SNAPSHOT_APPROX_MAGIC, SNAPSHOT_APPROX_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
-    SNAPSHOT_MULTI_VERSION, SNAPSHOT_VERSION, SNAPSHOT_VERSION_V2,
+    SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC, SNAPSHOT_VERSION,
 };
 pub use view::{FrozenMultiView, FrozenView, SnapshotSource};
 

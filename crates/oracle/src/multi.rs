@@ -18,43 +18,25 @@
 //! engine's per-source LRU partitions keep their cached restrictions
 //! separate.
 //!
-//! ## Snapshot layout (version 1, all integers little-endian)
+//! ## Snapshot layout
 //!
-//! ```text
-//! magic      4 bytes   "FTBM"
-//! payload:
-//!   version  u16       currently 1
-//!   flags    u16       reserved, must be 0
-//!   n        u32       vertex count of the underlying graph
-//!   resil    u32       designed resilience f
-//!   k        u32       number of sources
-//!   sources  k × u32
-//!   m        u32       number of union edges
-//!   edges    m × (orig u32, u u32, v u32), strictly increasing by orig
-//!   slabs    k × (m_s u32, m_s × u32 union-edge indices, strictly increasing)
-//! checksum   u64       FNV-1a over the payload bytes
-//! ```
-//!
-//! In the v1 format only the determining data is stored; the CSR arrays
-//! and trees are recomputed on load, so a loaded structure answers
-//! bit-identically to the saved one.  The v2 format
-//! ([`FrozenMultiStructure::save_with`] with
-//! [`SnapshotVersion::V2`](crate::SnapshotVersion::V2)) keeps the same
-//! payload as its base and appends the derived per-slab arrays — the slab
-//! table plus concatenated edge-id/CSR/tree sections — in the aligned,
-//! checksummed section frame described in [`crate::snapshot`], so a
-//! [`crate::FrozenMultiView`] can serve the `S × V` workload straight
-//! from mapped bytes with zero rebuild.
+//! The `"FTBM"` snapshot ([`FrozenMultiStructure::save`], see
+//! [`crate::snapshot`]) stores the union edge list plus, per source, the
+//! slab's edge list as strictly increasing union-edge indices; that base
+//! payload is the determining data and its FNV-1a is the fingerprint.  The
+//! derived per-slab arrays — the slab table plus concatenated
+//! edge-id/CSR/tree sections — follow in the aligned, checksummed section
+//! frame, so a [`crate::FrozenMultiView`] can serve the `S × V` workload
+//! straight from the bytes with zero rebuild.
 
-use crate::api::{DistanceOracle, OracleSlab};
+use crate::api::{Contract, DistanceOracle, OracleSlab};
 use crate::frozen::FrozenStructure;
 use crate::snapshot::{
-    assemble_v2, SnapshotError, SnapshotVersion, SEC_ARC_EDGES, SEC_ARC_HEADS, SEC_EDGE_ORIG,
-    SEC_SLAB_TABLE, SEC_TREES, SEC_XADJ, SNAPSHOT_MULTI_MAGIC, SNAPSHOT_MULTI_VERSION,
-    SNAPSHOT_VERSION_V2,
+    assemble, put_base, SnapshotError, SnapshotVersion, SEC_ARC_EDGES, SEC_ARC_HEADS,
+    SEC_EDGE_ORIG, SEC_SLAB_TABLE, SEC_TREES, SEC_XADJ, SNAPSHOT_MULTI_MAGIC,
 };
 use ftbfs_core::FtBfsStructure;
-use ftbfs_graph::bytes::{fnv1a64, put_u16, put_u32, put_u32_slice, put_u64, ByteReader};
+use ftbfs_graph::bytes::{fnv1a64, put_u32, put_u32_slice};
 use ftbfs_graph::{EdgeId, Graph, VertexId};
 
 /// A multi-source FT-MBFS structure frozen into per-source CSR slabs; see
@@ -225,6 +207,7 @@ impl FrozenMultiStructure {
                     n,
                     vec![s],
                     resilience,
+                    Contract::Exact,
                     edges.iter().map(|&i| union_orig[i as usize]).collect(),
                     edges.iter().map(|&i| union_u[i as usize]).collect(),
                     edges.iter().map(|&i| union_v[i as usize]).collect(),
@@ -242,7 +225,7 @@ impl FrozenMultiStructure {
             slabs,
             fingerprint: 0,
         };
-        structure.fingerprint = fnv1a64(&structure.payload_bytes());
+        structure.fingerprint = fnv1a64(&structure.base_bytes());
         Ok(structure)
     }
 
@@ -297,200 +280,84 @@ impl FrozenMultiStructure {
         )
     }
 
-    /// The canonical payload encoding (between magic and checksum) with an
-    /// explicit version field value.
-    fn payload_bytes_versioned(&self, version: u16) -> Vec<u8> {
+    /// The canonical encoding of the determining data (union edges plus
+    /// per-slab index lists) — the snapshot's base payload and the input
+    /// of [`Self::fingerprint`].
+    fn base_bytes(&self) -> Vec<u8> {
+        let slab_words: usize = self.slab_edges.iter().map(|s| 1 + s.len()).sum();
         let mut out = Vec::with_capacity(
-            24 + 4 * self.sources.len()
-                + 12 * self.union_orig.len()
-                + self
-                    .slab_edges
-                    .iter()
-                    .map(|s| 4 + 4 * s.len())
-                    .sum::<usize>(),
+            20 + 4 * self.sources.len() + 12 * self.union_orig.len() + 4 * slab_words,
         );
-        put_u16(&mut out, version);
-        put_u16(&mut out, 0); // flags, reserved
-        put_u32(&mut out, self.n);
-        put_u32(&mut out, self.resilience);
-        put_u32(&mut out, self.sources.len() as u32);
-        for s in &self.sources {
-            put_u32(&mut out, s.0);
-        }
-        put_u32(&mut out, self.union_orig.len() as u32);
-        for i in 0..self.union_orig.len() {
-            put_u32(&mut out, self.union_orig[i]);
-            put_u32(&mut out, self.union_u[i]);
-            put_u32(&mut out, self.union_v[i]);
-        }
+        put_base(
+            &mut out,
+            Contract::Exact,
+            self.n,
+            self.resilience,
+            &self.sources,
+            (&self.union_orig, &self.union_u, &self.union_v),
+        );
         for edges in &self.slab_edges {
             put_u32(&mut out, edges.len() as u32);
-            for &i in edges {
-                put_u32(&mut out, i);
-            }
+            put_u32_slice(&mut out, edges);
         }
         out
     }
 
-    /// The canonical v1 payload — also the fingerprint input.
-    fn payload_bytes(&self) -> Vec<u8> {
-        self.payload_bytes_versioned(SNAPSHOT_MULTI_VERSION)
-    }
-
-    /// Serialises the structure to the default (v1) binary snapshot format
-    /// (magic `"FTBM"`); equivalent to `save_with(SnapshotVersion::V1)`.
+    /// Serialises the structure to its snapshot (magic `"FTBM"`); see the
+    /// module docs and [`crate::snapshot`] for the layout.
     pub fn save(&self) -> Vec<u8> {
-        self.save_with(SnapshotVersion::V1)
+        self.save_with(SnapshotVersion::V2)
     }
 
-    /// Serialises the structure to the chosen snapshot format version; see
-    /// the module docs and [`crate::snapshot`] for the layouts.
+    /// Serialises the structure to the chosen snapshot format version (v2
+    /// is the only one).
     pub fn save_with(&self, version: SnapshotVersion) -> Vec<u8> {
-        match version {
-            SnapshotVersion::V1 => {
-                let payload = self.payload_bytes();
-                let mut out = Vec::with_capacity(4 + payload.len() + 8);
-                out.extend_from_slice(&SNAPSHOT_MULTI_MAGIC);
-                out.extend_from_slice(&payload);
-                put_u64(&mut out, fnv1a64(&payload));
-                out
-            }
-            SnapshotVersion::V2 => {
-                let base = self.payload_bytes_versioned(SNAPSHOT_VERSION_V2);
-                let n = self.vertex_count();
-                let k = self.sources.len();
-                let mut slab_table = Vec::with_capacity(8 * k);
-                let mut eori = Vec::new();
-                let mut xadj = Vec::new();
-                let mut heads = Vec::new();
-                let mut edges = Vec::new();
-                let mut trees = Vec::with_capacity(8 * n * k);
-                let mut prefix = 0u32;
-                for slab in &self.slabs {
-                    put_u32(&mut slab_table, slab.edge_count() as u32);
-                    put_u32(&mut slab_table, prefix);
-                    prefix += slab.edge_count() as u32;
-                    put_u32_slice(&mut eori, slab.raw_edge_orig());
-                    let (x, h, e) = slab.raw_csr();
-                    put_u32_slice(&mut xadj, x);
-                    put_u32_slice(&mut heads, h);
-                    put_u32_slice(&mut edges, e);
-                    let tree = &slab.trees()[0];
-                    let (dist, parent) = tree.raw_dist_parent();
-                    put_u32_slice(&mut trees, dist);
-                    put_u32_slice(&mut trees, parent);
-                }
-                assemble_v2(
-                    SNAPSHOT_MULTI_MAGIC,
-                    &base,
-                    self.fingerprint(),
-                    &[
-                        (SEC_SLAB_TABLE, slab_table),
-                        (SEC_EDGE_ORIG, eori),
-                        (SEC_XADJ, xadj),
-                        (SEC_ARC_HEADS, heads),
-                        (SEC_ARC_EDGES, edges),
-                        (SEC_TREES, trees),
-                    ],
-                )
-            }
+        let SnapshotVersion::V2 = version;
+        let n = self.vertex_count();
+        let k = self.sources.len();
+        let mut slab_table = Vec::with_capacity(8 * k);
+        let mut eori = Vec::new();
+        let mut xadj = Vec::new();
+        let mut heads = Vec::new();
+        let mut edges = Vec::new();
+        let mut trees = Vec::with_capacity(8 * n * k);
+        let mut prefix = 0u32;
+        for slab in &self.slabs {
+            put_u32(&mut slab_table, slab.edge_count() as u32);
+            put_u32(&mut slab_table, prefix);
+            prefix += slab.edge_count() as u32;
+            put_u32_slice(&mut eori, slab.raw_edge_orig());
+            let (x, h, e) = slab.raw_csr();
+            put_u32_slice(&mut xadj, x);
+            put_u32_slice(&mut heads, h);
+            put_u32_slice(&mut edges, e);
+            let (dist, parent) = slab.trees()[0].raw_dist_parent();
+            put_u32_slice(&mut trees, dist);
+            put_u32_slice(&mut trees, parent);
         }
+        assemble(
+            SNAPSHOT_MULTI_MAGIC,
+            &self.base_bytes(),
+            self.fingerprint(),
+            &[
+                (SEC_SLAB_TABLE, slab_table),
+                (SEC_EDGE_ORIG, eori),
+                (SEC_XADJ, xadj),
+                (SEC_ARC_HEADS, heads),
+                (SEC_ARC_EDGES, edges),
+                (SEC_TREES, trees),
+            ],
+        )
     }
 
-    /// Deserialises a snapshot produced by [`FrozenMultiStructure::save`] /
-    /// [`FrozenMultiStructure::save_with`], accepting both format
-    /// versions (v1 recomputes every slab's CSR adjacency and fault-free
-    /// tree; v2 is validated like a [`crate::FrozenMultiView`] open, then
-    /// rebuilt).
+    /// Deserialises a snapshot produced by [`FrozenMultiStructure::save`]:
+    /// validated like a [`crate::FrozenMultiView`] open, then rebuilt.
     ///
     /// Malformed input of any kind — wrong magic, truncation, bit flips,
     /// inconsistent contents — returns a typed [`SnapshotError`]; this
     /// function never panics.
     pub fn load(data: &[u8]) -> Result<Self, SnapshotError> {
-        if data.len() < 4 || data[..4] != SNAPSHOT_MULTI_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if data.len() < 6 {
-            return Err(SnapshotError::Truncated { at: data.len() });
-        }
-        match u16::from_le_bytes([data[4], data[5]]) {
-            SNAPSHOT_MULTI_VERSION => Self::load_v1(data),
-            SNAPSHOT_VERSION_V2 => crate::view::FrozenMultiView::open_bytes(data)?.to_multi(),
-            v => Err(SnapshotError::UnsupportedVersion(v)),
-        }
-    }
-
-    fn load_v1(data: &[u8]) -> Result<Self, SnapshotError> {
-        if data.len() < 4 + 8 {
-            return Err(SnapshotError::Truncated { at: data.len() });
-        }
-        let (payload, checksum_bytes) = data[4..].split_at(data.len() - 4 - 8);
-        let mut check_reader = ByteReader::new(checksum_bytes);
-        let stored = check_reader.take_u64()?;
-        if fnv1a64(payload) != stored {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let mut r = ByteReader::new(payload);
-        let version = r.take_u16()?;
-        if version != SNAPSHOT_MULTI_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let flags = r.take_u16()?;
-        if flags != 0 {
-            return Err(SnapshotError::Corrupt(format!(
-                "reserved flags must be zero, got {flags:#06x}"
-            )));
-        }
-        let n = r.take_u32()?;
-        let resilience = r.take_u32()?;
-        let source_count = r.take_u32()? as usize;
-        let mut sources = Vec::with_capacity(source_count.min(1 << 20));
-        for _ in 0..source_count {
-            sources.push(VertexId(r.take_u32()?));
-        }
-        let union_count = r.take_u32()? as usize;
-        let mut union_orig = Vec::with_capacity(union_count.min(1 << 24));
-        let mut union_u = Vec::with_capacity(union_count.min(1 << 24));
-        let mut union_v = Vec::with_capacity(union_count.min(1 << 24));
-        for _ in 0..union_count {
-            union_orig.push(r.take_u32()?);
-            union_u.push(r.take_u32()?);
-            union_v.push(r.take_u32()?);
-        }
-        // The union list itself must satisfy the frozen-edge invariants,
-        // otherwise per-slab re-indexing could build something the inner
-        // validation would not catch (e.g. a slab that skips a corrupt
-        // union entry).
-        if union_orig.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(SnapshotError::Corrupt(
-                "union edge ids must be strictly increasing".to_string(),
-            ));
-        }
-        for i in 0..union_count {
-            if union_u[i] >= union_v[i] || union_v[i] >= n {
-                return Err(SnapshotError::Corrupt(
-                    "union edge endpoints must satisfy u < v < n".to_string(),
-                ));
-            }
-        }
-        let mut slab_edges = Vec::with_capacity(source_count.min(1 << 20));
-        for _ in 0..source_count {
-            let m_s = r.take_u32()? as usize;
-            let mut edges = Vec::with_capacity(m_s.min(1 << 24));
-            for _ in 0..m_s {
-                edges.push(r.take_u32()?);
-            }
-            slab_edges.push(edges);
-        }
-        if !r.is_empty() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} trailing payload bytes",
-                r.remaining()
-            )));
-        }
-        FrozenMultiStructure::from_parts(
-            n, resilience, sources, union_orig, union_u, union_v, slab_edges,
-        )
+        crate::view::FrozenMultiView::open_bytes(data)?.to_multi()
     }
 }
 
@@ -599,20 +466,25 @@ mod tests {
         let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x10;
-        assert_eq!(
-            FrozenMultiStructure::load(&flipped).unwrap_err(),
-            SnapshotError::ChecksumMismatch
+        let err = FrozenMultiStructure::load(&flipped).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SnapshotError::ChecksumMismatch | SnapshotError::SectionChecksum { .. }
+            ),
+            "unexpected {err:?}"
         );
     }
 
     #[test]
     fn load_rejects_duplicate_sources_like_freeze_does() {
-        use ftbfs_graph::bytes::{put_u16, put_u32, put_u64};
+        use crate::snapshot::{assemble, SNAPSHOT_VERSION};
+        use ftbfs_graph::bytes::put_u16;
         // Hand-craft a checksummed snapshot declaring source 0 twice: the
         // loader must enforce the same distinctness invariant freeze()
-        // asserts, not just the checksum.
+        // asserts, not just the checksums.
         let mut payload = Vec::new();
-        put_u16(&mut payload, SNAPSHOT_MULTI_VERSION);
+        put_u16(&mut payload, SNAPSHOT_VERSION);
         put_u16(&mut payload, 0); // flags
         put_u32(&mut payload, 3); // n
         put_u32(&mut payload, 1); // resilience
@@ -627,10 +499,7 @@ mod tests {
             put_u32(&mut payload, 1); // m_s
             put_u32(&mut payload, 0); // union index
         }
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&SNAPSHOT_MULTI_MAGIC);
-        bytes.extend_from_slice(&payload);
-        put_u64(&mut bytes, fnv1a64(&payload));
+        let bytes = assemble(SNAPSHOT_MULTI_MAGIC, &payload, fnv1a64(&payload), &[]);
         match FrozenMultiStructure::load(&bytes).unwrap_err() {
             SnapshotError::Corrupt(why) => assert!(why.contains("duplicate source")),
             other => panic!("expected Corrupt(duplicate source), got {other:?}"),

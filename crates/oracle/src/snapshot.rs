@@ -1,52 +1,46 @@
-//! Versioned compact binary snapshots of [`FrozenStructure`]s (and, via
-//! [`crate::FrozenMultiStructure`], of multi-source structures — same
-//! framing, different magic).
+//! The binary snapshot format of [`FrozenStructure`] (magic `"FTBO"`) and
+//! [`crate::FrozenMultiStructure`] (magic `"FTBM"`): one version, v2,
+//! whose derived arrays are stored ready to serve.
 //!
-//! ## Version 1 — determining data only
+//! ## Base payload — the determining data
 //!
-//! A frozen structure is fully determined by its header (`n`, sources,
-//! resilience) and its edge list — the CSR arrays and fault-free trees are
-//! deterministic functions of those, so the v1 snapshot stores only the
-//! determining data and recomputes the derived arrays on load.  That keeps
-//! the format small (12 bytes per edge) and guarantees a loaded structure
-//! answers queries bit-identically to the one that was saved.
+//! A frozen structure is fully determined by its header (`n`, resilience,
+//! contract, sources) and its edge list; the CSR arrays and fault-free
+//! trees are deterministic functions of those.  The base payload stores
+//! exactly that, and its byte-stepped FNV-1a is the structure fingerprint.
 //!
 //! ```text
-//! magic      4 bytes   "FTBO"
-//! payload:
-//!   version  u16       1
-//!   flags    u16       reserved, must be 0
-//!   n        u32       vertex count of the underlying graph
-//!   resil    u32       designed resilience f
-//!   k        u32       number of sources
-//!   sources  k × u32
-//!   m        u32       number of structure edges
-//!   edges    m × (orig u32, u u32, v u32), strictly increasing by orig
-//! checksum   u64       byte-stepped FNV-1a over the payload bytes
+//! version  u16       2
+//! flags    u16       bit 0: approximate contract; other bits must be 0
+//! n        u32       vertex count of the underlying graph
+//! resil    u32       designed resilience f
+//! contract 4 × u32   (α numerator, α denominator, β, θ) — only if bit 0
+//! k        u32       number of sources
+//! sources  k × u32
+//! m        u32       number of structure (union) edges
+//! edges    m × (orig u32, u u32, v u32), strictly increasing by orig
+//! slabs    k × (m_s u32, m_s × u32 union-edge indices) — "FTBM" only
 //! ```
 //!
-//! ## Version 2 — mmap-ready derived sections, zero-rebuild load
+//! ## Frame and sections — zero-rebuild load
 //!
-//! The v2 format keeps the v1 header + edge list verbatim as its **base
-//! payload** (with the version field set to 2) and appends the *derived*
-//! arrays as 64-byte-aligned little-endian **sections**, each described by
-//! a table-of-contents entry carrying the section's kind tag, absolute
-//! offset, byte length and checksum.  A serving process can therefore map
-//! a v2 snapshot read-only and open a [`crate::FrozenView`] /
-//! [`crate::FrozenMultiView`] over the bytes with **zero rebuild and zero
-//! copy** of the big arrays — open-time work is validation only (bounds,
+//! The *derived* arrays follow the base as 64-byte-aligned little-endian
+//! **sections**, each described by a table-of-contents entry carrying the
+//! section's kind tag, absolute offset, byte length and checksum.  A
+//! serving process can therefore hold the snapshot bytes (read into a
+//! buffer, or a caller-mapped region) and open a [`crate::FrozenView`] /
+//! [`crate::FrozenMultiView`] over them with **zero rebuild and zero copy**
+//! of the big arrays — open-time work is validation only (bounds,
 //! alignment, checksums, freeze invariants).  Unknown section kinds are
 //! skipped after their bounds and checksum check, so the format can grow
-//! without breaking old v2 readers (forward compatibility); old *v1-only*
-//! readers reject v2 files cleanly via the version/checksum check.
+//! without breaking readers (forward compatibility).
 //!
 //! ```text
-//! magic        4 bytes   "FTBO" / "FTBM" / "FTBA"
-//! base         B bytes   the v1 payload, version field = 2
+//! magic        4 bytes   "FTBO" / "FTBM"
+//! base         B bytes   the base payload above
 //! base_check   u64       word-stepped FNV-1a over the base payload
-//! fingerprint  u64       the structure fingerprint (= FNV-1a of the
-//!                        v1 payload), precomputed so open() never
-//!                        re-serialises or re-hashes the base
+//! fingerprint  u64       the structure fingerprint (= FNV-1a of the base),
+//!                        precomputed so open() never re-hashes the base
 //! count        u32       number of sections
 //! toc          count × { kind u32, offset u64, len u64, check u64 }
 //! frame_check  u64       word-stepped FNV-1a over fingerprint..toc
@@ -55,7 +49,7 @@
 //!              little-endian u32 arrays, zero padding in between
 //! ```
 //!
-//! Every byte of a v2 snapshot is covered by exactly one integrity check
+//! Every byte of a snapshot is covered by exactly one integrity check
 //! (magic compare, base checksum, frame checksum, per-section checksums,
 //! or the padding-must-be-zero rule), so any single-bit corruption is
 //! detected.  Checksums over `u32` arrays use the **word-stepped** FNV-1a
@@ -64,48 +58,40 @@
 //! payloads snapshots store, 8× fewer serial multiplies, keeping open-time
 //! checksumming off the serving critical path.
 //!
-//! [`FrozenStructure::save`] keeps writing v1 by default; choose per call
-//! with [`FrozenStructure::save_with`] and the [`SnapshotVersion`] knob.
-//! [`FrozenStructure::load`] accepts both versions (v2 is validated
-//! exactly like a view open, then rebuilt into an owned structure).
+//! Version 1 — the base payload alone under a trailing checksum, rebuilt
+//! on every load — is no longer read or written; its files are rejected
+//! with [`SnapshotError::UnsupportedVersion`]`(1)`.
 
+use crate::api::Contract;
 use crate::frozen::FrozenStructure;
+use ftbfs_core::ApproxParams;
 use ftbfs_graph::bytes::{
-    fnv1a64, fnv1a64_words, pad_to_align, put_u16, put_u32, put_u32_slice, put_u64, ByteReader,
+    fnv1a64_words, pad_to_align, put_u16, put_u32, put_u32_slice, put_u64, ByteReader,
 };
-use ftbfs_graph::VertexId;
 use std::fmt;
 
-/// Magic prefix of every single-source frozen-structure snapshot.
+/// Magic prefix of every single-slab frozen-structure snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FTBO";
-/// The snapshot format version [`FrozenStructure::save`] writes by default.
-pub const SNAPSHOT_VERSION: u16 = 1;
-/// The mmap-ready snapshot format version (see the module docs).
-pub const SNAPSHOT_VERSION_V2: u16 = 2;
 /// Magic prefix of every multi-source frozen-structure snapshot (see
 /// [`crate::FrozenMultiStructure`]).
 pub const SNAPSHOT_MULTI_MAGIC: [u8; 4] = *b"FTBM";
-/// The multi-source snapshot format version written by default.
-pub const SNAPSHOT_MULTI_VERSION: u16 = 1;
-/// Magic prefix of every approximate (FT-ABFS) frozen-structure snapshot
-/// (see [`crate::FrozenApproxStructure`]).  Same framing as "FTBO", with
-/// the stretch contract `(α, β)` and the reinforcement knob `θ` stored as
-/// four extra header words between the resilience and the source count.
-pub const SNAPSHOT_APPROX_MAGIC: [u8; 4] = *b"FTBA";
-/// The approximate snapshot format version written by default.
-pub const SNAPSHOT_APPROX_VERSION: u16 = 1;
-/// Alignment (in bytes) of every v2 section start, chosen to match cache
+/// The snapshot format version every writer emits and every reader
+/// accepts.
+pub const SNAPSHOT_VERSION: u16 = 2;
+/// Alignment (in bytes) of every section start, chosen to match cache
 /// lines so mapped arrays never straddle a line at their first element.
 pub const SNAPSHOT_ALIGN: usize = 64;
 
-/// Which snapshot format `save_with` writes.
+/// Header flag: the base carries an approximate [`Contract`].
+const FLAG_APPROX: u16 = 1;
+
+/// Which snapshot format `save_with` writes.  Only v2 exists; the knob
+/// lets callers pin the format they depend on explicitly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SnapshotVersion {
-    /// Determining data only; derived arrays are rebuilt on load.
+    /// Base payload plus aligned derived sections, opened with zero
+    /// rebuild through [`crate::FrozenView`] / [`crate::FrozenMultiView`].
     #[default]
-    V1,
-    /// v1 base plus aligned derived sections; loadable with zero rebuild
-    /// through [`crate::FrozenView`] / [`crate::FrozenMultiView`].
     V2,
 }
 
@@ -131,7 +117,7 @@ pub(crate) const SEC_SLAB_TABLE: u32 = u32::from_le_bytes(*b"SLBT");
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SnapshotError {
-    /// The input does not start with [`SNAPSHOT_MAGIC`].
+    /// The input does not start with the expected magic.
     BadMagic,
     /// The snapshot was written by an unsupported format version.
     UnsupportedVersion(u16),
@@ -140,9 +126,9 @@ pub enum SnapshotError {
         /// Byte offset at which data ran out.
         at: usize,
     },
-    /// The checksum does not match the payload (corrupted snapshot).
+    /// The base or frame checksum does not match (corrupted snapshot).
     ChecksumMismatch,
-    /// A v2 section's recorded checksum does not match its bytes.
+    /// A section's recorded checksum does not match its bytes.
     SectionChecksum {
         /// The section's kind tag (a little-endian four-character code).
         kind: u32,
@@ -185,7 +171,7 @@ pub(crate) fn corrupt<T>(why: impl Into<String>) -> Result<T, SnapshotError> {
     Err(SnapshotError::Corrupt(why.into()))
 }
 
-/// One entry of a v2 snapshot's section table.
+/// One entry of a snapshot's section table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SectionEntry {
     /// The section's kind tag (a little-endian four-character code, e.g.
@@ -200,13 +186,15 @@ pub struct SectionEntry {
     pub checksum: u64,
 }
 
-/// The parsed outer layout of a v2 snapshot — tooling/test access to the
+/// The parsed outer layout of a snapshot — tooling/test access to the
 /// frame without materialising a structure.
 #[derive(Clone, Debug)]
 pub struct SnapshotLayout {
-    /// The format version (always [`SNAPSHOT_VERSION_V2`] on success).
+    /// The format version (always [`SNAPSHOT_VERSION`] on success).
     pub version: u16,
-    /// The byte range of the base payload (v1 header + edge list).
+    /// The answer contract the header declares.
+    pub contract: Contract,
+    /// The byte range of the base payload.
     pub base: std::ops::Range<usize>,
     /// The structure fingerprint recorded in the frame.
     pub fingerprint: u64,
@@ -215,13 +203,50 @@ pub struct SnapshotLayout {
 }
 
 /// Aligns `at` up to the next multiple of [`SNAPSHOT_ALIGN`].
-pub(crate) fn align_up(at: usize) -> usize {
+fn align_up(at: usize) -> usize {
     at.div_ceil(SNAPSHOT_ALIGN) * SNAPSHOT_ALIGN
 }
 
-/// Assembles a complete v2 snapshot from its base payload (version field
-/// already set to 2), the structure fingerprint, and the section payloads.
-pub(crate) fn assemble_v2(
+/// Writes the base payload header up to and including the edge list (the
+/// part single and multi snapshots share).
+pub(crate) fn put_base(
+    out: &mut Vec<u8>,
+    contract: Contract,
+    n: u32,
+    resilience: u32,
+    sources: &[ftbfs_graph::VertexId],
+    (edge_orig, edge_u, edge_v): (&[u32], &[u32], &[u32]),
+) {
+    put_u16(out, SNAPSHOT_VERSION);
+    put_u16(
+        out,
+        match contract {
+            Contract::Exact => 0,
+            Contract::Approx(_) => FLAG_APPROX,
+        },
+    );
+    put_u32(out, n);
+    put_u32(out, resilience);
+    if let Contract::Approx(p) = contract {
+        for word in [p.mult_num, p.mult_den, p.add, p.theta] {
+            put_u32(out, word);
+        }
+    }
+    put_u32(out, sources.len() as u32);
+    for s in sources {
+        put_u32(out, s.0);
+    }
+    put_u32(out, edge_orig.len() as u32);
+    for i in 0..edge_orig.len() {
+        put_u32(out, edge_orig[i]);
+        put_u32(out, edge_u[i]);
+        put_u32(out, edge_v[i]);
+    }
+}
+
+/// Assembles a complete snapshot from its base payload, the structure
+/// fingerprint, and the section payloads (each a `u32` array).
+pub(crate) fn assemble(
     magic: [u8; 4],
     base: &[u8],
     fingerprint: u64,
@@ -268,17 +293,17 @@ pub(crate) fn assemble_v2(
     out
 }
 
-/// The validated outer frame of a v2 snapshot.
-pub(crate) struct V2Frame {
+/// The validated outer frame of a snapshot.
+pub(crate) struct Frame {
     pub fingerprint: u64,
     pub sections: Vec<SectionEntry>,
 }
 
-/// Parses and fully validates the v2 frame of `data`, whose base payload
+/// Parses and fully validates the frame of `data`, whose base payload
 /// ends at absolute offset `base_end`: base checksum, frame checksum,
 /// section alignment/bounds/checksums, no overlaps, and zero padding
 /// everywhere not covered by a checksum.
-pub(crate) fn read_v2_frame(data: &[u8], base_end: usize) -> Result<V2Frame, SnapshotError> {
+pub(crate) fn read_frame(data: &[u8], base_end: usize) -> Result<Frame, SnapshotError> {
     let base = &data[4..base_end];
     if base.len() % 4 != 0 {
         return corrupt("base payload length is not u32-granular");
@@ -373,7 +398,7 @@ pub(crate) fn read_v2_frame(data: &[u8], base_end: usize) -> Result<V2Frame, Sna
     if data[covered_end..].iter().any(|&b| b != 0) {
         return corrupt("nonzero padding after the last section");
     }
-    Ok(V2Frame {
+    Ok(Frame {
         fingerprint,
         sections,
     })
@@ -385,306 +410,121 @@ pub(crate) fn require_section(
     kind: u32,
     expected_len: usize,
 ) -> Result<SectionEntry, SnapshotError> {
+    let tag = || String::from_utf8_lossy(&kind.to_le_bytes()).into_owned();
     let mut found = None;
     for s in sections {
         if s.kind == kind {
             if found.is_some() {
-                return corrupt(format!(
-                    "duplicate section {:?}",
-                    String::from_utf8_lossy(&kind.to_le_bytes())
-                ));
+                return corrupt(format!("duplicate section {:?}", tag()));
             }
             found = Some(*s);
         }
     }
     let Some(s) = found else {
-        return corrupt(format!(
-            "missing section {:?}",
-            String::from_utf8_lossy(&kind.to_le_bytes())
-        ));
+        return corrupt(format!("missing section {:?}", tag()));
     };
     if s.len != expected_len {
         return corrupt(format!(
             "section {:?} has {} bytes, expected {expected_len}",
-            String::from_utf8_lossy(&kind.to_le_bytes()),
+            tag(),
             s.len
         ));
     }
     Ok(s)
 }
 
+/// Checks an approximate contract is well formed: `α`'s denominator is
+/// nonzero and `α ≥ 1`.
+pub(crate) fn check_contract(contract: Contract) -> Result<(), SnapshotError> {
+    match contract {
+        Contract::Approx(p) if p.mult_den == 0 => corrupt("stretch denominator must be nonzero"),
+        Contract::Approx(p) if p.mult_num < p.mult_den => {
+            corrupt("multiplicative stretch must be at least one")
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Reads the little-endian `u32` at absolute byte offset `at` (caller
 /// guarantees bounds — used on ranges the base walk has already checked).
 #[inline]
-pub(crate) fn read_u32_at(data: &[u8], at: usize) -> u32 {
+fn read_u32_at(data: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]])
 }
 
-/// The parsed base payload of a single-source ("FTBO") snapshot: field
-/// offsets into the underlying bytes, no array materialisation.
-pub(crate) struct SingleBase<'a> {
+/// The parsed base payload of a snapshot: header fields plus offsets into
+/// the underlying bytes, no array materialisation.
+pub(crate) struct Base<'a> {
     data: &'a [u8],
     pub version: u16,
+    pub contract: Contract,
     pub n: u32,
     pub resilience: u32,
     pub source_count: usize,
     sources_off: usize,
     pub m: usize,
     edges_off: usize,
-    /// Absolute offset one past the end of the base payload.
-    pub end: usize,
-}
-
-impl<'a> SingleBase<'a> {
-    /// Walks the base payload of `data` (which must start with the magic),
-    /// checking bounds and the reserved flags, without allocating.
-    pub fn walk(data: &'a [u8]) -> Result<Self, SnapshotError> {
-        let mut r = ByteReader::new(&data[4..]);
-        let version = r.take_u16()?;
-        let flags = r.take_u16()?;
-        if flags != 0 {
-            return corrupt(format!("reserved flags must be zero, got {flags:#06x}"));
-        }
-        let n = r.take_u32()?;
-        let resilience = r.take_u32()?;
-        let source_count = r.take_u32()? as usize;
-        let sources_off = 4 + r.position();
-        r.take_bytes(4 * source_count)?;
-        let m = r.take_u32()? as usize;
-        let edges_off = 4 + r.position();
-        r.take_bytes(12 * m)?;
-        Ok(SingleBase {
-            data,
-            version,
-            n,
-            resilience,
-            source_count,
-            sources_off,
-            m,
-            edges_off,
-            end: 4 + r.position(),
-        })
-    }
-
-    pub fn source(&self, i: usize) -> u32 {
-        read_u32_at(self.data, self.sources_off + 4 * i)
-    }
-
-    /// The `(orig, u, v)` triple of base edge `i`.
-    pub fn edge(&self, i: usize) -> (u32, u32, u32) {
-        let at = self.edges_off + 12 * i;
-        (
-            read_u32_at(self.data, at),
-            read_u32_at(self.data, at + 4),
-            read_u32_at(self.data, at + 8),
-        )
-    }
-
-    /// Iterates the `(orig, u, v)` edge triples without per-element bounds
-    /// checks (the walk already validated the region).
-    pub fn edges(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-        edge_triples(&self.data[self.edges_off..self.edges_off + 12 * self.m])
-    }
-
-    /// Checks the freeze invariants the v1 loader enforces: at least one
-    /// in-range source, strictly increasing edge ids, endpoints
-    /// `u < v < n`.
-    pub fn validate_invariants(&self) -> Result<(), SnapshotError> {
-        if self.source_count == 0 {
-            return corrupt("a frozen structure needs at least one source");
-        }
-        for i in 0..self.source_count {
-            if self.source(i) >= self.n {
-                return corrupt("source vertex out of range");
-            }
-        }
-        validate_edge_triples(self.edges(), self.n, "edge")
-    }
-}
-
-/// The parsed base payload of an approximate ("FTBA") snapshot: the
-/// single-source layout with the stretch contract `(α = mult_num /
-/// mult_den, β = add)` and the reinforcement knob `θ` stored as four
-/// extra header words between the resilience and the source count.
-pub(crate) struct ApproxBase<'a> {
-    data: &'a [u8],
-    pub version: u16,
-    pub n: u32,
-    pub resilience: u32,
-    pub mult_num: u32,
-    pub mult_den: u32,
-    pub add: u32,
-    pub theta: u32,
-    pub source_count: usize,
-    sources_off: usize,
-    pub m: usize,
-    edges_off: usize,
-    /// Absolute offset one past the end of the base payload.
-    pub end: usize,
-}
-
-impl<'a> ApproxBase<'a> {
-    /// Walks the base payload of `data` (which must start with the magic),
-    /// checking bounds and the reserved flags, without allocating.
-    pub fn walk(data: &'a [u8]) -> Result<Self, SnapshotError> {
-        let mut r = ByteReader::new(&data[4..]);
-        let version = r.take_u16()?;
-        let flags = r.take_u16()?;
-        if flags != 0 {
-            return corrupt(format!("reserved flags must be zero, got {flags:#06x}"));
-        }
-        let n = r.take_u32()?;
-        let resilience = r.take_u32()?;
-        let mult_num = r.take_u32()?;
-        let mult_den = r.take_u32()?;
-        let add = r.take_u32()?;
-        let theta = r.take_u32()?;
-        let source_count = r.take_u32()? as usize;
-        let sources_off = 4 + r.position();
-        r.take_bytes(4 * source_count)?;
-        let m = r.take_u32()? as usize;
-        let edges_off = 4 + r.position();
-        r.take_bytes(12 * m)?;
-        Ok(ApproxBase {
-            data,
-            version,
-            n,
-            resilience,
-            mult_num,
-            mult_den,
-            add,
-            theta,
-            source_count,
-            sources_off,
-            m,
-            edges_off,
-            end: 4 + r.position(),
-        })
-    }
-
-    pub fn source(&self, i: usize) -> u32 {
-        read_u32_at(self.data, self.sources_off + 4 * i)
-    }
-
-    /// The `(orig, u, v)` triple of base edge `i`.
-    pub fn edge(&self, i: usize) -> (u32, u32, u32) {
-        let at = self.edges_off + 12 * i;
-        (
-            read_u32_at(self.data, at),
-            read_u32_at(self.data, at + 4),
-            read_u32_at(self.data, at + 8),
-        )
-    }
-
-    /// Iterates the `(orig, u, v)` edge triples without per-element bounds
-    /// checks (the walk already validated the region).
-    pub fn edges(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-        edge_triples(&self.data[self.edges_off..self.edges_off + 12 * self.m])
-    }
-
-    /// Checks the freeze invariants the v1 loader enforces: a well-formed
-    /// stretch contract (`mult_den` nonzero, `α ≥ 1`), at least one
-    /// in-range source, strictly increasing edge ids, endpoints
-    /// `u < v < n`.
-    pub fn validate_invariants(&self) -> Result<(), SnapshotError> {
-        if self.mult_den == 0 {
-            return corrupt("stretch denominator must be nonzero");
-        }
-        if self.mult_num < self.mult_den {
-            return corrupt("multiplicative stretch must be at least one");
-        }
-        if self.source_count == 0 {
-            return corrupt("a frozen structure needs at least one source");
-        }
-        for i in 0..self.source_count {
-            if self.source(i) >= self.n {
-                return corrupt("source vertex out of range");
-            }
-        }
-        validate_edge_triples(self.edges(), self.n, "edge")
-    }
-}
-
-/// Decodes a `12m`-byte region as `(orig, u, v)` little-endian triples.
-pub(crate) fn edge_triples(bytes: &[u8]) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-    bytes.chunks_exact(12).map(|c| {
-        (
-            u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-            u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-            u32::from_le_bytes([c[8], c[9], c[10], c[11]]),
-        )
-    })
-}
-
-/// Shared edge-list invariant check: strictly increasing original ids,
-/// endpoints `u < v < n`.
-fn validate_edge_triples(
-    triples: impl Iterator<Item = (u32, u32, u32)>,
-    n: u32,
-    what: &str,
-) -> Result<(), SnapshotError> {
-    let mut prev: Option<u32> = None;
-    for (orig, u, v) in triples {
-        if prev.is_some_and(|p| p >= orig) {
-            return corrupt(format!("{what} ids must be strictly increasing"));
-        }
-        prev = Some(orig);
-        if u >= v || v >= n {
-            return corrupt(format!("{what} endpoints must satisfy u < v < n"));
-        }
-    }
-    Ok(())
-}
-
-/// The parsed base payload of a multi-source ("FTBM") snapshot.
-pub(crate) struct MultiBase<'a> {
-    data: &'a [u8],
-    pub version: u16,
-    pub n: u32,
-    pub resilience: u32,
-    pub source_count: usize,
-    sources_off: usize,
-    pub union_m: usize,
-    edges_off: usize,
-    /// Per-slab `(edge count, absolute offset of the index list)`.
+    /// Per-slab `(edge count, absolute offset of the index list)`; empty
+    /// for single-slab snapshots.
     pub slab_lists: Vec<(usize, usize)>,
     /// Absolute offset one past the end of the base payload.
     pub end: usize,
 }
 
-impl<'a> MultiBase<'a> {
-    /// Walks the base payload of `data` (which must start with the magic),
-    /// checking bounds and the reserved flags.
-    pub fn walk(data: &'a [u8]) -> Result<Self, SnapshotError> {
+impl<'a> Base<'a> {
+    /// Checks `data` starts with `magic`, then walks its base payload,
+    /// checking bounds, the version and the flags; the multi-source magic
+    /// adds the trailing slab lists.  Allocates only the slab-list table.
+    pub fn walk(data: &'a [u8], magic: [u8; 4]) -> Result<Self, SnapshotError> {
+        if !data.starts_with(&magic) {
+            return Err(SnapshotError::BadMagic);
+        }
+        let multi = magic == SNAPSHOT_MULTI_MAGIC;
         let mut r = ByteReader::new(&data[4..]);
         let version = r.take_u16()?;
+        if version != SNAPSHOT_VERSION {
+            return Err(SnapshotError::UnsupportedVersion(version));
+        }
         let flags = r.take_u16()?;
-        if flags != 0 {
+        if flags & !FLAG_APPROX != 0 {
             return corrupt(format!("reserved flags must be zero, got {flags:#06x}"));
         }
         let n = r.take_u32()?;
         let resilience = r.take_u32()?;
+        let contract = if flags & FLAG_APPROX != 0 {
+            Contract::Approx(ApproxParams {
+                mult_num: r.take_u32()?,
+                mult_den: r.take_u32()?,
+                add: r.take_u32()?,
+                theta: r.take_u32()?,
+            })
+        } else {
+            Contract::Exact
+        };
         let source_count = r.take_u32()? as usize;
         let sources_off = 4 + r.position();
         r.take_bytes(4 * source_count)?;
-        let union_m = r.take_u32()? as usize;
+        let m = r.take_u32()? as usize;
         let edges_off = 4 + r.position();
-        r.take_bytes(12 * union_m)?;
-        let mut slab_lists = Vec::with_capacity(source_count.min(1 << 20));
-        for _ in 0..source_count {
-            let m_s = r.take_u32()? as usize;
-            let at = 4 + r.position();
-            r.take_bytes(4 * m_s)?;
-            slab_lists.push((m_s, at));
+        r.take_bytes(12 * m)?;
+        let mut slab_lists = Vec::new();
+        if multi {
+            for _ in 0..source_count {
+                let m_s = r.take_u32()? as usize;
+                let at = 4 + r.position();
+                r.take_bytes(4 * m_s)?;
+                slab_lists.push((m_s, at));
+            }
         }
-        Ok(MultiBase {
+        Ok(Base {
             data,
             version,
+            contract,
             n,
             resilience,
             source_count,
             sources_off,
-            union_m,
+            m,
             edges_off,
             slab_lists,
             end: 4 + r.position(),
@@ -695,20 +535,39 @@ impl<'a> MultiBase<'a> {
         read_u32_at(self.data, self.sources_off + 4 * i)
     }
 
-    /// The `(orig, u, v)` triple of union edge `i`.
-    pub fn edge(&self, i: usize) -> (u32, u32, u32) {
-        let at = self.edges_off + 12 * i;
-        (
-            read_u32_at(self.data, at),
-            read_u32_at(self.data, at + 4),
-            read_u32_at(self.data, at + 8),
-        )
+    /// The original id of base edge `i`.
+    pub fn edge_id(&self, i: usize) -> u32 {
+        read_u32_at(self.data, self.edges_off + 12 * i)
     }
 
-    /// Iterates the union `(orig, u, v)` edge triples without per-element
-    /// bounds checks.
+    /// Iterates the `(orig, u, v)` edge triples without per-element bounds
+    /// checks (the walk already validated the region).
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-        edge_triples(&self.data[self.edges_off..self.edges_off + 12 * self.union_m])
+        self.data[self.edges_off..self.edges_off + 12 * self.m]
+            .chunks_exact(12)
+            .map(|c| {
+                (
+                    u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
+                    u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
+                    u32::from_le_bytes([c[8], c[9], c[10], c[11]]),
+                )
+            })
+    }
+
+    /// The edge list as the `(orig, u, v)` column arrays the owned
+    /// structures are built from.
+    pub fn edge_columns(&self) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let mut cols = (
+            Vec::with_capacity(self.m),
+            Vec::with_capacity(self.m),
+            Vec::with_capacity(self.m),
+        );
+        for (orig, u, v) in self.edges() {
+            cols.0.push(orig);
+            cols.1.push(u);
+            cols.2.push(v);
+        }
+        cols
     }
 
     /// The index list of slab `slab` as a `u32` array view.
@@ -718,39 +577,43 @@ impl<'a> MultiBase<'a> {
             .expect("slab list regions are 4-byte granular")
     }
 
-    /// The `j`-th union-edge index of slab `slab`.
-    pub fn slab_edge_index(&self, slab: usize, j: usize) -> u32 {
-        let (m_s, at) = self.slab_lists[slab];
-        debug_assert!(j < m_s);
-        read_u32_at(self.data, at + 4 * j)
-    }
-
-    /// Checks the freeze invariants the v1 loader enforces: distinct
-    /// in-range sources, strictly increasing union edges with `u < v < n`,
-    /// and per-slab index lists strictly increasing within union range.
+    /// Checks the freeze invariants the owned constructors enforce: a
+    /// well-formed contract (`α` denominator nonzero, `α ≥ 1`), at least
+    /// one in-range source (distinct, for multi-source snapshots),
+    /// strictly increasing edge ids with endpoints `u < v < n`, and
+    /// per-slab index lists strictly increasing within the union range.
     pub fn validate_invariants(&self) -> Result<(), SnapshotError> {
+        check_contract(self.contract)?;
         if self.source_count == 0 {
-            return corrupt("a multi structure needs at least one source");
+            return corrupt("a frozen structure needs at least one source");
         }
+        let multi = !self.slab_lists.is_empty();
         for i in 0..self.source_count {
             if self.source(i) >= self.n {
                 return corrupt("source vertex out of range");
             }
-            for j in 0..i {
-                if self.source(j) == self.source(i) {
-                    return corrupt("duplicate source in the source set");
-                }
+            if multi && (0..i).any(|j| self.source(j) == self.source(i)) {
+                return corrupt("duplicate source in the source set");
             }
         }
-        validate_edge_triples(self.edges(), self.n, "union edge")?;
-        for slab in 0..self.source_count {
+        let mut prev: Option<u32> = None;
+        for (orig, u, v) in self.edges() {
+            if prev.is_some_and(|p| p >= orig) {
+                return corrupt("edge ids must be strictly increasing");
+            }
+            prev = Some(orig);
+            if u >= v || v >= self.n {
+                return corrupt("edge endpoints must satisfy u < v < n");
+            }
+        }
+        for slab in 0..self.slab_lists.len() {
             let mut prev: Option<u32> = None;
             for idx in self.slab_list(slab).iter() {
                 if prev.is_some_and(|p| p >= idx) {
                     return corrupt("slab edge indices must be strictly increasing");
                 }
                 prev = Some(idx);
-                if idx as usize >= self.union_m {
+                if idx as usize >= self.m {
                     return corrupt("slab edge index out of union range");
                 }
             }
@@ -759,200 +622,94 @@ impl<'a> MultiBase<'a> {
     }
 }
 
-/// Parses the outer layout of a v2 snapshot (any magic) without
-/// materialising a structure: the base range, the recorded fingerprint and
-/// the fully validated section table.  Tooling and format-compat tests use
-/// this to address individual sections.
+/// Parses the outer layout of a snapshot (either magic) without
+/// materialising a structure: the contract, the base range, the recorded
+/// fingerprint and the fully validated section table.  Tooling and
+/// format-compat tests use this to address individual sections.
 pub fn snapshot_layout(data: &[u8]) -> Result<SnapshotLayout, SnapshotError> {
-    if data.len() < 4 {
-        return Err(SnapshotError::BadMagic);
-    }
-    let (version, base_end) = if data[..4] == SNAPSHOT_MAGIC {
-        let base = SingleBase::walk(data)?;
-        (base.version, base.end)
-    } else if data[..4] == SNAPSHOT_MULTI_MAGIC {
-        let base = MultiBase::walk(data)?;
-        (base.version, base.end)
-    } else if data[..4] == SNAPSHOT_APPROX_MAGIC {
-        let base = ApproxBase::walk(data)?;
-        (base.version, base.end)
+    let magic = if data.starts_with(&SNAPSHOT_MULTI_MAGIC) {
+        SNAPSHOT_MULTI_MAGIC
     } else {
-        return Err(SnapshotError::BadMagic);
+        SNAPSHOT_MAGIC
     };
-    if version != SNAPSHOT_VERSION_V2 {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let frame = read_v2_frame(data, base_end)?;
+    let base = Base::walk(data, magic)?;
+    let frame = read_frame(data, base.end)?;
     Ok(SnapshotLayout {
-        version,
-        base: 4..base_end,
+        version: base.version,
+        contract: base.contract,
+        base: 4..base.end,
         fingerprint: frame.fingerprint,
         sections: frame.sections,
     })
 }
 
 impl FrozenStructure {
-    /// The canonical payload encoding (everything between the magic and the
-    /// checksum) with an explicit version field value.
-    pub(crate) fn payload_bytes_versioned(&self, version: u16) -> Vec<u8> {
-        let (edge_u, edge_v) = self.raw_edge_uv();
-        let edge_orig = self.raw_edge_orig();
-        let mut out = Vec::with_capacity(20 + 4 * self.sources().len() + 12 * edge_orig.len());
-        put_u16(&mut out, version);
-        put_u16(&mut out, 0); // flags, reserved
-        put_u32(&mut out, self.vertex_count() as u32);
-        put_u32(&mut out, self.resilience() as u32);
-        put_u32(&mut out, self.sources().len() as u32);
-        for s in self.sources() {
-            put_u32(&mut out, s.0);
-        }
-        put_u32(&mut out, edge_orig.len() as u32);
-        for i in 0..edge_orig.len() {
-            put_u32(&mut out, edge_orig[i]);
-            put_u32(&mut out, edge_u[i]);
-            put_u32(&mut out, edge_v[i]);
-        }
-        out
-    }
-
-    /// The canonical v1 payload — also the input of
-    /// [`FrozenStructure::fingerprint`].
-    pub(crate) fn payload_bytes(&self) -> Vec<u8> {
-        self.payload_bytes_versioned(SNAPSHOT_VERSION)
-    }
-
-    /// Serialises the structure to the default (v1) binary snapshot
-    /// format; equivalent to `save_with(SnapshotVersion::V1)`.
+    /// Serialises the structure to its snapshot; see the module docs for
+    /// the layout.
     pub fn save(&self) -> Vec<u8> {
-        self.save_with(SnapshotVersion::V1)
+        self.save_with(SnapshotVersion::V2)
     }
 
-    /// Serialises the structure to the chosen snapshot format version; see
-    /// the module docs for both layouts.
+    /// Serialises the structure to the chosen snapshot format version (v2
+    /// is the only one).
     pub fn save_with(&self, version: SnapshotVersion) -> Vec<u8> {
-        match version {
-            SnapshotVersion::V1 => {
-                let payload = self.payload_bytes();
-                let mut out = Vec::with_capacity(4 + payload.len() + 8);
-                out.extend_from_slice(&SNAPSHOT_MAGIC);
-                out.extend_from_slice(&payload);
-                put_u64(&mut out, fnv1a64(&payload));
-                out
-            }
-            SnapshotVersion::V2 => {
-                let base = self.payload_bytes_versioned(SNAPSHOT_VERSION_V2);
-                let (xadj, adj_head, adj_edge) = self.raw_csr();
-                let n = self.vertex_count();
-                let mut eori = Vec::new();
-                put_u32_slice(&mut eori, self.raw_edge_orig());
-                let mut xadj_bytes = Vec::new();
-                put_u32_slice(&mut xadj_bytes, xadj);
-                let mut head_bytes = Vec::new();
-                put_u32_slice(&mut head_bytes, adj_head);
-                let mut edge_bytes = Vec::new();
-                put_u32_slice(&mut edge_bytes, adj_edge);
-                let mut tree_bytes = Vec::with_capacity(8 * n * self.trees().len());
-                for tree in self.trees() {
-                    let (dist, parent) = tree.raw_dist_parent();
-                    put_u32_slice(&mut tree_bytes, dist);
-                    put_u32_slice(&mut tree_bytes, parent);
-                }
-                assemble_v2(
-                    SNAPSHOT_MAGIC,
-                    &base,
-                    self.fingerprint(),
-                    &[
-                        (SEC_EDGE_ORIG, eori),
-                        (SEC_XADJ, xadj_bytes),
-                        (SEC_ARC_HEADS, head_bytes),
-                        (SEC_ARC_EDGES, edge_bytes),
-                        (SEC_TREES, tree_bytes),
-                    ],
-                )
-            }
+        let SnapshotVersion::V2 = version;
+        let (xadj, adj_head, adj_edge) = self.raw_csr();
+        let mut trees = Vec::with_capacity(8 * self.trees().len() * self.vertex_count());
+        for tree in self.trees() {
+            let (dist, parent) = tree.raw_dist_parent();
+            put_u32_slice(&mut trees, dist);
+            put_u32_slice(&mut trees, parent);
         }
+        assemble(
+            SNAPSHOT_MAGIC,
+            &self.base_bytes(),
+            self.fingerprint(),
+            &[
+                (SEC_EDGE_ORIG, words(self.raw_edge_orig())),
+                (SEC_XADJ, words(xadj)),
+                (SEC_ARC_HEADS, words(adj_head)),
+                (SEC_ARC_EDGES, words(adj_edge)),
+                (SEC_TREES, trees),
+            ],
+        )
     }
 
-    /// Deserialises a snapshot produced by [`FrozenStructure::save`] /
-    /// [`FrozenStructure::save_with`], accepting both format versions.
-    ///
-    /// v1 input recomputes the CSR adjacency and the fault-free trees; v2
-    /// input is validated exactly like a [`crate::FrozenView`] open and
-    /// then rebuilt into an owned structure.  Either way the loaded
-    /// structure is equal to the saved one (same fingerprint, identical
-    /// query answers).
+    /// Deserialises a snapshot produced by [`FrozenStructure::save`]: the
+    /// bytes are validated exactly like a [`crate::FrozenView`] open and
+    /// then rebuilt into an owned structure equal to the saved one (same
+    /// fingerprint, same contract, identical query answers).
     pub fn load(data: &[u8]) -> Result<Self, SnapshotError> {
-        if data.len() < 4 || data[..4] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if data.len() < 6 {
-            return Err(SnapshotError::Truncated { at: data.len() });
-        }
-        match u16::from_le_bytes([data[4], data[5]]) {
-            SNAPSHOT_VERSION => Self::load_v1(data),
-            SNAPSHOT_VERSION_V2 => crate::view::FrozenView::open_bytes(data)?.to_frozen(),
-            v => Err(SnapshotError::UnsupportedVersion(v)),
-        }
+        crate::view::FrozenView::open_bytes(data)?.to_frozen()
     }
+}
 
-    fn load_v1(data: &[u8]) -> Result<Self, SnapshotError> {
-        if data.len() < 4 + 8 {
-            return Err(SnapshotError::Truncated { at: data.len() });
-        }
-        let (payload, checksum_bytes) = data[4..].split_at(data.len() - 4 - 8);
-        let mut check_reader = ByteReader::new(checksum_bytes);
-        let stored = check_reader.take_u64()?;
-        if fnv1a64(payload) != stored {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let mut r = ByteReader::new(payload);
-        let version = r.take_u16()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let flags = r.take_u16()?;
-        if flags != 0 {
-            return Err(SnapshotError::Corrupt(format!(
-                "reserved flags must be zero, got {flags:#06x}"
-            )));
-        }
-        let n = r.take_u32()?;
-        let resilience = r.take_u32()?;
-        let source_count = r.take_u32()? as usize;
-        let mut sources = Vec::with_capacity(source_count.min(1 << 20));
-        for _ in 0..source_count {
-            sources.push(VertexId(r.take_u32()?));
-        }
-        let edge_count = r.take_u32()? as usize;
-        let mut edge_orig = Vec::with_capacity(edge_count.min(1 << 24));
-        let mut edge_u = Vec::with_capacity(edge_count.min(1 << 24));
-        let mut edge_v = Vec::with_capacity(edge_count.min(1 << 24));
-        for _ in 0..edge_count {
-            edge_orig.push(r.take_u32()?);
-            edge_u.push(r.take_u32()?);
-            edge_v.push(r.take_u32()?);
-        }
-        if !r.is_empty() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} trailing payload bytes",
-                r.remaining()
-            )));
-        }
-        FrozenStructure::from_parts(n, sources, resilience, edge_orig, edge_u, edge_v)
-    }
+/// Encodes a `u32` array as little-endian section bytes.
+pub(crate) fn words(values: &[u32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 * values.len());
+    put_u32_slice(&mut out, values);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftbfs_core::dual_failure_ftbfs;
-    use ftbfs_graph::{generators, TieBreak};
+    use ftbfs_graph::{generators, TieBreak, VertexId};
 
     fn frozen_sample() -> FrozenStructure {
         let g = generators::connected_gnp(40, 0.12, 5);
         let w = TieBreak::new(&g, 5);
         let h = dual_failure_ftbfs(&g, &w, VertexId(0));
         FrozenStructure::freeze(&g, &h)
+    }
+
+    /// Rewrites the version field of a snapshot (no checksum covers it
+    /// before the version check runs).
+    fn with_version(bytes: &[u8], version: u16) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[4..6].copy_from_slice(&version.to_le_bytes());
+        out
     }
 
     #[test]
@@ -971,15 +728,11 @@ mod tests {
     fn v2_save_load_roundtrip_is_identical() {
         let frozen = frozen_sample();
         let bytes = frozen.save_with(SnapshotVersion::V2);
-        assert_eq!(&bytes[..4], &SNAPSHOT_MAGIC);
+        assert_eq!(bytes, frozen.save(), "v2 is the default format");
         assert_eq!(bytes.len() % SNAPSHOT_ALIGN, 0, "writer pads to 64");
         let loaded = FrozenStructure::load(&bytes).unwrap();
         assert_eq!(loaded, frozen);
-        assert_eq!(loaded.fingerprint(), frozen.fingerprint());
-        // The v2 encoding is canonical too.
         assert_eq!(loaded.save_with(SnapshotVersion::V2), bytes);
-        // And strictly larger than v1 (it also stores the derived arrays).
-        assert!(bytes.len() > frozen.save().len());
     }
 
     #[test]
@@ -987,8 +740,14 @@ mod tests {
         let frozen = frozen_sample();
         let bytes = frozen.save_with(SnapshotVersion::V2);
         let layout = snapshot_layout(&bytes).unwrap();
-        assert_eq!(layout.version, SNAPSHOT_VERSION_V2);
+        assert_eq!(layout.version, SNAPSHOT_VERSION);
+        assert_eq!(layout.contract, Contract::Exact);
         assert_eq!(layout.fingerprint, frozen.fingerprint());
+        assert_eq!(
+            layout.fingerprint,
+            ftbfs_graph::bytes::fnv1a64(&bytes[layout.base.clone()]),
+            "the fingerprint is the FNV-1a of the base payload"
+        );
         assert_eq!(layout.sections.len(), 5);
         let n = frozen.vertex_count();
         let m = frozen.edge_count();
@@ -1012,9 +771,9 @@ mod tests {
                 s.checksum
             );
         }
-        // v1 snapshots have no section layout.
+        // Version-1 files are no longer read.
         assert_eq!(
-            snapshot_layout(&frozen.save()).unwrap_err(),
+            snapshot_layout(&with_version(&bytes, 1)).unwrap_err(),
             SnapshotError::UnsupportedVersion(1)
         );
     }
@@ -1022,24 +781,22 @@ mod tests {
     #[test]
     fn bad_magic_and_truncation_are_rejected() {
         let frozen = frozen_sample();
-        for version in [SnapshotVersion::V1, SnapshotVersion::V2] {
-            let bytes = frozen.save_with(version);
-            assert_eq!(
-                FrozenStructure::load(b"nope").unwrap_err(),
-                SnapshotError::BadMagic
+        let bytes = frozen.save();
+        assert_eq!(
+            FrozenStructure::load(b"nope").unwrap_err(),
+            SnapshotError::BadMagic
+        );
+        let mut wrong = bytes.clone();
+        wrong[0] = b'X';
+        assert_eq!(
+            FrozenStructure::load(&wrong).unwrap_err(),
+            SnapshotError::BadMagic
+        );
+        for cut in [5, bytes.len() / 2, bytes.len() - 1] {
+            assert!(
+                FrozenStructure::load(&bytes[..cut]).is_err(),
+                "cut at {cut} must not load"
             );
-            let mut wrong = bytes.clone();
-            wrong[0] = b'X';
-            assert_eq!(
-                FrozenStructure::load(&wrong).unwrap_err(),
-                SnapshotError::BadMagic
-            );
-            for cut in [5, bytes.len() / 2, bytes.len() - 1] {
-                assert!(
-                    FrozenStructure::load(&bytes[..cut]).is_err(),
-                    "{version:?} cut at {cut} must not load"
-                );
-            }
         }
     }
 
@@ -1047,8 +804,9 @@ mod tests {
     fn corruption_fails_the_checksum() {
         let frozen = frozen_sample();
         let mut bytes = frozen.save();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
+        // The resilience word (bytes 12..16) has no structural invariant,
+        // so only the base checksum can catch a flip there.
+        bytes[12] ^= 0x40;
         assert_eq!(
             FrozenStructure::load(&bytes).unwrap_err(),
             SnapshotError::ChecksumMismatch
@@ -1074,21 +832,13 @@ mod tests {
 
     #[test]
     fn unknown_version_is_rejected() {
-        let frozen = frozen_sample();
-        let bytes = frozen.save();
-        // Rewrite the version field (first payload u16) and re-checksum so
-        // only the version check can fail.
-        let mut payload = bytes[4..bytes.len() - 8].to_vec();
-        payload[0] = 0x2A;
-        payload[1] = 0x00;
-        let mut rewritten = Vec::new();
-        rewritten.extend_from_slice(&SNAPSHOT_MAGIC);
-        rewritten.extend_from_slice(&payload);
-        put_u64(&mut rewritten, fnv1a64(&payload));
-        assert_eq!(
-            FrozenStructure::load(&rewritten).unwrap_err(),
-            SnapshotError::UnsupportedVersion(42)
-        );
+        let bytes = frozen_sample().save();
+        for version in [0, 1, 3, 42] {
+            assert_eq!(
+                FrozenStructure::load(&with_version(&bytes, version)).unwrap_err(),
+                SnapshotError::UnsupportedVersion(version)
+            );
+        }
     }
 
     #[test]

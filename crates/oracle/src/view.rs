@@ -1,7 +1,7 @@
-//! Zero-rebuild serving views over v2 snapshot bytes: [`SnapshotSource`],
+//! Zero-rebuild serving views over snapshot bytes: [`SnapshotSource`],
 //! [`FrozenView`] and [`FrozenMultiView`].
 //!
-//! A v2 snapshot (see [`crate::snapshot`]) stores not just the determining
+//! A snapshot (see [`crate::snapshot`]) stores not just the determining
 //! edge list but every derived array — CSR offsets and arcs, fault-free
 //! trees, slab tables — as 64-byte-aligned little-endian sections.  A view
 //! *opens* such bytes instead of loading them: it validates the frame
@@ -11,11 +11,12 @@
 //! of the big arrays are copied; open-time allocation is limited to
 //! metadata scratch (the small source list and section table).
 //!
-//! This is the mmap serving story: a server maps a snapshot file
-//! read-only (page-aligned, so the 64-byte section alignment holds in
-//! memory), wraps the region in a [`SnapshotSource`], opens a view, and
-//! serves immediately — no load-time CSR build, BFS, or allocation
-//! proportional to the structure.  Both view types implement
+//! This is the zero-copy serving story: a server reads a snapshot file
+//! into a buffer, or maps it read-only itself (page-aligned, so the
+//! 64-byte section alignment holds in memory) and borrows the region,
+//! wraps the bytes in a [`SnapshotSource`], opens a view, and serves
+//! immediately — no load-time CSR build, BFS, or allocation proportional
+//! to the structure.  Both view types implement
 //! [`DistanceOracle`], so every engine feature (fault LRU, tree fast
 //! path, batched and threaded serving) works unchanged, and a view's
 //! [`fingerprint`](DistanceOracle::fingerprint) equals the rebuilt
@@ -30,32 +31,29 @@
 //! panics on malformed input; it returns a typed [`SnapshotError`].
 //!
 //! One field is *attested* rather than recomputed on open: the structure
-//! fingerprint, stored in the (frame-checksummed) v2 header so open need
+//! fingerprint, stored in the (frame-checksummed) header so open need
 //! not re-hash the base.  In-tree writers always store the correct value
 //! (the golden-fixture CI gate pins this), and the rebuild paths
 //! ([`FrozenView::to_frozen`] / [`FrozenMultiView::to_multi`], hence
 //! `load`) cross-check it against the recomputed fingerprint for free,
 //! rejecting snapshots from writers that got it wrong.
 
-use crate::api::{DistanceOracle, OracleSlab, SlabTree};
+use crate::api::{Contract, DistanceOracle, OracleSlab, SlabTree};
 use crate::frozen::{FrozenStructure, NO_PARENT, UNREACHED};
 use crate::multi::FrozenMultiStructure;
 use crate::snapshot::{
-    corrupt, read_v2_frame, require_section, MultiBase, SectionEntry, SingleBase, SnapshotError,
-    SEC_ARC_EDGES, SEC_ARC_HEADS, SEC_EDGE_ORIG, SEC_SLAB_TABLE, SEC_TREES, SEC_XADJ,
-    SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC, SNAPSHOT_VERSION_V2,
+    corrupt, read_frame, require_section, Base, SectionEntry, SnapshotError, SEC_ARC_EDGES,
+    SEC_ARC_HEADS, SEC_EDGE_ORIG, SEC_SLAB_TABLE, SEC_TREES, SEC_XADJ, SNAPSHOT_MAGIC,
+    SNAPSHOT_MULTI_MAGIC,
 };
 use ftbfs_graph::bytes::LeU32s;
 use ftbfs_graph::VertexId;
 use std::borrow::Cow;
 
 /// Snapshot bytes for a view to open: owned (read from disk or the
-/// network into a `Vec<u8>`), borrowed (for example a caller-managed
+/// network into a `Vec<u8>`) or borrowed (for example a caller-managed
 /// mapped region — any `&[u8]` whose lifetime outlives the views opened
-/// over it), or — with the `mmap` feature — a file mapped by the source
-/// itself via [`SnapshotSource::map_file`].  Borrowed and owned sources
-/// stay the dependency-free default; the `mmap` feature adds the
-/// `memmap2` dependency and nothing else changes.
+/// over it, which is the zero-copy path).
 ///
 /// The source only carries the bytes; validation happens when a
 /// [`FrozenView`] or [`FrozenMultiView`] is opened over it.
@@ -75,56 +73,27 @@ use std::borrow::Cow;
 /// ```
 #[derive(Clone, Debug)]
 pub struct SnapshotSource<'a> {
-    data: SourceBytes<'a>,
-}
-
-/// The storage behind a [`SnapshotSource`]; the mapped variant keeps its
-/// mapping alive (in an `Arc`, so sources stay cheaply cloneable).
-#[derive(Clone, Debug)]
-enum SourceBytes<'a> {
-    Inline(Cow<'a, [u8]>),
-    #[cfg(feature = "mmap")]
-    Mapped(std::sync::Arc<memmap2::Mmap>),
+    data: Cow<'a, [u8]>,
 }
 
 impl<'a> SnapshotSource<'a> {
     /// A source that owns its bytes.
     pub fn owned(data: Vec<u8>) -> SnapshotSource<'static> {
         SnapshotSource {
-            data: SourceBytes::Inline(Cow::Owned(data)),
+            data: Cow::Owned(data),
         }
     }
 
     /// A source borrowing bytes that live elsewhere (e.g. a mapped file).
     pub fn borrowed(data: &'a [u8]) -> Self {
         SnapshotSource {
-            data: SourceBytes::Inline(Cow::Borrowed(data)),
+            data: Cow::Borrowed(data),
         }
-    }
-
-    /// Maps the snapshot file at `path` and wraps the mapping as a
-    /// source (`mmap` feature).
-    ///
-    /// The mapping lives as long as the source (and any clone of it), so
-    /// the usual open-and-go flow is `map_file` → [`FrozenView::open`] /
-    /// [`FrozenMultiView::open`] — no copy of the snapshot on the heap,
-    /// no rebuild.  The file must not be truncated while mapped.
-    #[cfg(feature = "mmap")]
-    pub fn map_file(path: impl AsRef<std::path::Path>) -> std::io::Result<SnapshotSource<'static>> {
-        let file = std::fs::File::open(path)?;
-        let map = memmap2::Mmap::map(&file)?;
-        Ok(SnapshotSource {
-            data: SourceBytes::Mapped(std::sync::Arc::new(map)),
-        })
     }
 
     /// The snapshot bytes.
     pub fn bytes(&self) -> &[u8] {
-        match &self.data {
-            SourceBytes::Inline(data) => data,
-            #[cfg(feature = "mmap")]
-            SourceBytes::Mapped(map) => map,
-        }
+        &self.data
     }
 
     /// Number of bytes.
@@ -150,14 +119,14 @@ impl<'a> From<&'a [u8]> for SnapshotSource<'a> {
     }
 }
 
-/// Validates one fault-free tree stored in a v2 snapshot: the source row
+/// Validates one fault-free tree stored in a snapshot: the source row
 /// is `(0, NO_PARENT)`, unreached vertices have no parent, and every
 /// reached vertex's distance is exactly its parent's plus one — which
 /// both pins the arrays to a genuine BFS-tree shape and guarantees parent
 /// walks strictly decrease the distance, so path reconstruction
 /// terminates on any input that passes.
 #[inline]
-pub(crate) fn check_tree(
+fn check_tree(
     dist: LeU32s<'_>,
     parent: LeU32s<'_>,
     source: usize,
@@ -187,11 +156,11 @@ pub(crate) fn check_tree(
     Ok(())
 }
 
-/// Validates one CSR slab stored in a v2 snapshot: offsets start at zero,
+/// Validates one CSR slab stored in a snapshot: offsets start at zero,
 /// grow monotonically to exactly `2m`, and every arc's head and frozen
 /// edge id are in range — everything the BFS kernel indexes with.
 #[inline]
-pub(crate) fn check_csr(
+fn check_csr(
     xadj: LeU32s<'_>,
     heads: LeU32s<'_>,
     edges: LeU32s<'_>,
@@ -220,27 +189,83 @@ pub(crate) fn check_csr(
     Ok(())
 }
 
-/// Slices `kind`'s bytes out of `data` as a `u32` array view.
-#[inline]
-pub(crate) fn section_words<'a>(data: &'a [u8], s: &SectionEntry) -> LeU32s<'a> {
-    LeU32s::new(&data[s.offset..s.offset + s.len])
-        .expect("section lengths are validated u32-granular")
+/// The dist and parent rows of tree `i` in a `k × 2n` tree section.
+fn tree_rows(trees: LeU32s<'_>, i: usize, n: usize) -> (LeU32s<'_>, LeU32s<'_>) {
+    (
+        trees.slice(2 * i * n, (2 * i + 1) * n),
+        trees.slice((2 * i + 1) * n, (2 * i + 2) * n),
+    )
 }
 
-/// A borrowed, zero-rebuild serving view over the bytes of a v2
-/// single-source ("FTBO") snapshot.
+/// Snapshot bytes validated up to their sections — magic, version, base
+/// payload, freeze invariants and frame — that both view kinds then take
+/// their arrays from.
+struct Opened<'a> {
+    data: &'a [u8],
+    base: Base<'a>,
+    fingerprint: u64,
+    sections: Vec<SectionEntry>,
+    sources: Vec<VertexId>,
+}
+
+impl<'a> Opened<'a> {
+    fn new(data: &'a [u8], magic: [u8; 4]) -> Result<Self, SnapshotError> {
+        let base = Base::walk(data, magic)?;
+        base.validate_invariants()?;
+        let frame = read_frame(data, base.end)?;
+        let sources = (0..base.source_count)
+            .map(|i| VertexId(base.source(i)))
+            .collect();
+        Ok(Opened {
+            data,
+            base,
+            fingerprint: frame.fingerprint,
+            sections: frame.sections,
+            sources,
+        })
+    }
+
+    /// The unique section of `kind`, which must hold exactly `words`
+    /// `u32`s.
+    fn section(&self, kind: u32, words: usize) -> Result<LeU32s<'a>, SnapshotError> {
+        let s = require_section(&self.sections, kind, 4 * words)?;
+        Ok(LeU32s::new(&self.data[s.offset..s.offset + s.len])
+            .expect("section lengths are validated u32-granular"))
+    }
+
+    /// The `k × 2n` tree section, with every source's tree validated.
+    fn trees(&self) -> Result<LeU32s<'a>, SnapshotError> {
+        let n = self.base.n as usize;
+        let trees = self.section(SEC_TREES, 2 * n * self.sources.len())?;
+        for (i, s) in self.sources.iter().enumerate() {
+            let (dist, parent) = tree_rows(trees, i, n);
+            check_tree(dist, parent, s.index(), n)?;
+        }
+        Ok(trees)
+    }
+
+    /// Rebuild-path cross-check of the writer-attested fingerprint.
+    fn attest(fingerprint: u64, rebuilt: u64) -> Result<(), SnapshotError> {
+        if rebuilt != fingerprint {
+            return corrupt("stored fingerprint disagrees with the determining data");
+        }
+        Ok(())
+    }
+}
+
+/// A borrowed, zero-rebuild serving view over the bytes of a single-slab
+/// ("FTBO") snapshot, exact or approximate.
 ///
 /// Opened with [`FrozenView::open`] (from a [`SnapshotSource`]) or
 /// [`FrozenView::open_bytes`]; implements [`DistanceOracle`], answering
 /// bit-identically to the [`FrozenStructure`] the snapshot was saved from
-/// — same fingerprint, same slabs, same precomputed trees — without
-/// rebuilding or copying any of the big arrays.
+/// — same fingerprint, same contract and guarantees, same slabs, same
+/// precomputed trees — without rebuilding or copying any of the big
+/// arrays.
 pub struct FrozenView<'a> {
-    n: u32,
-    resilience: u32,
+    base: Base<'a>,
     sources: Vec<VertexId>,
     fingerprint: u64,
-    base: SingleBase<'a>,
     edge_orig: LeU32s<'a>,
     xadj: LeU32s<'a>,
     adj_head: LeU32s<'a>,
@@ -252,10 +277,11 @@ pub struct FrozenView<'a> {
 impl std::fmt::Debug for FrozenView<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrozenView")
-            .field("n", &self.n)
+            .field("n", &self.base.n)
             .field("sources", &self.sources)
-            .field("resilience", &self.resilience)
-            .field("edges", &self.edge_orig.len())
+            .field("resilience", &self.base.resilience)
+            .field("contract", &self.base.contract)
+            .field("edges", &self.base.m)
             .field("fingerprint", &self.fingerprint)
             .finish()
     }
@@ -268,73 +294,45 @@ impl<'a> FrozenView<'a> {
         Self::open_bytes(source.bytes())
     }
 
-    /// Opens a view directly over snapshot bytes (v2 only — v1 snapshots
-    /// carry no derived sections to serve from; use
-    /// [`FrozenStructure::load`] for those).
+    /// Opens a view directly over snapshot bytes.
     pub fn open_bytes(data: &'a [u8]) -> Result<Self, SnapshotError> {
-        if data.len() < 4 || data[..4] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let base = SingleBase::walk(data)?;
-        if base.version != SNAPSHOT_VERSION_V2 {
-            return Err(SnapshotError::UnsupportedVersion(base.version));
-        }
-        base.validate_invariants()?;
-        let frame = read_v2_frame(data, base.end)?;
-        let n = base.n as usize;
-        let m = base.m;
-        let k = base.source_count;
-        let eori = require_section(&frame.sections, SEC_EDGE_ORIG, 4 * m)?;
-        let xadj = require_section(&frame.sections, SEC_XADJ, 4 * (n + 1))?;
-        let heads = require_section(&frame.sections, SEC_ARC_HEADS, 8 * m)?;
-        let edges = require_section(&frame.sections, SEC_ARC_EDGES, 8 * m)?;
-        let trees = require_section(&frame.sections, SEC_TREES, 4 * k * 2 * n)?;
-        let eori = section_words(data, &eori);
-        let xadj = section_words(data, &xadj);
-        let heads = section_words(data, &heads);
-        let edges = section_words(data, &edges);
-        let trees = section_words(data, &trees);
+        let opened = Opened::new(data, SNAPSHOT_MAGIC)?;
+        let (n, m) = (opened.base.n as usize, opened.base.m);
+        let edge_orig = opened.section(SEC_EDGE_ORIG, m)?;
+        let xadj = opened.section(SEC_XADJ, n + 1)?;
+        let adj_head = opened.section(SEC_ARC_HEADS, 2 * m)?;
+        let adj_edge = opened.section(SEC_ARC_EDGES, 2 * m)?;
+        let trees = opened.trees()?;
         // The derived edge-id array must agree with the determining base
         // edge list (it exists so fault translation needs no rebuild).
-        if eori
+        if edge_orig
             .iter()
-            .zip(base.edges())
+            .zip(opened.base.edges())
             .any(|(derived, (orig, _, _))| derived != orig)
         {
             return corrupt("edge-id section disagrees with the base edge list");
         }
-        check_csr(xadj, heads, edges, n, m)?;
-        let sources: Vec<VertexId> = (0..k).map(|i| VertexId(base.source(i))).collect();
-        for (i, s) in sources.iter().enumerate() {
-            check_tree(
-                trees.slice(i * 2 * n, i * 2 * n + n),
-                trees.slice(i * 2 * n + n, (i + 1) * 2 * n),
-                s.index(),
-                n,
-            )?;
-        }
+        check_csr(xadj, adj_head, adj_edge, n, m)?;
         Ok(FrozenView {
-            n: base.n,
-            resilience: base.resilience,
-            sources,
-            fingerprint: frame.fingerprint,
-            base,
-            edge_orig: eori,
+            base: opened.base,
+            sources: opened.sources,
+            fingerprint: opened.fingerprint,
+            edge_orig,
             xadj,
-            adj_head: heads,
-            adj_edge: edges,
+            adj_head,
+            adj_edge,
             trees,
         })
     }
 
     /// Number of vertices of the underlying graph.
     pub fn vertex_count(&self) -> usize {
-        self.n as usize
+        self.base.n as usize
     }
 
     /// Number of edges in the frozen structure.
     pub fn edge_count(&self) -> usize {
-        self.edge_orig.len()
+        self.base.m
     }
 
     /// The source set, in snapshot order.
@@ -344,7 +342,12 @@ impl<'a> FrozenView<'a> {
 
     /// The designed resilience `f`.
     pub fn resilience(&self) -> usize {
-        self.resilience as usize
+        self.base.resilience as usize
+    }
+
+    /// The answer contract the snapshot header declares.
+    pub fn contract(&self) -> Contract {
+        self.base.contract
     }
 
     /// The structure fingerprint — equal to the fingerprint of the
@@ -355,7 +358,7 @@ impl<'a> FrozenView<'a> {
 
     /// Rebuilds an owned [`FrozenStructure`] from the view's determining
     /// data (the inverse of serving straight from the bytes; used by
-    /// [`FrozenStructure::load`] on v2 input).
+    /// [`FrozenStructure::load`]).
     ///
     /// The rebuild recomputes the structure fingerprint from scratch, so
     /// this path also cross-checks the writer-attested fingerprint stored
@@ -364,27 +367,17 @@ impl<'a> FrozenView<'a> {
     /// rejected here rather than silently de-syncing engines that key
     /// their caches on fingerprint equality.
     pub fn to_frozen(&self) -> Result<FrozenStructure, SnapshotError> {
-        let m = self.base.m;
-        let mut edge_orig = Vec::with_capacity(m);
-        let mut edge_u = Vec::with_capacity(m);
-        let mut edge_v = Vec::with_capacity(m);
-        for i in 0..m {
-            let (orig, u, v) = self.base.edge(i);
-            edge_orig.push(orig);
-            edge_u.push(u);
-            edge_v.push(v);
-        }
+        let (edge_orig, edge_u, edge_v) = self.base.edge_columns();
         let rebuilt = FrozenStructure::from_parts(
-            self.n,
+            self.base.n,
             self.sources.clone(),
-            self.resilience,
+            self.base.resilience,
+            self.base.contract,
             edge_orig,
             edge_u,
             edge_v,
         )?;
-        if rebuilt.fingerprint() != self.fingerprint {
-            return corrupt("stored fingerprint disagrees with the determining data");
-        }
+        Opened::attest(self.fingerprint, rebuilt.fingerprint())?;
         Ok(rebuilt)
     }
 }
@@ -410,19 +403,22 @@ impl DistanceOracle for FrozenView<'_> {
         FrozenView::fingerprint(self)
     }
 
+    #[inline]
+    fn contract(&self) -> Contract {
+        FrozenView::contract(self)
+    }
+
     /// Mirrors [`FrozenStructure`]: any in-range vertex is servable over
     /// the shared CSR; declared sources additionally get their mapped
     /// fault-free tree.
     fn slab(&self, source: VertexId) -> Option<OracleSlab<'_>> {
-        if source.index() >= self.vertex_count() {
+        let n = self.vertex_count();
+        if source.index() >= n {
             return None;
         }
-        let n = self.vertex_count();
         let tree = self.sources.iter().position(|&s| s == source).map(|i| {
-            SlabTree::new(
-                self.trees.slice(i * 2 * n, i * 2 * n + n),
-                self.trees.slice(i * 2 * n + n, (i + 1) * 2 * n),
-            )
+            let (dist, parent) = tree_rows(self.trees, i, n);
+            SlabTree::new(dist, parent)
         });
         Some(OracleSlab::new(
             source,
@@ -435,16 +431,14 @@ impl DistanceOracle for FrozenView<'_> {
     }
 }
 
-/// A borrowed, zero-rebuild serving view over the bytes of a v2
-/// multi-source ("FTBM") snapshot — the mmap-served counterpart of
+/// A borrowed, zero-rebuild serving view over the bytes of a
+/// multi-source ("FTBM") snapshot — the byte-served counterpart of
 /// [`FrozenMultiStructure`], with one mapped CSR slab per declared
 /// source.
 pub struct FrozenMultiView<'a> {
-    n: u32,
-    resilience: u32,
+    base: Base<'a>,
     sources: Vec<VertexId>,
     fingerprint: u64,
-    base: MultiBase<'a>,
     /// `k × 2` words: per slab, its edge count and prefix-sum offset.
     slab_table: LeU32s<'a>,
     /// Concatenated per-slab edge-id arrays (`Σ m_s` words).
@@ -461,10 +455,10 @@ pub struct FrozenMultiView<'a> {
 impl std::fmt::Debug for FrozenMultiView<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrozenMultiView")
-            .field("n", &self.n)
+            .field("n", &self.base.n)
             .field("sources", &self.sources)
-            .field("resilience", &self.resilience)
-            .field("union_edges", &self.base.union_m)
+            .field("resilience", &self.base.resilience)
+            .field("union_edges", &self.base.m)
             .field("fingerprint", &self.fingerprint)
             .finish()
     }
@@ -477,32 +471,21 @@ impl<'a> FrozenMultiView<'a> {
         Self::open_bytes(source.bytes())
     }
 
-    /// Opens a view directly over snapshot bytes (v2 only).
+    /// Opens a view directly over snapshot bytes.
     pub fn open_bytes(data: &'a [u8]) -> Result<Self, SnapshotError> {
-        if data.len() < 4 || data[..4] != SNAPSHOT_MULTI_MAGIC {
-            return Err(SnapshotError::BadMagic);
+        let opened = Opened::new(data, SNAPSHOT_MULTI_MAGIC)?;
+        let base = &opened.base;
+        if base.contract != Contract::Exact {
+            return corrupt("multi-source snapshots carry the exact contract only");
         }
-        let base = MultiBase::walk(data)?;
-        if base.version != SNAPSHOT_VERSION_V2 {
-            return Err(SnapshotError::UnsupportedVersion(base.version));
-        }
-        base.validate_invariants()?;
-        let frame = read_v2_frame(data, base.end)?;
-        let n = base.n as usize;
-        let k = base.source_count;
+        let (n, k) = (base.n as usize, base.source_count);
         let total: usize = base.slab_lists.iter().map(|&(m_s, _)| m_s).sum();
-        let slab_table = require_section(&frame.sections, SEC_SLAB_TABLE, 4 * 2 * k)?;
-        let eori = require_section(&frame.sections, SEC_EDGE_ORIG, 4 * total)?;
-        let xadj = require_section(&frame.sections, SEC_XADJ, 4 * k * (n + 1))?;
-        let heads = require_section(&frame.sections, SEC_ARC_HEADS, 8 * total)?;
-        let edges = require_section(&frame.sections, SEC_ARC_EDGES, 8 * total)?;
-        let trees = require_section(&frame.sections, SEC_TREES, 4 * k * 2 * n)?;
-        let slab_table = section_words(data, &slab_table);
-        let eori = section_words(data, &eori);
-        let xadj = section_words(data, &xadj);
-        let heads = section_words(data, &heads);
-        let edges = section_words(data, &edges);
-        let trees = section_words(data, &trees);
+        let slab_table = opened.section(SEC_SLAB_TABLE, 2 * k)?;
+        let edge_orig = opened.section(SEC_EDGE_ORIG, total)?;
+        let xadj = opened.section(SEC_XADJ, k * (n + 1))?;
+        let adj_head = opened.section(SEC_ARC_HEADS, 2 * total)?;
+        let adj_edge = opened.section(SEC_ARC_EDGES, 2 * total)?;
+        let trees = opened.trees()?;
 
         // The slab table must agree with the determining base slab lists
         // (counts and prefix sums), and each slab's edge-id segment must be
@@ -515,55 +498,44 @@ impl<'a> FrozenMultiView<'a> {
             if slab_table.get(2 * i + 1) as usize != prefix {
                 return corrupt("slab table offset is not the prefix sum");
             }
-            if eori
+            if edge_orig
                 .slice(prefix, prefix + m_s)
                 .iter()
                 .zip(base.slab_list(i).iter())
-                .any(|(derived, union_idx)| derived != base.edge(union_idx as usize).0)
+                .any(|(derived, union_idx)| derived != base.edge_id(union_idx as usize))
             {
                 return corrupt("slab edge-id section disagrees with the union edge list");
             }
             check_csr(
                 xadj.slice(i * (n + 1), (i + 1) * (n + 1)),
-                heads.slice(2 * prefix, 2 * (prefix + m_s)),
-                edges.slice(2 * prefix, 2 * (prefix + m_s)),
+                adj_head.slice(2 * prefix, 2 * (prefix + m_s)),
+                adj_edge.slice(2 * prefix, 2 * (prefix + m_s)),
                 n,
                 m_s,
             )?;
             prefix += m_s;
         }
-        let sources: Vec<VertexId> = (0..k).map(|i| VertexId(base.source(i))).collect();
-        for (i, s) in sources.iter().enumerate() {
-            check_tree(
-                trees.slice(i * 2 * n, i * 2 * n + n),
-                trees.slice(i * 2 * n + n, (i + 1) * 2 * n),
-                s.index(),
-                n,
-            )?;
-        }
         Ok(FrozenMultiView {
-            n: base.n,
-            resilience: base.resilience,
-            sources,
-            fingerprint: frame.fingerprint,
-            base,
+            base: opened.base,
+            sources: opened.sources,
+            fingerprint: opened.fingerprint,
             slab_table,
-            edge_orig: eori,
+            edge_orig,
             xadj,
-            adj_head: heads,
-            adj_edge: edges,
+            adj_head,
+            adj_edge,
             trees,
         })
     }
 
     /// Number of vertices of the underlying graph.
     pub fn vertex_count(&self) -> usize {
-        self.n as usize
+        self.base.n as usize
     }
 
     /// Number of edges in the union structure `⋃_s H_s`.
     pub fn union_edge_count(&self) -> usize {
-        self.base.union_m
+        self.base.m
     }
 
     /// The source set `S`, in snapshot order.
@@ -573,7 +545,7 @@ impl<'a> FrozenMultiView<'a> {
 
     /// The designed resilience `f`.
     pub fn resilience(&self) -> usize {
-        self.resilience as usize
+        self.base.resilience as usize
     }
 
     /// The structure fingerprint — equal to the fingerprint of the
@@ -583,38 +555,24 @@ impl<'a> FrozenMultiView<'a> {
     }
 
     /// Rebuilds an owned [`FrozenMultiStructure`] from the view's
-    /// determining data (used by [`FrozenMultiStructure::load`] on v2
-    /// input); like [`FrozenView::to_frozen`], the rebuild cross-checks
-    /// the writer-attested fingerprint stored in the frame.
+    /// determining data (used by [`FrozenMultiStructure::load`]); like
+    /// [`FrozenView::to_frozen`], the rebuild cross-checks the
+    /// writer-attested fingerprint stored in the frame.
     pub fn to_multi(&self) -> Result<FrozenMultiStructure, SnapshotError> {
-        let m = self.base.union_m;
-        let mut union_orig = Vec::with_capacity(m);
-        let mut union_u = Vec::with_capacity(m);
-        let mut union_v = Vec::with_capacity(m);
-        for i in 0..m {
-            let (orig, u, v) = self.base.edge(i);
-            union_orig.push(orig);
-            union_u.push(u);
-            union_v.push(v);
-        }
+        let (union_orig, union_u, union_v) = self.base.edge_columns();
         let slab_edges: Vec<Vec<u32>> = (0..self.base.source_count)
-            .map(|i| {
-                let (m_s, _) = self.base.slab_lists[i];
-                (0..m_s).map(|j| self.base.slab_edge_index(i, j)).collect()
-            })
+            .map(|i| self.base.slab_list(i).iter().collect())
             .collect();
         let rebuilt = FrozenMultiStructure::from_parts(
-            self.n,
-            self.resilience,
+            self.base.n,
+            self.base.resilience,
             self.sources.clone(),
             union_orig,
             union_u,
             union_v,
             slab_edges,
         )?;
-        if rebuilt.fingerprint() != self.fingerprint {
-            return corrupt("stored fingerprint disagrees with the determining data");
-        }
+        Opened::attest(self.fingerprint, rebuilt.fingerprint())?;
         Ok(rebuilt)
     }
 }
@@ -653,10 +611,10 @@ impl DistanceOracle for FrozenMultiView<'_> {
             self.adj_head.slice(2 * off, 2 * (off + m_s)),
             self.adj_edge.slice(2 * off, 2 * (off + m_s)),
             self.edge_orig.slice(off, off + m_s),
-            Some(SlabTree::new(
-                self.trees.slice(i * 2 * n, i * 2 * n + n),
-                self.trees.slice(i * 2 * n + n, (i + 1) * 2 * n),
-            )),
+            Some({
+                let (dist, parent) = tree_rows(self.trees, i, n);
+                SlabTree::new(dist, parent)
+            }),
         ))
     }
 }
@@ -681,36 +639,6 @@ mod tests {
         (g, frozen)
     }
 
-    #[cfg(feature = "mmap")]
-    #[test]
-    fn mapped_snapshot_files_serve_identically_to_owned_bytes() {
-        let (_g, frozen) = sample();
-        let bytes = frozen.save_with(SnapshotVersion::V2);
-        let path = std::env::temp_dir().join("ftbfs_oracle_mmap_test.ftbo");
-        std::fs::write(&path, &bytes).unwrap();
-
-        let mapped = SnapshotSource::map_file(&path).unwrap();
-        assert_eq!(mapped.len(), bytes.len());
-        assert_eq!(mapped.bytes(), &bytes[..]);
-        let from_map = FrozenView::open(&mapped).unwrap();
-        let from_vec = FrozenView::open_bytes(&bytes).unwrap();
-        assert_eq!(from_map.fingerprint(), from_vec.fingerprint());
-        let mut ea = QueryEngine::new();
-        let mut eb = QueryEngine::new();
-        for t in 0..from_vec.vertex_count() as u32 {
-            assert_eq!(
-                ea.try_distance(&from_map, v(t), &FaultSpec::None).unwrap(),
-                eb.try_distance(&from_vec, v(t), &FaultSpec::None).unwrap(),
-            );
-        }
-        // Clones share the mapping and survive the original being dropped.
-        let clone = mapped.clone();
-        drop(mapped);
-        assert!(FrozenView::open(&clone).is_ok());
-
-        std::fs::remove_file(&path).ok();
-    }
-
     #[test]
     fn view_answers_identically_to_the_frozen_structure() {
         let (g, frozen) = sample();
@@ -720,6 +648,7 @@ mod tests {
         assert_eq!(view.edge_count(), frozen.edge_count());
         assert_eq!(view.sources(), frozen.sources());
         assert_eq!(view.resilience(), frozen.resilience());
+        assert_eq!(view.contract(), Contract::Exact);
         assert_eq!(view.fingerprint(), frozen.fingerprint());
         let mut ea = QueryEngine::new();
         let mut eb = QueryEngine::new();
@@ -756,11 +685,13 @@ mod tests {
     #[test]
     fn view_rejects_v1_bytes_and_owned_and_borrowed_sources_work() {
         let (_g, frozen) = sample();
+        let bytes = frozen.save_with(SnapshotVersion::V2);
+        let mut v1 = bytes.clone();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
         assert_eq!(
-            FrozenView::open_bytes(&frozen.save()).unwrap_err(),
+            FrozenView::open_bytes(&v1).unwrap_err(),
             SnapshotError::UnsupportedVersion(1)
         );
-        let bytes = frozen.save_with(SnapshotVersion::V2);
         let owned = SnapshotSource::owned(bytes.clone());
         assert_eq!(owned.len(), bytes.len());
         assert!(!owned.is_empty());

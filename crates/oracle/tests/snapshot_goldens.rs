@@ -1,80 +1,80 @@
 //! Format-compatibility gate over the checked-in golden snapshots
 //! (`crates/oracle/testdata/`, regenerated by the `gen_snapshot_goldens`
-//! bin in `ftbfs-bench`).
+//! bin in `ftbfs-bench`), one per contract kind: exact single-slab,
+//! approximate single-slab, and multi-source.
 //!
-//! Every golden must keep loading with the current code and keep producing
-//! the recorded fingerprint; the current encoders must reproduce the
-//! golden bytes exactly (canonical encodings).  If a PR changes the
-//! snapshot byte format without bumping the format version, these tests —
-//! and the CI `snapshot-compat` job running `gen_snapshot_goldens
-//! --check` — fail, which is the point: on-disk snapshots in the field
-//! must stay readable across releases.
+//! Every golden must keep loading and opening with the current code and
+//! keep producing the recorded fingerprint; the current encoders must
+//! reproduce the golden bytes exactly (canonical encodings).  If a PR
+//! changes the snapshot byte format without bumping the format version,
+//! these tests — and the CI `snapshot-compat` job running
+//! `gen_snapshot_goldens --check` — fail, which is the point: on-disk
+//! snapshots in the field must stay readable across releases.
 //!
 //! When a deliberate, version-bumped format change lands: regenerate the
-//! fixtures, update the `GOLDEN_*_FINGERPRINT` constants from the
-//! generator's output, and keep the *old-version* fixtures loading.
+//! fixtures and update the `GOLDEN_*_FINGERPRINT` constants from the
+//! generator's output.
 
+use ftbfs_core::ApproxParams;
 use ftbfs_graph::{EdgeId, FaultSpec, VertexId};
 use ftbfs_oracle::{
-    snapshot_layout, DistanceOracle, FrozenApproxStructure, FrozenApproxView, FrozenMultiStructure,
-    FrozenMultiView, FrozenStructure, FrozenView, QueryEngine, SnapshotVersion, SNAPSHOT_ALIGN,
-    SNAPSHOT_VERSION_V2,
+    snapshot_layout, Contract, DistanceOracle, FrozenMultiStructure, FrozenMultiView,
+    FrozenStructure, FrozenView, QueryEngine, SnapshotError, SnapshotVersion, SNAPSHOT_ALIGN,
+    SNAPSHOT_VERSION,
 };
 
-const GOLDEN_SINGLE_V1: &[u8] = include_bytes!("../testdata/golden_single_v1.ftbo");
 const GOLDEN_SINGLE_V2: &[u8] = include_bytes!("../testdata/golden_single_v2.ftbo");
-const GOLDEN_MULTI_V1: &[u8] = include_bytes!("../testdata/golden_multi_v1.ftbm");
+const GOLDEN_APPROX_V2: &[u8] = include_bytes!("../testdata/golden_approx_v2.ftbo");
 const GOLDEN_MULTI_V2: &[u8] = include_bytes!("../testdata/golden_multi_v2.ftbm");
-const GOLDEN_APPROX_V1: &[u8] = include_bytes!("../testdata/golden_approx_v1.ftba");
-const GOLDEN_APPROX_V2: &[u8] = include_bytes!("../testdata/golden_approx_v2.ftba");
 
 /// Recorded when the fixtures were generated; see the module docs for the
 /// regeneration procedure.
-const GOLDEN_SINGLE_FINGERPRINT: u64 = 0xd0dd38f276f3bfb8;
-const GOLDEN_MULTI_FINGERPRINT: u64 = 0x8bcbee3d2426c3a9;
-const GOLDEN_APPROX_FINGERPRINT: u64 = 0xe7437184bb4677ef;
+const GOLDEN_SINGLE_FINGERPRINT: u64 = 0x8d65de4883a53ebb;
+const GOLDEN_APPROX_FINGERPRINT: u64 = 0x793a008db4368865;
+const GOLDEN_MULTI_FINGERPRINT: u64 = 0xfdbe5a03bcab3f3a;
 
-#[test]
-fn golden_single_v1_loads_with_the_recorded_fingerprint() {
-    let loaded = FrozenStructure::load(GOLDEN_SINGLE_V1).expect("golden v1 must keep loading");
-    assert_eq!(loaded.fingerprint(), GOLDEN_SINGLE_FINGERPRINT);
-    // The current encoder reproduces the golden bytes (canonical v1).
-    assert_eq!(loaded.save_with(SnapshotVersion::V1), GOLDEN_SINGLE_V1);
-}
-
-#[test]
-fn golden_single_v2_loads_opens_and_matches_v1() {
-    let loaded = FrozenStructure::load(GOLDEN_SINGLE_V2).expect("golden v2 must keep loading");
-    assert_eq!(loaded.fingerprint(), GOLDEN_SINGLE_FINGERPRINT);
-    assert_eq!(loaded.save_with(SnapshotVersion::V2), GOLDEN_SINGLE_V2);
-    // Zero-rebuild open over the same bytes: same identity, same answers.
-    let view = FrozenView::open_bytes(GOLDEN_SINGLE_V2).expect("golden v2 must keep opening");
-    assert_eq!(view.fingerprint(), GOLDEN_SINGLE_FINGERPRINT);
-    let from_v1 = FrozenStructure::load(GOLDEN_SINGLE_V1).unwrap();
-    assert_eq!(loaded, from_v1);
+/// The structure and the zero-rebuild view over the same bytes answer
+/// every target identically, fault-free and with original edge 0 failed.
+fn assert_view_matches_load<O: DistanceOracle>(loaded: &FrozenStructure, view: &O) {
     let mut ea = QueryEngine::new();
     let mut eb = QueryEngine::new();
-    let e0 = view.slab(view.sources()[0]).unwrap();
-    let fault = ftbfs_graph::EdgeId(0);
-    assert!(e0.frozen_index(fault).is_some(), "edge 0 is in the fixture");
-    for t in 0..view.vertex_count() {
+    let fault = EdgeId(0);
+    assert!(loaded.contains_edge(fault), "edge 0 is in the fixture");
+    for t in 0..loaded.vertex_count() {
         let t = VertexId(t as u32);
         for spec in [FaultSpec::None, FaultSpec::One(fault)] {
             assert_eq!(
-                ea.try_distance(&from_v1, t, &spec).unwrap(),
-                eb.try_distance(&view, t, &spec).unwrap(),
+                ea.try_distance(loaded, t, &spec).unwrap(),
+                eb.try_distance(view, t, &spec).unwrap(),
                 "target {t:?} spec {spec:?}"
             );
         }
     }
+}
+
+#[test]
+fn golden_single_v2_loads_and_opens_with_the_recorded_fingerprint() {
+    let loaded = FrozenStructure::load(GOLDEN_SINGLE_V2).expect("golden must keep loading");
+    assert_eq!(loaded.fingerprint(), GOLDEN_SINGLE_FINGERPRINT);
+    assert_eq!(loaded.contract(), Contract::Exact);
+    // The current encoder reproduces the golden bytes (canonical).
+    assert_eq!(loaded.save_with(SnapshotVersion::V2), GOLDEN_SINGLE_V2);
+    // Zero-rebuild open over the same bytes: same identity, same answers.
+    let view = FrozenView::open_bytes(GOLDEN_SINGLE_V2).expect("golden must keep opening");
+    assert_eq!(view.fingerprint(), GOLDEN_SINGLE_FINGERPRINT);
+    assert_view_matches_load(&loaded, &view);
 }
 
 #[test]
 fn golden_single_v2_layout_is_stable() {
     let layout = snapshot_layout(GOLDEN_SINGLE_V2).expect("layout parses");
-    assert_eq!(layout.version, SNAPSHOT_VERSION_V2);
+    assert_eq!(layout.version, SNAPSHOT_VERSION);
     assert_eq!(layout.fingerprint, GOLDEN_SINGLE_FINGERPRINT);
-    assert_eq!(layout.sections.len(), 5, "single v2 stores five sections");
+    assert_eq!(
+        layout.sections.len(),
+        5,
+        "single snapshots store five sections"
+    );
     for s in &layout.sections {
         assert_eq!(s.offset % SNAPSHOT_ALIGN, 0);
         assert_eq!(s.len % 4, 0);
@@ -82,74 +82,50 @@ fn golden_single_v2_layout_is_stable() {
 }
 
 #[test]
-fn golden_multi_v1_loads_with_the_recorded_fingerprint() {
-    let loaded = FrozenMultiStructure::load(GOLDEN_MULTI_V1).expect("golden v1 must keep loading");
-    assert_eq!(loaded.fingerprint(), GOLDEN_MULTI_FINGERPRINT);
-    assert_eq!(loaded.save_with(SnapshotVersion::V1), GOLDEN_MULTI_V1);
-}
-
-#[test]
-fn golden_multi_v2_loads_opens_and_matches_v1() {
-    let loaded = FrozenMultiStructure::load(GOLDEN_MULTI_V2).expect("golden v2 must keep loading");
+fn golden_multi_v2_loads_and_opens_with_the_recorded_fingerprint() {
+    let loaded = FrozenMultiStructure::load(GOLDEN_MULTI_V2).expect("golden must keep loading");
     assert_eq!(loaded.fingerprint(), GOLDEN_MULTI_FINGERPRINT);
     assert_eq!(loaded.save_with(SnapshotVersion::V2), GOLDEN_MULTI_V2);
-    let view = FrozenMultiView::open_bytes(GOLDEN_MULTI_V2).expect("golden v2 must keep opening");
+    let view = FrozenMultiView::open_bytes(GOLDEN_MULTI_V2).expect("golden must keep opening");
     assert_eq!(view.fingerprint(), GOLDEN_MULTI_FINGERPRINT);
-    let from_v1 = FrozenMultiStructure::load(GOLDEN_MULTI_V1).unwrap();
-    assert_eq!(loaded, from_v1);
     let mut ea = QueryEngine::new();
     let mut eb = QueryEngine::new();
     assert_eq!(
-        ea.try_distance_matrix(&from_v1, &FaultSpec::None).unwrap(),
+        ea.try_distance_matrix(&loaded, &FaultSpec::None).unwrap(),
         eb.try_distance_matrix(&view, &FaultSpec::None).unwrap(),
     );
     let layout = snapshot_layout(GOLDEN_MULTI_V2).expect("layout parses");
-    assert_eq!(layout.sections.len(), 6, "multi v2 stores six sections");
+    assert_eq!(
+        layout.sections.len(),
+        6,
+        "multi snapshots store six sections"
+    );
 }
 
 #[test]
-fn golden_approx_v1_loads_with_the_recorded_fingerprint() {
-    let loaded =
-        FrozenApproxStructure::load(GOLDEN_APPROX_V1).expect("golden v1 must keep loading");
+fn golden_approx_v2_loads_and_opens_with_the_recorded_fingerprint() {
+    let loaded = FrozenStructure::load(GOLDEN_APPROX_V2).expect("golden must keep loading");
     assert_eq!(loaded.fingerprint(), GOLDEN_APPROX_FINGERPRINT);
-    assert_eq!(loaded.save_with(SnapshotVersion::V1), GOLDEN_APPROX_V1);
-}
-
-#[test]
-fn golden_approx_v2_loads_opens_and_matches_v1() {
-    let loaded =
-        FrozenApproxStructure::load(GOLDEN_APPROX_V2).expect("golden v2 must keep loading");
-    assert_eq!(loaded.fingerprint(), GOLDEN_APPROX_FINGERPRINT);
-    assert_eq!(loaded.save_with(SnapshotVersion::V2), GOLDEN_APPROX_V2);
-    let view = FrozenApproxView::open_bytes(GOLDEN_APPROX_V2).expect("golden v2 must keep opening");
+    assert_eq!(loaded.save(), GOLDEN_APPROX_V2);
+    let view = FrozenView::open_bytes(GOLDEN_APPROX_V2).expect("golden must keep opening");
     assert_eq!(view.fingerprint(), GOLDEN_APPROX_FINGERPRINT);
-    let from_v1 = FrozenApproxStructure::load(GOLDEN_APPROX_V1).unwrap();
-    assert_eq!(loaded, from_v1);
 
     // The stored stretch contract is the default (α = 3/1, β = 4, θ = 4)
     // and is what faulted answers declare.
-    let p = view.params();
-    assert_eq!((p.mult_num, p.mult_den, p.add, p.theta), (3, 1, 4, 4));
+    assert_eq!(view.contract(), Contract::Approx(ApproxParams::DEFAULT));
+    assert_eq!(loaded.contract(), view.contract());
     assert!(view.guarantee(&FaultSpec::One(EdgeId(0))).is_approx());
     assert!(view.guarantee(&FaultSpec::None).is_exact());
-
-    // Structure and view answer identically over the golden bytes.
-    let mut ea = QueryEngine::new();
-    let mut eb = QueryEngine::new();
-    for t in 0..view.vertex_count() {
-        let t = VertexId(t as u32);
-        for spec in [FaultSpec::None, FaultSpec::One(EdgeId(0))] {
-            assert_eq!(
-                ea.try_distance(&from_v1, t, &spec).unwrap(),
-                eb.try_distance(&view, t, &spec).unwrap(),
-                "target {t:?} spec {spec:?}"
-            );
-        }
-    }
+    assert_view_matches_load(&loaded, &view);
 
     let layout = snapshot_layout(GOLDEN_APPROX_V2).expect("layout parses");
     assert_eq!(layout.fingerprint, GOLDEN_APPROX_FINGERPRINT);
-    assert_eq!(layout.sections.len(), 5, "approx v2 stores five sections");
+    assert_eq!(layout.contract, view.contract());
+    assert_eq!(
+        layout.sections.len(),
+        5,
+        "approx snapshots store five sections"
+    );
     for s in &layout.sections {
         assert_eq!(s.offset % SNAPSHOT_ALIGN, 0);
         assert_eq!(s.len % 4, 0);
@@ -157,14 +133,15 @@ fn golden_approx_v2_loads_opens_and_matches_v1() {
 }
 
 #[test]
-fn golden_v1_and_v2_agree_on_identity() {
-    // The two encodings of one structure must stay interchangeable: same
-    // fingerprint on both magics' pairs, and v1 → v2 re-encoding of the
-    // loaded structure reproduces the golden v2 bytes.
-    let single = FrozenStructure::load(GOLDEN_SINGLE_V1).unwrap();
-    assert_eq!(single.save_with(SnapshotVersion::V2), GOLDEN_SINGLE_V2);
-    let multi = FrozenMultiStructure::load(GOLDEN_MULTI_V1).unwrap();
-    assert_eq!(multi.save_with(SnapshotVersion::V2), GOLDEN_MULTI_V2);
-    let approx = FrozenApproxStructure::load(GOLDEN_APPROX_V1).unwrap();
-    assert_eq!(approx.save_with(SnapshotVersion::V2), GOLDEN_APPROX_V2);
+fn goldens_relabelled_as_version_1_are_rejected() {
+    // Version 1 (base payload under a trailing checksum, rebuilt on load)
+    // is retired: a file claiming it gets a typed error, not a misparse.
+    for golden in [GOLDEN_SINGLE_V2, GOLDEN_APPROX_V2, GOLDEN_MULTI_V2] {
+        let mut v1 = golden.to_vec();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            snapshot_layout(&v1).unwrap_err(),
+            SnapshotError::UnsupportedVersion(1)
+        );
+    }
 }

@@ -1,12 +1,12 @@
 //! Epoch-swapped snapshots: [`EpochSnapshot`], [`SnapshotOracle`] and the
 //! lock-light two-slot [`EpochCell`].
 //!
-//! The serving front-end's workers answer out of *snapshots* — v2 snapshot
+//! The serving front-end's workers answer out of *snapshots* — snapshot
 //! bytes (owned, or a caller-mapped region promoted to `'static`) that a
 //! zero-rebuild [`FrozenView`]/[`FrozenMultiView`] opens over.  Replacing
 //! the live snapshot with a new one is an **epoch swap**:
 //!
-//! * the publisher validates the new [`EpochSnapshot`] (a full v2 open:
+//! * the publisher validates the new [`EpochSnapshot`] (a full open:
 //!   bounds, checksums, freeze invariants) *before* installing it, so
 //!   workers never meet malformed bytes;
 //! * [`EpochCell::publish`] writes the new snapshot into the inactive slot
@@ -33,11 +33,10 @@
 use crate::chaos::FaultInjector;
 use crate::error::ServeError;
 use crate::health::HealthCounters;
-use ftbfs_graph::FaultSpec;
 use ftbfs_graph::VertexId;
 use ftbfs_oracle::{
-    DistanceOracle, FrozenApproxView, FrozenMultiView, FrozenView, Guarantee, OracleSlab,
-    SnapshotError, SnapshotSource, SNAPSHOT_APPROX_MAGIC, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
+    Contract, DistanceOracle, FrozenMultiView, FrozenView, OracleSlab, SnapshotError,
+    SnapshotSource, SNAPSHOT_MULTI_MAGIC,
 };
 use ftbfs_telemetry::{EventRing, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,21 +45,17 @@ use std::sync::{Arc, Mutex};
 /// Which serving format a snapshot's bytes carry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SnapshotKind {
-    /// A `FrozenStructure` v2 snapshot (`"FTBO"`): one shared CSR, any
-    /// source answerable.
+    /// A `FrozenStructure` snapshot (`"FTBO"`): one shared CSR, any
+    /// source answerable, exact or approximate contract.
     Single,
-    /// A `FrozenMultiStructure` v2 snapshot (`"FTBM"`): per-source slabs,
+    /// A `FrozenMultiStructure` snapshot (`"FTBM"`): per-source slabs,
     /// only declared sources answerable.
     Multi,
-    /// A `FrozenApproxStructure` v2 snapshot (`"FTBA"`): the approximate
-    /// FT-ABFS backend, whose in-resilience faulted answers carry a
-    /// `Guarantee::Approx` stretch contract.
-    Approx,
 }
 
 /// One validated, servable generation of snapshot bytes.
 ///
-/// Construction performs the full v2 open (and is the *only* place it can
+/// Construction performs the full open (and is the *only* place it can
 /// fail), so a worker's later [`EpochSnapshot::open`] is infallible: the
 /// bytes are immutable and the validation deterministic.
 ///
@@ -88,32 +83,20 @@ pub struct EpochSnapshot {
 }
 
 impl EpochSnapshot {
-    /// Validates v2 snapshot bytes (either format, detected from the
-    /// magic) into a servable snapshot.
+    /// Validates snapshot bytes (either format, detected from the magic)
+    /// into a servable snapshot.
     pub fn new(source: SnapshotSource<'static>) -> Result<Self, SnapshotError> {
         let bytes = source.bytes();
-        let kind = if bytes.len() >= 4 && bytes[..4] == SNAPSHOT_MULTI_MAGIC {
-            SnapshotKind::Multi
-        } else if bytes.len() >= 4 && bytes[..4] == SNAPSHOT_MAGIC {
-            SnapshotKind::Single
-        } else if bytes.len() >= 4 && bytes[..4] == SNAPSHOT_APPROX_MAGIC {
-            SnapshotKind::Approx
+        let (kind, fingerprint, vertex_count) = if bytes.starts_with(&SNAPSHOT_MULTI_MAGIC) {
+            let view = FrozenMultiView::open_bytes(bytes)?;
+            (SnapshotKind::Multi, view.fingerprint(), view.vertex_count())
         } else {
-            return Err(SnapshotError::BadMagic);
-        };
-        let (fingerprint, vertex_count) = match kind {
-            SnapshotKind::Single => {
-                let view = FrozenView::open_bytes(bytes)?;
-                (view.fingerprint(), view.vertex_count())
-            }
-            SnapshotKind::Multi => {
-                let view = FrozenMultiView::open_bytes(bytes)?;
-                (view.fingerprint(), view.vertex_count())
-            }
-            SnapshotKind::Approx => {
-                let view = FrozenApproxView::open_bytes(bytes)?;
-                (view.fingerprint(), view.vertex_count())
-            }
+            let view = FrozenView::open_bytes(bytes)?;
+            (
+                SnapshotKind::Single,
+                view.fingerprint(),
+                view.vertex_count(),
+            )
         };
         Ok(EpochSnapshot {
             source,
@@ -163,10 +146,6 @@ impl EpochSnapshot {
                 FrozenMultiView::open_bytes(self.source.bytes())
                     .expect("bytes were validated at EpochSnapshot construction"),
             ),
-            SnapshotKind::Approx => SnapshotOracle::Approx(
-                FrozenApproxView::open_bytes(self.source.bytes())
-                    .expect("bytes were validated at EpochSnapshot construction"),
-            ),
         }
     }
 }
@@ -179,8 +158,6 @@ pub enum SnapshotOracle<'a> {
     Single(FrozenView<'a>),
     /// Multi-source per-slab serving view.
     Multi(FrozenMultiView<'a>),
-    /// Approximate (FT-ABFS) serving view with a stretch contract.
-    Approx(FrozenApproxView<'a>),
 }
 
 impl DistanceOracle for SnapshotOracle<'_> {
@@ -188,7 +165,6 @@ impl DistanceOracle for SnapshotOracle<'_> {
         match self {
             SnapshotOracle::Single(v) => v.vertex_count(),
             SnapshotOracle::Multi(v) => v.vertex_count(),
-            SnapshotOracle::Approx(v) => v.vertex_count(),
         }
     }
 
@@ -196,7 +172,6 @@ impl DistanceOracle for SnapshotOracle<'_> {
         match self {
             SnapshotOracle::Single(v) => v.edge_count(),
             SnapshotOracle::Multi(v) => v.edge_count(),
-            SnapshotOracle::Approx(v) => v.edge_count(),
         }
     }
 
@@ -204,7 +179,6 @@ impl DistanceOracle for SnapshotOracle<'_> {
         match self {
             SnapshotOracle::Single(v) => v.sources(),
             SnapshotOracle::Multi(v) => v.sources(),
-            SnapshotOracle::Approx(v) => v.sources(),
         }
     }
 
@@ -212,7 +186,6 @@ impl DistanceOracle for SnapshotOracle<'_> {
         match self {
             SnapshotOracle::Single(v) => v.resilience(),
             SnapshotOracle::Multi(v) => v.resilience(),
-            SnapshotOracle::Approx(v) => v.resilience(),
         }
     }
 
@@ -220,7 +193,6 @@ impl DistanceOracle for SnapshotOracle<'_> {
         match self {
             SnapshotOracle::Single(v) => v.fingerprint(),
             SnapshotOracle::Multi(v) => v.fingerprint(),
-            SnapshotOracle::Approx(v) => v.fingerprint(),
         }
     }
 
@@ -228,17 +200,15 @@ impl DistanceOracle for SnapshotOracle<'_> {
         match self {
             SnapshotOracle::Single(v) => v.slab(source),
             SnapshotOracle::Multi(v) => v.slab(source),
-            SnapshotOracle::Approx(v) => v.slab(source),
         }
     }
 
-    /// Delegates so the approximate view's `Guarantee::Approx` override
-    /// survives the kind erasure (the exact views keep the trait default).
-    fn guarantee(&self, spec: &FaultSpec) -> Guarantee {
+    /// Delegates so an approximate snapshot's contract survives the kind
+    /// erasure (multi-source snapshots are always exact).
+    fn contract(&self) -> Contract {
         match self {
-            SnapshotOracle::Single(v) => v.guarantee(spec),
-            SnapshotOracle::Multi(v) => v.guarantee(spec),
-            SnapshotOracle::Approx(v) => v.guarantee(spec),
+            SnapshotOracle::Single(v) => v.contract(),
+            SnapshotOracle::Multi(v) => v.contract(),
         }
     }
 }
@@ -388,8 +358,8 @@ impl EpochPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftbfs_graph::generators;
-    use ftbfs_oracle::{FrozenStructure, SnapshotVersion};
+    use ftbfs_graph::{generators, FaultSpec};
+    use ftbfs_oracle::{FrozenStructure, Guarantee, SnapshotVersion};
 
     fn snapshot(n: usize) -> EpochSnapshot {
         let g = generators::cycle(n);
@@ -417,13 +387,14 @@ mod tests {
         let w = ftbfs_graph::TieBreak::new(&g, 4);
         let built =
             ftbfs_core::approx_ftbfs(&g, &w, VertexId(0), ftbfs_core::ApproxParams::DEFAULT);
-        let frozen = ftbfs_oracle::FrozenApproxStructure::freeze(&g, &built);
+        let frozen = FrozenStructure::freeze_approx(&g, &built);
         let snap = EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2)).unwrap();
-        assert_eq!(snap.kind(), SnapshotKind::Approx);
+        assert_eq!(snap.kind(), SnapshotKind::Single);
         assert_eq!(snap.fingerprint(), frozen.fingerprint());
         let view = snap.open();
         assert_eq!(view.vertex_count(), 24);
         let e = g.edges().next().unwrap();
+        assert_eq!(view.contract(), frozen.contract());
         assert!(view.guarantee(&FaultSpec::One(e)).is_approx());
         assert_eq!(view.guarantee(&FaultSpec::None), Guarantee::Exact);
         assert!(view.slab(VertexId(0)).is_some());
