@@ -10,7 +10,7 @@
 //!
 //! 1. **Calibrate** — on small instances of both graph families
 //!    (`road_like`, `layered_expander`) the exact construction
-//!    ([`dual_failure_ftbfs`]) and the approximate one ([`approx_ftbfs`])
+//!    ([`dual_failure_ftbfs`]) and the approximate one ([`approx_ftbfs()`])
 //!    both run; their edge counts and build times are reported side by
 //!    side.
 //! 2. **Scale** — at `n ≥ 5,000` only the approximate construction runs

@@ -21,9 +21,7 @@
 //! errors.
 
 use ftbfs_bench::Table;
-use ftbfs_oracle::{
-    snapshot_layout, Contract, FrozenMultiView, FrozenView, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
-};
+use ftbfs_oracle::{snapshot_layout, Contract, FrozenView, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC};
 use ftbfs_telemetry::TelemetrySnapshot;
 use std::process::ExitCode;
 
@@ -59,13 +57,8 @@ fn contract_line(contract: Contract) -> String {
 
 /// Opens `data` the way a server would, running full semantic validation.
 fn deep_validate(data: &[u8]) -> Result<String, String> {
-    let opened = if data.starts_with(&SNAPSHOT_MULTI_MAGIC) {
-        FrozenMultiView::open_bytes(data).map(|_| Contract::Exact)
-    } else {
-        FrozenView::open_bytes(data).map(|v| v.contract())
-    };
-    opened
-        .map(|c| format!("view opened, {}", contract_line(c)))
+    FrozenView::open_bytes(data)
+        .map(|v| format!("view opened, {}", contract_line(v.contract())))
         .map_err(|e| e.to_string())
 }
 

@@ -26,7 +26,7 @@
 
 use ftbfs_core::{ApproxBuildStats, ApproxFtBfs, ApproxParams, FtBfsStructure, APPROX_RESILIENCE};
 use ftbfs_graph::{generators, EdgeId, Graph, VertexId};
-use ftbfs_oracle::{FrozenMultiStructure, FrozenStructure};
+use ftbfs_oracle::FrozenStructure;
 use std::path::PathBuf;
 
 /// The deterministic single-source fixture: an explicit full-edge-set
@@ -41,7 +41,7 @@ fn golden_single() -> (Graph, FrozenStructure) {
 
 /// The deterministic multi-source fixture: per-source explicit edge
 /// subsets (a fixed residue rule) over a seeded chordal tree.
-fn golden_multi() -> (Graph, FrozenMultiStructure) {
+fn golden_multi() -> (Graph, FrozenStructure) {
     let g = generators::tree_plus_chords(12, 5, 7);
     let sources = [VertexId(0), VertexId(7)];
     let parts: Vec<FtBfsStructure> = sources
@@ -52,7 +52,7 @@ fn golden_multi() -> (Graph, FrozenMultiStructure) {
             FtBfsStructure::from_edges(vec![s], 2, edges)
         })
         .collect();
-    let frozen = FrozenMultiStructure::freeze(&g, &parts);
+    let frozen = FrozenStructure::freeze_parts(&g, &parts);
     (g, frozen)
 }
 

@@ -15,7 +15,7 @@
 //!   enumeration (the generalisation sketched at the end of Section 1);
 //! * [`approx`] — the `O(log n)` approximation algorithm for Minimum FT-MBFS
 //!   (Section 5, Theorem 1.3) with its greedy [`setcover`] substrate;
-//! * [`approx_ftbfs`] — the FT-ABFS construction (Parter–Peleg, arXiv
+//! * [`approx_ftbfs()`] — the FT-ABFS construction (Parter–Peleg, arXiv
 //!   1406.6169): `O(n·θ)`-size dual-failure structures with an `(α, β)`
 //!   stretch contract and the reinforcement knob `θ` of arXiv 1504.04169;
 //! * [`ftdiam`] — the FT-diameter size bound of Observation 1.6;

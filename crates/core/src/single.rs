@@ -14,7 +14,7 @@ use ftbfs_paths::replacement::for_each_tree_edge_failure;
 ///
 /// The output contains the BFS tree `T_0(source)` plus the last edge of the
 /// canonical replacement path `P_{s,v,{e}}` for every vertex `v` and every
-/// tree edge `e` on `π(s, v)`; by [PP13] this is a 1-FT-BFS structure with
+/// tree edge `e` on `π(s, v)`; by \[PP13\] this is a 1-FT-BFS structure with
 /// `O(n^{3/2})` edges.
 ///
 /// Failures of non-tree edges never affect `π(s, v)` and therefore need no
@@ -53,7 +53,7 @@ pub fn single_failure_ftbfs(graph: &Graph, w: &TieBreak, source: VertexId) -> Ft
 }
 
 /// Builds a single-failure FT-MBFS structure for a set of sources: the union
-/// of the single-source structures (the multi-source form studied in [PP13]).
+/// of the single-source structures (the multi-source form studied in \[PP13\]).
 pub fn single_failure_ftmbfs(graph: &Graph, w: &TieBreak, sources: &[VertexId]) -> FtBfsStructure {
     let mut h = FtBfsStructure::new(sources.to_vec(), 1);
     for &s in sources {

@@ -308,10 +308,17 @@ impl<'a> LeU32s<'a> {
     /// # Panics
     ///
     /// Panics if the range is out of bounds or reversed.
+    #[inline]
     pub fn slice(&self, lo: usize, hi: usize) -> LeU32s<'a> {
         LeU32s {
             bytes: &self.bytes[lo * 4..hi * 4],
         }
+    }
+
+    /// The underlying little-endian bytes.
+    #[inline]
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.bytes
     }
 
     /// Iterates the decoded elements in order.

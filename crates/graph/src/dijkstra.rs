@@ -1,6 +1,6 @@
 //! Dijkstra search under the tie-breaking weight assignment `W`.
 //!
-//! Under [`TieBreak`](crate::tiebreak::TieBreak), every shortest path is
+//! Under [`TieBreak`], every shortest path is
 //! unique (with overwhelming probability) and is also hop-shortest, so the
 //! result doubles as the canonical shortest-path function `SP(s, v, G', W)`
 //! used throughout the paper.

@@ -18,7 +18,7 @@
 //!   [`Restriction`] trait;
 //! * [`TieBreak`] — the weight assignment `W` that makes shortest paths
 //!   unique while preserving hop-shortestness;
-//! * [`bfs`]/[`bfs_to_target`] and [`dijkstra`]/[`shortest_path`] — searches
+//! * [`bfs()`]/[`bfs_to_target`] and [`dijkstra()`]/[`shortest_path`] — searches
 //!   over restricted views, unweighted and under `W`;
 //! * [`SearchWorkspace`] / [`SearchEngine`] — zero-allocation reusable
 //!   search state for the construction hot loops;

@@ -124,8 +124,8 @@ fn parallel_ftmbfs_parts_are_bit_identical_to_serial() {
         );
         // And the frozen serving form is identical too (fingerprint covers
         // the union edge list and every slab's index list).
-        let a = ftbfs_oracle::FrozenMultiStructure::freeze(&g, &serial);
-        let b = ftbfs_oracle::FrozenMultiStructure::freeze(&g, &parallel);
+        let a = ftbfs_oracle::FrozenStructure::freeze_parts(&g, &serial);
+        let b = ftbfs_oracle::FrozenStructure::freeze_parts(&g, &parallel);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a, b);
     }

@@ -15,7 +15,9 @@
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::multi_failure_ftmbfs_parts;
 use ftbfs_graph::{generators, EdgeId, FaultSpec, TieBreak, VertexId};
-use ftbfs_oracle::{Freeze, FrozenMultiStructure, FrozenView, Query, QueryEngine, SnapshotVersion};
+use ftbfs_oracle::{
+    DistanceOracle, Freeze, FrozenStructure, FrozenView, Query, QueryEngine, SnapshotVersion,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -312,26 +314,40 @@ fn multi_source_matrix_allocates_nothing_into_a_preallocated_slice() {
     let w = TieBreak::new(&g, 17);
     let sources = [VertexId(0), VertexId(20), VertexId(39)];
     let parts = multi_failure_ftmbfs_parts(&g, &w, &sources, 2);
-    let multi = FrozenMultiStructure::freeze(&g, &parts);
+    let multi = FrozenStructure::freeze_parts(&g, &parts);
+    let bytes = multi.save();
+    let view = FrozenView::open_bytes(&bytes).expect("per-source snapshot opens");
     let edges: Vec<EdgeId> = g.edges().collect();
     let specs = [
         FaultSpec::None,
         FaultSpec::One(edges[1]),
         FaultSpec::from((edges[2], edges[edges.len() / 2])),
     ];
-    let mut flat = vec![None; sources.len() * g.vertex_count()];
+    assert_matrix_allocates_nothing(&multi, &sources, g.vertex_count(), &specs);
+    assert_matrix_allocates_nothing(&view, &sources, g.vertex_count(), &specs);
+}
+
+/// Warms an engine on every `(source, spec)` of `oracle`, then serves the
+/// `S × V` matrix and cross-source point queries again, allocating nothing.
+fn assert_matrix_allocates_nothing<O: DistanceOracle>(
+    oracle: &O,
+    sources: &[VertexId],
+    n: usize,
+    specs: &[FaultSpec],
+) {
+    let mut flat = vec![None; sources.len() * n];
     let mut engine = QueryEngine::new();
     // Warm-up resolves every (source, spec) restriction once.
-    for spec in &specs {
+    for spec in specs {
         engine
-            .try_distance_matrix_into(&multi, spec, &mut flat)
+            .try_distance_matrix_into(oracle, spec, &mut flat)
             .unwrap();
     }
 
     let before = allocation_count();
-    for spec in &specs {
+    for spec in specs {
         let guarantee = engine
-            .try_distance_matrix_into(&multi, spec, &mut flat)
+            .try_distance_matrix_into(oracle, spec, &mut flat)
             .unwrap();
         assert!(guarantee.is_exact());
     }
@@ -340,7 +356,7 @@ fn multi_source_matrix_allocates_nothing_into_a_preallocated_slice() {
     // engine, not on their first use.
     for (i, &s) in sources.iter().enumerate() {
         let _ = engine
-            .try_distance_from(&multi, s, VertexId((i * 11) as u32), &specs[2])
+            .try_distance_from(oracle, s, VertexId((i * 11) as u32), &specs[2])
             .unwrap();
     }
     let after = allocation_count();

@@ -1,7 +1,8 @@
 //! Equivalence suite for the query-serving subsystem (`ftbfs-oracle`),
-//! exercised through the [`DistanceOracle`] trait for **both** backends:
-//! the single-source `FrozenStructure` and the multi-source
-//! `FrozenMultiStructure`.  Every query path of the [`QueryEngine`] —
+//! exercised through the [`DistanceOracle`] trait for **both** slab
+//! layouts of `FrozenStructure` and `FrozenView`: one shared slab (the
+//! single-source structure) and one slab per source (the multi-source
+//! structure of `FrozenStructure::freeze_parts`).  Every query path of the [`QueryEngine`] —
 //! fault-free fast path, single-fault, dual-fault, cached repeats, the
 //! `S × V` distance matrix, batched, and the sharded multi-threaded
 //! harness — must be bit-identical to ground-truth BFS on `G ∖ F`, and
@@ -25,8 +26,8 @@ use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::{approx_ftbfs, multi_failure_ftmbfs_parts, ApproxParams};
 use ftbfs_graph::{bfs, generators, EdgeId, FaultSpec, Graph, GraphView, TieBreak, VertexId};
 use ftbfs_oracle::{
-    Contract, DistanceOracle, Freeze, FrozenMultiStructure, FrozenMultiView, FrozenStructure,
-    FrozenView, Guarantee, Query, QueryEngine, QueryError, SnapshotSource, SnapshotVersion,
+    Contract, DistanceOracle, Freeze, FrozenStructure, FrozenView, Guarantee, Query, QueryEngine,
+    QueryError, SnapshotSource, SnapshotVersion,
 };
 use ftbfs_serve::{
     EpochSnapshot, ServeConfig, ServeOutput, ServeRequest, StreamServer, ThroughputHarness,
@@ -61,10 +62,10 @@ fn frozen_for(g: &Graph, seed: u64) -> FrozenStructure {
         .freeze(g)
 }
 
-fn multi_frozen_for(g: &Graph, sources: &[VertexId], seed: u64) -> FrozenMultiStructure {
+fn multi_frozen_for(g: &Graph, sources: &[VertexId], seed: u64) -> FrozenStructure {
     let w = TieBreak::new(g, seed);
     let parts = multi_failure_ftmbfs_parts(g, &w, sources, 2);
-    FrozenMultiStructure::freeze(g, &parts)
+    FrozenStructure::freeze_parts(g, &parts)
 }
 
 /// The core assertion, generic over the serving backend: every engine path
@@ -474,7 +475,7 @@ fn frozen_multi_view_passes_the_full_generic_suite() {
     let sources = [VertexId(0), VertexId(9), VertexId(15)];
     let multi = multi_frozen_for(&g, &sources, 5);
     let bytes = multi.save_with(SnapshotVersion::V2);
-    let view = FrozenMultiView::open_bytes(&bytes).expect("v2 snapshot opens");
+    let view = FrozenView::open_bytes(&bytes).expect("v2 snapshot opens");
     assert_eq!(view.fingerprint(), multi.fingerprint());
     assert_eq!(view.sources(), &sources[..]);
     assert_oracle_matches_ground_truth(&g, &view, 4);
@@ -725,11 +726,11 @@ proptest! {
         let sources = [VertexId(0), VertexId((n as u32) - 1)];
         let multi = multi_frozen_for(&g, &sources, seed);
         let bytes = multi.save();
-        let loaded = FrozenMultiStructure::load(&bytes).expect("snapshot loads");
+        let loaded = FrozenStructure::load(&bytes).expect("snapshot loads");
         prop_assert_eq!(&loaded, &multi);
         prop_assert_eq!(loaded.fingerprint(), multi.fingerprint());
         prop_assert_eq!(
-            FrozenMultiView::open_bytes(&bytes).expect("snapshot opens").fingerprint(),
+            FrozenView::open_bytes(&bytes).expect("snapshot opens").fingerprint(),
             multi.fingerprint()
         );
         let mut engine_a = QueryEngine::new();

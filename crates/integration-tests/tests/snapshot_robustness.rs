@@ -3,9 +3,11 @@
 //! network must get a typed [`SnapshotError`] for *any* corruption —
 //! truncation at every prefix length, bit flips at every offset, wrong or
 //! foreign magic, and adversarial length fields — and must **never panic**.
-//! Both formats are covered: the single-slab `"FTBO"` snapshots of
-//! [`FrozenStructure`], under the exact and the approximate contract, and
-//! the multi-source `"FTBM"` snapshots of [`FrozenMultiStructure`].
+//! Both layouts of [`FrozenStructure`] are covered: the shared-slab
+//! `"FTBO"` snapshots, under the exact and the approximate contract, and
+//! the per-source `"FTBM"` snapshots of [`FrozenStructure::freeze_parts`].
+//! Snapshots whose checksums were recomputed over forged derived sections
+//! must be rejected too: the view would otherwise serve wrong answers.
 //!
 //! Deterministic sweeps cover every truncation point and every byte
 //! position (one flip per byte) on small instances; proptest then fuzzes
@@ -16,10 +18,10 @@
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::{approx_ftbfs, multi_failure_ftmbfs_parts, ApproxParams};
 use ftbfs_graph::bytes::{fnv1a64, fnv1a64_words, put_u32, put_u64};
-use ftbfs_graph::{generators, TieBreak, VertexId};
+use ftbfs_graph::{generators, FaultSpec, TieBreak, VertexId};
 use ftbfs_oracle::{
-    snapshot_layout, Freeze, FrozenMultiStructure, FrozenMultiView, FrozenStructure, FrozenView,
-    SnapshotError, SNAPSHOT_ALIGN, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC, SNAPSHOT_VERSION,
+    snapshot_layout, Freeze, FrozenStructure, FrozenView, QueryEngine, SnapshotError,
+    SNAPSHOT_ALIGN, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC, SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -47,29 +49,19 @@ fn multi_snapshot(seed: u64) -> Vec<u8> {
     let w = TieBreak::new(&g, seed);
     let sources = [VertexId(0), VertexId(7)];
     let parts = multi_failure_ftmbfs_parts(&g, &w, &sources, 2);
-    FrozenMultiStructure::freeze(&g, &parts).save()
+    FrozenStructure::freeze_parts(&g, &parts).save()
 }
 
 /// Every load attempt must produce `Err`, never a panic and never a
 /// structure (the input is corrupted by construction), and the
 /// zero-rebuild view open must reject identically to the owned load.
-fn assert_single_rejects(data: &[u8], what: &str) {
+fn assert_rejects(data: &[u8], what: &str) {
     match FrozenStructure::load(data) {
         Err(_) => {}
-        Ok(_) => panic!("{what}: corrupted single snapshot unexpectedly loaded"),
+        Ok(_) => panic!("{what}: corrupted snapshot unexpectedly loaded"),
     }
     if let Ok(view) = FrozenView::open_bytes(data) {
-        panic!("{what}: corrupted single snapshot unexpectedly opened as {view:?}");
-    }
-}
-
-fn assert_multi_rejects(data: &[u8], what: &str) {
-    match FrozenMultiStructure::load(data) {
-        Err(_) => {}
-        Ok(_) => panic!("{what}: corrupted multi snapshot unexpectedly loaded"),
-    }
-    if let Ok(view) = FrozenMultiView::open_bytes(data) {
-        panic!("{what}: corrupted multi snapshot unexpectedly opened as {view:?}");
+        panic!("{what}: corrupted snapshot unexpectedly opened as {view:?}");
     }
 }
 
@@ -113,22 +105,92 @@ fn assemble_v2_like(
     out
 }
 
-/// Rebuilds a valid snapshot with one extra section of an unknown kind
-/// appended.
-fn with_unknown_section(data: &[u8]) -> Vec<u8> {
+/// Rebuilds a valid snapshot with its sections edited by `edit` and every
+/// checksum recomputed — what a buggy or hostile writer would produce.
+fn reassembled(data: &[u8], edit: impl FnOnce(&mut Vec<(u32, Vec<u8>)>)) -> Vec<u8> {
     let layout = snapshot_layout(data).expect("input is a valid snapshot");
-    let magic: [u8; 4] = data[..4].try_into().unwrap();
-    let base = &data[layout.base.clone()];
     let mut sections: Vec<(u32, Vec<u8>)> = layout
         .sections
         .iter()
         .map(|s| (s.kind, data[s.offset..s.offset + s.len].to_vec()))
         .collect();
-    sections.push((
-        u32::from_le_bytes(*b"ZZZZ"),
-        vec![7, 0, 0, 0, 9, 0, 0, 0, 42, 0, 0, 0],
+    edit(&mut sections);
+    let magic: [u8; 4] = data[..4].try_into().unwrap();
+    assemble_v2_like(magic, &data[layout.base], layout.fingerprint, &sections)
+}
+
+/// Rebuilds a valid snapshot with one extra section of an unknown kind
+/// appended.
+fn with_unknown_section(data: &[u8]) -> Vec<u8> {
+    reassembled(data, |sections| {
+        sections.push((
+            u32::from_le_bytes(*b"ZZZZ"),
+            vec![7, 0, 0, 0, 9, 0, 0, 0, 42, 0, 0, 0],
+        ))
+    })
+}
+
+/// Rebuilds a valid snapshot with words of section `kind` overwritten,
+/// checksums recomputed.
+fn with_forged_words(data: &[u8], kind: &[u8; 4], words: &[(usize, u32)]) -> Vec<u8> {
+    reassembled(data, |sections| {
+        let kind = u32::from_le_bytes(*kind);
+        let (_, bytes) = sections.iter_mut().find(|(k, _)| *k == kind).unwrap();
+        for &(i, word) in words {
+            bytes[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
+        }
+    })
+}
+
+/// Both the view open and the owned load reject `data` as corrupt.
+fn assert_corrupt(data: &[u8], what: &str) {
+    for err in [
+        FrozenView::open_bytes(data).map(|_| ()).unwrap_err(),
+        FrozenStructure::load(data).map(|_| ()).unwrap_err(),
+    ] {
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{what}: {err:?}");
+    }
+}
+
+/// The exact structure `H = G` of `cycle(6)` served from source 0.
+fn cycle_snapshot() -> (ftbfs_graph::Graph, Vec<u8>) {
+    let g = generators::cycle(6);
+    let frozen = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, g.edges());
+    let bytes = frozen.save();
+    (g, bytes)
+}
+
+#[test]
+fn forged_tree_with_recomputed_checksums_is_rejected() {
+    // The path tree 0-1-2-3-4-5 has a valid tree shape (each distance is
+    // its parent's plus one) but is no BFS tree of the cycle: served, it
+    // would answer d(0, 5) = 5 where the structure says 1.
+    let (_g, bytes) = cycle_snapshot();
+    let path_tree: Vec<(usize, u32)> = (0..6)
+        .map(|v| (v, v as u32))
+        .chain((1..6).map(|v| (6 + v, v as u32 - 1)))
+        .collect();
+    let forged = with_forged_words(&bytes, b"TREE", &path_tree);
+    assert!(snapshot_layout(&forged).is_ok(), "every checksum is valid");
+    assert_corrupt(&forged, "path tree on a cycle");
+}
+
+#[test]
+fn forged_arc_with_recomputed_checksums_is_rejected() {
+    // Vertex 0's first arc (to 1, over edge {0, 1}) retargeted to 3: still
+    // in range and sorted, but served it would answer d(0, 3) = 1 under
+    // faults {(1, 2), (4, 5)}, where 3 is unreachable — too short.
+    let (g, bytes) = cycle_snapshot();
+    let forged = with_forged_words(&bytes, b"AHED", &[(0, 3)]);
+    assert!(snapshot_layout(&forged).is_ok(), "every checksum is valid");
+    assert_corrupt(&forged, "retargeted arc");
+    let spec = FaultSpec::from((
+        g.edge_between(VertexId(1), VertexId(2)).unwrap(),
+        g.edge_between(VertexId(4), VertexId(5)).unwrap(),
     ));
-    assemble_v2_like(magic, base, layout.fingerprint, &sections)
+    let loaded = FrozenStructure::load(&bytes).unwrap();
+    let answer = QueryEngine::new().try_distance(&loaded, VertexId(3), &spec);
+    assert_eq!(answer.unwrap().into_value(), None);
 }
 
 #[test]
@@ -137,7 +199,7 @@ fn every_truncation_point_is_a_typed_error() {
     // sweep the exact and multi layouts get below.
     let approx = approx_snapshot(3);
     for cut in 0..approx.len() {
-        assert_single_rejects(&approx[..cut], "truncation");
+        assert_rejects(&approx[..cut], "truncation");
     }
 }
 
@@ -149,7 +211,7 @@ fn every_single_bit_flip_is_rejected() {
     for i in 0..approx.len() {
         let mut bytes = approx.clone();
         bytes[i] ^= 1 << (i % 8);
-        assert_single_rejects(&bytes, "bit flip");
+        assert_rejects(&bytes, "bit flip");
     }
 }
 
@@ -161,23 +223,22 @@ fn wrong_and_foreign_magic_are_bad_magic() {
     // directions (a multi payload under a single magic and vice versa).
     let mut cross_a = single.clone();
     cross_a[..4].copy_from_slice(&SNAPSHOT_MULTI_MAGIC);
-    assert_single_rejects(&cross_a, "cross magic");
-    assert_multi_rejects(&cross_a, "cross magic (checksummed payload differs)");
+    assert_rejects(&cross_a, "cross magic (checksummed payload differs)");
     let mut cross_b = multi.clone();
     cross_b[..4].copy_from_slice(&SNAPSHOT_MAGIC);
-    assert_multi_rejects(&cross_b, "cross magic");
-    assert_single_rejects(&cross_b, "cross magic (checksummed payload differs)");
+    assert_rejects(&cross_b, "cross magic (checksummed payload differs)");
     assert_eq!(
         FrozenStructure::load(b"").unwrap_err(),
         SnapshotError::BadMagic
     );
     assert_eq!(
-        FrozenMultiStructure::load(b"\x00\x01\x02").unwrap_err(),
+        FrozenStructure::load(b"\x00\x01\x02").unwrap_err(),
         SnapshotError::BadMagic
     );
+    // Both layouts' magics are recognised; what follows this one is junk.
     assert_eq!(
         FrozenStructure::load(b"FTBMxxxxxxxxxxxx").unwrap_err(),
-        SnapshotError::BadMagic
+        SnapshotError::UnsupportedVersion(u16::from_le_bytes(*b"xx"))
     );
     // The retired approximate magic is foreign too.
     let mut retired = single.clone();
@@ -196,11 +257,11 @@ fn v2_every_truncation_point_is_a_typed_error() {
     // boundary — must be rejected, by load and by view open alike.
     let single = exact_snapshot(3);
     for cut in 0..single.len() {
-        assert_single_rejects(&single[..cut], "v2 truncation");
+        assert_rejects(&single[..cut], "v2 truncation");
     }
     let multi = multi_snapshot(3);
     for cut in 0..multi.len() {
-        assert_multi_rejects(&multi[..cut], "v2 truncation");
+        assert_rejects(&multi[..cut], "v2 truncation");
     }
 }
 
@@ -217,7 +278,7 @@ fn v2_truncation_at_every_section_boundary_is_rejected() {
     for s in &layout.sections {
         for cut in [s.offset, s.offset + 1, s.offset + s.len] {
             if cut < single.len() {
-                assert_single_rejects(&single[..cut], "section-boundary truncation");
+                assert_rejects(&single[..cut], "section-boundary truncation");
             }
         }
     }
@@ -226,7 +287,7 @@ fn v2_truncation_at_every_section_boundary_is_rejected() {
     for s in &layout.sections {
         for cut in [s.offset, s.offset + 1, s.offset + s.len] {
             if cut < multi.len() {
-                assert_multi_rejects(&multi[..cut], "section-boundary truncation");
+                assert_rejects(&multi[..cut], "section-boundary truncation");
             }
         }
     }
@@ -241,13 +302,13 @@ fn v2_every_single_bit_flip_is_rejected() {
     for i in 0..single.len() {
         let mut bytes = single.clone();
         bytes[i] ^= 1 << (i % 8);
-        assert_single_rejects(&bytes, "v2 bit flip");
+        assert_rejects(&bytes, "v2 bit flip");
     }
     let multi = multi_snapshot(5);
     for i in 0..multi.len() {
         let mut bytes = multi.clone();
         bytes[i] ^= 1 << (i % 8);
-        assert_multi_rejects(&bytes, "v2 bit flip");
+        assert_rejects(&bytes, "v2 bit flip");
     }
 }
 
@@ -264,7 +325,7 @@ fn v2_per_section_checksum_corruption_is_attributed() {
             "flip in section {:?}",
             s.kind.to_le_bytes()
         );
-        assert_single_rejects(&bytes, "section corruption");
+        assert_rejects(&bytes, "section corruption");
     }
     let multi = multi_snapshot(7);
     let layout = snapshot_layout(&multi).unwrap();
@@ -272,10 +333,10 @@ fn v2_per_section_checksum_corruption_is_attributed() {
         let mut bytes = multi.clone();
         bytes[s.offset + s.len - 1] ^= 0x01;
         assert_eq!(
-            FrozenMultiView::open_bytes(&bytes).unwrap_err(),
+            FrozenView::open_bytes(&bytes).unwrap_err(),
             SnapshotError::SectionChecksum { kind: s.kind },
         );
-        assert_multi_rejects(&bytes, "section corruption");
+        assert_rejects(&bytes, "section corruption");
     }
 }
 
@@ -301,14 +362,14 @@ fn v2_unknown_sections_are_skipped_forward_compatibly() {
         .expect("extra section present");
     let mut corrupted = extended.clone();
     corrupted[unknown.offset] ^= 0x80;
-    assert_single_rejects(&corrupted, "unknown-section corruption");
+    assert_rejects(&corrupted, "unknown-section corruption");
 
     let multi = multi_snapshot(11);
     let extended = with_unknown_section(&multi);
-    let plain = FrozenMultiStructure::load(&multi).unwrap();
-    let with_extra = FrozenMultiStructure::load(&extended).expect("unknown section skipped");
+    let plain = FrozenStructure::load(&multi).unwrap();
+    let with_extra = FrozenStructure::load(&extended).expect("unknown section skipped");
     assert_eq!(plain, with_extra);
-    assert!(FrozenMultiView::open_bytes(&extended).is_ok());
+    assert!(FrozenView::open_bytes(&extended).is_ok());
 }
 
 #[test]
@@ -350,7 +411,7 @@ fn v2_forged_fingerprint_is_rejected_on_load() {
         !layout.fingerprint,
         &sections,
     );
-    assert!(FrozenMultiStructure::load(&forged).is_err());
+    assert!(FrozenStructure::load(&forged).is_err());
 }
 
 #[test]
@@ -362,13 +423,13 @@ fn v2_trailing_extension_is_rejected_even_when_zero() {
         let single = exact_snapshot(21);
         let mut extended = single.clone();
         extended.resize(single.len() + extra, 0);
-        assert_single_rejects(&extended, "zero-extended tail");
+        assert_rejects(&extended, "zero-extended tail");
         extended[single.len()] = 0xFF;
-        assert_single_rejects(&extended, "nonzero-extended tail");
+        assert_rejects(&extended, "nonzero-extended tail");
         let multi = multi_snapshot(21);
         let mut extended = multi.clone();
         extended.resize(multi.len() + extra, 0);
-        assert_multi_rejects(&extended, "zero-extended tail");
+        assert_rejects(&extended, "zero-extended tail");
     }
 }
 
@@ -379,11 +440,7 @@ fn v2_magic_with_v1_body_is_rejected() {
     // (no panic, no misparse) whether its version field says 2 — the
     // loader finds no frame after the base — or 1, for all three
     // header kinds, load and open.
-    for (bytes, is_single) in [
-        (exact_snapshot(13), true),
-        (approx_snapshot(13), true),
-        (multi_snapshot(13), false),
-    ] {
+    for bytes in [exact_snapshot(13), approx_snapshot(13), multi_snapshot(13)] {
         let layout = snapshot_layout(&bytes).unwrap();
         for version in [SNAPSHOT_VERSION, 1] {
             let mut payload = bytes[layout.base.clone()].to_vec();
@@ -392,11 +449,7 @@ fn v2_magic_with_v1_body_is_rejected() {
             crafted.extend_from_slice(&bytes[..4]);
             crafted.extend_from_slice(&payload);
             put_u64(&mut crafted, fnv1a64(&payload));
-            if is_single {
-                assert_single_rejects(&crafted, "v1 body");
-            } else {
-                assert_multi_rejects(&crafted, "v1 body");
-            }
+            assert_rejects(&crafted, "v1 body");
             if version == 1 {
                 assert_eq!(
                     snapshot_layout(&crafted).unwrap_err(),
@@ -412,13 +465,11 @@ fn v2_cross_magic_is_rejected() {
     let single = exact_snapshot(15);
     let mut crossed = single.clone();
     crossed[..4].copy_from_slice(&SNAPSHOT_MULTI_MAGIC);
-    assert_multi_rejects(&crossed, "v2 cross magic");
-    assert_single_rejects(&crossed, "v2 cross magic");
+    assert_rejects(&crossed, "v2 cross magic");
     let multi = multi_snapshot(15);
     let mut crossed = multi.clone();
     crossed[..4].copy_from_slice(&SNAPSHOT_MAGIC);
-    assert_single_rejects(&crossed, "v2 cross magic");
-    assert_multi_rejects(&crossed, "v2 cross magic");
+    assert_rejects(&crossed, "v2 cross magic");
 }
 
 #[test]
@@ -436,8 +487,7 @@ fn adversarial_length_fields_do_not_overallocate_or_panic() {
         bytes.extend_from_slice(&magic);
         bytes.extend_from_slice(&payload);
         ftbfs_graph::bytes::put_u64(&mut bytes, ftbfs_graph::bytes::fnv1a64(&payload));
-        assert_single_rejects(&bytes, "length bomb");
-        assert_multi_rejects(&bytes, "length bomb");
+        assert_rejects(&bytes, "length bomb");
     }
 }
 
@@ -486,9 +536,9 @@ proptest! {
             mutated[offset] ^= xor;
         }
         if mutated != bytes {
-            prop_assert!(FrozenMultiStructure::load(&mutated).is_err());
+            prop_assert!(FrozenStructure::load(&mutated).is_err());
         }
-        prop_assert!(FrozenMultiStructure::load(&bytes).is_ok());
+        prop_assert!(FrozenStructure::load(&bytes).is_ok());
     }
 
     /// Truncation at a proptest-chosen point is always a typed error for
@@ -500,7 +550,7 @@ proptest! {
         prop_assert!(FrozenStructure::load(&single[..cut.min(single.len() - 1)]).is_err());
         let multi = multi_snapshot(seed);
         let cut = (multi.len() as f64 * cut_sel) as usize;
-        prop_assert!(FrozenMultiStructure::load(&multi[..cut.min(multi.len() - 1)]).is_err());
+        prop_assert!(FrozenStructure::load(&multi[..cut.min(multi.len() - 1)]).is_err());
     }
 
     /// Random single-byte mutations never panic and never load or open,
@@ -523,8 +573,8 @@ proptest! {
         let offset = ((multi.len() - 1) as f64 * offset_sel) as usize;
         let mut mutated = multi.clone();
         mutated[offset] ^= xor;
-        prop_assert!(FrozenMultiStructure::load(&mutated).is_err());
-        prop_assert!(FrozenMultiView::open_bytes(&mutated).is_err());
-        prop_assert!(FrozenMultiStructure::load(&multi).is_ok());
+        prop_assert!(FrozenStructure::load(&mutated).is_err());
+        prop_assert!(FrozenView::open_bytes(&mutated).is_err());
+        prop_assert!(FrozenStructure::load(&multi).is_ok());
     }
 }

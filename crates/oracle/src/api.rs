@@ -199,10 +199,9 @@ impl<T> Answer<T> {
 
 /// Errors produced by the checked query entry points.
 ///
-/// The unchecked (deprecated) entry points panic in these situations; the
-/// `try_*` family returns them instead so a serving front-end can map them
-/// to client errors.  This enum may grow variants; match with a wildcard
-/// arm.
+/// The `try_*` family returns these instead of panicking, so a serving
+/// front-end can map them to client errors.  This enum may grow variants;
+/// match with a wildcard arm.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum QueryError {
@@ -375,10 +374,11 @@ impl<'a> OracleSlab<'a> {
 ///
 /// Implementors are immutable and cheap to share (`&O` across threads);
 /// all mutable query state lives in the engine.  The two in-tree
-/// implementations are [`crate::FrozenStructure`] (single shared CSR, any
-/// source answerable, precomputed trees for the declared sources) and
-/// [`crate::FrozenMultiStructure`] (one CSR slab per source of an FT-MBFS
-/// source set, only those sources answerable).
+/// implementations are [`crate::FrozenStructure`] (heap-built) and
+/// [`crate::FrozenView`] (served from snapshot bytes); both hold either
+/// one shared CSR slab (any source answerable, precomputed trees for the
+/// declared sources) or one slab per declared source of an FT-MBFS source
+/// set (only those sources answerable).
 ///
 /// # Examples
 ///

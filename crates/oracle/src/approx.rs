@@ -1,5 +1,5 @@
 //! Serving the approximate FT-ABFS backend of `ftbfs_core::approx_ftbfs`
-//! through the one single-slab frozen type: a [`FrozenStructure`] whose
+//! through the one frozen type: a shared-slab [`FrozenStructure`] whose
 //! header declares [`Contract::Approx`].
 //!
 //! An FT-ABFS structure trades the paper's exactness theorem for size: it
@@ -284,7 +284,7 @@ mod tests {
             SnapshotError::UnsupportedVersion(1)
         );
         assert_eq!(
-            FrozenView::open_bytes(b"FTBM....").unwrap_err(),
+            FrozenView::open_bytes(b"FTBX....").unwrap_err(),
             SnapshotError::BadMagic
         );
         assert_eq!(

@@ -36,10 +36,8 @@
 //! The *checked* entry points (`try_*`) return
 //! `Result<`[`Answer`]`, `[`QueryError`]`>`: errors instead of panics for
 //! out-of-range vertices and unserved sources, and every answer carries the
-//! [`Guarantee`] derived from the oracle's declared resilience — the
-//! ROADMAP's "query-side admission of `f > 2`" story.  (The PR 3 methods
-//! taking `&FrozenStructure` + `&FaultSet` soaked one release as deprecated
-//! shims and have been removed.)
+//! [`Guarantee`] derived from the oracle's declared resilience, so fault
+//! sets larger than the resilience are answered but flagged.
 //!
 //! Engines are cheap and thread-local by design: share one oracle across
 //! threads (`&O` is `Sync` for every frozen structure and view type) and
@@ -424,9 +422,10 @@ impl<R: QueryRecorder> QueryEngine<R> {
     /// [`Self::try_distance`] from an arbitrary source vertex.
     ///
     /// Which sources are servable is the oracle's choice: a
-    /// [`crate::FrozenStructure`] answers from any vertex (BFS fallback for
-    /// undeclared sources), a [`crate::FrozenMultiStructure`] only from its
-    /// declared set — others return [`QueryError::UnservedSource`].
+    /// [`crate::FrozenStructure`] with one shared slab answers from any
+    /// vertex (BFS fallback for undeclared sources), one with per-source
+    /// slabs only from its declared set — others return
+    /// [`QueryError::UnservedSource`].
     pub fn try_distance_from<O: DistanceOracle>(
         &mut self,
         oracle: &O,
@@ -1102,7 +1101,6 @@ fn reconstruct_path(
 mod tests {
     use super::*;
     use crate::frozen::FrozenStructure;
-    use crate::multi::FrozenMultiStructure;
     use ftbfs_core::{dual_failure_ftbfs, multi_failure_ftmbfs_parts};
     use ftbfs_graph::{bfs, generators, EdgeId, GraphView, TieBreak};
 
@@ -1254,7 +1252,7 @@ mod tests {
 
     /// The vertices whose tree path runs through `c`: the subtree below
     /// the tree edge into `c`.
-    fn below(g: &ftbfs_graph::Graph, tree: &crate::SourceTree, c: VertexId) -> Vec<VertexId> {
+    fn below(g: &ftbfs_graph::Graph, tree: crate::SourceTree<'_>, c: VertexId) -> Vec<VertexId> {
         g.vertices()
             .filter(|&t| tree.path_to(t).is_some_and(|p| p.vertices().contains(&c)))
             .collect()
@@ -1539,7 +1537,7 @@ mod tests {
         // Multi-source structures reject undeclared sources.
         let w = TieBreak::new(&g, 3);
         let parts = multi_failure_ftmbfs_parts(&g, &w, &[v(0)], 1);
-        let multi = FrozenMultiStructure::freeze(&g, &parts);
+        let multi = FrozenStructure::freeze_parts(&g, &parts);
         assert_eq!(
             engine.try_distance_from(&multi, v(2), v(1), &FaultSpec::None),
             Err(QueryError::UnservedSource { source: v(2) })
@@ -1573,7 +1571,7 @@ mod tests {
         let g = generators::cycle(6);
         let w = TieBreak::new(&g, 2);
         let parts = multi_failure_ftmbfs_parts(&g, &w, &[v(0)], 1);
-        let multi = FrozenMultiStructure::freeze(&g, &parts);
+        let multi = FrozenStructure::freeze_parts(&g, &parts);
         // source == target on an unserved source: both checked entry
         // points must reject identically (no singleton-path special case).
         assert_eq!(
@@ -1610,7 +1608,7 @@ mod tests {
         let w = TieBreak::new(&g, 5);
         let sources = [v(0), v(6)];
         let parts = multi_failure_ftmbfs_parts(&g, &w, &sources, 2);
-        let multi = FrozenMultiStructure::freeze(&g, &parts);
+        let multi = FrozenStructure::freeze_parts(&g, &parts);
         // Capacity 1 per partition: alternating sources with the same fault
         // would thrash a shared cache, but partitions keep both hot.
         let mut engine = QueryEngine::new().with_cache_capacity(1);

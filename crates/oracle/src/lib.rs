@@ -12,16 +12,15 @@
 //!   trait handing out per-source CSR slabs, with a *typed* vocabulary for
 //!   queries ([`ftbfs_graph::FaultSpec`]) and answers ([`Answer`] carrying
 //!   a [`Guarantee`], [`QueryError`] instead of panics);
-//! * [`FrozenStructure`] / [`FrozenMultiStructure`] — the two heap-built
-//!   oracle backends: a single-slab structure compiled into one immutable
-//!   CSR adjacency, and a multi-source FT-MBFS structure compiled into
-//!   per-source CSR slabs for `S × V` workloads; both with fault-free BFS
-//!   trees precomputed at freeze time, one compact binary [`snapshot`]
-//!   format (`save`/`load`, magic + checksums) and structural
-//!   fingerprints — plus [`FrozenView`] / [`FrozenMultiView`] (module
-//!   [`view`]), their zero-rebuild counterparts that serve directly out
-//!   of snapshot bytes;
-//! * [`Contract`] — what a single-slab structure's answers promise:
+//! * [`FrozenStructure`] — the heap-built oracle backend: a structure
+//!   compiled into immutable CSR slabs, either one shared slab (the
+//!   paper's single-source `H`) or one slab per source of a multi-source
+//!   FT-MBFS structure for `S × V` workloads, with fault-free BFS trees
+//!   precomputed at freeze time, one compact binary [`snapshot`] format
+//!   (`save`/`load`, magic + checksums) and structural fingerprints — plus
+//!   [`FrozenView`] (module [`view`]), its zero-rebuild counterpart that
+//!   serves directly out of snapshot bytes;
+//! * [`Contract`] — what a structure's answers promise:
 //!   exact for the paper's structures, or (module [`approx`],
 //!   [`FrozenStructure::freeze_approx`]) the FT-ABFS backend's declared
 //!   `(α, β)` stretch — `O(n·θ)` edges instead of `O(n^{5/3})`, surfaced
@@ -34,10 +33,7 @@
 //!   [`QueryEngine::batch_distances`]) with an `O(1)` fault-free fast path
 //!   and a per-source-partitioned LRU keyed by `(source, FaultSpec)`;
 //! * [`BatchReport`] — the shared result type of batched query driving
-//!   (module [`report`]).  The batch *driver* lives in the serving
-//!   front-end (`ftbfs_serve::ThroughputHarness`, a thin adapter over its
-//!   stream API); the deprecated `ftbfs_oracle::ThroughputHarness` soaked
-//!   one release and has been removed.
+//!   (module [`report`]), produced by `ftbfs_serve::ThroughputHarness`.
 //!
 //! `ftbfs_verify::StructureOracle` delegates to this crate, so all existing
 //! verification exercises the same query path that production serving uses.
@@ -74,7 +70,6 @@ pub mod api;
 pub mod approx;
 pub mod engine;
 pub mod frozen;
-pub mod multi;
 pub mod report;
 pub mod snapshot;
 pub mod view;
@@ -85,13 +80,12 @@ pub use api::{
 pub use engine::{Query, QueryEngine, QueryStats, BUDGET_CHECK_STRIDE, DEFAULT_CACHE_CAPACITY};
 pub use frozen::{FrozenStructure, SourceTree};
 pub use ftbfs_telemetry::{NoopRecorder, QueryRecorder};
-pub use multi::FrozenMultiStructure;
 pub use report::BatchReport;
 pub use snapshot::{
     snapshot_layout, SectionEntry, SnapshotError, SnapshotLayout, SnapshotVersion, SNAPSHOT_ALIGN,
     SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC, SNAPSHOT_VERSION,
 };
-pub use view::{FrozenMultiView, FrozenView, SnapshotSource};
+pub use view::{FrozenView, SnapshotSource};
 
 use ftbfs_core::FtBfsStructure;
 use ftbfs_graph::Graph;

@@ -4,8 +4,7 @@
 //! (`ftbfs_serve::ThroughputHarness`, a thin adapter over its stream API);
 //! this module keeps only the report it produces, so experiments and
 //! tests can consume throughput numbers without depending on the serving
-//! crate.  (The deprecated `ftbfs_oracle::ThroughputHarness` driver soaked
-//! one release here and has been removed.)
+//! crate.
 
 use std::time::Duration;
 

@@ -1,6 +1,7 @@
-//! The binary snapshot format of [`FrozenStructure`] (magic `"FTBO"`) and
-//! [`crate::FrozenMultiStructure`] (magic `"FTBM"`): one version, v2,
-//! whose derived arrays are stored ready to serve.
+//! The binary snapshot format of [`crate::FrozenStructure`]: one version, v2,
+//! whose derived arrays are stored ready to serve, under one of two magics
+//! — `"FTBO"` for one shared slab, `"FTBM"` for one slab per declared
+//! source (see [`crate::frozen`]).
 //!
 //! ## Base payload — the determining data
 //!
@@ -28,10 +29,11 @@
 //! **sections**, each described by a table-of-contents entry carrying the
 //! section's kind tag, absolute offset, byte length and checksum.  A
 //! serving process can therefore hold the snapshot bytes (read into a
-//! buffer, or a caller-mapped region) and open a [`crate::FrozenView`] /
-//! [`crate::FrozenMultiView`] over them with **zero rebuild and zero copy**
-//! of the big arrays — open-time work is validation only (bounds,
-//! alignment, checksums, freeze invariants).  Unknown section kinds are
+//! buffer, or a caller-mapped region) and open a [`crate::FrozenView`]
+//! over them with **zero rebuild and zero copy** of the big arrays —
+//! open-time work is validation only (bounds, alignment, checksums, freeze
+//! invariants, and the certificate that the derived sections match the
+//! base).  Unknown section kinds are
 //! skipped after their bounds and checksum check, so the format can grow
 //! without breaking readers (forward compatibility).
 //!
@@ -49,6 +51,17 @@
 //!              little-endian u32 arrays, zero padding in between
 //! ```
 //!
+//! The sections, in file order (`S` slabs: one, or `k` for `"FTBM"`):
+//!
+//! ```text
+//! SLBT  k × (m_s, offset)   "FTBM" only: per-slab edge count and prefix sum
+//! EORI  Σ m_s               per-slab original edge ids, strictly increasing
+//! XADJ  S × (n + 1)         per-slab CSR offsets
+//! AHED  2 Σ m_s             per-slab arc heads
+//! AEDG  2 Σ m_s             per-slab arc edge indices (slab-local)
+//! TREE  k × 2n              per source, the dist row then the parent row
+//! ```
+//!
 //! Every byte of a snapshot is covered by exactly one integrity check
 //! (magic compare, base checksum, frame checksum, per-section checksums,
 //! or the padding-must-be-zero rule), so any single-bit corruption is
@@ -63,17 +76,16 @@
 //! with [`SnapshotError::UnsupportedVersion`]`(1)`.
 
 use crate::api::Contract;
-use crate::frozen::FrozenStructure;
 use ftbfs_core::ApproxParams;
 use ftbfs_graph::bytes::{
-    fnv1a64_words, pad_to_align, put_u16, put_u32, put_u32_slice, put_u64, ByteReader,
+    fnv1a64_words, pad_to_align, put_u16, put_u32, put_u32_slice, put_u64, ByteReader, LeU32s,
 };
 use std::fmt;
 
-/// Magic prefix of every single-slab frozen-structure snapshot.
+/// Magic prefix of every shared-slab frozen-structure snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FTBO";
-/// Magic prefix of every multi-source frozen-structure snapshot (see
-/// [`crate::FrozenMultiStructure`]).
+/// Magic prefix of every per-source-slab frozen-structure snapshot (see
+/// [`crate::FrozenStructure::freeze_parts`]).
 pub const SNAPSHOT_MULTI_MAGIC: [u8; 4] = *b"FTBM";
 /// The snapshot format version every writer emits and every reader
 /// accepts.
@@ -90,7 +102,7 @@ const FLAG_APPROX: u16 = 1;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SnapshotVersion {
     /// Base payload plus aligned derived sections, opened with zero
-    /// rebuild through [`crate::FrozenView`] / [`crate::FrozenMultiView`].
+    /// rebuild through [`crate::FrozenView`].
     #[default]
     V2,
 }
@@ -208,7 +220,7 @@ fn align_up(at: usize) -> usize {
 }
 
 /// Writes the base payload header up to and including the edge list (the
-/// part single and multi snapshots share).
+/// part both layouts share).
 pub(crate) fn put_base(
     out: &mut Vec<u8>,
     contract: Contract,
@@ -445,28 +457,20 @@ pub(crate) fn check_contract(contract: Contract) -> Result<(), SnapshotError> {
     }
 }
 
-/// Reads the little-endian `u32` at absolute byte offset `at` (caller
-/// guarantees bounds — used on ranges the base walk has already checked).
-#[inline]
-fn read_u32_at(data: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]])
-}
-
-/// The parsed base payload of a snapshot: header fields plus offsets into
-/// the underlying bytes, no array materialisation.
+/// The parsed base payload of a snapshot: header fields plus typed views
+/// into the underlying bytes, no array materialisation.
 pub(crate) struct Base<'a> {
-    data: &'a [u8],
     pub version: u16,
     pub contract: Contract,
     pub n: u32,
     pub resilience: u32,
     pub source_count: usize,
-    sources_off: usize,
+    sources: LeU32s<'a>,
     pub m: usize,
-    edges_off: usize,
-    /// Per-slab `(edge count, absolute offset of the index list)`; empty
-    /// for single-slab snapshots.
-    pub slab_lists: Vec<(usize, usize)>,
+    /// The `(orig, u, v)` edge records, 12 bytes each.
+    edge_rows: &'a [u8],
+    /// Per-slab union-edge index lists; empty for single-slab snapshots.
+    pub slab_lists: Vec<LeU32s<'a>>,
     /// Absolute offset one past the end of the base payload.
     pub end: usize,
 }
@@ -501,57 +505,70 @@ impl<'a> Base<'a> {
         } else {
             Contract::Exact
         };
+        let words = |r: &mut ByteReader<'a>, count: usize| {
+            r.take_bytes(4 * count)
+                .map(|b| LeU32s::new(b).expect("whole words"))
+        };
         let source_count = r.take_u32()? as usize;
-        let sources_off = 4 + r.position();
-        r.take_bytes(4 * source_count)?;
+        let sources = words(&mut r, source_count)?;
         let m = r.take_u32()? as usize;
-        let edges_off = 4 + r.position();
-        r.take_bytes(12 * m)?;
+        let edge_rows = r.take_bytes(12 * m)?;
         let mut slab_lists = Vec::new();
         if multi {
             for _ in 0..source_count {
                 let m_s = r.take_u32()? as usize;
-                let at = 4 + r.position();
-                r.take_bytes(4 * m_s)?;
-                slab_lists.push((m_s, at));
+                slab_lists.push(words(&mut r, m_s)?);
             }
         }
         Ok(Base {
-            data,
             version,
             contract,
             n,
             resilience,
             source_count,
-            sources_off,
+            sources,
             m,
-            edges_off,
+            edge_rows,
             slab_lists,
             end: 4 + r.position(),
         })
     }
 
+    #[inline]
     pub fn source(&self, i: usize) -> u32 {
-        read_u32_at(self.data, self.sources_off + 4 * i)
+        self.sources.get(i)
     }
 
     /// The original id of base edge `i`.
+    #[inline]
     pub fn edge_id(&self, i: usize) -> u32 {
-        read_u32_at(self.data, self.edges_off + 12 * i)
+        let [a, b, c, d, ..] = self.edge_record(i);
+        u32::from_le_bytes([a, b, c, d])
     }
 
-    /// Iterates the `(orig, u, v)` edge triples without per-element bounds
-    /// checks (the walk already validated the region).
+    /// The endpoints `(u, v)` of base edge `i`.
+    #[inline]
+    pub fn endpoints(&self, i: usize) -> (u32, u32) {
+        let [.., a, b, c, d, e, f, g, h] = self.edge_record(i);
+        (
+            u32::from_le_bytes([a, b, c, d]),
+            u32::from_le_bytes([e, f, g, h]),
+        )
+    }
+
+    /// The 12-byte `(orig, u, v)` record of base edge `i`.
+    #[inline]
+    fn edge_record(&self, i: usize) -> [u8; 12] {
+        let record = &self.edge_rows[12 * i..12 * i + 12];
+        record.try_into().expect("twelve bytes")
+    }
+
+    /// Iterates the `(orig, u, v)` edge triples.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-        self.data[self.edges_off..self.edges_off + 12 * self.m]
-            .chunks_exact(12)
-            .map(|c| {
-                (
-                    u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-                    u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-                    u32::from_le_bytes([c[8], c[9], c[10], c[11]]),
-                )
-            })
+        (0..self.m).map(|i| {
+            let (u, v) = self.endpoints(i);
+            (self.edge_id(i), u, v)
+        })
     }
 
     /// The edge list as the `(orig, u, v)` column arrays the owned
@@ -570,24 +587,27 @@ impl<'a> Base<'a> {
         cols
     }
 
-    /// The index list of slab `slab` as a `u32` array view.
-    pub fn slab_list(&self, slab: usize) -> ftbfs_graph::bytes::LeU32s<'a> {
-        let (m_s, at) = self.slab_lists[slab];
-        ftbfs_graph::bytes::LeU32s::new(&self.data[at..at + 4 * m_s])
-            .expect("slab list regions are 4-byte granular")
+    /// The index list of slab `slab`.
+    #[inline]
+    pub fn slab_list(&self, slab: usize) -> LeU32s<'a> {
+        self.slab_lists[slab]
     }
 
     /// Checks the freeze invariants the owned constructors enforce: a
-    /// well-formed contract (`α` denominator nonzero, `α ≥ 1`), at least
-    /// one in-range source (distinct, for multi-source snapshots),
-    /// strictly increasing edge ids with endpoints `u < v < n`, and
-    /// per-slab index lists strictly increasing within the union range.
+    /// well-formed contract (`α` denominator nonzero, `α ≥ 1`; exact for
+    /// per-source slabs), at least one in-range source (distinct, for
+    /// per-source slabs), strictly increasing edge ids with endpoints
+    /// `u < v < n`, and per-slab index lists strictly increasing within
+    /// the union range.
     pub fn validate_invariants(&self) -> Result<(), SnapshotError> {
         check_contract(self.contract)?;
         if self.source_count == 0 {
             return corrupt("a frozen structure needs at least one source");
         }
         let multi = !self.slab_lists.is_empty();
+        if multi && self.contract != Contract::Exact {
+            return corrupt("per-source snapshots carry the exact contract only");
+        }
         for i in 0..self.source_count {
             if self.source(i) >= self.n {
                 return corrupt("source vertex out of range");
@@ -643,47 +663,6 @@ pub fn snapshot_layout(data: &[u8]) -> Result<SnapshotLayout, SnapshotError> {
     })
 }
 
-impl FrozenStructure {
-    /// Serialises the structure to its snapshot; see the module docs for
-    /// the layout.
-    pub fn save(&self) -> Vec<u8> {
-        self.save_with(SnapshotVersion::V2)
-    }
-
-    /// Serialises the structure to the chosen snapshot format version (v2
-    /// is the only one).
-    pub fn save_with(&self, version: SnapshotVersion) -> Vec<u8> {
-        let SnapshotVersion::V2 = version;
-        let (xadj, adj_head, adj_edge) = self.raw_csr();
-        let mut trees = Vec::with_capacity(8 * self.trees().len() * self.vertex_count());
-        for tree in self.trees() {
-            let (dist, parent) = tree.raw_dist_parent();
-            put_u32_slice(&mut trees, dist);
-            put_u32_slice(&mut trees, parent);
-        }
-        assemble(
-            SNAPSHOT_MAGIC,
-            &self.base_bytes(),
-            self.fingerprint(),
-            &[
-                (SEC_EDGE_ORIG, words(self.raw_edge_orig())),
-                (SEC_XADJ, words(xadj)),
-                (SEC_ARC_HEADS, words(adj_head)),
-                (SEC_ARC_EDGES, words(adj_edge)),
-                (SEC_TREES, trees),
-            ],
-        )
-    }
-
-    /// Deserialises a snapshot produced by [`FrozenStructure::save`]: the
-    /// bytes are validated exactly like a [`crate::FrozenView`] open and
-    /// then rebuilt into an owned structure equal to the saved one (same
-    /// fingerprint, same contract, identical query answers).
-    pub fn load(data: &[u8]) -> Result<Self, SnapshotError> {
-        crate::view::FrozenView::open_bytes(data)?.to_frozen()
-    }
-}
-
 /// Encodes a `u32` array as little-endian section bytes.
 pub(crate) fn words(values: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 * values.len());
@@ -694,6 +673,7 @@ pub(crate) fn words(values: &[u32]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frozen::FrozenStructure;
     use ftbfs_core::dual_failure_ftbfs;
     use ftbfs_graph::{generators, TieBreak, VertexId};
 
@@ -756,7 +736,7 @@ mod tests {
             (SEC_XADJ, 4 * (n + 1)),
             (SEC_ARC_HEADS, 8 * m),
             (SEC_ARC_EDGES, 8 * m),
-            (SEC_TREES, 8 * n * frozen.trees().len()),
+            (SEC_TREES, 8 * n * frozen.sources().len()),
         ];
         for (kind, len) in expected {
             let s = layout
@@ -859,5 +839,73 @@ mod tests {
         assert!(SnapshotError::Corrupt("x > n".to_string())
             .to_string()
             .contains("x > n"));
+    }
+
+    fn multi_sample() -> FrozenStructure {
+        let g = generators::tree_plus_chords(14, 6, 2);
+        let w = TieBreak::new(&g, 2);
+        let parts = ftbfs_core::multi_failure_ftmbfs_parts(&g, &w, &[VertexId(0), VertexId(7)], 2);
+        FrozenStructure::freeze_parts(&g, &parts)
+    }
+
+    #[test]
+    fn multi_snapshot_roundtrip_is_identical() {
+        let frozen = multi_sample();
+        let bytes = frozen.save();
+        assert_eq!(&bytes[..4], &SNAPSHOT_MULTI_MAGIC);
+        let loaded = FrozenStructure::load(&bytes).unwrap();
+        assert_eq!(loaded, frozen);
+        assert_eq!(loaded.fingerprint(), frozen.fingerprint());
+        assert_eq!(loaded.save(), bytes);
+    }
+
+    #[test]
+    fn multi_malformed_snapshots_return_typed_errors() {
+        let bytes = multi_sample().save();
+        for cut in [5, bytes.len() / 3, bytes.len() - 1] {
+            let err = FrozenStructure::load(&bytes[..cut]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SnapshotError::Truncated { .. } | SnapshotError::ChecksumMismatch
+                ),
+                "cut at {cut}: unexpected {err:?}"
+            );
+        }
+        let mut flipped = bytes.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x10;
+        let err = FrozenStructure::load(&flipped).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SnapshotError::ChecksumMismatch | SnapshotError::SectionChecksum { .. }
+            ),
+            "unexpected {err:?}"
+        );
+    }
+
+    #[test]
+    fn load_rejects_duplicate_sources_like_freeze_parts_does() {
+        // Hand-craft a checksummed per-source snapshot declaring source 0
+        // twice: the loader must enforce the same distinctness invariant
+        // freeze_parts() asserts, not just the checksums.
+        let mut payload = Vec::new();
+        put_u16(&mut payload, SNAPSHOT_VERSION);
+        put_u16(&mut payload, 0); // flags
+        for word in [3, 1, 2, 0, 0, 1, 0, 0, 1] {
+            // n, resilience, k, sources 0 and 0, m, edge (orig 0, u 0, v 1)
+            put_u32(&mut payload, word);
+        }
+        for _ in 0..2 {
+            put_u32(&mut payload, 1); // m_s
+            put_u32(&mut payload, 0); // union index
+        }
+        let fingerprint = ftbfs_graph::bytes::fnv1a64(&payload);
+        let bytes = assemble(SNAPSHOT_MULTI_MAGIC, &payload, fingerprint, &[]);
+        match FrozenStructure::load(&bytes).unwrap_err() {
+            SnapshotError::Corrupt(why) => assert!(why.contains("duplicate source")),
+            other => panic!("expected Corrupt(duplicate source), got {other:?}"),
+        }
     }
 }

@@ -1,50 +1,63 @@
-//! Zero-rebuild serving views over snapshot bytes: [`SnapshotSource`],
-//! [`FrozenView`] and [`FrozenMultiView`].
+//! Zero-rebuild serving views over snapshot bytes: [`SnapshotSource`] and
+//! [`FrozenView`].
 //!
 //! A snapshot (see [`crate::snapshot`]) stores not just the determining
 //! edge list but every derived array — CSR offsets and arcs, fault-free
 //! trees, slab tables — as 64-byte-aligned little-endian sections.  A view
 //! *opens* such bytes instead of loading them: it validates the frame
-//! (bounds, alignment, checksums, freeze invariants) and then serves
-//! queries **directly out of the mapped bytes** through
-//! [`ftbfs_graph::bytes::LeU32s`] accessors.  Nothing is rebuilt and none
-//! of the big arrays are copied; open-time allocation is limited to
-//! metadata scratch (the small source list and section table).
+//! (bounds, alignment, checksums, freeze invariants), certifies the
+//! derived sections against the base, and then serves queries **directly
+//! out of the mapped bytes** through [`ftbfs_graph::bytes::LeU32s`]
+//! accessors.  Nothing is rebuilt and none of the big arrays are copied;
+//! open-time allocation is limited to metadata scratch (the small source
+//! list and section table).
 //!
 //! This is the zero-copy serving story: a server reads a snapshot file
 //! into a buffer, or maps it read-only itself (page-aligned, so the
 //! 64-byte section alignment holds in memory) and borrows the region,
 //! wraps the bytes in a [`SnapshotSource`], opens a view, and serves
 //! immediately — no load-time CSR build, BFS, or allocation proportional
-//! to the structure.  Both view types implement
-//! [`DistanceOracle`], so every engine feature (fault LRU, tree fast
-//! path, batched and threaded serving) works unchanged, and a view's
+//! to the structure.  The view implements [`DistanceOracle`] for both
+//! slab layouts, so every engine feature (fault LRU, tree fast path,
+//! batched and threaded serving) works unchanged, and a view's
 //! [`fingerprint`](DistanceOracle::fingerprint) equals the rebuilt
 //! structure's — the two are interchangeable backends.
 //!
 //! Safety under corruption: the open-time checks guarantee that *any*
 //! byte-level corruption is rejected (every byte is covered by a
-//! checksum, the magic, or the zero-padding rule) and that the structural
-//! invariants the engine relies on hold — CSR offsets monotone and
-//! in-bounds, arc heads and edge ids in range, tree parents consistent
-//! with tree distances (so parent walks terminate).  Opening never
-//! panics on malformed input; it returns a typed [`SnapshotError`].
+//! checksum, the magic, or the zero-padding rule).  Checksums alone do not
+//! stop a writer that recomputed them over wrong sections, so open also
+//! certifies that the derived sections are exactly what the base
+//! determines, in one `O(n + m)` pass over each slab per tree it carries,
+//! with no allocation:
+//!
+//! * every slab's edge ids are the base edges it selects;
+//! * its CSR offsets run monotonically from zero to `2m`, each vertex's
+//!   arc heads strictly increase, and every arc's edge joins exactly its
+//!   tail and head in the base edge list — so each edge has exactly two
+//!   arcs and the CSR is the one freezing would build;
+//! * every tree has a `(0, no parent)` source row, each reached vertex's
+//!   distance is its parent's plus one over an arc to that parent, and no
+//!   arc joins a reached vertex to an unreached one or spans more than one
+//!   level — so each tree is a BFS tree of its slab, and parent walks
+//!   terminate.
+//!
+//! Opening never panics on malformed input; it returns a typed
+//! [`SnapshotError`].
 //!
 //! One field is *attested* rather than recomputed on open: the structure
-//! fingerprint, stored in the (frame-checksummed) header so open need
-//! not re-hash the base.  In-tree writers always store the correct value
-//! (the golden-fixture CI gate pins this), and the rebuild paths
-//! ([`FrozenView::to_frozen`] / [`FrozenMultiView::to_multi`], hence
-//! `load`) cross-check it against the recomputed fingerprint for free,
-//! rejecting snapshots from writers that got it wrong.
+//! fingerprint, stored in the (frame-checksummed) header so open need not
+//! re-hash the base.  In-tree writers always store the correct value (the
+//! golden-fixture CI gate pins this), and the rebuild path
+//! ([`FrozenView::to_frozen`], hence `load`) cross-checks it against the
+//! recomputed fingerprint for free, rejecting snapshots from writers that
+//! got it wrong.
 
-use crate::api::{Contract, DistanceOracle, OracleSlab, SlabTree};
-use crate::frozen::{FrozenStructure, NO_PARENT, UNREACHED};
-use crate::multi::FrozenMultiStructure;
+use crate::api::{Contract, DistanceOracle, OracleSlab};
+use crate::frozen::{FrozenStructure, SlabTable, NO_PARENT, UNREACHED};
 use crate::snapshot::{
-    corrupt, read_frame, require_section, Base, SectionEntry, SnapshotError, SEC_ARC_EDGES,
-    SEC_ARC_HEADS, SEC_EDGE_ORIG, SEC_SLAB_TABLE, SEC_TREES, SEC_XADJ, SNAPSHOT_MAGIC,
-    SNAPSHOT_MULTI_MAGIC,
+    corrupt, read_frame, require_section, Base, SnapshotError, SEC_ARC_EDGES, SEC_ARC_HEADS,
+    SEC_EDGE_ORIG, SEC_SLAB_TABLE, SEC_TREES, SEC_XADJ, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
 };
 use ftbfs_graph::bytes::LeU32s;
 use ftbfs_graph::VertexId;
@@ -56,7 +69,7 @@ use std::borrow::Cow;
 /// over it, which is the zero-copy path).
 ///
 /// The source only carries the bytes; validation happens when a
-/// [`FrozenView`] or [`FrozenMultiView`] is opened over it.
+/// [`FrozenView`] is opened over it.
 ///
 /// # Examples
 ///
@@ -119,159 +132,116 @@ impl<'a> From<&'a [u8]> for SnapshotSource<'a> {
     }
 }
 
-/// Validates one fault-free tree stored in a snapshot: the source row
-/// is `(0, NO_PARENT)`, unreached vertices have no parent, and every
-/// reached vertex's distance is exactly its parent's plus one — which
-/// both pins the arrays to a genuine BFS-tree shape and guarantees parent
-/// walks strictly decrease the distance, so path reconstruction
-/// terminates on any input that passes.
-#[inline]
-fn check_tree(
-    dist: LeU32s<'_>,
-    parent: LeU32s<'_>,
-    source: usize,
-    n: usize,
+/// Word `i` of a section's bytes, decoded little-endian.
+#[inline(always)]
+fn le(bytes: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().expect("four bytes"))
+}
+
+/// Certifies slab `j` and the trees over it against the base (see the
+/// module docs).  `prefix` is the edge count of the slabs before `j`.
+fn check_slab(
+    base: &Base<'_>,
+    slabs: &SlabTable<LeU32s<'_>>,
+    j: usize,
+    prefix: usize,
 ) -> Result<(), SnapshotError> {
-    if dist.get(source) != 0 || parent.get(source) != NO_PARENT {
-        return corrupt("tree source row must be (0, no parent)");
+    if base.slab_lists.is_empty() {
+        // One shared slab carries every declared source's tree.
+        return (0..base.source_count).try_for_each(|i| check_slab_tree(base, slabs, 0, i, |e| e));
     }
-    for (v, (d, p)) in dist.iter().zip(parent.iter()).enumerate() {
-        if v == source {
-            continue;
+    // The per-source base lists select each slab's union edges.
+    let list = base.slab_list(j);
+    if slabs.extent(j) != (list.len(), prefix) {
+        return corrupt("slab table disagrees with the base slab lists");
+    }
+    let list = list.as_bytes();
+    check_slab_tree(base, slabs, j, j, |e| le(list, e) as usize)
+}
+
+/// Certifies slab `j` together with declared source `i`'s tree over it,
+/// in one pass over its vertices; monomorphised over the map from slab
+/// edges to base edges.
+#[inline(always)]
+fn check_slab_tree(
+    base: &Base<'_>,
+    slabs: &SlabTable<LeU32s<'_>>,
+    j: usize,
+    i: usize,
+    union_index: impl Fn(usize) -> usize,
+) -> Result<(), SnapshotError> {
+    let ([xadj, heads, edges, orig], (dist, parent)) = (slabs.csr(j), slabs.tree(i));
+    let m = orig.len();
+    let [xadj, heads, edges, orig, dist, parent] =
+        [xadj, heads, edges, orig, dist, parent].map(|s| s.as_bytes());
+    let (n, source) = (slabs.n, base.source(i) as usize);
+    if (0..m).any(|e| le(orig, e) != base.edge_id(union_index(e))) {
+        return corrupt("edge-id section disagrees with the base edge list");
+    }
+    if le(xadj, 0) != 0 || le(xadj, n) as usize != 2 * m {
+        return corrupt("CSR offsets must run from zero to 2m");
+    }
+    let mut lo = 0;
+    for v in 0..n {
+        let hi = le(xadj, v + 1) as usize;
+        if hi < lo || hi > 2 * m {
+            return corrupt("CSR offsets must be monotone");
         }
-        if p == NO_PARENT {
+        let (d, p) = (le(dist, v), le(parent, v));
+        if v == source {
+            if d != 0 || p != NO_PARENT {
+                return corrupt("tree source row must be (0, no parent)");
+            }
+        } else if p == NO_PARENT {
             if d != UNREACHED {
                 return corrupt("reached tree vertex lacks a parent");
             }
-        } else {
-            if p as usize >= n {
-                return corrupt("tree parent out of range");
+        } else if p as usize >= n || le(dist, p as usize) == UNREACHED {
+            return corrupt("tree parent out of range or unreached");
+        } else if d != le(dist, p as usize) + 1 {
+            return corrupt("tree distance does not follow its parent");
+        }
+        // `next` only ever holds a certified head below n, plus one.
+        let (tail, mut next, mut parent_arc) = (v as u32, 0, p == NO_PARENT);
+        for a in lo..hi {
+            let (head, e) = (le(heads, a), le(edges, a) as usize);
+            if head < next {
+                return corrupt("arc heads must strictly increase per vertex");
             }
-            let dp = dist.get(p as usize);
-            if dp == UNREACHED || d != dp + 1 {
-                return corrupt("tree distance does not follow its parent");
+            if e >= m || base.endpoints(union_index(e)) != (tail.min(head), tail.max(head)) {
+                return corrupt("arc does not match its edge's endpoints");
+            }
+            next = head + 1;
+            parent_arc |= head == p;
+            // Reached distances are below n, so an arc between a reached
+            // and an unreached vertex differs by far more than one.
+            if d.abs_diff(le(dist, head as usize)) > 1 {
+                return corrupt("tree distances are not a BFS layering of the slab");
             }
         }
+        if !parent_arc {
+            return corrupt("tree parent is not a neighbour in the slab");
+        }
+        lo = hi;
     }
     Ok(())
 }
 
-/// Validates one CSR slab stored in a snapshot: offsets start at zero,
-/// grow monotonically to exactly `2m`, and every arc's head and frozen
-/// edge id are in range — everything the BFS kernel indexes with.
-#[inline]
-fn check_csr(
-    xadj: LeU32s<'_>,
-    heads: LeU32s<'_>,
-    edges: LeU32s<'_>,
-    n: usize,
-    m: usize,
-) -> Result<(), SnapshotError> {
-    if xadj.get(0) != 0 {
-        return corrupt("CSR offsets must start at zero");
-    }
-    let mut prev = 0u32;
-    for off in xadj.iter() {
-        if off < prev {
-            return corrupt("CSR offsets must be monotone");
-        }
-        prev = off;
-    }
-    if xadj.get(n) as usize != 2 * m {
-        return corrupt("CSR offsets must cover exactly 2m arcs");
-    }
-    if heads.iter().any(|h| h as usize >= n) {
-        return corrupt("CSR arc head out of range");
-    }
-    if edges.iter().any(|e| e as usize >= m) {
-        return corrupt("CSR arc edge id out of range");
-    }
-    Ok(())
-}
-
-/// The dist and parent rows of tree `i` in a `k × 2n` tree section.
-fn tree_rows(trees: LeU32s<'_>, i: usize, n: usize) -> (LeU32s<'_>, LeU32s<'_>) {
-    (
-        trees.slice(2 * i * n, (2 * i + 1) * n),
-        trees.slice((2 * i + 1) * n, (2 * i + 2) * n),
-    )
-}
-
-/// Snapshot bytes validated up to their sections — magic, version, base
-/// payload, freeze invariants and frame — that both view kinds then take
-/// their arrays from.
-struct Opened<'a> {
-    data: &'a [u8],
-    base: Base<'a>,
-    fingerprint: u64,
-    sections: Vec<SectionEntry>,
-    sources: Vec<VertexId>,
-}
-
-impl<'a> Opened<'a> {
-    fn new(data: &'a [u8], magic: [u8; 4]) -> Result<Self, SnapshotError> {
-        let base = Base::walk(data, magic)?;
-        base.validate_invariants()?;
-        let frame = read_frame(data, base.end)?;
-        let sources = (0..base.source_count)
-            .map(|i| VertexId(base.source(i)))
-            .collect();
-        Ok(Opened {
-            data,
-            base,
-            fingerprint: frame.fingerprint,
-            sections: frame.sections,
-            sources,
-        })
-    }
-
-    /// The unique section of `kind`, which must hold exactly `words`
-    /// `u32`s.
-    fn section(&self, kind: u32, words: usize) -> Result<LeU32s<'a>, SnapshotError> {
-        let s = require_section(&self.sections, kind, 4 * words)?;
-        Ok(LeU32s::new(&self.data[s.offset..s.offset + s.len])
-            .expect("section lengths are validated u32-granular"))
-    }
-
-    /// The `k × 2n` tree section, with every source's tree validated.
-    fn trees(&self) -> Result<LeU32s<'a>, SnapshotError> {
-        let n = self.base.n as usize;
-        let trees = self.section(SEC_TREES, 2 * n * self.sources.len())?;
-        for (i, s) in self.sources.iter().enumerate() {
-            let (dist, parent) = tree_rows(trees, i, n);
-            check_tree(dist, parent, s.index(), n)?;
-        }
-        Ok(trees)
-    }
-
-    /// Rebuild-path cross-check of the writer-attested fingerprint.
-    fn attest(fingerprint: u64, rebuilt: u64) -> Result<(), SnapshotError> {
-        if rebuilt != fingerprint {
-            return corrupt("stored fingerprint disagrees with the determining data");
-        }
-        Ok(())
-    }
-}
-
-/// A borrowed, zero-rebuild serving view over the bytes of a single-slab
-/// ("FTBO") snapshot, exact or approximate.
+/// A borrowed, zero-rebuild serving view over the bytes of a snapshot of
+/// either layout (`"FTBO"`: one shared slab; `"FTBM"`: one slab per
+/// declared source), exact or approximate.
 ///
 /// Opened with [`FrozenView::open`] (from a [`SnapshotSource`]) or
 /// [`FrozenView::open_bytes`]; implements [`DistanceOracle`], answering
 /// bit-identically to the [`FrozenStructure`] the snapshot was saved from
-/// — same fingerprint, same contract and guarantees, same slabs, same
-/// precomputed trees — without rebuilding or copying any of the big
-/// arrays.
+/// — same fingerprint, same contract and guarantees, same servable
+/// sources, same slabs, same precomputed trees — without rebuilding or
+/// copying any of the big arrays.
 pub struct FrozenView<'a> {
     base: Base<'a>,
     sources: Vec<VertexId>,
     fingerprint: u64,
-    edge_orig: LeU32s<'a>,
-    xadj: LeU32s<'a>,
-    adj_head: LeU32s<'a>,
-    adj_edge: LeU32s<'a>,
-    /// `k × 2n` words: per source, the dist row then the parent row.
-    trees: LeU32s<'a>,
+    slabs: SlabTable<LeU32s<'a>>,
 }
 
 impl std::fmt::Debug for FrozenView<'_> {
@@ -282,6 +252,7 @@ impl std::fmt::Debug for FrozenView<'_> {
             .field("resilience", &self.base.resilience)
             .field("contract", &self.base.contract)
             .field("edges", &self.base.m)
+            .field("slabs", &self.slabs.len())
             .field("fingerprint", &self.fingerprint)
             .finish()
     }
@@ -294,34 +265,52 @@ impl<'a> FrozenView<'a> {
         Self::open_bytes(source.bytes())
     }
 
-    /// Opens a view directly over snapshot bytes.
+    /// Opens a view directly over snapshot bytes of either magic.
     pub fn open_bytes(data: &'a [u8]) -> Result<Self, SnapshotError> {
-        let opened = Opened::new(data, SNAPSHOT_MAGIC)?;
-        let (n, m) = (opened.base.n as usize, opened.base.m);
-        let edge_orig = opened.section(SEC_EDGE_ORIG, m)?;
-        let xadj = opened.section(SEC_XADJ, n + 1)?;
-        let adj_head = opened.section(SEC_ARC_HEADS, 2 * m)?;
-        let adj_edge = opened.section(SEC_ARC_EDGES, 2 * m)?;
-        let trees = opened.trees()?;
-        // The derived edge-id array must agree with the determining base
-        // edge list (it exists so fault translation needs no rebuild).
-        if edge_orig
-            .iter()
-            .zip(opened.base.edges())
-            .any(|(derived, (orig, _, _))| derived != orig)
-        {
-            return corrupt("edge-id section disagrees with the base edge list");
+        let per_source = data.starts_with(&SNAPSHOT_MULTI_MAGIC);
+        let magic = if per_source {
+            SNAPSHOT_MULTI_MAGIC
+        } else {
+            SNAPSHOT_MAGIC
+        };
+        let base = Base::walk(data, magic)?;
+        base.validate_invariants()?;
+        let frame = read_frame(data, base.end)?;
+        let section = |kind: u32, words: usize| -> Result<LeU32s<'a>, SnapshotError> {
+            let s = require_section(&frame.sections, kind, 4 * words)?;
+            Ok(LeU32s::new(&data[s.offset..s.offset + s.len])
+                .expect("section lengths are validated u32-granular"))
+        };
+        let (n, k) = (base.n as usize, base.source_count);
+        let (slab_count, total) = if per_source {
+            (k, base.slab_lists.iter().map(LeU32s::len).sum())
+        } else {
+            (1, base.m)
+        };
+        let slabs = SlabTable {
+            n,
+            table: if per_source {
+                Some(section(SEC_SLAB_TABLE, 2 * k)?)
+            } else {
+                None
+            },
+            edge_orig: section(SEC_EDGE_ORIG, total)?,
+            xadj: section(SEC_XADJ, slab_count * (n + 1))?,
+            adj_head: section(SEC_ARC_HEADS, 2 * total)?,
+            adj_edge: section(SEC_ARC_EDGES, 2 * total)?,
+            trees: section(SEC_TREES, 2 * n * k)?,
+        };
+        let mut prefix = 0;
+        for j in 0..slab_count {
+            check_slab(&base, &slabs, j, prefix)?;
+            prefix += slabs.extent(j).0;
         }
-        check_csr(xadj, adj_head, adj_edge, n, m)?;
+        let sources: Vec<VertexId> = (0..k).map(|i| VertexId(base.source(i))).collect();
         Ok(FrozenView {
-            base: opened.base,
-            sources: opened.sources,
-            fingerprint: opened.fingerprint,
-            edge_orig,
-            xadj,
-            adj_head,
-            adj_edge,
-            trees,
+            base,
+            sources,
+            fingerprint: frame.fingerprint,
+            slabs,
         })
     }
 
@@ -330,7 +319,8 @@ impl<'a> FrozenView<'a> {
         self.base.n as usize
     }
 
-    /// Number of edges in the frozen structure.
+    /// Number of edges in the frozen structure (for per-source slabs, the
+    /// union).
     pub fn edge_count(&self) -> usize {
         self.base.m
     }
@@ -367,17 +357,20 @@ impl<'a> FrozenView<'a> {
     /// rejected here rather than silently de-syncing engines that key
     /// their caches on fingerprint equality.
     pub fn to_frozen(&self) -> Result<FrozenStructure, SnapshotError> {
-        let (edge_orig, edge_u, edge_v) = self.base.edge_columns();
+        let lists = (0..self.base.slab_lists.len())
+            .map(|j| self.base.slab_list(j).iter().collect())
+            .collect();
         let rebuilt = FrozenStructure::from_parts(
             self.base.n,
             self.sources.clone(),
             self.base.resilience,
             self.base.contract,
-            edge_orig,
-            edge_u,
-            edge_v,
-        )?;
-        Opened::attest(self.fingerprint, rebuilt.fingerprint())?;
+            self.base.edge_columns(),
+            self.slabs.table.map(|_| lists),
+        );
+        if rebuilt.fingerprint() != self.fingerprint {
+            return corrupt("stored fingerprint disagrees with the determining data");
+        }
         Ok(rebuilt)
     }
 }
@@ -408,214 +401,11 @@ impl DistanceOracle for FrozenView<'_> {
         FrozenView::contract(self)
     }
 
-    /// Mirrors [`FrozenStructure`]: any in-range vertex is servable over
-    /// the shared CSR; declared sources additionally get their mapped
-    /// fault-free tree.
+    /// Mirrors [`FrozenStructure`]: one shared slab serves any in-range
+    /// source, per-source slabs only the declared ones.
+    #[inline]
     fn slab(&self, source: VertexId) -> Option<OracleSlab<'_>> {
-        let n = self.vertex_count();
-        if source.index() >= n {
-            return None;
-        }
-        let tree = self.sources.iter().position(|&s| s == source).map(|i| {
-            let (dist, parent) = tree_rows(self.trees, i, n);
-            SlabTree::new(dist, parent)
-        });
-        Some(OracleSlab::new(
-            source,
-            self.xadj,
-            self.adj_head,
-            self.adj_edge,
-            self.edge_orig,
-            tree,
-        ))
-    }
-}
-
-/// A borrowed, zero-rebuild serving view over the bytes of a
-/// multi-source ("FTBM") snapshot — the byte-served counterpart of
-/// [`FrozenMultiStructure`], with one mapped CSR slab per declared
-/// source.
-pub struct FrozenMultiView<'a> {
-    base: Base<'a>,
-    sources: Vec<VertexId>,
-    fingerprint: u64,
-    /// `k × 2` words: per slab, its edge count and prefix-sum offset.
-    slab_table: LeU32s<'a>,
-    /// Concatenated per-slab edge-id arrays (`Σ m_s` words).
-    edge_orig: LeU32s<'a>,
-    /// Concatenated per-slab CSR offsets (`k × (n + 1)` words).
-    xadj: LeU32s<'a>,
-    /// Concatenated per-slab arc arrays (`2 Σ m_s` words each).
-    adj_head: LeU32s<'a>,
-    adj_edge: LeU32s<'a>,
-    /// `k × 2n` words: per slab, the dist row then the parent row.
-    trees: LeU32s<'a>,
-}
-
-impl std::fmt::Debug for FrozenMultiView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrozenMultiView")
-            .field("n", &self.base.n)
-            .field("sources", &self.sources)
-            .field("resilience", &self.base.resilience)
-            .field("union_edges", &self.base.m)
-            .field("fingerprint", &self.fingerprint)
-            .finish()
-    }
-}
-
-impl<'a> FrozenMultiView<'a> {
-    /// Opens a view over a [`SnapshotSource`], validating the snapshot
-    /// without rebuilding it; see the [module docs](self).
-    pub fn open(source: &'a SnapshotSource<'_>) -> Result<Self, SnapshotError> {
-        Self::open_bytes(source.bytes())
-    }
-
-    /// Opens a view directly over snapshot bytes.
-    pub fn open_bytes(data: &'a [u8]) -> Result<Self, SnapshotError> {
-        let opened = Opened::new(data, SNAPSHOT_MULTI_MAGIC)?;
-        let base = &opened.base;
-        if base.contract != Contract::Exact {
-            return corrupt("multi-source snapshots carry the exact contract only");
-        }
-        let (n, k) = (base.n as usize, base.source_count);
-        let total: usize = base.slab_lists.iter().map(|&(m_s, _)| m_s).sum();
-        let slab_table = opened.section(SEC_SLAB_TABLE, 2 * k)?;
-        let edge_orig = opened.section(SEC_EDGE_ORIG, total)?;
-        let xadj = opened.section(SEC_XADJ, k * (n + 1))?;
-        let adj_head = opened.section(SEC_ARC_HEADS, 2 * total)?;
-        let adj_edge = opened.section(SEC_ARC_EDGES, 2 * total)?;
-        let trees = opened.trees()?;
-
-        // The slab table must agree with the determining base slab lists
-        // (counts and prefix sums), and each slab's edge-id segment must be
-        // exactly the union edges its base index list selects.
-        let mut prefix = 0usize;
-        for (i, &(m_s, _)) in base.slab_lists.iter().enumerate() {
-            if slab_table.get(2 * i) as usize != m_s {
-                return corrupt("slab table count disagrees with the base slab list");
-            }
-            if slab_table.get(2 * i + 1) as usize != prefix {
-                return corrupt("slab table offset is not the prefix sum");
-            }
-            if edge_orig
-                .slice(prefix, prefix + m_s)
-                .iter()
-                .zip(base.slab_list(i).iter())
-                .any(|(derived, union_idx)| derived != base.edge_id(union_idx as usize))
-            {
-                return corrupt("slab edge-id section disagrees with the union edge list");
-            }
-            check_csr(
-                xadj.slice(i * (n + 1), (i + 1) * (n + 1)),
-                adj_head.slice(2 * prefix, 2 * (prefix + m_s)),
-                adj_edge.slice(2 * prefix, 2 * (prefix + m_s)),
-                n,
-                m_s,
-            )?;
-            prefix += m_s;
-        }
-        Ok(FrozenMultiView {
-            base: opened.base,
-            sources: opened.sources,
-            fingerprint: opened.fingerprint,
-            slab_table,
-            edge_orig,
-            xadj,
-            adj_head,
-            adj_edge,
-            trees,
-        })
-    }
-
-    /// Number of vertices of the underlying graph.
-    pub fn vertex_count(&self) -> usize {
-        self.base.n as usize
-    }
-
-    /// Number of edges in the union structure `⋃_s H_s`.
-    pub fn union_edge_count(&self) -> usize {
-        self.base.m
-    }
-
-    /// The source set `S`, in snapshot order.
-    pub fn sources(&self) -> &[VertexId] {
-        &self.sources
-    }
-
-    /// The designed resilience `f`.
-    pub fn resilience(&self) -> usize {
-        self.base.resilience as usize
-    }
-
-    /// The structure fingerprint — equal to the fingerprint of the
-    /// [`FrozenMultiStructure`] the snapshot was saved from.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Rebuilds an owned [`FrozenMultiStructure`] from the view's
-    /// determining data (used by [`FrozenMultiStructure::load`]); like
-    /// [`FrozenView::to_frozen`], the rebuild cross-checks the
-    /// writer-attested fingerprint stored in the frame.
-    pub fn to_multi(&self) -> Result<FrozenMultiStructure, SnapshotError> {
-        let (union_orig, union_u, union_v) = self.base.edge_columns();
-        let slab_edges: Vec<Vec<u32>> = (0..self.base.source_count)
-            .map(|i| self.base.slab_list(i).iter().collect())
-            .collect();
-        let rebuilt = FrozenMultiStructure::from_parts(
-            self.base.n,
-            self.base.resilience,
-            self.sources.clone(),
-            union_orig,
-            union_u,
-            union_v,
-            slab_edges,
-        )?;
-        Opened::attest(self.fingerprint, rebuilt.fingerprint())?;
-        Ok(rebuilt)
-    }
-}
-
-impl DistanceOracle for FrozenMultiView<'_> {
-    fn vertex_count(&self) -> usize {
-        FrozenMultiView::vertex_count(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        self.union_edge_count()
-    }
-
-    fn sources(&self) -> &[VertexId] {
-        FrozenMultiView::sources(self)
-    }
-
-    fn resilience(&self) -> usize {
-        FrozenMultiView::resilience(self)
-    }
-
-    fn fingerprint(&self) -> u64 {
-        FrozenMultiView::fingerprint(self)
-    }
-
-    /// Mirrors [`FrozenMultiStructure`]: only declared sources are
-    /// servable, each over its own mapped per-source slab.
-    fn slab(&self, source: VertexId) -> Option<OracleSlab<'_>> {
-        let i = self.sources.iter().position(|&s| s == source)?;
-        let n = self.vertex_count();
-        let m_s = self.slab_table.get(2 * i) as usize;
-        let off = self.slab_table.get(2 * i + 1) as usize;
-        Some(OracleSlab::new(
-            source,
-            self.xadj.slice(i * (n + 1), (i + 1) * (n + 1)),
-            self.adj_head.slice(2 * off, 2 * (off + m_s)),
-            self.adj_edge.slice(2 * off, 2 * (off + m_s)),
-            self.edge_orig.slice(off, off + m_s),
-            Some({
-                let (dist, parent) = tree_rows(self.trees, i, n);
-                SlabTree::new(dist, parent)
-            }),
-        ))
+        self.slabs.slab(&self.sources, source)
     }
 }
 
@@ -709,11 +499,12 @@ mod tests {
         let w = TieBreak::new(&g, 3);
         let sources = [v(0), v(7)];
         let parts = multi_failure_ftmbfs_parts(&g, &w, &sources, 2);
-        let multi = FrozenMultiStructure::freeze(&g, &parts);
+        let multi = FrozenStructure::freeze_parts(&g, &parts);
         let bytes = multi.save_with(SnapshotVersion::V2);
-        let view = FrozenMultiView::open_bytes(&bytes).unwrap();
+        assert_eq!(&bytes[..4], &SNAPSHOT_MULTI_MAGIC);
+        let view = FrozenView::open_bytes(&bytes).unwrap();
         assert_eq!(view.vertex_count(), multi.vertex_count());
-        assert_eq!(view.union_edge_count(), multi.union_edge_count());
+        assert_eq!(view.edge_count(), multi.edge_count());
         assert_eq!(view.sources(), multi.sources());
         assert_eq!(view.fingerprint(), multi.fingerprint());
         let mut ea = QueryEngine::new();
@@ -732,7 +523,7 @@ mod tests {
         }
         // Undeclared sources stay unserved, like the owned structure.
         assert!(DistanceOracle::slab(&view, v(3)).is_none());
-        assert_eq!(view.to_multi().unwrap(), multi);
+        assert_eq!(view.to_frozen().unwrap(), multi);
     }
 
     #[test]
@@ -743,10 +534,12 @@ mod tests {
         let dbg = format!("{view:?}");
         assert!(dbg.contains("FrozenView"));
         assert_eq!(
-            FrozenView::open_bytes(b"FTBM____").unwrap_err(),
+            FrozenView::open_bytes(b"FTBX____").unwrap_err(),
             SnapshotError::BadMagic
         );
-        assert!(FrozenMultiView::open_bytes(&bytes).is_err());
+        let mut crossed = bytes.clone();
+        crossed[..4].copy_from_slice(&SNAPSHOT_MULTI_MAGIC);
+        assert!(FrozenView::open_bytes(&crossed).is_err());
         for cut in [0, 4, 6, bytes.len() / 2, bytes.len() - 1] {
             assert!(FrozenView::open_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }

@@ -18,9 +18,8 @@
 use ftbfs_core::ApproxParams;
 use ftbfs_graph::{EdgeId, FaultSpec, VertexId};
 use ftbfs_oracle::{
-    snapshot_layout, Contract, DistanceOracle, FrozenMultiStructure, FrozenMultiView,
-    FrozenStructure, FrozenView, QueryEngine, SnapshotError, SnapshotVersion, SNAPSHOT_ALIGN,
-    SNAPSHOT_VERSION,
+    snapshot_layout, Contract, DistanceOracle, FrozenStructure, FrozenView, QueryEngine,
+    SnapshotError, SnapshotVersion, SNAPSHOT_ALIGN, SNAPSHOT_VERSION,
 };
 
 const GOLDEN_SINGLE_V2: &[u8] = include_bytes!("../testdata/golden_single_v2.ftbo");
@@ -83,10 +82,10 @@ fn golden_single_v2_layout_is_stable() {
 
 #[test]
 fn golden_multi_v2_loads_and_opens_with_the_recorded_fingerprint() {
-    let loaded = FrozenMultiStructure::load(GOLDEN_MULTI_V2).expect("golden must keep loading");
+    let loaded = FrozenStructure::load(GOLDEN_MULTI_V2).expect("golden must keep loading");
     assert_eq!(loaded.fingerprint(), GOLDEN_MULTI_FINGERPRINT);
     assert_eq!(loaded.save_with(SnapshotVersion::V2), GOLDEN_MULTI_V2);
-    let view = FrozenMultiView::open_bytes(GOLDEN_MULTI_V2).expect("golden must keep opening");
+    let view = FrozenView::open_bytes(GOLDEN_MULTI_V2).expect("golden must keep opening");
     assert_eq!(view.fingerprint(), GOLDEN_MULTI_FINGERPRINT);
     let mut ea = QueryEngine::new();
     let mut eb = QueryEngine::new();

@@ -11,7 +11,7 @@
 //! index).
 //!
 //! All searches run through a caller-provided
-//! [`SearchEngine`](ftbfs_graph::SearchEngine): the binary-search predicates
+//! [`SearchEngine`]: the binary-search predicates
 //! compare *unweighted* distances, so they use the engine's hop-bucket fast
 //! path over an epoch-stamped overlay restriction and allocate nothing; only
 //! the final path extraction (and the rare fallback) runs a weighted Dijkstra

@@ -1,9 +1,10 @@
-//! Epoch-swapped snapshots: [`EpochSnapshot`], [`SnapshotOracle`] and the
-//! lock-light two-slot [`EpochCell`].
+//! Epoch-swapped snapshots: [`EpochSnapshot`] and the lock-light two-slot
+//! [`EpochCell`].
 //!
 //! The serving front-end's workers answer out of *snapshots* — snapshot
 //! bytes (owned, or a caller-mapped region promoted to `'static`) that a
-//! zero-rebuild [`FrozenView`]/[`FrozenMultiView`] opens over.  Replacing
+//! zero-rebuild [`FrozenView`] opens over, whichever slab layout they
+//! carry.  Replacing
 //! the live snapshot with a new one is an **epoch swap**:
 //!
 //! * the publisher validates the new [`EpochSnapshot`] (a full open:
@@ -33,25 +34,10 @@
 use crate::chaos::FaultInjector;
 use crate::error::ServeError;
 use crate::health::HealthCounters;
-use ftbfs_graph::VertexId;
-use ftbfs_oracle::{
-    Contract, DistanceOracle, FrozenMultiView, FrozenView, OracleSlab, SnapshotError,
-    SnapshotSource, SNAPSHOT_MULTI_MAGIC,
-};
+use ftbfs_oracle::{FrozenView, SnapshotError, SnapshotSource};
 use ftbfs_telemetry::{EventRing, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Which serving format a snapshot's bytes carry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SnapshotKind {
-    /// A `FrozenStructure` snapshot (`"FTBO"`): one shared CSR, any
-    /// source answerable, exact or approximate contract.
-    Single,
-    /// A `FrozenMultiStructure` snapshot (`"FTBM"`): per-source slabs,
-    /// only declared sources answerable.
-    Multi,
-}
 
 /// One validated, servable generation of snapshot bytes.
 ///
@@ -77,30 +63,18 @@ pub enum SnapshotKind {
 #[derive(Clone, Debug)]
 pub struct EpochSnapshot {
     source: SnapshotSource<'static>,
-    kind: SnapshotKind,
     fingerprint: u64,
     vertex_count: usize,
 }
 
 impl EpochSnapshot {
-    /// Validates snapshot bytes (either format, detected from the magic)
-    /// into a servable snapshot.
+    /// Validates snapshot bytes (either slab layout) into a servable
+    /// snapshot.
     pub fn new(source: SnapshotSource<'static>) -> Result<Self, SnapshotError> {
-        let bytes = source.bytes();
-        let (kind, fingerprint, vertex_count) = if bytes.starts_with(&SNAPSHOT_MULTI_MAGIC) {
-            let view = FrozenMultiView::open_bytes(bytes)?;
-            (SnapshotKind::Multi, view.fingerprint(), view.vertex_count())
-        } else {
-            let view = FrozenView::open_bytes(bytes)?;
-            (
-                SnapshotKind::Single,
-                view.fingerprint(),
-                view.vertex_count(),
-            )
-        };
+        let view = FrozenView::open(&source)?;
+        let (fingerprint, vertex_count) = (view.fingerprint(), view.vertex_count());
         Ok(EpochSnapshot {
             source,
-            kind,
             fingerprint,
             vertex_count,
         })
@@ -114,11 +88,6 @@ impl EpochSnapshot {
     /// The raw snapshot bytes this epoch serves from.
     pub fn bytes(&self) -> &[u8] {
         self.source.bytes()
-    }
-
-    /// The snapshot's format.
-    pub fn kind(&self) -> SnapshotKind {
-        self.kind
     }
 
     /// The structural fingerprint responses answered from this snapshot
@@ -136,80 +105,8 @@ impl EpochSnapshot {
     ///
     /// Infallible by construction: `new` already ran the identical
     /// validation over the same immutable bytes.
-    pub fn open(&self) -> SnapshotOracle<'_> {
-        match self.kind {
-            SnapshotKind::Single => SnapshotOracle::Single(
-                FrozenView::open_bytes(self.source.bytes())
-                    .expect("bytes were validated at EpochSnapshot construction"),
-            ),
-            SnapshotKind::Multi => SnapshotOracle::Multi(
-                FrozenMultiView::open_bytes(self.source.bytes())
-                    .expect("bytes were validated at EpochSnapshot construction"),
-            ),
-        }
-    }
-}
-
-/// A [`DistanceOracle`] over either view format, so worker code is
-/// monomorphic over the snapshot kind.
-#[derive(Debug)]
-pub enum SnapshotOracle<'a> {
-    /// Single-source (any-source) serving view.
-    Single(FrozenView<'a>),
-    /// Multi-source per-slab serving view.
-    Multi(FrozenMultiView<'a>),
-}
-
-impl DistanceOracle for SnapshotOracle<'_> {
-    fn vertex_count(&self) -> usize {
-        match self {
-            SnapshotOracle::Single(v) => v.vertex_count(),
-            SnapshotOracle::Multi(v) => v.vertex_count(),
-        }
-    }
-
-    fn edge_count(&self) -> usize {
-        match self {
-            SnapshotOracle::Single(v) => v.edge_count(),
-            SnapshotOracle::Multi(v) => v.edge_count(),
-        }
-    }
-
-    fn sources(&self) -> &[VertexId] {
-        match self {
-            SnapshotOracle::Single(v) => v.sources(),
-            SnapshotOracle::Multi(v) => v.sources(),
-        }
-    }
-
-    fn resilience(&self) -> usize {
-        match self {
-            SnapshotOracle::Single(v) => v.resilience(),
-            SnapshotOracle::Multi(v) => v.resilience(),
-        }
-    }
-
-    fn fingerprint(&self) -> u64 {
-        match self {
-            SnapshotOracle::Single(v) => v.fingerprint(),
-            SnapshotOracle::Multi(v) => v.fingerprint(),
-        }
-    }
-
-    fn slab(&self, source: VertexId) -> Option<OracleSlab<'_>> {
-        match self {
-            SnapshotOracle::Single(v) => v.slab(source),
-            SnapshotOracle::Multi(v) => v.slab(source),
-        }
-    }
-
-    /// Delegates so an approximate snapshot's contract survives the kind
-    /// erasure (multi-source snapshots are always exact).
-    fn contract(&self) -> Contract {
-        match self {
-            SnapshotOracle::Single(v) => v.contract(),
-            SnapshotOracle::Multi(v) => v.contract(),
-        }
+    pub fn open(&self) -> FrozenView<'_> {
+        FrozenView::open(&self.source).expect("bytes were validated at EpochSnapshot construction")
     }
 }
 
@@ -358,8 +255,8 @@ impl EpochPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftbfs_graph::{generators, FaultSpec};
-    use ftbfs_oracle::{FrozenStructure, Guarantee, SnapshotVersion};
+    use ftbfs_graph::{generators, FaultSpec, VertexId};
+    use ftbfs_oracle::{DistanceOracle, FrozenStructure, Guarantee, SnapshotVersion};
 
     fn snapshot(n: usize) -> EpochSnapshot {
         let g = generators::cycle(n);
@@ -370,7 +267,6 @@ mod tests {
     #[test]
     fn snapshot_validates_and_reopens() {
         let snap = snapshot(8);
-        assert_eq!(snap.kind(), SnapshotKind::Single);
         assert_eq!(snap.vertex_count(), 8);
         let view = snap.open();
         assert_eq!(view.fingerprint(), snap.fingerprint());
@@ -389,7 +285,6 @@ mod tests {
             ftbfs_core::approx_ftbfs(&g, &w, VertexId(0), ftbfs_core::ApproxParams::DEFAULT);
         let frozen = FrozenStructure::freeze_approx(&g, &built);
         let snap = EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2)).unwrap();
-        assert_eq!(snap.kind(), SnapshotKind::Single);
         assert_eq!(snap.fingerprint(), frozen.fingerprint());
         let view = snap.open();
         assert_eq!(view.vertex_count(), 24);

@@ -1,20 +1,16 @@
 //! [`ThroughputHarness`] — batched query driving as a thin adapter over
 //! the stream API: one batch = one bounded stream.
 //!
-//! This supersedes `ftbfs_oracle::ThroughputHarness` (deprecated in PR 6,
-//! removed in PR 7).  The configuration surface and the [`BatchReport`] it
-//! returns are unchanged — callers migrate by switching the import — but the
-//! multi-threaded path now goes through the same routing rule and the
-//! same per-request serving core ([`crate::server`]'s `answer`) as the
-//! continuous-stream front-end, so batch measurements exercise exactly
-//! the code that serves live streams.
+//! A run returns a [`BatchReport`].  The multi-threaded path goes through
+//! the same routing rule and the same per-request serving core
+//! ([`crate::server`]'s `answer`) as the continuous-stream front-end, so
+//! batch measurements exercise exactly the code that serves live streams.
 //!
 //! Two execution paths:
 //!
 //! * `threads == 1` — a plain engine loop on the calling thread, no
 //!   channels.  This is the raw per-core serving rate (the path behind
-//!   the `exp_query_throughput` smoke floor) and is bit-identical in
-//!   behaviour to the deprecated harness's serial path.
+//!   the `exp_query_throughput` smoke floor).
 //! * `threads > 1` — a bounded stream: scoped workers, each owning a
 //!   private [`QueryEngine`], fed through the front-end's shard-routing
 //!   rule (explicit source pins the shard; source-less queries
@@ -278,7 +274,7 @@ mod tests {
     use super::*;
     use ftbfs_core::{dual_failure_ftbfs, multi_failure_ftmbfs_parts};
     use ftbfs_graph::{generators, EdgeId, FaultSpec, TieBreak, VertexId};
-    use ftbfs_oracle::{FrozenMultiStructure, FrozenStructure};
+    use ftbfs_oracle::FrozenStructure;
 
     fn workload(n_queries: usize) -> (ftbfs_graph::Graph, FrozenStructure, Vec<Query>) {
         let g = generators::connected_gnp(35, 0.14, 13);
@@ -331,7 +327,7 @@ mod tests {
         let w = TieBreak::new(&g, 3);
         let sources = [VertexId(0), VertexId(9)];
         let parts = multi_failure_ftmbfs_parts(&g, &w, &sources, 2);
-        let multi = FrozenMultiStructure::freeze(&g, &parts);
+        let multi = FrozenStructure::freeze_parts(&g, &parts);
         let edges: Vec<EdgeId> = g.edges().collect();
         let queries: Vec<Query> = (0..180)
             .map(|i| {

@@ -45,7 +45,7 @@
 //! absorbed faults are counted in [`ServeHealth`]
 //! ([`StreamServer::health`]).  With the `chaos` cargo feature the whole
 //! machinery can be exercised under a deterministic fault schedule — see
-//! module [`chaos`].
+//! the `chaos` module.
 //!
 //! # Quick example
 //!
@@ -90,7 +90,7 @@ pub mod telemetry;
 
 #[cfg(feature = "chaos")]
 pub use chaos::{ChaosConfig, ChaosStats, CHAOS_PANIC_MARKER};
-pub use epoch::{EpochCell, EpochPublisher, EpochSnapshot, SnapshotKind, SnapshotOracle};
+pub use epoch::{EpochCell, EpochPublisher, EpochSnapshot};
 pub use error::{ServeError, SubmitError};
 pub use harness::{BatchReport, ThroughputHarness};
 pub use health::ServeHealth;

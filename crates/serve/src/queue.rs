@@ -7,7 +7,7 @@
 //! queue replaces them with a `Mutex<VecDeque>` + `Condvar` pair per
 //! shard, which buys three things the channel could not do:
 //!
-//! * **bounded depth** — [`ShardQueue::push`] observes a capacity and an
+//! * **bounded depth** — `ShardQueue::push` observes a capacity and an
 //!   [`OverloadPolicy`] *at submit time*, so overload turns into a typed
 //!   [`crate::SubmitError::Overloaded`] in the caller instead of unbounded
 //!   growth in the server;
@@ -25,8 +25,8 @@
 //!   `VecDeque`, consistent at every step, so a panicking peer never
 //!   cascades.
 //!
-//! Producers register with [`ShardQueue::attach`] / [`ShardQueue::detach`]
-//! (the server itself plus every open stream); [`ShardQueue::pop`] blocks
+//! Producers register with `ShardQueue::attach` / `ShardQueue::detach`
+//! (the server itself plus every open stream); `ShardQueue::pop` blocks
 //! until an item arrives and returns `None` once the queue is drained and
 //! the last producer detached — the workers' drain-then-exit signal.
 

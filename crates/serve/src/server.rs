@@ -38,7 +38,7 @@
 //!   shard queue survives the restart, so queued requests are never lost
 //!   and streams never hang or desynchronise.  Restarts are counted in
 //!   [`StreamServer::health`].
-//! * **Epochs.**  Workers serve from a [`SnapshotOracle`] view opened over
+//! * **Epochs.**  Workers serve from a [`ftbfs_oracle::FrozenView`] opened over
 //!   the current [`EpochSnapshot`]; after receiving each request they
 //!   re-check the epoch generation and reopen when it moved (see
 //!   [`crate::epoch`] for the exact guarantee).  Publishing never drops or

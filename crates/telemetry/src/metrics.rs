@@ -11,7 +11,7 @@
 //! stage timers, health counters) converge on one coherent scrape.
 //!
 //! [`MetricsRegistry::scrape`] folds every registered metric into a
-//! [`TelemetrySnapshot`](crate::TelemetrySnapshot) — the single source
+//! [`TelemetrySnapshot`] — the single source
 //! both export surfaces (Prometheus text and JSON) render from.
 
 use crate::export::{CounterSample, GaugeSample, HistogramBucket, HistogramSample};

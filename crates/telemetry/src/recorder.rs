@@ -8,7 +8,7 @@
 //! machine code (E10's 1M qps smoke floor runs on this path and CI holds
 //! it).  Instrumented callers — the serve workers, the throughput
 //! harness's overhead gate — plug in a [`CounterRecorder`] whose handles
-//! come from a [`MetricsRegistry`](crate::MetricsRegistry), paying one
+//! come from a [`MetricsRegistry`], paying one
 //! relaxed `fetch_add` per recorded edge.
 
 use crate::metrics::{Counter, MetricsRegistry};

@@ -9,12 +9,12 @@
 //! wrapper over its serving stack, and since the serving API unified behind
 //! the [`DistanceOracle`] trait, the wrapper is *generic over the backend*:
 //! the default (and the historical behaviour) freezes an edge set into an
-//! [`ftbfs_oracle::FrozenStructure`], but any oracle — notably the
-//! multi-source [`ftbfs_oracle::FrozenMultiStructure`] — can be wrapped via
-//! [`StructureOracle::with_oracle`] and verified through the *same* query
-//! path that production serving uses.  The raw-[`FaultSet`] methods
-//! (`distance`, `route`, `all_distances`) are kept for compatibility; the
-//! checked forms ([`StructureOracle::try_distance`],
+//! [`ftbfs_oracle::FrozenStructure`], but any oracle — notably one with
+//! per-source slabs ([`ftbfs_oracle::FrozenStructure::freeze_parts`]) —
+//! can be wrapped via [`StructureOracle::with_oracle`] and verified
+//! through the *same* query path that production serving uses.  The
+//! raw-[`FaultSet`] methods (`distance`, `route`, `all_distances`) are
+//! kept for compatibility; the checked forms ([`StructureOracle::try_distance`],
 //! [`StructureOracle::try_route`]) surface the exactness guarantee for
 //! fault sets beyond the structure's resilience.
 
@@ -173,7 +173,7 @@ impl<'g, O: DistanceOracle> StructureOracle<'g, O> {
 mod tests {
     use super::*;
     use ftbfs_graph::generators;
-    use ftbfs_oracle::{FrozenMultiStructure, Guarantee};
+    use ftbfs_oracle::Guarantee;
 
     #[test]
     fn oracle_on_full_graph_matches_bfs() {
@@ -271,7 +271,7 @@ mod tests {
         let w = ftbfs_graph::TieBreak::new(&g, 7);
         let sources = [VertexId(0), VertexId(5)];
         let parts = ftbfs_core::multi_failure_ftmbfs_parts(&g, &w, &sources, 2);
-        let multi = FrozenMultiStructure::freeze(&g, &parts);
+        let multi = FrozenStructure::freeze_parts(&g, &parts);
         let oracle = StructureOracle::with_oracle(&g, multi);
         assert_eq!(oracle.source(), VertexId(0));
         let edges: Vec<EdgeId> = g.edges().collect();
