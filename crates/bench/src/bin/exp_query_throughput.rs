@@ -17,17 +17,19 @@
 //! enforces the checked-in floors**: the throughput floor
 //! ([`SMOKE_QPS_FLOOR`], set with a ~3× margin below the container
 //! baseline), the snapshot floor ([`SMOKE_SNAPSHOT_SPEEDUP_FLOOR`]:
-//! view open-and-first-query must be ≥ 3× faster than the owned
-//! load-and-first-query rebuild path) and the telemetry-overhead ceiling
+//! view open-and-first-query must be ≥ 3× faster than
+//! freeze-and-first-query, which compiles the structure from its edges)
+//! and the telemetry-overhead ceiling
 //! ([`SMOKE_TELEMETRY_OVERHEAD_MAX`], on the median of interleaved
 //! pairs).  If any is violated the binary exits non-zero so a serving- or
 //! load-path regression fails the build instead of silently landing.
 //! `--lru-sweep` additionally runs the cache-policy experiment: qps across
 //! per-partition LRU capacities {2, 4, 8, 16, 32} under tight and wide
 //! fault-pair locality, recorded in a `lru_sweep` section of the JSON.
-//! `--snapshot-bench` (implied by `--smoke`) measures snapshot load time —
-//! owned load (validate, then full CSR + tree rebuild) vs view open
-//! (validate only, zero rebuild) for both formats — into a
+//! `--snapshot-bench` (implied by `--smoke`) measures time to a servable
+//! structure for both formats — freeze (compile the CSR and trees from the
+//! edges, encode, open), owned load (open a copy of the bytes and re-hash
+//! the base) and view open (validate only, zero rebuild) — into a
 //! `snapshot_bench` JSON section.
 //! `--out` overrides the JSON path (default `BENCH_query.json`).
 //!
@@ -38,7 +40,7 @@
 
 use ftbfs_bench::{json, Table};
 use ftbfs_core::dual::DualFtBfsBuilder;
-use ftbfs_core::multi_failure_ftmbfs_parts;
+use ftbfs_core::{multi_failure_ftmbfs_parts, FtBfsStructure};
 use ftbfs_graph::{generators, EdgeId, FaultSpec, Graph, TieBreak, VertexId};
 use ftbfs_oracle::{
     DistanceOracle, Freeze, FrozenStructure, FrozenView, Query, QueryEngine, SnapshotVersion,
@@ -54,17 +56,17 @@ use std::time::Instant;
 /// regression (not scheduler noise) trips it.
 const SMOKE_QPS_FLOOR: f64 = 1_000_000.0;
 
-/// The `--smoke` floor on the view-open vs owned-load speedup for the
+/// The `--smoke` floor on the freeze vs view-open ratio for the
 /// single-source format: open-and-first-query must beat
-/// load-and-first-query by at least this factor on the smoke graph — the
+/// freeze-and-first-query by at least this factor on the smoke graph — the
 /// acceptance bar of the snapshot format (a view validates but never
-/// rebuilds, so if this ratio collapses the zero-rebuild path regressed).
+/// compiles, so if this ratio collapses the zero-rebuild path regressed).
 ///
-/// An owned load runs the same validation as an open and then rebuilds,
-/// so the ratio is `1 + rebuild / open`: about 4.5–5× on the smoke graph
-/// (n = 40, one thread, 2-vCPU Intel Xeon host).  The floor leaves room for
-/// that noise while still catching an open that starts rebuilding
-/// (ratio near 1).
+/// A freeze compiles the CSR and trees from the edges, encodes them and
+/// then runs the same open, so the ratio is `1 + compile / open`.  An owned
+/// load is only open plus a copy and a re-hash of the base, so it is not
+/// the comparison: it reads about 1×.  The floor leaves room for noise
+/// while still catching an open that starts compiling (ratio near 1).
 const SMOKE_SNAPSHOT_SPEEDUP_FLOOR: f64 = 3.0;
 
 /// The `--smoke` ceiling on telemetry overhead, as a fraction of baseline
@@ -282,121 +284,94 @@ struct SnapRow {
     n: usize,
     structure_edges: usize,
     bytes: usize,
+    freeze_us: f64,
     load_us: f64,
     open_us: f64,
+    /// `freeze_us / open_us`.
     speedup: f64,
 }
 
-/// Wall times of `a` and `b` in microseconds: the best of
-/// [`SNAPSHOT_BATCHES`] mean-over-`reps` batches each (one warm-up
-/// apiece), with the two sides measured in *alternating* batches — the
-/// same interleaving the telemetry-overhead gate uses — so host-load
-/// drift hits both sides alike.  Many short batches give each side's
-/// minimum many chances to land in a quiet stretch of a shared host, so
-/// the ratio the smoke floor compares stays stable even when the absolute
-/// times move.
-fn time_pair_us<R, S>(
+/// Wall times of `runs` in microseconds: the best of [`SNAPSHOT_BATCHES`]
+/// mean-over-`reps` batches each (one warm-up apiece), with the runs
+/// measured in *alternating* batches — the same interleaving the
+/// telemetry-overhead gate uses — so host-load drift hits all of them
+/// alike.  Many short batches give each run's minimum many chances to land
+/// in a quiet stretch of a shared host, so the ratio the smoke floor
+/// compares stays stable even when the absolute times move.
+fn time_us<const K: usize>(
     reps: usize,
-    mut a: impl FnMut() -> R,
-    mut b: impl FnMut() -> S,
-) -> (f64, f64) {
-    std::hint::black_box(a());
-    std::hint::black_box(b());
-    let mut best_a = f64::INFINITY;
-    let mut best_b = f64::INFINITY;
-    for _ in 0..SNAPSHOT_BATCHES {
-        let start = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(a());
-        }
-        best_a = best_a.min(start.elapsed().as_secs_f64() * 1e6 / reps as f64);
-        let start = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(b());
-        }
-        best_b = best_b.min(start.elapsed().as_secs_f64() * 1e6 / reps as f64);
+    mut runs: [&mut dyn FnMut() -> Option<u32>; K],
+) -> [f64; K] {
+    for run in runs.iter_mut() {
+        std::hint::black_box(run());
     }
-    (best_a, best_b)
+    let mut best = [f64::INFINITY; K];
+    for _ in 0..SNAPSHOT_BATCHES {
+        for (run, best) in runs.iter_mut().zip(&mut best) {
+            let start = Instant::now();
+            for _ in 0..reps {
+                std::hint::black_box(run());
+            }
+            *best = best.min(start.elapsed().as_secs_f64() * 1e6 / reps as f64);
+        }
+    }
+    best
 }
 
-/// The snapshot experiment: time-to-first-answer from bytes, owned load
-/// (validate + full CSR/tree rebuild) vs view open (validate only, serve
-/// from the bytes), for both formats.
+/// The snapshot experiment: time-to-first-answer for both formats, from
+/// the edges (freeze: compile, encode, open), from a copy of the bytes
+/// (owned load: open, copy, re-hash the base) and from borrowed bytes
+/// (view open: validate only, serve from the bytes).
 ///
 /// One long-lived `QueryEngine` per measurement models the server shape —
 /// per-thread engines persist across snapshot (re)loads; the reloaded
 /// structure keeps its fingerprint, so the engine does not even rebind —
-/// and keeps the measured cycle at exactly bytes → servable → answered.
+/// and keeps the measured cycle at exactly input → servable → answered.
 fn snapshot_bench(
     g: &Graph,
     frozen: &FrozenStructure,
-    multi: &FrozenStructure,
+    (multi, parts): (&FrozenStructure, &[FtBfsStructure]),
     reps: usize,
 ) -> Vec<SnapRow> {
     let n = g.vertex_count();
     let target = VertexId((n / 2) as u32);
+    let edges: Vec<EdgeId> = frozen.to_structure().edges().collect();
+    let (sources, resilience) = (frozen.sources(), frozen.resilience());
+    let freeze_single = || FrozenStructure::from_edges(g, sources, resilience, edges.clone());
+    let freeze_multi = || FrozenStructure::freeze_parts(g, parts);
+    let formats: [(_, _, &dyn Fn() -> FrozenStructure); 2] = [
+        ("single", frozen, &freeze_single),
+        ("multi", multi, &freeze_multi),
+    ];
     let mut rows = Vec::new();
-    {
-        let bytes = frozen.save_with(SnapshotVersion::V2);
-        let mut engine_load = QueryEngine::new();
-        let mut engine_open = QueryEngine::new();
-        let (load_us, open_us) = time_pair_us(
+    for (format, structure, freeze) in formats {
+        let bytes = structure.save_with(SnapshotVersion::V2);
+        let source = structure.primary_source();
+        let answer = |engine: &mut QueryEngine, oracle: &FrozenView<'_>| {
+            engine
+                .try_distance_from(oracle, source, target, &FaultSpec::None)
+                .expect("in-range query")
+                .into_value()
+        };
+        let mut engines = [QueryEngine::new(), QueryEngine::new(), QueryEngine::new()];
+        let [on_freeze, on_load, on_open] = &mut engines;
+        let [freeze_us, load_us, open_us] = time_us(
             reps,
-            || {
-                let s = FrozenStructure::load(&bytes).expect("snapshot loads");
-                engine_load
-                    .try_distance(&s, target, &FaultSpec::None)
-                    .expect("in-range query")
-                    .into_value()
-            },
-            || {
-                let view = FrozenView::open_bytes(&bytes).expect("snapshot opens");
-                engine_open
-                    .try_distance(&view, target, &FaultSpec::None)
-                    .expect("in-range query")
-                    .into_value()
-            },
+            [
+                &mut || answer(on_freeze, &freeze()),
+                &mut || answer(on_load, &FrozenStructure::load(&bytes).expect("loads")),
+                &mut || answer(on_open, &FrozenView::open_bytes(&bytes).expect("opens")),
+            ],
         );
         rows.push(SnapRow {
-            format: "single",
+            format,
             n,
-            structure_edges: frozen.edge_count(),
+            structure_edges: structure.edge_count(),
             bytes: bytes.len(),
+            freeze_us,
             load_us,
             open_us,
-            speedup: load_us / open_us,
-        });
-    }
-    {
-        let bytes = multi.save_with(SnapshotVersion::V2);
-        let source = multi.sources()[0];
-        let mut engine_load = QueryEngine::new();
-        let mut engine_open = QueryEngine::new();
-        let (load_us, open_us) = time_pair_us(
-            reps,
-            || {
-                let s = FrozenStructure::load(&bytes).expect("snapshot loads");
-                engine_load
-                    .try_distance_from(&s, source, target, &FaultSpec::None)
-                    .expect("in-range query")
-                    .into_value()
-            },
-            || {
-                let view = FrozenView::open_bytes(&bytes).expect("snapshot opens");
-                engine_open
-                    .try_distance_from(&view, source, target, &FaultSpec::None)
-                    .expect("in-range query")
-                    .into_value()
-            },
-        );
-        rows.push(SnapRow {
-            format: "multi",
-            n,
-            structure_edges: multi.edge_count(),
-            bytes: bytes.len(),
-            load_us,
-            open_us,
-            speedup: load_us / open_us,
+            speedup: freeze_us / open_us,
         });
     }
     rows
@@ -480,7 +455,7 @@ fn main() {
     // The multi-source S × V backend on the first workload's graph: freeze
     // the per-source FT-MBFS parts (f = 2) into per-source slabs and drive
     // explicit-source queries through the same harness.
-    let multi = {
+    let (multi, parts) = {
         let (name, g) = &workloads[0];
         let w = TieBreak::new(g, 1);
         let sources: Vec<VertexId> = vec![
@@ -503,25 +478,32 @@ fn main() {
             &mut table,
             &mut rows,
         );
-        multi
+        (multi, parts)
     };
     print!("{}", table.render());
 
-    // The snapshot experiment: rebuild-on-load vs zero-rebuild open,
-    // time-to-first-answer from bytes on the first workload's structures.
+    // The snapshot experiment: freeze, owned load and zero-rebuild open,
+    // time-to-first-answer on the first workload's structures.
     let snap_rows: Vec<SnapRow> = if snap {
         let (_, g) = &workloads[0];
         let reps = if smoke { 400 } else { 100 };
         let measured = snapshot_bench(
             g,
             first_frozen.as_ref().expect("first workload was measured"),
-            &multi,
+            (&multi, &parts),
             reps,
         );
         let mut snap_table = Table::new(
-            "E10b — snapshot load time: owned rebuild vs zero-rebuild view open (+1 query)",
+            "E10b — time to a servable structure: freeze vs owned load vs view open (+1 query)",
             &[
-                "format", "n", "|E|", "bytes", "load_us", "open_us", "speedup",
+                "format",
+                "n",
+                "|E|",
+                "bytes",
+                "freeze_us",
+                "load_us",
+                "open_us",
+                "freeze/open",
             ],
         );
         for r in &measured {
@@ -530,6 +512,7 @@ fn main() {
                 r.n.to_string(),
                 r.structure_edges.to_string(),
                 r.bytes.to_string(),
+                format!("{:.2}", r.freeze_us),
                 format!("{:.2}", r.load_us),
                 format!("{:.2}", r.open_us),
                 format!("{:.1}x", r.speedup),
@@ -625,12 +608,13 @@ fn main() {
         for (i, r) in snap_rows.iter().enumerate() {
             json.push_str(&format!(
                 "    {{\"format\": \"{}\", \"n\": {}, \"structure_edges\": {}, \
-                 \"bytes\": {}, \"load_us\": {:.3}, \"open_us\": {:.3}, \
-                 \"speedup\": {:.2}}}{}\n",
+                 \"bytes\": {}, \"freeze_us\": {:.3}, \"load_us\": {:.3}, \
+                 \"open_us\": {:.3}, \"speedup\": {:.2}}}{}\n",
                 r.format,
                 r.n,
                 r.structure_edges,
                 r.bytes,
+                r.freeze_us,
                 r.load_us,
                 r.open_us,
                 r.speedup,
@@ -666,13 +650,13 @@ fn main() {
         if single.speedup < SMOKE_SNAPSHOT_SPEEDUP_FLOOR {
             eprintln!(
                 "SMOKE SNAPSHOT FLOOR VIOLATION: view open {:.2}us is only {:.1}x faster \
-                 than owned load {:.2}us (floor {SMOKE_SNAPSHOT_SPEEDUP_FLOOR}x)",
-                single.open_us, single.speedup, single.load_us
+                 than freeze {:.2}us (floor {SMOKE_SNAPSHOT_SPEEDUP_FLOOR}x)",
+                single.open_us, single.speedup, single.freeze_us
             );
             std::process::exit(1);
         }
         println!(
-            "smoke snapshot floor ok: view open beats owned load {:.1}x >= \
+            "smoke snapshot floor ok: view open beats freeze {:.1}x >= \
              {SMOKE_SNAPSHOT_SPEEDUP_FLOOR}x",
             single.speedup
         );

@@ -6,9 +6,9 @@
 //! This module provides the shared primitives: fixed-width little-endian
 //! writers, a bounds-checked [`ByteReader`], alignment padding for
 //! mmap-oriented section layouts, the FNV-1a checksums used to detect
-//! corrupted or truncated snapshot files, and zero-copy little-endian
-//! array views ([`LeU32s`], [`WordSlice`]) that serve `u32` arrays straight
-//! out of mapped snapshot bytes.
+//! corrupted or truncated snapshot files, and the zero-copy little-endian
+//! array view [`LeU32s`] through which every frozen structure serves its
+//! `u32` arrays straight out of its snapshot bytes.
 //!
 //! All integers are encoded little-endian so snapshots are byte-identical
 //! across platforms.  Decoding **never** reinterprets raw snapshot bytes at
@@ -294,13 +294,9 @@ impl<'a> LeU32s<'a> {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn get(&self, i: usize) -> u32 {
+        // One bounds check on a 4-byte subslice, not four byte indexes.
         let at = i * 4;
-        u32::from_le_bytes([
-            self.bytes[at],
-            self.bytes[at + 1],
-            self.bytes[at + 2],
-            self.bytes[at + 3],
-        ])
+        u32::from_le_bytes(self.bytes[at..at + 4].try_into().expect("four bytes"))
     }
 
     /// A sub-view of the element range `lo..hi`.
@@ -347,84 +343,10 @@ impl<'a> LeU32s<'a> {
     }
 }
 
-/// A `u32` array that is either a native slice or a little-endian byte
-/// view — the storage abstraction serving code reads through, so the same
-/// query kernels run over heap-built structures and mmap'd snapshots.
-///
-/// The two-variant match in [`WordSlice::get`] is perfectly predictable
-/// inside a query (the variant never changes mid-traversal), so the hot
-/// BFS loop pays one well-predicted branch per access.
-#[derive(Clone, Copy, Debug)]
-pub enum WordSlice<'a> {
-    /// A native in-memory `u32` slice (heap-built structures).
-    Native(&'a [u32]),
-    /// A little-endian byte-backed view (mapped snapshots).
-    Le(LeU32s<'a>),
-}
-
-impl<'a> WordSlice<'a> {
-    /// Number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            WordSlice::Native(s) => s.len(),
-            WordSlice::Le(l) => l.len(),
-        }
-    }
-
-    /// Returns `true` if there are no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[inline]
-    pub fn get(&self, i: usize) -> u32 {
-        match self {
-            WordSlice::Native(s) => s[i],
-            WordSlice::Le(l) => l.get(i),
-        }
-    }
-
-    /// Binary-searches a sorted array for `x`, with `slice::binary_search`
-    /// semantics.
-    #[inline]
-    pub fn binary_search(&self, x: u32) -> Result<usize, usize> {
-        match self {
-            WordSlice::Native(s) => s.binary_search(&x),
-            WordSlice::Le(l) => l.binary_search(x),
-        }
-    }
-
-    /// Iterates the elements in order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + 'a {
-        let (native, le) = match self {
-            WordSlice::Native(s) => (Some(s.iter().copied()), None),
-            WordSlice::Le(l) => (None, Some(l.iter())),
-        };
-        native.into_iter().flatten().chain(le.into_iter().flatten())
-    }
-
-    /// Returns `true` if the elements are strictly increasing (used by
-    /// sortedness `debug_assert`s on slab edge tables).
-    pub fn is_strictly_increasing(&self) -> bool {
-        (1..self.len()).all(|i| self.get(i - 1) < self.get(i))
-    }
-}
-
-/// Monomorphic read access to a `u32` array — implemented by native
-/// slices, little-endian byte views, and [`WordSlice`] itself.
-///
-/// Hot kernels (the query engine's BFS) take their arrays as `impl
-/// WordRead` and are dispatched **once per search** on the concrete
-/// storage type, so the per-element accesses compile to direct indexing
-/// (native) or direct LE loads (byte-backed) with no per-access variant
-/// branch.
+/// Read access to a `u32` array, implemented by native slices and
+/// little-endian byte views, for code that walks either: the query
+/// engine's parent pointers live in snapshot bytes (precomputed trees) or
+/// in its own `Vec<u32>` scratch (searched and cached restrictions).
 pub trait WordRead: Copy {
     /// The `i`-th element.
     ///
@@ -445,31 +367,6 @@ impl WordRead for LeU32s<'_> {
     #[inline(always)]
     fn read(&self, i: usize) -> u32 {
         self.get(i)
-    }
-}
-
-impl WordRead for WordSlice<'_> {
-    #[inline(always)]
-    fn read(&self, i: usize) -> u32 {
-        self.get(i)
-    }
-}
-
-impl<'a> From<&'a [u32]> for WordSlice<'a> {
-    fn from(s: &'a [u32]) -> Self {
-        WordSlice::Native(s)
-    }
-}
-
-impl<'a> From<&'a Vec<u32>> for WordSlice<'a> {
-    fn from(s: &'a Vec<u32>) -> Self {
-        WordSlice::Native(s)
-    }
-}
-
-impl<'a> From<LeU32s<'a>> for WordSlice<'a> {
-    fn from(l: LeU32s<'a>) -> Self {
-        WordSlice::Le(l)
     }
 }
 
@@ -636,30 +533,5 @@ mod tests {
             );
         }
         assert_eq!(LeU32s::empty().binary_search(7), Err(0));
-    }
-
-    #[test]
-    fn word_slice_native_and_le_agree() {
-        let values: Vec<u32> = vec![1, 4, 9, 16, 25];
-        let mut buf = Vec::new();
-        put_u32_slice(&mut buf, &values);
-        let native = WordSlice::from(&values[..]);
-        let le = WordSlice::from(LeU32s::new(&buf).unwrap());
-        assert_eq!(native.len(), le.len());
-        assert!(!native.is_empty());
-        for i in 0..values.len() {
-            assert_eq!(native.get(i), le.get(i));
-        }
-        assert_eq!(
-            native.iter().collect::<Vec<_>>(),
-            le.iter().collect::<Vec<_>>()
-        );
-        for probe in [0u32, 4, 10, 25, 99] {
-            assert_eq!(native.binary_search(probe), le.binary_search(probe));
-        }
-        assert!(native.is_strictly_increasing());
-        assert!(le.is_strictly_increasing());
-        let unsorted = [3u32, 1];
-        assert!(!WordSlice::from(&unsorted[..]).is_strictly_increasing());
     }
 }

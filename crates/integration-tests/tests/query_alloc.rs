@@ -119,10 +119,10 @@ fn dual_fault_queries_allocate_nothing_after_warmup() {
 
 #[test]
 fn mmap_style_view_queries_allocate_nothing_after_warmup() {
-    // The v2 serving path: open a view over snapshot bytes (zero rebuild,
-    // zero copy of the big arrays) and serve the same dual-fault workload.
-    // After warm-up the engine must allocate exactly as little over the
-    // byte-backed slabs as over the heap-built ones: nothing.
+    // The borrowed serving path: open a view over snapshot bytes (zero
+    // rebuild, zero copy of the big arrays) and serve the same dual-fault
+    // workload.  After warm-up the engine must allocate exactly as little
+    // over borrowed bytes as over a structure that owns them: nothing.
     let g = generators::connected_gnp(120, 0.08, 42);
     let w = TieBreak::new(&g, 42);
     let h = DualFtBfsBuilder::new(&g, &w, VertexId(0)).build().structure;

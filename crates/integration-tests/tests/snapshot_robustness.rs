@@ -373,11 +373,27 @@ fn v2_unknown_sections_are_skipped_forward_compatibly() {
 }
 
 #[test]
+fn unknown_sections_survive_a_load_save_round_trip() {
+    // A frozen structure is its snapshot bytes: loading a file that
+    // carries a section this reader does not know gives a structure equal
+    // to the plain load, and saving it hands back every byte it was
+    // loaded from, the unknown section included.
+    for plain in [exact_snapshot(13), approx_snapshot(13), multi_snapshot(13)] {
+        let extended = with_unknown_section(&plain);
+        let loaded = FrozenStructure::load(&extended).expect("unknown section is skipped");
+        assert_eq!(loaded, FrozenStructure::load(&plain).unwrap());
+        assert_eq!(loaded.save(), extended);
+        let reloaded = FrozenStructure::load(&loaded.save()).unwrap();
+        assert_eq!(reloaded.save(), extended);
+    }
+}
+
+#[test]
 fn v2_forged_fingerprint_is_rejected_on_load() {
     // The fingerprint is attested by the writer (open trusts it under the
-    // frame checksum), but the rebuild path recomputes the real value and
-    // must reject a file whose base and fingerprint disagree — the
-    // buggy-external-writer case.
+    // frame checksum), but load recomputes the real value from the base
+    // payload and must reject a file whose base and fingerprint disagree —
+    // the buggy-external-writer case.
     let single = exact_snapshot(23);
     let layout = snapshot_layout(&single).unwrap();
     let base = &single[layout.base.clone()];

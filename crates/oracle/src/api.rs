@@ -2,20 +2,17 @@
 //! typed answer vocabulary ([`Answer`], [`Guarantee`], [`QueryError`],
 //! [`DistanceMatrix`]).
 //!
-//! PR 3 built one concrete serving path (`FrozenStructure` +
-//! `QueryEngine`).  This module abstracts *what a query engine needs from a
-//! frozen structure* into a trait, so the same engine — same epoch-stamped
+//! This module abstracts *what a query engine needs from a frozen
+//! structure* into a trait, so the same engine — same epoch-stamped
 //! workspace, same fault-pair LRU, same zero-allocation guarantees — serves
 //! both the single-source dual-failure structures of the paper and the
-//! multi-source FT-MBFS structures of Gupta–Khan (`S × V` workloads),
-//! and any future backend (mmap-loaded snapshots, sharded structures)
-//! without another engine rewrite.
+//! multi-source FT-MBFS structures of Gupta–Khan (`S × V` workloads).
 //!
 //! The trait surface is deliberately *data-shaped*, not *query-shaped*: an
 //! oracle hands out borrowed [`OracleSlab`]s (CSR arrays + optional
 //! precomputed fault-free tree for one source) and the engine owns all
 //! mutable state.  That keeps `&O: Sync` sharing across serving threads
-//! trivial and keeps the BFS kernel monomorphic over slice accesses.
+//! trivial and keeps the BFS kernel one loop over little-endian words.
 //!
 //! ## The guarantee contract
 //!
@@ -31,8 +28,9 @@
 //! `G ∖ F` distance (`H ⊆ G` implies `dist(s,v,H∖F) ≥ dist(s,v,G∖F)`);
 //! they are never silently wrong in the "too short" direction.
 
+use crate::frozen::SourceTree;
 use ftbfs_core::ApproxParams;
-use ftbfs_graph::bytes::WordSlice;
+use ftbfs_graph::bytes::LeU32s;
 use ftbfs_graph::{EdgeId, FaultSpec, VertexId};
 use std::fmt;
 
@@ -237,34 +235,12 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// The precomputed fault-free BFS tree of a slab's source, as borrowed
-/// dense arrays (`u32::MAX` sentinels for unreached / no parent).
-///
-/// The arrays are [`WordSlice`]s, so a tree can live either in heap-built
-/// `Vec`s (a [`crate::FrozenStructure`]) or directly in mapped snapshot
-/// bytes (a [`crate::FrozenView`]).
-#[derive(Clone, Copy, Debug)]
-pub struct SlabTree<'a> {
-    pub(crate) dist: WordSlice<'a>,
-    pub(crate) parent_head: WordSlice<'a>,
-}
-
-impl<'a> SlabTree<'a> {
-    /// Wraps borrowed tree arrays; both must have length `n` and use
-    /// `u32::MAX` as the unreached / no-parent sentinel.
-    pub fn new(dist: impl Into<WordSlice<'a>>, parent_head: impl Into<WordSlice<'a>>) -> Self {
-        let (dist, parent_head) = (dist.into(), parent_head.into());
-        debug_assert_eq!(dist.len(), parent_head.len());
-        SlabTree { dist, parent_head }
-    }
-}
-
 /// The borrowed CSR adjacency serving queries from one source: what a
 /// [`DistanceOracle`] hands the query engine.
 ///
 /// A slab is a *view* — constructing one allocates nothing, so the engine
-/// can request a fresh slab per query.  The arrays follow the frozen-CSR
-/// layout established by `FrozenStructure`:
+/// can request a fresh slab per query.  The arrays are sections of the
+/// frozen structure's snapshot bytes, read through [`LeU32s`]:
 ///
 /// * `xadj[v]..xadj[v+1]` indexes the arcs of vertex `v` in `adj_head` /
 ///   `adj_edge`;
@@ -275,44 +251,33 @@ impl<'a> SlabTree<'a> {
 ///   is strictly increasing, so translating a query's faults is a binary
 ///   search per fault — and monotone, so canonical fault order is
 ///   preserved.
-///
-/// The arrays are [`WordSlice`]s: native slices for heap-built structures,
-/// little-endian byte views for structures served straight out of mapped
-/// v2 snapshot bytes.
 #[derive(Clone, Copy, Debug)]
 pub struct OracleSlab<'a> {
     source: VertexId,
-    xadj: WordSlice<'a>,
-    adj_head: WordSlice<'a>,
-    adj_edge: WordSlice<'a>,
-    edge_orig: WordSlice<'a>,
-    tree: Option<SlabTree<'a>>,
+    pub(crate) xadj: LeU32s<'a>,
+    pub(crate) adj_head: LeU32s<'a>,
+    pub(crate) adj_edge: LeU32s<'a>,
+    edge_orig: LeU32s<'a>,
+    tree: Option<SourceTree<'a>>,
 }
 
 impl<'a> OracleSlab<'a> {
-    /// Assembles a slab from borrowed CSR arrays.
+    /// Assembles a slab from borrowed CSR arrays
+    /// `[xadj, adj_head, adj_edge, edge_orig]`.
     ///
     /// Invariants (checked only by `debug_assert`): `xadj` has `n + 1`
     /// entries, `adj_head`/`adj_edge` have `xadj[n]` entries, `edge_orig`
     /// is strictly increasing, and `tree` (if present) covers `n` vertices.
+    #[inline]
     pub fn new(
         source: VertexId,
-        xadj: impl Into<WordSlice<'a>>,
-        adj_head: impl Into<WordSlice<'a>>,
-        adj_edge: impl Into<WordSlice<'a>>,
-        edge_orig: impl Into<WordSlice<'a>>,
-        tree: Option<SlabTree<'a>>,
+        [xadj, adj_head, adj_edge, edge_orig]: [LeU32s<'a>; 4],
+        tree: Option<SourceTree<'a>>,
     ) -> Self {
-        let (xadj, adj_head, adj_edge, edge_orig) = (
-            xadj.into(),
-            adj_head.into(),
-            adj_edge.into(),
-            edge_orig.into(),
-        );
         debug_assert!(!xadj.is_empty());
         debug_assert_eq!(adj_head.len(), xadj.get(xadj.len() - 1) as usize);
         debug_assert_eq!(adj_head.len(), adj_edge.len());
-        debug_assert!(edge_orig.is_strictly_increasing());
+        debug_assert!((1..edge_orig.len()).all(|i| edge_orig.get(i - 1) < edge_orig.get(i)));
         OracleSlab {
             source,
             xadj,
@@ -345,25 +310,10 @@ impl<'a> OracleSlab<'a> {
         self.edge_orig.binary_search(e.0).ok().map(|i| i as u32)
     }
 
-    // -- raw access for the engine's BFS kernel (same crate) --------------
-
+    /// The precomputed fault-free tree of the slab's source, if it is a
+    /// declared source.
     #[inline]
-    pub(crate) fn csr_xadj(&self) -> WordSlice<'a> {
-        self.xadj
-    }
-
-    #[inline]
-    pub(crate) fn arc_heads(&self) -> WordSlice<'a> {
-        self.adj_head
-    }
-
-    #[inline]
-    pub(crate) fn arc_edges(&self) -> WordSlice<'a> {
-        self.adj_edge
-    }
-
-    #[inline]
-    pub(crate) fn tree(&self) -> Option<SlabTree<'a>> {
+    pub(crate) fn tree(&self) -> Option<SourceTree<'a>> {
         self.tree
     }
 }
@@ -373,12 +323,12 @@ impl<'a> OracleSlab<'a> {
 /// `ftbfs_verify::StructureOracle`.
 ///
 /// Implementors are immutable and cheap to share (`&O` across threads);
-/// all mutable query state lives in the engine.  The two in-tree
-/// implementations are [`crate::FrozenStructure`] (heap-built) and
-/// [`crate::FrozenView`] (served from snapshot bytes); both hold either
-/// one shared CSR slab (any source answerable, precomputed trees for the
-/// declared sources) or one slab per declared source of an FT-MBFS source
-/// set (only those sources answerable).
+/// all mutable query state lives in the engine.  The in-tree
+/// implementation is [`crate::FrozenView`] over snapshot bytes, owned
+/// ([`crate::FrozenStructure`]) or borrowed; it holds either one shared CSR
+/// slab (any source answerable, precomputed trees for the declared
+/// sources) or one slab per declared source of an FT-MBFS source set (only
+/// those sources answerable).
 ///
 /// # Examples
 ///

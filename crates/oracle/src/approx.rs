@@ -197,7 +197,7 @@ mod tests {
                 assert_eq!(a.guarantee(), frozen.guarantee(&spec));
             }
         }
-        assert_eq!(view.to_frozen().unwrap(), frozen);
+        assert_eq!(FrozenStructure::load(&bytes).unwrap(), frozen);
     }
 
     #[test]

@@ -44,15 +44,12 @@
 //! give each thread its own `QueryEngine` — that is exactly what
 //! `ftbfs_serve::ThroughputHarness` does.  The engine notices (via
 //! [`DistanceOracle::fingerprint`]) when it is handed a different structure
-//! and transparently rebinds, invalidating its cache.  All slab reads go
-//! through [`ftbfs_graph::bytes::WordSlice`], so the same kernel serves
-//! heap-built structures and mmap-backed snapshot views.
+//! and transparently rebinds, invalidating its cache.  Every frozen
+//! structure serves from its snapshot bytes, so slab reads are
+//! little-endian word loads through [`ftbfs_graph::bytes::LeU32s`].
 
-use crate::api::{
-    Answer, DistanceMatrix, DistanceOracle, Guarantee, OracleSlab, QueryError, SlabTree,
-};
-use crate::frozen::{NO_PARENT, UNREACHED};
-use ftbfs_graph::bytes::{WordRead, WordSlice};
+use crate::api::{Answer, DistanceMatrix, DistanceOracle, Guarantee, OracleSlab, QueryError};
+use crate::frozen::{parent_walk, SourceTree, NO_PARENT, UNREACHED};
 use ftbfs_graph::{FaultSpec, Path, VertexId};
 use ftbfs_telemetry::{NoopRecorder, QueryRecorder};
 use std::collections::VecDeque;
@@ -170,9 +167,9 @@ impl TreeIndex {
     /// on open: parents are in range, each reached vertex is one further
     /// than its parent (so parent pointers are acyclic), and only the
     /// source and unreached vertices have no parent.
-    fn build(&mut self, slab: &OracleSlab<'_>, tree: SlabTree<'_>, scratch: &mut DfsScratch) {
+    fn build(&mut self, slab: &OracleSlab<'_>, tree: SourceTree<'_>, scratch: &mut DfsScratch) {
         let n = slab.vertex_count();
-        let (xadj, heads, edges) = (slab.csr_xadj(), slab.arc_heads(), slab.arc_edges());
+        let (xadj, heads, edges) = (slab.xadj, slab.adj_head, slab.adj_edge);
         self.child_of.clear();
         self.child_of.resize(slab.edge_count(), NOT_IN_TREE);
         self.tin.clear();
@@ -192,7 +189,7 @@ impl TreeIndex {
         kids.clear();
         kids.resize(n, 0);
         for v in 0..n {
-            let p = tree.parent_head.get(v);
+            let p = tree.parent.get(v);
             if p != NO_PARENT {
                 first_kid[p as usize + 2] += 1;
             }
@@ -201,7 +198,7 @@ impl TreeIndex {
             first_kid[i] += first_kid[i - 1];
         }
         for v in 0..n {
-            let p = tree.parent_head.get(v);
+            let p = tree.parent.get(v);
             if p == NO_PARENT {
                 continue;
             }
@@ -241,7 +238,7 @@ impl TreeIndex {
     /// removed: `target` is unreached in the tree, or no fault is a tree
     /// edge above it.
     #[inline]
-    fn path_survives(&self, tree: SlabTree<'_>, target: VertexId, eff: &[u32]) -> bool {
+    fn path_survives(&self, tree: SourceTree<'_>, target: VertexId, eff: &[u32]) -> bool {
         let t = target.index();
         if tree.dist.get(t) == UNREACHED {
             return true;
@@ -471,34 +468,18 @@ impl<R: QueryRecorder> QueryEngine<R> {
             ));
         }
         let (slab, slot) = self.prepare(oracle, source, Some(target), spec)?;
+        let t = target.index();
         let path = match slot {
-            Slot::Tree => {
-                let tree = slab.tree().expect("tree slot implies a slab tree");
-                reconstruct_path(
-                    tree.parent_head,
-                    tree.dist.get(target.index()) != UNREACHED,
-                    source,
-                    target,
-                )
-            }
+            Slot::Tree => slab
+                .tree()
+                .expect("tree slot implies a slab tree")
+                .path_to(target),
             Slot::Cache(part, i) => {
                 let entry = &self.partitions[part][i];
-                let reached = entry.dist[target.index()] != UNREACHED;
-                reconstruct_path(
-                    WordSlice::from(&entry.parent_head[..]),
-                    reached,
-                    source,
-                    target,
-                )
+                (entry.dist[t] != UNREACHED).then(|| parent_walk(&entry.parent_head[..], target))
             }
             Slot::Fresh => {
-                let reached = self.stamp[target.index()] == self.epoch;
-                reconstruct_path(
-                    WordSlice::from(&self.parent_head[..]),
-                    reached,
-                    source,
-                    target,
-                )
+                (self.stamp[t] == self.epoch).then(|| parent_walk(&self.parent_head[..], target))
             }
         };
         Ok(Answer::new(path, self.note_guarantee(oracle, spec)))
@@ -733,10 +714,17 @@ impl<R: QueryRecorder> QueryEngine<R> {
 
     /// Rebinds the scratch state to `oracle` if it is a different structure
     /// than the last query's.
+    #[inline]
     fn bind<O: DistanceOracle>(&mut self, oracle: &O) {
-        if self.bound == Some(oracle.fingerprint()) {
-            return;
+        if self.bound != Some(oracle.fingerprint()) {
+            self.rebind(oracle);
         }
+    }
+
+    /// Sizes the scratch state for `oracle` and indexes its trees.
+    #[cold]
+    #[inline(never)]
+    fn rebind<O: DistanceOracle>(&mut self, oracle: &O) {
         self.bound = Some(oracle.fingerprint());
         self.n = oracle.vertex_count();
         if self.stamp.len() < self.n {
@@ -901,12 +889,12 @@ impl<R: QueryRecorder> QueryEngine<R> {
         if eff.len() <= 2 {
             let f1 = eff.first().copied().unwrap_or(NO_FAULT);
             let f2 = eff.get(1).copied().unwrap_or(NO_FAULT);
-            bfs_loop(slab, source, *epoch, stamp, dist, parent_head, queue, |e| {
+            bfs_kernel(slab, source, *epoch, stamp, dist, parent_head, queue, |e| {
                 e == f1 || e == f2
             });
         } else {
             let blocked: &[u32] = eff;
-            bfs_loop(slab, source, *epoch, stamp, dist, parent_head, queue, |e| {
+            bfs_kernel(slab, source, *epoch, stamp, dist, parent_head, queue, |e| {
                 blocked.binary_search(&e).is_ok()
             });
         }
@@ -975,14 +963,11 @@ impl<R: QueryRecorder> QueryEngine<R> {
     }
 }
 
-/// Storage dispatch for the BFS kernel: a slab's three CSR arrays always
-/// share one storage variant, so the hot loop is monomorphised once per
-/// search — direct slice indexing for heap-built structures, direct LE
-/// loads for mapped snapshot views — instead of paying a variant branch
-/// per arc access.  (The mixed arm cannot arise from in-tree oracles but
-/// keeps the dispatch total.)
+/// The BFS kernel: FIFO traversal over a slab's CSR, labelling reached
+/// vertices in the epoch-stamped arrays, skipping arcs whose frozen edge
+/// index `blocked(e)` reports as failed.
 #[allow(clippy::too_many_arguments)]
-fn bfs_loop<F: Fn(u32) -> bool>(
+fn bfs_kernel<F: Fn(u32) -> bool>(
     slab: &OracleSlab<'_>,
     source: VertexId,
     epoch: u64,
@@ -992,63 +977,7 @@ fn bfs_loop<F: Fn(u32) -> bool>(
     queue: &mut VecDeque<u32>,
     blocked: F,
 ) {
-    let (xadj, heads, edges) = (slab.csr_xadj(), slab.arc_heads(), slab.arc_edges());
-    match (xadj, heads, edges) {
-        (WordSlice::Native(x), WordSlice::Native(h), WordSlice::Native(e)) => bfs_kernel(
-            x,
-            h,
-            e,
-            source,
-            epoch,
-            stamp,
-            dist,
-            parent_head,
-            queue,
-            blocked,
-        ),
-        (WordSlice::Le(x), WordSlice::Le(h), WordSlice::Le(e)) => bfs_kernel(
-            x,
-            h,
-            e,
-            source,
-            epoch,
-            stamp,
-            dist,
-            parent_head,
-            queue,
-            blocked,
-        ),
-        (x, h, e) => bfs_kernel(
-            x,
-            h,
-            e,
-            source,
-            epoch,
-            stamp,
-            dist,
-            parent_head,
-            queue,
-            blocked,
-        ),
-    }
-}
-
-/// The shared BFS kernel: FIFO traversal over a slab's CSR, labelling
-/// reached vertices in the epoch-stamped arrays, skipping arcs whose frozen
-/// edge index `blocked(e)` reports as failed.
-#[allow(clippy::too_many_arguments)]
-fn bfs_kernel<X: WordRead, H: WordRead, E: WordRead, F: Fn(u32) -> bool>(
-    xadj: X,
-    heads: H,
-    edges: E,
-    source: VertexId,
-    epoch: u64,
-    stamp: &mut [u64],
-    dist: &mut [u32],
-    parent_head: &mut [u32],
-    queue: &mut VecDeque<u32>,
-    blocked: F,
-) {
+    let (xadj, heads, edges) = (slab.xadj, slab.adj_head, slab.adj_edge);
     queue.clear();
     let s = source.index();
     stamp[s] = epoch;
@@ -1057,13 +986,13 @@ fn bfs_kernel<X: WordRead, H: WordRead, E: WordRead, F: Fn(u32) -> bool>(
     queue.push_back(source.0);
     while let Some(u) = queue.pop_front() {
         let du = dist[u as usize];
-        let (lo, hi) = (xadj.read(u as usize), xadj.read(u as usize + 1));
+        let (lo, hi) = (xadj.get(u as usize), xadj.get(u as usize + 1));
         for i in lo as usize..hi as usize {
-            let fe = edges.read(i);
+            let fe = edges.get(i);
             if blocked(fe) {
                 continue;
             }
-            let head = heads.read(i);
+            let head = heads.get(i);
             let x = head as usize;
             if stamp[x] == epoch {
                 continue;
@@ -1074,27 +1003,6 @@ fn bfs_kernel<X: WordRead, H: WordRead, E: WordRead, F: Fn(u32) -> bool>(
             queue.push_back(head);
         }
     }
-}
-
-/// Rebuilds the `source → target` path by walking parent pointers.
-fn reconstruct_path(
-    parent_head: WordSlice<'_>,
-    reached: bool,
-    source: VertexId,
-    target: VertexId,
-) -> Option<Path> {
-    if !reached {
-        return None;
-    }
-    let mut vertices = vec![target];
-    let mut cur = target;
-    while parent_head.get(cur.index()) != NO_PARENT {
-        cur = VertexId(parent_head.get(cur.index()));
-        vertices.push(cur);
-    }
-    debug_assert_eq!(cur, source);
-    vertices.reverse();
-    Some(Path::new(vertices))
 }
 
 #[cfg(test)]

@@ -24,9 +24,14 @@
 //! * a structural **fingerprint** (FNV-1a over the canonical byte encoding
 //!   of the header, contract and edge list) identifies the frozen
 //!   structure — the query engine uses it to detect being handed a
-//!   different structure, and the binary snapshot format
-//!   ([`FrozenStructure::save`] / [`FrozenStructure::load`], see
-//!   [`crate::snapshot`]) stores the same encoding as its base payload.
+//!   different structure.
+//!
+//! Freezing writes all of this as a snapshot (see [`crate::snapshot`]) and
+//! opens it: a [`FrozenStructure`] *is* its snapshot bytes, served by the
+//! same type that serves borrowed bytes
+//! (`FrozenStructure = FrozenView<'static>`, see [`crate::view`]).
+//! [`FrozenView::save`] hands the bytes back and [`FrozenStructure::load`]
+//! opens a copy, so nothing is compiled twice.
 //!
 //! ## Slab layouts
 //!
@@ -42,27 +47,29 @@
 //!   so a BFS from `s` runs over `H_s` only.  Only declared sources are
 //!   servable.
 //!
-//! Either way the owned arrays mirror the snapshot sections: per-slab edge
-//! ids, CSR offsets (`slabs × (n + 1)`) and arcs concatenated slab after
-//! slab, and `k × 2n` tree words.  All slabs index the same vertex set
-//! `0..n`, so one engine workspace serves every source.
+//! Either way the sections hold per-slab edge ids, CSR offsets
+//! (`slabs × (n + 1)`) and arcs concatenated slab after slab, and `k × 2n`
+//! tree words.  All slabs index the same vertex set `0..n`, so one engine
+//! workspace serves every source.
 
-use crate::api::{Contract, DistanceOracle, OracleSlab, SlabTree};
+use crate::api::{Contract, OracleSlab};
 use crate::snapshot::{
-    assemble, check_contract, put_base, words, SnapshotError, SnapshotVersion, SEC_ARC_EDGES,
-    SEC_ARC_HEADS, SEC_EDGE_ORIG, SEC_SLAB_TABLE, SEC_TREES, SEC_XADJ, SNAPSHOT_MAGIC,
-    SNAPSHOT_MULTI_MAGIC,
+    assemble, put_base, words, SEC_ARC_EDGES, SEC_ARC_HEADS, SEC_EDGE_ORIG, SEC_SLAB_TABLE,
+    SEC_TREES, SEC_XADJ, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
 };
+use crate::view::FrozenView;
 use ftbfs_core::FtBfsStructure;
-use ftbfs_graph::bytes::{fnv1a64, put_u32, put_u32_slice, LeU32s, WordRead, WordSlice};
+use ftbfs_graph::bytes::{fnv1a64, put_u32, put_u32_slice, LeU32s, WordRead};
 use ftbfs_graph::{EdgeId, Graph, Path, VertexId};
+use std::borrow::Cow;
 
 /// Sentinel distance meaning "not reached".
 pub(crate) const UNREACHED: u32 = u32::MAX;
 /// Sentinel parent meaning "no parent" (source or unreached).
 pub(crate) const NO_PARENT: u32 = u32::MAX;
 
-/// An immutable, query-optimised compilation of an FT-BFS structure.
+/// An immutable, query-optimised compilation of an FT-BFS structure: a
+/// [`FrozenView`] that owns its snapshot bytes.
 ///
 /// See the module docs for the layout.  Obtain one with
 /// [`FrozenStructure::freeze`] (from an [`FtBfsStructure`]), with
@@ -95,42 +102,16 @@ pub(crate) const NO_PARENT: u32 = u32::MAX;
 ///     frozen.tree_for(VertexId(0)).unwrap().distance(VertexId(5)),
 /// );
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FrozenStructure {
-    n: u32,
-    sources: Vec<VertexId>,
-    resilience: u32,
-    contract: Contract,
-    /// The structure's (union) edge list: original ids strictly increasing,
-    /// endpoints normalised `u < v`.
-    edge_orig: Vec<u32>,
-    edge_u: Vec<u32>,
-    edge_v: Vec<u32>,
-    /// Per-source layout only: the slabs' edge lists as union-edge
-    /// indices, concatenated (the base payload's slab lists).
-    slab_index: Vec<u32>,
-    /// Per-source layout only: `k × (m_s, offset)` into the concatenated
-    /// per-slab arrays (the `SLBT` section).  Empty for one shared slab.
-    slab_table: Vec<u32>,
-    /// Per-slab original edge ids, concatenated (`EORI`).
-    slab_orig: Vec<u32>,
-    /// Per-slab CSR offsets, `slabs × (n + 1)` (`XADJ`): the arcs of `v`
-    /// in a slab are its `adj_*[xadj[v]..xadj[v+1]]`.
-    xadj: Vec<u32>,
-    /// Per-slab arc heads (`AHED`) and slab-local edge indices (`AEDG`).
-    adj_head: Vec<u32>,
-    adj_edge: Vec<u32>,
-    /// Per declared source, its dist row then its parent row (`TREE`).
-    trees: Vec<u32>,
-    fingerprint: u64,
-}
+pub type FrozenStructure = FrozenView<'static>;
 
-/// The precomputed fault-free BFS tree of one source inside its slab.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The precomputed fault-free BFS tree of one source inside its slab: its
+/// dist and parent rows in the snapshot's `TREE` section (`u32::MAX` for
+/// unreached / no parent).
+#[derive(Clone, Copy, Debug)]
 pub struct SourceTree<'a> {
     source: VertexId,
-    dist: &'a [u32],
-    parent_head: &'a [u32],
+    pub(crate) dist: LeU32s<'a>,
+    pub(crate) parent: LeU32s<'a>,
 }
 
 impl SourceTree<'_> {
@@ -146,7 +127,7 @@ impl SourceTree<'_> {
     /// Panics if `v` is not a vertex of the frozen structure's graph.
     #[inline]
     pub fn distance(&self, v: VertexId) -> Option<u32> {
-        match self.dist[v.index()] {
+        match self.dist.get(v.index()) {
             UNREACHED => None,
             d => Some(d),
         }
@@ -155,7 +136,7 @@ impl SourceTree<'_> {
     /// The parent of `v` in the tree, or `None` for the source and
     /// unreached vertices.
     pub fn parent(&self, v: VertexId) -> Option<VertexId> {
-        match self.parent_head[v.index()] {
+        match self.parent.get(v.index()) {
             NO_PARENT => None,
             p => Some(VertexId(p)),
         }
@@ -164,97 +145,38 @@ impl SourceTree<'_> {
     /// The tree path `source → v`, or `None` if `v` is unreached.
     pub fn path_to(&self, v: VertexId) -> Option<Path> {
         self.distance(v)?;
-        let mut vertices = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent(cur) {
-            vertices.push(p);
-            cur = p;
-        }
-        debug_assert_eq!(cur, self.source);
-        vertices.reverse();
-        Some(Path::new(vertices))
+        Some(parent_walk(self.parent, v))
     }
 }
 
-/// A `u32` array a [`SlabTable`] refers to: an owned vector (structures)
-/// or little-endian snapshot bytes (views).  Sub-ranges are only taken
-/// when a slab is handed out, so the owned table costs no loads to build.
-pub(crate) trait Words: Copy {
-    /// A sub-range of the array.
-    type Slice: WordRead;
-    fn len(self) -> usize;
-    fn get(self, i: usize) -> u32;
-    fn slice(self, lo: usize, hi: usize) -> Self::Slice;
+/// The path from the root of a parent-pointer tree down to the reached
+/// vertex `v` (the root's parent is [`NO_PARENT`]).
+pub(crate) fn parent_walk(parent: impl WordRead, v: VertexId) -> Path {
+    let mut vertices = vec![v];
+    let mut p = parent.read(v.index());
+    while p != NO_PARENT {
+        vertices.push(VertexId(p));
+        p = parent.read(p as usize);
+    }
+    vertices.reverse();
+    Path::new(vertices)
 }
 
-impl<'a> Words for &'a Vec<u32> {
-    type Slice = &'a [u32];
-
-    #[inline]
-    fn len(self) -> usize {
-        Vec::len(self)
-    }
-
-    #[inline]
-    fn get(self, i: usize) -> u32 {
-        self[i]
-    }
-
-    #[inline]
-    fn slice(self, lo: usize, hi: usize) -> &'a [u32] {
-        &self[lo..hi]
-    }
-}
-
-impl<'a> Words for LeU32s<'a> {
-    type Slice = LeU32s<'a>;
-
-    #[inline]
-    fn len(self) -> usize {
-        LeU32s::len(&self)
-    }
-
-    #[inline]
-    fn get(self, i: usize) -> u32 {
-        LeU32s::get(&self, i)
-    }
-
-    #[inline]
-    fn slice(self, lo: usize, hi: usize) -> LeU32s<'a> {
-        LeU32s::slice(&self, lo, hi)
-    }
-}
-
-/// The serving arrays of a frozen structure, borrowed from owned vectors
-/// or from snapshot sections, and the one rule deciding which sources they
-/// serve.
+/// The serving arrays of a frozen structure, borrowed from its snapshot
+/// sections, and the one rule deciding which sources they serve.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct SlabTable<W> {
+pub(crate) struct SlabTable<'a> {
     pub n: usize,
     /// `k × (m_s, offset)` for per-source slabs; `None` for one shared slab.
-    pub table: Option<W>,
-    pub edge_orig: W,
-    pub xadj: W,
-    pub adj_head: W,
-    pub adj_edge: W,
-    pub trees: W,
+    pub table: Option<LeU32s<'a>>,
+    pub edge_orig: LeU32s<'a>,
+    pub xadj: LeU32s<'a>,
+    pub adj_head: LeU32s<'a>,
+    pub adj_edge: LeU32s<'a>,
+    pub trees: LeU32s<'a>,
 }
 
-impl<W: Words> SlabTable<W> {
-    /// Number of slabs.
-    pub fn len(&self) -> usize {
-        self.xadj.len() / (self.n + 1)
-    }
-
-    /// The slab the tree of declared source `i` lives in.
-    pub fn slab_of(&self, i: usize) -> usize {
-        if self.table.is_some() {
-            i
-        } else {
-            0
-        }
-    }
-
+impl<'a> SlabTable<'a> {
     /// Slab `j`'s edge count and offset into the concatenated arrays.
     #[inline]
     pub fn extent(&self, j: usize) -> (usize, usize) {
@@ -266,13 +188,13 @@ impl<W: Words> SlabTable<W> {
 
     /// Slab `j`'s `(xadj, adj_head, adj_edge, edge_orig)`.
     #[inline]
-    pub fn csr(&self, j: usize) -> [W::Slice; 4] {
+    pub fn csr(&self, j: usize) -> [LeU32s<'a>; 4] {
         self.arrays(j, self.extent(j))
     }
 
     /// [`Self::csr`] given slab `j`'s extent.
     #[inline]
-    fn arrays(&self, j: usize, (m, off): (usize, usize)) -> [W::Slice; 4] {
+    fn arrays(&self, j: usize, (m, off): (usize, usize)) -> [LeU32s<'a>; 4] {
         let n = self.n;
         [
             self.xadj.slice(j * (n + 1), (j + 1) * (n + 1)),
@@ -282,24 +204,22 @@ impl<W: Words> SlabTable<W> {
         ]
     }
 
-    /// The `(dist, parent)` rows of declared source `i`'s tree.
+    /// The tree of declared source `i`, `source`.
     #[inline]
-    pub fn tree(&self, i: usize) -> (W::Slice, W::Slice) {
+    pub fn tree(&self, i: usize, source: VertexId) -> SourceTree<'a> {
         let n = self.n;
-        (
-            self.trees.slice(2 * i * n, (2 * i + 1) * n),
-            self.trees.slice((2 * i + 1) * n, (2 * i + 2) * n),
-        )
+        SourceTree {
+            source,
+            dist: self.trees.slice(2 * i * n, (2 * i + 1) * n),
+            parent: self.trees.slice((2 * i + 1) * n, (2 * i + 2) * n),
+        }
     }
 
     /// The slab serving `source`: with one shared slab any in-range
     /// vertex, with per-source slabs only a declared source.  Declared
     /// sources carry their fault-free tree.
     #[inline(always)]
-    pub fn slab<'a>(&self, sources: &[VertexId], source: VertexId) -> Option<OracleSlab<'a>>
-    where
-        W::Slice: Into<WordSlice<'a>>,
-    {
+    pub fn slab(&self, sources: &[VertexId], source: VertexId) -> Option<OracleSlab<'a>> {
         let declared = sources.iter().position(|&s| s == source);
         // The shared slab is the whole arrays: no table lookup on the hot
         // path.
@@ -311,12 +231,83 @@ impl<W: Words> SlabTable<W> {
                 (j, self.extent(j))
             }
         };
-        let tree = declared.map(|i| {
-            let (dist, parent) = self.tree(i);
-            SlabTree::new(dist, parent)
-        });
-        let [xadj, heads, edges, orig] = self.arrays(j, extent);
-        Some(OracleSlab::new(source, xadj, heads, edges, orig, tree))
+        let tree = declared.map(|i| self.tree(i, source));
+        Some(OracleSlab::new(source, self.arrays(j, extent), tree))
+    }
+}
+
+/// The sections a freeze compiles, in snapshot order, over the base edge
+/// records `(orig, u, v)` that slab lists index.
+#[derive(Default)]
+struct Sections<'e> {
+    n: usize,
+    edges: &'e [(u32, u32, u32)],
+    table: Vec<u32>,
+    edge_orig: Vec<u32>,
+    xadj: Vec<u32>,
+    adj_head: Vec<u32>,
+    adj_edge: Vec<u32>,
+    trees: Vec<u32>,
+}
+
+impl Sections<'_> {
+    /// Appends the CSR slab over the base edges `list`, with each vertex's
+    /// arcs sorted by head id (mirroring [`Graph`]'s deterministic
+    /// adjacency order), and the trees of `roots` over it.
+    fn push_slab(&mut self, list: &[u32], roots: &[VertexId]) {
+        let n = self.n;
+        let mut xadj = vec![0u32; n + 1];
+        for &i in list {
+            let (_, u, v) = self.edges[i as usize];
+            xadj[u as usize + 1] += 1;
+            xadj[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            xadj[v + 1] += xadj[v];
+        }
+        // Arcs packed as `head << 32 | local edge`, so sorting a vertex's
+        // segment sorts by head (ties are impossible: the graph is simple).
+        let mut cursor = xadj.clone();
+        let mut arcs = vec![0u64; 2 * list.len()];
+        for (local, &i) in list.iter().enumerate() {
+            let (_, u, v) = self.edges[i as usize];
+            for (tail, head) in [(u, v), (v, u)] {
+                arcs[cursor[tail as usize] as usize] = (head as u64) << 32 | local as u64;
+                cursor[tail as usize] += 1;
+            }
+        }
+        for v in 0..n {
+            arcs[xadj[v] as usize..xadj[v + 1] as usize].sort_unstable();
+        }
+        let heads: Vec<u32> = arcs.iter().map(|&a| (a >> 32) as u32).collect();
+        for &source in roots {
+            self.push_tree(&xadj, &heads, source);
+        }
+        self.xadj.extend(xadj);
+        self.adj_head.extend(heads);
+        self.adj_edge.extend(arcs.iter().map(|&a| a as u32));
+        self.edge_orig
+            .extend(list.iter().map(|&i| self.edges[i as usize].0));
+    }
+
+    /// Appends the fault-free BFS tree of `source` over one slab's CSR.
+    fn push_tree(&mut self, xadj: &[u32], heads: &[u32], source: VertexId) {
+        let mut dist = vec![UNREACHED; self.n];
+        let mut parent = vec![NO_PARENT; self.n];
+        dist[source.index()] = 0;
+        let mut queue = std::collections::VecDeque::from([source.0]);
+        while let Some(u) = queue.pop_front() {
+            for &x in &heads[xadj[u as usize] as usize..xadj[u as usize + 1] as usize] {
+                let x = x as usize;
+                if dist[x] == UNREACHED {
+                    dist[x] = dist[u as usize] + 1;
+                    parent[x] = u;
+                    queue.push_back(x as u32);
+                }
+            }
+        }
+        self.trees.extend(dist);
+        self.trees.extend(parent);
     }
 }
 
@@ -367,16 +358,10 @@ impl FrozenStructure {
     where
         I: IntoIterator<Item = EdgeId>,
     {
-        let n = graph.vertex_count();
-        assert!(!sources.is_empty(), "a frozen structure needs ≥ 1 source");
-        assert!(sources.iter().all(|s| s.index() < n), "source out of range");
-        if let Err(e) = check_contract(contract) {
-            panic!("cannot freeze: {e}");
-        }
         let mut ids: Vec<EdgeId> = edges.into_iter().collect();
         ids.sort_unstable();
         ids.dedup();
-        FrozenStructure::build(graph, sources.to_vec(), resilience, contract, &ids, None)
+        FrozenStructure::build(graph, sources, resilience, contract, &ids, None)
     }
 
     /// Freezes the per-source structures of an FT-MBFS source set into one
@@ -430,9 +415,7 @@ impl FrozenStructure {
                 resilience,
                 "parts must share a resilience"
             );
-            let s = part.sources()[0];
-            assert!(!sources.contains(&s), "duplicate source {s:?} in the parts");
-            sources.push(s);
+            sources.push(part.sources()[0]);
             union.extend(part.edges());
         }
         let ids: Vec<EdgeId> = union.into_iter().collect();
@@ -443,361 +426,82 @@ impl FrozenStructure {
                 part.edges().map(|e| index(e) as u32).collect()
             })
             .collect();
-        FrozenStructure::build(
-            graph,
-            sources,
-            resilience,
-            Contract::Exact,
-            &ids,
-            Some(lists),
-        )
+        let exact = Contract::Exact;
+        FrozenStructure::build(graph, &sources, resilience, exact, &ids, Some(lists))
     }
 
-    /// Reads the endpoints of `ids` (sorted, distinct) from `graph` and
-    /// compiles the structure.
+    /// Compiles the structure over `ids` (sorted, distinct) — and, for the
+    /// per-source layout, each slab's union-edge indices — into snapshot
+    /// sections, encodes them and opens the result.  Opening runs the same
+    /// invariant checks and certificate as any snapshot, so a malformed
+    /// contract, a missing or repeated source, or a bad compile panics
+    /// here.
     fn build(
         graph: &Graph,
-        sources: Vec<VertexId>,
+        sources: &[VertexId],
         resilience: usize,
         contract: Contract,
         ids: &[EdgeId],
         slab_lists: Option<Vec<Vec<u32>>>,
     ) -> Self {
-        let mut cols = (Vec::new(), Vec::new(), Vec::new());
-        for &e in ids {
-            assert!(graph.contains_edge(e), "edge {e:?} is not in the graph");
-            let ep = graph.endpoints(e);
-            cols.0.push(e.0);
-            cols.1.push(ep.u.0);
-            cols.2.push(ep.v.0);
-        }
-        let n = graph.vertex_count() as u32;
-        Self::from_parts(n, sources, resilience as u32, contract, cols, slab_lists)
-    }
-
-    /// Compiles validated determining data — the edge columns and, for
-    /// the per-source layout, each slab's union-edge indices — into the
-    /// serving arrays.  Shared by the constructors and snapshot loading.
-    pub(crate) fn from_parts(
-        n: u32,
-        sources: Vec<VertexId>,
-        resilience: u32,
-        contract: Contract,
-        (edge_orig, edge_u, edge_v): (Vec<u32>, Vec<u32>, Vec<u32>),
-        slab_lists: Option<Vec<Vec<u32>>>,
-    ) -> Self {
-        let mut s = FrozenStructure {
-            n,
-            sources,
-            resilience,
-            contract,
-            edge_orig,
-            edge_u,
-            edge_v,
-            slab_index: Vec::new(),
-            slab_table: Vec::new(),
-            slab_orig: Vec::new(),
-            xadj: Vec::new(),
-            adj_head: Vec::new(),
-            adj_edge: Vec::new(),
-            trees: Vec::new(),
-            fingerprint: 0,
-        };
-        match slab_lists {
-            None => s.push_slab(&(0..s.edge_orig.len() as u32).collect::<Vec<_>>()),
-            Some(lists) => {
-                for list in lists {
-                    s.slab_table.push(list.len() as u32);
-                    s.slab_table.push(s.slab_index.len() as u32);
-                    s.push_slab(&list);
-                    s.slab_index.extend(list);
-                }
-            }
-        }
-        for i in 0..s.sources.len() {
-            s.push_tree(i);
-        }
-        s.fingerprint = fnv1a64(&s.base_bytes());
-        s
-    }
-
-    /// Appends the CSR slab over the union edges `list`, with each
-    /// vertex's arcs sorted by head id (mirroring [`Graph`]'s deterministic
-    /// adjacency order).
-    fn push_slab(&mut self, list: &[u32]) {
-        let n = self.n as usize;
-        let mut xadj = vec![0u32; n + 1];
-        for &i in list {
-            xadj[self.edge_u[i as usize] as usize + 1] += 1;
-            xadj[self.edge_v[i as usize] as usize + 1] += 1;
-        }
-        for v in 0..n {
-            xadj[v + 1] += xadj[v];
-        }
-        // Arcs packed as `head << 32 | local edge`, so sorting a vertex's
-        // segment sorts by head (ties are impossible: the graph is simple).
-        let mut cursor = xadj.clone();
-        let mut arcs = vec![0u64; 2 * list.len()];
-        for (local, &i) in list.iter().enumerate() {
-            let (u, v) = (self.edge_u[i as usize], self.edge_v[i as usize]);
-            for (tail, head) in [(u, v), (v, u)] {
-                arcs[cursor[tail as usize] as usize] = (head as u64) << 32 | local as u64;
-                cursor[tail as usize] += 1;
-            }
-        }
-        for v in 0..n {
-            arcs[xadj[v] as usize..xadj[v + 1] as usize].sort_unstable();
-        }
-        self.xadj.extend(xadj);
-        self.adj_head.extend(arcs.iter().map(|&a| (a >> 32) as u32));
-        self.adj_edge.extend(arcs.iter().map(|&a| a as u32));
-        self.slab_orig
-            .extend(list.iter().map(|&i| self.edge_orig[i as usize]));
-    }
-
-    /// Appends the fault-free BFS tree of declared source `i` over its
-    /// slab.
-    fn push_tree(&mut self, i: usize) {
-        let n = self.n as usize;
-        let source = self.sources[i];
-        let [xadj, heads, ..] = self.slabs().csr(self.slabs().slab_of(i));
-        let mut dist = vec![UNREACHED; n];
-        let mut parent = vec![NO_PARENT; n];
-        dist[source.index()] = 0;
-        let mut queue = std::collections::VecDeque::from([source.0]);
-        while let Some(u) = queue.pop_front() {
-            for &x in &heads[xadj[u as usize] as usize..xadj[u as usize + 1] as usize] {
-                let x = x as usize;
-                if dist[x] == UNREACHED {
-                    dist[x] = dist[u as usize] + 1;
-                    parent[x] = u;
-                    queue.push_back(x as u32);
-                }
-            }
-        }
-        self.trees.extend(dist);
-        self.trees.extend(parent);
-    }
-
-    /// The serving arrays, borrowed.
-    #[inline(always)]
-    pub(crate) fn slabs(&self) -> SlabTable<&Vec<u32>> {
-        SlabTable {
-            n: self.n as usize,
-            table: (!self.slab_table.is_empty()).then_some(&self.slab_table),
-            edge_orig: &self.slab_orig,
-            xadj: &self.xadj,
-            adj_head: &self.adj_head,
-            adj_edge: &self.adj_edge,
-            trees: &self.trees,
-        }
-    }
-
-    /// The canonical encoding of the determining data — the snapshot's
-    /// base payload and the input of [`Self::fingerprint`].
-    pub(crate) fn base_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            36 + 4 * (self.sources.len() + self.slab_table.len() + self.slab_index.len())
-                + 12 * self.edge_orig.len(),
-        );
+        let n = graph.vertex_count();
+        assert!(sources.iter().all(|s| s.index() < n), "source out of range");
+        let edges: Vec<(u32, u32, u32)> = ids
+            .iter()
+            .map(|&e| {
+                assert!(graph.contains_edge(e), "edge {e:?} is not in the graph");
+                let ep = graph.endpoints(e);
+                (e.0, ep.u.0, ep.v.0)
+            })
+            .collect();
+        let mut base = Vec::new();
         put_base(
-            &mut out,
-            self.contract,
-            self.n,
-            self.resilience,
-            &self.sources,
-            (&self.edge_orig, &self.edge_u, &self.edge_v),
+            &mut base,
+            contract,
+            n as u32,
+            resilience as u32,
+            sources,
+            &edges,
         );
-        for slab in self.slab_table.chunks_exact(2) {
-            let (m, off) = (slab[0] as usize, slab[1] as usize);
-            put_u32(&mut out, m as u32);
-            put_u32_slice(&mut out, &self.slab_index[off..off + m]);
-        }
-        out
-    }
-
-    /// Serialises the structure to its snapshot; see [`crate::snapshot`]
-    /// for the layout.
-    pub fn save(&self) -> Vec<u8> {
-        self.save_with(SnapshotVersion::V2)
-    }
-
-    /// Serialises the structure to the chosen snapshot format version (v2
-    /// is the only one).  The magic follows the layout: `"FTBO"` for one
-    /// shared slab, `"FTBM"` for per-source slabs.
-    pub fn save_with(&self, version: SnapshotVersion) -> Vec<u8> {
-        let SnapshotVersion::V2 = version;
+        let mut s = Sections {
+            n,
+            edges: &edges,
+            ..Sections::default()
+        };
         let mut sections = Vec::with_capacity(6);
-        let magic = if self.slab_table.is_empty() {
-            SNAPSHOT_MAGIC
-        } else {
-            sections.push((SEC_SLAB_TABLE, words(&self.slab_table)));
-            SNAPSHOT_MULTI_MAGIC
+        let magic = match slab_lists {
+            None => {
+                s.push_slab(&(0..edges.len() as u32).collect::<Vec<_>>(), sources);
+                SNAPSHOT_MAGIC
+            }
+            Some(lists) => {
+                for (list, source) in lists.iter().zip(sources) {
+                    s.table
+                        .extend([list.len() as u32, s.edge_orig.len() as u32]);
+                    put_u32(&mut base, list.len() as u32);
+                    put_u32_slice(&mut base, list);
+                    s.push_slab(list, std::slice::from_ref(source));
+                }
+                sections.push((SEC_SLAB_TABLE, words(&s.table)));
+                SNAPSHOT_MULTI_MAGIC
+            }
         };
         sections.extend([
-            (SEC_EDGE_ORIG, words(&self.slab_orig)),
-            (SEC_XADJ, words(&self.xadj)),
-            (SEC_ARC_HEADS, words(&self.adj_head)),
-            (SEC_ARC_EDGES, words(&self.adj_edge)),
-            (SEC_TREES, words(&self.trees)),
+            (SEC_EDGE_ORIG, words(&s.edge_orig)),
+            (SEC_XADJ, words(&s.xadj)),
+            (SEC_ARC_HEADS, words(&s.adj_head)),
+            (SEC_ARC_EDGES, words(&s.adj_edge)),
+            (SEC_TREES, words(&s.trees)),
         ]);
-        assemble(magic, &self.base_bytes(), self.fingerprint, &sections)
-    }
-
-    /// Deserialises a snapshot of either magic: the bytes are validated
-    /// exactly like a [`crate::FrozenView`] open and then rebuilt into an
-    /// owned structure equal to the saved one (same fingerprint, same
-    /// contract, same layout, identical query answers).
-    ///
-    /// Malformed input of any kind returns a typed [`SnapshotError`]; this
-    /// function never panics.
-    pub fn load(data: &[u8]) -> Result<Self, SnapshotError> {
-        crate::view::FrozenView::open_bytes(data)?.to_frozen()
-    }
-
-    /// Number of vertices of the underlying graph.
-    #[inline]
-    pub fn vertex_count(&self) -> usize {
-        self.n as usize
-    }
-
-    /// Number of edges in the frozen structure (`|E(H)|`; for per-source
-    /// slabs, the union `⋃_s H_s`).
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.edge_orig.len()
-    }
-
-    /// The source set `S` the structure serves, in freeze order.
-    pub fn sources(&self) -> &[VertexId] {
-        &self.sources
-    }
-
-    /// The first source — the one single-source query methods default to.
-    pub fn primary_source(&self) -> VertexId {
-        self.sources[0]
-    }
-
-    /// The number of edge faults the structure was built to tolerate.
-    ///
-    /// Queries with larger fault sets are still answered exactly *inside*
-    /// `H ∖ F`, but only fault sets up to this size are guaranteed to match
-    /// distances in `G ∖ F`.
-    pub fn resilience(&self) -> usize {
-        self.resilience as usize
-    }
-
-    /// The answer contract the structure declares.
-    pub fn contract(&self) -> Contract {
-        self.contract
-    }
-
-    /// The index of original edge `e` in the structure's edge list, or
-    /// `None` if `e` is not part of the structure.  `O(log |E(H)|)`.
-    #[inline]
-    pub fn frozen_index(&self, e: EdgeId) -> Option<u32> {
-        self.edge_orig.binary_search(&e.0).ok().map(|i| i as u32)
-    }
-
-    /// Returns `true` if original edge `e` belongs to the structure.
-    pub fn contains_edge(&self, e: EdgeId) -> bool {
-        self.frozen_index(e).is_some()
-    }
-
-    /// The original [`EdgeId`] of structure edge `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is not a valid edge index.
-    pub fn original_edge(&self, index: u32) -> EdgeId {
-        EdgeId(self.edge_orig[index as usize])
-    }
-
-    /// The endpoints of structure edge `index`, normalised `u < v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is not a valid edge index.
-    pub fn endpoints(&self, index: u32) -> (VertexId, VertexId) {
-        (
-            VertexId(self.edge_u[index as usize]),
-            VertexId(self.edge_v[index as usize]),
-        )
-    }
-
-    /// The precomputed fault-free tree rooted at `s`, if `s` is one of the
-    /// structure's sources.
-    pub fn tree_for(&self, s: VertexId) -> Option<SourceTree<'_>> {
-        let i = self.sources.iter().position(|&x| x == s)?;
-        let n = self.vertex_count();
-        Some(SourceTree {
-            source: s,
-            dist: &self.trees[2 * i * n..(2 * i + 1) * n],
-            parent_head: &self.trees[(2 * i + 1) * n..(2 * i + 2) * n],
-        })
-    }
-
-    /// The FNV-1a fingerprint of the structure's canonical byte encoding.
-    ///
-    /// Two frozen structures answer identically iff their fingerprints
-    /// (over `n`, resilience, contract, sources, the edge list and any
-    /// per-source slab lists) agree; the query engine uses this to
-    /// invalidate its cache when rebound.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Reconstructs a mutable [`FtBfsStructure`] with the same sources,
-    /// resilience and (union) edge set — the inverse of
-    /// [`FrozenStructure::freeze`], and the shape
-    /// [`ftbfs_core::multi_failure_ftmbfs`] returns for per-source slabs;
-    /// the contract is not part of it.
-    pub fn to_structure(&self) -> FtBfsStructure {
-        FtBfsStructure::from_edges(
-            self.sources.clone(),
-            self.resilience as usize,
-            self.edge_orig.iter().map(|&e| EdgeId(e)),
-        )
-    }
-}
-
-impl DistanceOracle for FrozenStructure {
-    fn vertex_count(&self) -> usize {
-        FrozenStructure::vertex_count(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        FrozenStructure::edge_count(self)
-    }
-
-    fn sources(&self) -> &[VertexId] {
-        FrozenStructure::sources(self)
-    }
-
-    fn resilience(&self) -> usize {
-        FrozenStructure::resilience(self)
-    }
-
-    fn fingerprint(&self) -> u64 {
-        FrozenStructure::fingerprint(self)
-    }
-
-    #[inline]
-    fn contract(&self) -> Contract {
-        self.contract
-    }
-
-    /// See the module docs: one shared slab serves any in-range source,
-    /// per-source slabs only the declared ones.
-    #[inline(always)]
-    fn slab(&self, source: VertexId) -> Option<OracleSlab<'_>> {
-        self.slabs().slab(&self.sources, source)
+        let bytes = assemble(magic, &base, fnv1a64(&base), &sections);
+        FrozenView::open_cow(Cow::Owned(bytes)).unwrap_or_else(|e| panic!("cannot freeze: {e}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DistanceOracle;
     use ftbfs_core::{dual_failure_ftbfs, multi_failure_ftmbfs_parts};
     use ftbfs_graph::{bfs, generators, GraphView, TieBreak};
 
@@ -906,7 +610,7 @@ mod tests {
         assert_eq!(frozen.vertex_count(), g.vertex_count());
         assert_eq!(frozen.sources(), &sources[..]);
         assert_eq!(frozen.resilience(), 2);
-        assert_eq!(frozen.slabs().len(), 2);
+        assert_eq!(frozen.slabs().xadj.len(), 2 * (g.vertex_count() + 1));
         for (i, part) in parts.iter().enumerate() {
             // Each slab is exactly its part, and its tree is BFS inside it.
             let slab = frozen.slab(sources[i]).expect("declared source has a slab");

@@ -12,14 +12,15 @@
 //!   trait handing out per-source CSR slabs, with a *typed* vocabulary for
 //!   queries ([`ftbfs_graph::FaultSpec`]) and answers ([`Answer`] carrying
 //!   a [`Guarantee`], [`QueryError`] instead of panics);
-//! * [`FrozenStructure`] — the heap-built oracle backend: a structure
-//!   compiled into immutable CSR slabs, either one shared slab (the
-//!   paper's single-source `H`) or one slab per source of a multi-source
-//!   FT-MBFS structure for `S × V` workloads, with fault-free BFS trees
-//!   precomputed at freeze time, one compact binary [`snapshot`] format
-//!   (`save`/`load`, magic + checksums) and structural fingerprints — plus
-//!   [`FrozenView`] (module [`view`]), its zero-rebuild counterpart that
-//!   serves directly out of snapshot bytes;
+//! * [`FrozenStructure`] — the oracle backend: a structure compiled into
+//!   immutable CSR slabs, either one shared slab (the paper's
+//!   single-source `H`) or one slab per source of a multi-source FT-MBFS
+//!   structure for `S × V` workloads, with fault-free BFS trees
+//!   precomputed at freeze time and a structural fingerprint, encoded as
+//!   one compact binary [`snapshot`] (magic + checksums) and served
+//!   straight out of those bytes.  It is [`FrozenView`] (module [`view`])
+//!   over owned bytes; the same type opens borrowed bytes, such as a
+//!   mapped file, with zero rebuild;
 //! * [`Contract`] — what a structure's answers promise:
 //!   exact for the paper's structures, or (module [`approx`],
 //!   [`FrozenStructure::freeze_approx`]) the FT-ABFS backend's declared
@@ -75,7 +76,7 @@ pub mod snapshot;
 pub mod view;
 
 pub use api::{
-    Answer, Contract, DistanceMatrix, DistanceOracle, Guarantee, OracleSlab, QueryError, SlabTree,
+    Answer, Contract, DistanceMatrix, DistanceOracle, Guarantee, OracleSlab, QueryError,
 };
 pub use engine::{Query, QueryEngine, QueryStats, BUDGET_CHECK_STRIDE, DEFAULT_CACHE_CAPACITY};
 pub use frozen::{FrozenStructure, SourceTree};

@@ -33,9 +33,10 @@
 //! over them with **zero rebuild and zero copy** of the big arrays —
 //! open-time work is validation only (bounds, alignment, checksums, freeze
 //! invariants, and the certificate that the derived sections match the
-//! base).  Unknown section kinds are
-//! skipped after their bounds and checksum check, so the format can grow
-//! without breaking readers (forward compatibility).
+//! base).  Unknown section kinds are skipped after their bounds and
+//! checksum check, so the format can grow without breaking readers
+//! (forward compatibility), and a [`crate::FrozenStructure::load`] /
+//! `save` round trip keeps them.
 //!
 //! ```text
 //! magic        4 bytes   "FTBO" / "FTBM"
@@ -227,7 +228,7 @@ pub(crate) fn put_base(
     n: u32,
     resilience: u32,
     sources: &[ftbfs_graph::VertexId],
-    (edge_orig, edge_u, edge_v): (&[u32], &[u32], &[u32]),
+    edges: &[(u32, u32, u32)],
 ) {
     put_u16(out, SNAPSHOT_VERSION);
     put_u16(
@@ -248,11 +249,9 @@ pub(crate) fn put_base(
     for s in sources {
         put_u32(out, s.0);
     }
-    put_u32(out, edge_orig.len() as u32);
-    for i in 0..edge_orig.len() {
-        put_u32(out, edge_orig[i]);
-        put_u32(out, edge_u[i]);
-        put_u32(out, edge_v[i]);
+    put_u32(out, edges.len() as u32);
+    for &(orig, u, v) in edges {
+        put_u32_slice(out, &[orig, u, v]);
     }
 }
 
@@ -467,8 +466,10 @@ pub(crate) struct Base<'a> {
     pub source_count: usize,
     sources: LeU32s<'a>,
     pub m: usize,
-    /// The `(orig, u, v)` edge records, 12 bytes each.
-    edge_rows: &'a [u8],
+    /// Absolute byte offset of the edge records.
+    pub edges_at: usize,
+    /// The `(orig, u, v)` edge records, three words each.
+    rows: LeU32s<'a>,
     /// Per-slab union-edge index lists; empty for single-slab snapshots.
     pub slab_lists: Vec<LeU32s<'a>>,
     /// Absolute offset one past the end of the base payload.
@@ -476,14 +477,15 @@ pub(crate) struct Base<'a> {
 }
 
 impl<'a> Base<'a> {
-    /// Checks `data` starts with `magic`, then walks its base payload,
-    /// checking bounds, the version and the flags; the multi-source magic
-    /// adds the trailing slab lists.  Allocates only the slab-list table.
-    pub fn walk(data: &'a [u8], magic: [u8; 4]) -> Result<Self, SnapshotError> {
-        if !data.starts_with(&magic) {
+    /// Checks `data` starts with either magic, then walks its base
+    /// payload, checking bounds, the version and the flags; the
+    /// multi-source magic adds the trailing slab lists.  Allocates only the
+    /// slab-list table.
+    pub fn walk(data: &'a [u8]) -> Result<Self, SnapshotError> {
+        let multi = data.starts_with(&SNAPSHOT_MULTI_MAGIC);
+        if !multi && !data.starts_with(&SNAPSHOT_MAGIC) {
             return Err(SnapshotError::BadMagic);
         }
-        let multi = magic == SNAPSHOT_MULTI_MAGIC;
         let mut r = ByteReader::new(&data[4..]);
         let version = r.take_u16()?;
         if version != SNAPSHOT_VERSION {
@@ -512,7 +514,8 @@ impl<'a> Base<'a> {
         let source_count = r.take_u32()? as usize;
         let sources = words(&mut r, source_count)?;
         let m = r.take_u32()? as usize;
-        let edge_rows = r.take_bytes(12 * m)?;
+        let edges_at = 4 + r.position();
+        let rows = words(&mut r, 3 * m)?;
         let mut slab_lists = Vec::new();
         if multi {
             for _ in 0..source_count {
@@ -528,7 +531,8 @@ impl<'a> Base<'a> {
             source_count,
             sources,
             m,
-            edge_rows,
+            edges_at,
+            rows,
             slab_lists,
             end: 4 + r.position(),
         })
@@ -542,25 +546,13 @@ impl<'a> Base<'a> {
     /// The original id of base edge `i`.
     #[inline]
     pub fn edge_id(&self, i: usize) -> u32 {
-        let [a, b, c, d, ..] = self.edge_record(i);
-        u32::from_le_bytes([a, b, c, d])
+        self.rows.get(3 * i)
     }
 
     /// The endpoints `(u, v)` of base edge `i`.
     #[inline]
     pub fn endpoints(&self, i: usize) -> (u32, u32) {
-        let [.., a, b, c, d, e, f, g, h] = self.edge_record(i);
-        (
-            u32::from_le_bytes([a, b, c, d]),
-            u32::from_le_bytes([e, f, g, h]),
-        )
-    }
-
-    /// The 12-byte `(orig, u, v)` record of base edge `i`.
-    #[inline]
-    fn edge_record(&self, i: usize) -> [u8; 12] {
-        let record = &self.edge_rows[12 * i..12 * i + 12];
-        record.try_into().expect("twelve bytes")
+        (self.rows.get(3 * i + 1), self.rows.get(3 * i + 2))
     }
 
     /// Iterates the `(orig, u, v)` edge triples.
@@ -571,34 +563,17 @@ impl<'a> Base<'a> {
         })
     }
 
-    /// The edge list as the `(orig, u, v)` column arrays the owned
-    /// structures are built from.
-    pub fn edge_columns(&self) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        let mut cols = (
-            Vec::with_capacity(self.m),
-            Vec::with_capacity(self.m),
-            Vec::with_capacity(self.m),
-        );
-        for (orig, u, v) in self.edges() {
-            cols.0.push(orig);
-            cols.1.push(u);
-            cols.2.push(v);
-        }
-        cols
-    }
-
     /// The index list of slab `slab`.
     #[inline]
     pub fn slab_list(&self, slab: usize) -> LeU32s<'a> {
         self.slab_lists[slab]
     }
 
-    /// Checks the freeze invariants the owned constructors enforce: a
-    /// well-formed contract (`α` denominator nonzero, `α ≥ 1`; exact for
-    /// per-source slabs), at least one in-range source (distinct, for
-    /// per-source slabs), strictly increasing edge ids with endpoints
-    /// `u < v < n`, and per-slab index lists strictly increasing within
-    /// the union range.
+    /// Checks the freeze invariants: a well-formed contract (`α`
+    /// denominator nonzero, `α ≥ 1`; exact for per-source slabs), at least
+    /// one in-range source (distinct, for per-source slabs), strictly
+    /// increasing edge ids with endpoints `u < v < n`, and per-slab index
+    /// lists strictly increasing within the union range.
     pub fn validate_invariants(&self) -> Result<(), SnapshotError> {
         check_contract(self.contract)?;
         if self.source_count == 0 {
@@ -647,12 +622,7 @@ impl<'a> Base<'a> {
 /// fingerprint and the fully validated section table.  Tooling and
 /// format-compat tests use this to address individual sections.
 pub fn snapshot_layout(data: &[u8]) -> Result<SnapshotLayout, SnapshotError> {
-    let magic = if data.starts_with(&SNAPSHOT_MULTI_MAGIC) {
-        SNAPSHOT_MULTI_MAGIC
-    } else {
-        SNAPSHOT_MAGIC
-    };
-    let base = Base::walk(data, magic)?;
+    let base = Base::walk(data)?;
     let frame = read_frame(data, base.end)?;
     Ok(SnapshotLayout {
         version: base.version,

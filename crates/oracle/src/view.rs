@@ -1,27 +1,27 @@
-//! Zero-rebuild serving views over snapshot bytes: [`SnapshotSource`] and
-//! [`FrozenView`].
+//! The one frozen type, [`FrozenView`], over snapshot bytes, and the
+//! [`SnapshotSource`] it opens.
 //!
 //! A snapshot (see [`crate::snapshot`]) stores not just the determining
 //! edge list but every derived array — CSR offsets and arcs, fault-free
 //! trees, slab tables — as 64-byte-aligned little-endian sections.  A view
-//! *opens* such bytes instead of loading them: it validates the frame
-//! (bounds, alignment, checksums, freeze invariants), certifies the
-//! derived sections against the base, and then serves queries **directly
-//! out of the mapped bytes** through [`ftbfs_graph::bytes::LeU32s`]
-//! accessors.  Nothing is rebuilt and none of the big arrays are copied;
-//! open-time allocation is limited to metadata scratch (the small source
-//! list and section table).
+//! *opens* such bytes: it validates the frame (bounds, alignment,
+//! checksums, freeze invariants), certifies the derived sections against
+//! the base, and then serves queries **directly out of the bytes** through
+//! [`ftbfs_graph::bytes::LeU32s`] accessors.  Nothing is rebuilt and none
+//! of the big arrays are copied; open-time allocation is limited to
+//! metadata scratch (the small source list and section table).
 //!
-//! This is the zero-copy serving story: a server reads a snapshot file
-//! into a buffer, or maps it read-only itself (page-aligned, so the
-//! 64-byte section alignment holds in memory) and borrows the region,
-//! wraps the bytes in a [`SnapshotSource`], opens a view, and serves
-//! immediately — no load-time CSR build, BFS, or allocation proportional
-//! to the structure.  The view implements [`DistanceOracle`] for both
-//! slab layouts, so every engine feature (fault LRU, tree fast path,
-//! batched and threaded serving) works unchanged, and a view's
-//! [`fingerprint`](DistanceOracle::fingerprint) equals the rebuilt
-//! structure's — the two are interchangeable backends.
+//! The bytes are borrowed or owned.  Borrowed is the zero-copy serving
+//! path: a server reads a snapshot file into a buffer, or maps it
+//! read-only itself (page-aligned, so the 64-byte section alignment holds
+//! in memory) and borrows the region, wraps the bytes in a
+//! [`SnapshotSource`], opens a view, and serves immediately.  Owned is
+//! [`FrozenStructure`] (`FrozenView<'static>`): freezing encodes a
+//! structure and opens the result, [`FrozenStructure::load`] opens a copy,
+//! and [`FrozenView::save`] hands the bytes back.  Either way one type
+//! implements [`DistanceOracle`] for both slab layouts, so every engine
+//! feature (fault LRU, tree fast path, batched and threaded serving) works
+//! the same on both.
 //!
 //! Safety under corruption: the open-time checks guarantee that *any*
 //! byte-level corruption is rejected (every byte is covered by a
@@ -48,20 +48,21 @@
 //! One field is *attested* rather than recomputed on open: the structure
 //! fingerprint, stored in the (frame-checksummed) header so open need not
 //! re-hash the base.  In-tree writers always store the correct value (the
-//! golden-fixture CI gate pins this), and the rebuild path
-//! ([`FrozenView::to_frozen`], hence `load`) cross-checks it against the
-//! recomputed fingerprint for free, rejecting snapshots from writers that
-//! got it wrong.
+//! golden-fixture CI gate pins this), and [`FrozenStructure::load`]
+//! recomputes it from the base payload, rejecting snapshots from writers
+//! that got it wrong.
 
 use crate::api::{Contract, DistanceOracle, OracleSlab};
-use crate::frozen::{FrozenStructure, SlabTable, NO_PARENT, UNREACHED};
+use crate::frozen::{FrozenStructure, SlabTable, SourceTree, NO_PARENT, UNREACHED};
 use crate::snapshot::{
-    corrupt, read_frame, require_section, Base, SnapshotError, SEC_ARC_EDGES, SEC_ARC_HEADS,
-    SEC_EDGE_ORIG, SEC_SLAB_TABLE, SEC_TREES, SEC_XADJ, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
+    corrupt, read_frame, require_section, Base, SnapshotError, SnapshotVersion, SEC_ARC_EDGES,
+    SEC_ARC_HEADS, SEC_EDGE_ORIG, SEC_SLAB_TABLE, SEC_TREES, SEC_XADJ,
 };
-use ftbfs_graph::bytes::LeU32s;
-use ftbfs_graph::VertexId;
+use ftbfs_core::FtBfsStructure;
+use ftbfs_graph::bytes::{fnv1a64, LeU32s};
+use ftbfs_graph::{EdgeId, VertexId};
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// Snapshot bytes for a view to open: owned (read from disk or the
 /// network into a `Vec<u8>`) or borrowed (for example a caller-managed
@@ -132,17 +133,11 @@ impl<'a> From<&'a [u8]> for SnapshotSource<'a> {
     }
 }
 
-/// Word `i` of a section's bytes, decoded little-endian.
-#[inline(always)]
-fn le(bytes: &[u8], i: usize) -> u32 {
-    u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().expect("four bytes"))
-}
-
 /// Certifies slab `j` and the trees over it against the base (see the
 /// module docs).  `prefix` is the edge count of the slabs before `j`.
 fn check_slab(
     base: &Base<'_>,
-    slabs: &SlabTable<LeU32s<'_>>,
+    slabs: &SlabTable<'_>,
     j: usize,
     prefix: usize,
 ) -> Result<(), SnapshotError> {
@@ -155,8 +150,7 @@ fn check_slab(
     if slabs.extent(j) != (list.len(), prefix) {
         return corrupt("slab table disagrees with the base slab lists");
     }
-    let list = list.as_bytes();
-    check_slab_tree(base, slabs, j, j, |e| le(list, e) as usize)
+    check_slab_tree(base, slabs, j, j, |e| list.get(e) as usize)
 }
 
 /// Certifies slab `j` together with declared source `i`'s tree over it,
@@ -165,29 +159,28 @@ fn check_slab(
 #[inline(always)]
 fn check_slab_tree(
     base: &Base<'_>,
-    slabs: &SlabTable<LeU32s<'_>>,
+    slabs: &SlabTable<'_>,
     j: usize,
     i: usize,
     union_index: impl Fn(usize) -> usize,
 ) -> Result<(), SnapshotError> {
-    let ([xadj, heads, edges, orig], (dist, parent)) = (slabs.csr(j), slabs.tree(i));
-    let m = orig.len();
-    let [xadj, heads, edges, orig, dist, parent] =
-        [xadj, heads, edges, orig, dist, parent].map(|s| s.as_bytes());
-    let (n, source) = (slabs.n, base.source(i) as usize);
-    if (0..m).any(|e| le(orig, e) != base.edge_id(union_index(e))) {
+    let (n, source) = (slabs.n, base.source(i));
+    let [xadj, heads, edges, orig] = slabs.csr(j);
+    let SourceTree { dist, parent, .. } = slabs.tree(i, VertexId(source));
+    let (m, source) = (orig.len(), source as usize);
+    if (0..m).any(|e| orig.get(e) != base.edge_id(union_index(e))) {
         return corrupt("edge-id section disagrees with the base edge list");
     }
-    if le(xadj, 0) != 0 || le(xadj, n) as usize != 2 * m {
+    if xadj.get(0) != 0 || xadj.get(n) as usize != 2 * m {
         return corrupt("CSR offsets must run from zero to 2m");
     }
     let mut lo = 0;
     for v in 0..n {
-        let hi = le(xadj, v + 1) as usize;
+        let hi = xadj.get(v + 1) as usize;
         if hi < lo || hi > 2 * m {
             return corrupt("CSR offsets must be monotone");
         }
-        let (d, p) = (le(dist, v), le(parent, v));
+        let (d, p) = (dist.get(v), parent.get(v));
         if v == source {
             if d != 0 || p != NO_PARENT {
                 return corrupt("tree source row must be (0, no parent)");
@@ -196,15 +189,15 @@ fn check_slab_tree(
             if d != UNREACHED {
                 return corrupt("reached tree vertex lacks a parent");
             }
-        } else if p as usize >= n || le(dist, p as usize) == UNREACHED {
+        } else if p as usize >= n || dist.get(p as usize) == UNREACHED {
             return corrupt("tree parent out of range or unreached");
-        } else if d != le(dist, p as usize) + 1 {
+        } else if d != dist.get(p as usize) + 1 {
             return corrupt("tree distance does not follow its parent");
         }
         // `next` only ever holds a certified head below n, plus one.
         let (tail, mut next, mut parent_arc) = (v as u32, 0, p == NO_PARENT);
         for a in lo..hi {
-            let (head, e) = (le(heads, a), le(edges, a) as usize);
+            let (head, e) = (heads.get(a), edges.get(a) as usize);
             if head < next {
                 return corrupt("arc heads must strictly increase per vertex");
             }
@@ -215,7 +208,7 @@ fn check_slab_tree(
             parent_arc |= head == p;
             // Reached distances are below n, so an arc between a reached
             // and an unreached vertex differs by far more than one.
-            if d.abs_diff(le(dist, head as usize)) > 1 {
+            if d.abs_diff(dist.get(head as usize)) > 1 {
                 return corrupt("tree distances are not a BFS layering of the slab");
             }
         }
@@ -227,36 +220,131 @@ fn check_slab_tree(
     Ok(())
 }
 
-/// A borrowed, zero-rebuild serving view over the bytes of a snapshot of
+/// `data` as little-endian words; open checked that its length is whole
+/// words, so nothing is cut.
+#[inline(always)]
+fn le_words(data: &[u8]) -> LeU32s<'_> {
+    LeU32s::new(&data[..data.len() & !3]).expect("whole words")
+}
+
+/// A frozen structure served straight out of the bytes of a snapshot of
 /// either layout (`"FTBO"`: one shared slab; `"FTBM"`: one slab per
-/// declared source), exact or approximate.
+/// declared source), exact or approximate; see the [module docs](self).
 ///
 /// Opened with [`FrozenView::open`] (from a [`SnapshotSource`]) or
-/// [`FrozenView::open_bytes`]; implements [`DistanceOracle`], answering
-/// bit-identically to the [`FrozenStructure`] the snapshot was saved from
-/// — same fingerprint, same contract and guarantees, same servable
-/// sources, same slabs, same precomputed trees — without rebuilding or
-/// copying any of the big arrays.
+/// [`FrozenView::open_bytes`] over borrowed bytes; [`FrozenStructure`] is
+/// the same type over owned bytes.  Implements [`DistanceOracle`]: a view
+/// answers bit-identically to the structure the snapshot was saved from —
+/// same fingerprint, same contract and guarantees, same servable sources,
+/// same slabs, same precomputed trees.  Two frozen structures are equal
+/// when their determining data (magic and base payload) is.
+#[derive(Clone)]
 pub struct FrozenView<'a> {
-    base: Base<'a>,
+    data: Cow<'a, [u8]>,
+    layout: Layout,
+}
+
+/// What opening learned about the bytes, as offsets, so it borrows
+/// nothing.
+#[derive(Clone, Debug)]
+struct Layout {
+    n: u32,
+    resilience: u32,
+    contract: Contract,
     sources: Vec<VertexId>,
+    /// The union edge count and the word offset of the base edge records.
+    m: usize,
+    edges: usize,
+    /// Byte offset one past the base payload.
+    base_end: usize,
     fingerprint: u64,
-    slabs: SlabTable<LeU32s<'a>>,
+    /// Word ranges of the sections; `table` for per-source slabs only.
+    table: Option<Range<usize>>,
+    edge_orig: Range<usize>,
+    xadj: Range<usize>,
+    adj_head: Range<usize>,
+    adj_edge: Range<usize>,
+    trees: Range<usize>,
+}
+
+impl Layout {
+    /// Validates `data` and certifies its derived sections (see the
+    /// module docs).
+    fn read(data: &[u8]) -> Result<Self, SnapshotError> {
+        let base = Base::walk(data)?;
+        base.validate_invariants()?;
+        let frame = read_frame(data, base.end)?;
+        let (n, k) = (base.n as usize, base.source_count);
+        let per_source = !base.slab_lists.is_empty();
+        let (slab_count, total) = if per_source {
+            (k, base.slab_lists.iter().map(LeU32s::len).sum())
+        } else {
+            (1, base.m)
+        };
+        let section = |kind: u32, len: usize| -> Result<Range<usize>, SnapshotError> {
+            let at = require_section(&frame.sections, kind, 4 * len)?.offset / 4;
+            Ok(at..at + len)
+        };
+        let layout = Layout {
+            n: base.n,
+            resilience: base.resilience,
+            contract: base.contract,
+            sources: (0..k).map(|i| VertexId(base.source(i))).collect(),
+            m: base.m,
+            edges: base.edges_at / 4,
+            base_end: base.end,
+            fingerprint: frame.fingerprint,
+            table: per_source
+                .then(|| section(SEC_SLAB_TABLE, 2 * k))
+                .transpose()?,
+            edge_orig: section(SEC_EDGE_ORIG, total)?,
+            xadj: section(SEC_XADJ, slab_count * (n + 1))?,
+            adj_head: section(SEC_ARC_HEADS, 2 * total)?,
+            adj_edge: section(SEC_ARC_EDGES, 2 * total)?,
+            trees: section(SEC_TREES, 2 * n * k)?,
+        };
+        let slabs = layout.slabs(le_words(data));
+        let mut prefix = 0;
+        for j in 0..slab_count {
+            check_slab(&base, &slabs, j, prefix)?;
+            prefix += slabs.extent(j).0;
+        }
+        Ok(layout)
+    }
+
+    /// The serving arrays inside `words`, the snapshot this layout was
+    /// read from.
+    #[inline(always)]
+    fn slabs<'d>(&self, words: LeU32s<'d>) -> SlabTable<'d> {
+        let at = |r: &Range<usize>| words.slice(r.start, r.end);
+        SlabTable {
+            n: self.n as usize,
+            table: self.table.as_ref().map(at),
+            edge_orig: at(&self.edge_orig),
+            xadj: at(&self.xadj),
+            adj_head: at(&self.adj_head),
+            adj_edge: at(&self.adj_edge),
+            trees: at(&self.trees),
+        }
+    }
 }
 
 impl std::fmt::Debug for FrozenView<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrozenView")
-            .field("n", &self.base.n)
-            .field("sources", &self.sources)
-            .field("resilience", &self.base.resilience)
-            .field("contract", &self.base.contract)
-            .field("edges", &self.base.m)
-            .field("slabs", &self.slabs.len())
-            .field("fingerprint", &self.fingerprint)
+            .field("bytes", &self.data.len())
+            .field("layout", &self.layout)
             .finish()
     }
 }
+
+impl PartialEq for FrozenView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.data[..self.layout.base_end] == other.data[..other.layout.base_end]
+    }
+}
+
+impl Eq for FrozenView<'_> {}
 
 impl<'a> FrozenView<'a> {
     /// Opens a view over a [`SnapshotSource`], validating the snapshot
@@ -267,111 +355,172 @@ impl<'a> FrozenView<'a> {
 
     /// Opens a view directly over snapshot bytes of either magic.
     pub fn open_bytes(data: &'a [u8]) -> Result<Self, SnapshotError> {
-        let per_source = data.starts_with(&SNAPSHOT_MULTI_MAGIC);
-        let magic = if per_source {
-            SNAPSHOT_MULTI_MAGIC
-        } else {
-            SNAPSHOT_MAGIC
-        };
-        let base = Base::walk(data, magic)?;
-        base.validate_invariants()?;
-        let frame = read_frame(data, base.end)?;
-        let section = |kind: u32, words: usize| -> Result<LeU32s<'a>, SnapshotError> {
-            let s = require_section(&frame.sections, kind, 4 * words)?;
-            Ok(LeU32s::new(&data[s.offset..s.offset + s.len])
-                .expect("section lengths are validated u32-granular"))
-        };
-        let (n, k) = (base.n as usize, base.source_count);
-        let (slab_count, total) = if per_source {
-            (k, base.slab_lists.iter().map(LeU32s::len).sum())
-        } else {
-            (1, base.m)
-        };
-        let slabs = SlabTable {
-            n,
-            table: if per_source {
-                Some(section(SEC_SLAB_TABLE, 2 * k)?)
-            } else {
-                None
-            },
-            edge_orig: section(SEC_EDGE_ORIG, total)?,
-            xadj: section(SEC_XADJ, slab_count * (n + 1))?,
-            adj_head: section(SEC_ARC_HEADS, 2 * total)?,
-            adj_edge: section(SEC_ARC_EDGES, 2 * total)?,
-            trees: section(SEC_TREES, 2 * n * k)?,
-        };
-        let mut prefix = 0;
-        for j in 0..slab_count {
-            check_slab(&base, &slabs, j, prefix)?;
-            prefix += slabs.extent(j).0;
-        }
-        let sources: Vec<VertexId> = (0..k).map(|i| VertexId(base.source(i))).collect();
-        Ok(FrozenView {
-            base,
-            sources,
-            fingerprint: frame.fingerprint,
-            slabs,
-        })
+        Self::open_cow(Cow::Borrowed(data))
+    }
+
+    /// Opens a view over borrowed or owned bytes.
+    pub(crate) fn open_cow(data: Cow<'a, [u8]>) -> Result<Self, SnapshotError> {
+        let layout = Layout::read(&data)?;
+        Ok(FrozenView { data, layout })
+    }
+
+    /// The serving arrays.
+    #[inline(always)]
+    pub(crate) fn slabs(&self) -> SlabTable<'_> {
+        self.layout.slabs(le_words(&self.data))
     }
 
     /// Number of vertices of the underlying graph.
+    #[inline]
     pub fn vertex_count(&self) -> usize {
-        self.base.n as usize
+        self.layout.n as usize
     }
 
-    /// Number of edges in the frozen structure (for per-source slabs, the
-    /// union).
+    /// Number of edges in the frozen structure (`|E(H)|`; for per-source
+    /// slabs, the union `⋃_s H_s`).
+    #[inline]
     pub fn edge_count(&self) -> usize {
-        self.base.m
+        self.layout.m
     }
 
-    /// The source set, in snapshot order.
+    /// The source set `S` the structure serves, in freeze order.
     pub fn sources(&self) -> &[VertexId] {
-        &self.sources
+        &self.layout.sources
     }
 
-    /// The designed resilience `f`.
-    pub fn resilience(&self) -> usize {
-        self.base.resilience as usize
+    /// The first source — the one single-source query methods default to.
+    pub fn primary_source(&self) -> VertexId {
+        self.layout.sources[0]
     }
 
-    /// The answer contract the snapshot header declares.
-    pub fn contract(&self) -> Contract {
-        self.base.contract
-    }
-
-    /// The structure fingerprint — equal to the fingerprint of the
-    /// [`FrozenStructure`] the snapshot was saved from.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Rebuilds an owned [`FrozenStructure`] from the view's determining
-    /// data (the inverse of serving straight from the bytes; used by
-    /// [`FrozenStructure::load`]).
+    /// The number of edge faults the structure was built to tolerate.
     ///
-    /// The rebuild recomputes the structure fingerprint from scratch, so
-    /// this path also cross-checks the writer-attested fingerprint stored
-    /// in the frame: a snapshot whose base and fingerprint disagree (a
-    /// buggy external writer, a patched file with fixed-up checksums) is
-    /// rejected here rather than silently de-syncing engines that key
-    /// their caches on fingerprint equality.
-    pub fn to_frozen(&self) -> Result<FrozenStructure, SnapshotError> {
-        let lists = (0..self.base.slab_lists.len())
-            .map(|j| self.base.slab_list(j).iter().collect())
-            .collect();
-        let rebuilt = FrozenStructure::from_parts(
-            self.base.n,
-            self.sources.clone(),
-            self.base.resilience,
-            self.base.contract,
-            self.base.edge_columns(),
-            self.slabs.table.map(|_| lists),
+    /// Queries with larger fault sets are still answered exactly *inside*
+    /// `H ∖ F`, but only fault sets up to this size are guaranteed to match
+    /// distances in `G ∖ F`.
+    pub fn resilience(&self) -> usize {
+        self.layout.resilience as usize
+    }
+
+    /// The answer contract the structure declares.
+    pub fn contract(&self) -> Contract {
+        self.layout.contract
+    }
+
+    /// The FNV-1a fingerprint of the structure's canonical byte encoding
+    /// (the snapshot's base payload).
+    ///
+    /// Two frozen structures answer identically iff their fingerprints
+    /// (over `n`, resilience, contract, sources, the edge list and any
+    /// per-source slab lists) agree; the query engine uses this to
+    /// invalidate its cache when rebound.
+    pub fn fingerprint(&self) -> u64 {
+        self.layout.fingerprint
+    }
+
+    /// Structure edge `index`'s `(orig, u, v)` base record.
+    fn edge(&self, index: u32) -> (u32, u32, u32) {
+        assert!(
+            (index as usize) < self.layout.m,
+            "edge index {index} out of range"
         );
-        if rebuilt.fingerprint() != self.fingerprint {
+        let (words, at) = (le_words(&self.data), self.layout.edges + 3 * index as usize);
+        (words.get(at), words.get(at + 1), words.get(at + 2))
+    }
+
+    /// The index of original edge `e` in the structure's edge list, or
+    /// `None` if `e` is not part of the structure.  `O(log |E(H)|)`.
+    pub fn frozen_index(&self, e: EdgeId) -> Option<u32> {
+        let (mut lo, mut hi) = (0, self.layout.m as u32);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.edge(mid).0.cmp(&e.0) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid),
+            }
+        }
+        None
+    }
+
+    /// Returns `true` if original edge `e` belongs to the structure.
+    pub fn contains_edge(&self, e: EdgeId) -> bool {
+        self.frozen_index(e).is_some()
+    }
+
+    /// The original [`EdgeId`] of structure edge `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not a valid edge index.
+    pub fn original_edge(&self, index: u32) -> EdgeId {
+        EdgeId(self.edge(index).0)
+    }
+
+    /// The endpoints of structure edge `index`, normalised `u < v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not a valid edge index.
+    pub fn endpoints(&self, index: u32) -> (VertexId, VertexId) {
+        let (_, u, v) = self.edge(index);
+        (VertexId(u), VertexId(v))
+    }
+
+    /// The precomputed fault-free tree rooted at `s`, if `s` is one of the
+    /// structure's sources.
+    pub fn tree_for(&self, s: VertexId) -> Option<SourceTree<'_>> {
+        let i = self.layout.sources.iter().position(|&x| x == s)?;
+        Some(self.slabs().tree(i, s))
+    }
+
+    /// Reconstructs a mutable [`FtBfsStructure`] with the same sources,
+    /// resilience and (union) edge set — the inverse of
+    /// [`FrozenStructure::freeze`], and the shape
+    /// [`ftbfs_core::multi_failure_ftmbfs`] returns for per-source slabs;
+    /// the contract is not part of it.
+    pub fn to_structure(&self) -> FtBfsStructure {
+        FtBfsStructure::from_edges(
+            self.layout.sources.clone(),
+            self.resilience(),
+            (0..self.layout.m as u32).map(|i| self.original_edge(i)),
+        )
+    }
+
+    /// The structure's snapshot (see [`crate::snapshot`] for the layout):
+    /// the bytes it serves from.
+    pub fn save(&self) -> Vec<u8> {
+        self.save_with(SnapshotVersion::V2)
+    }
+
+    /// [`Self::save`] in the chosen snapshot format version (v2 is the
+    /// only one).  The magic follows the layout: `"FTBO"` for one shared
+    /// slab, `"FTBM"` for per-source slabs.
+    pub fn save_with(&self, version: SnapshotVersion) -> Vec<u8> {
+        let SnapshotVersion::V2 = version;
+        self.data.to_vec()
+    }
+}
+
+impl FrozenStructure {
+    /// Opens a copy of snapshot bytes of either magic.  The bytes are
+    /// validated exactly like a [`FrozenView::open`], and the stored
+    /// fingerprint is recomputed from the base payload: a snapshot whose
+    /// base and fingerprint disagree (a buggy external writer, a patched
+    /// file with fixed-up checksums) is rejected rather than silently
+    /// de-syncing engines that key their caches on fingerprint equality.
+    ///
+    /// Malformed input of any kind returns a typed [`SnapshotError`]; this
+    /// function never panics.
+    pub fn load(data: &[u8]) -> Result<Self, SnapshotError> {
+        let layout = FrozenView::open_bytes(data)?.layout;
+        if fnv1a64(&data[4..layout.base_end]) != layout.fingerprint {
             return corrupt("stored fingerprint disagrees with the determining data");
         }
-        Ok(rebuilt)
+        Ok(FrozenView {
+            data: Cow::Owned(data.to_vec()),
+            layout,
+        })
     }
 }
 
@@ -398,21 +547,21 @@ impl DistanceOracle for FrozenView<'_> {
 
     #[inline]
     fn contract(&self) -> Contract {
-        FrozenView::contract(self)
+        self.layout.contract
     }
 
-    /// Mirrors [`FrozenStructure`]: one shared slab serves any in-range
-    /// source, per-source slabs only the declared ones.
-    #[inline]
+    /// See [`crate::frozen`]: one shared slab serves any in-range source,
+    /// per-source slabs only the declared ones.
+    #[inline(always)]
     fn slab(&self, source: VertexId) -> Option<OracleSlab<'_>> {
-        self.slabs.slab(&self.sources, source)
+        self.slabs().slab(&self.layout.sources, source)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::SnapshotVersion;
+    use crate::snapshot::SNAPSHOT_MULTI_MAGIC;
     use crate::QueryEngine;
     use ftbfs_core::{dual_failure_ftbfs, multi_failure_ftmbfs_parts};
     use ftbfs_graph::{generators, EdgeId, FaultSpec, TieBreak};
@@ -468,8 +617,8 @@ mod tests {
                 .unwrap(),
             eb.try_distance_from(&view, v(5), v(9), &specs[2]).unwrap(),
         );
-        // And rebuild to the identical owned structure.
-        assert_eq!(view.to_frozen().unwrap(), frozen);
+        // And load to the identical owned structure.
+        assert_eq!(FrozenStructure::load(&bytes).unwrap(), frozen);
     }
 
     #[test]
@@ -523,7 +672,7 @@ mod tests {
         }
         // Undeclared sources stay unserved, like the owned structure.
         assert!(DistanceOracle::slab(&view, v(3)).is_none());
-        assert_eq!(view.to_frozen().unwrap(), multi);
+        assert_eq!(FrozenStructure::load(&bytes).unwrap(), multi);
     }
 
     #[test]
