@@ -9,14 +9,22 @@
 //! exp_construction_speed [--smoke] [--out PATH]
 //! ```
 //!
-//! `--smoke` shrinks the workloads to seconds-scale sizes for CI; `--out`
-//! overrides the JSON path (default `BENCH_construction.json` in the current
-//! directory).
+//! `--smoke` shrinks the workloads to seconds-scale sizes for CI and writes
+//! `target/BENCH_construction.smoke.json`, so it never overwrites the
+//! checked-in full sweep; `--out` overrides the JSON path (default
+//! `BENCH_construction.json` in the current directory).  Every JSON row
+//! carries the provenance fields `{nproc, rustc, commit, mode}`.
 
-use ftbfs_bench::Table;
+use ftbfs_bench::{json, Table};
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_graph::{generators, Graph, TieBreak, VertexId};
 use std::time::Instant;
+
+/// The tie-breaking seed of every measured graph.
+const W_SEED: u64 = 1;
+
+/// Where `--smoke` writes its JSON unless `--out` says otherwise.
+const SMOKE_OUT: &str = "target/BENCH_construction.smoke.json";
 
 /// One measured configuration.
 struct Row {
@@ -28,8 +36,8 @@ struct Row {
     structure_edges: usize,
 }
 
-fn measure(name: &str, g: &Graph, wseed: u64, threads: usize, repeats: usize) -> Row {
-    let w = TieBreak::new(g, wseed);
+fn measure(name: &str, g: &Graph, threads: usize, repeats: usize) -> Row {
+    let w = TieBreak::new(g, W_SEED);
     // One warm-up, then the best of `repeats` timed runs (construction is
     // deterministic, so min wall time is the least-noisy estimator).
     let mut edges = DualFtBfsBuilder::new(g, &w, VertexId(0))
@@ -56,10 +64,6 @@ fn measure(name: &str, g: &Graph, wseed: u64, threads: usize, repeats: usize) ->
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -68,47 +72,63 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| "BENCH_construction.json".to_string());
+        .unwrap_or_else(|| {
+            if smoke {
+                SMOKE_OUT.to_string()
+            } else {
+                "BENCH_construction.json".to_string()
+            }
+        });
 
     // The acceptance workload of the reusable-engine PR is
     // connected_gnp(n=120, p=0.08); smoke mode keeps the same shape tiny.
-    let workloads: Vec<(String, Graph, u64)> = if smoke {
+    // The sparse connected_gnp(n, 8/n) rows are the benchmark's `build`
+    // graph (n = 1,000) and two larger sizes up to n = 10⁴.
+    let workloads: Vec<(String, Graph, &[usize])> = if smoke {
         vec![(
             "connected_gnp(24,0.25)".to_string(),
             generators::connected_gnp(24, 0.25, 42),
-            1,
+            &[1, 2],
         )]
     } else {
-        vec![
+        let mut w: Vec<(String, Graph, &[usize])> = vec![
             (
                 "connected_gnp(60,0.12)".to_string(),
                 generators::connected_gnp(60, 0.12, 42),
-                1,
+                &[1, 2, 4, 8],
             ),
             (
                 "connected_gnp(120,0.08)".to_string(),
                 generators::connected_gnp(120, 0.08, 42),
-                1,
+                &[1, 2, 4, 8],
             ),
             (
                 "connected_gnp(200,0.05)".to_string(),
                 generators::connected_gnp(200, 0.05, 42),
-                1,
+                &[1, 2, 4, 8],
             ),
-        ]
+        ];
+        for n in [1_000usize, 4_000, 10_000] {
+            w.push((
+                format!("connected_gnp({n},8/n)"),
+                generators::connected_gnp(n, 8.0 / n as f64, 1),
+                &[1, 2],
+            ));
+        }
+        w
     };
-    let thread_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
     let repeats = if smoke { 1 } else { 3 };
+    let provenance = json::provenance(if smoke { "smoke" } else { "full" });
 
     let mut rows: Vec<Row> = Vec::new();
     let mut table = Table::new(
         "E9 — dual-failure construction speed",
         &["graph", "n", "m", "threads", "wall_ms", "|E(H)|", "speedup"],
     );
-    for (name, g, wseed) in &workloads {
+    for (name, g, thread_counts) in &workloads {
         let mut base_ms = None;
-        for &t in thread_counts {
-            let row = measure(name, g, *wseed, t, repeats);
+        for &t in thread_counts.iter() {
+            let row = measure(name, g, t, repeats);
             let base = *base_ms.get_or_insert(row.wall_ms);
             table.row(vec![
                 row.generator.clone(),
@@ -128,8 +148,8 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"graph\": \"{}\", \"n\": {}, \"m\": {}, \"threads\": {}, \
-             \"wall_ms\": {:.3}, \"structure_edges\": {}}}{}\n",
-            json_escape(&r.generator),
+             \"wall_ms\": {:.3}, \"structure_edges\": {}, {provenance}}}{}\n",
+            json::escape(&r.generator),
             r.n,
             r.m,
             r.threads,
@@ -139,6 +159,9 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_construction.json");
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).expect("create the JSON output directory");
+    }
+    std::fs::write(&out_path, &json).expect("write the construction-speed JSON");
     println!("wrote {out_path}");
 }

@@ -79,6 +79,43 @@ pub fn histogram_quantiles(snapshot: &TelemetrySnapshot, names: &[&str]) -> Stri
     format!("[\n      {}\n    ]", entries.join(",\n      "))
 }
 
+/// The provenance fields every bench JSON row carries, as a fragment of
+/// object members: `"nproc": …, "rustc": "…", "commit": "…", "mode": "…"`.
+///
+/// `nproc` is the parallelism the process may use; `rustc` and `commit`
+/// are read from `rustc --version` and `git describe` in the working
+/// directory (`"unknown"` and `"none"` when either is unavailable; a commit
+/// ending in `-dirty` ran with uncommitted changes); `mode`
+/// names the build profile followed by the caller's `mode`, e.g.
+/// `"release, full"`.
+#[must_use]
+pub fn provenance(mode: &str) -> String {
+    fn output(program: &str, args: &[&str]) -> Option<String> {
+        let out = std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()?;
+        let text = String::from_utf8(out.stdout).ok()?;
+        let text = text.trim();
+        (out.status.success() && !text.is_empty()).then(|| text.to_string())
+    }
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let rustc = output("rustc", &["--version"]).unwrap_or_else(|| "unknown".into());
+    let commit = output("git", &["describe", "--always", "--dirty", "--abbrev=12"])
+        .unwrap_or_else(|| "none".into());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    format!(
+        "\"nproc\": {nproc}, \"rustc\": \"{}\", \"commit\": \"{}\", \"mode\": \"{profile}, {}\"",
+        escape(&rustc),
+        escape(&commit),
+        escape(mode),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +137,20 @@ mod tests {
         assert!(second.contains("\"serve_load\": {\"x\": 2}"));
         assert!(!second.contains("\"x\": 1"), "old section replaced");
         assert!(second.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn provenance_names_every_field() {
+        let fields = provenance("smoke");
+        for key in [
+            "\"nproc\": ",
+            "\"rustc\": \"",
+            "\"commit\": \"",
+            "\"mode\": \"",
+        ] {
+            assert!(fields.contains(key), "{key} missing from {fields}");
+        }
+        assert!(fields.ends_with(", smoke\""), "{fields}");
     }
 
     #[test]

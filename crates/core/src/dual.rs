@@ -97,7 +97,8 @@ pub struct VertexRecord {
     pub pi_pi_new: Vec<PiPiRecord>,
     /// Step-3 new-ending `(π,D)` paths.
     pub new_ending: Vec<NewEndingRecord>,
-    /// The new edges `New(v) = H(v) ∖ E(v, T_0)` incident to `v`.
+    /// The new edges `New(v) = H(v) ∖ E(v, T_0)` incident to `v`, in
+    /// increasing edge-id order.
     pub new_edges: Vec<EdgeId>,
 }
 
@@ -298,11 +299,7 @@ impl<'g> DualFtBfsBuilder<'g> {
                         engine.overlay.begin(graph);
                         engine.overlay.remove_faults(&faults);
                         let view = engine.overlay.view(graph);
-                        match engine
-                            .workspace
-                            .dijkstra(&view, w, source, Some(v))
-                            .path_to(v)
-                        {
+                        match engine.workspace.canonical_path(&view, w, source, v) {
                             Some(p) => p,
                             None => continue,
                         }
@@ -405,7 +402,11 @@ impl<'g> DualFtBfsBuilder<'g> {
             }
         }
 
-        let new_edges: Vec<EdgeId> = current
+        // Sorted, so H(v) and New(v) do not depend on HashSet iteration
+        // order, which changes from run to run.
+        let mut h_v: Vec<EdgeId> = current.into_iter().collect();
+        h_v.sort_unstable();
+        let new_edges: Vec<EdgeId> = h_v
             .iter()
             .copied()
             .filter(|e| !tree.contains_edge(*e))
@@ -418,7 +419,7 @@ impl<'g> DualFtBfsBuilder<'g> {
             new_ending,
             new_edges,
         };
-        (current.into_iter().collect(), record)
+        (h_v, record)
     }
 
     /// The step-2 "stitched" candidate `π(s,x_i) ∘ D_i[x_i,w] ∘ D_j[w,y_j] ∘ π(y_j,v)`

@@ -177,8 +177,7 @@ fn explore(
         engine.overlay.begin(graph);
         engine.overlay.remove_faults(&next);
         let view = engine.overlay.view(graph);
-        let search = engine.workspace.dijkstra(&view, w, source, Some(v));
-        let Some(path) = search.path_to(v) else {
+        let Some(path) = engine.workspace.canonical_path(&view, w, source, v) else {
             // v disconnected under `next`: nothing to protect, and no deeper
             // fault set extending `next` along this branch is relevant.
             continue;

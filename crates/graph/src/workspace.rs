@@ -16,18 +16,27 @@
 //! * starting a new search bumps the epoch, instantly invalidating all
 //!   stamps of earlier searches without touching the arrays.
 //!
-//! Two search modes are provided:
+//! Search modes:
 //!
 //! * [`SearchWorkspace::dijkstra`] — the weighted search under the
 //!   tie-breaking assignment `W`, producing the canonical `SP(s, v, G', W)`
 //!   paths (identical results to [`crate::dijkstra::dijkstra`]);
-//! * [`SearchWorkspace::bfs`] / [`SearchWorkspace::bfs_hops`] — the
-//!   unweighted *hop-bucket* fast path.  Because `W`-weights are
-//!   hop-dominated (see [`crate::tiebreak`]), every `W`-shortest path is
-//!   hop-shortest, so pure-distance queries (`dist(s, v, G')` comparisons in
-//!   the divergence binary searches, `fault_distance`, replacement
-//!   distances) can use a plain FIFO bucket queue instead of a binary heap.
-//!   The hop counts agree exactly with what the weighted search would report.
+//! * [`SearchWorkspace::bfs`] — the unweighted *hop-bucket* search from one
+//!   source to every vertex.  Because `W`-weights are hop-dominated (see
+//!   [`crate::tiebreak`]), every `W`-shortest path is hop-shortest, so the
+//!   hop counts agree exactly with what the weighted search would report;
+//! * [`SearchWorkspace::bfs_hops`] — the single-pair hop distance
+//!   `dist(s, t, G')`, used by the divergence binary searches,
+//!   `fault_distance` and the replacement distances.  It is a bidirectional,
+//!   level-synchronous BFS: each step expands one whole level of the smaller
+//!   frontier, and the first vertex one side reaches that the other side has
+//!   labelled gives the exact distance, so the search touches little more
+//!   than the part of `G'` between `s` and `t`;
+//! * [`SearchWorkspace::canonical_path`] — the single-pair `W`-canonical path
+//!   `SP(s, t, G', W)`, exactly what `dijkstra(view, w, s, Some(t))` would
+//!   extract.  It runs the same bidirectional search, grows the `s–t`
+//!   hop-shortest-path DAG out of the meeting level, and runs the heap
+//!   Dijkstra over DAG vertices only.
 
 use crate::dijkstra::ShortestPaths;
 use crate::fault::{Restriction, ViewOverlay};
@@ -71,6 +80,16 @@ pub struct SearchWorkspace {
     parent_e: Vec<u32>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
     queue: VecDeque<u32>,
+    /// Visit stamps of the backward side of a bidirectional search.
+    back_visited: Vec<u64>,
+    /// Hop distances to the target of the backward side.
+    back_dist: Vec<u64>,
+    back_queue: VecDeque<u32>,
+    /// Stamp of the last bidirectional search whose hop-shortest-path DAG
+    /// contained the vertex; see [`SearchWorkspace::canonical_path`].
+    in_dag: Vec<u64>,
+    /// Worklist of DAG vertices, starting with the meeting level.
+    dag: Vec<u32>,
     n: usize,
     source: VertexId,
     weighted: bool,
@@ -87,6 +106,11 @@ impl Default for SearchWorkspace {
             parent_e: Vec::new(),
             heap: BinaryHeap::new(),
             queue: VecDeque::new(),
+            back_visited: Vec::new(),
+            back_dist: Vec::new(),
+            back_queue: VecDeque::new(),
+            in_dag: Vec::new(),
+            dag: Vec::new(),
             n: 0,
             source: VertexId(0),
             weighted: false,
@@ -149,6 +173,20 @@ impl SearchWorkspace {
         source: VertexId,
         target: Option<VertexId>,
     ) -> Search<'ws> {
+        self.run_dijkstra(view, w, source, target, None);
+        Search { ws: self }
+    }
+
+    /// The heap Dijkstra behind [`Self::dijkstra`].  With `dag = Some(stamp)`
+    /// it only labels vertices whose `in_dag` slot holds `stamp`.
+    fn run_dijkstra<R: Restriction>(
+        &mut self,
+        view: &R,
+        w: &TieBreak,
+        source: VertexId,
+        target: Option<VertexId>,
+        dag: Option<u64>,
+    ) {
         self.prepare(view.vertex_bound(), source, true);
         let epoch = self.epoch;
         self.label(source, 0, None);
@@ -166,7 +204,10 @@ impl SearchWorkspace {
             }
             for &(x, e) in view.base_graph().neighbors(u) {
                 let xi = x.index();
-                if self.settled[xi] == epoch || !view.allows_edge(e) {
+                if self.settled[xi] == epoch
+                    || dag.is_some_and(|stamp| self.in_dag[xi] != stamp)
+                    || !view.allows_edge(e)
+                {
                     continue;
                 }
                 let nd = d + w.weight(e);
@@ -176,7 +217,6 @@ impl SearchWorkspace {
                 }
             }
         }
-        Search { ws: self }
     }
 
     /// Runs the unweighted hop-bucket search (a BFS) from `source`, reusing
@@ -211,8 +251,9 @@ impl SearchWorkspace {
     /// unreachable — the pure-distance fast path.
     ///
     /// Equivalent to running the weighted search and reading
-    /// [`Search::hops`], but uses the FIFO bucket queue and stops as soon as
-    /// the target is labelled.
+    /// [`Search::hops`], but runs a bidirectional level-synchronous BFS that
+    /// stops at the first vertex both sides have labelled.  `source ==
+    /// target` gives `Some(0)` even if the view removed it.
     pub fn bfs_hops<R: Restriction>(
         &mut self,
         view: &R,
@@ -222,35 +263,216 @@ impl SearchWorkspace {
         if source == target {
             return Some(0);
         }
-        self.prepare(view.vertex_bound(), source, false);
-        let epoch = self.epoch;
-        self.label(source, 0, None);
-        if !view.allows_vertex(source) {
+        self.meet(view, source, target, false).map(|d| d as u32)
+    }
+
+    /// The `W`-canonical path `SP(source, target, view, W)`, or `None` if
+    /// `target` is unreachable.
+    ///
+    /// Returns exactly what `self.dijkstra(view, w, source,
+    /// Some(target)).path_to(target)` returns, but the heap search only
+    /// visits the hop-shortest `source–target` DAG.  That is exact because
+    /// `W` is hop-dominated: every vertex that offers a DAG vertex its final
+    /// weight is itself one hop closer to `source` on a shortest path, so it
+    /// is in the DAG, and the heap pops DAG vertices in the same `(weight,
+    /// id)` order as the full search.  Labels, parents and tie outcomes are
+    /// therefore the full search's, even where `W` has a tie.
+    pub fn canonical_path<R: Restriction>(
+        &mut self,
+        view: &R,
+        w: &TieBreak,
+        source: VertexId,
+        target: VertexId,
+    ) -> Option<Path> {
+        if source == target {
+            return Some(Path::singleton(source));
+        }
+        self.meet(view, source, target, true)?;
+        let dag = self.epoch;
+        self.grow_dag(view);
+        self.run_dijkstra(view, w, source, Some(target), Some(dag));
+        Search { ws: self }.path_to(target)
+    }
+
+    /// Bidirectional level-synchronous BFS between the distinct vertices
+    /// `source` and `target`; returns their hop distance.
+    ///
+    /// Each step expands one whole level of the smaller frontier.  While no
+    /// vertex carries both labels, `dist > a + b` for the searched depths `a`
+    /// and `b`, so the first meeting found while expanding a level is exact.
+    /// With `collect`, the meeting level is finished and every meeting
+    /// vertex — every vertex at that position of the hop-shortest-path DAG
+    /// — is left in `self.dag`.
+    fn meet<R: Restriction>(
+        &mut self,
+        view: &R,
+        source: VertexId,
+        target: VertexId,
+        collect: bool,
+    ) -> Option<u64> {
+        let n = view.vertex_bound();
+        self.prepare(n, source, false);
+        if self.back_visited.len() < n {
+            self.back_visited.resize(n, 0);
+            self.back_dist.resize(n, 0);
+            self.in_dag.resize(n, 0);
+        }
+        self.back_queue.clear();
+        self.dag.clear();
+        if !view.allows_vertex(source) || !view.allows_vertex(target) {
             return None;
         }
-        self.queue.push_back(source.0);
-        while let Some(u_raw) = self.queue.pop_front() {
-            let u = VertexId(u_raw);
-            let du = self.dist[u.index()];
-            for &(x, e) in view.base_graph().neighbors(u) {
-                let xi = x.index();
-                if self.visited[xi] == epoch || !view.allows_edge(e) {
-                    continue;
-                }
-                if x == target {
-                    return Some((du + 1) as u32);
-                }
-                self.label(x, du + 1, Some((u, e)));
-                self.queue.push_back(x.0);
+        let epoch = self.epoch;
+        let mut forward = Side {
+            stamp: &mut self.visited,
+            dist: &mut self.dist,
+            queue: &mut self.queue,
+        };
+        let mut backward = Side {
+            stamp: &mut self.back_visited,
+            dist: &mut self.back_dist,
+            queue: &mut self.back_queue,
+        };
+        forward.start(source, epoch);
+        backward.start(target, epoch);
+        let mut meets = collect.then_some(&mut self.dag);
+        while !forward.queue.is_empty() && !backward.queue.is_empty() {
+            let met = if forward.queue.len() <= backward.queue.len() {
+                forward.expand_level(view, epoch, &backward, meets.as_deref_mut())
+            } else {
+                backward.expand_level(view, epoch, &forward, meets.as_deref_mut())
+            };
+            if met.is_some() {
+                return met;
             }
         }
         None
+    }
+
+    /// Grows the meeting level left in `self.dag` by [`Self::meet`] into the
+    /// whole hop-shortest-path DAG, stamping each of its vertices in
+    /// `in_dag`: forward-labelled neighbours one level closer to the source,
+    /// then back-labelled neighbours one level closer to the target.
+    fn grow_dag<R: Restriction>(&mut self, view: &R) {
+        let epoch = self.epoch;
+        for &x in &self.dag {
+            self.in_dag[x as usize] = epoch;
+        }
+        let meeting = self.dag.len();
+        grow_layers(
+            view,
+            epoch,
+            &self.visited,
+            &self.dist,
+            &mut self.in_dag,
+            &mut self.dag,
+            0,
+        );
+        // Re-queue the meeting level to grow the target side from it; the
+        // duplicates are harmless because membership lives in `in_dag`.
+        let toward_target = self.dag.len();
+        self.dag.extend_from_within(..meeting);
+        grow_layers(
+            view,
+            epoch,
+            &self.back_visited,
+            &self.back_dist,
+            &mut self.in_dag,
+            &mut self.dag,
+            toward_target,
+        );
     }
 
     /// Returns `true` if `v`'s distance is final in the current search.
     #[inline]
     fn is_final(&self, v: VertexId) -> bool {
         self.settled[v.index()] == self.epoch
+    }
+}
+
+/// One side of a bidirectional search, borrowed out of the workspace: hop
+/// labels (valid where `stamp` holds the epoch) and a FIFO frontier that
+/// always holds exactly one level.
+struct Side<'a> {
+    stamp: &'a mut [u64],
+    dist: &'a mut [u64],
+    queue: &'a mut VecDeque<u32>,
+}
+
+impl Side<'_> {
+    /// Labels `root` at depth zero as the side's only frontier vertex.
+    fn start(&mut self, root: VertexId, epoch: u64) {
+        self.stamp[root.index()] = epoch;
+        self.dist[root.index()] = 0;
+        self.queue.push_back(root.0);
+    }
+
+    /// Expands the whole current level, labelling each newly reached vertex
+    /// one hop deeper, and returns the `s–t` hop distance through the first
+    /// vertex reached that `other` has labelled.  With `meets`, the level is
+    /// finished instead and every such vertex is pushed onto `meets`.
+    fn expand_level<R: Restriction>(
+        &mut self,
+        view: &R,
+        epoch: u64,
+        other: &Side<'_>,
+        mut meets: Option<&mut Vec<u32>>,
+    ) -> Option<u64> {
+        let mut met = None;
+        for _ in 0..self.queue.len() {
+            let u = self.queue.pop_front().expect("the level is non-empty");
+            let du = self.dist[u as usize];
+            for &(x, e) in view.base_graph().neighbors(VertexId(u)) {
+                let xi = x.index();
+                if self.stamp[xi] == epoch || !view.allows_edge(e) {
+                    continue;
+                }
+                self.stamp[xi] = epoch;
+                self.dist[xi] = du + 1;
+                self.queue.push_back(x.0);
+                if other.stamp[xi] == epoch {
+                    let d = du + 1 + other.dist[xi];
+                    match meets.as_deref_mut() {
+                        None => return Some(d),
+                        Some(meets) => {
+                            meets.push(x.0);
+                            met = Some(d);
+                        }
+                    }
+                }
+            }
+        }
+        met
+    }
+}
+
+/// Walks `dag[from..]`, appending every unmarked neighbour one hop closer to
+/// the root of the side whose labels are `stamp`/`dist`, until the walk
+/// reaches that root.
+fn grow_layers<R: Restriction>(
+    view: &R,
+    epoch: u64,
+    stamp: &[u64],
+    dist: &[u64],
+    in_dag: &mut [u64],
+    dag: &mut Vec<u32>,
+    from: usize,
+) {
+    let mut i = from;
+    while i < dag.len() {
+        let y = VertexId(dag[i]);
+        i += 1;
+        let dy = dist[y.index()];
+        for &(z, e) in view.base_graph().neighbors(y) {
+            let zi = z.index();
+            if in_dag[zi] == epoch || stamp[zi] != epoch || dist[zi] + 1 != dy {
+                continue;
+            }
+            if view.allows_edge(e) {
+                in_dag[zi] = epoch;
+                dag.push(z.0);
+            }
+        }
     }
 }
 
@@ -399,6 +621,7 @@ mod tests {
     use crate::dijkstra::dijkstra;
     use crate::fault::GraphView;
     use crate::generators;
+    use crate::graph::Graph;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -521,5 +744,156 @@ mod tests {
         let view = engine.overlay.view(&g);
         assert_eq!(engine.workspace.bfs_hops(&view, v(0), v(8)), Some(4));
         assert_eq!(engine.workspace.bfs_hops(&view, v(0), v(4)), Some(2));
+    }
+
+    /// A splitmix64 step: the tests' deterministic stream of choices.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Which corners of the search space the random overlays reached.
+    #[derive(Default)]
+    struct Coverage {
+        removed_source: usize,
+        removed_target: usize,
+        restricted: usize,
+        disconnected: usize,
+        same_vertex: usize,
+        connected: usize,
+    }
+
+    /// Checks `bfs_hops` and `canonical_path` against the one-sided `bfs`
+    /// and the full `dijkstra(…, Some(t)).path_to(t)` from a random source
+    /// to every target, under `trials` random overlays of `g`.  Each overlay
+    /// removes a few vertices (sometimes the source or a target), fails a
+    /// few edges and sometimes restricts the edges incident to one vertex.
+    fn cross_check(g: &Graph, wseed: u64, trials: usize, cov: &mut Coverage) {
+        let w = TieBreak::new(g, wseed);
+        let mut state = wseed;
+        let mut pick = |bound: usize| (splitmix(&mut state) % bound as u64) as usize;
+        let n = g.vertex_count();
+        let mut overlay = ViewOverlay::new();
+        let mut ws = SearchWorkspace::new();
+        let mut reference = SearchWorkspace::new();
+        for _ in 0..trials {
+            let s = VertexId::new(pick(n));
+            overlay.begin(g);
+            for _ in 0..pick(4) {
+                overlay.remove_vertex(VertexId::new(pick(n)));
+            }
+            if pick(6) == 0 {
+                overlay.remove_vertex(s);
+            }
+            for _ in 0..pick(5) {
+                overlay.remove_edge(EdgeId::new(pick(g.edge_count())));
+            }
+            if pick(3) == 0 {
+                let x = VertexId::new(pick(n));
+                let incident: Vec<EdgeId> = g.incident_edges(x).collect();
+                let keep = pick(incident.len() + 1);
+                overlay.restrict_incident(x, incident.into_iter().take(keep));
+                cov.restricted += 1;
+            }
+            let view = overlay.view(g);
+            let hops: Vec<Option<u32>> = {
+                let full = reference.bfs(&view, s);
+                g.vertices().map(|t| full.hops(t)).collect()
+            };
+            for t in g.vertices() {
+                let expected = reference.dijkstra(&view, &w, s, Some(t)).path_to(t);
+                assert_eq!(
+                    ws.bfs_hops(&view, s, t),
+                    hops[t.index()],
+                    "bfs_hops({s:?}, {t:?}) differs from bfs"
+                );
+                assert_eq!(
+                    ws.canonical_path(&view, &w, s, t),
+                    expected,
+                    "canonical_path({s:?}, {t:?}) differs from dijkstra"
+                );
+                assert_eq!(
+                    expected.as_ref().map(|p| p.len() as u32),
+                    hops[t.index()],
+                    "the reference path is not hop-shortest"
+                );
+                if s == t {
+                    cov.same_vertex += 1;
+                } else if !view.allows_vertex(s) {
+                    cov.removed_source += 1;
+                } else if !view.allows_vertex(t) {
+                    cov.removed_target += 1;
+                } else if expected.is_none() {
+                    cov.disconnected += 1;
+                } else {
+                    cov.connected += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bidirectional_searches_match_their_references_under_random_overlays() {
+        let mut cov = Coverage::default();
+        for seed in 1..=3u64 {
+            cross_check(
+                &generators::connected_gnp(60, 0.05, seed),
+                seed,
+                12,
+                &mut cov,
+            );
+            cross_check(
+                &generators::connected_gnp(40, 0.2, seed),
+                seed + 10,
+                8,
+                &mut cov,
+            );
+        }
+        cross_check(&generators::grid(6, 9), 21, 12, &mut cov);
+        cross_check(&generators::grid(1, 12), 22, 6, &mut cov);
+        // Every corner the overlays can produce was exercised.
+        for (corner, count) in [
+            ("removed source", cov.removed_source),
+            ("removed target", cov.removed_target),
+            ("incident restriction", cov.restricted),
+            ("disconnected pair", cov.disconnected),
+            ("s == t", cov.same_vertex),
+            ("connected pair", cov.connected),
+        ] {
+            assert!(count > 0, "no case covered a {corner}");
+        }
+    }
+
+    #[test]
+    fn canonical_path_handles_trivial_and_unreachable_pairs() {
+        let g = generators::path(5);
+        let w = TieBreak::new(&g, 4);
+        let mut ws = SearchWorkspace::new();
+        let removed = GraphView::new(&g).without_vertices([v(2)]);
+        // s == t answers the singleton path even when the view removed it.
+        assert_eq!(
+            ws.canonical_path(&removed, &w, v(2), v(2)),
+            Some(Path::singleton(v(2)))
+        );
+        assert_eq!(ws.bfs_hops(&removed, v(2), v(2)), Some(0));
+        // The removed vertex cuts the path: nothing crosses it.
+        assert_eq!(ws.canonical_path(&removed, &w, v(0), v(4)), None);
+        assert_eq!(ws.bfs_hops(&removed, v(0), v(4)), None);
+        // A removed endpoint is unreachable from either side.
+        assert_eq!(ws.canonical_path(&removed, &w, v(2), v(3)), None);
+        assert_eq!(ws.canonical_path(&removed, &w, v(3), v(2)), None);
+        // Adjacent vertices meet in the first level.
+        let full = GraphView::new(&g);
+        assert_eq!(
+            ws.canonical_path(&full, &w, v(3), v(4)),
+            Some(Path::new(vec![v(3), v(4)]))
+        );
+        assert_eq!(
+            ws.canonical_path(&full, &w, v(4), v(0)),
+            Some(Path::new(vec![v(4), v(3), v(2), v(1), v(0)]))
+        );
     }
 }

@@ -1,15 +1,18 @@
 //! Golden-equivalence tests for the reusable search engine.
 //!
 //! The zero-allocation workspace, the epoch-stamped overlay restrictions,
-//! the unweighted fast path and the parallel per-vertex construction must
+//! the unweighted fast path, the bidirectional hop probes, the DAG-confined
+//! canonical-path extraction and the parallel per-vertex construction must
 //! all leave the produced dual-failure FT-BFS structure *bit-identical* to
 //! the pre-refactor implementation: same `W`-canonical paths, same selected
-//! last edges.  The expected fingerprints below were captured by running the
-//! original (allocating, serial) implementation on the seeded instances;
-//! any drift in path selection shows up as a fingerprint mismatch.
+//! last edges.  The small fingerprints below were captured by running the
+//! original (allocating, serial) implementation on the seeded instances,
+//! the ones at scale by the one-sided-search implementation; any drift in
+//! path selection shows up as a fingerprint mismatch.
 
-use ftbfs_core::dual::{DualFtBfs, DualFtBfsBuilder};
+use ftbfs_core::dual::{DualFtBfs, DualFtBfsBuilder, SelectionStrategy};
 use ftbfs_graph::{generators, Graph, TieBreak, VertexId};
+use ftbfs_lowerbound::GStarGraph;
 
 /// FNV-1a over the sorted edge-id list — stable across platforms.
 fn fingerprint(result: &DualFtBfs) -> (usize, u64) {
@@ -66,6 +69,83 @@ fn structure_matches_pre_refactor_golden_fingerprints() {
     }
 }
 
+/// One pinned instance: `(label, graph, source, W seed, strategy, |E(H)|,
+/// FNV-1a)`.
+type ScaleCase = (
+    &'static str,
+    Graph,
+    VertexId,
+    u64,
+    SelectionStrategy,
+    usize,
+    u64,
+);
+
+/// Instances at the sizes the construction is benchmarked on, pinned before
+/// the bidirectional hop probes and the DAG-confined path extraction
+/// replaced the one-sided searches.  The first two are the benchmark's
+/// `build` graph at seeds 1 and 2.
+fn golden_cases_at_scale() -> Vec<ScaleCase> {
+    let n = 1_000;
+    let gstar = GStarGraph::for_target_size(2, 400);
+    let gstar_source = gstar.sources[0];
+    vec![
+        (
+            "perfbench build, seed 1",
+            generators::connected_gnp(n, 8.0 / n as f64, 1),
+            VertexId(0),
+            1,
+            SelectionStrategy::PaperPreference,
+            2728,
+            0x0be1bb330d3fe543,
+        ),
+        (
+            "perfbench build, seed 2",
+            generators::connected_gnp(n, 8.0 / n as f64, 2),
+            VertexId(0),
+            2,
+            SelectionStrategy::PaperPreference,
+            2731,
+            0xae8545a223c90ee3,
+        ),
+        (
+            "G*_2 at n = 400",
+            gstar.graph,
+            gstar_source,
+            3,
+            SelectionStrategy::PaperPreference,
+            2910,
+            0x603b688c4d60a918,
+        ),
+        (
+            "canonical strategy, connected_gnp(300, 8/n, 5)",
+            generators::connected_gnp(300, 8.0 / 300.0, 5),
+            VertexId(0),
+            5,
+            SelectionStrategy::Canonical,
+            863,
+            0x3762f4e7e7a8398e,
+        ),
+    ]
+}
+
+#[test]
+fn structure_matches_golden_fingerprints_at_scale() {
+    let mut drifted = Vec::new();
+    for (label, g, source, wseed, strategy, expect_edges, expect_fnv) in golden_cases_at_scale() {
+        let w = TieBreak::new(&g, wseed);
+        let r = DualFtBfsBuilder::new(&g, &w, source)
+            .strategy(strategy)
+            .threads(2)
+            .build();
+        let (edges, fnv) = fingerprint(&r);
+        if (edges, fnv) != (expect_edges, expect_fnv) {
+            drifted.push(format!("{label}: got ({edges}, {fnv:#018x})"));
+        }
+    }
+    assert!(drifted.is_empty(), "H drifted on {drifted:#?}");
+}
+
 #[test]
 fn parallel_construction_is_bit_identical_to_serial() {
     for (g, wseed, _, _) in golden_cases() {
@@ -89,6 +169,7 @@ fn parallel_construction_is_bit_identical_to_serial() {
             for (a, b) in serial.records.iter().zip(parallel.records.iter()) {
                 assert_eq!(a.vertex, b.vertex);
                 assert_eq!(a.pi, b.pi);
+                assert_eq!(a.new_edges, b.new_edges);
                 assert_eq!(a.detours.len(), b.detours.len());
                 for (da, db) in a.detours.iter().zip(b.detours.iter()) {
                     assert_eq!(da.protected_edge, db.protected_edge);

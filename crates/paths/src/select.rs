@@ -10,12 +10,14 @@
 //! shorten distances (distances are monotone non-increasing in the candidate
 //! index).
 //!
-//! All searches run through a caller-provided
-//! [`SearchEngine`]: the binary-search predicates
-//! compare *unweighted* distances, so they use the engine's hop-bucket fast
-//! path over an epoch-stamped overlay restriction and allocate nothing; only
-//! the final path extraction (and the rare fallback) runs a weighted Dijkstra
-//! to obtain the `W`-canonical path.
+//! All searches run through a caller-provided [`SearchEngine`] over an
+//! epoch-stamped overlay restriction and allocate nothing.  The
+//! binary-search predicates compare *unweighted* distances, so they use the
+//! bidirectional hop probe [`ftbfs_graph::SearchWorkspace::bfs_hops`]; the
+//! final path extraction (and the rare fallback) uses
+//! [`ftbfs_graph::SearchWorkspace::canonical_path`], which returns the
+//! `W`-canonical path of the full weighted Dijkstra while running the heap
+//! search over the `s–v` hop-shortest-path DAG only.
 
 use crate::detour::Detour;
 use ftbfs_graph::restrict::{overlay_detour_suffix, overlay_pi_segment};
@@ -104,17 +106,16 @@ pub fn earliest_pi_divergence(
     };
     let mut lo = 0usize;
     let mut hi = limit_pos;
-    if !pred(engine, hi) {
+    // At `limit == segment_end` the restriction removes no vertex, so the
+    // probe would repeat the optimum search: it holds by definition.
+    if limit_pos != segment_end_pos && !pred(engine, hi) {
         // No divergence point up to `limit` realises the optimum (the optimal
         // path re-joins π below the failing edge in a way the restriction
         // forbids).  Fall back to the canonical optimal path.
         engine.overlay.begin(graph);
         engine.overlay.remove_faults(faults);
         let view = engine.overlay.view(graph);
-        let path = engine
-            .workspace
-            .dijkstra(&view, w, source, Some(target))
-            .path_to(target)?;
+        let path = engine.workspace.canonical_path(&view, w, source, target)?;
         let divergence = path.first_divergence_from(pi).unwrap_or(source);
         return Some(DivergenceChoice { divergence, path });
     }
@@ -131,10 +132,7 @@ pub fn earliest_pi_divergence(
     overlay_pi_segment(&mut engine.overlay, pi, k, segment_end_pos, target);
     engine.overlay.remove_faults(faults);
     let view = engine.overlay.view(graph);
-    let path = engine
-        .workspace
-        .dijkstra(&view, w, source, Some(target))
-        .path_to(target)?;
+    let path = engine.workspace.canonical_path(&view, w, source, target)?;
     Some(DivergenceChoice {
         divergence: pi.vertices()[k],
         path,
@@ -205,10 +203,7 @@ pub fn earliest_detour_divergence(
         overlay_pi_segment(&mut engine.overlay, pi, x_pos, target_pos, target);
         engine.overlay.remove_faults(faults);
         let view = engine.overlay.view(graph);
-        let path = engine
-            .workspace
-            .dijkstra(&view, w, source, Some(target))
-            .path_to(target)?;
+        let path = engine.workspace.canonical_path(&view, w, source, target)?;
         let divergence = path.first_divergence_from(&detour.path).unwrap_or(detour.x);
         return Some(DivergenceChoice { divergence, path });
     }
@@ -223,10 +218,7 @@ pub fn earliest_detour_divergence(
     let l = lo;
     fill(engine, l);
     let view = engine.overlay.view(graph);
-    let path = engine
-        .workspace
-        .dijkstra(&view, w, source, Some(target))
-        .path_to(target)?;
+    let path = engine.workspace.canonical_path(&view, w, source, target)?;
     Some(DivergenceChoice {
         divergence: detour.path.vertices()[l],
         path,
