@@ -25,8 +25,10 @@
 //!    smoke or not.
 //! 4. **Throughput** — the same query mix is timed for queries/s.
 //!
-//! Results are spliced into `BENCH_query.json` as an `approx_scale`
-//! section.  `--smoke` shrinks the run for CI and (together with the
+//! Results are spliced into `BENCH_query.json` (or, under `--smoke`,
+//! `target/BENCH_query.smoke.json`; `--out` overrides either) as an
+//! `approx_scale` section carrying the provenance fields `{nproc, rustc,
+//! commit, mode}`.  `--smoke` shrinks the run for CI and (together with the
 //! always-on correctness gates) enforces the checked-in floors: zero
 //! stretch-bound violations and the polylog size envelope on every
 //! scaled graph.
@@ -239,12 +241,7 @@ fn run_family(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_query.json".to_string());
+    let out_path = json::out_path(&args, "BENCH_query.json");
 
     let params = ApproxParams::DEFAULT;
     let (specs, targets) = if smoke { (13, 16) } else { (41, 40) };
@@ -326,7 +323,10 @@ fn main() {
     print!("{}", table.render());
 
     // ---- Report ----------------------------------------------------------
-    let mut section = String::from("{\n    \"params\": ");
+    let mut section = format!(
+        "{{\n    {},\n    \"params\": ",
+        json::provenance(if smoke { "smoke" } else { "full" })
+    );
     section.push_str(&format!(
         "{{\"mult_num\": {}, \"mult_den\": {}, \"add\": {}, \"theta\": {}}},\n",
         params.mult_num, params.mult_den, params.add, params.theta

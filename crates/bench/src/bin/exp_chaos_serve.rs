@@ -23,7 +23,9 @@
 //!
 //! Results are spliced into `BENCH_query.json` as a `chaos_serve` section
 //! (CI order: E10 rewrites the file wholesale, E11 splices `serve_load`,
-//! E12 splices `chaos_serve`).
+//! E12 splices `chaos_serve`), carrying the provenance fields `{nproc,
+//! rustc, commit, mode}`.  Under `--smoke` the file is
+//! `target/BENCH_query.smoke.json`; `--out` overrides the path.
 //!
 //! Usage:
 //!
@@ -258,12 +260,7 @@ fn quiet_chaos_panics() {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_query.json".to_string());
+    let out_path = json::out_path(&args, "BENCH_query.json");
     quiet_chaos_panics();
 
     // Same two-epoch setup as E11: different tie-break seeds give
@@ -453,7 +450,7 @@ fn main() {
     println!();
 
     let section = format!(
-        "{{\n    \"storm\": {{\"requests\": {storm_total}, \"qps\": {storm_qps:.1}, \
+        "{{\n    {},\n    \"storm\": {{\"requests\": {storm_total}, \"qps\": {storm_qps:.1}, \
          \"panics\": {}, \"worker_restarts\": {}, \"stalls\": {}, \"dropped_sends\": {}, \
          \"publishes_ok\": {}, \"publishes_rejected\": {}, \"degraded_responses\": {degraded}, \
          \"wrong_answers\": {wrong}, \"submit_retries\": {submit_retries}}},\n    \
@@ -466,6 +463,7 @@ fn main() {
          \"floors\": {{\"qps_floor\": {SMOKE_CHAOS_QPS_FLOOR:.1}, \
          \"min_panics\": {SMOKE_MIN_PANICS}, \"min_publishes\": {SMOKE_MIN_PUBLISHES}, \
          \"min_rejected_publishes\": {SMOKE_MIN_REJECTED_PUBLISHES}}}\n  }}",
+        json::provenance(if smoke { "smoke" } else { "full" }),
         stats.panics,
         health.worker_restarts,
         stats.stalls,

@@ -23,9 +23,6 @@ use std::time::Instant;
 /// The tie-breaking seed of every measured graph.
 const W_SEED: u64 = 1;
 
-/// Where `--smoke` writes its JSON unless `--out` says otherwise.
-const SMOKE_OUT: &str = "target/BENCH_construction.smoke.json";
-
 /// One measured configuration.
 struct Row {
     generator: String,
@@ -67,18 +64,7 @@ fn measure(name: &str, g: &Graph, threads: usize, repeats: usize) -> Row {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            if smoke {
-                SMOKE_OUT.to_string()
-            } else {
-                "BENCH_construction.json".to_string()
-            }
-        });
+    let out_path = json::out_path(&args, "BENCH_construction.json");
 
     // The acceptance workload of the reusable-engine PR is
     // connected_gnp(n=120, p=0.08); smoke mode keeps the same shape tiny.

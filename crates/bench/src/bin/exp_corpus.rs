@@ -39,9 +39,11 @@
 //!
 //! `--smoke` shrinks the run for CI **and enforces the checked-in
 //! ingestion-throughput floors** ([`SMOKE_TEXT_EDGES_PER_S_FLOOR`],
-//! [`SMOKE_BINARY_EDGES_PER_S_FLOOR`]).  `--out` overrides the JSON path
-//! (default `BENCH_query.json`); `--dir` overrides where corpus files
-//! are written (default `target/corpus-data`).
+//! [`SMOKE_BINARY_EDGES_PER_S_FLOOR`]).  The JSON path is
+//! `BENCH_query.json`, or `target/BENCH_query.smoke.json` under `--smoke`;
+//! `--out` overrides it.  `--dir` overrides where corpus files are written
+//! (default `target/corpus-data`).  The section carries the provenance
+//! fields `{nproc, rustc, commit, mode}`.
 //!
 //! Usage:
 //!
@@ -372,12 +374,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_query.json".to_string());
+    let out_path = json::out_path(&args, "BENCH_query.json");
     let dir: PathBuf = args
         .iter()
         .position(|a| a == "--dir")
@@ -552,7 +549,10 @@ fn main() {
 
     // ---- Report ----------------------------------------------------------
     let scrape = registry.scrape();
-    let mut section = format!("{{\n    \"backend\": \"{backend}\",\n    \"graph\": ");
+    let mut section = format!(
+        "{{\n    {},\n    \"backend\": \"{backend}\",\n    \"graph\": ",
+        json::provenance(if smoke { "smoke" } else { "full" })
+    );
     section.push_str(&format!(
         "{{\"generator\": \"road_like\", \"rows\": {rows}, \"cols\": {cols}, \
          \"shortcuts\": {shortcuts}, \"vertices\": {n}, \"edges\": {}, \

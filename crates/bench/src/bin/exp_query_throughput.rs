@@ -1,6 +1,6 @@
 //! E10 — query-serving throughput: batched post-failure distance queries
-//! answered through the `DistanceOracle` trait, across thread counts and
-//! both slab layouts of `FrozenStructure` (one shared slab for the
+//! answered by `QueryEngine`s over a `FrozenStructure`, across thread
+//! counts and both of its slab layouts (one shared slab for the
 //! single-source structure, one slab per source serving the multi-source
 //! `S × V` workload), emitted both as an
 //! aligned table and as machine-readable `BENCH_query.json` so the
@@ -31,7 +31,10 @@
 //! edges, encode, open), owned load (open a copy of the bytes and re-hash
 //! the base) and view open (validate only, zero rebuild) — into a
 //! `snapshot_bench` JSON section.
-//! `--out` overrides the JSON path (default `BENCH_query.json`).
+//! The JSON goes to `BENCH_query.json`, or under `--smoke` to
+//! `target/BENCH_query.smoke.json` so a smoke run never overwrites the
+//! checked-in full sweep; `--out` overrides either.  Every result row
+//! carries the provenance fields `{nproc, rustc, commit, mode}`.
 //!
 //! The query mix models a serving tail: 25% fault-free (precomputed-tree
 //! fast path), 25% single-fault, 50% dual-fault, with fault edges drawn
@@ -42,9 +45,7 @@ use ftbfs_bench::{json, Table};
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::{multi_failure_ftmbfs_parts, FtBfsStructure};
 use ftbfs_graph::{generators, EdgeId, FaultSpec, Graph, TieBreak, VertexId};
-use ftbfs_oracle::{
-    DistanceOracle, Freeze, FrozenStructure, FrozenView, Query, QueryEngine, SnapshotVersion,
-};
+use ftbfs_oracle::{Freeze, FrozenStructure, FrozenView, Query, QueryEngine, SnapshotVersion};
 use ftbfs_serve::{MetricsRegistry, ThroughputHarness};
 use std::time::Instant;
 
@@ -70,8 +71,8 @@ const SMOKE_QPS_FLOOR: f64 = 1_000_000.0;
 const SMOKE_SNAPSHOT_SPEEDUP_FLOOR: f64 = 3.0;
 
 /// The `--smoke` ceiling on telemetry overhead, as a fraction of baseline
-/// throughput: the fully instrumented hot path (engine counters + batch
-/// histogram) must stay within 3% of the uninstrumented baseline, judged
+/// throughput: the instrumented run (engine counts published to the
+/// registry + batch histogram) must stay within 3% of the baseline, judged
 /// on the median of [`OVERHEAD_PAIRS`] per-pair overheads.
 const SMOKE_TELEMETRY_OVERHEAD_MAX: f64 = 0.03;
 
@@ -160,10 +161,10 @@ fn build_queries(
     queries
 }
 
-/// The telemetry overhead measurement: baseline (`NoopRecorder`, the
-/// monomorphised no-op path) vs fully instrumented
-/// ([`ThroughputHarness::run_instrumented`]: engine counter recorder +
-/// batch histogram) on identical single-threaded work, in
+/// The telemetry overhead measurement: baseline
+/// ([`ThroughputHarness::run`], nothing published) vs instrumented
+/// ([`ThroughputHarness::run_instrumented`]: engine counts published to
+/// the registry + batch histogram) on identical single-threaded work, in
 /// [`OVERHEAD_PAIRS`] interleaved pairs.  Returns the per-pair
 /// `(baseline_qps, instrumented_qps)`.
 fn telemetry_overhead(frozen: &FrozenStructure, queries: &[Query]) -> Vec<(f64, f64)> {
@@ -196,13 +197,14 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
 }
 
-/// Measures one oracle across thread counts, appending table + JSON rows.
+/// Measures one frozen structure across thread counts, appending table +
+/// JSON rows.
 #[allow(clippy::too_many_arguments)]
-fn measure_backend<O: DistanceOracle + Sync>(
+fn measure_backend(
     name: &str,
     backend: &'static str,
     g: &Graph,
-    oracle: &O,
+    oracle: &FrozenView<'_>,
     queries: &[Query],
     thread_counts: &[usize],
     table: &mut Table,
@@ -382,12 +384,7 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let sweep = args.iter().any(|a| a == "--lru-sweep");
     let snap = smoke || args.iter().any(|a| a == "--snapshot-bench");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_query.json".to_string());
+    let out_path = json::out_path(&args, "BENCH_query.json");
 
     // The acceptance workload of the query-serving PR is
     // connected_gnp(120, 0.08); smoke mode keeps the same shape tiny.
@@ -413,7 +410,7 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     let mut table = Table::new(
-        "E10 — frozen-structure query throughput (DistanceOracle backends)",
+        "E10 — frozen-structure query throughput (both slab layouts)",
         &[
             "graph", "backend", "n", "m", "|E(H)|", "threads", "queries", "qps", "p50_us", "p99_us",
         ],
@@ -524,9 +521,9 @@ fn main() {
         Vec::new()
     };
 
-    // The telemetry-overhead experiment: the cost of compiling the
-    // observability plane *in* (engine counters + harness histogram) on
-    // the single-threaded serving hot path.
+    // The telemetry-overhead experiment: the cost of publishing the
+    // engine counts and recording the batch histogram on the
+    // single-threaded serving path.
     let pairs = telemetry_overhead(
         first_frozen.as_ref().expect("first workload was measured"),
         first_queries
@@ -568,12 +565,13 @@ fn main() {
         print!("{}", sweep_table.render());
     }
 
+    let provenance = json::provenance(if smoke { "smoke" } else { "full" });
     let mut json = String::from("{\n  \"experiment\": \"query_throughput\",\n  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"graph\": \"{}\", \"backend\": \"{}\", \"n\": {}, \"m\": {}, \
              \"structure_edges\": {}, \"threads\": {}, \"queries\": {}, \"qps\": {:.1}, \
-             \"p50_us\": {:.3}, \"p99_us\": {:.3}}}{}\n",
+             \"p50_us\": {:.3}, \"p99_us\": {:.3}, {provenance}}}{}\n",
             json::escape(&r.generator),
             r.backend,
             r.n,

@@ -19,7 +19,9 @@
 //! configuration.  Either violation exits non-zero, so a serving-path
 //! regression (slow routing, a stall during epoch swaps, reassembly
 //! overhead) fails the build instead of silently landing.
-//! `--out` overrides the JSON path (default `BENCH_query.json`).
+//! The JSON path is `BENCH_query.json`, or
+//! `target/BENCH_query.smoke.json` under `--smoke`; `--out` overrides it.
+//! The section carries the provenance fields `{nproc, rustc, commit, mode}`.
 //! `--scrape-out PATH` additionally dumps the first configuration's raw
 //! telemetry scrape as JSON (the input format of `ftbfs-snapshot scrape`).
 //!
@@ -301,12 +303,7 @@ fn print_stage_table(scrape: &TelemetrySnapshot) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_query.json".to_string());
+    let out_path = json::out_path(&args, "BENCH_query.json");
     let scrape_out = args
         .iter()
         .position(|a| a == "--scrape-out")
@@ -400,7 +397,10 @@ fn main() {
         println!("wrote telemetry scrape to {path}");
     }
 
-    let mut section = String::from("{\n    \"results\": [\n");
+    let mut section = format!(
+        "{{\n    {},\n    \"results\": [\n",
+        json::provenance(if smoke { "smoke" } else { "full" })
+    );
     for (i, r) in rows.iter().enumerate() {
         section.push_str(&format!(
             "      {{\"workers\": {}, \"clients\": {}, \"window\": {}, \"requests\": {}, \

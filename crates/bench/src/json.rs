@@ -2,14 +2,36 @@
 //!
 //! The serving-side experiment bins co-own one machine-readable file
 //! (`BENCH_query.json`): E10 rewrites it wholesale, E11 splices a
-//! `serve_load` section, E12 splices `chaos_serve`.  This module is that
-//! contract in one place — string escaping, trailing-section splicing,
+//! `serve_load` section, E12 splices `chaos_serve`, E13 `corpus` and E14
+//! `approx_scale`.  This module is that contract in one place — the
+//! output path, string escaping, trailing-section splicing, provenance,
 //! and the per-stage histogram quantile blocks the serving bins emit —
 //! so the bins cannot drift apart in format.
 
 use ftbfs_telemetry::TelemetrySnapshot;
 
 pub use ftbfs_telemetry::json_escape as escape;
+
+/// The JSON path a bench bin writes, from its command line: `--out PATH`
+/// if given; else, under `--smoke`, `target/<stem>.smoke.json`, so a smoke
+/// run never overwrites the checked-in full-sweep file `full`; else
+/// `full`.
+#[must_use]
+pub fn out_path(args: &[String], full: &str) -> String {
+    if let Some(path) = args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+    {
+        return path.clone();
+    }
+    if args.iter().any(|a| a == "--smoke") {
+        let stem = full.strip_suffix(".json").unwrap_or(full);
+        format!("target/{stem}.smoke.json")
+    } else {
+        full.to_string()
+    }
+}
 
 /// Splices `section` into `existing` as the trailing top-level `key`,
 /// replacing any previous value of that key and preserving everything
@@ -120,6 +142,22 @@ pub fn provenance(mode: &str) -> String {
 mod tests {
     use super::*;
     use ftbfs_telemetry::MetricsRegistry;
+
+    #[test]
+    fn out_path_prefers_out_then_smoke_then_the_full_file() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let full = "BENCH_query.json";
+        assert_eq!(out_path(&args(&["bin"]), full), full);
+        assert_eq!(
+            out_path(&args(&["bin", "--smoke"]), full),
+            "target/BENCH_query.smoke.json"
+        );
+        assert_eq!(
+            out_path(&args(&["bin", "--smoke", "--out", "x.json"]), full),
+            "x.json"
+        );
+        assert_eq!(out_path(&args(&["bin", "--out", "y.json"]), full), "y.json");
+    }
 
     #[test]
     fn splice_creates_then_replaces_the_trailing_section() {

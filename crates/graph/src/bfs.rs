@@ -109,36 +109,6 @@ pub fn bfs<R: Restriction>(view: &R, source: VertexId) -> BfsResult {
     }
 }
 
-/// Runs a breadth-first search and stops as soon as `target` is settled.
-///
-/// Distances of vertices beyond the target's BFS layer are not guaranteed to
-/// be populated; the target's distance (if reachable) is exact.
-pub fn bfs_to_target<R: Restriction>(view: &R, source: VertexId, target: VertexId) -> Option<u32> {
-    if source == target {
-        return Some(0);
-    }
-    let n = view.vertex_bound();
-    let mut dist = vec![None; n];
-    let mut queue = VecDeque::new();
-    dist[source.index()] = Some(0u32);
-    if view.allows_vertex(source) {
-        queue.push_back(source);
-    }
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()].expect("queued vertex has a distance");
-        for &(w, e) in view.base_graph().neighbors(u) {
-            if dist[w.index()].is_none() && view.allows_edge(e) {
-                dist[w.index()] = Some(du + 1);
-                if w == target {
-                    return Some(du + 1);
-                }
-                queue.push_back(w);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,17 +191,6 @@ mod tests {
                 assert!(g.endpoints(e).contains(p));
             }
         }
-    }
-
-    #[test]
-    fn targeted_bfs_matches_full_bfs() {
-        let g = diamond();
-        let view = GraphView::new(&g);
-        let full = bfs(&view, v(1));
-        for t in g.vertices() {
-            assert_eq!(bfs_to_target(&view, v(1), t), full.distance(t));
-        }
-        assert_eq!(bfs_to_target(&view, v(1), v(1)), Some(0));
     }
 
     #[test]

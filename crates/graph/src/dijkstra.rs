@@ -114,17 +114,6 @@ pub fn dijkstra<R: Restriction>(
         .to_shortest_paths()
 }
 
-/// Convenience wrapper: the `W`-weight of the shortest `source → target`
-/// path in `view`, or `None` if unreachable.
-pub fn shortest_weight<R: Restriction>(
-    view: &R,
-    w: &TieBreak,
-    source: VertexId,
-    target: VertexId,
-) -> Option<u64> {
-    dijkstra(view, w, source, Some(target)).weight(target)
-}
-
 /// Convenience wrapper: the unique `W`-shortest `source → target` path in
 /// `view`, or `None` if unreachable.  This is the paper's
 /// `SP(source, target, view, W)`.
@@ -215,7 +204,7 @@ mod tests {
         let view = GraphView::new(&g);
         let full = dijkstra(&view, &w, v(0), None);
         for t in g.vertices() {
-            assert_eq!(shortest_weight(&view, &w, v(0), t), full.weight(t));
+            assert_eq!(dijkstra(&view, &w, v(0), Some(t)).weight(t), full.weight(t));
         }
     }
 
@@ -242,7 +231,7 @@ mod tests {
         let g = b.build();
         let w = TieBreak::new(&g, 1);
         let view = GraphView::new(&g);
-        assert_eq!(shortest_weight(&view, &w, v(0), v(2)), None);
+        assert_eq!(dijkstra(&view, &w, v(0), Some(v(2))).weight(v(2)), None);
         assert_eq!(shortest_path(&view, &w, v(0), v(2)), None);
         let sp = dijkstra(&view, &w, v(0), None);
         assert!(!sp.reached(v(2)));

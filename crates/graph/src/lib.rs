@@ -18,7 +18,7 @@
 //!   [`Restriction`] trait;
 //! * [`TieBreak`] — the weight assignment `W` that makes shortest paths
 //!   unique while preserving hop-shortestness;
-//! * [`bfs()`]/[`bfs_to_target`] and [`dijkstra()`]/[`shortest_path`] — searches
+//! * [`bfs()`] and [`dijkstra()`]/[`shortest_path`] — searches
 //!   over restricted views, unweighted and under `W`;
 //! * [`SearchWorkspace`] / [`SearchEngine`] — zero-allocation reusable
 //!   search state for the construction hot loops;
@@ -68,8 +68,8 @@ pub mod sptree;
 pub mod tiebreak;
 pub mod workspace;
 
-pub use bfs::{bfs, bfs_to_target, BfsResult};
-pub use dijkstra::{dijkstra, shortest_path, shortest_weight, ShortestPaths};
+pub use bfs::{bfs, BfsResult};
+pub use dijkstra::{dijkstra, shortest_path, ShortestPaths};
 pub use fault::{
     FaultSet, FaultSpec, FaultSpecIter, GraphView, OverlayView, Restriction, ViewOverlay,
 };

@@ -1,8 +1,8 @@
 //! Allocation accounting for the query engine: after warm-up,
-//! trait-dispatched dual-fault distance queries on the acceptance workload
+//! dual-fault distance queries on the acceptance workload
 //! (`connected_gnp(120, 0.08)`) must allocate **nothing** — the whole point
 //! of the epoch-stamped workspace and the buffer-reusing partitioned fault
-//! LRU, preserved across the `DistanceOracle` redesign.
+//! LRU.
 //!
 //! Measured with a counting wrapper around the system allocator, which
 //! needs `unsafe` for the `GlobalAlloc` impl — the one place in the
@@ -15,9 +15,7 @@
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::multi_failure_ftmbfs_parts;
 use ftbfs_graph::{generators, EdgeId, FaultSpec, TieBreak, VertexId};
-use ftbfs_oracle::{
-    DistanceOracle, Freeze, FrozenStructure, FrozenView, Query, QueryEngine, SnapshotVersion,
-};
+use ftbfs_oracle::{Freeze, FrozenStructure, FrozenView, Query, QueryEngine, SnapshotVersion};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -111,7 +109,7 @@ fn dual_fault_queries_allocate_nothing_after_warmup() {
     assert_eq!(
         after - before,
         0,
-        "warmed-up trait-dispatched dual-fault queries must not allocate"
+        "warmed-up dual-fault queries must not allocate"
     );
     // Sanity: the warmed-up answers are still real answers.
     assert!(out.iter().filter(|d| d.is_some()).count() > out.len() / 2);
@@ -169,13 +167,13 @@ fn mmap_style_view_queries_allocate_nothing_after_warmup() {
 
 #[test]
 fn instrumented_hot_path_allocates_nothing_after_warmup() {
-    // The telemetry-plane guarantee: the fully instrumented serving hot
-    // path — engine hooks recording into registry counters plus explicit
-    // histogram samples, exactly what a `StreamServer` worker does per
-    // request — allocates nothing after warm-up.  Relaxed atomic adds
-    // into pre-registered cells only.
-    use ftbfs_oracle::Freeze;
-    use ftbfs_telemetry::{CounterRecorder, MetricsRegistry};
+    // The telemetry-plane guarantee: the per-request serving work of a
+    // `StreamServer` worker — the engine query, publishing the engine's
+    // stats into the registry's engine counters, and a stage histogram
+    // sample — allocates nothing after warm-up.  Relaxed atomic adds into
+    // pre-registered cells only.
+    use ftbfs_oracle::QueryStats;
+    use ftbfs_telemetry::{names, MetricsRegistry};
 
     let g = generators::connected_gnp(120, 0.08, 42);
     let w = TieBreak::new(&g, 42);
@@ -184,7 +182,40 @@ fn instrumented_hot_path_allocates_nothing_after_warmup() {
     let structure_edges: Vec<EdgeId> = h.edges().collect();
 
     let registry = MetricsRegistry::new();
-    let recorder = CounterRecorder::register(&registry, &[]);
+    let counters = [
+        names::ENGINE_TREE_HITS,
+        names::ENGINE_CACHE_HITS,
+        names::ENGINE_SEARCHES,
+        names::ENGINE_EPOCH_BUMPS,
+        names::ENGINE_BEST_EFFORT,
+        names::ENGINE_APPROX,
+    ]
+    .map(|name| registry.counter(name, "engine count"));
+    // What a worker does after each answer: move the engine's stats into
+    // the counters and restart its count.
+    let publish = |engine: &mut QueryEngine| {
+        let QueryStats {
+            tree_hits,
+            cache_hits,
+            searches,
+            best_effort,
+            approx,
+        } = engine.stats();
+        engine.reset_stats();
+        let deltas = [
+            tree_hits,
+            cache_hits,
+            searches,
+            searches,
+            best_effort,
+            approx,
+        ];
+        for (counter, n) in counters.iter().zip(deltas) {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+    };
     let stage_hist = registry.histogram("test_stage_ns", "stage latency", 2);
 
     let fault_pairs: Vec<FaultSpec> = (0..24)
@@ -205,36 +236,39 @@ fn instrumented_hot_path_allocates_nothing_after_warmup() {
         .collect();
     let mut out = vec![None; queries.len()];
 
-    let mut engine = ftbfs_oracle::QueryEngine::with_recorder(recorder);
+    let mut engine = QueryEngine::new();
     for _ in 0..2 {
         engine.batch_distances_into(&frozen, &queries, &mut out);
+        publish(&mut engine);
     }
 
     let before = allocation_count();
     engine.batch_distances_into(&frozen, &queries, &mut out);
+    publish(&mut engine);
     for (i, (q, spec)) in queries.iter().zip(fault_pairs.iter().cycle()).enumerate() {
         let answer = engine.try_distance(&frozen, q.target, spec).unwrap();
         assert!(answer.is_exact());
+        publish(&mut engine);
         stage_hist.for_shard(i % 2).record(1_000 + i as u64);
     }
     let after = allocation_count();
     assert_eq!(
         after - before,
         0,
-        "warmed-up instrumented queries + histogram records must not allocate"
+        "warmed-up queries + stats publishes + histogram records must not allocate"
     );
 
-    // The hooks really fired: every query the engine ever ran (two
-    // warm-up batches, the measured batch, the point-query loop) landed
-    // in exactly one of the three routing counters.
+    // The publishes really landed: every query the engine ever ran (two
+    // warm-up batches, the measured batch, the point-query loop) is in
+    // exactly one of the three routing counters.
     let scrape = registry.scrape();
     let routed: u64 = scrape
         .counters
         .iter()
         .filter(|c| {
-            c.name == ftbfs_telemetry::names::ENGINE_TREE_HITS
-                || c.name == ftbfs_telemetry::names::ENGINE_CACHE_HITS
-                || c.name == ftbfs_telemetry::names::ENGINE_SEARCHES
+            c.name == names::ENGINE_TREE_HITS
+                || c.name == names::ENGINE_CACHE_HITS
+                || c.name == names::ENGINE_SEARCHES
         })
         .map(|c| c.value)
         .sum();
@@ -329,8 +363,8 @@ fn multi_source_matrix_allocates_nothing_into_a_preallocated_slice() {
 
 /// Warms an engine on every `(source, spec)` of `oracle`, then serves the
 /// `S × V` matrix and cross-source point queries again, allocating nothing.
-fn assert_matrix_allocates_nothing<O: DistanceOracle>(
-    oracle: &O,
+fn assert_matrix_allocates_nothing(
+    oracle: &FrozenView<'_>,
     sources: &[VertexId],
     n: usize,
     specs: &[FaultSpec],

@@ -1,8 +1,8 @@
 //! Equivalence suite for the query-serving subsystem (`ftbfs-oracle`),
-//! exercised through the [`DistanceOracle`] trait for **both** slab
-//! layouts of `FrozenStructure` and `FrozenView`: one shared slab (the
-//! single-source structure) and one slab per source (the multi-source
-//! structure of `FrozenStructure::freeze_parts`).  Every query path of the [`QueryEngine`] —
+//! exercised for **both** slab layouts of `FrozenStructure` and
+//! `FrozenView`: one shared slab (the single-source structure) and one
+//! slab per source (the multi-source structure of
+//! `FrozenStructure::freeze_parts`).  Every query path of the [`QueryEngine`] —
 //! fault-free fast path, single-fault, dual-fault, cached repeats, the
 //! `S × V` distance matrix, batched, and the sharded multi-threaded
 //! harness — must be bit-identical to ground-truth BFS on `G ∖ F`, and
@@ -26,8 +26,8 @@ use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::{approx_ftbfs, multi_failure_ftmbfs_parts, ApproxParams};
 use ftbfs_graph::{bfs, generators, EdgeId, FaultSpec, Graph, GraphView, TieBreak, VertexId};
 use ftbfs_oracle::{
-    Contract, DistanceOracle, Freeze, FrozenStructure, FrozenView, Guarantee, Query, QueryEngine,
-    QueryError, SnapshotSource, SnapshotVersion,
+    Contract, Freeze, FrozenStructure, FrozenView, Guarantee, Query, QueryEngine, QueryError,
+    SnapshotSource, SnapshotVersion,
 };
 use ftbfs_serve::{
     EpochSnapshot, ServeConfig, ServeOutput, ServeRequest, StreamServer, ThroughputHarness,
@@ -72,7 +72,7 @@ fn multi_frozen_for(g: &Graph, sources: &[VertexId], seed: u64) -> FrozenStructu
 /// agrees with ground truth on every vertex from every *served* source
 /// under every sampled fault spec, and every answer within the resilience
 /// is flagged exact.
-fn assert_oracle_matches_ground_truth<O: DistanceOracle>(g: &Graph, oracle: &O, stride: usize) {
+fn assert_oracle_matches_ground_truth(g: &Graph, oracle: &FrozenView<'_>, stride: usize) {
     let mut engine = QueryEngine::new();
     let n = g.vertex_count();
     for spec in fault_specs(g, stride) {
@@ -143,9 +143,9 @@ fn assert_oracle_matches_ground_truth<O: DistanceOracle>(g: &Graph, oracle: &O, 
 /// contract `true_d ≤ d_H ≤ ⌈α·true_d⌉ + β`.  Fault-free answers must
 /// still be exactly the BFS distance (the primary tree is embedded
 /// whole).
-fn assert_approx_oracle_honours_contract<O: DistanceOracle>(
+fn assert_approx_oracle_honours_contract(
     g: &Graph,
-    oracle: &O,
+    oracle: &FrozenView<'_>,
     params: ApproxParams,
     stride: usize,
 ) {
@@ -276,9 +276,9 @@ fn all_small_fault_specs(g: &Graph) -> Vec<FaultSpec> {
 /// distance equals `truth(s, F)[v]`, and the path exists exactly when the
 /// distance does, runs `s → v` inside `G`, avoids `F`, and has that length.
 /// Returns how many faulted queries were answered from the tree.
-fn sweep_every_small_fault_set<O: DistanceOracle>(
+fn sweep_every_small_fault_set(
     g: &Graph,
-    oracle: &O,
+    oracle: &FrozenView<'_>,
     truth: impl Fn(VertexId, &FaultSpec) -> Vec<Option<u32>>,
 ) -> u64 {
     let mut engine = QueryEngine::new();

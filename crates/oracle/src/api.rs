@@ -1,26 +1,14 @@
-//! The unified serving abstraction: the [`DistanceOracle`] trait and its
-//! typed answer vocabulary ([`Answer`], [`Guarantee`], [`QueryError`],
-//! [`DistanceMatrix`]).
-//!
-//! This module abstracts *what a query engine needs from a frozen
-//! structure* into a trait, so the same engine — same epoch-stamped
-//! workspace, same fault-pair LRU, same zero-allocation guarantees — serves
-//! both the single-source dual-failure structures of the paper and the
-//! multi-source FT-MBFS structures of Gupta–Khan (`S × V` workloads).
-//!
-//! The trait surface is deliberately *data-shaped*, not *query-shaped*: an
-//! oracle hands out borrowed [`OracleSlab`]s (CSR arrays + optional
-//! precomputed fault-free tree for one source) and the engine owns all
-//! mutable state.  That keeps `&O: Sync` sharing across serving threads
-//! trivial and keeps the BFS kernel one loop over little-endian words.
+//! The typed vocabulary of query serving: answers ([`Answer`] carrying a
+//! [`Guarantee`]), the [`Contract`] a structure declares, [`QueryError`]
+//! instead of panics, and the `S × V` [`DistanceMatrix`].
 //!
 //! ## The guarantee contract
 //!
 //! A structure built for resilience `f` answers `dist(s, v, H ∖ F)` for
 //! *any* fault set — the engine simply runs inside the surviving subgraph.
 //! The paper's theorems only promise `dist(s, v, H ∖ F) = dist(s, v, G ∖ F)`
-//! for `|F| ≤ f`.  [`DistanceOracle::guarantee`] derives exactly that from
-//! the oracle's [`DistanceOracle::contract`] and resilience:
+//! for `|F| ≤ f`.  [`Contract::guarantee`] derives exactly that from the
+//! structure's contract and resilience:
 //! [`Guarantee::Exact`] when the spec's (distinct) size is within the
 //! declared resilience, [`Guarantee::BestEffort`] beyond it (approximate
 //! contracts put [`Guarantee::Approx`] in between).  Best-effort
@@ -28,10 +16,8 @@
 //! `G ∖ F` distance (`H ⊆ G` implies `dist(s,v,H∖F) ≥ dist(s,v,G∖F)`);
 //! they are never silently wrong in the "too short" direction.
 
-use crate::frozen::SourceTree;
 use ftbfs_core::ApproxParams;
-use ftbfs_graph::bytes::LeU32s;
-use ftbfs_graph::{EdgeId, FaultSpec, VertexId};
+use ftbfs_graph::{FaultSpec, VertexId};
 use std::fmt;
 
 /// How strongly an answer is guaranteed to relate to the true post-failure
@@ -235,179 +221,10 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// The borrowed CSR adjacency serving queries from one source: what a
-/// [`DistanceOracle`] hands the query engine.
-///
-/// A slab is a *view* — constructing one allocates nothing, so the engine
-/// can request a fresh slab per query.  The arrays are sections of the
-/// frozen structure's snapshot bytes, read through [`LeU32s`]:
-///
-/// * `xadj[v]..xadj[v+1]` indexes the arcs of vertex `v` in `adj_head` /
-///   `adj_edge`;
-/// * `adj_edge[i]` is the *slab-local frozen edge index* of arc `i` (shared
-///   by both directions of the undirected edge), so a one/two-fault check
-///   during traversal is one or two integer compares;
-/// * `edge_orig` maps slab-local indices back to original [`EdgeId`]s and
-///   is strictly increasing, so translating a query's faults is a binary
-///   search per fault — and monotone, so canonical fault order is
-///   preserved.
-#[derive(Clone, Copy, Debug)]
-pub struct OracleSlab<'a> {
-    source: VertexId,
-    pub(crate) xadj: LeU32s<'a>,
-    pub(crate) adj_head: LeU32s<'a>,
-    pub(crate) adj_edge: LeU32s<'a>,
-    edge_orig: LeU32s<'a>,
-    tree: Option<SourceTree<'a>>,
-}
-
-impl<'a> OracleSlab<'a> {
-    /// Assembles a slab from borrowed CSR arrays
-    /// `[xadj, adj_head, adj_edge, edge_orig]`.
-    ///
-    /// Invariants (checked only by `debug_assert`): `xadj` has `n + 1`
-    /// entries, `adj_head`/`adj_edge` have `xadj[n]` entries, `edge_orig`
-    /// is strictly increasing, and `tree` (if present) covers `n` vertices.
-    #[inline]
-    pub fn new(
-        source: VertexId,
-        [xadj, adj_head, adj_edge, edge_orig]: [LeU32s<'a>; 4],
-        tree: Option<SourceTree<'a>>,
-    ) -> Self {
-        debug_assert!(!xadj.is_empty());
-        debug_assert_eq!(adj_head.len(), xadj.get(xadj.len() - 1) as usize);
-        debug_assert_eq!(adj_head.len(), adj_edge.len());
-        debug_assert!((1..edge_orig.len()).all(|i| edge_orig.get(i - 1) < edge_orig.get(i)));
-        OracleSlab {
-            source,
-            xadj,
-            adj_head,
-            adj_edge,
-            edge_orig,
-            tree,
-        }
-    }
-
-    /// The source this slab serves queries from.
-    pub fn source(&self) -> VertexId {
-        self.source
-    }
-
-    /// Number of vertices covered by the slab.
-    pub fn vertex_count(&self) -> usize {
-        self.xadj.len() - 1
-    }
-
-    /// Number of (undirected) edges in the slab.
-    pub fn edge_count(&self) -> usize {
-        self.edge_orig.len()
-    }
-
-    /// The slab-local frozen index of original edge `e`, or `None` if the
-    /// slab does not contain it.  `O(log |E(H_s)|)`.
-    #[inline]
-    pub fn frozen_index(&self, e: EdgeId) -> Option<u32> {
-        self.edge_orig.binary_search(e.0).ok().map(|i| i as u32)
-    }
-
-    /// The precomputed fault-free tree of the slab's source, if it is a
-    /// declared source.
-    #[inline]
-    pub(crate) fn tree(&self) -> Option<SourceTree<'a>> {
-        self.tree
-    }
-}
-
-/// A structure compiled for post-failure distance serving: the single
-/// abstraction behind `QueryEngine`, `ThroughputHarness` and
-/// `ftbfs_verify::StructureOracle`.
-///
-/// Implementors are immutable and cheap to share (`&O` across threads);
-/// all mutable query state lives in the engine.  The in-tree
-/// implementation is [`crate::FrozenView`] over snapshot bytes, owned
-/// ([`crate::FrozenStructure`]) or borrowed; it holds either one shared CSR
-/// slab (any source answerable, precomputed trees for the declared
-/// sources) or one slab per declared source of an FT-MBFS source set (only
-/// those sources answerable).
-///
-/// # Examples
-///
-/// ```
-/// use ftbfs_core::dual_failure_ftbfs;
-/// use ftbfs_graph::{generators, FaultSpec, TieBreak, VertexId};
-/// use ftbfs_oracle::{DistanceOracle, Freeze, QueryEngine};
-///
-/// let g = generators::connected_gnp(30, 0.15, 7);
-/// let w = TieBreak::new(&g, 7);
-/// let frozen = dual_failure_ftbfs(&g, &w, VertexId(0)).freeze(&g);
-///
-/// // Generic serving code sees only the trait.
-/// fn serve<O: DistanceOracle>(oracle: &O, target: VertexId) -> Option<u32> {
-///     let mut engine = QueryEngine::new();
-///     let answer = engine.try_distance(oracle, target, &FaultSpec::None).unwrap();
-///     assert!(answer.is_exact());
-///     answer.into_value()
-/// }
-/// assert!(serve(&frozen, VertexId(9)).is_some());
-/// ```
-pub trait DistanceOracle {
-    /// Number of vertices of the underlying graph.
-    fn vertex_count(&self) -> usize;
-
-    /// Number of distinct edges in the frozen data (for a multi-source
-    /// oracle, the union over its slabs) — the paper's cost measure
-    /// `|E(H)|`.
-    fn edge_count(&self) -> usize;
-
-    /// The source set `S` the oracle serves, in declaration order; never
-    /// empty.
-    fn sources(&self) -> &[VertexId];
-
-    /// The number of edge faults the structure was built to tolerate
-    /// (answers for larger fault sets are [`Guarantee::BestEffort`]).
-    fn resilience(&self) -> usize;
-
-    /// A fingerprint identifying the frozen data; engines detect rebinding
-    /// to a different structure by comparing it.
-    fn fingerprint(&self) -> u64;
-
-    /// The CSR slab serving queries from `source`, or `None` if the oracle
-    /// cannot answer from that vertex.
-    ///
-    /// Implementations must return `None` (never panic) for out-of-range
-    /// sources.
-    fn slab(&self, source: VertexId) -> Option<OracleSlab<'_>>;
-
-    /// The first declared source — what source-less query forms default to.
-    fn primary_source(&self) -> VertexId {
-        self.sources()[0]
-    }
-
-    /// The engine's LRU partition for `source`: its position in
-    /// [`Self::sources`], or `None` for a servable-but-undeclared source
-    /// (engines map those to a shared overflow partition).
-    fn partition(&self, source: VertexId) -> Option<usize> {
-        self.sources().iter().position(|&s| s == source)
-    }
-
-    /// The answer contract the structure declares (exact unless
-    /// overridden).
-    fn contract(&self) -> Contract {
-        Contract::Exact
-    }
-
-    /// The guarantee answers under `spec` carry, derived from
-    /// [`Self::contract`] and [`Self::resilience`]; see the
-    /// [module docs](self) for the contract.
-    fn guarantee(&self, spec: &FaultSpec) -> Guarantee {
-        self.contract().guarantee(self.resilience(), spec)
-    }
-}
-
 /// The `S × V` distance table answered by `QueryEngine::try_distance_matrix`
 /// — the batch form serving Gupta–Khan's multi-source workload.
 ///
-/// Stored row-major by source (rows follow [`DistanceOracle::sources`]
+/// Stored row-major by source (rows follow [`crate::FrozenView::sources`]
 /// order).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DistanceMatrix {

@@ -73,7 +73,7 @@ impl FrozenStructure {
 
 #[cfg(test)]
 mod tests {
-    use crate::api::{Contract, DistanceOracle, Guarantee};
+    use crate::api::{Contract, Guarantee};
     use crate::frozen::FrozenStructure;
     use crate::snapshot::{snapshot_layout, SnapshotError, SnapshotVersion};
     use crate::view::{FrozenView, SnapshotSource};

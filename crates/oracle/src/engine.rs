@@ -1,13 +1,14 @@
 //! [`QueryEngine`] — per-thread, zero-allocation answering of post-failure
-//! distance and path queries over any [`DistanceOracle`].
+//! distance and path queries over a [`FrozenView`].
 //!
 //! The engine is the query-side counterpart of the construction stack's
 //! `ftbfs_graph::SearchEngine`: it reuses the same *epoch-stamping* scheme
 //! (a vertex's distance/parent slot is meaningful iff its stamp equals the
 //! current epoch, so starting a new search invalidates all previous state
-//! in `O(1)` without clearing), applied to a FIFO BFS over a borrowed
-//! [`OracleSlab`]'s CSR adjacency.  After warm-up, [`QueryEngine::try_distance`]
-//! and [`QueryEngine::batch_distances_into`] allocate nothing:
+//! in `O(1)` without clearing), applied to a FIFO BFS over the borrowed CSR
+//! slab of the query's source.  After warm-up,
+//! [`QueryEngine::try_distance`] and [`QueryEngine::batch_distances_into`]
+//! allocate nothing:
 //!
 //! * **tree fast path** — if the slab carries a precomputed fault-free
 //!   tree, a single-target query is answered from it whenever no effective
@@ -36,22 +37,23 @@
 //! The *checked* entry points (`try_*`) return
 //! `Result<`[`Answer`]`, `[`QueryError`]`>`: errors instead of panics for
 //! out-of-range vertices and unserved sources, and every answer carries the
-//! [`Guarantee`] derived from the oracle's declared resilience, so fault
+//! [`Guarantee`] derived from the structure's declared resilience, so fault
 //! sets larger than the resilience are answered but flagged.
 //!
-//! Engines are cheap and thread-local by design: share one oracle across
-//! threads (`&O` is `Sync` for every frozen structure and view type) and
-//! give each thread its own `QueryEngine` — that is exactly what
-//! `ftbfs_serve::ThroughputHarness` does.  The engine notices (via
-//! [`DistanceOracle::fingerprint`]) when it is handed a different structure
-//! and transparently rebinds, invalidating its cache.  Every frozen
+//! Engines are cheap and thread-local by design: share one view across
+//! threads (`&FrozenView` is `Sync`) and give each thread its own
+//! `QueryEngine` — that is exactly what `ftbfs_serve::ThroughputHarness`
+//! does.  The engine notices (via [`FrozenView::fingerprint`]) when it is
+//! handed a different structure and transparently rebinds, invalidating
+//! its cache.  Its [`QueryStats`] are the one count of how queries were
+//! answered; the serving layer publishes them into its metrics.  Every frozen
 //! structure serves from its snapshot bytes, so slab reads are
 //! little-endian word loads through [`ftbfs_graph::bytes::LeU32s`].
 
-use crate::api::{Answer, DistanceMatrix, DistanceOracle, Guarantee, OracleSlab, QueryError};
-use crate::frozen::{parent_walk, SourceTree, NO_PARENT, UNREACHED};
+use crate::api::{Answer, DistanceMatrix, Guarantee, QueryError};
+use crate::frozen::{parent_walk, OracleSlab, SourceTree, NO_PARENT, UNREACHED};
+use crate::view::FrozenView;
 use ftbfs_graph::{FaultSpec, Path, VertexId};
-use ftbfs_telemetry::{NoopRecorder, QueryRecorder};
 use std::collections::VecDeque;
 
 /// Sentinel frozen-edge index meaning "no fault in this slot".
@@ -61,8 +63,8 @@ const NO_FAULT: u32 = u32::MAX;
 /// non-default source.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Query {
-    /// The source to answer from; `None` means the oracle's
-    /// [`DistanceOracle::primary_source`].
+    /// The source to answer from; `None` means the structure's
+    /// [`FrozenView::primary_source`].
     pub source: Option<VertexId>,
     /// The queried vertex `v`.
     pub target: VertexId,
@@ -71,7 +73,7 @@ pub struct Query {
 }
 
 impl Query {
-    /// A query from the oracle's primary source under the given faults
+    /// A query from the structure's primary source under the given faults
     /// (anything convertible: an [`ftbfs_graph::EdgeId`], a pair, a slice,
     /// a [`ftbfs_graph::FaultSet`], or a [`FaultSpec`] itself).
     pub fn new(target: VertexId, faults: impl Into<FaultSpec>) -> Self {
@@ -101,8 +103,9 @@ impl Query {
     }
 }
 
-/// Counters describing how queries were answered; useful for tests and
-/// capacity planning.
+/// Counters describing how queries were answered: the engine's own
+/// record, which the serving layer publishes as its
+/// `ftbfs_engine_*_total` metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Queries answered from a precomputed fault-free tree: no effective
@@ -116,7 +119,7 @@ pub struct QueryStats {
     /// Queries that ran a BFS over a frozen slab.
     pub searches: u64,
     /// Queries whose answers carried [`Guarantee::BestEffort`] (fault sets
-    /// larger than the oracle's declared resilience).
+    /// larger than the structure's declared resilience).
     pub best_effort: u64,
     /// Queries whose answers carried [`Guarantee::Approx`] (bounded-stretch
     /// answers from an approximate backend within its resilience).
@@ -214,7 +217,7 @@ impl TreeIndex {
             }
         }
         // Preorder intervals from an iterative DFS over the child lists.
-        let s = slab.source().index();
+        let s = slab.source.index();
         let mut clock = 1;
         self.tin[s] = 0;
         stack.clear();
@@ -262,21 +265,11 @@ enum Slot {
     Fresh,
 }
 
-/// Per-thread query answering over any [`DistanceOracle`]; see the module
-/// docs.
+/// Per-thread query answering over a [`FrozenView`]; see the module docs.
 ///
-/// All methods take the oracle by reference, so one engine can be kept per
-/// thread while structures come and go (rebinding to an oracle with a
-/// different [`DistanceOracle::fingerprint`] clears the cache).
-///
-/// The engine is generic over a [`QueryRecorder`] — telemetry hooks fired
-/// on the tree fast path, cache hits, BFS searches, workspace epoch
-/// bumps, and best-effort answers.  The default [`NoopRecorder`] has
-/// empty `#[inline(always)]` bodies, so `QueryEngine::new()` monomorphises
-/// every hook away and the uninstrumented hot path is byte-for-byte the
-/// pre-telemetry one; [`QueryEngine::with_recorder`] plugs in a live
-/// recorder (e.g. [`ftbfs_telemetry::CounterRecorder`]) at one relaxed
-/// atomic bump per hook.
+/// All methods take the view by reference, so one engine can be kept per
+/// thread while structures come and go (rebinding to a view with a
+/// different [`FrozenView::fingerprint`] clears the cache).
 ///
 /// # Examples
 ///
@@ -297,8 +290,8 @@ enum Slot {
 /// assert_eq!(p.into_value().map(|p| p.len() as u32), d.into_value());
 /// ```
 #[derive(Clone, Debug)]
-pub struct QueryEngine<R: QueryRecorder = NoopRecorder> {
-    /// Fingerprint of the oracle the scratch state is sized for.
+pub struct QueryEngine {
+    /// Fingerprint of the structure the scratch state is sized for.
     bound: Option<u64>,
     n: usize,
     epoch: u64,
@@ -320,8 +313,6 @@ pub struct QueryEngine<R: QueryRecorder = NoopRecorder> {
     cache_capacity: usize,
     clock: u64,
     stats: QueryStats,
-    /// Telemetry hooks; [`NoopRecorder`] in the default build.
-    recorder: R,
 }
 
 /// The default per-partition fault-LRU capacity.
@@ -343,25 +334,16 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 16;
 /// within microseconds.
 pub const BUDGET_CHECK_STRIDE: usize = 256;
 
-impl<R: QueryRecorder + Default> Default for QueryEngine<R> {
+impl Default for QueryEngine {
     fn default() -> Self {
-        QueryEngine::with_recorder(R::default())
+        QueryEngine::new()
     }
 }
 
 impl QueryEngine {
-    /// Creates an uninstrumented engine with the default per-partition
-    /// cache capacity ([`DEFAULT_CACHE_CAPACITY`]).
+    /// Creates an engine with the default per-partition cache capacity
+    /// ([`DEFAULT_CACHE_CAPACITY`]).
     pub fn new() -> Self {
-        QueryEngine::default()
-    }
-}
-
-impl<R: QueryRecorder> QueryEngine<R> {
-    /// Creates an engine firing telemetry hooks into `recorder` (see
-    /// [`QueryRecorder`]); `QueryEngine::new()` is the
-    /// [`NoopRecorder`]-monomorphised shorthand.
-    pub fn with_recorder(recorder: R) -> Self {
         QueryEngine {
             bound: None,
             n: 0,
@@ -377,7 +359,6 @@ impl<R: QueryRecorder> QueryEngine<R> {
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             clock: 0,
             stats: QueryStats::default(),
-            recorder,
         }
     }
 
@@ -401,15 +382,15 @@ impl<R: QueryRecorder> QueryEngine<R> {
         self.stats = QueryStats::default();
     }
 
-    // -- checked trait-generic API ----------------------------------------
+    // -- checked API -------------------------------------------------------
 
-    /// The distance `dist(s, v, H ∖ F)` from the oracle's primary source,
-    /// with the [`Guarantee`] derived from the oracle's resilience;
+    /// The distance `dist(s, v, H ∖ F)` from the structure's primary source,
+    /// with the [`Guarantee`] derived from the structure's resilience;
     /// `None` inside the answer means `v` is unreachable in the surviving
     /// structure.
-    pub fn try_distance<O: DistanceOracle>(
+    pub fn try_distance(
         &mut self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         target: VertexId,
         spec: &FaultSpec,
     ) -> Result<Answer<Option<u32>>, QueryError> {
@@ -418,14 +399,19 @@ impl<R: QueryRecorder> QueryEngine<R> {
 
     /// [`Self::try_distance`] from an arbitrary source vertex.
     ///
-    /// Which sources are servable is the oracle's choice: a
+    /// Which sources are servable is the structure's layout: a
     /// [`crate::FrozenStructure`] with one shared slab answers from any
     /// vertex (BFS fallback for undeclared sources), one with per-source
     /// slabs only from its declared set — others return
     /// [`QueryError::UnservedSource`].
-    pub fn try_distance_from<O: DistanceOracle>(
+    // The per-query path (this and the `prepare`, `map_faults`, `resolve`
+    // and `note_guarantee` steps) is `#[inline]` so callers in other
+    // crates can inline it: a tree hit takes tens of nanoseconds, and
+    // outlined calls cost ~20% of that.
+    #[inline]
+    pub fn try_distance_from(
         &mut self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         source: VertexId,
         target: VertexId,
         spec: &FaultSpec,
@@ -437,9 +423,9 @@ impl<R: QueryRecorder> QueryEngine<R> {
 
     /// A shortest surviving path `s → v` inside `H ∖ F` from the primary
     /// source, or `None` (inside the answer) if `v` is unreachable.
-    pub fn try_shortest_path<O: DistanceOracle>(
+    pub fn try_shortest_path(
         &mut self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         target: VertexId,
         spec: &FaultSpec,
     ) -> Result<Answer<Option<Path>>, QueryError> {
@@ -447,9 +433,9 @@ impl<R: QueryRecorder> QueryEngine<R> {
     }
 
     /// [`Self::try_shortest_path`] from an arbitrary source vertex.
-    pub fn try_shortest_path_from<O: DistanceOracle>(
+    pub fn try_shortest_path_from(
         &mut self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         source: VertexId,
         target: VertexId,
         spec: &FaultSpec,
@@ -457,7 +443,7 @@ impl<R: QueryRecorder> QueryEngine<R> {
         if source == target {
             // The trivial path needs no search, but the query must still be
             // valid — the distance and path APIs agree on which
-            // (source, target) pairs an oracle serves.
+            // (source, target) pairs a structure serves.
             self.check_vertex(oracle, target)?;
             if oracle.slab(source).is_none() {
                 return Err(QueryError::UnservedSource { source });
@@ -471,7 +457,7 @@ impl<R: QueryRecorder> QueryEngine<R> {
         let t = target.index();
         let path = match slot {
             Slot::Tree => slab
-                .tree()
+                .tree
                 .expect("tree slot implies a slab tree")
                 .path_to(target),
             Slot::Cache(part, i) => {
@@ -487,18 +473,18 @@ impl<R: QueryRecorder> QueryEngine<R> {
 
     /// Distances from the primary source to *all* vertices under one fault
     /// spec (one shared resolution, then `O(1)` per vertex).
-    pub fn try_all_distances<O: DistanceOracle>(
+    pub fn try_all_distances(
         &mut self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         spec: &FaultSpec,
     ) -> Result<Answer<Vec<Option<u32>>>, QueryError> {
         self.try_all_distances_from(oracle, oracle.primary_source(), spec)
     }
 
     /// [`Self::try_all_distances`] from an arbitrary source vertex.
-    pub fn try_all_distances_from<O: DistanceOracle>(
+    pub fn try_all_distances_from(
         &mut self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         source: VertexId,
         spec: &FaultSpec,
     ) -> Result<Answer<Vec<Option<u32>>>, QueryError> {
@@ -519,9 +505,9 @@ impl<R: QueryRecorder> QueryEngine<R> {
     /// deterministic, so a budget closure that counts calls makes the
     /// cutoff reproducible in tests.  `Ok(Some(_))` answers are exactly
     /// [`Self::try_all_distances_from`]'s.
-    pub fn try_all_distances_from_budgeted<O: DistanceOracle>(
+    pub fn try_all_distances_from_budgeted(
         &mut self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         source: VertexId,
         spec: &FaultSpec,
         mut within_budget: impl FnMut() -> bool,
@@ -547,9 +533,9 @@ impl<R: QueryRecorder> QueryEngine<R> {
     /// The full `S × V` distance table under one fault spec — the batch
     /// form of Gupta–Khan's multi-source FT-MBFS workload.  One resolution
     /// per source, `O(1)` per `(s, v)` cell afterwards.
-    pub fn try_distance_matrix<O: DistanceOracle>(
+    pub fn try_distance_matrix(
         &mut self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         spec: &FaultSpec,
     ) -> Result<Answer<DistanceMatrix>, QueryError> {
         let k = oracle.sources().len();
@@ -569,9 +555,9 @@ impl<R: QueryRecorder> QueryEngine<R> {
     /// # Panics
     ///
     /// Panics if `out` has the wrong length.
-    pub fn try_distance_matrix_into<O: DistanceOracle>(
+    pub fn try_distance_matrix_into(
         &mut self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         spec: &FaultSpec,
         out: &mut [Option<u32>],
     ) -> Result<Guarantee, QueryError> {
@@ -590,9 +576,9 @@ impl<R: QueryRecorder> QueryEngine<R> {
 
     /// Answers a batch of [`Query`]s, returning distances in input order,
     /// or the first error encountered.
-    pub fn try_batch_distances<O: DistanceOracle>(
+    pub fn try_batch_distances(
         &mut self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         queries: &[Query],
     ) -> Result<Vec<Option<u32>>, QueryError> {
         let mut out = vec![None; queries.len()];
@@ -606,9 +592,9 @@ impl<R: QueryRecorder> QueryEngine<R> {
     /// # Panics
     ///
     /// Panics if `out.len() != queries.len()`.
-    pub fn try_batch_distances_into<O: DistanceOracle>(
+    pub fn try_batch_distances_into(
         &mut self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         queries: &[Query],
         out: &mut [Option<u32>],
     ) -> Result<(), QueryError> {
@@ -628,13 +614,13 @@ impl<R: QueryRecorder> QueryEngine<R> {
 
     /// Answers a batch of queries, panicking on invalid ones; prefer
     /// [`Self::try_batch_distances`] where errors must be surfaced.
-    pub fn batch_distances<O: DistanceOracle>(
+    pub fn batch_distances(
         &mut self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         queries: &[Query],
     ) -> Vec<Option<u32>> {
         self.try_batch_distances(oracle, queries)
-            .expect("batch query must be valid for this oracle")
+            .expect("batch query must be valid for this structure")
     }
 
     /// [`Self::batch_distances`] into a caller-provided slice.
@@ -642,20 +628,20 @@ impl<R: QueryRecorder> QueryEngine<R> {
     /// # Panics
     ///
     /// Panics if `out.len() != queries.len()` or a query is invalid.
-    pub fn batch_distances_into<O: DistanceOracle>(
+    pub fn batch_distances_into(
         &mut self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         queries: &[Query],
         out: &mut [Option<u32>],
     ) {
         self.try_batch_distances_into(oracle, queries, out)
-            .expect("batch query must be valid for this oracle")
+            .expect("batch query must be valid for this structure")
     }
 
     // -- internals --------------------------------------------------------
 
     #[inline]
-    fn check_vertex<O: DistanceOracle>(&self, oracle: &O, v: VertexId) -> Result<(), QueryError> {
+    fn check_vertex(&self, oracle: &FrozenView<'_>, v: VertexId) -> Result<(), QueryError> {
         if v.index() >= oracle.vertex_count() {
             return Err(QueryError::VertexOutOfRange {
                 vertex: v,
@@ -666,23 +652,18 @@ impl<R: QueryRecorder> QueryEngine<R> {
     }
 
     /// Counts and returns the guarantee answers under `spec` carry.
-    fn note_guarantee<O: DistanceOracle>(&mut self, oracle: &O, spec: &FaultSpec) -> Guarantee {
+    #[inline]
+    fn note_guarantee(&mut self, oracle: &FrozenView<'_>, spec: &FaultSpec) -> Guarantee {
         let g = oracle.guarantee(spec);
         match g {
-            Guarantee::BestEffort => {
-                self.stats.best_effort += 1;
-                self.recorder.best_effort();
-            }
-            Guarantee::Approx { .. } => {
-                self.stats.approx += 1;
-                self.recorder.approx_answer();
-            }
+            Guarantee::BestEffort => self.stats.best_effort += 1,
+            Guarantee::Approx { .. } => self.stats.approx += 1,
             _ => {}
         }
         g
     }
 
-    /// Validates the query, binds to the oracle, and resolves
+    /// Validates the query, binds to the structure, and resolves
     /// `(source, spec)` to a distance location, running and caching a BFS
     /// if needed.
     ///
@@ -690,9 +671,10 @@ impl<R: QueryRecorder> QueryEngine<R> {
     /// reads every vertex (all-distances, matrix rows).  Only a single
     /// target can take the tree under faults: the tree is exact for the
     /// vertices whose `π(s, v)` misses the faults, not for the rest.
-    fn prepare<'o, O: DistanceOracle>(
+    #[inline]
+    fn prepare<'o>(
         &mut self,
-        oracle: &'o O,
+        oracle: &'o FrozenView<'_>,
         source: VertexId,
         target: Option<VertexId>,
         spec: &FaultSpec,
@@ -705,9 +687,7 @@ impl<R: QueryRecorder> QueryEngine<R> {
             .slab(source)
             .ok_or(QueryError::UnservedSource { source })?;
         self.bind(oracle);
-        let partition = oracle
-            .partition(source)
-            .unwrap_or(self.partitions.len() - 1);
+        let partition = slab.declared.unwrap_or(self.partitions.len() - 1);
         let slot = self.resolve(&slab, partition, source, target, spec);
         Ok((slab, slot))
     }
@@ -715,7 +695,7 @@ impl<R: QueryRecorder> QueryEngine<R> {
     /// Rebinds the scratch state to `oracle` if it is a different structure
     /// than the last query's.
     #[inline]
-    fn bind<O: DistanceOracle>(&mut self, oracle: &O) {
+    fn bind(&mut self, oracle: &FrozenView<'_>) {
         if self.bound != Some(oracle.fingerprint()) {
             self.rebind(oracle);
         }
@@ -724,7 +704,7 @@ impl<R: QueryRecorder> QueryEngine<R> {
     /// Sizes the scratch state for `oracle` and indexes its trees.
     #[cold]
     #[inline(never)]
-    fn rebind<O: DistanceOracle>(&mut self, oracle: &O) {
+    fn rebind(&mut self, oracle: &FrozenView<'_>) {
         self.bound = Some(oracle.fingerprint());
         self.n = oracle.vertex_count();
         if self.stamp.len() < self.n {
@@ -751,7 +731,7 @@ impl<R: QueryRecorder> QueryEngine<R> {
             .resize_with(oracle.sources().len(), TreeIndex::default);
         for (index, &s) in self.trees.iter_mut().zip(oracle.sources()) {
             if let Some(slab) = oracle.slab(s) {
-                if let Some(tree) = slab.tree() {
+                if let Some(tree) = slab.tree {
                     index.build(&slab, tree, &mut self.dfs);
                 }
             }
@@ -761,6 +741,7 @@ impl<R: QueryRecorder> QueryEngine<R> {
     /// Translates the spec's original-edge faults into slab-local frozen
     /// indices (dropping faults outside the slab, which cannot affect
     /// answers), preserving canonical sorted order.
+    #[inline]
     fn map_faults(&mut self, slab: &OracleSlab<'_>, spec: &FaultSpec) {
         self.eff.clear();
         match spec {
@@ -803,6 +784,7 @@ impl<R: QueryRecorder> QueryEngine<R> {
     /// Resolves `(source, spec)` to a distance array location, running and
     /// caching a BFS if needed; a single `target` whose tree path survives
     /// the faults reads the tree (see the module docs).
+    #[inline]
     fn resolve(
         &mut self,
         slab: &OracleSlab<'_>,
@@ -812,7 +794,7 @@ impl<R: QueryRecorder> QueryEngine<R> {
         spec: &FaultSpec,
     ) -> Slot {
         self.map_faults(slab, spec);
-        if let Some(tree) = slab.tree() {
+        if let Some(tree) = slab.tree {
             let survives = |t| {
                 self.trees
                     .get(partition)
@@ -820,7 +802,6 @@ impl<R: QueryRecorder> QueryEngine<R> {
             };
             if self.eff.is_empty() || target.is_some_and(survives) {
                 self.stats.tree_hits += 1;
-                self.recorder.tree_hit();
                 return Slot::Tree;
             }
         }
@@ -836,13 +817,11 @@ impl<R: QueryRecorder> QueryEngine<R> {
         if let Some(k) = key {
             if let Some(i) = self.cache_lookup(partition, k) {
                 self.stats.cache_hits += 1;
-                self.recorder.cache_hit();
                 return Slot::Cache(partition, i);
             }
         }
         self.run_bfs(slab, source);
         self.stats.searches += 1;
-        self.recorder.search();
         match key {
             Some(k) => Slot::Cache(partition, self.cache_store(partition, k)),
             None => Slot::Fresh,
@@ -853,7 +832,7 @@ impl<R: QueryRecorder> QueryEngine<R> {
     fn read_distance(&self, slab: &OracleSlab<'_>, slot: Slot, target: VertexId) -> Option<u32> {
         let raw = match slot {
             Slot::Tree => slab
-                .tree()
+                .tree
                 .expect("tree slot implies a slab tree")
                 .dist
                 .get(target.index()),
@@ -876,7 +855,6 @@ impl<R: QueryRecorder> QueryEngine<R> {
     /// effective fault edges, into the epoch-stamped workspace arrays.
     fn run_bfs(&mut self, slab: &OracleSlab<'_>, source: VertexId) {
         self.epoch += 1;
-        self.recorder.epoch_bump();
         let QueryEngine {
             epoch,
             stamp,

@@ -52,7 +52,7 @@
 //! tree words.  All slabs index the same vertex set `0..n`, so one engine
 //! workspace serves every source.
 
-use crate::api::{Contract, OracleSlab};
+use crate::api::Contract;
 use crate::snapshot::{
     assemble, put_base, words, SEC_ARC_EDGES, SEC_ARC_HEADS, SEC_EDGE_ORIG, SEC_SLAB_TABLE,
     SEC_TREES, SEC_XADJ, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
@@ -162,6 +162,54 @@ pub(crate) fn parent_walk(parent: impl WordRead, v: VertexId) -> Path {
     Path::new(vertices)
 }
 
+/// The borrowed CSR adjacency serving queries from one source, handed to
+/// the query engine.
+///
+/// A slab is a *view* — constructing one allocates nothing, so the engine
+/// can request a fresh slab per query.  The arrays are sections of the
+/// frozen structure's snapshot bytes:
+///
+/// * `xadj[v]..xadj[v+1]` indexes the arcs of vertex `v` in `adj_head` /
+///   `adj_edge`;
+/// * `adj_edge[i]` is the *slab-local frozen edge index* of arc `i` (shared
+///   by both directions of the undirected edge), so a one/two-fault check
+///   during traversal is one or two integer compares;
+/// * `edge_orig` maps slab-local indices back to original [`EdgeId`]s and
+///   is strictly increasing, so translating a query's faults is a binary
+///   search per fault — and monotone, so canonical fault order is
+///   preserved.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct OracleSlab<'a> {
+    pub source: VertexId,
+    /// The source's index among the declared sources, or `None` for a
+    /// servable-but-undeclared one; declared sources carry their tree.
+    pub declared: Option<usize>,
+    pub tree: Option<SourceTree<'a>>,
+    pub xadj: LeU32s<'a>,
+    pub adj_head: LeU32s<'a>,
+    pub adj_edge: LeU32s<'a>,
+    edge_orig: LeU32s<'a>,
+}
+
+impl OracleSlab<'_> {
+    /// Number of vertices covered by the slab.
+    pub fn vertex_count(&self) -> usize {
+        self.xadj.len() - 1
+    }
+
+    /// Number of (undirected) edges in the slab.
+    pub fn edge_count(&self) -> usize {
+        self.edge_orig.len()
+    }
+
+    /// The slab-local frozen index of original edge `e`, or `None` if the
+    /// slab does not contain it.  `O(log |E(H_s)|)`.
+    #[inline]
+    pub fn frozen_index(&self, e: EdgeId) -> Option<u32> {
+        self.edge_orig.binary_search(e.0).ok().map(|i| i as u32)
+    }
+}
+
 /// The serving arrays of a frozen structure, borrowed from its snapshot
 /// sections, and the one rule deciding which sources they serve.
 #[derive(Clone, Copy, Debug)]
@@ -217,7 +265,7 @@ impl<'a> SlabTable<'a> {
 
     /// The slab serving `source`: with one shared slab any in-range
     /// vertex, with per-source slabs only a declared source.  Declared
-    /// sources carry their fault-free tree.
+    /// sources carry their index and their fault-free tree.
     #[inline(always)]
     pub fn slab(&self, sources: &[VertexId], source: VertexId) -> Option<OracleSlab<'a>> {
         let declared = sources.iter().position(|&s| s == source);
@@ -231,8 +279,16 @@ impl<'a> SlabTable<'a> {
                 (j, self.extent(j))
             }
         };
-        let tree = declared.map(|i| self.tree(i, source));
-        Some(OracleSlab::new(source, self.arrays(j, extent), tree))
+        let [xadj, adj_head, adj_edge, edge_orig] = self.arrays(j, extent);
+        Some(OracleSlab {
+            source,
+            declared,
+            tree: declared.map(|i| self.tree(i, source)),
+            xadj,
+            adj_head,
+            adj_edge,
+            edge_orig,
+        })
     }
 }
 
@@ -501,7 +557,6 @@ impl FrozenStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DistanceOracle;
     use ftbfs_core::{dual_failure_ftbfs, multi_failure_ftmbfs_parts};
     use ftbfs_graph::{bfs, generators, GraphView, TieBreak};
 

@@ -6,13 +6,13 @@
 //! `dist(s, v, H ∖ {e1, e2})` should be answered *inside* `H`, exactly, and
 //! at production rates.  This crate turns an
 //! [`ftbfs_core::FtBfsStructure`] into that production query engine, in
-//! four layers:
+//! five pieces:
 //!
-//! * [`DistanceOracle`] — the serving abstraction (module [`api`]): a
-//!   trait handing out per-source CSR slabs, with a *typed* vocabulary for
-//!   queries ([`ftbfs_graph::FaultSpec`]) and answers ([`Answer`] carrying
-//!   a [`Guarantee`], [`QueryError`] instead of panics);
-//! * [`FrozenStructure`] — the oracle backend: a structure compiled into
+//! * [`Answer`], [`Guarantee`], [`QueryError`] — the typed vocabulary of
+//!   serving (module [`api`]): queries take a [`ftbfs_graph::FaultSpec`],
+//!   answers carry the guarantee the structure's resilience gives them,
+//!   and invalid queries are errors instead of panics;
+//! * [`FrozenStructure`] — the one frozen type: a structure compiled into
 //!   immutable CSR slabs, either one shared slab (the paper's
 //!   single-source `H`) or one slab per source of a multi-source FT-MBFS
 //!   structure for `S × V` workloads, with fault-free BFS trees
@@ -27,12 +27,13 @@
 //!   `(α, β)` stretch — `O(n·θ)` edges instead of `O(n^{5/3})`, surfaced
 //!   as [`Guarantee::Approx`] on every in-resilience faulted answer and
 //!   stored in the snapshot header;
-//! * [`QueryEngine`] — per-thread zero-allocation query answering over any
-//!   oracle ([`QueryEngine::try_distance`],
+//! * [`QueryEngine`] — per-thread zero-allocation query answering over a
+//!   [`FrozenView`] ([`QueryEngine::try_distance`],
 //!   [`QueryEngine::try_shortest_path`],
 //!   [`QueryEngine::try_distance_matrix`],
 //!   [`QueryEngine::batch_distances`]) with an `O(1)` fault-free fast path
-//!   and a per-source-partitioned LRU keyed by `(source, FaultSpec)`;
+//!   and a per-source-partitioned LRU keyed by `(source, FaultSpec)`,
+//!   counting how it answered in [`QueryStats`];
 //! * [`BatchReport`] — the shared result type of batched query driving
 //!   (module [`report`]), produced by `ftbfs_serve::ThroughputHarness`.
 //!
@@ -75,12 +76,9 @@ pub mod report;
 pub mod snapshot;
 pub mod view;
 
-pub use api::{
-    Answer, Contract, DistanceMatrix, DistanceOracle, Guarantee, OracleSlab, QueryError,
-};
+pub use api::{Answer, Contract, DistanceMatrix, Guarantee, QueryError};
 pub use engine::{Query, QueryEngine, QueryStats, BUDGET_CHECK_STRIDE, DEFAULT_CACHE_CAPACITY};
 pub use frozen::{FrozenStructure, SourceTree};
-pub use ftbfs_telemetry::{NoopRecorder, QueryRecorder};
 pub use report::BatchReport;
 pub use snapshot::{
     snapshot_layout, SectionEntry, SnapshotError, SnapshotLayout, SnapshotVersion, SNAPSHOT_ALIGN,

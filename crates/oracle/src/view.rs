@@ -19,9 +19,8 @@
 //! [`FrozenStructure`] (`FrozenView<'static>`): freezing encodes a
 //! structure and opens the result, [`FrozenStructure::load`] opens a copy,
 //! and [`FrozenView::save`] hands the bytes back.  Either way one type
-//! implements [`DistanceOracle`] for both slab layouts, so every engine
-//! feature (fault LRU, tree fast path, batched and threaded serving) works
-//! the same on both.
+//! serves both slab layouts, so every engine feature (fault LRU, tree fast
+//! path, batched and threaded serving) works the same on both.
 //!
 //! Safety under corruption: the open-time checks guarantee that *any*
 //! byte-level corruption is rejected (every byte is covered by a
@@ -52,15 +51,15 @@
 //! recomputes it from the base payload, rejecting snapshots from writers
 //! that got it wrong.
 
-use crate::api::{Contract, DistanceOracle, OracleSlab};
-use crate::frozen::{FrozenStructure, SlabTable, SourceTree, NO_PARENT, UNREACHED};
+use crate::api::{Contract, Guarantee};
+use crate::frozen::{FrozenStructure, OracleSlab, SlabTable, SourceTree, NO_PARENT, UNREACHED};
 use crate::snapshot::{
     corrupt, read_frame, require_section, Base, SnapshotError, SnapshotVersion, SEC_ARC_EDGES,
     SEC_ARC_HEADS, SEC_EDGE_ORIG, SEC_SLAB_TABLE, SEC_TREES, SEC_XADJ,
 };
 use ftbfs_core::FtBfsStructure;
 use ftbfs_graph::bytes::{fnv1a64, LeU32s};
-use ftbfs_graph::{EdgeId, VertexId};
+use ftbfs_graph::{EdgeId, FaultSpec, VertexId};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -233,10 +232,10 @@ fn le_words(data: &[u8]) -> LeU32s<'_> {
 ///
 /// Opened with [`FrozenView::open`] (from a [`SnapshotSource`]) or
 /// [`FrozenView::open_bytes`] over borrowed bytes; [`FrozenStructure`] is
-/// the same type over owned bytes.  Implements [`DistanceOracle`]: a view
-/// answers bit-identically to the structure the snapshot was saved from —
-/// same fingerprint, same contract and guarantees, same servable sources,
-/// same slabs, same precomputed trees.  Two frozen structures are equal
+/// the same type over owned bytes.  The query engine serves from it: a
+/// view answers bit-identically to the structure the snapshot was saved
+/// from — same fingerprint, same contract and guarantees, same servable
+/// sources, same slabs, same precomputed trees.  Two frozen structures are equal
 /// when their determining data (magic and base payload) is.
 #[derive(Clone)]
 pub struct FrozenView<'a> {
@@ -407,6 +406,24 @@ impl<'a> FrozenView<'a> {
         self.layout.contract
     }
 
+    /// The guarantee answers under `spec` carry: [`Contract::guarantee`]
+    /// of the structure's contract and resilience.
+    #[inline]
+    pub fn guarantee(&self, spec: &FaultSpec) -> Guarantee {
+        self.layout
+            .contract
+            .guarantee(self.layout.resilience as usize, spec)
+    }
+
+    /// The CSR slab serving queries from `source`, or `None` if the
+    /// structure cannot answer from that vertex (see [`crate::frozen`]:
+    /// one shared slab serves any in-range source, per-source slabs only
+    /// the declared ones).
+    #[inline(always)]
+    pub(crate) fn slab(&self, source: VertexId) -> Option<OracleSlab<'_>> {
+        self.slabs().slab(&self.layout.sources, source)
+    }
+
     /// The FNV-1a fingerprint of the structure's canonical byte encoding
     /// (the snapshot's base payload).
     ///
@@ -524,40 +541,6 @@ impl FrozenStructure {
     }
 }
 
-impl DistanceOracle for FrozenView<'_> {
-    fn vertex_count(&self) -> usize {
-        FrozenView::vertex_count(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        FrozenView::edge_count(self)
-    }
-
-    fn sources(&self) -> &[VertexId] {
-        FrozenView::sources(self)
-    }
-
-    fn resilience(&self) -> usize {
-        FrozenView::resilience(self)
-    }
-
-    fn fingerprint(&self) -> u64 {
-        FrozenView::fingerprint(self)
-    }
-
-    #[inline]
-    fn contract(&self) -> Contract {
-        self.layout.contract
-    }
-
-    /// See [`crate::frozen`]: one shared slab serves any in-range source,
-    /// per-source slabs only the declared ones.
-    #[inline(always)]
-    fn slab(&self, source: VertexId) -> Option<OracleSlab<'_>> {
-        self.slabs().slab(&self.layout.sources, source)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,7 +654,7 @@ mod tests {
             );
         }
         // Undeclared sources stay unserved, like the owned structure.
-        assert!(DistanceOracle::slab(&view, v(3)).is_none());
+        assert!(view.slab(v(3)).is_none());
         assert_eq!(FrozenStructure::load(&bytes).unwrap(), multi);
     }
 

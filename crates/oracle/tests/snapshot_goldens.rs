@@ -18,8 +18,8 @@
 use ftbfs_core::ApproxParams;
 use ftbfs_graph::{EdgeId, FaultSpec, VertexId};
 use ftbfs_oracle::{
-    snapshot_layout, Contract, DistanceOracle, FrozenStructure, FrozenView, QueryEngine,
-    SnapshotError, SnapshotVersion, SNAPSHOT_ALIGN, SNAPSHOT_VERSION,
+    snapshot_layout, Contract, FrozenStructure, FrozenView, QueryEngine, SnapshotError,
+    SnapshotVersion, SNAPSHOT_ALIGN, SNAPSHOT_VERSION,
 };
 
 const GOLDEN_SINGLE_V2: &[u8] = include_bytes!("../testdata/golden_single_v2.ftbo");
@@ -34,7 +34,7 @@ const GOLDEN_MULTI_FINGERPRINT: u64 = 0xfdbe5a03bcab3f3a;
 
 /// The structure and the zero-rebuild view over the same bytes answer
 /// every target identically, fault-free and with original edge 0 failed.
-fn assert_view_matches_load<O: DistanceOracle>(loaded: &FrozenStructure, view: &O) {
+fn assert_view_matches_load(loaded: &FrozenStructure, view: &FrozenView<'_>) {
     let mut ea = QueryEngine::new();
     let mut eb = QueryEngine::new();
     let fault = EdgeId(0);

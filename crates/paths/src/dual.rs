@@ -1,9 +1,7 @@
 //! Dual-failure replacement paths `P_{s,v,F}` for `|F| ≤ 2` and the
 //! classification of fault pairs relative to `π(s, v)` and its detours.
 
-use ftbfs_graph::{
-    bfs_to_target, dijkstra, EdgeId, FaultSet, Graph, GraphView, Path, TieBreak, VertexId,
-};
+use ftbfs_graph::{dijkstra, EdgeId, FaultSet, Graph, GraphView, Path, TieBreak, VertexId};
 
 /// How a fault set relates to the canonical path `π(s, v)` and the detours of
 /// its single-failure replacement paths.  The paper's step (2) handles
@@ -82,26 +80,10 @@ pub fn canonical_dual_replacement(
     dijkstra(&view, w, source, Some(target)).path_to(target)
 }
 
-/// The hop distance `dist(s, v, G ∖ F)`, or `None` if disconnected.
-///
-/// A pure-distance query: runs an unweighted targeted BFS (the `W`-weights
-/// cannot change hop distances, see `ftbfs_graph::tiebreak`), so no `W` is
-/// needed.
-pub fn replacement_distance(
-    graph: &Graph,
-    _w: &TieBreak,
-    source: VertexId,
-    target: VertexId,
-    faults: &FaultSet,
-) -> Option<u32> {
-    let view = GraphView::new(graph).without_faults(faults);
-    bfs_to_target(&view, source, target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftbfs_graph::{generators, GraphBuilder, SpTree};
+    use ftbfs_graph::{bfs, generators, GraphBuilder, SpTree};
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -123,7 +105,9 @@ mod tests {
         assert!(!f2.intersects_path(&g, &p));
         assert_eq!(
             p.len() as u32,
-            replacement_distance(&g, &w, v(0), v(2), &f2).unwrap()
+            bfs(&GraphView::new(&g).without_faults(&f2), v(0))
+                .distance(v(2))
+                .unwrap()
         );
     }
 

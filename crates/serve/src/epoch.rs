@@ -256,7 +256,7 @@ impl EpochPublisher {
 mod tests {
     use super::*;
     use ftbfs_graph::{generators, FaultSpec, VertexId};
-    use ftbfs_oracle::{DistanceOracle, FrozenStructure, Guarantee, SnapshotVersion};
+    use ftbfs_oracle::{FrozenStructure, Guarantee, SnapshotVersion};
 
     fn snapshot(n: usize) -> EpochSnapshot {
         let g = generators::cycle(n);
@@ -273,7 +273,7 @@ mod tests {
         assert_eq!(view.vertex_count(), 8);
         assert_eq!(view.sources(), &[VertexId(0)]);
         assert_eq!(view.resilience(), 2);
-        assert!(view.slab(VertexId(0)).is_some());
+        assert!(view.tree_for(VertexId(0)).is_some());
         assert!(view.edge_count() > 0);
     }
 
@@ -292,7 +292,7 @@ mod tests {
         assert_eq!(view.contract(), frozen.contract());
         assert!(view.guarantee(&FaultSpec::One(e)).is_approx());
         assert_eq!(view.guarantee(&FaultSpec::None), Guarantee::Exact);
-        assert!(view.slab(VertexId(0)).is_some());
+        assert!(view.tree_for(VertexId(0)).is_some());
     }
 
     #[test]

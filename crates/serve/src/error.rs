@@ -1,7 +1,7 @@
 //! [`ServeError`] and [`SubmitError`] — the two error surfaces of the
 //! stream API, split by *who* sees them.
 //!
-//! The `DistanceOracle` layer reports per-query problems as
+//! The query engine reports per-query problems as
 //! [`QueryError`]; the serving layer adds failure modes of its own.  They
 //! surface on two sides of the stream contract:
 //!

@@ -28,8 +28,9 @@
 
 use crate::request::{ServeRequest, ServeTarget};
 use crate::server::answer;
-use ftbfs_oracle::{DistanceOracle, Query, QueryEngine, QueryRecorder};
-use ftbfs_telemetry::{names, MetricsRegistry, NoopRecorder};
+use crate::telemetry::EngineCounters;
+use ftbfs_oracle::{FrozenView, Query, QueryEngine};
+use ftbfs_telemetry::{names, MetricsRegistry};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -76,8 +77,8 @@ impl ThroughputHarness {
         self.threads
     }
 
-    fn engine_with<R: QueryRecorder>(&self, recorder: R) -> QueryEngine<R> {
-        let engine = QueryEngine::with_recorder(recorder);
+    fn engine(&self) -> QueryEngine {
+        let engine = QueryEngine::new();
         match self.cache_capacity {
             Some(c) => engine.with_cache_capacity(c),
             None => engine,
@@ -88,44 +89,43 @@ impl ThroughputHarness {
     /// across the configured threads; see the module docs for the two
     /// execution paths, determinism, and panic behaviour.
     ///
-    /// This path is deliberately *uninstrumented*: its engines carry the
-    /// [`NoopRecorder`], so it monomorphises to the pre-telemetry machine
-    /// code and stays the baseline the instrumented path is gated
-    /// against.
-    pub fn run<O: DistanceOracle + Sync>(&self, oracle: &O, queries: &[Query]) -> BatchReport {
-        self.run_with(oracle, queries, &|| self.engine_with(NoopRecorder))
+    /// This path publishes no metrics; it is the baseline the
+    /// instrumented path is gated against.
+    pub fn run(&self, oracle: &FrozenView<'_>, queries: &[Query]) -> BatchReport {
+        self.run_with(oracle, queries, None)
     }
 
-    /// Like [`ThroughputHarness::run`], but with telemetry compiled in:
-    /// worker engines record onto `registry`'s engine counters
-    /// (`ftbfs_engine_*_total`) and the batch wall time lands in the
-    /// [`names::HARNESS_BATCH_NS`] histogram.  Scrape `registry`
+    /// Like [`ThroughputHarness::run`], but with telemetry: each worker
+    /// engine publishes its [`ftbfs_oracle::QueryStats`] into
+    /// `registry`'s engine counters (`ftbfs_engine_*_total`) once, when
+    /// its share of the batch is done, and the batch wall time lands in
+    /// the [`names::HARNESS_BATCH_NS`] histogram.  Scrape `registry`
     /// afterwards for the numbers.
     ///
-    /// The per-query overhead versus [`ThroughputHarness::run`] is one
-    /// relaxed `fetch_add` per recorded engine edge; the bench suite's
-    /// overhead gate holds it under 3% of serial throughput.
-    pub fn run_instrumented<O: DistanceOracle + Sync>(
+    /// The per-query work is the same as [`ThroughputHarness::run`]'s; the
+    /// bench suite's overhead gate holds the difference under 3% of
+    /// serial throughput.
+    pub fn run_instrumented(
         &self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         queries: &[Query],
         registry: &MetricsRegistry,
     ) -> BatchReport {
         let batch_ns = registry.histogram(names::HARNESS_BATCH_NS, names::HARNESS_BATCH_NS_HELP, 1);
-        let recorder = ftbfs_telemetry::CounterRecorder::register(registry, &[]);
-        let report = self.run_with(oracle, queries, &|| self.engine_with(recorder.clone()));
+        let counters = EngineCounters::register(registry);
+        let report = self.run_with(oracle, queries, Some(&counters));
         batch_ns.record(report.wall.as_nanos() as u64);
         report
     }
 
-    /// The shared driver behind the two public entry points, generic over
-    /// the engine factory so each worker gets its own recorder handle.
-    fn run_with<O, R, F>(&self, oracle: &O, queries: &[Query], make_engine: &F) -> BatchReport
-    where
-        O: DistanceOracle + Sync,
-        R: QueryRecorder + Send,
-        F: Fn() -> QueryEngine<R> + Sync,
-    {
+    /// The shared driver behind the two public entry points; `counters`
+    /// receives each worker engine's stats at the end of its share.
+    fn run_with(
+        &self,
+        oracle: &FrozenView<'_>,
+        queries: &[Query],
+        counters: Option<&EngineCounters>,
+    ) -> BatchReport {
         let mut distances = vec![None; queries.len()];
         let mut latencies_ns = if self.record_latencies {
             vec![0u64; queries.len()]
@@ -143,19 +143,13 @@ impl ThroughputHarness {
         let threads = self.threads.min(queries.len());
         let start = Instant::now();
         if threads == 1 {
-            self.run_serial(
-                oracle,
-                queries,
-                make_engine,
-                &mut distances,
-                &mut latencies_ns,
-            );
+            self.run_serial(oracle, queries, counters, &mut distances, &mut latencies_ns);
         } else {
             self.run_stream(
                 oracle,
                 queries,
                 threads,
-                make_engine,
+                counters,
                 &mut distances,
                 &mut latencies_ns,
             );
@@ -171,15 +165,15 @@ impl ThroughputHarness {
 
     /// The single-thread path: a plain engine loop, no channels — the raw
     /// per-core serving rate.
-    fn run_serial<O: DistanceOracle, R: QueryRecorder>(
+    fn run_serial(
         &self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         queries: &[Query],
-        make_engine: &impl Fn() -> QueryEngine<R>,
+        counters: Option<&EngineCounters>,
         distances: &mut [Option<u32>],
         latencies_ns: &mut [u64],
     ) {
-        let mut engine = make_engine();
+        let mut engine = self.engine();
         if self.record_latencies {
             for ((q, slot), lat) in queries
                 .iter()
@@ -197,23 +191,22 @@ impl ThroughputHarness {
         } else {
             engine.batch_distances_into(oracle, queries, distances);
         }
+        if let Some(counters) = counters {
+            counters.publish(&mut engine);
+        }
     }
 
     /// The multi-thread path: one bounded stream through the front-end's
     /// routing rule and serving core.
-    fn run_stream<O, R, F>(
+    fn run_stream(
         &self,
-        oracle: &O,
+        oracle: &FrozenView<'_>,
         queries: &[Query],
         threads: usize,
-        make_engine: &F,
+        counters: Option<&EngineCounters>,
         distances: &mut [Option<u32>],
         latencies_ns: &mut [u64],
-    ) where
-        O: DistanceOracle + Sync,
-        R: QueryRecorder + Send,
-        F: Fn() -> QueryEngine<R> + Sync,
-    {
+    ) {
         let fingerprint = oracle.fingerprint();
         let record = self.record_latencies;
         std::thread::scope(|scope| {
@@ -222,13 +215,16 @@ impl ThroughputHarness {
             for _ in 0..threads {
                 let (tx, rx) = mpsc::channel::<(u64, ServeRequest)>();
                 let reply = reply_tx.clone();
-                let mut engine = make_engine();
+                let mut engine = self.engine();
                 scope.spawn(move || {
                     while let Ok((seq, request)) = rx.recv() {
                         let response = answer(&mut engine, oracle, fingerprint, seq, &request);
                         if reply.send(response).is_err() {
                             return;
                         }
+                    }
+                    if let Some(counters) = counters {
+                        counters.publish(&mut engine);
                     }
                 });
                 shards.push(tx);

@@ -1,15 +1,16 @@
 //! # ftbfs-serve
 //!
 //! The sharded serving front-end of the FT-BFS reproduction: a
-//! continuous-stream request/response API over the [`DistanceOracle`]
-//! seam, with snapshot epochs that can be swapped under live load.
+//! continuous-stream request/response API over frozen snapshot views
+//! ([`ftbfs_oracle::FrozenView`]), with snapshot epochs that can be
+//! swapped under live load.
 //!
 //! The `ftbfs-oracle` crate answers *queries*; this crate serves
 //! *requests*.  The difference is everything around the query: a typed
 //! wire contract, routing across worker shards, response reassembly in
 //! submission order, deadlines, a single error surface, and the ability
 //! to replace the underlying snapshot without dropping or reordering a
-//! single in-flight request.  Four layers:
+//! single in-flight request.  Five parts:
 //!
 //! * [`ServeRequest`] / [`ServeResponse`] (module [`request`]) — the
 //!   typed contract: source, target(s), [`ftbfs_graph::FaultSpec`],
@@ -31,8 +32,9 @@
 //!   thin adapter over the stream core (one batch = one bounded stream).
 //! * [`ServeTelemetry`] (module [`telemetry`]) — the observability plane:
 //!   request-lifecycle stage histograms, per-shard backpressure gauges,
-//!   engine counters and a structured trace-event ring, all scraped into
-//!   one [`TelemetrySnapshot`] ([`StreamServer::telemetry`]).
+//!   the workers' published engine counts and a structured trace-event
+//!   ring, all scraped into one [`TelemetrySnapshot`]
+//!   ([`StreamServer::telemetry`]).
 //!
 //! # Failure model
 //!
@@ -103,8 +105,3 @@ pub use telemetry::ServeTelemetry;
 // downstream users can speak it without a direct `ftbfs-telemetry`
 // dependency.
 pub use ftbfs_telemetry::{MetricsRegistry, TelemetrySnapshot, TimedEvent, TraceEvent};
-
-// The serving front-end is generic over the oracle seam; re-export the
-// trait so downstream users of this crate can name it without a direct
-// `ftbfs-oracle` dependency.
-pub use ftbfs_oracle::DistanceOracle;

@@ -5,7 +5,7 @@
 //! front-end.  A request names *what* to answer (source, target(s), the
 //! [`FaultSpec`] in force, an optional deadline); the response carries the
 //! request's sequence number, the full [`Answer`]/[`Guarantee`] vocabulary
-//! of the `DistanceOracle` layer (or a typed [`ServeError`]), and the
+//! of the query engine (or a typed [`ServeError`]), and the
 //! fingerprint of the snapshot *epoch* that answered — so a client can
 //! tell, per answer, which generation of the data it was served from while
 //! snapshots are being swapped underneath the workers.

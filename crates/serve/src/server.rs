@@ -62,7 +62,7 @@ use crate::health::{HealthCounters, ServeHealth};
 use crate::queue::{OverloadPolicy, PushOutcome, ShardQueue};
 use crate::request::{ServeOutput, ServeRequest, ServeResponse, ServeTarget};
 use crate::telemetry::ServeTelemetry;
-use ftbfs_oracle::{Answer, DistanceOracle, QueryEngine, QueryRecorder};
+use ftbfs_oracle::{Answer, FrozenView, QueryEngine};
 use ftbfs_telemetry::{Gauge, TelemetrySnapshot, TimedEvent, TraceEvent};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -647,10 +647,7 @@ fn supervised_worker(ctx: &WorkerContext) {
 /// leaves the supervisor holding exactly the request that must be
 /// answered with [`ServeError::WorkerRestarted`].
 fn serve_shard(ctx: &WorkerContext, in_flight: &mut Option<WorkItem>) {
-    // Workers run instrumented engines: each engine-level edge (tree hit,
-    // cache hit, overlay BFS, …) is one relaxed fetch_add on counters
-    // shared through the server's registry.
-    let mut engine = QueryEngine::with_recorder(ctx.telemetry.engine_recorder());
+    let mut engine = QueryEngine::new();
     'epochs: loop {
         let (generation, snapshot) = ctx.cell.load();
         let view = snapshot.open();
@@ -679,6 +676,9 @@ fn serve_shard(ctx: &WorkerContext, in_flight: &mut Option<WorkItem>) {
             ctx.injector.stall_point();
             let item = in_flight.as_ref().expect("in-flight item present");
             let response = answer(&mut engine, &view, fingerprint, item.seq, &item.request);
+            // Publish before replying, so a client that has drained its
+            // stream reads counters that include every answer it got.
+            ctx.telemetry.engine().publish(&mut engine);
             ctx.telemetry.record_execute(
                 ctx.shard,
                 &item.request.target,
@@ -697,9 +697,9 @@ fn serve_shard(ctx: &WorkerContext, in_flight: &mut Option<WorkItem>) {
 
 /// Answers one request against an open view — the shared serving core of
 /// the epoch workers and the scoped batch workers in [`crate::harness`].
-pub(crate) fn answer<O: DistanceOracle, R: QueryRecorder>(
-    engine: &mut QueryEngine<R>,
-    oracle: &O,
+pub(crate) fn answer(
+    engine: &mut QueryEngine,
+    oracle: &FrozenView<'_>,
     fingerprint: u64,
     seq: u64,
     request: &ServeRequest,
@@ -719,9 +719,9 @@ pub(crate) fn answer<O: DistanceOracle, R: QueryRecorder>(
 /// reads*, so one huge request cannot silently blow its budget: overruns
 /// return [`ServeError::DeadlineExceeded`] with the partial work
 /// discarded.
-fn serve_outcome<O: DistanceOracle, R: QueryRecorder>(
-    engine: &mut QueryEngine<R>,
-    oracle: &O,
+fn serve_outcome(
+    engine: &mut QueryEngine,
+    oracle: &FrozenView<'_>,
     request: &ServeRequest,
 ) -> Result<Answer<ServeOutput>, ServeError> {
     if request

@@ -20,6 +20,10 @@
 //! | engine execute | [`names::STAGE_EXECUTE_NS`] | worker, around `answer` |
 //! | reassembly | [`names::STAGE_REASSEMBLY_NS`] | [`crate::StreamHandle::recv`] |
 //!
+//! Workers publish their engines' [`QueryStats`] into the
+//! `ftbfs_engine_*_total` counters before each reply, so a drained
+//! stream's counters are exact.
+//!
 //! Submit, queue-wait and execute are labelled by request `target`
 //! (`"one"`/`"all"`); execute is additionally labelled by the answer
 //! `guarantee` (`"exact"`, `"approx"`, `"best_effort"`, `"error"`).
@@ -29,10 +33,10 @@
 
 use crate::request::{ServeOutput, ServeTarget};
 use crate::ServeError;
-use ftbfs_oracle::{Answer, Guarantee};
+use ftbfs_oracle::{Answer, Guarantee, QueryEngine, QueryStats};
 use ftbfs_telemetry::{
-    names, CounterRecorder, EventRing, Gauge, Histogram, MetricsRegistry, TelemetrySnapshot,
-    TimedEvent, DEFAULT_EVENT_CAPACITY,
+    names, Counter, EventRing, Gauge, Histogram, MetricsRegistry, TelemetrySnapshot, TimedEvent,
+    DEFAULT_EVENT_CAPACITY,
 };
 use std::sync::Arc;
 
@@ -75,6 +79,63 @@ fn guarantee_label(index: usize) -> &'static str {
     ["exact", "approx", "best_effort", "error"][index]
 }
 
+/// The registry's engine counters, fed from the engines' own
+/// [`QueryStats`]: [`EngineCounters::publish`] moves what an engine counted
+/// since its last publish into the counters, so they hold the summed stats
+/// of every engine that served.
+#[derive(Clone, Debug)]
+pub(crate) struct EngineCounters {
+    tree_hits: Counter,
+    cache_hits: Counter,
+    searches: Counter,
+    epoch_bumps: Counter,
+    best_effort: Counter,
+    approx: Counter,
+}
+
+impl EngineCounters {
+    /// Registers (or retrieves) the unlabelled `ftbfs_engine_*_total`
+    /// counters on `registry`.
+    pub(crate) fn register(registry: &MetricsRegistry) -> Self {
+        let counter = |name, help| registry.counter(name, help);
+        EngineCounters {
+            tree_hits: counter(names::ENGINE_TREE_HITS, names::ENGINE_TREE_HITS_HELP),
+            cache_hits: counter(names::ENGINE_CACHE_HITS, names::ENGINE_CACHE_HITS_HELP),
+            searches: counter(names::ENGINE_SEARCHES, names::ENGINE_SEARCHES_HELP),
+            epoch_bumps: counter(names::ENGINE_EPOCH_BUMPS, names::ENGINE_EPOCH_BUMPS_HELP),
+            best_effort: counter(names::ENGINE_BEST_EFFORT, names::ENGINE_BEST_EFFORT_HELP),
+            approx: counter(names::ENGINE_APPROX, names::ENGINE_APPROX_HELP),
+        }
+    }
+
+    /// Adds `engine`'s stats to the counters and resets them.  Every
+    /// search bumps the engine's workspace epoch once, so `epoch_bumps`
+    /// advances with `searches`.  Zero fields cost no atomic.
+    #[inline]
+    pub(crate) fn publish(&self, engine: &mut QueryEngine) {
+        let QueryStats {
+            tree_hits,
+            cache_hits,
+            searches,
+            best_effort,
+            approx,
+        } = engine.stats();
+        engine.reset_stats();
+        for (counter, n) in [
+            (&self.tree_hits, tree_hits),
+            (&self.cache_hits, cache_hits),
+            (&self.searches, searches),
+            (&self.epoch_bumps, searches),
+            (&self.best_effort, best_effort),
+            (&self.approx, approx),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+    }
+}
+
 /// One server's telemetry plane; obtained from
 /// [`crate::StreamServer::telemetry`].
 ///
@@ -92,6 +153,8 @@ pub struct ServeTelemetry {
     stage_execute: [[Histogram; GUARANTEE_LABELS]; 2],
     /// Reorder-buffer residency (all targets).
     stage_reassembly: Histogram,
+    /// The engine counters every worker publishes into.
+    engine: EngineCounters,
     /// Per-shard bounded-queue depth gauges.
     queue_depth: Vec<Gauge>,
     /// Per-shard in-flight (picked up, not yet answered) gauges.
@@ -144,6 +207,7 @@ impl ServeTelemetry {
         let queue_depth = shard_gauge(names::SERVE_QUEUE_DEPTH, names::SERVE_QUEUE_DEPTH_HELP);
         let in_flight = shard_gauge(names::SERVE_IN_FLIGHT, names::SERVE_IN_FLIGHT_HELP);
         ServeTelemetry {
+            engine: EngineCounters::register(&registry),
             registry,
             events: Arc::new(EventRing::new(DEFAULT_EVENT_CAPACITY)),
             stage_submit,
@@ -182,9 +246,9 @@ impl ServeTelemetry {
         &self.events
     }
 
-    /// Registers (or retrieves) the shared engine recorder counters.
-    pub(crate) fn engine_recorder(&self) -> CounterRecorder {
-        CounterRecorder::register(&self.registry, &[])
+    /// The engine counters workers publish their [`QueryStats`] into.
+    pub(crate) fn engine(&self) -> &EngineCounters {
+        &self.engine
     }
 
     /// The queue-depth gauge of shard `shard`.
@@ -282,6 +346,66 @@ mod tests {
             1
         );
         assert_eq!(series(names::STAGE_REASSEMBLY_NS, &[]).sum, 500);
+    }
+
+    #[test]
+    fn engine_counters_publish_and_reset_the_engine_stats() {
+        use ftbfs_graph::{generators, FaultSpec};
+        use ftbfs_oracle::FrozenStructure;
+        let g = generators::cycle(8);
+        let frozen = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, g.edges());
+        let e = |u, v| g.edge_between(VertexId(u), VertexId(v)).unwrap();
+        let registry = MetricsRegistry::new();
+        let counters = EngineCounters::register(&registry);
+        let mut engine = QueryEngine::new();
+        let cut = FaultSpec::One(e(0, 1));
+        for spec in [&FaultSpec::None, &cut, &cut] {
+            engine.try_distance(&frozen, VertexId(2), spec).unwrap();
+        }
+        let three = FaultSpec::from([e(2, 3), e(4, 5), e(6, 7)]);
+        engine.try_distance(&frozen, VertexId(1), &three).unwrap();
+        counters.publish(&mut engine);
+        assert_eq!(engine.stats(), QueryStats::default(), "publish resets");
+        // Publishing again adds nothing.
+        counters.publish(&mut engine);
+        let scrape = registry.scrape();
+        let value = |name: &str| {
+            let c = scrape.counters.iter().find(|c| c.name == name);
+            c.expect("registered").value
+        };
+        // The tree answers the fault-free query and (the fault lies off
+        // π(0, 1)) the three-fault one; the cut searches once, then hits.
+        assert_eq!(value(names::ENGINE_TREE_HITS), 2);
+        assert_eq!(value(names::ENGINE_CACHE_HITS), 1);
+        assert_eq!(value(names::ENGINE_SEARCHES), 1);
+        assert_eq!(value(names::ENGINE_EPOCH_BUMPS), 1);
+        assert_eq!(value(names::ENGINE_BEST_EFFORT), 1);
+        assert_eq!(value(names::ENGINE_APPROX), 0);
+    }
+
+    #[test]
+    fn registering_engine_counters_twice_shares_cells() {
+        use ftbfs_graph::{generators, FaultSpec};
+        use ftbfs_oracle::FrozenStructure;
+        let g = generators::cycle(8);
+        let frozen = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, g.edges());
+        let e = |u, v| g.edge_between(VertexId(u), VertexId(v)).unwrap();
+        let registry = MetricsRegistry::new();
+        let a = EngineCounters::register(&registry);
+        let b = EngineCounters::register(&registry);
+        let mut engine = QueryEngine::new();
+        engine
+            .try_distance(&frozen, VertexId(2), &FaultSpec::One(e(0, 1)))
+            .unwrap();
+        a.publish(&mut engine);
+        assert_eq!(b.searches.get(), 1);
+        let scrape = registry.scrape();
+        let searches = scrape
+            .counters
+            .iter()
+            .filter(|c| c.name == names::ENGINE_SEARCHES)
+            .count();
+        assert_eq!(searches, 1, "one series, not one per registration");
     }
 
     #[test]

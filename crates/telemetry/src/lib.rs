@@ -25,17 +25,15 @@
 //!   snapshot (module [`export`]) — the `ftbfs-snapshot scrape` ops
 //!   command is a thin wrapper over exactly this.
 //!
-//! The engine-level seam is [`QueryRecorder`] (module [`recorder`]): the
-//! oracle's `QueryEngine` is generic over it and defaults to
-//! [`NoopRecorder`], so the uninstrumented build monomorphises every hook
-//! to nothing — CI proves instrumented E10 throughput stays within 3% of
-//! that baseline.
+//! The query engine keeps its own counts (`ftbfs_oracle::QueryStats`);
+//! the serving layer publishes them into the registry's
+//! `ftbfs_engine_*_total` counters, so no engine code depends on this
+//! crate.
 //!
 //! Metric names are a stable contract, centralised in [`names`].
 //!
-//! This crate is dependency-free and sits between `ftbfs-graph` and
-//! `ftbfs-oracle` in the workspace DAG, so every layer above can record
-//! into it without cycles.
+//! This crate is dependency-free, so every layer that records into it
+//! (serve, corpus, bench) does so without cycles.
 //!
 //! # Quick example
 //!
@@ -66,7 +64,6 @@ pub mod export;
 pub mod hist;
 pub mod metrics;
 pub mod names;
-pub mod recorder;
 
 pub use events::{EventRing, TimedEvent, TraceEvent, DEFAULT_EVENT_CAPACITY};
 pub use export::{
@@ -77,4 +74,3 @@ pub use hist::{
     SUB_BUCKETS,
 };
 pub use metrics::{Counter, Gauge, Labels, MetricsRegistry};
-pub use recorder::{CounterRecorder, NoopRecorder, QueryRecorder};

@@ -7,7 +7,7 @@
 //! that hot paths bump with `Relaxed` operations — the same discipline as
 //! the serve crate's health counters.  Registration is idempotent: asking
 //! for the same `(name, labels)` pair twice returns a handle to the same
-//! underlying cells, so components wired independently (engine recorders,
+//! underlying cells, so components wired independently (engine counters,
 //! stage timers, health counters) converge on one coherent scrape.
 //!
 //! [`MetricsRegistry::scrape`] folds every registered metric into a
@@ -27,8 +27,7 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A counter detached from any registry (for tests and default
-    /// recorders).
+    /// A counter detached from any registry (for tests).
     #[must_use]
     pub fn detached() -> Self {
         Counter {

@@ -17,7 +17,7 @@
 //! * `format` — corpus ingestion source format, `"text"` or `"binary"`;
 //! * `suite` / `kind` — corpus scenario suite name and kind slug.
 
-// ---- Query engine (ftbfs-oracle) ----------------------------------------
+// ---- Query engine (`QueryStats`, published by ftbfs-serve) --------------
 
 /// Counter: queries answered from a precomputed fault-free tree (the
 /// `O(1)` fast path).

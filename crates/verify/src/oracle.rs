@@ -5,37 +5,35 @@
 //! purchased, routing queries after failures should be answered *inside* `H`
 //! and still be exact.
 //!
-//! Since the `ftbfs-oracle` crate landed, this type is a thin compatibility
-//! wrapper over its serving stack, and since the serving API unified behind
-//! the [`DistanceOracle`] trait, the wrapper is *generic over the backend*:
-//! the default (and the historical behaviour) freezes an edge set into an
-//! [`ftbfs_oracle::FrozenStructure`], but any oracle — notably one with
-//! per-source slabs ([`ftbfs_oracle::FrozenStructure::freeze_parts`]) —
-//! can be wrapped via [`StructureOracle::with_oracle`] and verified
-//! through the *same* query path that production serving uses.  The
-//! raw-[`FaultSet`] methods (`distance`, `route`, `all_distances`) are
-//! kept for compatibility; the checked forms ([`StructureOracle::try_distance`],
+//! [`StructureOracle`] is a thin wrapper over the `ftbfs-oracle` serving
+//! stack: [`StructureOracle::new`] freezes an edge set into a
+//! [`FrozenStructure`], and [`StructureOracle::with_oracle`] wraps any
+//! frozen structure — notably one with per-source slabs
+//! ([`FrozenStructure::freeze_parts`]) — so verification runs through the
+//! *same* query path that production serving uses.  The raw-[`FaultSet`]
+//! methods (`distance`, `route`, `all_distances`) panic on invalid
+//! queries; the checked forms ([`StructureOracle::try_distance`],
 //! [`StructureOracle::try_route`]) surface the exactness guarantee for
 //! fault sets beyond the structure's resilience.
 
 use ftbfs_graph::{bfs, EdgeId, FaultSet, FaultSpec, Graph, GraphView, Path, VertexId};
-use ftbfs_oracle::{Answer, DistanceOracle, FrozenStructure, QueryEngine, QueryError};
+use ftbfs_oracle::{Answer, FrozenStructure, QueryEngine, QueryError};
 use std::cell::RefCell;
 
-/// A query oracle over a fault-tolerant BFS structure, generic over the
-/// serving backend (default: [`FrozenStructure`]).
+/// A query oracle over a fault-tolerant BFS structure, frozen for
+/// serving.
 ///
 /// Queries take `&self` for backwards compatibility; the per-thread
 /// [`QueryEngine`] scratch state lives behind a [`RefCell`], which makes the
-/// oracle `!Sync`.  For multi-threaded serving, share the frozen backend and
+/// oracle `!Sync`.  For multi-threaded serving, share the frozen structure and
 /// give each thread its own engine (see `ftbfs_serve::ThroughputHarness`).
-pub struct StructureOracle<'g, O: DistanceOracle = FrozenStructure> {
+pub struct StructureOracle<'g> {
     graph: &'g Graph,
-    oracle: O,
+    oracle: FrozenStructure,
     engine: RefCell<QueryEngine>,
 }
 
-impl<'g> StructureOracle<'g, FrozenStructure> {
+impl<'g> StructureOracle<'g> {
     /// Creates an oracle for the structure given by `structure_edges`
     /// (deduplicated), answering queries from `source`.
     ///
@@ -58,11 +56,9 @@ impl<'g> StructureOracle<'g, FrozenStructure> {
         let frozen = FrozenStructure::from_edges(graph, &[source], 2, valid);
         StructureOracle::with_oracle(graph, frozen)
     }
-}
 
-impl<'g, O: DistanceOracle> StructureOracle<'g, O> {
-    /// Wraps an already-frozen serving backend (single- or multi-source).
-    pub fn with_oracle(graph: &'g Graph, oracle: O) -> Self {
+    /// Wraps an already-frozen structure (single- or multi-source).
+    pub fn with_oracle(graph: &'g Graph, oracle: FrozenStructure) -> Self {
         StructureOracle {
             graph,
             oracle,
@@ -70,20 +66,20 @@ impl<'g, O: DistanceOracle> StructureOracle<'g, O> {
         }
     }
 
-    /// The source queries default to (the backend's primary source).
+    /// The source queries default to (the structure's primary source).
     pub fn source(&self) -> VertexId {
         self.oracle.primary_source()
     }
 
-    /// Number of edges in the underlying structure (for multi-source
-    /// backends, the union).
+    /// Number of edges in the underlying structure (for per-source slabs,
+    /// the union).
     pub fn structure_size(&self) -> usize {
         self.oracle.edge_count()
     }
 
-    /// The frozen backend, for callers that want to run their own engines
-    /// (or snapshot it).
-    pub fn frozen(&self) -> &O {
+    /// The frozen structure, for callers that want to run their own
+    /// engines (or snapshot it).
+    pub fn frozen(&self) -> &FrozenStructure {
         &self.oracle
     }
 
@@ -103,7 +99,7 @@ impl<'g, O: DistanceOracle> StructureOracle<'g, O> {
 
     /// The checked distance query: a typed error instead of a panic, and
     /// an [`Answer`] carrying the exactness [`ftbfs_oracle::Guarantee`]
-    /// (best-effort once `|F|` exceeds the backend's resilience).
+    /// (best-effort once `|F|` exceeds the structure's resilience).
     pub fn try_distance(
         &self,
         v: VertexId,
@@ -154,7 +150,7 @@ impl<'g, O: DistanceOracle> StructureOracle<'g, O> {
     }
 
     /// [`Self::matches_ground_truth`] from an arbitrary served source — the
-    /// `S × V` form for multi-source backends.
+    /// `S × V` form for multi-source structures.
     pub fn matches_ground_truth_from(&self, s: VertexId, v: VertexId, faults: &FaultSet) -> bool {
         let gview = GraphView::new(self.graph).without_faults(faults);
         let expected = bfs(&gview, s).distance(v);
@@ -240,7 +236,7 @@ mod tests {
         let oracle = StructureOracle::new(&g, VertexId(4), g.edges());
         let frozen = oracle.frozen();
         assert_eq!(frozen.primary_source(), VertexId(4));
-        assert_eq!(DistanceOracle::edge_count(frozen), g.edge_count());
+        assert_eq!(frozen.edge_count(), g.edge_count());
         // The snapshot of the frozen structure round-trips.
         let reloaded = FrozenStructure::load(&frozen.save()).unwrap();
         assert_eq!(&reloaded, frozen);
