@@ -34,14 +34,25 @@
 //! The first configuration's server is scraped after its run, and the
 //! request-lifecycle stage histograms (submit, queue wait, execute,
 //! reassembly — see `ftbfs_telemetry::names`) land in the `serve_load`
-//! section as per-series p50/p99 summaries.
+//! section as per-series p50/p99 summaries, next to `queue_wait_share`:
+//! the server's queue-wait p50 over the client-observed p50 (the same
+//! ratio as perfbench's `serve.queue_wait_share`).
+//!
+//! The closed loops above keep every worker busy.  The `sparse` rows
+//! measure the other end: one stream with one request in flight,
+//! submitted every 1 ms and every 100 µs to a 2-worker server, so every
+//! wait on both sides of the handoff runs out of work.  Each row reports
+//! the client p50/p99 and the whole process's CPU time and voluntary
+//! context switches per request (from `/proc/self/task`; `null` where
+//! that is unavailable) — the price of the serve plane's spin-then-park
+//! wait when there is nothing to spin for.
 
 use ftbfs_bench::{json, Table};
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_graph::{generators, EdgeId, FaultSpec, Graph, TieBreak, VertexId};
 use ftbfs_oracle::{Freeze, SnapshotVersion};
 use ftbfs_serve::{EpochSnapshot, ServeConfig, ServeRequest, StreamServer, TelemetrySnapshot};
-use ftbfs_telemetry::names;
+use ftbfs_telemetry::{names, HistogramData};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -263,6 +274,90 @@ fn measure(
     (row, scrape)
 }
 
+/// One sparse-arrival measurement: see the module docs.
+struct SparseRow {
+    period_us: u64,
+    requests: usize,
+    p50_us: f64,
+    p99_us: f64,
+    /// Process CPU time and voluntary context switches per request.
+    per_request: Option<(f64, f64)>,
+}
+
+/// CPU nanoseconds and voluntary context switches summed over this
+/// process's threads (Linux `/proc/self/task`); `None` elsewhere.
+fn process_cpu_and_switches() -> Option<(u64, u64)> {
+    let mut cpu_ns = 0;
+    let mut switches = 0;
+    for task in std::fs::read_dir("/proc/self/task").ok()? {
+        let dir = task.ok()?.path();
+        let sched = std::fs::read_to_string(dir.join("schedstat")).ok()?;
+        cpu_ns += sched.split_whitespace().next()?.parse::<u64>().ok()?;
+        let status = std::fs::read_to_string(dir.join("status")).ok()?;
+        switches += status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))?
+            .trim()
+            .parse::<u64>()
+            .ok()?;
+    }
+    Some((cpu_ns, switches))
+}
+
+/// One request in flight, submitted every `period` to a fresh 2-worker
+/// server, `count` times after a short warm-up.  Panics on any error or
+/// out-of-order answer.
+fn measure_sparse(
+    snapshot: &EpochSnapshot,
+    requests: &[ServeRequest],
+    period: Duration,
+    count: usize,
+) -> SparseRow {
+    let server = StreamServer::launch(snapshot.clone(), ServeConfig::new().workers(2));
+    let mut stream = server.open_stream();
+    let mut round_trip = |seq: usize| {
+        let sent = Instant::now();
+        stream
+            .submit(requests[seq % requests.len()].clone())
+            .expect("server is serving");
+        let resp = stream.recv().expect("response for every request");
+        let latency = sent.elapsed().as_nanos() as u64;
+        assert_eq!(resp.seq, seq as u64, "stream order violated");
+        resp.outcome.expect("in-range request answered");
+        latency
+    };
+    let warm_up = 200;
+    for seq in 0..warm_up {
+        round_trip(seq);
+    }
+    let mut latencies = Vec::with_capacity(count);
+    let before = process_cpu_and_switches();
+    let start = Instant::now();
+    for k in 0..count {
+        let due = start + period * k as u32;
+        if let Some(wait) = due.checked_duration_since(Instant::now()) {
+            std::thread::sleep(wait);
+        }
+        latencies.push(round_trip(warm_up + k));
+    }
+    let after = process_cpu_and_switches();
+    drop(stream);
+    server.shutdown();
+    latencies.sort_unstable();
+    SparseRow {
+        period_us: period.as_micros() as u64,
+        requests: count,
+        p50_us: percentile_us(&latencies, 50.0),
+        p99_us: percentile_us(&latencies, 99.0),
+        per_request: before.zip(after).map(|((c0, v0), (c1, v1))| {
+            (
+                (c1 - c0) as f64 / 1e3 / count as f64,
+                (v1 - v0) as f64 / count as f64,
+            )
+        }),
+    }
+}
+
 /// The request-lifecycle stage histograms the `stages` summary reports.
 const STAGE_NAMES: [&str; 4] = [
     names::STAGE_SUBMIT_NS,
@@ -270,6 +365,18 @@ const STAGE_NAMES: [&str; 4] = [
     names::STAGE_EXECUTE_NS,
     names::STAGE_REASSEMBLY_NS,
 ];
+
+/// The queue-wait p50 of `scrape` (all label series merged; a bucket
+/// upper bound) over the client-observed p50, both in ns.
+fn queue_wait_share(scrape: &TelemetrySnapshot, client_p50_us: f64) -> f64 {
+    let mut wait = HistogramData::empty();
+    for h in &scrape.histograms {
+        if h.name == names::STAGE_QUEUE_WAIT_NS {
+            wait.merge_from(&h.to_data());
+        }
+    }
+    wait.quantile(0.5).unwrap_or(0) as f64 / (client_p50_us * 1e3).max(1.0)
+}
 
 /// Prints the per-stage latency table of a scrape (one row per labelled
 /// series of the four lifecycle stages).
@@ -392,6 +499,48 @@ fn main() {
     print!("{}", table.render());
     let first_scrape = first_scrape.expect("at least one configuration was measured");
     print_stage_table(&first_scrape);
+    let queue_wait_share = queue_wait_share(&first_scrape, rows[0].p50_us);
+    println!("queue_wait_share (first config): {queue_wait_share:.3}");
+    let sparse_count = |period_us: u64| {
+        if smoke {
+            300
+        } else {
+            3_000_000 / period_us as usize
+        }
+    };
+    let sparse: Vec<SparseRow> = [1000, 100]
+        .into_iter()
+        .map(|period_us| {
+            let period = Duration::from_micros(period_us);
+            measure_sparse(&snap_a, &requests, period, sparse_count(period_us))
+        })
+        .collect();
+    let mut sparse_table = Table::new(
+        "E11s — sparse arrivals (one request in flight, 2 workers)",
+        &[
+            "period_us",
+            "requests",
+            "p50_us",
+            "p99_us",
+            "cpu_us/req",
+            "vol_cs/req",
+        ],
+    );
+    let per_request = |r: &SparseRow, f: fn((f64, f64)) -> f64| {
+        r.per_request
+            .map_or("null".to_string(), |x| format!("{:.2}", f(x)))
+    };
+    for r in &sparse {
+        sparse_table.row(vec![
+            r.period_us.to_string(),
+            r.requests.to_string(),
+            format!("{:.2}", r.p50_us),
+            format!("{:.2}", r.p99_us),
+            per_request(r, |x| x.0),
+            per_request(r, |x| x.1),
+        ]);
+    }
+    sparse_table.print();
     if let Some(path) = &scrape_out {
         std::fs::write(path, first_scrape.to_json()).expect("write telemetry scrape JSON");
         println!("wrote telemetry scrape to {path}");
@@ -419,9 +568,24 @@ fn main() {
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
+    section.push_str("    ],\n    \"sparse\": [\n");
+    for (i, r) in sparse.iter().enumerate() {
+        section.push_str(&format!(
+            "      {{\"period_us\": {}, \"requests\": {}, \"p50_us\": {:.3}, \"p99_us\": {:.3}, \
+             \"cpu_us_per_req\": {}, \"vol_cs_per_req\": {}}}{}\n",
+            r.period_us,
+            r.requests,
+            r.p50_us,
+            r.p99_us,
+            per_request(r, |x| x.0),
+            per_request(r, |x| x.1),
+            if i + 1 < sparse.len() { "," } else { "" },
+        ));
+    }
     section.push_str(&format!(
-        "    ],\n    \"stages\": {},\n    \"floors\": {{\"qps_floor\": \
-         {SMOKE_SERVE_QPS_FLOOR:.1}, \"p99_ceiling_us\": {SMOKE_SERVE_P99_CEILING_US:.1}}}\n  }}",
+        "    ],\n    \"stages\": {},\n    \"queue_wait_share\": {queue_wait_share:.4},\n    \
+         \"floors\": {{\"qps_floor\": {SMOKE_SERVE_QPS_FLOOR:.1}, \"p99_ceiling_us\": \
+         {SMOKE_SERVE_P99_CEILING_US:.1}}}\n  }}",
         json::histogram_quantiles(&first_scrape, &STAGE_NAMES)
     ));
     let spliced = json::splice_section(

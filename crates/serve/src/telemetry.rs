@@ -27,9 +27,10 @@
 //! Submit, queue-wait and execute are labelled by request `target`
 //! (`"one"`/`"all"`); execute is additionally labelled by the answer
 //! `guarantee` (`"exact"`, `"approx"`, `"best_effort"`, `"error"`).
-//! Workers record
-//! into their own histogram shard, so concurrent shards never contend on
-//! a bucket cache line.
+//! Each worker resolves its `WorkerStages` handles once, at spawn, and
+//! records through them into its own histogram shard: concurrent shards
+//! never contend on a bucket cache line, and a sample touches no shared
+//! `Arc` refcount.
 
 use crate::request::{ServeOutput, ServeTarget};
 use crate::ServeError;
@@ -266,29 +267,48 @@ impl ServeTelemetry {
         self.stage_submit[target_index(target)].record(ns);
     }
 
-    /// Records one queue-wait latency from shard `shard`'s worker.
-    pub(crate) fn record_queue_wait(&self, shard: usize, target: &ServeTarget, ns: u64) {
-        self.stage_queue_wait[target_index(target)]
-            .for_shard(shard)
-            .record(ns);
-    }
-
-    /// Records one engine-execute latency from shard `shard`'s worker.
-    pub(crate) fn record_execute(
-        &self,
-        shard: usize,
-        target: &ServeTarget,
-        outcome: &Result<Answer<ServeOutput>, ServeError>,
-        ns: u64,
-    ) {
-        self.stage_execute[target_index(target)][guarantee_index(outcome)]
-            .for_shard(shard)
-            .record(ns);
+    /// The worker-side stage histograms, retargeted once at shard
+    /// `shard`'s writer shard.
+    pub(crate) fn worker(&self, shard: usize) -> WorkerStages {
+        WorkerStages {
+            queue_wait: std::array::from_fn(|t| self.stage_queue_wait[t].for_shard(shard)),
+            execute: std::array::from_fn(|t| {
+                std::array::from_fn(|g| self.stage_execute[t][g].for_shard(shard))
+            }),
+        }
     }
 
     /// Records one reorder-buffer residency.
     pub(crate) fn record_reassembly(&self, ns: u64) {
         self.stage_reassembly.record(ns);
+    }
+}
+
+/// One worker's handles on the queue-wait and execute stage histograms,
+/// each recording into that worker's shard; from
+/// [`ServeTelemetry::worker`].
+#[derive(Debug)]
+pub(crate) struct WorkerStages {
+    /// `[one, all]` queue-wait latency.
+    queue_wait: [Histogram; 2],
+    /// `[one, all] × [exact, approx, best_effort, error]` execute latency.
+    execute: [[Histogram; GUARANTEE_LABELS]; 2],
+}
+
+impl WorkerStages {
+    /// Records one queue-wait latency.
+    pub(crate) fn record_queue_wait(&self, target: &ServeTarget, ns: u64) {
+        self.queue_wait[target_index(target)].record(ns);
+    }
+
+    /// Records one engine-execute latency.
+    pub(crate) fn record_execute(
+        &self,
+        target: &ServeTarget,
+        outcome: &Result<Answer<ServeOutput>, ServeError>,
+        ns: u64,
+    ) {
+        self.execute[target_index(target)][guarantee_index(outcome)].record(ns);
     }
 }
 
@@ -302,9 +322,10 @@ mod tests {
         let telemetry = ServeTelemetry::new(2);
         telemetry.record_submit(&ServeTarget::One(VertexId(0)), 100);
         telemetry.record_submit(&ServeTarget::All, 200);
-        telemetry.record_queue_wait(1, &ServeTarget::One(VertexId(0)), 300);
-        telemetry.record_execute(
-            0,
+        telemetry
+            .worker(1)
+            .record_queue_wait(&ServeTarget::One(VertexId(0)), 300);
+        telemetry.worker(0).record_execute(
             &ServeTarget::One(VertexId(0)),
             &Err(ServeError::DeadlineExceeded),
             400,
@@ -419,9 +440,10 @@ mod tests {
                 add: 4,
             },
         );
-        telemetry.record_execute(0, &ServeTarget::One(VertexId(0)), &Ok(approx), 250);
+        let stages = telemetry.worker(0);
+        stages.record_execute(&ServeTarget::One(VertexId(0)), &Ok(approx), 250);
         let exact = Answer::new(ServeOutput::Distance(Some(3)), Guarantee::Exact);
-        telemetry.record_execute(0, &ServeTarget::One(VertexId(0)), &Ok(exact), 100);
+        stages.record_execute(&ServeTarget::One(VertexId(0)), &Ok(exact), 100);
         let snapshot = telemetry.scrape();
         let count = |guarantee: &str| {
             snapshot
