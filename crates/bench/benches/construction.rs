@@ -3,8 +3,8 @@
 //! set-cover approximation, on random connected graphs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ftbfs_core::dual::{DualFtBfsBuilder, SelectionStrategy};
-use ftbfs_core::{approx_minimum_ftmbfs, single_failure_ftbfs};
+use ftbfs_core::dual::DualFtBfsBuilder;
+use ftbfs_core::{approx_minimum_ftmbfs, multi_failure_ftbfs, single_failure_ftbfs};
 use ftbfs_graph::{generators, SpTree, TieBreak, VertexId};
 use std::time::Duration;
 
@@ -68,13 +68,7 @@ fn bench_dual(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("canonical", n), &n, |b, _| {
-            b.iter(|| {
-                DualFtBfsBuilder::new(&g, &w, VertexId(0))
-                    .strategy(SelectionStrategy::Canonical)
-                    .build()
-                    .structure
-                    .edge_count()
-            })
+            b.iter(|| multi_failure_ftbfs(&g, &w, VertexId(0), 2).edge_count())
         });
     }
     group.finish();

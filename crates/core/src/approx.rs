@@ -64,10 +64,9 @@ pub fn approx_minimum_ftmbfs(graph: &Graph, sources: &[VertexId], f: usize) -> F
             fault_sets
                 .iter()
                 .map(|fs| {
-                    engine.overlay.begin(graph);
-                    engine.overlay.remove_faults(fs);
-                    let view = engine.overlay.view(graph);
-                    let res = engine.workspace.bfs(&view, s);
+                    let (view, ws) = engine.begin(graph);
+                    view.remove_faults(fs);
+                    let res = ws.bfs(view, s);
                     graph.vertices().map(|v| res.hops(v)).collect()
                 })
                 .collect()

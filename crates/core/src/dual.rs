@@ -1,5 +1,6 @@
 //! Algorithm `Cons2FTBFS` — the dual-failure FT-BFS construction of
-//! Section 3, plus a canonical-selection baseline variant.
+//! Section 3.  (The canonical-selection baseline is
+//! [`crate::multi::multi_failure_ftbfs`] with `f = 2`.)
 //!
 //! For every target vertex `v`, the algorithm selects a replacement path for
 //! every *relevant* fault event and keeps only its last edge:
@@ -21,26 +22,12 @@
 //! The output structure is `H = T_0(s) ∪ ⋃_v H(v)` where `H(v)` collects the
 //! selected last edges.  Theorem 1.1 bounds `|E(H)|` by `O(n^{5/3})`.
 
-use crate::multi::multi_failure_ftbfs;
 use crate::structure::FtBfsStructure;
 use ftbfs_graph::{EdgeId, FaultSet, Graph, Path, SearchEngine, SpTree, TieBreak, VertexId};
 use ftbfs_paths::detour::{Decomposition, Detour};
 use ftbfs_paths::replacement::SingleFailureReplacer;
-use ftbfs_paths::select::{earliest_detour_divergence, earliest_pi_divergence};
+use ftbfs_paths::select::{earliest_detour_divergence, earliest_pi_divergence, fault_distance};
 use std::collections::HashSet;
-
-/// How replacement paths are selected during construction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SelectionStrategy {
-    /// The paper's preference rules (earliest π-divergence, then earliest
-    /// detour divergence); this is the variant whose size is bounded by
-    /// `O(n^{5/3})` in Theorem 1.1.
-    PaperPreference,
-    /// Canonical `W`-unique shortest paths over all relevant fault sets
-    /// (the generic `f = 2` construction).  Correct, simpler, but without the
-    /// paper's worst-case size analysis; used as an ablation baseline.
-    Canonical,
-}
 
 /// A recorded step-1 detour: which π-edge it protects and the three-segment
 /// decomposition of the chosen replacement path.
@@ -131,29 +118,20 @@ pub struct DualFtBfsBuilder<'g> {
     graph: &'g Graph,
     w: &'g TieBreak,
     source: VertexId,
-    strategy: SelectionStrategy,
     record: bool,
     threads: usize,
 }
 
 impl<'g> DualFtBfsBuilder<'g> {
-    /// Creates a builder with the paper's selection strategy and recording
-    /// disabled.
+    /// Creates a builder with recording disabled and one thread.
     pub fn new(graph: &'g Graph, w: &'g TieBreak, source: VertexId) -> Self {
         DualFtBfsBuilder {
             graph,
             w,
             source,
-            strategy: SelectionStrategy::PaperPreference,
             record: false,
             threads: 1,
         }
-    }
-
-    /// Chooses the selection strategy.
-    pub fn strategy(mut self, strategy: SelectionStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Enables per-vertex construction records (needed by `ftbfs-analysis`).
@@ -174,16 +152,6 @@ impl<'g> DualFtBfsBuilder<'g> {
 
     /// Runs the construction.
     pub fn build(&self) -> DualFtBfs {
-        match self.strategy {
-            SelectionStrategy::Canonical => DualFtBfs {
-                structure: multi_failure_ftbfs(self.graph, self.w, self.source, 2),
-                records: Vec::new(),
-            },
-            SelectionStrategy::PaperPreference => self.build_paper(),
-        }
-    }
-
-    fn build_paper(&self) -> DualFtBfs {
         let graph = self.graph;
         let w = self.w;
         let source = self.source;
@@ -239,13 +207,16 @@ impl<'g> DualFtBfsBuilder<'g> {
 
     /// Runs steps (1)–(3) for a single target vertex and returns `H(v)`
     /// (the selected last edges, including `E(v, T_0)`), plus the record.
-    fn construct_for_vertex(
+    fn construct_for_vertex<'e>(
         &self,
-        engine: &mut SearchEngine,
+        engine: &mut SearchEngine<'e>,
         tree: &SpTree,
-        replacer: &SingleFailureReplacer<'_>,
+        replacer: &SingleFailureReplacer<'e>,
         v: VertexId,
-    ) -> (Vec<EdgeId>, VertexRecord) {
+    ) -> (Vec<EdgeId>, VertexRecord)
+    where
+        'g: 'e,
+    {
         let graph = self.graph;
         let w = self.w;
         let source = self.source;
@@ -296,10 +267,9 @@ impl<'g> DualFtBfsBuilder<'g> {
                 let chosen = match stitched {
                     Some(p) => p,
                     None => {
-                        engine.overlay.begin(graph);
-                        engine.overlay.remove_faults(&faults);
-                        let view = engine.overlay.view(graph);
-                        match engine.workspace.canonical_path(&view, w, source, v) {
+                        let (view, ws) = engine.begin(graph);
+                        view.remove_faults(&faults);
+                        match ws.canonical_path(view, w, source, v) {
                             Some(p) => p,
                             None => continue,
                         }
@@ -338,12 +308,10 @@ impl<'g> DualFtBfsBuilder<'g> {
                 continue;
             };
             // Is the pair already satisfied by the current structure at v?
-            engine.overlay.begin(graph);
-            engine.overlay.restrict_incident(v, current.iter().copied());
-            engine.overlay.remove_faults(&faults);
-            let view = engine.overlay.view(graph);
-            let current_hops = engine.workspace.bfs_hops(&view, source, v);
-            if current_hops == Some(target_hops) {
+            let (view, ws) = engine.begin(graph);
+            view.restrict_incident(v, current.iter().copied());
+            view.remove_faults(&faults);
+            if ws.bfs_hops(view, source, v) == Some(target_hops) {
                 continue;
             }
             // New-ending: select with the divergence-point preferences.
@@ -460,21 +428,6 @@ impl<'g> DualFtBfsBuilder<'g> {
     }
 }
 
-/// The hop distance `dist(s, v, G ∖ F)`, or `None` if disconnected — a
-/// pure-distance query on the engine's unweighted fast path.
-fn fault_distance(
-    engine: &mut SearchEngine,
-    graph: &Graph,
-    source: VertexId,
-    v: VertexId,
-    faults: &FaultSet,
-) -> Option<u32> {
-    engine.overlay.begin(graph);
-    engine.overlay.remove_faults(faults);
-    let view = engine.overlay.view(graph);
-    engine.workspace.bfs_hops(&view, source, v)
-}
-
 /// Of the two endpoints of an edge on `path`, returns the one closer to the
 /// path's source.
 fn upper_on_path(path: &Path, a: VertexId, b: VertexId) -> VertexId {
@@ -581,10 +534,8 @@ mod tests {
         for seed in 0..3 {
             let g = generators::tree_plus_chords(13, 6, seed + 50);
             let w = TieBreak::new(&g, seed);
-            let r = DualFtBfsBuilder::new(&g, &w, VertexId(0))
-                .strategy(SelectionStrategy::Canonical)
-                .build();
-            verify_dual(&g, &r.structure, VertexId(0));
+            let h = crate::multi::multi_failure_ftbfs(&g, &w, VertexId(0), 2);
+            verify_dual(&g, &h, VertexId(0));
         }
     }
 

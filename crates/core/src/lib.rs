@@ -10,9 +10,10 @@
 //!   (ESA 2013), `O(n^{3/2})` edges; the baseline the paper extends;
 //! * [`dual`] — **Algorithm `Cons2FTBFS`** (Section 3): dual-failure FT-BFS
 //!   with the paper's divergence-point preference rules and `O(n^{5/3})`
-//!   edges (Theorem 1.1), plus a canonical-selection baseline variant;
+//!   edges (Theorem 1.1);
 //! * [`multi`] — generic `f`-failure FT-MBFS structures via relevant-fault
 //!   enumeration (the generalisation sketched at the end of Section 1);
+//!   with `f = 2` it is the canonical-selection baseline of `Cons2FTBFS`;
 //! * [`approx`] — the `O(log n)` approximation algorithm for Minimum FT-MBFS
 //!   (Section 5, Theorem 1.3) with its greedy [`setcover`] substrate;
 //! * [`approx_ftbfs()`] — the FT-ABFS construction (Parter–Peleg, arXiv
@@ -52,9 +53,7 @@ pub use approx::{approx_minimum_ftmbfs, enumerate_fault_sets};
 pub use approx_ftbfs::{
     approx_ftbfs, ApproxBuildStats, ApproxFtBfs, ApproxParams, APPROX_RESILIENCE,
 };
-pub use dual::{
-    dual_failure_ftbfs, dual_failure_ftmbfs, DualFtBfs, DualFtBfsBuilder, SelectionStrategy,
-};
+pub use dual::{dual_failure_ftbfs, dual_failure_ftmbfs, DualFtBfs, DualFtBfsBuilder};
 pub use ftdiam::{ft_diameter_bound, FtDiameterBound};
 pub use multi::{
     multi_failure_ftbfs, multi_failure_ftmbfs, multi_failure_ftmbfs_parts,

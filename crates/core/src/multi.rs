@@ -151,9 +151,9 @@ pub fn multi_failure_ftmbfs_parts_threads(
 /// below) the canonical replacement path avoiding it; every edge of that path
 /// spawns a child fault set until the budget `remaining` is exhausted.
 #[allow(clippy::too_many_arguments)]
-fn explore(
-    engine: &mut SearchEngine,
-    graph: &Graph,
+fn explore<'g>(
+    engine: &mut SearchEngine<'g>,
+    graph: &'g Graph,
     w: &TieBreak,
     source: VertexId,
     v: VertexId,
@@ -174,10 +174,9 @@ fn explore(
         if next.len() == current.len() || !visited.insert(next.clone()) {
             continue;
         }
-        engine.overlay.begin(graph);
-        engine.overlay.remove_faults(&next);
-        let view = engine.overlay.view(graph);
-        let Some(path) = engine.workspace.canonical_path(&view, w, source, v) else {
+        let (view, ws) = engine.begin(graph);
+        view.remove_faults(&next);
+        let Some(path) = ws.canonical_path(view, w, source, v) else {
             // v disconnected under `next`: nothing to protect, and no deeper
             // fault set extending `next` along this branch is relevant.
             continue;

@@ -7,7 +7,7 @@
 //! of the replacement path `P_{s,v,{e}}`.
 
 use crate::structure::FtBfsStructure;
-use ftbfs_graph::{Graph, GraphView, SpTree, TieBreak, VertexId};
+use ftbfs_graph::{Graph, SpTree, TieBreak, VertexId};
 use ftbfs_paths::replacement::for_each_tree_edge_failure;
 
 /// Builds a single-failure FT-BFS structure rooted at `source`.
@@ -26,25 +26,19 @@ pub fn single_failure_ftbfs(graph: &Graph, w: &TieBreak, source: VertexId) -> Ft
 
     // For every failed tree edge e, one Dijkstra in G ∖ {e} yields the
     // replacement paths for all targets at once (the batch driver reuses one
-    // epoch-stamped workspace/overlay pair across all edges, so the loop
-    // allocates nothing); we add the last edge of the replacement path of
-    // every vertex whose canonical path used e.
+    // search engine across all edges, so the loop allocates nothing); we add
+    // the last edge of the replacement path of every vertex whose canonical
+    // path used e.
     for_each_tree_edge_failure(graph, w, &tree, |e, sp| {
         for v in graph.vertices() {
-            if v == source {
+            // e lies on π(s, v) iff the tree path from v to the root traverses
+            // e (a distance change would miss equal-length alternatives); the
+            // walk is cheap because tree depth is the BFS depth.
+            if v == source || !pi_uses_edge(&tree, v, e) {
                 continue;
             }
-            // e lies on pi(s, v) iff removing e changed (or disconnected) the
-            // distance... not quite: equal-length alternatives may exist.  The
-            // robust criterion: e is on pi(s,v) iff the tree path from v to
-            // the root traverses e.  We walk the tree parents, which is cheap
-            // because tree depth is bounded by the BFS depth.
-            if !pi_uses_edge(&tree, v, e) {
-                continue;
-            }
-            if let Some((parent, last)) = sp.parent(v) {
+            if let Some((_, last)) = sp.parent(v) {
                 debug_assert_ne!(last, e);
-                let _ = parent;
                 h.insert(last);
             }
         }
@@ -81,16 +75,10 @@ pub fn bfs_tree_size(graph: &Graph, w: &TieBreak, source: VertexId) -> usize {
     SpTree::new(graph, w, source).tree_edges().len()
 }
 
-/// Convenience: the view of `graph` restricted to a structure, for callers
-/// that want to run searches inside `H` directly.
-pub fn structure_view<'g>(graph: &'g Graph, h: &FtBfsStructure) -> GraphView<'g> {
-    h.as_view(graph)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftbfs_graph::{bfs, generators, FaultSet};
+    use ftbfs_graph::{bfs, generators, FaultSet, GraphView};
 
     fn verify_single_failure(graph: &Graph, h: &FtBfsStructure, source: VertexId) {
         // Exhaustive check of the 1-FT-BFS property over every single failed

@@ -6,7 +6,7 @@
 //! `F` with `|F| ≤ f`.  The verification crate runs this BFS on both sides of
 //! that equation.
 
-use crate::fault::Restriction;
+use crate::fault::GraphView;
 use crate::graph::{EdgeId, VertexId};
 use crate::path::Path;
 use std::collections::VecDeque;
@@ -83,7 +83,7 @@ impl BfsResult {
 /// Vertices and edges filtered out by the view are never traversed.  If the
 /// source itself is removed by the view, only the source is reported (at
 /// distance zero) and nothing else is reached.
-pub fn bfs<R: Restriction>(view: &R, source: VertexId) -> BfsResult {
+pub fn bfs(view: &GraphView<'_>, source: VertexId) -> BfsResult {
     let n = view.vertex_bound();
     let mut dist = vec![None; n];
     let mut parent = vec![None; n];
@@ -94,7 +94,7 @@ pub fn bfs<R: Restriction>(view: &R, source: VertexId) -> BfsResult {
     }
     while let Some(u) = queue.pop_front() {
         let du = dist[u.index()].expect("queued vertex has a distance");
-        for &(w, e) in view.base_graph().neighbors(u) {
+        for &(w, e) in view.graph().neighbors(u) {
             if dist[w.index()].is_none() && view.allows_edge(e) {
                 dist[w.index()] = Some(du + 1);
                 parent[w.index()] = Some((u, e));
@@ -112,7 +112,6 @@ pub fn bfs<R: Restriction>(view: &R, source: VertexId) -> BfsResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::GraphView;
     use crate::graph::{Graph, GraphBuilder};
 
     fn v(i: u32) -> VertexId {

@@ -13,11 +13,9 @@
 //! semantics) over reusable epoch-stamped arrays: a per-vertex slot is valid
 //! only while its stamp matches the workspace's current epoch, so starting a
 //! new search invalidates all previous state in `O(1)` without reallocating
-//! or clearing.  Both entry points accept any [`Restriction`] — an owned
-//! [`crate::fault::GraphView`] or a borrowed
-//! [`crate::fault::OverlayView`].
+//! or clearing.  Both entry points search a [`GraphView`].
 
-use crate::fault::Restriction;
+use crate::fault::GraphView;
 use crate::graph::{EdgeId, VertexId};
 use crate::path::Path;
 use crate::tiebreak::TieBreak;
@@ -103,8 +101,8 @@ impl ShortestPaths {
 ///
 /// Allocates a fresh [`ShortestPaths`] per call; use
 /// [`SearchWorkspace::dijkstra`] in loops.
-pub fn dijkstra<R: Restriction>(
-    view: &R,
+pub fn dijkstra(
+    view: &GraphView<'_>,
     w: &TieBreak,
     source: VertexId,
     target: Option<VertexId>,
@@ -114,23 +112,10 @@ pub fn dijkstra<R: Restriction>(
         .to_shortest_paths()
 }
 
-/// Convenience wrapper: the unique `W`-shortest `source → target` path in
-/// `view`, or `None` if unreachable.  This is the paper's
-/// `SP(source, target, view, W)`.
-pub fn shortest_path<R: Restriction>(
-    view: &R,
-    w: &TieBreak,
-    source: VertexId,
-    target: VertexId,
-) -> Option<Path> {
-    dijkstra(view, w, source, Some(target)).path_to(target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bfs::bfs;
-    use crate::fault::GraphView;
     use crate::graph::{Graph, GraphBuilder};
 
     fn v(i: u32) -> VertexId {
@@ -190,8 +175,8 @@ mod tests {
         for seed in [1u64, 2, 3, 4, 5] {
             let w = TieBreak::new(&g, seed);
             let view = GraphView::new(&g);
-            let p1 = shortest_path(&view, &w, v(0), v(8)).unwrap();
-            let p2 = shortest_path(&view, &w, v(0), v(8)).unwrap();
+            let p1 = dijkstra(&view, &w, v(0), Some(v(8))).path_to(v(8)).unwrap();
+            let p2 = dijkstra(&view, &w, v(0), Some(v(8))).path_to(v(8)).unwrap();
             assert_eq!(p1, p2);
             assert_eq!(p1.len(), 4);
         }
@@ -232,7 +217,7 @@ mod tests {
         let w = TieBreak::new(&g, 1);
         let view = GraphView::new(&g);
         assert_eq!(dijkstra(&view, &w, v(0), Some(v(2))).weight(v(2)), None);
-        assert_eq!(shortest_path(&view, &w, v(0), v(2)), None);
+        assert_eq!(dijkstra(&view, &w, v(0), Some(v(2))).path_to(v(2)), None);
         let sp = dijkstra(&view, &w, v(0), None);
         assert!(!sp.reached(v(2)));
         assert_eq!(sp.weight(v(0)), Some(0));

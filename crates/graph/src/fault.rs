@@ -5,54 +5,23 @@
 //! of a shortest-path segment (`G(u_k, u_ℓ)` of Eq. (3)), removing a detour
 //! suffix (`G_D(w_ℓ)` of Eq. (4)), or replacing the edges incident to a
 //! vertex by a chosen subset (`G_{τ-1}(v)` in step (3) of `Cons2FTBFS`).
-//! Two representations are provided, both consumed by the searches through
-//! the [`Restriction`] trait:
-//!
-//! * [`GraphView`] — an owned, cheap-to-clone overlay backed by hash sets.
-//!   Convenient for one-off restrictions, tests and verification code.
-//! * [`ViewOverlay`] — a reusable, *epoch-stamped* scratch overlay backed by
-//!   dense per-vertex/per-edge stamp arrays.  Resetting it for a new
-//!   restriction ([`ViewOverlay::begin`]) is `O(1)`: the epoch counter is
-//!   bumped and every stale stamp instantly stops matching, so the millions
-//!   of restricted views built inside the `Cons2FTBFS` binary-search
-//!   predicates allocate nothing after the first use.
+//! [`GraphView`] is the one type for all of them: every search (`bfs`,
+//! `dijkstra`, [`crate::workspace::SearchWorkspace`]) reads a `&GraphView`.
+//! It is built either with the chaining builders (`without_*`) for one-off
+//! use, or reused in place: [`GraphView::reset`] starts a fresh restriction
+//! in `O(1)`, so the millions of restricted views built inside the
+//! `Cons2FTBFS` binary-search predicates allocate nothing after the first.
 //!
 //! # Epoch-stamping invariants
 //!
-//! A vertex (edge) is removed from the overlay's current restriction iff its
-//! stamp equals the overlay's current epoch.  `begin` increments the epoch,
+//! A vertex (edge) is removed from the view's current restriction iff its
+//! stamp equals the view's current epoch.  `reset` increments the epoch,
 //! which implicitly clears every mark from earlier restrictions; stamps are
 //! `u64`, so the counter never wraps in practice.  The same invariant is used
 //! by [`crate::workspace::SearchWorkspace`] for its distance/parent arrays.
 
 use crate::graph::{EdgeId, Graph, VertexId};
-use std::collections::HashSet;
 use std::fmt;
-
-/// A restriction of a [`Graph`] to a subgraph, as consulted by the searches
-/// (`bfs`, `dijkstra`, [`crate::workspace::SearchWorkspace`]).
-///
-/// Implementations must be consistent: [`Restriction::allows_edge`] must
-/// return `false` whenever either endpoint of the edge is disallowed, so that
-/// search loops only need the edge check on top of the adjacency lists of
-/// [`Restriction::base_graph`].
-pub trait Restriction {
-    /// The underlying unrestricted graph.
-    fn base_graph(&self) -> &Graph;
-
-    /// Returns `true` if vertex `v` is present in the restriction.
-    fn allows_vertex(&self, v: VertexId) -> bool;
-
-    /// Returns `true` if edge `e` is present in the restriction (both
-    /// endpoints present and the edge itself not removed).
-    fn allows_edge(&self, e: EdgeId) -> bool;
-
-    /// Number of vertices of the underlying graph (including removed ones;
-    /// removed vertices simply have no surviving incident edges).
-    fn vertex_bound(&self) -> usize {
-        self.base_graph().vertex_count()
-    }
-}
 
 /// A set of at most a few failed edges (`F ⊆ E`, `|F| ≤ f`).
 ///
@@ -292,7 +261,7 @@ impl FaultSpec {
         }
     }
 
-    /// The spec as an owned [`FaultSet`] (allocates for `One`/`Two`; used
+    /// The spec as an owned [`FaultSet`] (allocates for `One`/`Pair`; used
     /// by compatibility shims and verification, not by hot query paths).
     pub fn to_fault_set(&self) -> FaultSet {
         match self {
@@ -312,7 +281,7 @@ pub struct FaultSpecIter<'a> {
 
 #[derive(Clone, Debug)]
 enum SpecIterInner<'a> {
-    /// Up to two inline edges (`None`, `One`, `Two`), emitted in order.
+    /// Up to two inline edges (`None`, `One`, `Pair`), emitted in order.
     Inline(Option<EdgeId>, Option<EdgeId>),
     /// Borrowed walk over a `Many` fault set.
     Slice(std::slice::Iter<'a, EdgeId>),
@@ -412,9 +381,11 @@ impl From<&FaultSpec> for FaultSet {
 /// vertices, optionally with the edges incident to one designated vertex
 /// replaced by an explicit allowed subset.
 ///
-/// Views are cheap to clone and to build; searches (`bfs`, `dijkstra`)
-/// consult [`GraphView::allows_edge`] / [`GraphView::allows_vertex`] during
-/// traversal.
+/// Marks live in dense epoch-stamped arrays (see the module docs), so a view
+/// can be reused for any number of restrictions: [`GraphView::reset`] clears
+/// it in `O(1)` and the `remove_*` / [`GraphView::restrict_incident`] calls
+/// mark the next one.  Searches consult [`GraphView::allows_edge`] /
+/// [`GraphView::allows_vertex`] during traversal.
 ///
 /// # Examples
 ///
@@ -430,17 +401,27 @@ impl From<&FaultSpec> for FaultSet {
 ///
 /// // Remove the edge (1,2): vertex 2 is now reached through 3.
 /// let e = g.edge_between(VertexId(1), VertexId(2)).unwrap();
-/// let view = GraphView::new(&g).without_edge(e);
-/// let res = bfs(&view, VertexId(0));
-/// assert_eq!(res.distance(VertexId(2)), Some(2));
+/// let mut view = GraphView::new(&g).without_edge(e);
+/// assert_eq!(bfs(&view, VertexId(0)).distance(VertexId(2)), Some(2));
+///
+/// // Reusing the view is O(1): the previous removal no longer applies.
+/// view.reset(&g);
+/// view.remove_vertex(VertexId(3));
+/// assert_eq!(bfs(&view, VertexId(0)).distance(VertexId(2)), Some(2));
+/// assert!(view.allows_edge(e));
 /// ```
 #[derive(Clone)]
 pub struct GraphView<'g> {
     graph: &'g Graph,
-    removed_edges: HashSet<EdgeId>,
-    removed_vertices: HashSet<VertexId>,
-    /// If set, edges incident to `.0` are allowed only when contained in `.1`.
-    incident_restriction: Option<(VertexId, HashSet<EdgeId>)>,
+    epoch: u64,
+    removed_vertex: Vec<u64>,
+    removed_edge: Vec<u64>,
+    /// Allowed-marks for the incident restriction, stamped with
+    /// `incident_serial` (not `epoch`) so every `restrict_incident` call
+    /// starts from a clean allowed set.
+    incident_allowed: Vec<u64>,
+    incident_serial: u64,
+    incident_vertex: Option<VertexId>,
 }
 
 impl<'g> GraphView<'g> {
@@ -448,9 +429,31 @@ impl<'g> GraphView<'g> {
     pub fn new(graph: &'g Graph) -> Self {
         GraphView {
             graph,
-            removed_edges: HashSet::new(),
-            removed_vertices: HashSet::new(),
-            incident_restriction: None,
+            epoch: 1,
+            removed_vertex: vec![0; graph.vertex_count()],
+            removed_edge: vec![0; graph.edge_count()],
+            incident_allowed: vec![0; graph.edge_count()],
+            incident_serial: 0,
+            incident_vertex: None,
+        }
+    }
+
+    /// Starts a fresh, unrestricted view of `graph`, which may differ from
+    /// the graph of the previous restriction.
+    ///
+    /// Bumps the epoch (invalidating all previous marks in `O(1)`) and grows
+    /// the stamp arrays if the graph is larger than any seen before.
+    #[inline]
+    pub fn reset(&mut self, graph: &'g Graph) {
+        self.graph = graph;
+        self.epoch += 1;
+        self.incident_vertex = None;
+        if self.removed_vertex.len() < graph.vertex_count() {
+            self.removed_vertex.resize(graph.vertex_count(), 0);
+        }
+        if self.removed_edge.len() < graph.edge_count() {
+            self.removed_edge.resize(graph.edge_count(), 0);
+            self.incident_allowed.resize(graph.edge_count(), 0);
         }
     }
 
@@ -459,74 +462,102 @@ impl<'g> GraphView<'g> {
         self.graph
     }
 
+    /// Removes vertex `v` (and implicitly all its incident edges).
+    #[inline]
+    pub fn remove_vertex(&mut self, v: VertexId) {
+        self.removed_vertex[v.index()] = self.epoch;
+    }
+
+    /// Removes edge `e`.
+    #[inline]
+    pub fn remove_edge(&mut self, e: EdgeId) {
+        self.removed_edge[e.index()] = self.epoch;
+    }
+
+    /// Removes every edge of `faults` (`G ∖ F`).
+    pub fn remove_faults(&mut self, faults: &FaultSet) {
+        for &e in faults.edges() {
+            self.remove_edge(e);
+        }
+    }
+
+    /// Restricts the edges incident to `v` to the given allowed set; all
+    /// other edges incident to `v` behave as removed.  This models the graph
+    /// `G_{τ-1}(v) = (G ∖ E(v,G)) ∪ E_{τ-1}(v)` used by step (3) of
+    /// `Cons2FTBFS`.  At most one incident restriction is active at a time:
+    /// calling this again fully replaces the previous one (the allowed-marks
+    /// carry their own serial, so earlier marks cannot leak into the new
+    /// restriction).
+    pub fn restrict_incident<I: IntoIterator<Item = EdgeId>>(&mut self, v: VertexId, allowed: I) {
+        self.incident_serial += 1;
+        self.incident_vertex = Some(v);
+        for e in allowed {
+            self.incident_allowed[e.index()] = self.incident_serial;
+        }
+    }
+
     /// Removes a single edge from the view.
     pub fn without_edge(mut self, e: EdgeId) -> Self {
-        self.removed_edges.insert(e);
+        self.remove_edge(e);
         self
     }
 
     /// Removes every edge of `faults` from the view (`G ∖ F`).
     pub fn without_faults(mut self, faults: &FaultSet) -> Self {
-        self.removed_edges.extend(faults.edges().iter().copied());
+        self.remove_faults(faults);
         self
     }
 
     /// Removes the listed edges from the view.
     pub fn without_edges<I: IntoIterator<Item = EdgeId>>(mut self, edges: I) -> Self {
-        self.removed_edges.extend(edges);
+        for e in edges {
+            self.remove_edge(e);
+        }
         self
     }
 
     /// Removes the listed vertices (and implicitly all their incident edges)
     /// from the view.
     pub fn without_vertices<I: IntoIterator<Item = VertexId>>(mut self, vertices: I) -> Self {
-        self.removed_vertices.extend(vertices);
+        for v in vertices {
+            self.remove_vertex(v);
+        }
         self
     }
 
-    /// Re-allows a vertex that was previously removed (used by the
-    /// `∪ {u_k, v}` part of Eq. (3)).
-    pub fn keeping_vertex(mut self, v: VertexId) -> Self {
-        self.removed_vertices.remove(&v);
-        self
-    }
-
-    /// Restricts the edges incident to `v` to the given allowed set.  All
-    /// other edges incident to `v` behave as removed.  This models the graph
-    /// `G_{τ-1}(v) = (G ∖ E(v,G)) ∪ E_{τ-1}(v)` used by step (3) of
-    /// `Cons2FTBFS`.
+    /// The builder form of [`Self::restrict_incident`].
     pub fn with_incident_restriction<I: IntoIterator<Item = EdgeId>>(
         mut self,
         v: VertexId,
         allowed: I,
     ) -> Self {
-        self.incident_restriction = Some((v, allowed.into_iter().collect()));
+        self.restrict_incident(v, allowed);
         self
     }
 
     /// Returns `true` if vertex `v` is present in the view.
     #[inline]
     pub fn allows_vertex(&self, v: VertexId) -> bool {
-        !self.removed_vertices.contains(&v)
+        self.removed_vertex[v.index()] != self.epoch
     }
 
     /// Returns `true` if edge `e` is present in the view (both endpoints
     /// present, the edge not removed, and the incident restriction — if any —
-    /// satisfied).
+    /// satisfied).  Searches rely on the endpoint check: they only test the
+    /// edge on top of the base graph's adjacency lists.
+    #[inline]
     pub fn allows_edge(&self, e: EdgeId) -> bool {
-        if self.removed_edges.contains(&e) {
+        if self.removed_edge[e.index()] == self.epoch {
             return false;
         }
         let ep = self.graph.endpoints(e);
         if !self.allows_vertex(ep.u) || !self.allows_vertex(ep.v) {
             return false;
         }
-        if let Some((v, allowed)) = &self.incident_restriction {
-            if ep.contains(*v) && !allowed.contains(&e) {
-                return false;
-            }
+        match self.incident_vertex {
+            Some(iv) if ep.contains(iv) => self.incident_allowed[e.index()] == self.incident_serial,
+            _ => true,
         }
-        true
     }
 
     /// Iterates over the `(neighbour, edge)` pairs of `v` that survive the
@@ -537,7 +568,7 @@ impl<'g> GraphView<'g> {
             .neighbors(v)
             .iter()
             .copied()
-            .filter(move |&(u, e)| live && self.allows_vertex(u) && self.allows_edge(e))
+            .filter(move |&(_, e)| live && self.allows_edge(e))
     }
 
     /// Number of vertices of the underlying graph (including removed ones;
@@ -553,181 +584,14 @@ impl<'g> GraphView<'g> {
     }
 }
 
-impl Restriction for GraphView<'_> {
-    fn base_graph(&self) -> &Graph {
-        self.graph
-    }
-
-    fn allows_vertex(&self, v: VertexId) -> bool {
-        GraphView::allows_vertex(self, v)
-    }
-
-    fn allows_edge(&self, e: EdgeId) -> bool {
-        GraphView::allows_edge(self, e)
-    }
-}
-
-/// A reusable, epoch-stamped restriction scratch buffer.
-///
-/// One overlay serves an unbounded sequence of restrictions: call
-/// [`ViewOverlay::begin`] to start a fresh (empty) restriction, mark removals
-/// with [`ViewOverlay::remove_vertex`] / [`ViewOverlay::remove_edge`] /
-/// [`ViewOverlay::remove_faults`] / [`ViewOverlay::restrict_incident`], and
-/// obtain a [`Restriction`] via [`ViewOverlay::view`].  After the arrays have
-/// grown to the graph's size once, no call allocates.
-///
-/// See the module docs for the epoch-stamping invariants.
-///
-/// # Examples
-///
-/// ```
-/// use ftbfs_graph::{GraphBuilder, Restriction, VertexId, ViewOverlay};
-///
-/// let mut b = GraphBuilder::new(3);
-/// b.add_edge(VertexId(0), VertexId(1));
-/// b.add_edge(VertexId(1), VertexId(2));
-/// let g = b.build();
-///
-/// let mut overlay = ViewOverlay::new();
-/// overlay.begin(&g);
-/// overlay.remove_vertex(VertexId(1));
-/// assert!(!overlay.view(&g).allows_vertex(VertexId(1)));
-///
-/// // Restarting is O(1): the previous removal no longer applies.
-/// overlay.begin(&g);
-/// assert!(overlay.view(&g).allows_vertex(VertexId(1)));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct ViewOverlay {
-    epoch: u64,
-    removed_vertex: Vec<u64>,
-    removed_edge: Vec<u64>,
-    /// Allowed-marks for the incident restriction, stamped with
-    /// `incident_serial` (not `epoch`) so every `restrict_incident` call
-    /// starts from a clean allowed set.
-    incident_allowed: Vec<u64>,
-    incident_serial: u64,
-    incident_vertex: Option<VertexId>,
-}
-
-impl ViewOverlay {
-    /// Creates an empty overlay; arrays grow lazily on first [`Self::begin`].
-    pub fn new() -> Self {
-        ViewOverlay::default()
-    }
-
-    /// Starts a fresh, empty restriction for `graph`.
-    ///
-    /// Bumps the epoch (invalidating all previous marks in `O(1)`) and grows
-    /// the stamp arrays if the graph is larger than any seen before.
-    pub fn begin(&mut self, graph: &Graph) {
-        self.epoch += 1;
-        if self.removed_vertex.len() < graph.vertex_count() {
-            self.removed_vertex.resize(graph.vertex_count(), 0);
-        }
-        if self.removed_edge.len() < graph.edge_count() {
-            self.removed_edge.resize(graph.edge_count(), 0);
-            self.incident_allowed.resize(graph.edge_count(), 0);
-        }
-        self.incident_vertex = None;
-    }
-
-    /// Removes vertex `v` (and implicitly all its incident edges) from the
-    /// current restriction.
-    #[inline]
-    pub fn remove_vertex(&mut self, v: VertexId) {
-        self.removed_vertex[v.index()] = self.epoch;
-    }
-
-    /// Removes edge `e` from the current restriction.
-    #[inline]
-    pub fn remove_edge(&mut self, e: EdgeId) {
-        self.removed_edge[e.index()] = self.epoch;
-    }
-
-    /// Removes every edge of `faults` from the current restriction (`G ∖ F`).
-    pub fn remove_faults(&mut self, faults: &FaultSet) {
-        for &e in faults.edges() {
-            self.remove_edge(e);
-        }
-    }
-
-    /// Restricts the edges incident to `v` to the given allowed set; all
-    /// other edges incident to `v` behave as removed (`G_{τ-1}(v)` of step
-    /// (3) of `Cons2FTBFS`).  At most one incident restriction is active at a
-    /// time: calling this again fully replaces the previous one (the
-    /// allowed-marks carry their own serial, so earlier marks cannot leak
-    /// into the new restriction).
-    pub fn restrict_incident<I: IntoIterator<Item = EdgeId>>(&mut self, v: VertexId, allowed: I) {
-        self.incident_serial += 1;
-        self.incident_vertex = Some(v);
-        for e in allowed {
-            self.incident_allowed[e.index()] = self.incident_serial;
-        }
-    }
-
-    /// The current restriction as a [`Restriction`] view over `graph`.
-    ///
-    /// `graph` must be the graph passed to the most recent [`Self::begin`].
-    pub fn view<'a>(&'a self, graph: &'a Graph) -> OverlayView<'a> {
-        debug_assert!(self.removed_vertex.len() >= graph.vertex_count());
-        debug_assert!(self.removed_edge.len() >= graph.edge_count());
-        OverlayView {
-            graph,
-            overlay: self,
-        }
-    }
-}
-
-/// A borrowed [`Restriction`] over a [`ViewOverlay`]'s current marks.
-#[derive(Clone, Copy, Debug)]
-pub struct OverlayView<'a> {
-    graph: &'a Graph,
-    overlay: &'a ViewOverlay,
-}
-
-impl Restriction for OverlayView<'_> {
-    fn base_graph(&self) -> &Graph {
-        self.graph
-    }
-
-    #[inline]
-    fn allows_vertex(&self, v: VertexId) -> bool {
-        self.overlay.removed_vertex[v.index()] != self.overlay.epoch
-    }
-
-    #[inline]
-    fn allows_edge(&self, e: EdgeId) -> bool {
-        let o = self.overlay;
-        if o.removed_edge[e.index()] == o.epoch {
-            return false;
-        }
-        let ep = self.graph.endpoints(e);
-        if !self.allows_vertex(ep.u) || !self.allows_vertex(ep.v) {
-            return false;
-        }
-        if let Some(iv) = o.incident_vertex {
-            if ep.contains(iv) && o.incident_allowed[e.index()] != o.incident_serial {
-                return false;
-            }
-        }
-        true
-    }
-}
-
 impl fmt::Debug for GraphView<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let marked = |stamps: &[u64]| stamps.iter().filter(|&&s| s == self.epoch).count();
         f.debug_struct("GraphView")
             .field("graph", &self.graph)
-            .field("removed_edges", &self.removed_edges.len())
-            .field("removed_vertices", &self.removed_vertices.len())
-            .field(
-                "incident_restriction",
-                &self
-                    .incident_restriction
-                    .as_ref()
-                    .map(|(v, s)| (*v, s.len())),
-            )
+            .field("removed_edges", &marked(&self.removed_edge))
+            .field("removed_vertices", &marked(&self.removed_vertex))
+            .field("incident_restriction", &self.incident_vertex)
             .finish()
     }
 }
@@ -736,6 +600,7 @@ impl fmt::Debug for GraphView<'_> {
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
+    use std::collections::HashSet;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -872,11 +737,11 @@ mod tests {
         assert!(!view.allows_vertex(v(1)));
         assert_eq!(view.neighbors(v(0)).count(), 1); // only 3 survives
         assert_eq!(view.neighbors(v(1)).count(), 0);
-        let restored = GraphView::new(&g)
-            .without_vertices([v(1), v(2)])
-            .keeping_vertex(v(2));
-        assert!(restored.allows_vertex(v(2)));
-        assert!(!restored.allows_vertex(v(1)));
+        // Exactly the listed vertices go; every other one is kept.
+        let view = GraphView::new(&g).without_vertices([v(1), v(3)]);
+        assert!(view.allows_vertex(v(0)) && view.allows_vertex(v(2)));
+        assert!(!view.allows_vertex(v(1)) && !view.allows_vertex(v(3)));
+        assert_eq!(view.surviving_edge_count(), 0);
     }
 
     #[test]
@@ -909,42 +774,168 @@ mod tests {
         let e01 = g.edge_between(v(0), v(1)).unwrap();
         let e30 = g.edge_between(v(3), v(0)).unwrap();
         let e23 = g.edge_between(v(2), v(3)).unwrap();
-        let mut overlay = ViewOverlay::new();
-        overlay.begin(&g);
-        overlay.restrict_incident(v(0), [e01]);
+        let mut view = GraphView::new(&g);
+        view.restrict_incident(v(0), [e01]);
         // Second call in the same epoch: the earlier allowed-marks must not
         // leak into the new restriction.
-        overlay.restrict_incident(v(3), [e23]);
-        let view = overlay.view(&g);
-        assert!(Restriction::allows_edge(&view, e23));
-        assert!(!Restriction::allows_edge(&view, e30));
+        view.restrict_incident(v(3), [e23]);
+        assert!(view.allows_edge(e23));
+        assert!(!view.allows_edge(e30));
         // e01 is no longer incident-restricted (vertex 0 is not the subject).
-        assert!(Restriction::allows_edge(&view, e01));
+        assert!(view.allows_edge(e01));
     }
 
     #[test]
     fn overlay_epoch_reset_clears_all_marks() {
         let g = square();
         let e01 = g.edge_between(v(0), v(1)).unwrap();
-        let mut overlay = ViewOverlay::new();
-        overlay.begin(&g);
-        overlay.remove_edge(e01);
-        overlay.remove_vertex(v(2));
-        overlay.restrict_incident(v(3), []);
-        {
-            let view = overlay.view(&g);
-            assert!(!Restriction::allows_edge(&view, e01));
-            assert!(!Restriction::allows_vertex(&view, v(2)));
-            assert_eq!(view.vertex_bound(), 4);
-        }
-        overlay.begin(&g);
-        let view = overlay.view(&g);
+        let mut view = GraphView::new(&g);
+        view.remove_edge(e01);
+        view.remove_vertex(v(2));
+        view.restrict_incident(v(3), []);
+        assert!(!view.allows_edge(e01));
+        assert!(!view.allows_vertex(v(2)));
+        assert_eq!(view.vertex_bound(), 4);
+        view.reset(&g);
         for e in g.edges() {
-            assert!(Restriction::allows_edge(&view, e));
+            assert!(view.allows_edge(e));
         }
         for x in g.vertices() {
-            assert!(Restriction::allows_vertex(&view, x));
+            assert!(view.allows_vertex(x));
         }
+    }
+
+    /// A splitmix64 step: the model test's deterministic stream of choices.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The restriction a view should represent, kept as plain sets.
+    struct Model<'g> {
+        graph: &'g Graph,
+        removed_vertices: HashSet<VertexId>,
+        removed_edges: HashSet<EdgeId>,
+        incident: Option<(VertexId, HashSet<EdgeId>)>,
+    }
+
+    impl<'g> Model<'g> {
+        fn new(graph: &'g Graph) -> Self {
+            Model {
+                graph,
+                removed_vertices: HashSet::new(),
+                removed_edges: HashSet::new(),
+                incident: None,
+            }
+        }
+
+        fn allows_vertex(&self, v: VertexId) -> bool {
+            !self.removed_vertices.contains(&v)
+        }
+
+        fn allows_edge(&self, e: EdgeId) -> bool {
+            let ep = self.graph.endpoints(e);
+            !self.removed_edges.contains(&e)
+                && self.allows_vertex(ep.u)
+                && self.allows_vertex(ep.v)
+                && match &self.incident {
+                    Some((x, allowed)) if ep.contains(*x) => allowed.contains(&e),
+                    _ => true,
+                }
+        }
+
+        fn neighbors(&self, v: VertexId) -> Vec<(VertexId, EdgeId)> {
+            if !self.allows_vertex(v) {
+                return Vec::new();
+            }
+            self.graph
+                .neighbors(v)
+                .iter()
+                .copied()
+                .filter(|&(_, e)| self.allows_edge(e))
+                .collect()
+        }
+    }
+
+    fn assert_matches_model(view: &GraphView<'_>, model: &Model<'_>, step: usize) {
+        let g = model.graph;
+        assert_eq!(view.vertex_bound(), g.vertex_count(), "step {step}");
+        for x in g.vertices() {
+            assert_eq!(
+                view.allows_vertex(x),
+                model.allows_vertex(x),
+                "allows_vertex({x:?}) at step {step}"
+            );
+            let got: Vec<_> = view.neighbors(x).collect();
+            assert_eq!(got, model.neighbors(x), "neighbors({x:?}) at step {step}");
+        }
+        for e in g.edges() {
+            assert_eq!(
+                view.allows_edge(e),
+                model.allows_edge(e),
+                "allows_edge({e:?}) at step {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn view_matches_a_hash_set_model_under_random_operations() {
+        let graphs = [
+            crate::generators::connected_gnp(12, 0.3, 1),
+            crate::generators::connected_gnp(30, 0.15, 2),
+            crate::generators::grid(3, 3),
+            crate::generators::cycle(5),
+        ];
+        let (mut grew, mut shrank, mut double_restricts) = (0, 0, 0);
+        for seed in 0..6u64 {
+            let mut state = seed;
+            let mut pick = |bound: usize| (splitmix(&mut state) % bound as u64) as usize;
+            let mut g = &graphs[pick(graphs.len())];
+            let mut view = GraphView::new(g);
+            let mut model = Model::new(g);
+            let mut restricts_this_epoch = 0;
+            for step in 0..300 {
+                match pick(10) {
+                    0..=3 => {
+                        let x = VertexId::new(pick(g.vertex_count()));
+                        view.remove_vertex(x);
+                        model.removed_vertices.insert(x);
+                    }
+                    4..=6 => {
+                        let e = EdgeId::new(pick(g.edge_count()));
+                        view.remove_edge(e);
+                        model.removed_edges.insert(e);
+                    }
+                    7 | 8 => {
+                        let x = VertexId::new(pick(g.vertex_count()));
+                        let incident: Vec<EdgeId> = g.incident_edges(x).collect();
+                        let allowed: HashSet<EdgeId> =
+                            incident.iter().copied().filter(|_| pick(2) == 0).collect();
+                        view.restrict_incident(x, allowed.iter().copied());
+                        model.incident = Some((x, allowed));
+                        restricts_this_epoch += 1;
+                        if restricts_this_epoch == 2 {
+                            double_restricts += 1;
+                        }
+                    }
+                    _ => {
+                        // Reset onto a random graph: larger, smaller or the same.
+                        let before = g.edge_count();
+                        g = &graphs[pick(graphs.len())];
+                        grew += usize::from(g.edge_count() > before);
+                        shrank += usize::from(g.edge_count() < before);
+                        view.reset(g);
+                        model = Model::new(g);
+                        restricts_this_epoch = 0;
+                    }
+                }
+                assert_matches_model(&view, &model, step);
+            }
+        }
+        assert!(grew > 0 && shrank > 0 && double_restricts > 0);
     }
 
     #[test]

@@ -12,20 +12,21 @@
 //!   vertex/edge ids;
 //! * [`Path`] — vertex-sequence paths with the segment algebra (`P[a,b]`,
 //!   `P1 ∘ P2`, `LastE(P)`, divergence points) used throughout the paper;
-//! * [`FaultSet`] / [`GraphView`] / [`ViewOverlay`] — fault sets `F` and
-//!   restricted views `G ∖ F` (owned or epoch-stamped reusable), vertex
-//!   removals, and per-vertex incident-edge restrictions, unified by the
-//!   [`Restriction`] trait;
+//! * [`FaultSet`] / [`GraphView`] — fault sets `F` and the one restricted
+//!   view type every search reads: `G ∖ F`, vertex removals and per-vertex
+//!   incident-edge restrictions, over epoch-stamped marks that reset in
+//!   `O(1)`;
 //! * [`TieBreak`] — the weight assignment `W` that makes shortest paths
 //!   unique while preserving hop-shortestness;
-//! * [`bfs()`] and [`dijkstra()`]/[`shortest_path`] — searches
-//!   over restricted views, unweighted and under `W`;
+//! * [`bfs()`] and [`dijkstra()`] — searches over restricted views,
+//!   unweighted and under `W`;
 //! * [`SearchWorkspace`] / [`SearchEngine`] — zero-allocation reusable
-//!   search state for the construction hot loops;
+//!   search state (and, in the engine, one reusable view) for the
+//!   construction hot loops;
 //! * [`SpTree`] — the BFS/shortest-path tree `T_0(s)` and the canonical
 //!   paths `π(s, v)`;
-//! * [`restrict`] — the restricted graphs `G(u_k, u_ℓ)` (Eq. 3) and
-//!   `G_D(w_ℓ)` (Eq. 4);
+//! * [`restrict`] — the removals behind the restricted graphs
+//!   `G(u_k, u_ℓ)` (Eq. 3) and `G_D(w_ℓ)` (Eq. 4);
 //! * [`generators`] — deterministic and random workload graphs;
 //! * [`properties`] — connectivity, diameter, degree statistics and the
 //!   FT-diameter estimate of Observation 1.6;
@@ -69,10 +70,8 @@ pub mod tiebreak;
 pub mod workspace;
 
 pub use bfs::{bfs, BfsResult};
-pub use dijkstra::{dijkstra, shortest_path, ShortestPaths};
-pub use fault::{
-    FaultSet, FaultSpec, FaultSpecIter, GraphView, OverlayView, Restriction, ViewOverlay,
-};
+pub use dijkstra::{dijkstra, ShortestPaths};
+pub use fault::{FaultSet, FaultSpec, FaultSpecIter, GraphView};
 pub use graph::{EdgeId, Endpoints, Graph, GraphBuilder, VertexId};
 pub use io::{
     EdgeListParser, EdgeRejection, GraphAccumulator, IngestOptions, IngestStats, LinePolicy,

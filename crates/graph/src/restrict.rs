@@ -8,29 +8,27 @@
 //!   remove the suffix of a detour from `w_ℓ` on (keeping `w_ℓ`), so that any
 //!   surviving path diverges from the detour at `w_ℓ` or above.
 //!
-//! Both are expressed in two equivalent forms: as owned [`GraphView`]s over
-//! the base graph (the `*_restricted` builders, convenient for one-off use
-//! and tests), and as mark sequences on a reusable epoch-stamped
-//! [`ViewOverlay`] (the `overlay_*` builders), which is what the
-//! binary-search predicates of `ftbfs-paths::select` use so that probing a
+//! Both are vertex removals marked on a [`GraphView`], addressed by position
+//! on the path.  The binary-search predicates of `ftbfs-paths::select` mark
+//! them on the view of a reused [`crate::SearchEngine`], so probing a
 //! candidate divergence point allocates nothing.
 
-use crate::fault::{FaultSet, GraphView, ViewOverlay};
-use crate::graph::{Graph, VertexId};
+use crate::fault::GraphView;
+use crate::graph::VertexId;
 use crate::path::Path;
 
 /// Marks the Eq. (3) removal `V(π[from_pos, to_pos]) ∖ {π[from_pos], target}`
-/// on `overlay`: every vertex of the path segment between the two positions
+/// on `view`: every vertex of the path segment between the two positions
 /// is removed except the segment's upper endpoint and the target.
 ///
-/// The overlay must have been [`ViewOverlay::begin`]-started for the graph
-/// `pi` lives in; positions index into `pi.vertices()`.
+/// `view` must be a view of the graph `pi` lives in; positions index into
+/// `pi.vertices()`.
 ///
 /// # Panics
 ///
 /// Panics if either position is out of range for `pi`.
-pub fn overlay_pi_segment(
-    overlay: &mut ViewOverlay,
+pub fn remove_pi_segment(
+    view: &mut GraphView<'_>,
     pi: &Path,
     from_pos: usize,
     to_pos: usize,
@@ -44,20 +42,20 @@ pub fn overlay_pi_segment(
     let from = pi.vertices()[from_pos];
     for &x in &pi.vertices()[lo..=hi] {
         if x != from && x != target {
-            overlay.remove_vertex(x);
+            view.remove_vertex(x);
         }
     }
 }
 
 /// Marks the Eq. (4) removal `V(D[from_pos, …]) ∖ {D[from_pos], target}` on
-/// `overlay`: the suffix of the detour from the given position on is
-/// removed, keeping the divergence vertex itself and the target.
+/// `view`: the suffix of the detour from the given position on is removed,
+/// keeping the divergence vertex itself and the target.
 ///
 /// # Panics
 ///
 /// Panics if `from_pos` is out of range for `detour`.
-pub fn overlay_detour_suffix(
-    overlay: &mut ViewOverlay,
+pub fn remove_detour_suffix(
+    view: &mut GraphView<'_>,
     detour: &Path,
     from_pos: usize,
     target: VertexId,
@@ -65,74 +63,17 @@ pub fn overlay_detour_suffix(
     let from = detour.vertices()[from_pos];
     for &x in &detour.vertices()[from_pos..] {
         if x != from && x != target {
-            overlay.remove_vertex(x);
+            view.remove_vertex(x);
         }
     }
-}
-
-/// Builds the restricted graph `G(u_k, u_ℓ)` of Eq. (3).
-///
-/// `pi` must be the canonical path `π(s, v)` (or any path containing the
-/// segment), `from` is `u_k`, `to` is `u_ℓ`, and `target` is the vertex `v`
-/// that must stay in the graph even if it lies on the removed segment.
-/// The removed vertex set is `V(π(u_k, u_ℓ)) ∖ {u_k, v}`.
-pub fn pi_segment_restricted<'g>(
-    graph: &'g Graph,
-    pi: &Path,
-    from: VertexId,
-    to: VertexId,
-    target: VertexId,
-) -> GraphView<'g> {
-    let segment = pi.subpath(from, to);
-    let removed: Vec<VertexId> = segment
-        .vertices()
-        .iter()
-        .copied()
-        .filter(|&x| x != from && x != target)
-        .collect();
-    GraphView::new(graph).without_vertices(removed)
-}
-
-/// Builds the restricted graph `G(u_k, u_ℓ) ∖ F`: the Eq. (3) graph with a
-/// fault set additionally removed.  This is the graph in which step (1) and
-/// step (3) of `Cons2FTBFS` search for replacement paths with a prescribed
-/// earliest divergence point.
-pub fn pi_segment_restricted_without<'g>(
-    graph: &'g Graph,
-    pi: &Path,
-    from: VertexId,
-    to: VertexId,
-    target: VertexId,
-    faults: &FaultSet,
-) -> GraphView<'g> {
-    pi_segment_restricted(graph, pi, from, to, target).without_faults(faults)
-}
-
-/// Builds the restricted graph `G_D(w_ℓ)` of Eq. (4): starting from
-/// `G(x_τ, v)` (expressed by `base`), remove the detour suffix
-/// `D_τ[w_ℓ, y_τ]` except the vertex `w_ℓ` itself (and never remove
-/// `target`).
-pub fn detour_suffix_restricted<'g>(
-    base: GraphView<'g>,
-    detour: &Path,
-    from: VertexId,
-    target: VertexId,
-) -> GraphView<'g> {
-    let suffix = detour.suffix(from);
-    let removed: Vec<VertexId> = suffix
-        .vertices()
-        .iter()
-        .copied()
-        .filter(|&x| x != from && x != target)
-        .collect();
-    base.without_vertices(removed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bfs::bfs;
-    use crate::graph::{GraphBuilder, VertexId};
+    use crate::fault::FaultSet;
+    use crate::graph::{Graph, GraphBuilder};
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -147,12 +88,16 @@ mod tests {
         b.build()
     }
 
+    fn pi() -> Path {
+        Path::new(vec![v(0), v(1), v(2), v(3), v(4)])
+    }
+
     #[test]
     fn pi_segment_interior_removed() {
         let g = test_graph();
-        let pi = Path::new(vec![v(0), v(1), v(2), v(3), v(4)]);
         // Remove interior of pi[1,3]: vertices 2 and 3 go, 1 stays, 4 (target) stays.
-        let view = pi_segment_restricted(&g, &pi, v(1), v(3), v(4));
+        let mut view = GraphView::new(&g);
+        remove_pi_segment(&mut view, &pi(), 1, 3, v(4));
         assert!(view.allows_vertex(v(1)));
         assert!(!view.allows_vertex(v(2)));
         assert!(!view.allows_vertex(v(3)));
@@ -160,13 +105,18 @@ mod tests {
         // 4 is still reachable from 0 via the detour 0-5-6-4.
         let res = bfs(&view, v(0));
         assert_eq!(res.distance(v(4)), Some(3));
+        // Positions may come in either order; the upper one is kept.
+        let mut reversed = GraphView::new(&g);
+        remove_pi_segment(&mut reversed, &pi(), 3, 1, v(4));
+        assert!(reversed.allows_vertex(v(3)));
+        assert!(!reversed.allows_vertex(v(1)) && !reversed.allows_vertex(v(2)));
     }
 
     #[test]
     fn pi_segment_keeps_target_when_on_segment() {
         let g = test_graph();
-        let pi = Path::new(vec![v(0), v(1), v(2), v(3), v(4)]);
-        let view = pi_segment_restricted(&g, &pi, v(1), v(4), v(4));
+        let mut view = GraphView::new(&g);
+        remove_pi_segment(&mut view, &pi(), 1, 4, v(4));
         assert!(view.allows_vertex(v(4)));
         assert!(!view.allows_vertex(v(3)));
         // Any surviving s-4 path must diverge from pi at 1 or above.
@@ -179,9 +129,9 @@ mod tests {
     #[test]
     fn pi_segment_with_faults() {
         let g = test_graph();
-        let pi = Path::new(vec![v(0), v(1), v(2), v(3), v(4)]);
         let e05 = g.edge_between(v(0), v(5)).unwrap();
-        let view = pi_segment_restricted_without(&g, &pi, v(1), v(4), v(4), &FaultSet::single(e05));
+        let mut view = GraphView::new(&g).without_faults(&FaultSet::single(e05));
+        remove_pi_segment(&mut view, &pi(), 1, 4, v(4));
         // Without 0-5 and the pi interior, route is 0-1-6-4.
         let res = bfs(&view, v(0));
         assert_eq!(res.distance(v(4)), Some(3));
@@ -193,9 +143,9 @@ mod tests {
     fn detour_suffix_removal() {
         let g = test_graph();
         let detour = Path::new(vec![v(0), v(5), v(6), v(4)]);
-        let base = GraphView::new(&g);
         // Remove the detour suffix from 5 on (but keep 5 and the target 4).
-        let view = detour_suffix_restricted(base, &detour, v(5), v(4));
+        let mut view = GraphView::new(&g);
+        remove_detour_suffix(&mut view, &detour, 1, v(4));
         assert!(view.allows_vertex(v(5)));
         assert!(!view.allows_vertex(v(6)));
         assert!(view.allows_vertex(v(4)));
@@ -205,37 +155,14 @@ mod tests {
     }
 
     #[test]
-    fn overlay_builders_match_view_builders() {
-        use crate::fault::Restriction;
-        let g = test_graph();
-        let pi = Path::new(vec![v(0), v(1), v(2), v(3), v(4)]);
-        let detour = Path::new(vec![v(1), v(6), v(4)]);
-        let view = {
-            let base = pi_segment_restricted(&g, &pi, v(1), v(4), v(4));
-            detour_suffix_restricted(base, &detour, v(6), v(4))
-        };
-        let mut overlay = ViewOverlay::new();
-        overlay.begin(&g);
-        overlay_pi_segment(&mut overlay, &pi, 1, 4, v(4));
-        overlay_detour_suffix(&mut overlay, &detour, 1, v(4));
-        let oview = overlay.view(&g);
-        for x in g.vertices() {
-            assert_eq!(view.allows_vertex(x), Restriction::allows_vertex(&oview, x));
-        }
-        for e in g.edges() {
-            assert_eq!(view.allows_edge(e), Restriction::allows_edge(&oview, e));
-        }
-    }
-
-    #[test]
     fn detour_suffix_composes_with_pi_restriction() {
         let g = test_graph();
-        let pi = Path::new(vec![v(0), v(1), v(2), v(3), v(4)]);
         let detour = Path::new(vec![v(1), v(6), v(4)]);
-        // G(1, v): remove pi interior below 1.
-        let base = pi_segment_restricted(&g, &pi, v(1), v(4), v(4));
-        // Additionally remove the detour suffix from 6 on.
-        let view = detour_suffix_restricted(base, &detour, v(6), v(4));
+        // G(1, v): remove pi interior below 1, then additionally remove the
+        // detour suffix from 6 on.
+        let mut view = GraphView::new(&g);
+        remove_pi_segment(&mut view, &pi(), 1, 4, v(4));
+        remove_detour_suffix(&mut view, &detour, 1, v(4));
         assert!(view.allows_vertex(v(6)));
         assert!(!view.allows_vertex(v(2)));
         // The only surviving route to 4 diverges from the detour at 6... but

@@ -7,7 +7,7 @@
 //! this tree.
 
 use crate::dijkstra::{dijkstra, ShortestPaths};
-use crate::fault::{GraphView, Restriction};
+use crate::fault::GraphView;
 use crate::graph::{EdgeId, Graph, VertexId};
 use crate::path::Path;
 use crate::tiebreak::TieBreak;
@@ -38,14 +38,8 @@ impl SpTree {
     /// Computes the shortest-path tree of `graph` rooted at `source` under
     /// weights `w`.
     pub fn new(graph: &Graph, w: &TieBreak, source: VertexId) -> Self {
-        let view = GraphView::new(graph);
-        Self::in_view(&view, w, source)
-    }
-
-    /// Computes the shortest-path tree within a restricted view.
-    pub fn in_view<R: Restriction>(view: &R, w: &TieBreak, source: VertexId) -> Self {
-        let sp = dijkstra(view, w, source, None);
-        let mut tree_edges: Vec<EdgeId> = (0..view.vertex_bound())
+        let sp = dijkstra(&GraphView::new(graph), w, source, None);
+        let mut tree_edges: Vec<EdgeId> = (0..graph.vertex_count())
             .filter_map(|i| sp.parent(VertexId::new(i)).map(|(_, e)| e))
             .collect();
         tree_edges.sort_unstable();
@@ -232,15 +226,5 @@ mod tests {
         // The "back" edge (3,4) connects depth-3 and depth-2 vertices.
         let e34 = g.edge_between(v(3), v(4)).unwrap();
         assert_eq!(t.edge_distance(&g, e34), Some(3));
-    }
-
-    #[test]
-    fn in_view_respects_restrictions() {
-        let g = cycle(6);
-        let w = TieBreak::new(&g, 8);
-        let e01 = g.edge_between(v(0), v(1)).unwrap();
-        let view = GraphView::new(&g).without_edge(e01);
-        let t = SpTree::in_view(&view, &w, v(0));
-        assert_eq!(t.depth(v(1)), Some(5));
     }
 }

@@ -1,12 +1,13 @@
-//! Zero-allocation reusable search state: [`SearchWorkspace`] and the
-//! combined [`SearchEngine`].
+//! Zero-allocation reusable search state: [`SearchWorkspace`] and
+//! [`SearchEngine`], which pairs a workspace with one reusable
+//! [`GraphView`] for the searches to read.
 //!
 //! `Cons2FTBFS` issues `Θ(|π|²)` shortest-path queries *per target vertex*;
 //! allocating fresh distance/parent arrays for each query dominates the
 //! construction cost on mid-size graphs.  The workspace keeps those arrays
 //! (plus the priority queue) alive across queries and invalidates them in
 //! `O(1)` between searches with the same epoch-stamping scheme as
-//! [`crate::fault::ViewOverlay`]:
+//! [`crate::fault::GraphView`]:
 //!
 //! * a vertex's distance/parent slot is meaningful iff its *visit stamp*
 //!   equals the workspace's current epoch;
@@ -26,8 +27,8 @@
 //!   [`crate::tiebreak`]), every `W`-shortest path is hop-shortest, so the
 //!   hop counts agree exactly with what the weighted search would report;
 //! * [`SearchWorkspace::bfs_hops`] — the single-pair hop distance
-//!   `dist(s, t, G')`, used by the divergence binary searches,
-//!   `fault_distance` and the replacement distances.  It is a bidirectional,
+//!   `dist(s, t, G')`, used by the divergence binary searches and
+//!   `fault_distance`.  It is a bidirectional,
 //!   level-synchronous BFS: each step expands one whole level of the smaller
 //!   frontier, and the first vertex one side reaches that the other side has
 //!   labelled gives the exact distance, so the search touches little more
@@ -39,7 +40,8 @@
 //!   Dijkstra over DAG vertices only.
 
 use crate::dijkstra::ShortestPaths;
-use crate::fault::{Restriction, ViewOverlay};
+use crate::fault::GraphView;
+use crate::graph::Graph;
 use crate::graph::{EdgeId, VertexId};
 use crate::path::Path;
 use crate::tiebreak::TieBreak;
@@ -166,9 +168,9 @@ impl SearchWorkspace {
     /// `target = Some(t)` the search stops as soon as `t` is settled and only
     /// settled vertices report distances; the source always reports distance
     /// zero even if the view removed it.
-    pub fn dijkstra<'ws, R: Restriction>(
+    pub fn dijkstra<'ws>(
         &'ws mut self,
-        view: &R,
+        view: &GraphView<'_>,
         w: &TieBreak,
         source: VertexId,
         target: Option<VertexId>,
@@ -179,9 +181,10 @@ impl SearchWorkspace {
 
     /// The heap Dijkstra behind [`Self::dijkstra`].  With `dag = Some(stamp)`
     /// it only labels vertices whose `in_dag` slot holds `stamp`.
-    fn run_dijkstra<R: Restriction>(
+    #[inline]
+    fn run_dijkstra(
         &mut self,
-        view: &R,
+        view: &GraphView<'_>,
         w: &TieBreak,
         source: VertexId,
         target: Option<VertexId>,
@@ -202,7 +205,7 @@ impl SearchWorkspace {
             if target == Some(u) {
                 break;
             }
-            for &(x, e) in view.base_graph().neighbors(u) {
+            for &(x, e) in view.graph().neighbors(u) {
                 let xi = x.index();
                 if self.settled[xi] == epoch
                     || dag.is_some_and(|stamp| self.in_dag[xi] != stamp)
@@ -223,7 +226,7 @@ impl SearchWorkspace {
     /// this workspace's arrays.  All reached vertices report final hop
     /// distances; parents form a BFS tree (*not* the `W`-canonical one — use
     /// [`Self::dijkstra`] when the path itself matters).
-    pub fn bfs<'ws, R: Restriction>(&'ws mut self, view: &R, source: VertexId) -> Search<'ws> {
+    pub fn bfs<'ws>(&'ws mut self, view: &GraphView<'_>, source: VertexId) -> Search<'ws> {
         self.prepare(view.vertex_bound(), source, false);
         let epoch = self.epoch;
         self.label(source, 0, None);
@@ -234,7 +237,7 @@ impl SearchWorkspace {
         while let Some(u_raw) = self.queue.pop_front() {
             let u = VertexId(u_raw);
             let du = self.dist[u.index()];
-            for &(x, e) in view.base_graph().neighbors(u) {
+            for &(x, e) in view.graph().neighbors(u) {
                 let xi = x.index();
                 if self.visited[xi] == epoch || !view.allows_edge(e) {
                     continue;
@@ -254,9 +257,10 @@ impl SearchWorkspace {
     /// [`Search::hops`], but runs a bidirectional level-synchronous BFS that
     /// stops at the first vertex both sides have labelled.  `source ==
     /// target` gives `Some(0)` even if the view removed it.
-    pub fn bfs_hops<R: Restriction>(
+    #[inline]
+    pub fn bfs_hops(
         &mut self,
-        view: &R,
+        view: &GraphView<'_>,
         source: VertexId,
         target: VertexId,
     ) -> Option<u32> {
@@ -277,9 +281,10 @@ impl SearchWorkspace {
     /// is in the DAG, and the heap pops DAG vertices in the same `(weight,
     /// id)` order as the full search.  Labels, parents and tie outcomes are
     /// therefore the full search's, even where `W` has a tie.
-    pub fn canonical_path<R: Restriction>(
+    #[inline]
+    pub fn canonical_path(
         &mut self,
-        view: &R,
+        view: &GraphView<'_>,
         w: &TieBreak,
         source: VertexId,
         target: VertexId,
@@ -303,9 +308,10 @@ impl SearchWorkspace {
     /// With `collect`, the meeting level is finished and every meeting
     /// vertex — every vertex at that position of the hop-shortest-path DAG
     /// — is left in `self.dag`.
-    fn meet<R: Restriction>(
+    #[inline]
+    fn meet(
         &mut self,
-        view: &R,
+        view: &GraphView<'_>,
         source: VertexId,
         target: VertexId,
         collect: bool,
@@ -353,7 +359,8 @@ impl SearchWorkspace {
     /// whole hop-shortest-path DAG, stamping each of its vertices in
     /// `in_dag`: forward-labelled neighbours one level closer to the source,
     /// then back-labelled neighbours one level closer to the target.
-    fn grow_dag<R: Restriction>(&mut self, view: &R) {
+    #[inline]
+    fn grow_dag(&mut self, view: &GraphView<'_>) {
         let epoch = self.epoch;
         for &x in &self.dag {
             self.in_dag[x as usize] = epoch;
@@ -411,9 +418,10 @@ impl Side<'_> {
     /// one hop deeper, and returns the `s–t` hop distance through the first
     /// vertex reached that `other` has labelled.  With `meets`, the level is
     /// finished instead and every such vertex is pushed onto `meets`.
-    fn expand_level<R: Restriction>(
+    #[inline]
+    fn expand_level(
         &mut self,
-        view: &R,
+        view: &GraphView<'_>,
         epoch: u64,
         other: &Side<'_>,
         mut meets: Option<&mut Vec<u32>>,
@@ -422,7 +430,7 @@ impl Side<'_> {
         for _ in 0..self.queue.len() {
             let u = self.queue.pop_front().expect("the level is non-empty");
             let du = self.dist[u as usize];
-            for &(x, e) in view.base_graph().neighbors(VertexId(u)) {
+            for &(x, e) in view.graph().neighbors(VertexId(u)) {
                 let xi = x.index();
                 if self.stamp[xi] == epoch || !view.allows_edge(e) {
                     continue;
@@ -449,8 +457,9 @@ impl Side<'_> {
 /// Walks `dag[from..]`, appending every unmarked neighbour one hop closer to
 /// the root of the side whose labels are `stamp`/`dist`, until the walk
 /// reaches that root.
-fn grow_layers<R: Restriction>(
-    view: &R,
+#[inline]
+fn grow_layers(
+    view: &GraphView<'_>,
     epoch: u64,
     stamp: &[u64],
     dist: &[u64],
@@ -463,7 +472,7 @@ fn grow_layers<R: Restriction>(
         let y = VertexId(dag[i]);
         i += 1;
         let dy = dist[y.index()];
-        for &(z, e) in view.base_graph().neighbors(y) {
+        for &(z, e) in view.graph().neighbors(y) {
             let zi = z.index();
             if in_dag[zi] == epoch || stamp[zi] != epoch || dist[zi] + 1 != dy {
                 continue;
@@ -583,35 +592,47 @@ impl Search<'_> {
     }
 }
 
-/// A [`SearchWorkspace`] paired with a [`ViewOverlay`]: everything one
-/// construction thread needs to run restricted searches without allocating.
+/// A [`SearchWorkspace`] paired with one reusable [`GraphView`]:
+/// everything one construction thread needs to run restricted searches
+/// without allocating.
 ///
-/// The two halves are separate fields so that a borrowed overlay view and a
-/// mutable workspace borrow can coexist:
+/// [`SearchEngine::begin`] resets the view in `O(1)` and hands out both
+/// halves, so the caller marks the restriction and searches it:
 ///
 /// ```
 /// use ftbfs_graph::{generators, SearchEngine, VertexId};
 ///
 /// let g = generators::cycle(6);
 /// let mut engine = SearchEngine::new();
-/// engine.overlay.begin(&g);
-/// engine.overlay.remove_vertex(VertexId(1));
-/// let view = engine.overlay.view(&g);
-/// let hops = engine.workspace.bfs_hops(&view, VertexId(0), VertexId(2));
-/// assert_eq!(hops, Some(4)); // forced the long way round
+/// let (view, ws) = engine.begin(&g);
+/// view.remove_vertex(VertexId(1));
+/// assert_eq!(ws.bfs_hops(view, VertexId(0), VertexId(2)), Some(4)); // the long way round
 /// ```
 #[derive(Clone, Debug, Default)]
-pub struct SearchEngine {
-    /// The reusable search arrays and queues.
-    pub workspace: SearchWorkspace,
-    /// The reusable restriction scratch buffer.
-    pub overlay: ViewOverlay,
+pub struct SearchEngine<'g> {
+    workspace: SearchWorkspace,
+    /// Created by the first [`SearchEngine::begin`], then reset in place.
+    view: Option<GraphView<'g>>,
 }
 
-impl SearchEngine {
+impl<'g> SearchEngine<'g> {
     /// Creates an empty engine; all buffers grow lazily on first use.
     pub fn new() -> Self {
         SearchEngine::default()
+    }
+
+    /// Starts a fresh, unrestricted view of `graph` and returns it with the
+    /// workspace that searches it.
+    #[inline]
+    pub fn begin(&mut self, graph: &'g Graph) -> (&mut GraphView<'g>, &mut SearchWorkspace) {
+        let view = match &mut self.view {
+            Some(view) => {
+                view.reset(graph);
+                view
+            }
+            none => none.insert(GraphView::new(graph)),
+        };
+        (view, &mut self.workspace)
     }
 }
 
@@ -619,9 +640,7 @@ impl SearchEngine {
 mod tests {
     use super::*;
     use crate::dijkstra::dijkstra;
-    use crate::fault::GraphView;
     use crate::generators;
-    use crate::graph::Graph;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -731,19 +750,23 @@ mod tests {
         let w = TieBreak::new(&g, 1);
         let mut engine = SearchEngine::new();
 
-        // Restriction 1: remove the centre vertex.
-        engine.overlay.begin(&g);
-        engine.overlay.remove_vertex(v(4));
-        let view = engine.overlay.view(&g);
-        assert_eq!(engine.workspace.bfs_hops(&view, v(0), v(8)), Some(4));
-        let search = engine.workspace.dijkstra(&view, &w, v(0), Some(v(8)));
+        // First restriction: remove the centre vertex.
+        let (view, ws) = engine.begin(&g);
+        view.remove_vertex(v(4));
+        assert_eq!(ws.bfs_hops(view, v(0), v(8)), Some(4));
+        let search = ws.dijkstra(view, &w, v(0), Some(v(8)));
         assert!(!search.path_to(v(8)).unwrap().contains_vertex(v(4)));
 
-        // Restriction 2 (same engine, O(1) reset): remove nothing.
-        engine.overlay.begin(&g);
-        let view = engine.overlay.view(&g);
-        assert_eq!(engine.workspace.bfs_hops(&view, v(0), v(8)), Some(4));
-        assert_eq!(engine.workspace.bfs_hops(&view, v(0), v(4)), Some(2));
+        // Second (same engine, O(1) reset): remove nothing.
+        let (view, ws) = engine.begin(&g);
+        assert_eq!(ws.bfs_hops(view, v(0), v(8)), Some(4));
+        assert_eq!(ws.bfs_hops(view, v(0), v(4)), Some(2));
+
+        // Third: a smaller graph through the same engine.
+        let small = generators::path(3);
+        let (view, ws) = engine.begin(&small);
+        view.remove_vertex(v(1));
+        assert_eq!(ws.bfs_hops(view, v(0), v(2)), None);
     }
 
     /// A splitmix64 step: the tests' deterministic stream of choices.
@@ -755,7 +778,7 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Which corners of the search space the random overlays reached.
+    /// Which corners of the search space the random restrictions reached.
     #[derive(Default)]
     struct Coverage {
         removed_source: usize,
@@ -768,7 +791,7 @@ mod tests {
 
     /// Checks `bfs_hops` and `canonical_path` against the one-sided `bfs`
     /// and the full `dijkstra(…, Some(t)).path_to(t)` from a random source
-    /// to every target, under `trials` random overlays of `g`.  Each overlay
+    /// to every target, under `trials` random restrictions of `g`.  Each one
     /// removes a few vertices (sometimes the source or a target), fails a
     /// few edges and sometimes restricts the edges incident to one vertex.
     fn cross_check(g: &Graph, wseed: u64, trials: usize, cov: &mut Coverage) {
@@ -776,29 +799,28 @@ mod tests {
         let mut state = wseed;
         let mut pick = |bound: usize| (splitmix(&mut state) % bound as u64) as usize;
         let n = g.vertex_count();
-        let mut overlay = ViewOverlay::new();
+        let mut view = GraphView::new(g);
         let mut ws = SearchWorkspace::new();
         let mut reference = SearchWorkspace::new();
         for _ in 0..trials {
             let s = VertexId::new(pick(n));
-            overlay.begin(g);
+            view.reset(g);
             for _ in 0..pick(4) {
-                overlay.remove_vertex(VertexId::new(pick(n)));
+                view.remove_vertex(VertexId::new(pick(n)));
             }
             if pick(6) == 0 {
-                overlay.remove_vertex(s);
+                view.remove_vertex(s);
             }
             for _ in 0..pick(5) {
-                overlay.remove_edge(EdgeId::new(pick(g.edge_count())));
+                view.remove_edge(EdgeId::new(pick(g.edge_count())));
             }
             if pick(3) == 0 {
                 let x = VertexId::new(pick(n));
                 let incident: Vec<EdgeId> = g.incident_edges(x).collect();
                 let keep = pick(incident.len() + 1);
-                overlay.restrict_incident(x, incident.into_iter().take(keep));
+                view.restrict_incident(x, incident.into_iter().take(keep));
                 cov.restricted += 1;
             }
-            let view = overlay.view(g);
             let hops: Vec<Option<u32>> = {
                 let full = reference.bfs(&view, s);
                 g.vertices().map(|t| full.hops(t)).collect()
@@ -854,7 +876,7 @@ mod tests {
         }
         cross_check(&generators::grid(6, 9), 21, 12, &mut cov);
         cross_check(&generators::grid(1, 12), 22, 6, &mut cov);
-        // Every corner the overlays can produce was exercised.
+        // Every corner the restrictions can produce was exercised.
         for (corner, count) in [
             ("removed source", cov.removed_source),
             ("removed target", cov.removed_target),

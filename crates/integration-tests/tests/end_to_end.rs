@@ -1,7 +1,7 @@
 //! End-to-end integration tests: every construction is run on several graph
 //! families and verified against the definition of an `f`-FT-MBFS structure.
 
-use ftbfs_core::dual::{DualFtBfsBuilder, SelectionStrategy};
+use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::{
     approx_minimum_ftmbfs, dual_failure_ftbfs, multi_failure_ftbfs, single_failure_ftbfs,
 };
@@ -52,10 +52,7 @@ fn canonical_and_paper_selections_both_verify_and_contain_the_tree() {
     for (name, g) in small_workloads() {
         let w = TieBreak::new(&g, 3);
         let paper = DualFtBfsBuilder::new(&g, &w, VertexId(0)).build().structure;
-        let canonical = DualFtBfsBuilder::new(&g, &w, VertexId(0))
-            .strategy(SelectionStrategy::Canonical)
-            .build()
-            .structure;
+        let canonical = multi_failure_ftbfs(&g, &w, VertexId(0), 2);
         for h in [&paper, &canonical] {
             let report = verify_exhaustive(&g, h.edges(), &[VertexId(0)], 2);
             assert!(report.is_valid(), "{name}: {report}");

@@ -1,6 +1,6 @@
 //! Golden-equivalence tests for the reusable search engine.
 //!
-//! The zero-allocation workspace, the epoch-stamped overlay restrictions,
+//! The zero-allocation workspace, the epoch-stamped reusable views,
 //! the unweighted fast path, the bidirectional hop probes, the DAG-confined
 //! canonical-path extraction and the parallel per-vertex construction must
 //! all leave the produced dual-failure FT-BFS structure *bit-identical* to
@@ -10,13 +10,14 @@
 //! the ones at scale by the one-sided-search implementation; any drift in
 //! path selection shows up as a fingerprint mismatch.
 
-use ftbfs_core::dual::{DualFtBfs, DualFtBfsBuilder, SelectionStrategy};
+use ftbfs_core::dual::DualFtBfsBuilder;
+use ftbfs_core::{multi_failure_ftbfs, FtBfsStructure};
 use ftbfs_graph::{generators, Graph, TieBreak, VertexId};
 use ftbfs_lowerbound::GStarGraph;
 
 /// FNV-1a over the sorted edge-id list — stable across platforms.
-fn fingerprint(result: &DualFtBfs) -> (usize, u64) {
-    let mut ids: Vec<u32> = result.structure.edges().map(|e| e.0).collect();
+fn fingerprint(h: &FtBfsStructure) -> (usize, u64) {
+    let mut ids: Vec<u32> = h.edges().map(|e| e.0).collect();
     ids.sort_unstable();
     let mut h: u64 = 0xcbf29ce484222325;
     for &e in &ids {
@@ -59,7 +60,7 @@ fn structure_matches_pre_refactor_golden_fingerprints() {
     for (i, (g, wseed, expect_edges, expect_fnv)) in golden_cases().into_iter().enumerate() {
         let w = TieBreak::new(&g, wseed);
         let r = DualFtBfsBuilder::new(&g, &w, VertexId(0)).build();
-        let (edges, fnv) = fingerprint(&r);
+        let (edges, fnv) = fingerprint(&r.structure);
         assert_eq!(edges, expect_edges, "edge count drifted on golden case {i}");
         assert_eq!(
             fnv, expect_fnv,
@@ -69,17 +70,25 @@ fn structure_matches_pre_refactor_golden_fingerprints() {
     }
 }
 
-/// One pinned instance: `(label, graph, source, W seed, strategy, |E(H)|,
-/// FNV-1a)`.
-type ScaleCase = (
-    &'static str,
-    Graph,
-    VertexId,
-    u64,
-    SelectionStrategy,
-    usize,
-    u64,
-);
+/// How a pinned instance builds `H`.
+type Construction = fn(&Graph, &TieBreak, VertexId) -> FtBfsStructure;
+
+/// `Cons2FTBFS` with the paper's selection rules, on two threads.
+fn paper(g: &Graph, w: &TieBreak, source: VertexId) -> FtBfsStructure {
+    DualFtBfsBuilder::new(g, w, source)
+        .threads(2)
+        .build()
+        .structure
+}
+
+/// The canonical-selection baseline: relevant-fault enumeration at `f = 2`.
+fn canonical(g: &Graph, w: &TieBreak, source: VertexId) -> FtBfsStructure {
+    multi_failure_ftbfs(g, w, source, 2)
+}
+
+/// One pinned instance: `(label, graph, source, W seed, construction,
+/// |E(H)|, FNV-1a)`.
+type ScaleCase = (&'static str, Graph, VertexId, u64, Construction, usize, u64);
 
 /// Instances at the sizes the construction is benchmarked on, pinned before
 /// the bidirectional hop probes and the DAG-confined path extraction
@@ -95,7 +104,7 @@ fn golden_cases_at_scale() -> Vec<ScaleCase> {
             generators::connected_gnp(n, 8.0 / n as f64, 1),
             VertexId(0),
             1,
-            SelectionStrategy::PaperPreference,
+            paper,
             2728,
             0x0be1bb330d3fe543,
         ),
@@ -104,7 +113,7 @@ fn golden_cases_at_scale() -> Vec<ScaleCase> {
             generators::connected_gnp(n, 8.0 / n as f64, 2),
             VertexId(0),
             2,
-            SelectionStrategy::PaperPreference,
+            paper,
             2731,
             0xae8545a223c90ee3,
         ),
@@ -113,7 +122,7 @@ fn golden_cases_at_scale() -> Vec<ScaleCase> {
             gstar.graph,
             gstar_source,
             3,
-            SelectionStrategy::PaperPreference,
+            paper,
             2910,
             0x603b688c4d60a918,
         ),
@@ -122,7 +131,7 @@ fn golden_cases_at_scale() -> Vec<ScaleCase> {
             generators::connected_gnp(300, 8.0 / 300.0, 5),
             VertexId(0),
             5,
-            SelectionStrategy::Canonical,
+            canonical,
             863,
             0x3762f4e7e7a8398e,
         ),
@@ -132,13 +141,9 @@ fn golden_cases_at_scale() -> Vec<ScaleCase> {
 #[test]
 fn structure_matches_golden_fingerprints_at_scale() {
     let mut drifted = Vec::new();
-    for (label, g, source, wseed, strategy, expect_edges, expect_fnv) in golden_cases_at_scale() {
+    for (label, g, source, wseed, build, expect_edges, expect_fnv) in golden_cases_at_scale() {
         let w = TieBreak::new(&g, wseed);
-        let r = DualFtBfsBuilder::new(&g, &w, source)
-            .strategy(strategy)
-            .threads(2)
-            .build();
-        let (edges, fnv) = fingerprint(&r);
+        let (edges, fnv) = fingerprint(&build(&g, &w, source));
         if (edges, fnv) != (expect_edges, expect_fnv) {
             drifted.push(format!("{label}: got ({edges}, {fnv:#018x})"));
         }
@@ -159,8 +164,8 @@ fn parallel_construction_is_bit_identical_to_serial() {
                 .threads(threads)
                 .build();
             assert_eq!(
-                fingerprint(&serial),
-                fingerprint(&parallel),
+                fingerprint(&serial.structure),
+                fingerprint(&parallel.structure),
                 "structure differs with {threads} threads"
             );
             // The per-vertex records must merge back in vertex-id order with

@@ -9,15 +9,13 @@
 //! * [`detour`] — the three-segment decomposition
 //!   `P_{s,v,{e}} = π(s,x) ∘ D ∘ π(y,v)` of Claim 3.4 and the [`detour::Detour`]
 //!   type;
-//! * [`replacement`] — single-failure replacement paths, both canonical
-//!   (`SP(s,v,G∖{e},W)`) and with the earliest-divergence selection of step
-//!   (1) of `Cons2FTBFS`, plus the batch per-tree-edge driver used by the
-//!   single-failure FT-BFS construction;
-//! * [`dual`] — canonical dual-failure replacement paths and the
-//!   classification of fault pairs into `(π,π)` / `(π,D)` / irrelevant;
+//! * [`replacement`] — single-failure replacement paths with the
+//!   earliest-divergence selection of step (1) of `Cons2FTBFS`, plus the
+//!   batch per-tree-edge driver used by the single-failure FT-BFS
+//!   construction;
 //! * [`select`] — the earliest π-divergence and earliest D-divergence
-//!   searches over the restricted graphs of Eq. (3)/(4);
-//! * [`new_ending`] — the new-ending predicate and `LastE(·)` collection.
+//!   searches over the restricted graphs of Eq. (3)/(4), marked on the
+//!   reusable view of a [`ftbfs_graph::SearchEngine`].
 //!
 //! # Example
 //!
@@ -42,13 +40,11 @@
 #![warn(missing_docs)]
 
 pub mod detour;
-pub mod dual;
-pub mod new_ending;
 pub mod replacement;
 pub mod select;
 
 pub use detour::{decompose, Decomposition, Detour};
-pub use dual::{canonical_dual_replacement, classify_fault_pair, FaultPairKind};
-pub use new_ending::{is_new_ending, last_edges};
-pub use replacement::{canonical_replacement, for_each_tree_edge_failure, SingleFailureReplacer};
-pub use select::{earliest_detour_divergence, earliest_pi_divergence, DivergenceChoice};
+pub use replacement::{for_each_tree_edge_failure, SingleFailureReplacer};
+pub use select::{
+    earliest_detour_divergence, earliest_pi_divergence, fault_distance, DivergenceChoice,
+};

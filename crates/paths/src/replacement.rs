@@ -1,36 +1,19 @@
 //! Single-failure replacement paths `P_{s,v,e}`.
 //!
 //! For a source `s`, a target `v` and a failing edge `e ∈ π(s, v)`, the
-//! replacement path is a shortest `s–v` path in `G ∖ {e}`.  Two selections
-//! are provided:
-//!
-//! * the *canonical* replacement path `SP(s, v, G ∖ {e}, W)` — unique under
-//!   the tie-breaking weights, computed by a plain Dijkstra;
-//! * the *earliest-divergence* replacement path of step (1) of `Cons2FTBFS`,
-//!   which among all shortest paths prefers the one whose divergence point
-//!   from `π(s, v)` is closest to `s`, and which therefore admits the
-//!   three-segment decomposition of Claim 3.4.
+//! replacement path is a shortest `s–v` path in `G ∖ {e}`.  Step (1) of
+//! `Cons2FTBFS` selects the *earliest-divergence* one: among all shortest
+//! paths it prefers the one whose divergence point from `π(s, v)` is closest
+//! to `s`, and which therefore admits the three-segment decomposition of
+//! Claim 3.4.  The single-failure construction instead reads the canonical
+//! paths `SP(s, v, G ∖ {e}, W)` of all targets at once from one Dijkstra per
+//! tree edge.
 
 use crate::detour::{decompose, Decomposition};
 use crate::select::earliest_pi_divergence;
 use ftbfs_graph::{
-    dijkstra, EdgeId, FaultSet, Graph, GraphView, Path, Search, SearchEngine, SpTree, TieBreak,
-    VertexId,
+    EdgeId, FaultSet, Graph, Path, Search, SearchEngine, SpTree, TieBreak, VertexId,
 };
-
-/// Computes the canonical replacement path `SP(s, v, G ∖ {e}, W)`.
-///
-/// Returns `None` if `v` becomes unreachable when `e` fails.
-pub fn canonical_replacement(
-    graph: &Graph,
-    w: &TieBreak,
-    source: VertexId,
-    target: VertexId,
-    failed: EdgeId,
-) -> Option<Path> {
-    let view = GraphView::new(graph).without_edge(failed);
-    dijkstra(&view, w, source, Some(target)).path_to(target)
-}
 
 /// Computes, for each failed tree edge, the full shortest-path information in
 /// `G ∖ {e}` and hands it to `visit(e, search)`.
@@ -38,19 +21,17 @@ pub fn canonical_replacement(
 /// This is the batch form used by the single-failure FT-BFS construction: one
 /// Dijkstra per tree edge covers all targets at once.  Only edges of the
 /// shortest-path tree are relevant — failures of non-tree edges leave every
-/// `π(s, v)` intact.  All searches share one workspace/overlay pair, so the
-/// loop allocates nothing after the first edge.
+/// `π(s, v)` intact.  All searches share one [`SearchEngine`], so the loop
+/// allocates nothing after the first edge.
 pub fn for_each_tree_edge_failure<F>(graph: &Graph, w: &TieBreak, tree: &SpTree, mut visit: F)
 where
     F: FnMut(EdgeId, &Search<'_>),
 {
     let mut engine = SearchEngine::new();
     for &e in tree.tree_edges() {
-        engine.overlay.begin(graph);
-        engine.overlay.remove_edge(e);
-        let view = engine.overlay.view(graph);
-        let search = engine.workspace.dijkstra(&view, w, tree.source(), None);
-        visit(e, &search);
+        let (view, ws) = engine.begin(graph);
+        view.remove_edge(e);
+        visit(e, &ws.dijkstra(view, w, tree.source(), None));
     }
 }
 
@@ -72,11 +53,6 @@ impl<'a> SingleFailureReplacer<'a> {
         SingleFailureReplacer { graph, w, tree }
     }
 
-    /// The canonical path `π(s, v)`, if `v` is reachable.
-    pub fn pi(&self, v: VertexId) -> Option<Path> {
-        self.tree.pi(v)
-    }
-
     /// The replacement path `P_{s,v,{e}}` chosen with the earliest-divergence
     /// preference, together with its Claim-3.4 decomposition.  Searches run
     /// through the caller's `engine`.
@@ -87,12 +63,15 @@ impl<'a> SingleFailureReplacer<'a> {
     /// # Panics
     ///
     /// Panics if `v` is unreachable in `G` or `e` does not lie on `π(s, v)`.
-    pub fn earliest_divergence_replacement(
+    pub fn earliest_divergence_replacement<'g>(
         &self,
-        engine: &mut SearchEngine,
+        engine: &mut SearchEngine<'g>,
         v: VertexId,
         e: EdgeId,
-    ) -> Option<Decomposition> {
+    ) -> Option<Decomposition>
+    where
+        'a: 'g,
+    {
         let pi = self.tree.pi(v).expect("target must be reachable in G");
         let ep = self.graph.endpoints(e);
         assert!(
@@ -121,21 +100,6 @@ impl<'a> SingleFailureReplacer<'a> {
             // and the remaining π suffix.
             fallback_decomposition(&pi, &choice.path)
         })
-    }
-
-    /// The hop length of the replacement path `P_{s,v,{e}}` (independent of
-    /// the selection rule), or `None` if `v` is unreachable in `G ∖ {e}`.
-    /// Runs the engine's unweighted fast path.
-    pub fn replacement_distance(
-        &self,
-        engine: &mut SearchEngine,
-        v: VertexId,
-        e: EdgeId,
-    ) -> Option<u32> {
-        engine.overlay.begin(self.graph);
-        engine.overlay.remove_edge(e);
-        let view = engine.overlay.view(self.graph);
-        engine.workspace.bfs_hops(&view, self.tree.source(), v)
     }
 }
 
@@ -184,25 +148,10 @@ fn fallback_decomposition(pi: &Path, p: &Path) -> Option<Decomposition> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftbfs_graph::generators;
+    use ftbfs_graph::{bfs, generators, GraphView};
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
-    }
-
-    #[test]
-    fn canonical_replacement_avoids_edge_and_is_optimal() {
-        let g = generators::cycle(8);
-        let w = TieBreak::new(&g, 1);
-        let e01 = g.edge_between(v(0), v(1)).unwrap();
-        let p = canonical_replacement(&g, &w, v(0), v(1), e01).unwrap();
-        assert_eq!(p.len(), 7);
-        assert!(!p.contains_edge(v(0), v(1)));
-        // Unreachable case: a path graph loses its only route.
-        let pg = generators::path(5);
-        let wp = TieBreak::new(&pg, 1);
-        let e23 = pg.edge_between(v(2), v(3)).unwrap();
-        assert!(canonical_replacement(&pg, &wp, v(0), v(4), e23).is_none());
     }
 
     #[test]
@@ -237,7 +186,7 @@ mod tests {
         let mut engine = SearchEngine::new();
         // Fail the last edge of whichever length-4 route W selected as pi;
         // the parallel route provides a replacement diverging at the source.
-        let pi = rep.pi(v(4)).unwrap();
+        let pi = tree.pi(v(4)).unwrap();
         assert_eq!(pi.len(), 4);
         let (a, bb) = pi.last_edge().unwrap();
         let failed = g.edge_between(a, bb).unwrap();
@@ -248,7 +197,6 @@ mod tests {
         assert_eq!(dec.detour.x, v(0));
         assert_eq!(dec.detour.y, v(4));
         assert_eq!(dec.reassemble().len(), 4);
-        assert_eq!(rep.replacement_distance(&mut engine, v(4), failed), Some(4));
     }
 
     #[test]
@@ -259,7 +207,8 @@ mod tests {
         let rep = SingleFailureReplacer::new(&g, &w, &tree);
         let mut engine = SearchEngine::new();
         let e12 = g.edge_between(v(1), v(2)).unwrap();
-        assert_eq!(rep.replacement_distance(&mut engine, v(3), e12), None);
+        let cut = GraphView::new(&g).without_edge(e12);
+        assert_eq!(bfs(&cut, v(0)).distance(v(3)), None);
         assert!(rep
             .earliest_divergence_replacement(&mut engine, v(3), e12)
             .is_none());

@@ -10,8 +10,9 @@
 //! shorten distances (distances are monotone non-increasing in the candidate
 //! index).
 //!
-//! All searches run through a caller-provided [`SearchEngine`] over an
-//! epoch-stamped overlay restriction and allocate nothing.  The
+//! All searches run through a caller-provided [`SearchEngine`]: each probe
+//! resets the engine's view in `O(1)`, marks the restriction on it, and
+//! allocates nothing.  The
 //! binary-search predicates compare *unweighted* distances, so they use the
 //! bidirectional hop probe [`ftbfs_graph::SearchWorkspace::bfs_hops`]; the
 //! final path extraction (and the rare fallback) uses
@@ -20,8 +21,8 @@
 //! search over the `s–v` hop-shortest-path DAG only.
 
 use crate::detour::Detour;
-use ftbfs_graph::restrict::{overlay_detour_suffix, overlay_pi_segment};
-use ftbfs_graph::{FaultSet, Graph, Path, SearchEngine, TieBreak, VertexId};
+use ftbfs_graph::restrict::{remove_detour_suffix, remove_pi_segment};
+use ftbfs_graph::{FaultSet, Graph, GraphView, Path, SearchEngine, TieBreak, VertexId};
 
 /// The outcome of an earliest-divergence search.
 #[derive(Clone, Debug)]
@@ -40,20 +41,34 @@ pub struct DivergenceChoice {
 /// distances (`dist(s, v, ·)`); the tie-breaking weights only select a single
 /// path once the divergence point is fixed — so this runs the engine's
 /// unweighted fast path, not a weighted Dijkstra.
-fn restricted_hops(
-    engine: &mut SearchEngine,
-    graph: &Graph,
+fn restricted_hops<'g>(
+    engine: &mut SearchEngine<'g>,
+    graph: &'g Graph,
     pi: &Path,
     k: usize,
     segment_end_pos: usize,
     target: VertexId,
     faults: &FaultSet,
 ) -> Option<u32> {
-    engine.overlay.begin(graph);
-    overlay_pi_segment(&mut engine.overlay, pi, k, segment_end_pos, target);
-    engine.overlay.remove_faults(faults);
-    let view = engine.overlay.view(graph);
-    engine.workspace.bfs_hops(&view, pi.source(), target)
+    let (view, ws) = engine.begin(graph);
+    remove_pi_segment(view, pi, k, segment_end_pos, target);
+    view.remove_faults(faults);
+    ws.bfs_hops(view, pi.source(), target)
+}
+
+/// The hop distance `dist(source, target, G ∖ faults)`, or `None` if
+/// disconnected — a pure-distance query on the engine's unweighted fast
+/// path.
+pub fn fault_distance<'g>(
+    engine: &mut SearchEngine<'g>,
+    graph: &'g Graph,
+    source: VertexId,
+    target: VertexId,
+    faults: &FaultSet,
+) -> Option<u32> {
+    let (view, ws) = engine.begin(graph);
+    view.remove_faults(faults);
+    ws.bfs_hops(view, source, target)
 }
 
 /// Finds the replacement path for `faults` whose first divergence point from
@@ -71,9 +86,9 @@ fn restricted_hops(
 ///
 /// Returns `None` if `target` is unreachable in `G ∖ faults`.
 #[allow(clippy::too_many_arguments)]
-pub fn earliest_pi_divergence(
-    engine: &mut SearchEngine,
-    graph: &Graph,
+pub fn earliest_pi_divergence<'g>(
+    engine: &mut SearchEngine<'g>,
+    graph: &'g Graph,
     w: &TieBreak,
     pi: &Path,
     target: VertexId,
@@ -85,12 +100,7 @@ pub fn earliest_pi_divergence(
     let source = pi.source();
     let optimum = match known_optimum {
         Some(h) => h,
-        None => {
-            engine.overlay.begin(graph);
-            engine.overlay.remove_faults(faults);
-            let view = engine.overlay.view(graph);
-            engine.workspace.bfs_hops(&view, source, target)?
-        }
+        None => fault_distance(engine, graph, source, target, faults)?,
     };
 
     let limit_pos = pi.position(limit).expect("divergence limit must lie on pi");
@@ -101,7 +111,7 @@ pub fn earliest_pi_divergence(
     // Binary search the smallest k in 0..=limit_pos whose restricted distance
     // equals the optimum.  The predicate is monotone: larger k removes fewer
     // vertices, so the restricted distance is non-increasing in k.
-    let pred = |engine: &mut SearchEngine, k: usize| -> bool {
+    let pred = |engine: &mut SearchEngine<'g>, k: usize| -> bool {
         restricted_hops(engine, graph, pi, k, segment_end_pos, target, faults) == Some(optimum)
     };
     let mut lo = 0usize;
@@ -112,10 +122,9 @@ pub fn earliest_pi_divergence(
         // No divergence point up to `limit` realises the optimum (the optimal
         // path re-joins π below the failing edge in a way the restriction
         // forbids).  Fall back to the canonical optimal path.
-        engine.overlay.begin(graph);
-        engine.overlay.remove_faults(faults);
-        let view = engine.overlay.view(graph);
-        let path = engine.workspace.canonical_path(&view, w, source, target)?;
+        let (view, ws) = engine.begin(graph);
+        view.remove_faults(faults);
+        let path = ws.canonical_path(view, w, source, target)?;
         let divergence = path.first_divergence_from(pi).unwrap_or(source);
         return Some(DivergenceChoice { divergence, path });
     }
@@ -128,11 +137,10 @@ pub fn earliest_pi_divergence(
         }
     }
     let k = lo;
-    engine.overlay.begin(graph);
-    overlay_pi_segment(&mut engine.overlay, pi, k, segment_end_pos, target);
-    engine.overlay.remove_faults(faults);
-    let view = engine.overlay.view(graph);
-    let path = engine.workspace.canonical_path(&view, w, source, target)?;
+    let (view, ws) = engine.begin(graph);
+    remove_pi_segment(view, pi, k, segment_end_pos, target);
+    view.remove_faults(faults);
+    let path = ws.canonical_path(view, w, source, target)?;
     Some(DivergenceChoice {
         divergence: pi.vertices()[k],
         path,
@@ -151,9 +159,9 @@ pub fn earliest_pi_divergence(
 ///
 /// Returns `None` if `target` is unreachable in `G ∖ faults`.
 #[allow(clippy::too_many_arguments)]
-pub fn earliest_detour_divergence(
-    engine: &mut SearchEngine,
-    graph: &Graph,
+pub fn earliest_detour_divergence<'g>(
+    engine: &mut SearchEngine<'g>,
+    graph: &'g Graph,
     w: &TieBreak,
     pi: &Path,
     detour: &Detour,
@@ -165,12 +173,7 @@ pub fn earliest_detour_divergence(
     let source = pi.source();
     let optimum = match known_optimum {
         Some(h) => h,
-        None => {
-            engine.overlay.begin(graph);
-            engine.overlay.remove_faults(faults);
-            let view = engine.overlay.view(graph);
-            engine.workspace.bfs_hops(&view, source, target)?
-        }
+        None => fault_distance(engine, graph, source, target, faults)?,
     };
 
     let upper_pos = detour
@@ -179,17 +182,19 @@ pub fn earliest_detour_divergence(
     let x_pos = pi.position(detour.x).expect("detour start must lie on pi");
     let target_pos = pi.position(target).expect("target is the end of pi");
 
-    // Fill the overlay with the Eq. (4) restriction for candidate l.
-    let fill = |engine: &mut SearchEngine, l: usize| {
-        engine.overlay.begin(graph);
-        overlay_pi_segment(&mut engine.overlay, pi, x_pos, target_pos, target);
-        overlay_detour_suffix(&mut engine.overlay, &detour.path, l, target);
-        engine.overlay.remove_faults(faults);
+    // Marks the Eq. (4) restriction for candidate l, or (`None`) the
+    // π-restriction alone.
+    let mark = |view: &mut GraphView<'g>, l: Option<usize>| {
+        remove_pi_segment(view, pi, x_pos, target_pos, target);
+        if let Some(l) = l {
+            remove_detour_suffix(view, &detour.path, l, target);
+        }
+        view.remove_faults(faults);
     };
-    let pred = |engine: &mut SearchEngine, l: usize| -> bool {
-        fill(engine, l);
-        let view = engine.overlay.view(graph);
-        engine.workspace.bfs_hops(&view, source, target) == Some(optimum)
+    let pred = |engine: &mut SearchEngine<'g>, l: usize| -> bool {
+        let (view, ws) = engine.begin(graph);
+        mark(view, Some(l));
+        ws.bfs_hops(view, source, target) == Some(optimum)
     };
 
     let mut lo = 0usize;
@@ -199,11 +204,9 @@ pub fn earliest_detour_divergence(
         // to the π-restricted optimum (divergence at x, ignoring the detour
         // preference).  This mirrors the algorithm's behaviour of only
         // imposing the detour preference "under certain conditions".
-        engine.overlay.begin(graph);
-        overlay_pi_segment(&mut engine.overlay, pi, x_pos, target_pos, target);
-        engine.overlay.remove_faults(faults);
-        let view = engine.overlay.view(graph);
-        let path = engine.workspace.canonical_path(&view, w, source, target)?;
+        let (view, ws) = engine.begin(graph);
+        mark(view, None);
+        let path = ws.canonical_path(view, w, source, target)?;
         let divergence = path.first_divergence_from(&detour.path).unwrap_or(detour.x);
         return Some(DivergenceChoice { divergence, path });
     }
@@ -216,9 +219,9 @@ pub fn earliest_detour_divergence(
         }
     }
     let l = lo;
-    fill(engine, l);
-    let view = engine.overlay.view(graph);
-    let path = engine.workspace.canonical_path(&view, w, source, target)?;
+    let (view, ws) = engine.begin(graph);
+    mark(view, Some(l));
+    let path = ws.canonical_path(view, w, source, target)?;
     Some(DivergenceChoice {
         divergence: detour.path.vertices()[l],
         path,
