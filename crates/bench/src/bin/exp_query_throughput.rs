@@ -36,6 +36,17 @@
 //! checked-in full sweep; `--out` overrides either.  Every result row
 //! carries the provenance fields `{nproc, rustc, commit, mode}`.
 //!
+//! Every mode also checks the answers: each measured report's distances
+//! (every thread count, the latency runs, the LRU sweep, the telemetry
+//! pairs) must equal a 1-thread run's on the same queries, or the binary
+//! exits non-zero before it writes any JSON, so a fast row is never a
+//! wrong one.
+//!
+//! The harness measures per-core engine scaling: each thread runs a
+//! plain engine loop over its share of the batch.  What the serve plane
+//! adds per request is E11's (`exp_serve_load`) and perfbench's to
+//! measure.
+//!
 //! The query mix models a serving tail: 25% fault-free (precomputed-tree
 //! fast path), 25% single-fault, 50% dual-fault, with fault edges drawn
 //! from the structure itself so most faulted queries do real work, and with
@@ -46,7 +57,7 @@ use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::{multi_failure_ftmbfs_parts, FtBfsStructure};
 use ftbfs_graph::{generators, EdgeId, FaultSpec, Graph, TieBreak, VertexId};
 use ftbfs_oracle::{Freeze, FrozenStructure, FrozenView, Query, QueryEngine, SnapshotVersion};
-use ftbfs_serve::{MetricsRegistry, ThroughputHarness};
+use ftbfs_serve::{BatchReport, MetricsRegistry, ThroughputHarness};
 use std::time::Instant;
 
 /// The `--smoke` throughput floor in queries per second, single-threaded.
@@ -105,6 +116,26 @@ struct SweepRow {
     active_pairs: usize,
     capacity: usize,
     qps: f64,
+}
+
+/// Records a mismatch in `wrong` unless `report` answered every query as
+/// the 1-thread `reference` run did.
+fn check_answers(
+    wrong: &mut Vec<String>,
+    what: &str,
+    reference: &[Option<u32>],
+    report: &BatchReport,
+) {
+    if report.distances != reference {
+        let first = reference
+            .iter()
+            .zip(&report.distances)
+            .position(|(a, b)| a != b)
+            .unwrap_or(reference.len().min(report.distances.len()));
+        wrong.push(format!(
+            "{what}: distances differ from the 1-thread run's, first at query {first}"
+        ));
+    }
 }
 
 /// Deterministic splitmix64 so the workload needs no RNG dependency.
@@ -166,24 +197,34 @@ fn build_queries(
 /// ([`ThroughputHarness::run_instrumented`]: engine counts published to
 /// the registry + batch histogram) on identical single-threaded work, in
 /// [`OVERHEAD_PAIRS`] interleaved pairs.  Returns the per-pair
-/// `(baseline_qps, instrumented_qps)`.
-fn telemetry_overhead(frozen: &FrozenStructure, queries: &[Query]) -> Vec<(f64, f64)> {
+/// `(baseline_qps, instrumented_qps)`; a run whose answers differ from
+/// `reference` is recorded in `wrong`.
+fn telemetry_overhead(
+    frozen: &FrozenStructure,
+    queries: &[Query],
+    reference: &[Option<u32>],
+    wrong: &mut Vec<String>,
+) -> Vec<(f64, f64)> {
     let harness = ThroughputHarness::new(1);
     let registry = MetricsRegistry::new();
-    let baseline = || harness.run(frozen, queries).queries_per_sec();
-    let instrumented = || {
-        harness
-            .run_instrumented(frozen, queries, &registry)
-            .queries_per_sec()
+    let mut run = |instrumented: bool| {
+        let (what, report) = if instrumented {
+            let report = harness.run_instrumented(frozen, queries, &registry);
+            ("telemetry instrumented", report)
+        } else {
+            ("telemetry baseline", harness.run(frozen, queries))
+        };
+        check_answers(wrong, what, reference, &report);
+        report.queries_per_sec()
     };
-    let _ = (baseline(), instrumented());
+    let _ = (run(false), run(true));
     (0..OVERHEAD_PAIRS)
         .map(|i| {
             if i % 2 == 0 {
-                (baseline(), instrumented())
+                (run(false), run(true))
             } else {
-                let inst = instrumented();
-                (baseline(), inst)
+                let inst = run(true);
+                (run(false), inst)
             }
         })
         .collect()
@@ -198,7 +239,8 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Measures one frozen structure across thread counts, appending table +
-/// JSON rows.
+/// JSON rows, and records in `wrong` every report whose answers differ
+/// from a 1-thread run's.
 #[allow(clippy::too_many_arguments)]
 fn measure_backend(
     name: &str,
@@ -209,7 +251,9 @@ fn measure_backend(
     thread_counts: &[usize],
     table: &mut Table,
     rows: &mut Vec<Row>,
+    wrong: &mut Vec<String>,
 ) {
+    let reference = ThroughputHarness::new(1).run(oracle, queries).distances;
     for &threads in thread_counts {
         // One warm-up pass (per-thread engines populate their caches inside
         // the run itself; the warm-up mainly stabilises timing), then qps
@@ -220,6 +264,14 @@ fn measure_backend(
         let _ = fast.run(oracle, queries);
         let report = fast.run(oracle, queries);
         let latency_report = fast.with_latencies(true).run(oracle, queries);
+        let what = format!("{name} {backend} threads={threads}");
+        check_answers(wrong, &what, &reference, &report);
+        check_answers(
+            wrong,
+            &format!("{what} (latencies)"),
+            &reference,
+            &latency_report,
+        );
         let p50 = latency_report.latency_percentile_ns(50.0).unwrap_or(0) as f64 / 1e3;
         let p99 = latency_report.latency_percentile_ns(99.0).unwrap_or(0) as f64 / 1e3;
         let row = Row {
@@ -252,11 +304,14 @@ fn measure_backend(
 
 /// The cache-policy experiment: qps across LRU capacities under two
 /// fault-pair locality regimes (single thread, single-source backend).
+/// Every capacity must answer as the default one does; a mismatch is
+/// recorded in `wrong`.
 fn lru_sweep(
     g: &Graph,
     frozen: &FrozenStructure,
     structure_edges: &[EdgeId],
     query_count: usize,
+    wrong: &mut Vec<String>,
 ) -> Vec<SweepRow> {
     let mut out = Vec::new();
     let capacities = [2usize, 4, 8, 16, 32];
@@ -265,10 +320,13 @@ fn lru_sweep(
     // swept capacity).
     for (locality, active_pairs) in [("tight", 8usize), ("wide", 48usize)] {
         let queries = build_queries(g, structure_edges, &[], query_count, active_pairs, 0xBEEF);
+        let reference = ThroughputHarness::new(1).run(frozen, &queries).distances;
         for &capacity in &capacities {
             let harness = ThroughputHarness::new(1).with_cache_capacity(capacity);
             let _ = harness.run(frozen, &queries);
             let report = harness.run(frozen, &queries);
+            let what = format!("lru sweep {locality} capacity={capacity}");
+            check_answers(wrong, &what, &reference, &report);
             out.push(SweepRow {
                 locality,
                 active_pairs,
@@ -419,6 +477,7 @@ fn main() {
     let mut smoke_qps: Option<f64> = None;
     let mut first_frozen: Option<FrozenStructure> = None;
     let mut first_queries: Option<Vec<Query>> = None;
+    let mut wrong: Vec<String> = Vec::new();
     for (name, g) in &workloads {
         let w = TieBreak::new(g, 1);
         let h = DualFtBfsBuilder::new(g, &w, VertexId(0)).build().structure;
@@ -436,12 +495,13 @@ fn main() {
             thread_counts,
             &mut table,
             &mut rows,
+            &mut wrong,
         );
         if smoke_qps.is_none() {
             smoke_qps = rows.iter().find(|r| r.threads == 1).map(|r| r.qps);
         }
         if sweep && sweep_rows.is_empty() {
-            sweep_rows = lru_sweep(g, &frozen, &structure_edges, query_count);
+            sweep_rows = lru_sweep(g, &frozen, &structure_edges, query_count, &mut wrong);
         }
         if first_frozen.is_none() {
             first_frozen = Some(frozen);
@@ -474,6 +534,7 @@ fn main() {
             thread_counts,
             &mut table,
             &mut rows,
+            &mut wrong,
         );
         (multi, parts)
     };
@@ -524,12 +585,14 @@ fn main() {
     // The telemetry-overhead experiment: the cost of publishing the
     // engine counts and recording the batch histogram on the
     // single-threaded serving path.
-    let pairs = telemetry_overhead(
-        first_frozen.as_ref().expect("first workload was measured"),
-        first_queries
-            .as_ref()
-            .expect("first workload built queries"),
-    );
+    let first_frozen = first_frozen.as_ref().expect("first workload was measured");
+    let first_queries = first_queries
+        .as_ref()
+        .expect("first workload built queries");
+    let reference = ThroughputHarness::new(1)
+        .run(first_frozen, first_queries)
+        .distances;
+    let pairs = telemetry_overhead(first_frozen, first_queries, &reference, &mut wrong);
     let sorted = |f: &dyn Fn(&(f64, f64)) -> f64| {
         let mut v: Vec<f64> = pairs.iter().map(f).collect();
         v.sort_by(f64::total_cmp);
@@ -564,6 +627,14 @@ fn main() {
         }
         print!("{}", sweep_table.render());
     }
+
+    if !wrong.is_empty() {
+        for w in &wrong {
+            eprintln!("WRONG ANSWERS: {w}");
+        }
+        std::process::exit(1);
+    }
+    println!("answers ok: every measured report matches the 1-thread run's");
 
     let provenance = json::provenance(if smoke { "smoke" } else { "full" });
     let mut json = String::from("{\n  \"experiment\": \"query_throughput\",\n  \"results\": [\n");

@@ -60,6 +60,23 @@ fn allocation_count() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// Answers `queries` in order into `out`: the per-share engine loop of the
+/// batch harness.
+fn answer_into(
+    engine: &mut QueryEngine,
+    oracle: &FrozenView<'_>,
+    queries: &[Query],
+    out: &mut [Option<u32>],
+) {
+    for (q, slot) in queries.iter().zip(out.iter_mut()) {
+        let source = q.source.unwrap_or_else(|| oracle.primary_source());
+        *slot = engine
+            .try_distance_from(oracle, source, q.target, &q.faults)
+            .unwrap()
+            .into_value();
+    }
+}
+
 #[test]
 fn dual_fault_queries_allocate_nothing_after_warmup() {
     // The acceptance workload: the PR-2 construction instance.
@@ -95,11 +112,11 @@ fn dual_fault_queries_allocate_nothing_after_warmup() {
     // Warm-up: sizes the workspace, populates the LRU, then goes around
     // again so every buffer has reached steady state.
     for _ in 0..2 {
-        engine.batch_distances_into(&frozen, &queries, &mut out);
+        answer_into(&mut engine, &frozen, &queries, &mut out);
     }
 
     let before = allocation_count();
-    engine.batch_distances_into(&frozen, &queries, &mut out);
+    answer_into(&mut engine, &frozen, &queries, &mut out);
     for (q, spec) in queries.iter().zip(fault_pairs.iter().cycle()) {
         let answer = engine.try_distance(&frozen, q.target, spec).unwrap();
         assert!(answer.is_exact());
@@ -147,11 +164,11 @@ fn mmap_style_view_queries_allocate_nothing_after_warmup() {
     let mut out = vec![None; queries.len()];
     let mut engine = QueryEngine::new();
     for _ in 0..2 {
-        engine.batch_distances_into(&view, &queries, &mut out);
+        answer_into(&mut engine, &view, &queries, &mut out);
     }
 
     let before = allocation_count();
-    engine.batch_distances_into(&view, &queries, &mut out);
+    answer_into(&mut engine, &view, &queries, &mut out);
     for (q, spec) in queries.iter().zip(fault_pairs.iter().cycle()) {
         let answer = engine.try_distance(&view, q.target, spec).unwrap();
         assert!(answer.is_exact());
@@ -238,12 +255,12 @@ fn instrumented_hot_path_allocates_nothing_after_warmup() {
 
     let mut engine = QueryEngine::new();
     for _ in 0..2 {
-        engine.batch_distances_into(&frozen, &queries, &mut out);
+        answer_into(&mut engine, &frozen, &queries, &mut out);
         publish(&mut engine);
     }
 
     let before = allocation_count();
-    engine.batch_distances_into(&frozen, &queries, &mut out);
+    answer_into(&mut engine, &frozen, &queries, &mut out);
     publish(&mut engine);
     for (i, (q, spec)) in queries.iter().zip(fault_pairs.iter().cycle()).enumerate() {
         let answer = engine.try_distance(&frozen, q.target, spec).unwrap();
@@ -361,8 +378,10 @@ fn multi_source_matrix_allocates_nothing_into_a_preallocated_slice() {
     assert_matrix_allocates_nothing(&view, &sources, g.vertex_count(), &specs);
 }
 
-/// Warms an engine on every `(source, spec)` of `oracle`, then serves the
-/// `S × V` matrix and cross-source point queries again, allocating nothing.
+/// Warms an engine on every `(source, spec)` of `oracle` through the
+/// `S × V` matrix, then serves every matrix cell again as a point query
+/// into a preallocated row-major slice, allocating nothing, and checks the
+/// slice against the matrix.
 fn assert_matrix_allocates_nothing(
     oracle: &FrozenView<'_>,
     sources: &[VertexId],
@@ -372,26 +391,24 @@ fn assert_matrix_allocates_nothing(
     let mut flat = vec![None; sources.len() * n];
     let mut engine = QueryEngine::new();
     // Warm-up resolves every (source, spec) restriction once.
-    for spec in specs {
-        engine
-            .try_distance_matrix_into(oracle, spec, &mut flat)
-            .unwrap();
-    }
+    let matrices: Vec<_> = specs
+        .iter()
+        .map(|spec| engine.try_distance_matrix(oracle, spec).unwrap())
+        .collect();
 
     let before = allocation_count();
-    for spec in specs {
-        let guarantee = engine
-            .try_distance_matrix_into(oracle, spec, &mut flat)
-            .unwrap();
-        assert!(guarantee.is_exact());
-    }
-    // Point queries across sources stay allocation-free too: the tree
-    // index they may use was built when the matrix warm-up bound the
-    // engine, not on their first use.
-    for (i, &s) in sources.iter().enumerate() {
-        let _ = engine
-            .try_distance_from(oracle, s, VertexId((i * 11) as u32), &specs[2])
-            .unwrap();
+    for (spec, matrix) in specs.iter().zip(&matrices) {
+        assert!(matrix.is_exact());
+        for (row, &s) in sources.iter().enumerate() {
+            for t in 0..n {
+                let answer = engine
+                    .try_distance_from(oracle, s, VertexId(t as u32), spec)
+                    .unwrap();
+                assert!(answer.is_exact());
+                flat[row * n + t] = answer.into_value();
+            }
+        }
+        assert_eq!(flat.as_slice(), matrix.value().as_flat());
     }
     let after = allocation_count();
     assert_eq!(

@@ -594,13 +594,6 @@ fn batched_and_threaded_queries_match_serial_ground_truth() {
             bfs(&view, source).distance(q.target)
         })
         .collect();
-    // Batched through one engine (checked and panicking forms agree).
-    let mut engine = QueryEngine::new();
-    assert_eq!(
-        engine.try_batch_distances(&frozen, &queries).unwrap(),
-        expected
-    );
-    assert_eq!(engine.batch_distances(&frozen, &queries), expected);
     // Sharded across 4 threads: same answers, same (input) order.
     let report = ThroughputHarness::new(4).run(&frozen, &queries);
     assert_eq!(report.distances, expected);

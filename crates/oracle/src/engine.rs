@@ -7,7 +7,7 @@
 //! current epoch, so starting a new search invalidates all previous state
 //! in `O(1)` without clearing), applied to a FIFO BFS over the borrowed CSR
 //! slab of the query's source.  After warm-up,
-//! [`QueryEngine::try_distance`] and [`QueryEngine::batch_distances_into`]
+//! [`QueryEngine::try_distance`] and [`QueryEngine::try_distance_from`]
 //! allocate nothing:
 //!
 //! * **tree fast path** — if the slab carries a precomputed fault-free
@@ -538,104 +538,16 @@ impl QueryEngine {
         oracle: &FrozenView<'_>,
         spec: &FaultSpec,
     ) -> Result<Answer<DistanceMatrix>, QueryError> {
-        let k = oracle.sources().len();
         let n = oracle.vertex_count();
-        let mut data = vec![None; k * n];
-        let guarantee = self.try_distance_matrix_into(oracle, spec, &mut data)?;
+        let mut data = Vec::with_capacity(oracle.sources().len() * n);
+        for &source in oracle.sources() {
+            let (slab, slot) = self.prepare(oracle, source, None, spec)?;
+            data.extend((0..n).map(|i| self.read_distance(&slab, slot, VertexId::new(i))));
+        }
         Ok(Answer::new(
             DistanceMatrix::new(oracle.sources().to_vec(), n, data),
-            guarantee,
+            self.note_guarantee(oracle, spec),
         ))
-    }
-
-    /// [`Self::try_distance_matrix`] into a caller-provided row-major slice
-    /// of `sources().len() * vertex_count()` slots (the zero-allocation
-    /// form).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` has the wrong length.
-    pub fn try_distance_matrix_into(
-        &mut self,
-        oracle: &FrozenView<'_>,
-        spec: &FaultSpec,
-        out: &mut [Option<u32>],
-    ) -> Result<Guarantee, QueryError> {
-        let k = oracle.sources().len();
-        let n = oracle.vertex_count();
-        assert_eq!(out.len(), k * n, "matrix slice must hold S × V slots");
-        for row in 0..k {
-            let source = oracle.sources()[row];
-            let (slab, slot) = self.prepare(oracle, source, None, spec)?;
-            for i in 0..n {
-                out[row * n + i] = self.read_distance(&slab, slot, VertexId::new(i));
-            }
-        }
-        Ok(self.note_guarantee(oracle, spec))
-    }
-
-    /// Answers a batch of [`Query`]s, returning distances in input order,
-    /// or the first error encountered.
-    pub fn try_batch_distances(
-        &mut self,
-        oracle: &FrozenView<'_>,
-        queries: &[Query],
-    ) -> Result<Vec<Option<u32>>, QueryError> {
-        let mut out = vec![None; queries.len()];
-        self.try_batch_distances_into(oracle, queries, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Self::try_batch_distances`] into a caller-provided slice (the
-    /// zero-allocation form used by `ftbfs_serve::ThroughputHarness`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != queries.len()`.
-    pub fn try_batch_distances_into(
-        &mut self,
-        oracle: &FrozenView<'_>,
-        queries: &[Query],
-        out: &mut [Option<u32>],
-    ) -> Result<(), QueryError> {
-        assert_eq!(
-            out.len(),
-            queries.len(),
-            "output slice must match the query count"
-        );
-        for (q, slot) in queries.iter().zip(out.iter_mut()) {
-            let source = q.source.unwrap_or_else(|| oracle.primary_source());
-            *slot = self
-                .try_distance_from(oracle, source, q.target, &q.faults)?
-                .into_value();
-        }
-        Ok(())
-    }
-
-    /// Answers a batch of queries, panicking on invalid ones; prefer
-    /// [`Self::try_batch_distances`] where errors must be surfaced.
-    pub fn batch_distances(
-        &mut self,
-        oracle: &FrozenView<'_>,
-        queries: &[Query],
-    ) -> Vec<Option<u32>> {
-        self.try_batch_distances(oracle, queries)
-            .expect("batch query must be valid for this structure")
-    }
-
-    /// [`Self::batch_distances`] into a caller-provided slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != queries.len()` or a query is invalid.
-    pub fn batch_distances_into(
-        &mut self,
-        oracle: &FrozenView<'_>,
-        queries: &[Query],
-        out: &mut [Option<u32>],
-    ) {
-        self.try_batch_distances_into(oracle, queries, out)
-            .expect("batch query must be valid for this structure")
     }
 
     // -- internals --------------------------------------------------------
@@ -1250,18 +1162,20 @@ mod tests {
                 ),
             })
             .collect();
+        // One warm engine answers the whole batch in order (its cache,
+        // tree index and workspace carry over between queries); a fresh
+        // engine answers each query alone.  They must agree.
         let mut batch_engine = QueryEngine::new();
-        let batched = batch_engine.batch_distances(&frozen, &queries);
-        let mut single_engine = QueryEngine::new();
-        for (q, b) in queries.iter().zip(&batched) {
-            assert_eq!(
-                single_engine
-                    .try_distance(&frozen, q.target, &q.faults)
-                    .unwrap()
-                    .into_value(),
-                *b,
-                "query {q:?}"
-            );
+        for q in &queries {
+            let batched = batch_engine
+                .try_distance(&frozen, q.target, &q.faults)
+                .unwrap()
+                .into_value();
+            let single = QueryEngine::new()
+                .try_distance(&frozen, q.target, &q.faults)
+                .unwrap()
+                .into_value();
+            assert_eq!(batched, single, "query {q:?}");
         }
     }
 
@@ -1392,13 +1306,11 @@ mod tests {
                 assert_eq!(matrix.get(row, t), truth.distance(t), "row {row} t {t:?}");
             }
         }
-        // The zero-alloc form agrees.
-        let mut flat = vec![None; 2 * g.vertex_count()];
-        let guarantee = engine
-            .try_distance_matrix_into(&frozen, &spec, &mut flat)
-            .unwrap();
-        assert!(guarantee.is_exact());
-        assert_eq!(flat.as_slice(), matrix.as_flat());
+        // Row by row, the matrix is the per-source all-distances answer.
+        for (row, &s) in [v(0), v(15)].iter().enumerate() {
+            let all = engine.try_all_distances_from(&frozen, s, &spec).unwrap();
+            assert_eq!(all.value().as_slice(), &matrix.as_flat()[row * 16..][..16]);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `dist(s, v, H ∖ {e1, e2})` should be answered *inside* `H`, exactly, and
 //! at production rates.  This crate turns an
 //! [`ftbfs_core::FtBfsStructure`] into that production query engine, in
-//! five pieces:
+//! four pieces:
 //!
 //! * [`Answer`], [`Guarantee`], [`QueryError`] — the typed vocabulary of
 //!   serving (module [`api`]): queries take a [`ftbfs_graph::FaultSpec`],
@@ -30,12 +30,11 @@
 //! * [`QueryEngine`] — per-thread zero-allocation query answering over a
 //!   [`FrozenView`] ([`QueryEngine::try_distance`],
 //!   [`QueryEngine::try_shortest_path`],
-//!   [`QueryEngine::try_distance_matrix`],
-//!   [`QueryEngine::batch_distances`]) with an `O(1)` fault-free fast path
-//!   and a per-source-partitioned LRU keyed by `(source, FaultSpec)`,
-//!   counting how it answered in [`QueryStats`];
-//! * [`BatchReport`] — the shared result type of batched query driving
-//!   (module [`report`]), produced by `ftbfs_serve::ThroughputHarness`.
+//!   [`QueryEngine::try_distance_matrix`]) with an `O(1)` fault-free fast
+//!   path and a per-source-partitioned LRU keyed by `(source, FaultSpec)`,
+//!   counting how it answered in [`QueryStats`].  A [`Query`] names one
+//!   distance query; `ftbfs_serve::ThroughputHarness` drives batches of
+//!   them across per-thread engines.
 //!
 //! `ftbfs_verify::StructureOracle` delegates to this crate, so all existing
 //! verification exercises the same query path that production serving uses.
@@ -72,14 +71,12 @@ pub mod api;
 pub mod approx;
 pub mod engine;
 pub mod frozen;
-pub mod report;
 pub mod snapshot;
 pub mod view;
 
 pub use api::{Answer, Contract, DistanceMatrix, Guarantee, QueryError};
 pub use engine::{Query, QueryEngine, QueryStats, BUDGET_CHECK_STRIDE, DEFAULT_CACHE_CAPACITY};
 pub use frozen::{FrozenStructure, SourceTree};
-pub use report::BatchReport;
 pub use snapshot::{
     snapshot_layout, SectionEntry, SnapshotError, SnapshotLayout, SnapshotVersion, SNAPSHOT_ALIGN,
     SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC, SNAPSHOT_VERSION,

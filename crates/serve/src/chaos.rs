@@ -10,7 +10,7 @@
 //! | injection point | fault | what must absorb it |
 //! |---|---|---|
 //! | worker pop | `panic!` in the worker | supervision: in-flight request answered [`crate::ServeError::WorkerRestarted`], shard respawns a fresh engine over the current epoch |
-//! | worker serve | latency stall | deadlines + backpressure ([`crate::OverloadPolicy::ShedExpired`]) |
+//! | worker serve | latency stall | deadlines (pickup check, budgeted all-distances) + backpressure ([`crate::SubmitError::Overloaded`] at a bounded queue) |
 //! | stream submit | dropped shard-channel send | typed [`crate::SubmitError::ShardUnavailable`] rejection — the request is *not* admitted, the client may retry |
 //! | epoch publish | corrupted snapshot bytes | publish-time re-validation: [`crate::ServeError::SnapshotRejected`], the old epoch keeps serving |
 //!

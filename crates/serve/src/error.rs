@@ -121,9 +121,9 @@ impl From<SnapshotError> for ServeError {
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SubmitError {
-    /// The shard's queue is at capacity and the configured
-    /// [`crate::OverloadPolicy`] could not make room.  Retry after
-    /// draining some in-flight responses.
+    /// The shard's queue is at its configured
+    /// [`crate::ServeConfig::queue_capacity`].  Retry after draining some
+    /// in-flight responses.
     Overloaded {
         /// The shard whose queue was full.
         shard: usize,

@@ -1,43 +1,73 @@
-//! [`ThroughputHarness`] — batched query driving as a thin adapter over
-//! the stream API: one batch = one bounded stream.
+//! [`ThroughputHarness`] — batched query driving: per-core engine scaling
+//! over a trusted list of [`Query`]s.
 //!
-//! A run returns a [`BatchReport`].  The multi-threaded path goes through
-//! the same routing rule and the same per-request serving core
-//! ([`crate::server`]'s `answer`) as the continuous-stream front-end, so
-//! batch measurements exercise exactly the code that serves live streams.
+//! A run splits the batch into one share per thread by the stream
+//! front-end's routing rule ([`crate::server`]'s `shard_of`): a query
+//! with an explicit source pins share `source % threads` (so one
+//! source's fault-LRU partition stays on one engine), a source-less
+//! query round-robins by its index.  The calling thread runs share 0 and
+//! scoped threads run the rest; each share is a plain [`QueryEngine`]
+//! loop, with no queue, channel or reply path between the engine and the
+//! batch.  Results land in query order, so a [`BatchReport`] is the same
+//! at every thread count — the property the equivalence suite relies on.
 //!
-//! Two execution paths:
-//!
-//! * `threads == 1` — a plain engine loop on the calling thread, no
-//!   channels.  This is the raw per-core serving rate (the path behind
-//!   the `exp_query_throughput` smoke floor).
-//! * `threads > 1` — a bounded stream: scoped workers, each owning a
-//!   private [`QueryEngine`], fed through the front-end's shard-routing
-//!   rule (explicit source pins the shard; source-less queries
-//!   round-robin).  Results are written to the slot of their sequence
-//!   number, so the output order is deterministic and independent of the
-//!   thread count — the property the equivalence suite relies on.
+//! The harness measures the engines, not the serve plane: what a request
+//! costs through queues, handoffs and reassembly is the
+//! [`crate::StreamServer`]'s number (E11, perfbench).
 //!
 //! # Panics
 //!
-//! Like its predecessor, the harness is a trusted batch driver: a query
-//! the oracle rejects (out-of-range vertex, unserved source) panics the
-//! run.  Route untrusted queries through the stream API proper
-//! ([`crate::StreamHandle`]), where rejections arrive as typed in-stream
-//! [`crate::ServeError`]s.
+//! The harness runs trusted batches: a query the oracle rejects
+//! (out-of-range vertex, unserved source) panics the run with
+//! `harness query failed: …`, whichever share it falls in.  Route
+//! untrusted queries through the stream API ([`crate::StreamHandle`]),
+//! where rejections arrive as typed in-stream [`crate::ServeError`]s.
 
-use crate::request::{ServeRequest, ServeTarget};
-use crate::server::answer;
+use crate::server::shard_of;
 use crate::telemetry::EngineCounters;
 use ftbfs_oracle::{FrozenView, Query, QueryEngine};
 use ftbfs_telemetry::{names, MetricsRegistry};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-pub use ftbfs_oracle::BatchReport;
+/// The outcome of one batched query run.
+#[derive(Clone, Debug)]
+pub struct BatchReport {
+    /// Distances in query order (independent of the thread count).
+    pub distances: Vec<Option<u32>>,
+    /// Wall-clock time of the whole batch.
+    pub wall: Duration,
+    /// Per-query engine time in nanoseconds, in query order; empty unless
+    /// latency recording was enabled.
+    pub latencies_ns: Vec<u64>,
+    /// Number of worker threads actually used.
+    pub threads: usize,
+}
 
-/// Configuration for one batched, sharded query run over the stream
-/// serving core.
+impl BatchReport {
+    /// Aggregate throughput of the batch in queries per second.
+    pub fn queries_per_sec(&self) -> f64 {
+        let secs = self.wall.as_secs_f64();
+        if secs <= 0.0 {
+            return 0.0;
+        }
+        self.distances.len() as f64 / secs
+    }
+
+    /// The `p`-th latency percentile in nanoseconds (`0.0 ≤ p ≤ 100.0`),
+    /// or `None` if latencies were not recorded.
+    pub fn latency_percentile_ns(&self, p: f64) -> Option<u64> {
+        if self.latencies_ns.is_empty() {
+            return None;
+        }
+        let mut sorted = self.latencies_ns.clone();
+        sorted.sort_unstable();
+        let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+        Some(sorted[rank.min(sorted.len() - 1)])
+    }
+}
+
+/// Configuration for one batched query run, sharded across per-thread
+/// engines.
 #[derive(Clone, Debug)]
 pub struct ThroughputHarness {
     threads: usize,
@@ -45,8 +75,12 @@ pub struct ThroughputHarness {
     cache_capacity: Option<usize>,
 }
 
+/// One share's answers, in the order of its query indices: distances and,
+/// when recorded, per-query engine nanoseconds.
+type ShareAnswers = (Vec<Option<u32>>, Vec<u64>);
+
 impl ThroughputHarness {
-    /// A harness running on `threads` worker threads (clamped to ≥ 1).
+    /// A harness running on `threads` threads (clamped to ≥ 1).
     pub fn new(threads: usize) -> Self {
         ThroughputHarness {
             threads: threads.max(1),
@@ -55,16 +89,14 @@ impl ThroughputHarness {
         }
     }
 
-    /// Enables or disables per-query latency recording.
-    ///
-    /// Latencies are the serving-side `work_ns` of each request (queue
-    /// time excluded), matching what the stream API reports per response.
+    /// Enables or disables per-query latency recording: the time of each
+    /// query's engine call, two clock reads around it.
     pub fn with_latencies(mut self, record: bool) -> Self {
         self.record_latencies = record;
         self
     }
 
-    /// Overrides the per-partition fault-LRU capacity of each worker's
+    /// Overrides the per-partition fault-LRU capacity of each share's
     /// engine (the knob behind the `--lru-sweep` cache-policy
     /// experiment).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
@@ -72,22 +104,13 @@ impl ThroughputHarness {
         self
     }
 
-    /// The configured worker thread count.
+    /// The configured thread count.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    fn engine(&self) -> QueryEngine {
-        let engine = QueryEngine::new();
-        match self.cache_capacity {
-            Some(c) => engine.with_cache_capacity(c),
-            None => engine,
-        }
-    }
-
-    /// Answers `queries` against `oracle` as one bounded stream sharded
-    /// across the configured threads; see the module docs for the two
-    /// execution paths, determinism, and panic behaviour.
+    /// Answers `queries` against `oracle`, sharded across the configured
+    /// threads; see the module docs for routing, determinism and panics.
     ///
     /// This path publishes no metrics; it is the baseline the
     /// instrumented path is gated against.
@@ -95,7 +118,7 @@ impl ThroughputHarness {
         self.run_with(oracle, queries, None)
     }
 
-    /// Like [`ThroughputHarness::run`], but with telemetry: each worker
+    /// Like [`ThroughputHarness::run`], but with telemetry: each share's
     /// engine publishes its [`ftbfs_oracle::QueryStats`] into
     /// `registry`'s engine counters (`ftbfs_engine_*_total`) once, when
     /// its share of the batch is done, and the batch wall time lands in
@@ -118,150 +141,88 @@ impl ThroughputHarness {
         report
     }
 
-    /// The shared driver behind the two public entry points; `counters`
-    /// receives each worker engine's stats at the end of its share.
+    /// The body of both entry points: route, run the shares, and
+    /// scatter their answers into query order.
     fn run_with(
         &self,
         oracle: &FrozenView<'_>,
         queries: &[Query],
         counters: Option<&EngineCounters>,
     ) -> BatchReport {
-        let mut distances = vec![None; queries.len()];
-        let mut latencies_ns = if self.record_latencies {
-            vec![0u64; queries.len()]
-        } else {
-            Vec::new()
-        };
-        if queries.is_empty() {
-            return BatchReport {
-                distances,
-                wall: Duration::ZERO,
-                latencies_ns,
-                threads: self.threads,
-            };
-        }
-        let threads = self.threads.min(queries.len());
+        let threads = self.threads.min(queries.len()).max(1);
         let start = Instant::now();
-        if threads == 1 {
-            self.run_serial(oracle, queries, counters, &mut distances, &mut latencies_ns);
-        } else {
-            self.run_stream(
-                oracle,
-                queries,
-                threads,
-                counters,
-                &mut distances,
-                &mut latencies_ns,
-            );
+        let mut shares = vec![Vec::with_capacity(queries.len() / threads + 1); threads];
+        for (i, q) in queries.iter().enumerate() {
+            shares[shard_of(q.source, i, threads)].push(i);
         }
-        let wall = start.elapsed();
+        let run = |share: &[usize]| self.run_share(oracle, queries, share, counters);
+        let answers: Vec<ShareAnswers> = std::thread::scope(|scope| {
+            let workers: Vec<_> = shares[1..]
+                .iter()
+                .map(|share| scope.spawn(|| run(share)))
+                .collect();
+            let mut answers = vec![run(&shares[0])];
+            // A worker's panic is re-raised as is, so a failed query reads
+            // the same at every thread count.
+            answers.extend(workers.into_iter().map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }));
+            answers
+        });
+        let mut distances = vec![None; queries.len()];
+        let mut latencies_ns = Vec::new();
+        if self.record_latencies {
+            latencies_ns.resize(queries.len(), 0);
+        }
+        for (share, (dists, lats)) in shares.iter().zip(answers) {
+            for (&i, d) in share.iter().zip(dists) {
+                distances[i] = d;
+            }
+            for (&i, l) in share.iter().zip(lats) {
+                latencies_ns[i] = l;
+            }
+        }
         BatchReport {
             distances,
-            wall,
+            wall: start.elapsed(),
             latencies_ns,
             threads,
         }
     }
 
-    /// The single-thread path: a plain engine loop, no channels — the raw
-    /// per-core serving rate.
-    fn run_serial(
+    /// One share: a fresh engine answers the queries at `share`, in order,
+    /// then publishes its stats into `counters`.
+    fn run_share(
         &self,
         oracle: &FrozenView<'_>,
         queries: &[Query],
+        share: &[usize],
         counters: Option<&EngineCounters>,
-        distances: &mut [Option<u32>],
-        latencies_ns: &mut [u64],
-    ) {
-        let mut engine = self.engine();
-        if self.record_latencies {
-            for ((q, slot), lat) in queries
-                .iter()
-                .zip(distances.iter_mut())
-                .zip(latencies_ns.iter_mut())
-            {
-                let source = q.source.unwrap_or_else(|| oracle.primary_source());
-                let t0 = Instant::now();
-                *slot = engine
-                    .try_distance_from(oracle, source, q.target, &q.faults)
-                    .unwrap_or_else(|e| panic!("harness query failed: {e}"))
-                    .into_value();
-                *lat = t0.elapsed().as_nanos() as u64;
+    ) -> ShareAnswers {
+        let mut engine = QueryEngine::new();
+        if let Some(capacity) = self.cache_capacity {
+            engine = engine.with_cache_capacity(capacity);
+        }
+        let mut distances = Vec::with_capacity(share.len());
+        let mut latencies_ns = Vec::new();
+        for &i in share {
+            let q = &queries[i];
+            let source = q.source.unwrap_or_else(|| oracle.primary_source());
+            let t0 = self.record_latencies.then(Instant::now);
+            let answer = engine
+                .try_distance_from(oracle, source, q.target, &q.faults)
+                .unwrap_or_else(|e| panic!("harness query failed: {e}"));
+            if let Some(t0) = t0 {
+                latencies_ns.push(t0.elapsed().as_nanos() as u64);
             }
-        } else {
-            engine.batch_distances_into(oracle, queries, distances);
+            distances.push(answer.into_value());
         }
         if let Some(counters) = counters {
             counters.publish(&mut engine);
         }
-    }
-
-    /// The multi-thread path: one bounded stream through the front-end's
-    /// routing rule and serving core.
-    fn run_stream(
-        &self,
-        oracle: &FrozenView<'_>,
-        queries: &[Query],
-        threads: usize,
-        counters: Option<&EngineCounters>,
-        distances: &mut [Option<u32>],
-        latencies_ns: &mut [u64],
-    ) {
-        let fingerprint = oracle.fingerprint();
-        let record = self.record_latencies;
-        std::thread::scope(|scope| {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let mut shards = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let (tx, rx) = mpsc::channel::<(u64, ServeRequest)>();
-                let reply = reply_tx.clone();
-                let mut engine = self.engine();
-                scope.spawn(move || {
-                    while let Ok((seq, request)) = rx.recv() {
-                        let response = answer(&mut engine, oracle, fingerprint, seq, &request);
-                        if reply.send(response).is_err() {
-                            return;
-                        }
-                    }
-                    if let Some(counters) = counters {
-                        counters.publish(&mut engine);
-                    }
-                });
-                shards.push(tx);
-            }
-            drop(reply_tx);
-            // Submit the whole batch through the front-end's routing rule,
-            // then close the stream: workers drain and exit.
-            for (seq, q) in queries.iter().enumerate() {
-                let request = ServeRequest {
-                    source: q.source,
-                    target: ServeTarget::One(q.target),
-                    faults: q.faults.clone(),
-                    deadline: None,
-                };
-                let shard = match q.source {
-                    Some(s) => s.index() % threads,
-                    None => seq % threads,
-                };
-                shards[shard]
-                    .send((seq as u64, request))
-                    .expect("harness worker exited early");
-            }
-            drop(shards);
-            for response in reply_rx {
-                let slot = response.seq as usize;
-                match response.outcome {
-                    Ok(answer) => match answer.into_value() {
-                        crate::request::ServeOutput::Distance(d) => distances[slot] = d,
-                        other => panic!("harness expected a distance, got {other:?}"),
-                    },
-                    Err(e) => panic!("harness query failed: {e}"),
-                }
-                if record {
-                    latencies_ns[slot] = response.work_ns;
-                }
-            }
-        });
+        (distances, latencies_ns)
     }
 }
 
@@ -390,6 +351,54 @@ mod tests {
             .find(|h| h.name == names::HARNESS_BATCH_NS)
             .expect("batch histogram registered");
         assert_eq!(batch.count, 2, "one sample per instrumented run");
+    }
+
+    #[test]
+    #[should_panic(expected = "harness query failed")]
+    fn a_rejected_query_panics_a_serial_run() {
+        let (g, frozen, mut queries) = workload(40);
+        queries[17] = Query::fault_free(VertexId(g.vertex_count() as u32));
+        ThroughputHarness::new(1).run(&frozen, &queries);
+    }
+
+    #[test]
+    #[should_panic(expected = "harness query failed")]
+    fn a_rejected_query_on_a_worker_share_panics_with_the_same_message() {
+        let (g, frozen, mut queries) = workload(40);
+        // Source-less queries round-robin: index 17 lands on share 17 % 3
+        // = 2, a scoped worker, not the calling thread.
+        assert_eq!(shard_of(None, 17, 3), 2);
+        queries[17] = Query::fault_free(VertexId(g.vertex_count() as u32));
+        ThroughputHarness::new(3).run(&frozen, &queries);
+    }
+
+    #[test]
+    fn throughput_and_percentiles() {
+        let report = BatchReport {
+            distances: vec![Some(1); 1000],
+            wall: Duration::from_millis(10),
+            latencies_ns: (1..=1000u64).rev().collect(),
+            threads: 4,
+        };
+        assert!((report.queries_per_sec() - 100_000.0).abs() < 1.0);
+        assert_eq!(report.latency_percentile_ns(0.0), Some(1));
+        assert_eq!(report.latency_percentile_ns(100.0), Some(1000));
+        assert!(
+            report.latency_percentile_ns(50.0) <= report.latency_percentile_ns(99.0),
+            "percentiles must be monotone"
+        );
+    }
+
+    #[test]
+    fn empty_report_degenerates_gracefully() {
+        let report = BatchReport {
+            distances: Vec::new(),
+            wall: Duration::ZERO,
+            latencies_ns: Vec::new(),
+            threads: 1,
+        };
+        assert_eq!(report.queries_per_sec(), 0.0);
+        assert_eq!(report.latency_percentile_ns(50.0), None);
     }
 
     #[test]

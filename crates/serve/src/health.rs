@@ -3,9 +3,9 @@
 //!
 //! The supervised front-end absorbs faults instead of propagating them —
 //! which means the only way to *see* a fault happened is to count it.
-//! Every absorb path increments a counter here: worker restarts, shed and
-//! rejected requests, expired-at-submit admissions, publishes and
-//! rejected publishes.  [`crate::StreamServer::health`] returns a
+//! Every absorb path increments a counter here: worker restarts, rejected
+//! submits, expired-at-submit admissions, publishes and rejected
+//! publishes.  [`crate::StreamServer::health`] returns a
 //! consistent-enough snapshot (relaxed atomics; exact once the server is
 //! quiescent), which is what a chaos run's "server ends healthy" assertion
 //! and an operator's dashboard both read.
@@ -26,7 +26,6 @@ use ftbfs_telemetry::{names, Counter, MetricsRegistry};
 #[derive(Clone, Debug)]
 pub(crate) struct HealthCounters {
     pub(crate) worker_restarts: Counter,
-    pub(crate) shed_expired: Counter,
     pub(crate) rejected_overloaded: Counter,
     pub(crate) rejected_unavailable: Counter,
     pub(crate) expired_at_submit: Counter,
@@ -39,7 +38,6 @@ impl Default for HealthCounters {
     fn default() -> Self {
         HealthCounters {
             worker_restarts: Counter::detached(),
-            shed_expired: Counter::detached(),
             rejected_overloaded: Counter::detached(),
             rejected_unavailable: Counter::detached(),
             expired_at_submit: Counter::detached(),
@@ -58,8 +56,6 @@ impl HealthCounters {
                 names::SERVE_WORKER_RESTARTS,
                 names::SERVE_WORKER_RESTARTS_HELP,
             ),
-            shed_expired: registry
-                .counter(names::SERVE_SHED_EXPIRED, names::SERVE_SHED_EXPIRED_HELP),
             rejected_overloaded: registry.counter(
                 names::SERVE_REJECTED_OVERLOADED,
                 names::SERVE_REJECTED_OVERLOADED_HELP,
@@ -83,7 +79,6 @@ impl HealthCounters {
     pub(crate) fn snapshot(&self) -> ServeHealth {
         ServeHealth {
             worker_restarts: self.worker_restarts.get(),
-            shed_expired: self.shed_expired.get(),
             rejected_overloaded: self.rejected_overloaded.get(),
             rejected_unavailable: self.rejected_unavailable.get(),
             expired_at_submit: self.expired_at_submit.get(),
@@ -106,13 +101,10 @@ pub struct ServeHealth {
     /// shard's serving state and answered its in-flight request with
     /// [`crate::ServeError::WorkerRestarted`]).
     pub worker_restarts: u64,
-    /// Queued requests shed by [`crate::OverloadPolicy::ShedExpired`]
-    /// (each answered [`crate::ServeError::DeadlineExceeded`]).
-    pub shed_expired: u64,
     /// Submits rejected with [`crate::SubmitError::Overloaded`].
     pub rejected_overloaded: u64,
     /// Submits rejected with [`crate::SubmitError::ShardUnavailable`]
-    /// (dropped shard-channel sends).
+    /// (shard sends dropped by the chaos schedule).
     pub rejected_unavailable: u64,
     /// Requests already past their deadline at submit, answered
     /// [`crate::ServeError::DeadlineExceeded`] without ever being routed.
@@ -154,8 +146,8 @@ mod tests {
         let registry = MetricsRegistry::new();
         let counters = HealthCounters::registered(&registry);
         counters.publishes.inc();
-        counters.shed_expired.inc();
-        counters.shed_expired.inc();
+        counters.rejected_overloaded.inc();
+        counters.rejected_overloaded.inc();
         let scrape = registry.scrape();
         let value = |name: &str| {
             scrape
@@ -166,7 +158,7 @@ mod tests {
                 .value
         };
         assert_eq!(value(names::SERVE_PUBLISHES), 1);
-        assert_eq!(value(names::SERVE_SHED_EXPIRED), 2);
+        assert_eq!(value(names::SERVE_REJECTED_OVERLOADED), 2);
         assert_eq!(value(names::SERVE_WORKER_RESTARTS), 0);
         // Re-registering shares the same cells (idempotent registry).
         let again = HealthCounters::registered(&registry);

@@ -28,8 +28,10 @@
 //!   reopen, and every request is answered exactly once, by exactly one
 //!   epoch; requests submitted after `publish` returns are served by the
 //!   new epoch.
-//! * [`ThroughputHarness`] (module [`harness`]) — batch driving as a
-//!   thin adapter over the stream core (one batch = one bounded stream).
+//! * [`ThroughputHarness`] (module [`harness`]) — batch driving: a
+//!   trusted list of queries split across per-thread engines by the
+//!   router's shard rule, measuring per-core engine scaling (the serve
+//!   plane's own cost is the [`StreamServer`]'s to measure).
 //! * [`ServeTelemetry`] (module [`telemetry`]) — the observability plane:
 //!   request-lifecycle stage histograms, per-shard backpressure gauges,
 //!   the workers' published engine counts and a structured trace-event
@@ -40,9 +42,9 @@
 //!
 //! The front-end is *self-healing*: worker panics are absorbed by
 //! supervision (the shard respawns; the interrupted request is answered
-//! [`ServeError::WorkerRestarted`] in its stream slot), queue overload is
-//! surfaced at submit time as typed [`SubmitError`]s under a configurable
-//! [`OverloadPolicy`], expired-deadline work is refused admission or shed,
+//! [`ServeError::WorkerRestarted`] in its stream slot), a full shard queue
+//! is surfaced at submit time as [`SubmitError::Overloaded`],
+//! expired-deadline work is answered at admission without being routed,
 //! and poisoned epoch locks are recovered rather than propagated.  The
 //! absorbed faults are counted in [`ServeHealth`]
 //! ([`StreamServer::health`]).  With the `chaos` cargo feature the whole
@@ -96,7 +98,6 @@ pub use epoch::{EpochCell, EpochPublisher, EpochSnapshot};
 pub use error::{ServeError, SubmitError};
 pub use harness::{BatchReport, ThroughputHarness};
 pub use health::ServeHealth;
-pub use queue::OverloadPolicy;
 pub use request::{ServeOutput, ServeRequest, ServeResponse, ServeTarget};
 pub use server::{ServeConfig, StreamHandle, StreamServer};
 pub use telemetry::ServeTelemetry;

@@ -1,22 +1,14 @@
 //! The bounded per-shard work queue behind [`crate::StreamHandle::submit`]:
-//! explicit depth accounting, overload policies, and poison-safe blocking
-//! pops for the supervised workers.
+//! explicit depth accounting, one backpressure rule, and poison-safe
+//! blocking pops for the supervised workers.
 //!
-//! PR 6 routed requests over unbounded `std::sync::mpsc` channels: under
-//! overload the queues ballooned memory and nothing ever said "no".  This
-//! queue replaces them with a `Mutex<VecDeque>` + `Condvar` pair per
-//! shard, which buys three things the channel could not do:
+//! Each shard has a `Mutex<VecDeque>` + `Condvar` pair rather than an
+//! `mpsc` channel, which buys two things a channel cannot do:
 //!
-//! * **bounded depth** — `ShardQueue::push` observes a capacity and an
-//!   [`OverloadPolicy`] *at submit time*, so overload turns into a typed
+//! * **bounded depth** — `ShardQueue::push` observes the configured
+//!   capacity *at submit time*, so overload turns into a typed
 //!   [`crate::SubmitError::Overloaded`] in the caller instead of unbounded
 //!   growth in the server;
-//! * **expired-first shedding** — [`OverloadPolicy::ShedExpired`] scans
-//!   the queue for items whose deadline has already passed and hands them
-//!   back to the caller (who answers each with
-//!   [`crate::ServeError::DeadlineExceeded`] — still exactly one response
-//!   per admitted request), freeing room for work that can still meet its
-//!   deadline;
 //! * **supervision-friendly receivers** — the queue is shared behind an
 //!   `Arc`, so a worker that panics and restarts keeps draining the same
 //!   queue: no `Receiver` dies with the thread, no queued request is ever
@@ -66,7 +58,6 @@ use crate::server::WorkItem;
 use ftbfs_telemetry::Gauge;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// How many times a waiter polls and yields the core before it parks; see
 /// [Spin-then-park](self#spin-then-park).
@@ -97,40 +88,6 @@ pub(crate) fn spin_then_park<T>(
         std::thread::yield_now();
     }
     park()
-}
-
-/// What [`crate::StreamHandle::submit`] does when a shard's queue is at
-/// capacity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum OverloadPolicy {
-    /// Reject the new request with [`crate::SubmitError::Overloaded`];
-    /// everything already queued keeps its slot.  The default.
-    #[default]
-    RejectNew,
-    /// First shed queued requests whose deadline has already passed (each
-    /// is answered [`crate::ServeError::DeadlineExceeded`], preserving
-    /// exactly-once); if that frees room, admit the new request, else
-    /// reject it like [`OverloadPolicy::RejectNew`].
-    ShedExpired,
-}
-
-/// Outcome of a [`ShardQueue::push`]: whether the item was admitted, and
-/// any expired items shed to make room (the caller must answer each).
-pub(crate) enum PushOutcome {
-    /// The item was enqueued.
-    Admitted {
-        /// Expired items removed by [`OverloadPolicy::ShedExpired`]; the
-        /// caller answers each with `DeadlineExceeded`.
-        shed: Vec<WorkItem>,
-    },
-    /// The queue stayed full; the item is handed back.
-    Rejected {
-        /// The rejected item (not enqueued; the caller keeps ownership).
-        item: WorkItem,
-        /// Queue depth at rejection time.
-        depth: usize,
-    },
 }
 
 /// One shard's bounded work queue; see the [module docs](self).
@@ -208,42 +165,13 @@ impl ShardQueue {
         self.lock().items.len()
     }
 
-    /// Attempts to enqueue `item` under `capacity` and `policy`; `now` is
-    /// the deadline reference for expired-first shedding.
-    pub(crate) fn push(
-        &self,
-        item: WorkItem,
-        capacity: Option<usize>,
-        policy: OverloadPolicy,
-        now: Instant,
-    ) -> PushOutcome {
+    /// Enqueues `item` unless the queue already holds `capacity` items;
+    /// then the item is dropped and `Err` carries the depth.
+    pub(crate) fn push(&self, item: WorkItem, capacity: Option<usize>) -> Result<(), usize> {
         let mut state = self.lock();
-        let mut shed = Vec::new();
-        if let Some(cap) = capacity {
-            if state.items.len() >= cap && policy == OverloadPolicy::ShedExpired {
-                // Shed already-expired work first: those items can only be
-                // answered DeadlineExceeded anyway, so their slots go to
-                // requests that can still make their deadlines.
-                let mut kept = VecDeque::with_capacity(state.items.len());
-                for queued in state.items.drain(..) {
-                    if queued.request.deadline.is_some_and(|d| now > d) {
-                        shed.push(queued);
-                    } else {
-                        kept.push_back(queued);
-                    }
-                }
-                state.items = kept;
-                for _ in &shed {
-                    self.depth_gauge.dec();
-                }
-            }
-            if state.items.len() >= cap {
-                let depth = state.items.len();
-                // Rejected pushes free no worker, so nothing to notify —
-                // but shed items still need answering by the caller.
-                debug_assert!(shed.is_empty(), "shedding frees room below capacity");
-                return PushOutcome::Rejected { item, depth };
-            }
+        if capacity.is_some_and(|cap| state.items.len() >= cap) {
+            // A rejected push frees no worker: nothing to notify.
+            return Err(state.items.len());
         }
         state.items.push_back(item);
         self.depth_gauge.inc();
@@ -254,7 +182,7 @@ impl ShardQueue {
         if parked {
             self.available.notify_one();
         }
-        PushOutcome::Admitted { shed }
+        Ok(())
     }
 
     /// Blocks until an item is available (returning it) or the queue is
@@ -320,14 +248,12 @@ mod tests {
     use crate::request::{ServeRequest, ServeResponse};
     use ftbfs_graph::{FaultSpec, VertexId};
     use std::sync::mpsc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
-    fn item(seq: u64, reply: &mpsc::Sender<ServeResponse>, deadline: Option<Instant>) -> WorkItem {
-        let mut request = ServeRequest::distance(VertexId(0), FaultSpec::None);
-        request.deadline = deadline;
+    fn item(seq: u64, reply: &mpsc::Sender<ServeResponse>) -> WorkItem {
         WorkItem {
             seq,
-            request,
+            request: ServeRequest::distance(VertexId(0), FaultSpec::None),
             reply: reply.clone(),
             submitted_at: Instant::now(),
         }
@@ -339,15 +265,7 @@ mod tests {
         q.attach();
         let (tx, _rx) = mpsc::channel();
         for seq in 0..5 {
-            assert!(matches!(
-                q.push(
-                    item(seq, &tx, None),
-                    None,
-                    OverloadPolicy::RejectNew,
-                    Instant::now()
-                ),
-                PushOutcome::Admitted { .. }
-            ));
+            assert_eq!(q.push(item(seq, &tx), None), Ok(()));
         }
         assert_eq!(q.depth(), 5);
         for seq in 0..5 {
@@ -362,137 +280,41 @@ mod tests {
         let q = ShardQueue::new();
         q.attach();
         let (tx, _rx) = mpsc::channel();
-        let now = Instant::now();
         for seq in 0..3 {
-            assert!(matches!(
-                q.push(
-                    item(seq, &tx, None),
-                    Some(3),
-                    OverloadPolicy::RejectNew,
-                    now
-                ),
-                PushOutcome::Admitted { .. }
-            ));
+            assert_eq!(q.push(item(seq, &tx), Some(3)), Ok(()));
         }
-        match q.push(item(3, &tx, None), Some(3), OverloadPolicy::RejectNew, now) {
-            PushOutcome::Rejected { item, depth } => {
-                assert_eq!(item.seq, 3, "the rejected item is handed back");
-                assert_eq!(depth, 3);
-            }
-            PushOutcome::Admitted { .. } => panic!("push above capacity admitted"),
-        }
+        assert_eq!(
+            q.push(item(3, &tx), Some(3)),
+            Err(3),
+            "full: rejected at depth 3"
+        );
+        assert_eq!(q.depth(), 3, "the rejected item was not enqueued");
         // Popping one frees a slot.
-        q.pop().unwrap();
-        assert!(matches!(
-            q.push(item(3, &tx, None), Some(3), OverloadPolicy::RejectNew, now),
-            PushOutcome::Admitted { .. }
-        ));
+        assert_eq!(q.pop().unwrap().seq, 0);
+        assert_eq!(q.push(item(3, &tx), Some(3)), Ok(()));
         q.detach();
     }
 
     #[test]
-    fn shed_expired_frees_room_expired_first() {
-        let q = ShardQueue::new();
-        q.attach();
-        let (tx, _rx) = mpsc::channel();
-        let now = Instant::now();
-        let past = now - Duration::from_secs(1);
-        let future = now + Duration::from_secs(600);
-        // Fill to capacity 3: expired, live, expired.
-        q.push(
-            item(0, &tx, Some(past)),
-            Some(3),
-            OverloadPolicy::ShedExpired,
-            now,
-        );
-        q.push(
-            item(1, &tx, Some(future)),
-            Some(3),
-            OverloadPolicy::ShedExpired,
-            now,
-        );
-        q.push(
-            item(2, &tx, Some(past)),
-            Some(3),
-            OverloadPolicy::ShedExpired,
-            now,
-        );
-        match q.push(
-            item(3, &tx, None),
-            Some(3),
-            OverloadPolicy::ShedExpired,
-            now,
-        ) {
-            PushOutcome::Admitted { shed } => {
-                let shed_seqs: Vec<u64> = shed.iter().map(|i| i.seq).collect();
-                assert_eq!(shed_seqs, vec![0, 2], "exactly the expired items shed");
-            }
-            PushOutcome::Rejected { .. } => panic!("shedding should have made room"),
-        }
-        // Order of survivors: the live item then the new one.
-        assert_eq!(q.pop().unwrap().seq, 1);
-        assert_eq!(q.pop().unwrap().seq, 3);
-        q.detach();
-    }
-
-    #[test]
-    fn shed_expired_still_rejects_when_nothing_expired() {
-        let q = ShardQueue::new();
-        q.attach();
-        let (tx, _rx) = mpsc::channel();
-        let now = Instant::now();
-        let future = now + Duration::from_secs(600);
-        for seq in 0..2 {
-            q.push(
-                item(seq, &tx, Some(future)),
-                Some(2),
-                OverloadPolicy::ShedExpired,
-                now,
-            );
-        }
-        assert!(matches!(
-            q.push(
-                item(2, &tx, None),
-                Some(2),
-                OverloadPolicy::ShedExpired,
-                now
-            ),
-            PushOutcome::Rejected { depth: 2, .. }
-        ));
-        q.detach();
-    }
-
-    #[test]
-    fn depth_gauge_mirrors_queue_depth_through_push_pop_and_shed() {
+    fn depth_gauge_mirrors_queue_depth_through_push_pop_and_reject() {
         let gauge = Gauge::detached();
         let q = ShardQueue::with_gauge(gauge.clone());
         q.attach();
         let (tx, _rx) = mpsc::channel();
-        let now = Instant::now();
-        let past = now - Duration::from_secs(1);
         for seq in 0..3 {
-            q.push(
-                item(seq, &tx, Some(past)),
-                Some(3),
-                OverloadPolicy::ShedExpired,
-                now,
-            );
+            q.push(item(seq, &tx), Some(3)).unwrap();
         }
         assert_eq!(gauge.get(), 3);
         assert_eq!(gauge.get() as usize, q.depth());
-        // Shedding all three expired items admits the new one: 3 - 3 + 1.
-        match q.push(
-            item(3, &tx, None),
-            Some(3),
-            OverloadPolicy::ShedExpired,
-            now,
-        ) {
-            PushOutcome::Admitted { shed } => assert_eq!(shed.len(), 3),
-            PushOutcome::Rejected { .. } => panic!("shedding should have made room"),
-        }
-        assert_eq!(gauge.get(), 1);
+        // A rejected push leaves the gauge alone.
+        assert_eq!(q.push(item(3, &tx), Some(3)), Err(3));
+        assert_eq!(gauge.get(), 3);
+        q.pop().unwrap();
+        assert_eq!(gauge.get(), 2);
+        q.pop().unwrap();
         q.pop().unwrap();
         assert_eq!(gauge.get(), 0);
+        assert_eq!(gauge.get() as usize, q.depth());
         q.detach();
     }
 
@@ -515,12 +337,7 @@ mod tests {
             assert!(Instant::now() < give_up, "an empty pop never parked");
             std::thread::sleep(Duration::from_micros(200));
         }
-        q.push(
-            item(9, &tx, None),
-            None,
-            OverloadPolicy::RejectNew,
-            Instant::now(),
-        );
+        q.push(item(9, &tx), None).unwrap();
         let popped = done_rx.recv_timeout(Duration::from_secs(10));
         // The final detach frees a popper that a lost wakeup stranded, so
         // a failure reports instead of hanging.
@@ -574,12 +391,7 @@ mod tests {
                 })
             };
             std::thread::sleep(Duration::from_millis(10));
-            q.push(
-                item(7, &tx, None),
-                None,
-                OverloadPolicy::RejectNew,
-                Instant::now(),
-            );
+            q.push(item(7, &tx), None).unwrap();
             std::thread::sleep(Duration::from_millis(10));
             q.detach();
             let (first, second) = popper.join().expect("popper thread");

@@ -19,14 +19,15 @@
 //!   workload lands on one worker, whose private engine keeps that
 //!   source's fault-LRU partition hot.  Source-less requests (primary
 //!   source) round-robin by sequence number, so a single-source stream
-//!   still spreads across every worker.
+//!   still spreads across every worker.  The rule is one function,
+//!   `shard_of`, which [`crate::ThroughputHarness`] also uses to split a
+//!   batch across its engines.
 //! * **Admission.**  [`StreamHandle::submit`] is the backpressure point:
 //!   requests already past their deadline are answered
 //!   [`ServeError::DeadlineExceeded`] without ever being routed, and a
 //!   shard queue at its configured capacity turns the submit into a typed
-//!   [`SubmitError`] (or sheds expired queued work first, under
-//!   [`OverloadPolicy::ShedExpired`]).  A rejected submit consumes no
-//!   sequence number.
+//!   [`SubmitError::Overloaded`].  A rejected submit consumes no sequence
+//!   number.
 //! * **Ordering.**  Each stream assigns sequence numbers at submit time;
 //!   workers tag responses with them; [`StreamHandle::recv`] reassembles
 //!   input order from whatever order the shards answer in.
@@ -68,9 +69,10 @@ pub use crate::chaos::{ChaosConfig, ChaosStats};
 use crate::epoch::{EpochCell, EpochPublisher, EpochSnapshot};
 use crate::error::{ServeError, SubmitError};
 use crate::health::{HealthCounters, ServeHealth};
-use crate::queue::{spin_then_park, OverloadPolicy, PushOutcome, ShardQueue};
+use crate::queue::{spin_then_park, ShardQueue};
 use crate::request::{ServeOutput, ServeRequest, ServeResponse, ServeTarget};
 use crate::telemetry::{ServeTelemetry, WorkerStages};
+use ftbfs_graph::VertexId;
 use ftbfs_oracle::{Answer, FrozenView, QueryEngine};
 use ftbfs_telemetry::{Gauge, TelemetrySnapshot, TimedEvent, TraceEvent};
 use std::collections::HashMap;
@@ -86,7 +88,6 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     workers: usize,
     queue_capacity: Option<usize>,
-    overload_policy: OverloadPolicy,
     #[cfg(feature = "chaos")]
     chaos: Option<ChaosConfig>,
 }
@@ -96,7 +97,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             queue_capacity: None,
-            overload_policy: OverloadPolicy::default(),
             #[cfg(feature = "chaos")]
             chaos: None,
         }
@@ -104,8 +104,7 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The default configuration (2 workers, unbounded queues,
-    /// [`OverloadPolicy::RejectNew`]).
+    /// The default configuration (2 workers, unbounded queues).
     pub fn new() -> Self {
         ServeConfig::default()
     }
@@ -122,28 +121,11 @@ impl ServeConfig {
     }
 
     /// Bounds each shard's queue to `capacity` items (clamped to ≥ 1);
-    /// submits beyond it are governed by the [`OverloadPolicy`].  The
-    /// default is unbounded (the pre-backpressure behaviour).
+    /// a submit to a full queue fails with [`SubmitError::Overloaded`].
+    /// The default is unbounded.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = Some(capacity.max(1));
         self
-    }
-
-    /// The configured per-shard queue bound, if any.
-    pub fn queue_capacity_limit(&self) -> Option<usize> {
-        self.queue_capacity
-    }
-
-    /// Sets what [`StreamHandle::submit`] does when a shard queue is at
-    /// capacity.
-    pub fn overload_policy(mut self, policy: OverloadPolicy) -> Self {
-        self.overload_policy = policy;
-        self
-    }
-
-    /// The configured overload policy.
-    pub fn overload_policy_choice(&self) -> OverloadPolicy {
-        self.overload_policy
     }
 
     /// Arms the server with a chaos schedule (fault injection at the
@@ -231,7 +213,6 @@ pub struct StreamServer {
     injector: Arc<FaultInjector>,
     telemetry: Arc<ServeTelemetry>,
     queue_capacity: Option<usize>,
-    overload_policy: OverloadPolicy,
 }
 
 impl StreamServer {
@@ -278,7 +259,6 @@ impl StreamServer {
             injector,
             telemetry,
             queue_capacity: config.queue_capacity,
-            overload_policy: config.overload_policy,
         }
     }
 
@@ -296,7 +276,6 @@ impl StreamServer {
             injector: Arc::clone(&self.injector),
             telemetry: Arc::clone(&self.telemetry),
             queue_capacity: self.queue_capacity,
-            overload_policy: self.overload_policy,
             reply_tx,
             reply_rx,
             next_seq: 0,
@@ -332,8 +311,8 @@ impl StreamServer {
         self.workers.len()
     }
 
-    /// A snapshot of the self-healing counters: worker restarts, shed and
-    /// rejected requests, publishes.  See [`ServeHealth`].
+    /// A snapshot of the self-healing counters: worker restarts, rejected
+    /// submits, publishes.  See [`ServeHealth`].
     pub fn health(&self) -> ServeHealth {
         self.health.snapshot()
     }
@@ -407,8 +386,7 @@ impl StreamServer {
 }
 
 /// A client's ordered request/response stream; created by
-/// [`StreamServer::open_stream`] (or scoped batch serving in
-/// [`crate::harness`]).
+/// [`StreamServer::open_stream`].
 ///
 /// Submission assigns each request the next sequence number; responses are
 /// delivered by [`StreamHandle::recv`] in exactly that order, whatever
@@ -422,7 +400,6 @@ pub struct StreamHandle {
     injector: Arc<FaultInjector>,
     telemetry: Arc<ServeTelemetry>,
     queue_capacity: Option<usize>,
-    overload_policy: OverloadPolicy,
     reply_tx: Sender<ServeResponse>,
     reply_rx: Receiver<ServeResponse>,
     next_seq: u64,
@@ -440,10 +417,9 @@ impl StreamHandle {
     /// already passed is admitted but answered
     /// [`ServeError::DeadlineExceeded`] immediately, without consuming
     /// queue space or worker time; a shard queue at capacity turns the
-    /// call into a typed [`SubmitError`] under the configured
-    /// [`OverloadPolicy`].  On `Err` **no sequence number is consumed**
-    /// and no response will arrive — every `SubmitError` is safe to
-    /// retry.
+    /// call into [`SubmitError::Overloaded`].  On `Err` **no sequence
+    /// number is consumed** and no response will arrive — every
+    /// `SubmitError` is safe to retry.
     pub fn submit(&mut self, request: ServeRequest) -> Result<u64, SubmitError> {
         let submitted_at = Instant::now();
         if self.closed.load(Ordering::Acquire) {
@@ -453,8 +429,7 @@ impl StreamHandle {
         // Deadline admission control: expired work is answered here, not
         // routed — the response takes its slot in the stream as usual.
         // `submitted_at` is the one clock read before the stage sample:
-        // the deadline check, the reorder stamp and the shedding
-        // reference all reuse it.
+        // the deadline check and the reorder stamp both reuse it.
         if request.deadline.is_some_and(|d| submitted_at > d) {
             self.health.expired_at_submit.inc();
             let epoch = self.cell.load().1.fingerprint();
@@ -475,12 +450,7 @@ impl StreamHandle {
                 .record_submit(&request.target, submitted_at.elapsed().as_nanos() as u64);
             return Ok(seq);
         }
-        let shard = match request.source {
-            // Explicit sources pin their shard (engine-cache affinity);
-            // primary-source requests round-robin for spread.
-            Some(s) => s.index() % self.queues.len(),
-            None => (seq as usize) % self.queues.len(),
-        };
+        let shard = shard_of(request.source, seq as usize, self.queues.len());
         if self.injector.drop_send() {
             self.health.rejected_unavailable.inc();
             return Err(SubmitError::ShardUnavailable { shard });
@@ -492,41 +462,15 @@ impl StreamHandle {
             reply: self.reply_tx.clone(),
             submitted_at,
         };
-        match self.queues[shard].push(
-            item,
-            self.queue_capacity,
-            self.overload_policy,
-            submitted_at,
-        ) {
-            PushOutcome::Admitted { shed } => {
-                if !shed.is_empty() {
-                    let epoch = self.cell.load().1.fingerprint();
-                    for victim in shed {
-                        self.health.shed_expired.inc();
-                        // Shed items may belong to other streams; each
-                        // still receives exactly one response, in its own
-                        // stream's slot.
-                        let _ = victim.reply.send(ServeResponse {
-                            seq: victim.seq,
-                            epoch,
-                            work_ns: 0,
-                            outcome: Err(ServeError::DeadlineExceeded),
-                        });
-                    }
-                }
-                self.next_seq += 1;
-                self.telemetry
-                    .record_submit(&target, submitted_at.elapsed().as_nanos() as u64);
-                Ok(seq)
-            }
-            PushOutcome::Rejected { item, depth } => {
-                // The handed-back item dies here: no seq consumed, no
-                // response owed — Overloaded is safe to retry.
-                drop(item);
-                self.health.rejected_overloaded.inc();
-                Err(SubmitError::Overloaded { shard, depth })
-            }
+        if let Err(depth) = self.queues[shard].push(item, self.queue_capacity) {
+            // No seq consumed, no response owed: safe to retry.
+            self.health.rejected_overloaded.inc();
+            return Err(SubmitError::Overloaded { shard, depth });
         }
+        self.next_seq += 1;
+        self.telemetry
+            .record_submit(&target, submitted_at.elapsed().as_nanos() as u64);
+        Ok(seq)
     }
 
     /// Number of submitted requests whose responses have not yet been
@@ -699,7 +643,14 @@ fn serve_shard(ctx: &WorkerContext, in_flight: &mut Option<WorkItem>) {
             }
             ctx.injector.stall_point();
             let item = in_flight.as_ref().expect("in-flight item present");
-            let response = answer(&mut engine, &view, fingerprint, item.seq, &item.request);
+            let start = Instant::now();
+            let outcome = serve_outcome(&mut engine, &view, &item.request);
+            let response = ServeResponse {
+                seq: item.seq,
+                epoch: fingerprint,
+                work_ns: start.elapsed().as_nanos() as u64,
+                outcome,
+            };
             // Publish before replying, so a client that has drained its
             // stream reads counters that include every answer it got.
             ctx.telemetry.engine().publish(&mut engine);
@@ -715,26 +666,17 @@ fn serve_shard(ctx: &WorkerContext, in_flight: &mut Option<WorkItem>) {
     }
 }
 
-/// Answers one request against an open view — the shared serving core of
-/// the epoch workers and the scoped batch workers in [`crate::harness`].
-pub(crate) fn answer(
-    engine: &mut QueryEngine,
-    oracle: &FrozenView<'_>,
-    fingerprint: u64,
-    seq: u64,
-    request: &ServeRequest,
-) -> ServeResponse {
-    let start = Instant::now();
-    let outcome = serve_outcome(engine, oracle, request);
-    ServeResponse {
-        seq,
-        epoch: fingerprint,
-        work_ns: start.elapsed().as_nanos() as u64,
-        outcome,
-    }
+/// The shard a request (or a harness query) runs on, out of `shards`:
+/// an explicit source pins `source % shards`, so all traffic for one
+/// source of an `S × V` workload keeps one engine's fault-LRU partition
+/// hot; a source-less one round-robins by its sequence number `seq`.
+/// The one routing rule of [`StreamHandle::submit`] and
+/// [`crate::ThroughputHarness`].
+pub(crate) fn shard_of(source: Option<VertexId>, seq: usize, shards: usize) -> usize {
+    source.map_or(seq, VertexId::index) % shards
 }
 
-/// The query dispatch behind [`answer`], with deadline enforcement both
+/// A worker's query dispatch for one request, with deadline enforcement both
 /// at pickup and — for the all-distances form — *between per-target
 /// reads*, so one huge request cannot silently blow its budget: overruns
 /// return [`ServeError::DeadlineExceeded`] with the partial work
@@ -940,52 +882,6 @@ mod tests {
         assert_eq!(responses.len() as u64, admitted, "admitted ⇒ answered");
         if rejections > 0 {
             assert!(server.health().rejected_overloaded >= rejections);
-        }
-        drop(stream);
-        server.shutdown();
-    }
-
-    #[test]
-    fn shed_expired_policy_answers_victims_and_admits_fresh_work() {
-        let g = generators::cycle(6);
-        let (snap, _) = snapshot_of(&g);
-        let server = StreamServer::launch(
-            snap,
-            ServeConfig::new()
-                .workers(1)
-                .queue_capacity(4)
-                .overload_policy(OverloadPolicy::ShedExpired),
-        );
-        let mut stream = server.open_stream();
-        // Submit a burst with near-past deadlines racing the worker; then
-        // keep submitting live work.  Whatever interleaving happens, the
-        // invariant is: every admitted request gets exactly one response.
-        let soon = Instant::now() + std::time::Duration::from_micros(50);
-        let mut admitted = 0u64;
-        for _ in 0..200 {
-            if stream
-                .submit(ServeRequest::distance(VertexId(2), FaultSpec::None).with_deadline(soon))
-                .is_ok()
-            {
-                admitted += 1;
-            }
-        }
-        for _ in 0..200 {
-            if stream
-                .submit(ServeRequest::distance(VertexId(2), FaultSpec::None))
-                .is_ok()
-            {
-                admitted += 1;
-            }
-        }
-        let responses = stream.drain().unwrap();
-        assert_eq!(responses.len() as u64, admitted);
-        for resp in &responses {
-            match &resp.outcome {
-                Ok(a) => assert_eq!(a.value().distance(), Some(Some(2))),
-                Err(ServeError::DeadlineExceeded) => {}
-                Err(e) => panic!("unexpected outcome {e}"),
-            }
         }
         drop(stream);
         server.shutdown();

@@ -17,7 +17,7 @@
 //! |---|---|---|
 //! | submit/admission | [`names::STAGE_SUBMIT_NS`] | [`crate::StreamHandle::submit`] |
 //! | queue wait | [`names::STAGE_QUEUE_WAIT_NS`] | worker, at item pickup |
-//! | engine execute | [`names::STAGE_EXECUTE_NS`] | worker, around `answer` |
+//! | engine execute | [`names::STAGE_EXECUTE_NS`] | worker, around the engine call |
 //! | reassembly | [`names::STAGE_REASSEMBLY_NS`] | [`crate::StreamHandle::recv`] |
 //!
 //! Workers publish their engines' [`QueryStats`] into the

@@ -31,10 +31,11 @@ pub const ENGINE_CACHE_HITS: &str = "ftbfs_engine_cache_hits_total";
 /// Help string for [`ENGINE_CACHE_HITS`].
 pub const ENGINE_CACHE_HITS_HELP: &str = "Queries answered from the per-source fault-pair LRU";
 
-/// Counter: queries that ran the overlay-BFS slow path.
+/// Counter: queries that ran the slow path, a BFS over the structure's
+/// frozen slab.
 pub const ENGINE_SEARCHES: &str = "ftbfs_engine_searches_total";
 /// Help string for [`ENGINE_SEARCHES`].
-pub const ENGINE_SEARCHES_HELP: &str = "Queries that ran an overlay BFS inside the structure";
+pub const ENGINE_SEARCHES_HELP: &str = "Queries that ran a BFS over the structure's frozen slab";
 
 /// Counter: workspace epoch bumps (one per BFS run; tracks how often the
 /// reusable stamp workspace is recycled).
@@ -60,12 +61,6 @@ pub const ENGINE_APPROX_HELP: &str =
 pub const SERVE_WORKER_RESTARTS: &str = "ftbfs_serve_worker_restarts_total";
 /// Help string for [`SERVE_WORKER_RESTARTS`].
 pub const SERVE_WORKER_RESTARTS_HELP: &str = "Supervised worker restarts after a panic";
-
-/// Counter: queued requests shed by `OverloadPolicy::ShedExpired`.
-pub const SERVE_SHED_EXPIRED: &str = "ftbfs_serve_shed_expired_total";
-/// Help string for [`SERVE_SHED_EXPIRED`].
-pub const SERVE_SHED_EXPIRED_HELP: &str =
-    "Queued requests shed because their deadline had already expired";
 
 /// Counter: submits rejected because a shard queue was full.
 pub const SERVE_REJECTED_OVERLOADED: &str = "ftbfs_serve_rejected_overloaded_total";
