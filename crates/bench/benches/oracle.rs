@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftbfs_core::dual_failure_ftbfs;
-use ftbfs_graph::{generators, FaultSet, TieBreak, VertexId};
+use ftbfs_graph::{generators, FaultSpec, TieBreak, VertexId};
 use ftbfs_verify::StructureOracle;
 use std::time::Duration;
 
@@ -17,10 +17,10 @@ fn bench_oracle_queries(c: &mut Criterion) {
         let w = TieBreak::new(&g, 21);
         let h = dual_failure_ftbfs(&g, &w, VertexId(0));
         let oracle = StructureOracle::new(&g, VertexId(0), h.edges());
-        let faults = FaultSet::pair(
+        let faults = FaultSpec::from((
             ftbfs_graph::EdgeId(0),
             ftbfs_graph::EdgeId((g.edge_count() / 2) as u32),
-        );
+        ));
         let target = VertexId((n - 1) as u32);
         group.bench_with_input(BenchmarkId::new("distance", n), &n, |b, _| {
             b.iter(|| oracle.distance(target, &faults))

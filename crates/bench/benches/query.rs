@@ -47,7 +47,7 @@ fn bench_query_paths(c: &mut Criterion) {
             b.iter(|| {
                 let view = GraphView::new(&g)
                     .without_edges(removed.iter().copied())
-                    .without_faults(black_box(&dual.to_fault_set()));
+                    .without_faults(black_box(&dual));
                 bfs(&view, VertexId(0)).distance(black_box(target))
             })
         },

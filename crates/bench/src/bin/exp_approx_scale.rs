@@ -39,7 +39,7 @@
 //! exp_approx_scale [--smoke] [--out PATH]
 //! ```
 
-use ftbfs_bench::{json, Table};
+use ftbfs_bench::{json, splitmix64, Table};
 use ftbfs_core::{approx_ftbfs, dual_failure_ftbfs, ApproxParams};
 use ftbfs_corpus::{layered_expander, road_like, EmbeddedGraph};
 use ftbfs_graph::{bfs, EdgeId, FaultSpec, Graph, GraphView, TieBreak, VertexId};
@@ -73,15 +73,6 @@ struct ScaleRow {
     max_stretch: f64,
 }
 
-/// Deterministic splitmix64 so sampling needs no RNG dependency.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The `O(n·polylog n)` size envelope the scaled structures must stay
 /// inside: `n · ⌈log₂ n⌉` edges.
 fn size_cap(n: usize) -> usize {
@@ -97,7 +88,7 @@ fn sample_specs(graph: &Graph, count: usize, seed: u64) -> Vec<FaultSpec> {
     while specs.len() < count {
         let a = EdgeId((splitmix64(&mut state) % m) as u32);
         if specs.len() % 2 == 1 {
-            specs.push(FaultSpec::One(a));
+            specs.push(FaultSpec::from(a));
         } else {
             let b = EdgeId((splitmix64(&mut state) % m) as u32);
             if a == b {
@@ -136,7 +127,7 @@ fn audit_stretch(
     }
 
     for (spec, targets) in &plan {
-        let view = GraphView::new(graph).without_faults(&spec.to_fault_set());
+        let view = GraphView::new(graph).without_faults(spec);
         let truth = bfs(&view, source);
         for &t in targets {
             queries += 1;

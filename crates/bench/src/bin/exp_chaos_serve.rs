@@ -40,9 +40,9 @@
 //! wrong answers, and storm-phase throughput ≥
 //! [`SMOKE_CHAOS_QPS_FLOOR`].  Any violation exits non-zero.
 
-use ftbfs_bench::{json, Table};
+use ftbfs_bench::{build_requests, json, Table};
 use ftbfs_core::dual::DualFtBfsBuilder;
-use ftbfs_graph::{generators, EdgeId, FaultSpec, Graph, TieBreak, VertexId};
+use ftbfs_graph::{generators, EdgeId, TieBreak, VertexId};
 use ftbfs_oracle::{Freeze, FrozenStructure, QueryEngine, SnapshotVersion};
 use ftbfs_serve::{
     ChaosConfig, EpochSnapshot, ServeConfig, ServeError, ServeRequest, StreamServer, SubmitError,
@@ -72,46 +72,6 @@ const SMOKE_MIN_PUBLISHES: u64 = 2;
 
 /// Minimum corruption-rejected mid-run publishes in smoke.
 const SMOKE_MIN_REJECTED_PUBLISHES: u64 = 2;
-
-/// Deterministic splitmix64 so the workload needs no RNG dependency.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The E11 serving mix: 25% fault-free, 25% single-fault, 50% dual-fault,
-/// faults drawn from a small pool of "active" pairs.
-fn build_requests(
-    g: &Graph,
-    structure_edges: &[EdgeId],
-    count: usize,
-    seed: u64,
-) -> Vec<ServeRequest> {
-    let mut state = seed;
-    let mut active: Vec<(EdgeId, EdgeId)> = Vec::new();
-    let mut requests = Vec::with_capacity(count);
-    for i in 0..count {
-        if active.len() < 12 || splitmix64(&mut state) % 64 == 0 {
-            let a = structure_edges[splitmix64(&mut state) as usize % structure_edges.len()];
-            let b = structure_edges[splitmix64(&mut state) as usize % structure_edges.len()];
-            active.push((a, b));
-            if active.len() > 24 {
-                active.remove(0);
-            }
-        }
-        let target = VertexId((splitmix64(&mut state) as usize % g.vertex_count()) as u32);
-        let (a, b) = active[splitmix64(&mut state) as usize % active.len()];
-        requests.push(match i % 4 {
-            0 => ServeRequest::distance(target, FaultSpec::None),
-            1 => ServeRequest::distance(target, a),
-            _ => ServeRequest::distance(target, (a, b)),
-        });
-    }
-    requests
-}
 
 /// Ground truth for the workload: `dist(s, target, H ∖ F)` per request,
 /// epoch-independent for this workload (see the module docs).

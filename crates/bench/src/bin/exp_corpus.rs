@@ -51,7 +51,7 @@
 //! exp_corpus [--smoke] [--backend exact|approx] [--out PATH] [--dir DIR]
 //! ```
 
-use ftbfs_bench::{json, Table};
+use ftbfs_bench::{json, percentile_us, splitmix64, Table};
 use ftbfs_core::{approx_ftbfs, ApproxParams};
 use ftbfs_corpus::{
     bridge_adversarial, correlated_spatial, csr_fingerprint, hub_targeted, ingest_path,
@@ -104,23 +104,6 @@ struct SuiteRow {
     p50_us: f64,
     p99_us: f64,
     wrong: usize,
-}
-
-/// Deterministic splitmix64 so target selection needs no RNG dependency.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * (sorted_ns.len() - 1) as f64).round() as usize;
-    sorted_ns[rank.min(sorted_ns.len() - 1)] as f64 / 1e3
 }
 
 /// Streams one on-disk file back into a graph, timed, recording the
@@ -235,7 +218,7 @@ fn suite_requests(
 /// Ground truth for one spec: BFS distances on `G ∖ F` from the serving
 /// source.
 fn ground_truth(graph: &Graph, spec: &FaultSpec, source: VertexId) -> Vec<Option<u32>> {
-    let view = GraphView::new(graph).without_faults(&spec.to_fault_set());
+    let view = GraphView::new(graph).without_faults(spec);
     let result = bfs(&view, source);
     graph.vertices().map(|v| result.distance(v)).collect()
 }

@@ -52,7 +52,7 @@
 //! from the structure itself so most faulted queries do real work, and with
 //! repeats so the engines' fault LRU sees realistic locality.
 
-use ftbfs_bench::{json, Table};
+use ftbfs_bench::{json, splitmix64, Table};
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::{multi_failure_ftmbfs_parts, FtBfsStructure};
 use ftbfs_graph::{generators, EdgeId, FaultSpec, Graph, TieBreak, VertexId};
@@ -138,15 +138,6 @@ fn check_answers(
     }
 }
 
-/// Deterministic splitmix64 so the workload needs no RNG dependency.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Builds the serving-mix query batch described in the module docs.
 ///
 /// `sources` is empty for the single-source mix (primary-source queries);
@@ -179,7 +170,7 @@ fn build_queries(
         let (a, b) = active[splitmix64(&mut state) as usize % active.len()];
         let faults = match i % 4 {
             0 => FaultSpec::None,
-            1 => FaultSpec::One(a),
+            1 => FaultSpec::from(a),
             _ => FaultSpec::from((a, b)),
         };
         if sources.is_empty() {

@@ -47,9 +47,9 @@
 //! that is unavailable) — the price of the serve plane's spin-then-park
 //! wait when there is nothing to spin for.
 
-use ftbfs_bench::{json, Table};
+use ftbfs_bench::{build_requests, json, percentile_us, Table};
 use ftbfs_core::dual::DualFtBfsBuilder;
-use ftbfs_graph::{generators, EdgeId, FaultSpec, Graph, TieBreak, VertexId};
+use ftbfs_graph::{generators, EdgeId, TieBreak, VertexId};
 use ftbfs_oracle::{Freeze, SnapshotVersion};
 use ftbfs_serve::{EpochSnapshot, ServeConfig, ServeRequest, StreamServer, TelemetrySnapshot};
 use ftbfs_telemetry::{names, HistogramData};
@@ -87,47 +87,6 @@ struct Row {
     p99_us: f64,
     first_epoch_answers: usize,
     second_epoch_answers: usize,
-}
-
-/// Deterministic splitmix64 so the workload needs no RNG dependency.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The serving mix of E10, phrased as requests: 25% fault-free, 25%
-/// single-fault, 50% dual-fault, faults drawn from a small pool of
-/// "active" pairs so the engines' fault LRU sees realistic locality.
-fn build_requests(
-    g: &Graph,
-    structure_edges: &[EdgeId],
-    count: usize,
-    seed: u64,
-) -> Vec<ServeRequest> {
-    let mut state = seed;
-    let mut active: Vec<(EdgeId, EdgeId)> = Vec::new();
-    let mut requests = Vec::with_capacity(count);
-    for i in 0..count {
-        if active.len() < 12 || splitmix64(&mut state) % 64 == 0 {
-            let a = structure_edges[splitmix64(&mut state) as usize % structure_edges.len()];
-            let b = structure_edges[splitmix64(&mut state) as usize % structure_edges.len()];
-            active.push((a, b));
-            if active.len() > 24 {
-                active.remove(0);
-            }
-        }
-        let target = VertexId((splitmix64(&mut state) as usize % g.vertex_count()) as u32);
-        let (a, b) = active[splitmix64(&mut state) as usize % active.len()];
-        requests.push(match i % 4 {
-            0 => ServeRequest::distance(target, FaultSpec::None),
-            1 => ServeRequest::distance(target, a),
-            _ => ServeRequest::distance(target, (a, b)),
-        });
-    }
-    requests
 }
 
 /// What one client stream observed: per-request end-to-end latencies and
@@ -200,14 +159,6 @@ fn drive_client(
         latencies_ns,
         epoch_counts,
     }
-}
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * (sorted_ns.len() - 1) as f64).round() as usize;
-    sorted_ns[rank.min(sorted_ns.len() - 1)] as f64 / 1e3
 }
 
 /// One sustained-load measurement: `clients` streams × `requests_each`

@@ -1,7 +1,9 @@
 //! # ftbfs-bench
 //!
 //! Shared experiment harness for the FT-BFS reproduction: workload sweeps,
-//! aligned table printing, and log–log exponent fitting.  The experiment
+//! aligned table printing, log–log exponent fitting, and the serving
+//! experiments' deterministic choices ([`splitmix64`]), latency percentiles
+//! and request mix ([`build_requests`]).  The experiment
 //! binaries in `src/bin/` (E1–E9, see `DESIGN.md` and `EXPERIMENTS.md`) use
 //! these helpers to regenerate the quantities behind every theorem and
 //! figure of the paper; the Criterion benches in `benches/` measure wall
@@ -12,7 +14,8 @@
 
 pub mod json;
 
-use ftbfs_graph::Graph;
+use ftbfs_graph::{EdgeId, FaultSpec, Graph, VertexId};
+use ftbfs_serve::ServeRequest;
 
 /// A simple aligned text table for experiment output.
 #[derive(Clone, Debug)]
@@ -158,6 +161,59 @@ pub fn fmt_opt(v: Option<u32>) -> String {
     }
 }
 
+/// One splitmix64 step: the experiments' deterministic stream of choices,
+/// so workloads need no RNG dependency.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The `p`-th percentile of ascending nanosecond samples, in µs (nearest
+/// rank; 0 for no samples).
+pub fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
+    if sorted_ns.is_empty() {
+        return 0.0;
+    }
+    let rank = ((p / 100.0) * (sorted_ns.len() - 1) as f64).round() as usize;
+    sorted_ns[rank.min(sorted_ns.len() - 1)] as f64 / 1e3
+}
+
+/// The E10 serving mix phrased as requests (used by E11 and E12): 25%
+/// fault-free, 25% single-fault, 50% dual-fault, with faults drawn from a
+/// small pool of "active" pairs so the engines' fault LRU sees realistic
+/// locality.  The list is a function of its arguments alone.
+pub fn build_requests(
+    g: &Graph,
+    structure_edges: &[EdgeId],
+    count: usize,
+    seed: u64,
+) -> Vec<ServeRequest> {
+    let mut state = seed;
+    let mut active: Vec<(EdgeId, EdgeId)> = Vec::new();
+    let mut requests = Vec::with_capacity(count);
+    for i in 0..count {
+        if active.len() < 12 || splitmix64(&mut state) % 64 == 0 {
+            let a = structure_edges[splitmix64(&mut state) as usize % structure_edges.len()];
+            let b = structure_edges[splitmix64(&mut state) as usize % structure_edges.len()];
+            active.push((a, b));
+            if active.len() > 24 {
+                active.remove(0);
+            }
+        }
+        let target = VertexId((splitmix64(&mut state) as usize % g.vertex_count()) as u32);
+        let (a, b) = active[splitmix64(&mut state) as usize % active.len()];
+        requests.push(match i % 4 {
+            0 => ServeRequest::distance(target, FaultSpec::None),
+            1 => ServeRequest::distance(target, a),
+            _ => ServeRequest::distance(target, (a, b)),
+        });
+    }
+    requests
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,5 +276,33 @@ mod tests {
     fn fmt_opt_formats_infinity() {
         assert_eq!(fmt_opt(Some(3)), "3");
         assert_eq!(fmt_opt(None), "∞");
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_stream() {
+        let mut state = 0;
+        assert_eq!(splitmix64(&mut state), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(state, 0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[test]
+    fn percentiles_use_the_nearest_rank() {
+        assert_eq!(percentile_us(&[], 50.0), 0.0);
+        let ns = [1_000, 2_000, 3_000, 4_000, 5_000];
+        assert_eq!(percentile_us(&ns, 50.0), 3.0);
+        assert_eq!(percentile_us(&ns, 99.0), 5.0);
+    }
+
+    #[test]
+    fn serving_mix_is_deterministic_and_one_quarter_fault_free() {
+        let g = ftbfs_graph::generators::grid(4, 4);
+        let edges: Vec<EdgeId> = g.edges().collect();
+        let requests = build_requests(&g, &edges, 64, 7);
+        assert_eq!(requests, build_requests(&g, &edges, 64, 7));
+        assert_ne!(requests, build_requests(&g, &edges, 64, 8));
+        for (i, r) in requests.iter().enumerate() {
+            assert_eq!(r.faults.is_empty(), i % 4 == 0);
+            assert!(r.faults.len() <= 2);
+        }
     }
 }

@@ -20,30 +20,8 @@
 
 use crate::setcover::greedy_set_cover;
 use crate::structure::FtBfsStructure;
-use ftbfs_graph::{EdgeId, FaultSet, Graph, SearchEngine, VertexId};
-
-/// Enumerates every fault set `F ⊆ E(G)` with `|F| ≤ f`, including the empty
-/// set.  The count is `Σ_{k≤f} C(m, k)`; callers are expected to keep `f`
-/// and `m` small.
-pub fn enumerate_fault_sets(graph: &Graph, f: usize) -> Vec<FaultSet> {
-    let edges: Vec<EdgeId> = graph.edges().collect();
-    let mut out = vec![FaultSet::empty()];
-    let mut current: Vec<Vec<EdgeId>> = vec![vec![]];
-    for _ in 0..f {
-        let mut next_level = Vec::new();
-        for combo in &current {
-            let start = combo.last().map(|e| e.index() + 1).unwrap_or(0);
-            for e in &edges[start.min(edges.len())..] {
-                let mut c = combo.clone();
-                c.push(*e);
-                out.push(FaultSet::from_iter(c.iter().copied()));
-                next_level.push(c);
-            }
-        }
-        current = next_level;
-    }
-    out
-}
+use ftbfs_graph::fault::enumerate_fault_sets;
+use ftbfs_graph::{Graph, SearchEngine, VertexId};
 
 /// Builds an `f`-failure FT-MBFS structure for the source set `sources` using
 /// the Section 5 greedy set-cover algorithm.

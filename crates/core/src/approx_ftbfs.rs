@@ -278,23 +278,15 @@ fn residual_forest(graph: &Graph, source: VertexId, used: &[bool]) -> Vec<EdgeId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftbfs_graph::{bfs, generators, FaultSet, GraphView};
+    use ftbfs_graph::fault::enumerate_fault_sets;
+    use ftbfs_graph::{bfs, generators, GraphView};
 
     /// Exhaustively checks, over every fault set with |F| ≤ 2, that H is
     /// reachability-equivalent to G and honours the declared stretch bound.
     fn verify_approx(graph: &Graph, built: &ApproxFtBfs, source: VertexId) {
         let h = &built.structure;
         let p = built.params;
-        let mut specs: Vec<FaultSet> = vec![FaultSet::empty()];
-        specs.extend(graph.edges().map(FaultSet::single));
-        for a in graph.edges() {
-            for b in graph.edges() {
-                if a < b {
-                    specs.push(FaultSet::pair(a, b));
-                }
-            }
-        }
-        for f in &specs {
+        for f in &enumerate_fault_sets(graph, 2) {
             let gview = GraphView::new(graph).without_faults(f);
             let hview = h.as_view(graph).without_faults(f);
             let gd = bfs(&gview, source);

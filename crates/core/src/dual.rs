@@ -23,7 +23,7 @@
 //! selected last edges.  Theorem 1.1 bounds `|E(H)|` by `O(n^{5/3})`.
 
 use crate::structure::FtBfsStructure;
-use ftbfs_graph::{EdgeId, FaultSet, Graph, Path, SearchEngine, SpTree, TieBreak, VertexId};
+use ftbfs_graph::{EdgeId, FaultSpec, Graph, Path, SearchEngine, SpTree, TieBreak, VertexId};
 use ftbfs_paths::detour::{Decomposition, Detour};
 use ftbfs_paths::replacement::SingleFailureReplacer;
 use ftbfs_paths::select::{earliest_detour_divergence, earliest_pi_divergence, fault_distance};
@@ -65,7 +65,7 @@ pub struct NewEndingRecord {
 #[derive(Clone, Debug)]
 pub struct PiPiRecord {
     /// The two failing edges, both on `π(s, v)`.
-    pub faults: FaultSet,
+    pub faults: FaultSpec,
     /// The selected replacement path.
     pub path: Path,
 }
@@ -255,7 +255,7 @@ impl<'g> DualFtBfsBuilder<'g> {
         let mut pi_pi_new: Vec<PiPiRecord> = Vec::new();
         for i in 0..pi_edges.len() {
             for j in (i + 1)..pi_edges.len() {
-                let faults = FaultSet::pair(pi_edges[i], pi_edges[j]);
+                let faults = FaultSpec::from((pi_edges[i], pi_edges[j]));
                 let Some(target_hops) = fault_distance(engine, graph, source, v, &faults) else {
                     continue; // v disconnected under F: nothing to protect.
                 };
@@ -303,7 +303,7 @@ impl<'g> DualFtBfsBuilder<'g> {
 
         let mut new_ending: Vec<NewEndingRecord> = Vec::new();
         for &(e_index, e, t, _t_pos) in &pairs {
-            let faults = FaultSet::pair(e, t);
+            let faults = FaultSpec::from((e, t));
             let Some(target_hops) = fault_distance(engine, graph, source, v, &faults) else {
                 continue;
             };
@@ -471,22 +471,13 @@ pub fn dual_failure_ftmbfs(graph: &Graph, w: &TieBreak, sources: &[VertexId]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftbfs_graph::fault::enumerate_fault_sets;
     use ftbfs_graph::{bfs, generators, GraphView};
 
     /// Exhaustively checks the dual-failure FT-BFS property over all fault
     /// sets of size ≤ 2 (small graphs only).
     fn verify_dual(graph: &Graph, h: &FtBfsStructure, source: VertexId) {
-        let edges: Vec<_> = graph.edges().collect();
-        let mut fault_sets = vec![FaultSet::empty()];
-        for &e in &edges {
-            fault_sets.push(FaultSet::single(e));
-        }
-        for i in 0..edges.len() {
-            for j in (i + 1)..edges.len() {
-                fault_sets.push(FaultSet::pair(edges[i], edges[j]));
-            }
-        }
-        for fs in fault_sets {
+        for fs in enumerate_fault_sets(graph, 2) {
             let gview = GraphView::new(graph).without_faults(&fs);
             let hview = h.as_view(graph).without_faults(&fs);
             let gd = bfs(&gview, source);
@@ -572,7 +563,7 @@ mod tests {
             for ne in &rec.new_ending {
                 assert_eq!(ne.path.target(), rec.vertex);
                 // The path avoids both of its faults.
-                let f = FaultSet::pair(ne.first_fault, ne.second_fault);
+                let f = FaultSpec::from((ne.first_fault, ne.second_fault));
                 assert!(!f.intersects_path(&g, &ne.path));
             }
         }

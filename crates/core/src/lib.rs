@@ -49,7 +49,7 @@ pub mod setcover;
 pub mod single;
 pub mod structure;
 
-pub use approx::{approx_minimum_ftmbfs, enumerate_fault_sets};
+pub use approx::approx_minimum_ftmbfs;
 pub use approx_ftbfs::{
     approx_ftbfs, ApproxBuildStats, ApproxFtBfs, ApproxParams, APPROX_RESILIENCE,
 };

@@ -24,7 +24,7 @@
 //! selection* baseline that `Cons2FTBFS` is compared against.
 
 use crate::structure::FtBfsStructure;
-use ftbfs_graph::{FaultSet, Graph, Path, SearchEngine, SpTree, TieBreak, VertexId};
+use ftbfs_graph::{FaultSpec, Graph, Path, SearchEngine, SpTree, TieBreak, VertexId};
 use std::collections::HashSet;
 
 /// Builds an `f`-failure FT-BFS structure rooted at `source` using canonical
@@ -51,7 +51,7 @@ pub fn multi_failure_ftbfs(
             continue;
         }
         let pi = tree.pi(v).expect("reachable vertex has a canonical path");
-        let mut visited: HashSet<FaultSet> = HashSet::new();
+        let mut visited: HashSet<FaultSpec> = HashSet::new();
         explore(
             &mut engine,
             graph,
@@ -59,7 +59,7 @@ pub fn multi_failure_ftbfs(
             source,
             v,
             &pi,
-            FaultSet::empty(),
+            FaultSpec::None,
             f,
             &mut visited,
             &mut h,
@@ -158,9 +158,9 @@ fn explore<'g>(
     source: VertexId,
     v: VertexId,
     path_for_current: &Path,
-    current: FaultSet,
+    current: FaultSpec,
     remaining: usize,
-    visited: &mut HashSet<FaultSet>,
+    visited: &mut HashSet<FaultSpec>,
     h: &mut FtBfsStructure,
 ) {
     if remaining == 0 {
@@ -202,26 +202,13 @@ fn explore<'g>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftbfs_graph::fault::enumerate_fault_sets;
     use ftbfs_graph::{bfs, generators, GraphView};
 
     /// Exhaustively checks the f-FT-BFS property for all fault sets of size
     /// ≤ f (small graphs only).
     fn verify_exhaustive(graph: &Graph, h: &FtBfsStructure, source: VertexId, f: usize) {
-        let edges: Vec<_> = graph.edges().collect();
-        let mut fault_sets = vec![FaultSet::empty()];
-        if f >= 1 {
-            for &e in &edges {
-                fault_sets.push(FaultSet::single(e));
-            }
-        }
-        if f >= 2 {
-            for i in 0..edges.len() {
-                for j in (i + 1)..edges.len() {
-                    fault_sets.push(FaultSet::pair(edges[i], edges[j]));
-                }
-            }
-        }
-        for fs in fault_sets {
+        for fs in enumerate_fault_sets(graph, f) {
             let gview = GraphView::new(graph).without_faults(&fs);
             let hview = h.as_view(graph).without_faults(&fs);
             let gd = bfs(&gview, source);

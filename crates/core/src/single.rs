@@ -78,14 +78,14 @@ pub fn bfs_tree_size(graph: &Graph, w: &TieBreak, source: VertexId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftbfs_graph::{bfs, generators, FaultSet, GraphView};
+    use ftbfs_graph::{bfs, generators, FaultSpec, GraphView};
 
     fn verify_single_failure(graph: &Graph, h: &FtBfsStructure, source: VertexId) {
         // Exhaustive check of the 1-FT-BFS property over every single failed
         // edge of G.
         let hview = h.as_view(graph);
         for e in graph.edges() {
-            let f = FaultSet::single(e);
+            let f = FaultSpec::from(e);
             let gview = GraphView::new(graph).without_faults(&f);
             let hfview = h.as_view(graph).without_faults(&f);
             let gd = bfs(&gview, source);

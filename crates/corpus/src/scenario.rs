@@ -27,7 +27,7 @@ use crate::gen::EmbeddedGraph;
 use crate::quad::QuadTree;
 use ftbfs_graph::bytes::Fnv1a;
 use ftbfs_graph::properties::bridges_under;
-use ftbfs_graph::{EdgeId, FaultSet, FaultSpec, Graph};
+use ftbfs_graph::{EdgeId, FaultSpec, Graph};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -169,7 +169,7 @@ impl ScenarioSuite {
         s.push_str(&format!("faults {}\n", self.faults.len()));
         for spec in &self.faults {
             s.push('f');
-            for e in spec.iter() {
+            for e in spec.edges() {
                 s.push_str(&format!(" {}", e.0));
             }
             s.push('\n');
@@ -276,7 +276,7 @@ impl ScenarioSuite {
     pub fn validate_for(&self, graph: &Graph) -> Result<(), SuiteError> {
         let m = graph.edge_count() as u32;
         for (spec_idx, spec) in self.faults.iter().enumerate() {
-            for e in spec.iter() {
+            for e in spec.edges() {
                 if e.0 >= m {
                     return Err(SuiteError::EdgeOutOfRange {
                         spec: spec_idx,
@@ -362,7 +362,7 @@ pub fn bridge_adversarial(graph: &Graph, pairs: usize, seed: u64) -> ScenarioSui
         } else {
             EdgeId(rng.gen_range(0..m) as u32)
         };
-        let cut_partners = bridges_under(graph, &FaultSet::single(e));
+        let cut_partners = bridges_under(graph, &FaultSpec::from(e));
         if cut_partners.is_empty() {
             continue;
         }
@@ -423,7 +423,7 @@ pub fn replay_sequence(graph: &Graph, len: usize, seed: u64) -> ScenarioSuite {
         let spec = if roll < 2 || m == 0 {
             FaultSpec::None
         } else if roll < 6 || m == 1 {
-            FaultSpec::One(EdgeId(rng.gen_range(0..m) as u32))
+            FaultSpec::from(EdgeId(rng.gen_range(0..m) as u32))
         } else {
             let a = EdgeId(rng.gen_range(0..m) as u32);
             let b = EdgeId(rng.gen_range(0..m) as u32);
@@ -452,8 +452,8 @@ mod tests {
             seed: 42,
             faults: vec![
                 FaultSpec::None,
-                FaultSpec::One(EdgeId(3)),
-                FaultSpec::Pair(EdgeId(1), EdgeId(7)),
+                FaultSpec::from(EdgeId(3)),
+                FaultSpec::from((EdgeId(1), EdgeId(7))),
                 FaultSpec::from_edges([EdgeId(0), EdgeId(2), EdgeId(9)]),
             ],
         }
@@ -527,7 +527,7 @@ mod tests {
         let suite = correlated_spatial(&g, &qt, 24, 5);
         assert_eq!(suite.faults.len(), 24);
         for spec in &suite.faults {
-            let edges: Vec<EdgeId> = spec.iter().collect();
+            let edges = spec.edges();
             assert_eq!(edges.len(), 2, "correlated specs are pairs");
             let leaves: Vec<usize> = edges
                 .iter()
@@ -553,9 +553,8 @@ mod tests {
         let suite = bridge_adversarial(&g, 6, 3);
         assert!(!suite.faults.is_empty());
         for spec in &suite.faults {
-            let faults = spec.to_fault_set();
-            assert_eq!(faults.len(), 2);
-            let res = bfs(&GraphView::new(&g).without_faults(&faults), VertexId(0));
+            assert_eq!(spec.len(), 2);
+            let res = bfs(&GraphView::new(&g).without_faults(spec), VertexId(0));
             assert!(
                 res.reached_count() < g.vertex_count(),
                 "2-cut {spec:?} failed to disconnect the cycle"

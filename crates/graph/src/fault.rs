@@ -23,81 +23,137 @@
 use crate::graph::{EdgeId, Graph, VertexId};
 use std::fmt;
 
-/// A set of at most a few failed edges (`F ⊆ E`, `|F| ≤ f`).
+/// A fault set `F ⊆ E`: the failed edges every layer takes, from the
+/// constructions and checkers to the query engine and the serving plane.
 ///
-/// Fault sets are kept sorted and deduplicated so that equality and hashing
-/// are canonical, which the verification and enumeration code relies on.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct FaultSet {
-    edges: Vec<EdgeId>,
+/// A spec is canonical by construction: its edges are sorted and distinct
+/// whichever route built it (a single edge, a pair, a slice or array,
+/// [`FaultSpec::from_edges`], `collect`, or [`FaultSpec::with`] chains), so
+/// equality and hashing are structural and a `(source, FaultSpec)` cache key
+/// is canonical.  Up to two edges — the paper's `|F| ≤ 2` — are stored
+/// inline, so building, cloning and dropping such a spec never allocates;
+/// larger sets live in a boxed slice and are answered best-effort by the
+/// dual-failure structures (exact inside `H ∖ F`, not necessarily equal to
+/// `dist(·, ·, G ∖ F)`).
+///
+/// # Examples
+///
+/// ```
+/// use ftbfs_graph::{EdgeId, FaultSpec};
+///
+/// let one: FaultSpec = EdgeId(3).into();
+/// assert_eq!(one.edges(), &[EdgeId(3)]);
+///
+/// // Order does not matter and duplicates collapse.
+/// assert_eq!(
+///     FaultSpec::from((EdgeId(9), EdgeId(2))),
+///     FaultSpec::from((EdgeId(2), EdgeId(9))),
+/// );
+/// assert_eq!(FaultSpec::from((EdgeId(4), EdgeId(4))), FaultSpec::from(EdgeId(4)));
+///
+/// let many = FaultSpec::from(&[EdgeId(5), EdgeId(1), EdgeId(5), EdgeId(8)][..]);
+/// assert_eq!(many.edges(), &[EdgeId(1), EdgeId(5), EdgeId(8)]);
+/// assert!(many.contains(EdgeId(8)));
+/// assert!(FaultSpec::None.is_empty());
+/// ```
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct FaultSpec {
+    repr: Repr,
 }
 
-impl FaultSet {
-    /// The empty fault set (the fault-free case `F = ∅`).
-    pub fn empty() -> Self {
-        FaultSet { edges: Vec::new() }
+/// The storage behind [`FaultSpec`].  Both variants hold sorted, distinct
+/// edges, `Inline` exactly when there are at most two of them (unused slots
+/// hold `EdgeId(0)`), so the derived equality and hash are canonical.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    Inline(u8, [EdgeId; 2]),
+    Boxed(Box<[EdgeId]>),
+}
+
+impl Default for FaultSpec {
+    fn default() -> Self {
+        FaultSpec::None
+    }
+}
+
+impl FaultSpec {
+    /// The fault-free case `F = ∅`.
+    #[allow(non_upper_case_globals)]
+    pub const None: FaultSpec = FaultSpec::inline(0, [EdgeId(0); 2]);
+
+    const fn inline(len: u8, edges: [EdgeId; 2]) -> Self {
+        FaultSpec {
+            repr: Repr::Inline(len, edges),
+        }
     }
 
-    /// A fault set containing a single failed edge.
-    pub fn single(e: EdgeId) -> Self {
-        FaultSet { edges: vec![e] }
+    /// Builds a spec from arbitrary edges (sorted and deduplicated); the
+    /// same as `edges.into_iter().collect()`.
+    pub fn from_edges<I: IntoIterator<Item = EdgeId>>(edges: I) -> Self {
+        edges.into_iter().collect()
     }
 
-    /// A fault set containing two failed edges.
-    ///
-    /// The pair is canonicalised; the two edges may be equal, in which case
-    /// the set has size one.
-    pub fn pair(a: EdgeId, b: EdgeId) -> Self {
-        FaultSet::from_iter([a, b])
+    /// The failed edges, strictly increasing.
+    #[inline]
+    pub fn edges(&self) -> &[EdgeId] {
+        match &self.repr {
+            Repr::Inline(len, edges) => &edges[..*len as usize],
+            Repr::Boxed(edges) => edges,
+        }
     }
 
     /// Number of (distinct) failed edges.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.edges().len()
     }
 
     /// Returns `true` if no edge has failed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.len() == 0
     }
 
     /// Returns `true` if `e` is one of the failed edges.
+    #[inline]
     pub fn contains(&self, e: EdgeId) -> bool {
-        self.edges.binary_search(&e).is_ok()
+        self.edges().binary_search(&e).is_ok()
     }
 
-    /// The failed edges, sorted by id.
-    pub fn edges(&self) -> &[EdgeId] {
-        &self.edges
-    }
-
-    /// Returns a new fault set with `e` added.
+    /// The spec with `e` added (itself if `e` has already failed).
     pub fn with(&self, e: EdgeId) -> Self {
-        let mut edges = self.edges.clone();
-        edges.push(e);
-        FaultSet::from_iter(edges)
-    }
-
-    /// Union of two fault sets.
-    pub fn union(&self, other: &FaultSet) -> Self {
-        FaultSet::from_iter(self.edges.iter().chain(other.edges.iter()).copied())
+        match (self.edges(), self.edges().binary_search(&e)) {
+            (_, Ok(_)) => self.clone(),
+            ([], _) => FaultSpec::inline(1, [e, EdgeId(0)]),
+            (&[a], Err(0)) => FaultSpec::inline(2, [e, a]),
+            (&[a], _) => FaultSpec::inline(2, [a, e]),
+            (edges, Err(at)) => {
+                let mut grown = edges.to_vec();
+                grown.insert(at, e);
+                FaultSpec {
+                    repr: Repr::Boxed(grown.into()),
+                }
+            }
+        }
     }
 
     /// Returns `true` if any failed edge lies on `path` (resolved in `graph`).
     pub fn intersects_path(&self, graph: &Graph, path: &crate::path::Path) -> bool {
-        path.edge_pairs().any(|(a, b)| {
-            graph
-                .edge_between(a, b)
-                .map(|e| self.contains(e))
-                .unwrap_or(false)
-        })
+        path.edge_pairs()
+            .any(|(a, b)| graph.edge_between(a, b).is_some_and(|e| self.contains(e)))
+    }
+
+    /// A copy of the spec.  Kept only because the `perfbench` package
+    /// calls it; new code should use the spec itself.
+    pub fn to_fault_set(&self) -> FaultSpec {
+        self.clone()
     }
 }
 
-impl fmt::Debug for FaultSet {
+impl fmt::Debug for FaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "F{{")?;
-        for (i, e) in self.edges.iter().enumerate() {
+        for (i, e) in self.edges().iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -107,274 +163,76 @@ impl fmt::Debug for FaultSet {
     }
 }
 
-impl FromIterator<EdgeId> for FaultSet {
-    /// Builds a fault set from arbitrary edges, sorting and deduplicating.
+impl FromIterator<EdgeId> for FaultSpec {
+    /// Sorts and deduplicates; allocates only once a third distinct edge
+    /// turns up.
     fn from_iter<I: IntoIterator<Item = EdgeId>>(iter: I) -> Self {
-        let mut edges: Vec<EdgeId> = iter.into_iter().collect();
-        edges.sort_unstable();
-        edges.dedup();
-        FaultSet { edges }
-    }
-}
-
-impl From<EdgeId> for FaultSet {
-    /// A single-failure set, so call sites can write `e.into()`.
-    fn from(e: EdgeId) -> Self {
-        FaultSet::single(e)
-    }
-}
-
-impl From<(EdgeId, EdgeId)> for FaultSet {
-    /// A (canonicalised) dual-failure set from a pair of edges.
-    fn from((a, b): (EdgeId, EdgeId)) -> Self {
-        FaultSet::pair(a, b)
-    }
-}
-
-impl From<&[EdgeId]> for FaultSet {
-    /// A fault set from a slice of edges (sorted and deduplicated).
-    fn from(edges: &[EdgeId]) -> Self {
-        FaultSet::from_iter(edges.iter().copied())
-    }
-}
-
-impl<const N: usize> From<[EdgeId; N]> for FaultSet {
-    /// A fault set from an edge array (sorted and deduplicated).
-    fn from(edges: [EdgeId; N]) -> Self {
-        FaultSet::from_iter(edges)
-    }
-}
-
-/// A *typed* fault specification, the query-serving counterpart of
-/// [`FaultSet`].
-///
-/// Serving code cares intensely about the size of `F`: the paper's
-/// dual-failure structures answer exactly only for `|F| ≤ 2`, and the hot
-/// query paths want the no-fault and one/two-fault cases to be branch-free
-/// (two integer compares against frozen arc ids, no loop over an edge
-/// list).  `FaultSpec` makes the size a *type-level dispatch* instead of a
-/// runtime `len()` check:
-///
-/// * [`FaultSpec::None`] — the fault-free case `F = ∅`;
-/// * [`FaultSpec::One`] — a single failed edge;
-/// * [`FaultSpec::Pair`] — two distinct failed edges, canonically ordered;
-/// * [`FaultSpec::Many`] — three or more failures, carried as a
-///   [`FaultSet`]; answers beyond a structure's designed resilience are
-///   best-effort (exact inside `H ∖ F`, not necessarily equal to
-///   `dist(·, ·, G ∖ F)`).
-///
-/// All constructors canonicalise: duplicate edges collapse, pairs are
-/// ordered, and a `Many` never holds fewer than three distinct edges —
-/// so equality and hashing are structural and a `(source, FaultSpec)`
-/// cache key is canonical.
-///
-/// # Examples
-///
-/// ```
-/// use ftbfs_graph::{EdgeId, FaultSpec};
-///
-/// let one: FaultSpec = EdgeId(3).into();
-/// assert_eq!(one, FaultSpec::One(EdgeId(3)));
-///
-/// // Pairs canonicalise: order does not matter, duplicates collapse.
-/// assert_eq!(
-///     FaultSpec::from((EdgeId(9), EdgeId(2))),
-///     FaultSpec::Pair(EdgeId(2), EdgeId(9)),
-/// );
-/// assert_eq!(FaultSpec::from((EdgeId(4), EdgeId(4))), FaultSpec::One(EdgeId(4)));
-///
-/// let many = FaultSpec::from(&[EdgeId(5), EdgeId(1), EdgeId(5), EdgeId(8)][..]);
-/// assert_eq!(many.len(), 3);
-/// assert!(many.contains(EdgeId(8)));
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
-pub enum FaultSpec {
-    /// The fault-free case `F = ∅`.
-    #[default]
-    None,
-    /// Exactly one failed edge.
-    One(EdgeId),
-    /// Exactly two distinct failed edges, canonically ordered by id.
-    ///
-    /// Constructors and `From` conversions always order the pair; a
-    /// hand-built non-canonical `Pair(b, a)` still answers correctly (the
-    /// query engine re-canonicalises internally) but compares unequal to
-    /// the canonical spec.
-    Pair(EdgeId, EdgeId),
-    /// Three or more distinct failed edges (sorted, deduplicated).
-    Many(FaultSet),
-}
-
-impl FaultSpec {
-    /// Builds a canonical spec from arbitrary edges (sorted, deduplicated,
-    /// downgraded to the smallest fitting variant).
-    pub fn from_edges<I: IntoIterator<Item = EdgeId>>(edges: I) -> Self {
-        FaultSpec::from_set(FaultSet::from_iter(edges))
-    }
-
-    /// Builds a spec from an already-canonical [`FaultSet`] without
-    /// re-sorting.
-    pub fn from_set(set: FaultSet) -> Self {
-        match set.edges() {
-            [] => FaultSpec::None,
-            [e] => FaultSpec::One(*e),
-            [a, b] => FaultSpec::Pair(*a, *b),
-            _ => FaultSpec::Many(set),
+        let mut iter = iter.into_iter();
+        let mut spec = FaultSpec::None;
+        while let Some(e) = iter.next() {
+            if spec.len() == 2 && !spec.contains(e) {
+                let mut edges = spec.edges().to_vec();
+                edges.push(e);
+                edges.extend(iter);
+                edges.sort_unstable();
+                edges.dedup();
+                return FaultSpec {
+                    repr: Repr::Boxed(edges.into()),
+                };
+            }
+            spec = spec.with(e);
         }
-    }
-
-    /// Number of (distinct) failed edges.
-    pub fn len(&self) -> usize {
-        match self {
-            FaultSpec::None => 0,
-            FaultSpec::One(_) => 1,
-            FaultSpec::Pair(_, _) => 2,
-            FaultSpec::Many(set) => set.len(),
-        }
-    }
-
-    /// Returns `true` if no edge has failed.
-    pub fn is_empty(&self) -> bool {
-        matches!(self, FaultSpec::None)
-    }
-
-    /// Returns `true` if `e` is one of the failed edges.
-    pub fn contains(&self, e: EdgeId) -> bool {
-        match self {
-            FaultSpec::None => false,
-            FaultSpec::One(a) => *a == e,
-            FaultSpec::Pair(a, b) => *a == e || *b == e,
-            FaultSpec::Many(set) => set.contains(e),
-        }
-    }
-
-    /// Iterates over the failed edges in increasing id order, without
-    /// allocating.
-    pub fn iter(&self) -> FaultSpecIter<'_> {
-        FaultSpecIter {
-            inner: match self {
-                FaultSpec::None => SpecIterInner::Inline(None, None),
-                FaultSpec::One(a) => SpecIterInner::Inline(Some(*a), None),
-                FaultSpec::Pair(a, b) => SpecIterInner::Inline(Some(*a), Some(*b)),
-                FaultSpec::Many(set) => SpecIterInner::Slice(set.edges().iter()),
-            },
-        }
-    }
-
-    /// The spec as an owned [`FaultSet`] (allocates for `One`/`Pair`; used
-    /// by compatibility shims and verification, not by hot query paths).
-    pub fn to_fault_set(&self) -> FaultSet {
-        match self {
-            FaultSpec::None => FaultSet::empty(),
-            FaultSpec::One(a) => FaultSet::single(*a),
-            FaultSpec::Pair(a, b) => FaultSet::pair(*a, *b),
-            FaultSpec::Many(set) => set.clone(),
-        }
-    }
-}
-
-/// Borrowed iterator over a [`FaultSpec`]'s edges; see [`FaultSpec::iter`].
-#[derive(Clone, Debug)]
-pub struct FaultSpecIter<'a> {
-    inner: SpecIterInner<'a>,
-}
-
-#[derive(Clone, Debug)]
-enum SpecIterInner<'a> {
-    /// Up to two inline edges (`None`, `One`, `Pair`), emitted in order.
-    Inline(Option<EdgeId>, Option<EdgeId>),
-    /// Borrowed walk over a `Many` fault set.
-    Slice(std::slice::Iter<'a, EdgeId>),
-}
-
-impl Iterator for FaultSpecIter<'_> {
-    type Item = EdgeId;
-
-    fn next(&mut self) -> Option<EdgeId> {
-        match &mut self.inner {
-            SpecIterInner::Inline(first, second) => first.take().or_else(|| second.take()),
-            SpecIterInner::Slice(iter) => iter.next().copied(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = match &self.inner {
-            SpecIterInner::Inline(a, b) => a.is_some() as usize + b.is_some() as usize,
-            SpecIterInner::Slice(iter) => iter.len(),
-        };
-        (n, Some(n))
+        spec
     }
 }
 
 impl From<EdgeId> for FaultSpec {
     /// A single-failure spec, so call sites can write `e.into()`.
     fn from(e: EdgeId) -> Self {
-        FaultSpec::One(e)
+        FaultSpec::inline(1, [e, EdgeId(0)])
     }
 }
 
 impl From<(EdgeId, EdgeId)> for FaultSpec {
-    /// A canonical two-failure spec; equal edges collapse to
-    /// [`FaultSpec::One`].
+    /// A dual-failure spec in either order; equal edges collapse to one.
     fn from((a, b): (EdgeId, EdgeId)) -> Self {
-        match a.cmp(&b) {
-            std::cmp::Ordering::Less => FaultSpec::Pair(a, b),
-            std::cmp::Ordering::Equal => FaultSpec::One(a),
-            std::cmp::Ordering::Greater => FaultSpec::Pair(b, a),
-        }
+        FaultSpec::from(a).with(b)
     }
 }
 
 impl From<&[EdgeId]> for FaultSpec {
-    /// A canonical spec from a slice of edges (sorted, deduplicated,
-    /// downgraded to the smallest fitting variant).
+    /// A spec from a slice of edges (sorted and deduplicated).
     fn from(edges: &[EdgeId]) -> Self {
-        FaultSpec::from_edges(edges.iter().copied())
+        edges.iter().copied().collect()
     }
 }
 
 impl<const N: usize> From<[EdgeId; N]> for FaultSpec {
-    /// A canonical spec from an edge array.
+    /// A spec from an edge array (sorted and deduplicated).
     fn from(edges: [EdgeId; N]) -> Self {
-        FaultSpec::from_edges(edges)
+        edges.into_iter().collect()
     }
 }
 
-impl From<FaultSet> for FaultSpec {
-    /// Reuses the set's canonical order; no re-sorting.
-    fn from(set: FaultSet) -> Self {
-        FaultSpec::from_set(set)
-    }
-}
-
-impl From<&FaultSet> for FaultSpec {
-    /// Clones the set only in the `Many` case; the branch-free variants
-    /// copy the edge ids out of the borrow (this conversion sits on the
-    /// compatibility-shim query path, so it must not allocate for
-    /// `|F| ≤ 2`).
-    fn from(set: &FaultSet) -> Self {
-        match set.edges() {
-            [] => FaultSpec::None,
-            [e] => FaultSpec::One(*e),
-            [a, b] => FaultSpec::Pair(*a, *b),
-            _ => FaultSpec::Many(set.clone()),
+/// Enumerates every fault set `F ⊆ E(G)` with `|F| ≤ f`: the empty set,
+/// then the single edges, then the pairs, and so on, each size in
+/// lexicographic edge order.  The count is `Σ_{k≤f} C(m, k)`; callers are
+/// expected to keep `f` and `m` small.
+pub fn enumerate_fault_sets(graph: &Graph, f: usize) -> Vec<FaultSpec> {
+    let mut out = vec![FaultSpec::None];
+    let mut level = 0..1;
+    for _ in 0..f {
+        let start = out.len();
+        for i in level {
+            let first = out[i].edges().last().map_or(0, |e| e.index() + 1);
+            for e in (first..graph.edge_count()).map(EdgeId::new) {
+                let grown = out[i].with(e);
+                out.push(grown);
+            }
         }
+        level = start..out.len();
     }
-}
-
-impl From<FaultSpec> for FaultSet {
-    fn from(spec: FaultSpec) -> Self {
-        match spec {
-            FaultSpec::Many(set) => set,
-            other => other.to_fault_set(),
-        }
-    }
-}
-
-impl From<&FaultSpec> for FaultSet {
-    fn from(spec: &FaultSpec) -> Self {
-        spec.to_fault_set()
-    }
+    out
 }
 
 /// A restricted view of a graph: the base graph minus removed edges and
@@ -475,7 +333,7 @@ impl<'g> GraphView<'g> {
     }
 
     /// Removes every edge of `faults` (`G ∖ F`).
-    pub fn remove_faults(&mut self, faults: &FaultSet) {
+    pub fn remove_faults(&mut self, faults: &FaultSpec) {
         for &e in faults.edges() {
             self.remove_edge(e);
         }
@@ -503,7 +361,7 @@ impl<'g> GraphView<'g> {
     }
 
     /// Removes every edge of `faults` from the view (`G ∖ F`).
-    pub fn without_faults(mut self, faults: &FaultSet) -> Self {
+    pub fn without_faults(mut self, faults: &FaultSpec) -> Self {
         self.remove_faults(faults);
         self
     }
@@ -615,104 +473,107 @@ mod tests {
         b.build()
     }
 
+    fn spec(ids: &[u32]) -> FaultSpec {
+        ids.iter().map(|&i| EdgeId(i)).collect()
+    }
+
     #[test]
     fn fault_set_canonicalisation() {
         let e1 = EdgeId(3);
         let e2 = EdgeId(1);
-        let f = FaultSet::pair(e1, e2);
+        let f = FaultSpec::from((e1, e2));
         assert_eq!(f.edges(), &[EdgeId(1), EdgeId(3)]);
         assert_eq!(f.len(), 2);
         assert!(f.contains(e1));
         assert!(f.contains(e2));
         assert!(!f.contains(EdgeId(0)));
-        let same = FaultSet::pair(e2, e1);
-        assert_eq!(f, same);
-        let dup = FaultSet::pair(e1, e1);
+        assert_eq!(f, FaultSpec::from((e2, e1)));
+        let dup = FaultSpec::from((e1, e1));
+        assert_eq!(dup, FaultSpec::from(e1));
         assert_eq!(dup.len(), 1);
-        assert!(FaultSet::empty().is_empty());
+        assert!(FaultSpec::None.is_empty());
+        assert!(!dup.is_empty());
     }
 
     #[test]
     fn fault_spec_canonicalisation_and_iteration() {
         assert_eq!(FaultSpec::default(), FaultSpec::None);
         assert_eq!(FaultSpec::from_edges([]), FaultSpec::None);
-        assert_eq!(FaultSpec::from(EdgeId(4)), FaultSpec::One(EdgeId(4)));
-        assert_eq!(
-            FaultSpec::from((EdgeId(7), EdgeId(2))),
-            FaultSpec::Pair(EdgeId(2), EdgeId(7))
-        );
-        assert_eq!(
-            FaultSpec::from((EdgeId(5), EdgeId(5))),
-            FaultSpec::One(EdgeId(5))
-        );
+        assert_eq!(FaultSpec::from(EdgeId(4)).edges(), &[EdgeId(4)]);
         let many = FaultSpec::from([EdgeId(9), EdgeId(1), EdgeId(9), EdgeId(4)]);
         assert_eq!(many.len(), 3);
         assert!(!many.is_empty());
         assert!(many.contains(EdgeId(4)));
         assert!(!many.contains(EdgeId(2)));
-        let collected: Vec<EdgeId> = many.iter().collect();
-        assert_eq!(collected, vec![EdgeId(1), EdgeId(4), EdgeId(9)]);
-        // Size hints are exact for both iterator shapes.
-        assert_eq!(
-            FaultSpec::Pair(EdgeId(0), EdgeId(1)).iter().size_hint(),
-            (2, Some(2))
-        );
-        assert_eq!(many.iter().size_hint(), (3, Some(3)));
-        // Slices with ≤ 2 distinct edges downgrade to the small variants.
-        assert_eq!(
-            FaultSpec::from(&[EdgeId(3), EdgeId(3)][..]),
-            FaultSpec::One(EdgeId(3))
-        );
+        assert_eq!(many.edges(), &[EdgeId(1), EdgeId(4), EdgeId(9)]);
+        // A larger set whose duplicates leave two distinct edges is stored
+        // like any other pair.
+        let pair = spec(&[7, 3, 7, 3, 7]);
+        assert_eq!(pair, FaultSpec::from((EdgeId(3), EdgeId(7))));
+        assert_eq!(spec(&[3, 3]), FaultSpec::from(EdgeId(3)));
+    }
+
+    #[test]
+    fn fault_spec_fits_in_three_words() {
+        assert!(std::mem::size_of::<FaultSpec>() <= 24);
     }
 
     #[test]
     fn fault_spec_round_trips_with_fault_set() {
-        let set = FaultSet::from_iter([EdgeId(2), EdgeId(8), EdgeId(5)]);
-        let spec = FaultSpec::from(&set);
-        assert_eq!(spec.len(), 3);
-        assert_eq!(FaultSet::from(&spec), set);
-        assert_eq!(FaultSet::from(spec.clone()), set);
-        assert_eq!(FaultSpec::from(set.clone()), spec);
-        // Small sets map to the branch-free variants and back.
-        let one = FaultSet::single(EdgeId(6));
-        assert_eq!(FaultSpec::from(&one), FaultSpec::One(EdgeId(6)));
-        assert_eq!(one.clone(), FaultSpec::from(&one).to_fault_set());
-        let empty = FaultSpec::from(FaultSet::empty());
-        assert_eq!(empty, FaultSpec::None);
-        assert_eq!(empty.iter().next(), None);
+        // `to_fault_set` (kept for the perfbench package) is a plain copy.
+        for ids in [&[][..], &[6], &[2, 8], &[2, 8, 5]] {
+            let s = spec(ids);
+            assert_eq!(s.to_fault_set(), s);
+        }
+        assert_eq!(spec(&[]).edges(), &[]);
     }
 
     #[test]
     fn fault_set_from_conversions() {
-        assert_eq!(FaultSet::from(EdgeId(3)), FaultSet::single(EdgeId(3)));
+        assert_eq!(FaultSpec::from(EdgeId(3)), spec(&[3]));
+        assert_eq!(FaultSpec::from((EdgeId(9), EdgeId(1))), spec(&[1, 9]));
         assert_eq!(
-            FaultSet::from((EdgeId(9), EdgeId(1))),
-            FaultSet::pair(EdgeId(1), EdgeId(9))
+            FaultSpec::from(&[EdgeId(2), EdgeId(2), EdgeId(0)][..]),
+            spec(&[0, 2])
         );
-        assert_eq!(
-            FaultSet::from(&[EdgeId(2), EdgeId(2), EdgeId(0)][..]),
-            FaultSet::pair(EdgeId(0), EdgeId(2))
-        );
-        assert_eq!(
-            FaultSet::from([EdgeId(4), EdgeId(4)]),
-            FaultSet::single(EdgeId(4))
-        );
+        assert_eq!(FaultSpec::from([EdgeId(4), EdgeId(4)]), spec(&[4]));
     }
 
     #[test]
     fn fault_set_with_and_union() {
-        let f = FaultSet::single(EdgeId(5));
+        let f = FaultSpec::from(EdgeId(5));
         let g = f.with(EdgeId(2));
         assert_eq!(g.edges(), &[EdgeId(2), EdgeId(5)]);
-        let h = g.union(&FaultSet::pair(EdgeId(5), EdgeId(9)));
-        assert_eq!(h.edges(), &[EdgeId(2), EdgeId(5), EdgeId(9)]);
+        assert_eq!(g.with(EdgeId(5)), g);
+        let h = g.with(EdgeId(9)).with(EdgeId(0));
+        assert_eq!(h, spec(&[0, 2, 5, 9]));
+        assert_eq!(h.with(EdgeId(3)).edges()[2], EdgeId(3));
+        // A union is a collect over both edge lists.
+        let union: FaultSpec = g
+            .edges()
+            .iter()
+            .chain(&[EdgeId(5), EdgeId(9)])
+            .copied()
+            .collect();
+        assert_eq!(union, spec(&[2, 5, 9]));
+    }
+
+    #[test]
+    fn enumeration_lists_each_small_set_once_in_order() {
+        let g = crate::generators::cycle(4);
+        let sets = enumerate_fault_sets(&g, 2);
+        assert_eq!(sets.len(), 1 + 4 + 6);
+        assert_eq!(sets[0], FaultSpec::None);
+        assert_eq!(sets[4], spec(&[3]));
+        assert_eq!(sets[5], spec(&[0, 1]));
+        assert_eq!(sets[10], spec(&[2, 3]));
     }
 
     #[test]
     fn fault_set_intersects_path() {
         let g = square();
         let e01 = g.edge_between(v(0), v(1)).unwrap();
-        let f = FaultSet::single(e01);
+        let f = FaultSpec::from(e01);
         let p = crate::path::Path::new(vec![v(3), v(0), v(1)]);
         assert!(f.intersects_path(&g, &p));
         let q = crate::path::Path::new(vec![v(1), v(2), v(3)]);
@@ -764,7 +625,7 @@ mod tests {
         let g = square();
         let e01 = g.edge_between(v(0), v(1)).unwrap();
         let e23 = g.edge_between(v(2), v(3)).unwrap();
-        let view = GraphView::new(&g).without_faults(&FaultSet::pair(e01, e23));
+        let view = GraphView::new(&g).without_faults(&FaultSpec::from((e01, e23)));
         assert_eq!(view.surviving_edge_count(), 2);
     }
 
@@ -941,7 +802,7 @@ mod tests {
     #[test]
     fn debug_formats() {
         let g = square();
-        let f = FaultSet::pair(EdgeId(0), EdgeId(2));
+        let f = FaultSpec::from((EdgeId(2), EdgeId(0)));
         assert_eq!(format!("{f:?}"), "F{0,2}");
         let view = GraphView::new(&g).without_edge(EdgeId(0));
         let s = format!("{view:?}");

@@ -269,16 +269,6 @@ impl Graph {
     pub fn contains_edge(&self, e: EdgeId) -> bool {
         e.index() < self.endpoints.len()
     }
-
-    /// Total size of the graph in "structure edges" — convenience used by
-    /// the experiments when reporting structure sizes next to graph sizes.
-    pub fn size_summary(&self) -> String {
-        format!("n={} m={}", self.n, self.endpoint_count())
-    }
-
-    fn endpoint_count(&self) -> usize {
-        self.endpoints.len()
-    }
 }
 
 impl fmt::Debug for Graph {
@@ -319,13 +309,6 @@ impl GraphBuilder {
     /// Number of edges added so far.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Ensures the graph has at least `n` vertices.
-    pub fn ensure_vertices(&mut self, n: usize) {
-        if n > self.n {
-            self.n = n;
-        }
     }
 
     /// Adds a fresh vertex and returns its id.
@@ -487,14 +470,5 @@ mod tests {
         let g = triangle();
         let dbg = format!("{g:?}");
         assert!(dbg.contains("n"));
-    }
-
-    #[test]
-    fn ensure_vertices_grows_only() {
-        let mut b = GraphBuilder::new(3);
-        b.ensure_vertices(2);
-        assert_eq!(b.vertex_count(), 3);
-        b.ensure_vertices(10);
-        assert_eq!(b.vertex_count(), 10);
     }
 }

@@ -12,8 +12,9 @@
 //!   vertex/edge ids;
 //! * [`Path`] — vertex-sequence paths with the segment algebra (`P[a,b]`,
 //!   `P1 ∘ P2`, `LastE(P)`, divergence points) used throughout the paper;
-//! * [`FaultSet`] / [`GraphView`] — fault sets `F` and the one restricted
-//!   view type every search reads: `G ∖ F`, vertex removals and per-vertex
+//! * [`FaultSpec`] / [`GraphView`] — the one fault-set type `F` (canonical,
+//!   `|F| ≤ 2` stored inline) and the one restricted view type every search
+//!   reads: `G ∖ F`, vertex removals and per-vertex
 //!   incident-edge restrictions, over epoch-stamped marks that reset in
 //!   `O(1)`;
 //! * [`TieBreak`] — the weight assignment `W` that makes shortest paths
@@ -71,7 +72,7 @@ pub mod workspace;
 
 pub use bfs::{bfs, BfsResult};
 pub use dijkstra::{dijkstra, ShortestPaths};
-pub use fault::{FaultSet, FaultSpec, FaultSpecIter, GraphView};
+pub use fault::{FaultSpec, GraphView};
 pub use graph::{EdgeId, Endpoints, Graph, GraphBuilder, VertexId};
 pub use io::{
     EdgeListParser, EdgeRejection, GraphAccumulator, IngestOptions, IngestStats, LinePolicy,

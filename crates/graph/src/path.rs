@@ -96,15 +96,6 @@ impl Path {
         }
     }
 
-    /// The first edge of the path as an ordered pair.
-    pub fn first_edge(&self) -> Option<(VertexId, VertexId)> {
-        if self.vertices.len() < 2 {
-            None
-        } else {
-            Some((self.vertices[0], self.vertices[1]))
-        }
-    }
-
     /// Iterator over the ordered edge pairs of the path.
     pub fn edge_pairs(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         self.vertices.windows(2).map(|w| (w[0], w[1]))
@@ -159,7 +150,7 @@ impl Path {
     ///
     /// Panics if either vertex does not lie on the path or if `a` occurs
     /// after `b`.
-    pub fn subpath(&self, a: VertexId, b: VertexId) -> Path {
+    fn subpath(&self, a: VertexId, b: VertexId) -> Path {
         let i = self.position(a).expect("subpath start vertex not on path");
         let j = self.position(b).expect("subpath end vertex not on path");
         assert!(i <= j, "subpath start occurs after end ({a:?} after {b:?})");
@@ -231,43 +222,6 @@ impl Path {
         }
         None
     }
-
-    /// All divergence points of `self` from `other`, in path order.
-    pub fn divergence_points_from(&self, other: &Path) -> Vec<VertexId> {
-        let other_set: std::collections::HashSet<VertexId> =
-            other.vertices.iter().copied().collect();
-        let mut points = Vec::new();
-        for w in self.vertices.windows(2) {
-            let (cur, next) = (w[0], w[1]);
-            if other_set.contains(&cur) && !other_set.contains(&next) {
-                points.push(cur);
-            }
-        }
-        points
-    }
-
-    /// Vertices shared by `self` and `other`, in the order they appear on
-    /// `self`.
-    pub fn common_vertices(&self, other: &Path) -> Vec<VertexId> {
-        let other_set: std::collections::HashSet<VertexId> =
-            other.vertices.iter().copied().collect();
-        self.vertices
-            .iter()
-            .copied()
-            .filter(|v| other_set.contains(v))
-            .collect()
-    }
-
-    /// Returns `true` if `self` and `other` share at least one (undirected)
-    /// edge.
-    pub fn shares_edge_with(&self, other: &Path) -> bool {
-        let other_edges: std::collections::HashSet<(VertexId, VertexId)> = other
-            .edge_pairs()
-            .map(|(a, b)| if a <= b { (a, b) } else { (b, a) })
-            .collect();
-        self.edge_pairs()
-            .any(|(a, b)| other_edges.contains(&if a <= b { (a, b) } else { (b, a) }))
-    }
 }
 
 impl fmt::Debug for Path {
@@ -304,7 +258,6 @@ mod tests {
         assert_eq!(p.source(), v(0));
         assert_eq!(p.target(), v(3));
         assert_eq!(p.last_edge(), Some((v(2), v(3))));
-        assert_eq!(p.first_edge(), Some((v(0), v(1))));
         assert!(p.contains_vertex(v(2)));
         assert!(!p.contains_vertex(v(9)));
         assert!(p.contains_edge(v(2), v(1)));
@@ -317,7 +270,6 @@ mod tests {
         assert_eq!(p.len(), 0);
         assert!(p.is_empty());
         assert_eq!(p.last_edge(), None);
-        assert_eq!(p.first_edge(), None);
         assert_eq!(p.source(), v(4));
         assert_eq!(p.target(), v(4));
     }
@@ -395,23 +347,12 @@ mod tests {
         let pi = path(&[0, 1, 2, 3, 4]);
         let q = path(&[0, 1, 5, 6, 4]);
         assert_eq!(q.first_divergence_from(&pi), Some(v(1)));
-        assert_eq!(q.divergence_points_from(&pi), vec![v(1)]);
         // A path identical to a prefix of pi has no divergence point.
         let pref = path(&[0, 1, 2]);
         assert_eq!(pref.first_divergence_from(&pi), None);
-        // Two divergences: leaves at 0, returns at 2, leaves again at 2.
+        // Leaves at 0, returns at 2, leaves again at 2: the first one counts.
         let z = path(&[0, 7, 2, 8, 4]);
-        assert_eq!(z.divergence_points_from(&pi), vec![v(0), v(2)]);
-    }
-
-    #[test]
-    fn common_vertices_and_shared_edges() {
-        let p = path(&[0, 1, 2, 3]);
-        let q = path(&[5, 2, 1, 6]);
-        assert_eq!(p.common_vertices(&q), vec![v(1), v(2)]);
-        assert!(p.shares_edge_with(&q));
-        let r = path(&[5, 6, 7]);
-        assert!(!p.shares_edge_with(&r));
+        assert_eq!(z.first_divergence_from(&pi), Some(v(0)));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Global graph properties: connectivity, components, diameter, degree
+//! Global graph properties: connectivity, bridges, diameter, degree
 //! statistics and the `f`-fault-tolerant diameter `D_f(G)` of Observation 1.6.
 
 use crate::bfs::bfs;
-use crate::fault::{FaultSet, GraphView};
+use crate::fault::{FaultSpec, GraphView};
 use crate::graph::{EdgeId, Graph, VertexId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -16,28 +16,6 @@ pub fn is_connected(graph: &Graph) -> bool {
     }
     let res = bfs(&GraphView::new(graph), VertexId(0));
     res.reached_count() == graph.vertex_count()
-}
-
-/// The connected components of the graph, each a sorted list of vertices;
-/// components are ordered by their smallest vertex.
-pub fn connected_components(graph: &Graph) -> Vec<Vec<VertexId>> {
-    let n = graph.vertex_count();
-    let mut seen = vec![false; n];
-    let mut components = Vec::new();
-    let view = GraphView::new(graph);
-    for start in 0..n {
-        if seen[start] {
-            continue;
-        }
-        let res = bfs(&view, VertexId::new(start));
-        let mut comp: Vec<VertexId> = res.reached_vertices().map(|(v, _)| v).collect();
-        comp.sort_unstable();
-        for &v in &comp {
-            seen[v.index()] = true;
-        }
-        components.push(comp);
-    }
-    components
 }
 
 /// The exact diameter of the graph (maximum eccentricity over all vertices),
@@ -109,7 +87,7 @@ pub fn degree_stats(graph: &Graph) -> DegreeStats {
 ///
 /// Runs one iterative DFS (Tarjan lowlink) in `O(n + m)`; the returned
 /// edge ids are sorted.
-pub fn bridges_under(graph: &Graph, faults: &FaultSet) -> Vec<EdgeId> {
+pub fn bridges_under(graph: &Graph, faults: &FaultSpec) -> Vec<EdgeId> {
     let n = graph.vertex_count();
     let mut disc = vec![0u32; n]; // 0 = unvisited, otherwise 1-based time
     let mut low = vec![0u32; n];
@@ -166,7 +144,7 @@ pub fn bridges_under(graph: &Graph, faults: &FaultSet) -> Vec<EdgeId> {
 
 /// The bridge edges of the graph — see [`bridges_under`].
 pub fn bridges(graph: &Graph) -> Vec<EdgeId> {
-    bridges_under(graph, &FaultSet::empty())
+    bridges_under(graph, &FaultSpec::None)
 }
 
 /// Estimates the `f`-fault-tolerant eccentricity of `source`:
@@ -195,7 +173,7 @@ pub fn ft_eccentricity_estimate(
     for _ in 0..samples {
         let mut chosen = edges.clone();
         chosen.shuffle(&mut rng);
-        let faults = FaultSet::from_iter(chosen.into_iter().take(f - 1));
+        let faults = FaultSpec::from_edges(chosen.into_iter().take(f - 1));
         let view = GraphView::new(graph).without_faults(&faults);
         let res = bfs(&view, source);
         // Only count vertices still reachable: D_f is defined over surviving
@@ -218,22 +196,6 @@ mod tests {
         b.add_edge(VertexId(0), VertexId(1));
         let g = b.build();
         assert!(!is_connected(&g));
-    }
-
-    #[test]
-    fn components_partition_vertices() {
-        let mut b = crate::graph::GraphBuilder::new(6);
-        b.add_edge(VertexId(0), VertexId(1));
-        b.add_edge(VertexId(2), VertexId(3));
-        b.add_edge(VertexId(3), VertexId(4));
-        let g = b.build();
-        let comps = connected_components(&g);
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps[0], vec![VertexId(0), VertexId(1)]);
-        assert_eq!(comps[1], vec![VertexId(2), VertexId(3), VertexId(4)]);
-        assert_eq!(comps[2], vec![VertexId(5)]);
-        let total: usize = comps.iter().map(|c| c.len()).sum();
-        assert_eq!(total, 6);
     }
 
     #[test]
@@ -297,7 +259,7 @@ mod tests {
         let g = generators::cycle(7);
         assert!(bridges(&g).is_empty());
         let e = crate::graph::EdgeId(0);
-        let under = bridges_under(&g, &FaultSet::single(e));
+        let under = bridges_under(&g, &FaultSpec::from(e));
         assert_eq!(under.len(), 6);
         assert!(!under.contains(&e));
         // Sorted output.

@@ -72,7 +72,7 @@ pub fn remove_detour_suffix(
 mod tests {
     use super::*;
     use crate::bfs::bfs;
-    use crate::fault::FaultSet;
+    use crate::fault::FaultSpec;
     use crate::graph::{Graph, GraphBuilder};
 
     fn v(i: u32) -> VertexId {
@@ -130,7 +130,7 @@ mod tests {
     fn pi_segment_with_faults() {
         let g = test_graph();
         let e05 = g.edge_between(v(0), v(5)).unwrap();
-        let mut view = GraphView::new(&g).without_faults(&FaultSet::single(e05));
+        let mut view = GraphView::new(&g).without_faults(&FaultSpec::from(e05));
         remove_pi_segment(&mut view, &pi(), 1, 4, v(4));
         // Without 0-5 and the pi interior, route is 0-1-6-4.
         let res = bfs(&view, v(0));

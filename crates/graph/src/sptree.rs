@@ -92,51 +92,6 @@ impl SpTree {
     pub fn contains_edge(&self, e: EdgeId) -> bool {
         self.tree_edges.binary_search(&e).is_ok()
     }
-
-    /// Number of vertices reachable from the source (including the source).
-    pub fn reachable_count(&self) -> usize {
-        self.sp.reached_vertices().count()
-    }
-
-    /// The depth of the whole tree: the maximum depth over reachable
-    /// vertices.
-    pub fn tree_depth(&self) -> u32 {
-        self.sp
-            .reached_vertices()
-            .map(|(_, w)| TieBreak::hops_of_weight(w))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Iterator over reachable vertices in increasing `W`-distance order is
-    /// not needed; this returns them in vertex-id order with their depths.
-    pub fn reachable_vertices(&self) -> impl Iterator<Item = (VertexId, u32)> + '_ {
-        self.sp
-            .reached_vertices()
-            .map(|(v, w)| (v, TieBreak::hops_of_weight(w)))
-    }
-
-    /// Access to the underlying [`ShortestPaths`] result.
-    pub fn shortest_paths(&self) -> &ShortestPaths {
-        &self.sp
-    }
-
-    /// The distance `dist(s, e)` of a tree edge `e = (x, y)` as defined in
-    /// the paper: `i` such that `depth(x) = i - 1` and `depth(y) = i`.
-    /// Returns `None` if the edge endpoints are not at consecutive depths
-    /// from the source (i.e. the edge is not a tree-style edge).
-    pub fn edge_distance(&self, graph: &Graph, e: EdgeId) -> Option<u32> {
-        let ep = graph.endpoints(e);
-        let du = self.depth(ep.u)?;
-        let dv = self.depth(ep.v)?;
-        if du + 1 == dv {
-            Some(dv)
-        } else if dv + 1 == du {
-            Some(du)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -165,8 +120,7 @@ mod tests {
         assert_eq!(t.depth(v(1)), Some(1));
         assert_eq!(t.depth(v(7)), Some(1));
         assert_eq!(t.depth(v(4)), Some(4));
-        assert_eq!(t.tree_depth(), 4);
-        assert_eq!(t.reachable_count(), 8);
+        assert!(g.vertices().all(|x| t.depth(x).is_some_and(|d| d <= 4)));
         assert_eq!(t.source(), v(0));
     }
 
@@ -211,20 +165,6 @@ mod tests {
         assert!(t.reaches(v(1)));
         assert!(!t.reaches(v(2)));
         assert_eq!(t.pi(v(3)), None);
-        assert_eq!(t.reachable_count(), 2);
-    }
-
-    #[test]
-    fn edge_distance_matches_depths() {
-        let g = cycle(6);
-        let w = TieBreak::new(&g, 8);
-        let t = SpTree::new(&g, &w, v(0));
-        let e01 = g.edge_between(v(0), v(1)).unwrap();
-        assert_eq!(t.edge_distance(&g, e01), Some(1));
-        let e12 = g.edge_between(v(1), v(2)).unwrap();
-        assert_eq!(t.edge_distance(&g, e12), Some(2));
-        // The "back" edge (3,4) connects depth-3 and depth-2 vertices.
-        let e34 = g.edge_between(v(3), v(4)).unwrap();
-        assert_eq!(t.edge_distance(&g, e34), Some(3));
+        assert_eq!(g.vertices().filter(|&x| t.reaches(x)).count(), 2);
     }
 }

@@ -115,7 +115,7 @@ fn multi_failure_f3_structure_handles_triple_faults_on_a_tiny_graph() {
     for i in 0..edges.len() {
         for j in (i + 1)..edges.len() {
             for k in (j + 1)..edges.len() {
-                let faults = ftbfs_graph::FaultSet::from_iter([edges[i], edges[j], edges[k]]);
+                let faults = ftbfs_graph::FaultSpec::from_edges([edges[i], edges[j], edges[k]]);
                 let gview = ftbfs_graph::GraphView::new(&g).without_faults(&faults);
                 let hview = h.as_view(&g).without_faults(&faults);
                 let gd = ftbfs_graph::bfs(&gview, VertexId(0));
@@ -141,7 +141,7 @@ fn oracle_over_constructed_structure_matches_ground_truth_for_many_queries() {
     let edges: Vec<_> = g.edges().collect();
     for i in (0..edges.len()).step_by(5) {
         for j in ((i + 1)..edges.len()).step_by(7) {
-            let f = ftbfs_graph::FaultSet::pair(edges[i], edges[j]);
+            let f = ftbfs_graph::FaultSpec::from((edges[i], edges[j]));
             for v in [VertexId(1), VertexId(20), VertexId(39)] {
                 assert!(oracle.matches_ground_truth(v, &f));
             }

@@ -219,23 +219,14 @@ fn parallel_ftmbfs_parts_are_bit_identical_to_serial() {
 
 #[test]
 fn parallel_structures_still_verify_exhaustively() {
-    use ftbfs_graph::{bfs, FaultSet, GraphView};
+    use ftbfs_graph::fault::enumerate_fault_sets;
+    use ftbfs_graph::{bfs, GraphView};
     let g = generators::connected_gnp(14, 0.2, 19);
     let w = TieBreak::new(&g, 19);
     let r = DualFtBfsBuilder::new(&g, &w, VertexId(0))
         .threads(4)
         .build();
-    let edges: Vec<_> = g.edges().collect();
-    let mut fault_sets = vec![FaultSet::empty()];
-    for &e in &edges {
-        fault_sets.push(FaultSet::single(e));
-    }
-    for i in 0..edges.len() {
-        for j in (i + 1)..edges.len() {
-            fault_sets.push(FaultSet::pair(edges[i], edges[j]));
-        }
-    }
-    for fs in fault_sets {
+    for fs in enumerate_fault_sets(&g, 2) {
         let gview = GraphView::new(&g).without_faults(&fs);
         let hview = r.structure.as_view(&g).without_faults(&fs);
         let gd = bfs(&gview, VertexId(0));

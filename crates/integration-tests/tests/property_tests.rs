@@ -5,7 +5,7 @@
 
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::single_failure_ftbfs;
-use ftbfs_graph::{bfs, dijkstra, generators, FaultSet, GraphView, TieBreak, VertexId};
+use ftbfs_graph::{bfs, dijkstra, generators, FaultSpec, GraphView, TieBreak, VertexId};
 use ftbfs_lowerbound::GfGraph;
 use ftbfs_paths::detour::decompose;
 use ftbfs_paths::replacement::SingleFailureReplacer;
@@ -58,7 +58,7 @@ proptest! {
         let edges: Vec<_> = g.edges().collect();
         let e1 = edges[(seed as usize) % edges.len()];
         let e2 = edges[(seed as usize * 7 + 3) % edges.len()];
-        let faults = FaultSet::pair(e1, e2);
+        let faults = FaultSpec::from((e1, e2));
         let view = GraphView::new(&g).without_faults(&faults);
         let sp = dijkstra(&view, &w, VertexId(0), None);
         let unweighted = bfs(&view, VertexId(0));
@@ -116,7 +116,7 @@ proptest! {
         let g = &gf.graph;
         let root = gf.component.root;
         for (j, leaf) in gf.component.leaves.iter().enumerate() {
-            let faults = FaultSet::from_iter(gf.label_edges(j));
+            let faults = FaultSpec::from_edges(gf.label_edges(j));
             let res = bfs(&GraphView::new(g).without_faults(&faults), root);
             prop_assert_eq!(res.distance(leaf.vertex), Some(leaf.path_len as u32));
             for right in &gf.component.leaves[j + 1..] {
@@ -130,8 +130,8 @@ proptest! {
     #[test]
     fn fault_set_canonicalisation(a in 0u32..50, b in 0u32..50, c in 0u32..50) {
         use ftbfs_graph::EdgeId;
-        let f1 = FaultSet::from_iter([EdgeId(a), EdgeId(b), EdgeId(c)]);
-        let f2 = FaultSet::from_iter([EdgeId(c), EdgeId(a), EdgeId(b), EdgeId(a)]);
+        let f1 = FaultSpec::from_edges([EdgeId(a), EdgeId(b), EdgeId(c)]);
+        let f2 = FaultSpec::from_edges([EdgeId(c), EdgeId(a), EdgeId(b), EdgeId(a)]);
         prop_assert_eq!(f1.clone(), f2);
         prop_assert!(f1.len() <= 3);
         prop_assert!(f1.contains(EdgeId(a)) && f1.contains(EdgeId(b)) && f1.contains(EdgeId(c)));
@@ -149,5 +149,66 @@ proptest! {
         for v in g.vertices() {
             prop_assert_eq!(sp.hops(v), bf.distance(v));
         }
+    }
+}
+
+/// The hash a `HashMap` or the engine's fault cache would see.
+fn hash_of(spec: &FaultSpec) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    spec.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+    /// Every way of building a fault set from the same edges, in any order
+    /// and with any duplicates, gives one spec: equal, with equal hashes,
+    /// strictly increasing edges, the distinct count as its length, and
+    /// `is_empty` exactly when that count is 0.
+    #[test]
+    fn every_route_builds_one_canonical_spec(
+        ids in prop::collection::vec(0u32..10, 0..7),
+        rotate in 0usize..7,
+    ) {
+        use ftbfs_graph::EdgeId;
+        let edges: Vec<EdgeId> = ids.iter().map(|&i| EdgeId(i)).collect();
+        let distinct: std::collections::BTreeSet<EdgeId> = edges.iter().copied().collect();
+        let mut turned = edges.clone();
+        turned.reverse();
+        let by = rotate.min(turned.len());
+        turned.rotate_left(by);
+
+        let spec = FaultSpec::from_edges(edges.iter().copied());
+        let mut routes = vec![
+            edges.iter().copied().collect::<FaultSpec>(),
+            FaultSpec::from(&edges[..]),
+            FaultSpec::from(&turned[..]),
+            edges.iter().fold(FaultSpec::None, |s, &e| s.with(e)),
+            turned.iter().fold(FaultSpec::None, |s, &e| s.with(e)),
+        ];
+        match edges[..] {
+            [a] => routes.push(FaultSpec::from(a)),
+            [a, b] => {
+                routes.push(FaultSpec::from((a, b)));
+                routes.push(FaultSpec::from((b, a)));
+                routes.push(FaultSpec::from([b, a]));
+            }
+            [a, b, ref rest @ ..] => {
+                routes.push(rest.iter().fold(FaultSpec::from((b, a)), |s, &e| s.with(e)));
+            }
+            [] => routes.push(FaultSpec::None),
+        }
+        for route in &routes {
+            prop_assert_eq!(route, &spec);
+            prop_assert_eq!(hash_of(route), hash_of(&spec));
+        }
+        prop_assert!(spec.edges().windows(2).all(|w| w[0] < w[1]));
+        prop_assert!(spec.edges().iter().copied().eq(distinct.iter().copied()));
+        prop_assert_eq!(spec.len(), distinct.len());
+        prop_assert_eq!(spec.is_empty(), distinct.is_empty());
+        prop_assert!(edges.iter().all(|&e| spec.contains(e)));
+        prop_assert!(!spec.contains(EdgeId(10)));
     }
 }

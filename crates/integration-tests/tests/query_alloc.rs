@@ -86,10 +86,10 @@ fn dual_fault_queries_allocate_nothing_after_warmup() {
     let frozen = h.freeze(&g);
     let structure_edges: Vec<EdgeId> = h.edges().collect();
 
-    // Pre-build every spec and query object: constructing `Many` specs
-    // allocates, executing queries must not.  24 distinct pairs exceed the
-    // default per-partition capacity of 16, so the eviction path is
-    // exercised too.
+    // Pre-build every spec and query object: constructing a spec of three
+    // or more edges allocates, executing queries must not.  24 distinct
+    // pairs exceed the default per-partition capacity of 16, so the
+    // eviction path is exercised too.
     let fault_pairs: Vec<FaultSpec> = (0..24)
         .map(|i| {
             FaultSpec::from((
@@ -326,12 +326,11 @@ fn path_disjoint_tree_hits_allocate_nothing_after_warmup() {
         g.edge_between(tree.parent(c).unwrap(), c).unwrap()
     };
     let spec = FaultSpec::from((tree_edge(7), tree_edge(60)));
-    let faults = spec.to_fault_set();
     let disjoint: Vec<VertexId> = g
         .vertices()
         .filter(|&t| {
             tree.path_to(t)
-                .is_some_and(|p| !faults.intersects_path(&g, &p))
+                .is_some_and(|p| !spec.intersects_path(&g, &p))
         })
         .collect();
     assert!(disjoint.len() > g.vertex_count() / 2);
@@ -371,7 +370,7 @@ fn multi_source_matrix_allocates_nothing_into_a_preallocated_slice() {
     let edges: Vec<EdgeId> = g.edges().collect();
     let specs = [
         FaultSpec::None,
-        FaultSpec::One(edges[1]),
+        FaultSpec::from(edges[1]),
         FaultSpec::from((edges[2], edges[edges.len() / 2])),
     ];
     assert_matrix_allocates_nothing(&multi, &sources, g.vertex_count(), &specs);

@@ -36,7 +36,7 @@ use proptest::prelude::*;
 
 /// Ground truth `dist(s, ·, G ∖ F)` for all vertices.
 fn ground_truth(g: &Graph, s: VertexId, spec: &FaultSpec) -> Vec<Option<u32>> {
-    let view = GraphView::new(g).without_faults(&spec.to_fault_set());
+    let view = GraphView::new(g).without_faults(spec);
     let res = bfs(&view, s);
     g.vertices().map(|v| res.distance(v)).collect()
 }
@@ -48,7 +48,7 @@ fn fault_specs(g: &Graph, stride: usize) -> Vec<FaultSpec> {
     let m = edges.len();
     let mut specs = vec![FaultSpec::None];
     for i in (0..m).step_by(stride.max(1)) {
-        specs.push(FaultSpec::One(edges[i]));
+        specs.push(FaultSpec::from(edges[i]));
         specs.push(FaultSpec::from((edges[i], edges[(i * 5 + 3) % m])));
     }
     specs
@@ -117,7 +117,7 @@ fn assert_oracle_matches_ground_truth(g: &Graph, oracle: &FrozenView<'_>, stride
                     Some(p) => {
                         assert_eq!(Some(p.len() as u32), expected[v.index()]);
                         assert!(p.is_valid_in(g));
-                        assert!(!spec.to_fault_set().intersects_path(g, &p));
+                        assert!(!spec.intersects_path(g, &p));
                     }
                     None => assert_eq!(expected[v.index()], None, "missing path to {v:?}"),
                 }
@@ -264,7 +264,7 @@ fn all_small_fault_specs(g: &Graph) -> Vec<FaultSpec> {
     let edges: Vec<EdgeId> = g.edges().collect();
     let mut specs = vec![FaultSpec::None];
     for (i, &a) in edges.iter().enumerate() {
-        specs.push(FaultSpec::One(a));
+        specs.push(FaultSpec::from(a));
         for &b in &edges[i + 1..] {
             specs.push(FaultSpec::from((a, b)));
         }
@@ -284,7 +284,6 @@ fn sweep_every_small_fault_set(
     let mut engine = QueryEngine::new();
     let mut faulted_tree_hits = 0;
     for spec in all_small_fault_specs(g) {
-        let faults = spec.to_fault_set();
         for &s in oracle.sources() {
             let expected = truth(s, &spec);
             for v in g.vertices() {
@@ -306,7 +305,7 @@ fn sweep_every_small_fault_set(
                         assert_eq!(Some(p.len() as u32), d, "{s:?} → {v:?} under {spec:?}");
                         assert_eq!((p.source(), p.target()), (s, v));
                         assert!(p.is_valid_in(g));
-                        assert!(!faults.intersects_path(g, &p), "path crosses {spec:?}");
+                        assert!(!spec.intersects_path(g, &p), "path crosses {spec:?}");
                     }
                     None => assert_eq!(d, None, "missing path {s:?} → {v:?} under {spec:?}"),
                 }
@@ -340,8 +339,7 @@ fn tree_rule_matches_bfs_on_every_small_fault_set() {
         // on reachability (their distances are covered by the stretch
         // suites above).
         let h_truth = |s: VertexId, spec: &FaultSpec| {
-            let faults = spec.to_fault_set();
-            let res = bfs(&built.structure.as_view(&g).without_faults(&faults), s);
+            let res = bfs(&built.structure.as_view(&g).without_faults(spec), s);
             let h: Vec<Option<u32>> = g.vertices().map(|v| res.distance(v)).collect();
             let reach = |d: &[Option<u32>]| d.iter().map(Option::is_some).collect::<Vec<_>>();
             assert_eq!(reach(&h), reach(&ground_truth(&g, s, spec)), "{spec:?}");
@@ -367,7 +365,7 @@ fn whole_vertex_reads_never_take_the_tree_under_a_faulted_tree_edge() {
     // report the post-fault distance, not the tree's.
     let g = generators::cycle(8);
     let frozen = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, g.edges());
-    let spec = FaultSpec::One(g.edge_between(VertexId(0), VertexId(1)).unwrap());
+    let spec = FaultSpec::from(g.edge_between(VertexId(0), VertexId(1)).unwrap());
     let expected = ground_truth(&g, VertexId(0), &spec);
     assert_eq!(expected[1], Some(7));
     let mut engine = QueryEngine::new();
@@ -548,7 +546,7 @@ fn beyond_resilience_answers_are_flagged_best_effort_and_exact_inside_h() {
     let removed: Vec<EdgeId> = g.edges().filter(|e| !h.contains(*e)).collect();
     let h_view = GraphView::new(&g)
         .without_edges(removed)
-        .without_faults(&spec.to_fault_set());
+        .without_faults(&spec);
     let inside_h = bfs(&h_view, VertexId(0));
     let g_truth = ground_truth(&g, VertexId(0), &spec);
     let mut engine = QueryEngine::new();
@@ -590,7 +588,7 @@ fn batched_and_threaded_queries_match_serial_ground_truth() {
     let expected: Vec<Option<u32>> = queries
         .iter()
         .map(|q| {
-            let view = GraphView::new(&g).without_faults(&q.faults.to_fault_set());
+            let view = GraphView::new(&g).without_faults(&q.faults);
             bfs(&view, source).distance(q.target)
         })
         .collect();
@@ -624,7 +622,7 @@ fn threaded_multi_source_batches_match_ground_truth() {
     let expected: Vec<Option<u32>> = queries
         .iter()
         .map(|q| {
-            let view = GraphView::new(&g).without_faults(&q.faults.to_fault_set());
+            let view = GraphView::new(&g).without_faults(&q.faults);
             bfs(&view, q.source.unwrap()).distance(q.target)
         })
         .collect();
@@ -683,7 +681,7 @@ proptest! {
         let m = edges.len();
         let specs = [
             FaultSpec::None,
-            FaultSpec::One(edges[seed as usize % m]),
+            FaultSpec::from(edges[seed as usize % m]),
             FaultSpec::from((edges[0], edges[m / 2])),
             FaultSpec::from([edges[0], edges[m / 3], edges[m - 1]]),
         ];

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 /// Ground truth `dist(s, ·, G ∖ F)` for all vertices.
 fn ground_truth(g: &Graph, s: VertexId, spec: &FaultSpec) -> Vec<Option<u32>> {
-    let view = GraphView::new(g).without_faults(&spec.to_fault_set());
+    let view = GraphView::new(g).without_faults(spec);
     let res = bfs(&view, s);
     g.vertices().map(|v| res.distance(v)).collect()
 }

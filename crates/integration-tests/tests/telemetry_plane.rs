@@ -93,7 +93,7 @@ fn live_harness_scrape_round_trips_json_and_renders_prometheus() {
         .map(|i| {
             let spec = match i % 3 {
                 0 => FaultSpec::None,
-                1 => FaultSpec::One(edges[i % edges.len()]),
+                1 => FaultSpec::from(edges[i % edges.len()]),
                 _ => FaultSpec::from((edges[i % edges.len()], edges[(i * 7) % edges.len()])),
             };
             Query::new(VertexId((i % g.vertex_count()) as u32), spec)

@@ -6,7 +6,7 @@
 //! (`cargo test -p integration-tests --test workspace_smoke`).
 
 use ftbfs_core::{dual_failure_ftbfs, single_failure_ftbfs};
-use ftbfs_graph::{generators, FaultSet, GraphView, TieBreak, VertexId};
+use ftbfs_graph::{generators, FaultSpec, GraphView, TieBreak, VertexId};
 use ftbfs_verify::{verify_exhaustive, StructureOracle};
 
 #[test]
@@ -34,7 +34,7 @@ fn end_to_end_single_and_dual_on_a_small_gnp_graph() {
     // for a couple of concrete dual faults.
     let oracle = StructureOracle::new(&g, source, h2.edges());
     let edges: Vec<_> = g.edges().collect();
-    let faults = FaultSet::pair(edges[0], edges[edges.len() / 2]);
+    let faults = FaultSpec::from((edges[0], edges[edges.len() / 2]));
     let truth = ftbfs_graph::bfs(&GraphView::new(&g).without_faults(&faults), source);
     for v in g.vertices() {
         assert_eq!(

@@ -195,7 +195,7 @@ fn connect_with_path(builder: &mut GraphBuilder, from: VertexId, to: VertexId, l
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftbfs_graph::{bfs, FaultSet, GraphView};
+    use ftbfs_graph::{bfs, FaultSpec, GraphView};
 
     fn check_lemma_4_3(gf: &GfGraph, f: usize) {
         let g = &gf.graph;
@@ -221,7 +221,7 @@ mod tests {
         // (2) and (3): failing a leaf's label keeps that leaf at its distance
         // and strictly hurts (or disconnects) every leaf to its right.
         for (j, leaf) in comp.leaves.iter().enumerate() {
-            let faults = FaultSet::from_iter(
+            let faults = FaultSpec::from_edges(
                 leaf.label
                     .iter()
                     .map(|&(a, b)| g.edge_between(a, b).expect("label edge exists")),

@@ -14,7 +14,7 @@
 //! edges for a source set of size `σ`.
 
 use crate::gf::{build_gf, GfComponent};
-use ftbfs_graph::{EdgeId, FaultSet, Graph, GraphBuilder, VertexId};
+use ftbfs_graph::{EdgeId, FaultSpec, Graph, GraphBuilder, VertexId};
 
 /// A constructed lower-bound graph with all the bookkeeping needed to verify
 /// edge necessity and to report sizes.
@@ -150,7 +150,7 @@ impl GStarGraph {
     /// are necessary: the leaf's label, plus the `(spine_end, v*)` edge when
     /// the label leaves the spine (and hence the shortcut through `v*`)
     /// intact.  The returned set always has at most `f` edges.
-    pub fn necessity_witness(&self, copy: usize, leaf_index: usize) -> FaultSet {
+    pub fn necessity_witness(&self, copy: usize, leaf_index: usize) -> FaultSpec {
         let gadget = &self.gadgets[copy];
         let leaf = &gadget.leaves[leaf_index];
         let spine: std::collections::HashSet<VertexId> = gadget.spine.iter().copied().collect();
@@ -175,7 +175,7 @@ impl GStarGraph {
             );
         }
         debug_assert!(edges.len() <= self.f);
-        FaultSet::from_iter(edges)
+        FaultSpec::from_edges(edges)
     }
 
     /// The lower-bound formula `σ^{1/(f+1)} · n^{2 - 1/(f+1)}` of

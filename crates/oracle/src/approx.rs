@@ -56,7 +56,7 @@ impl FrozenStructure {
     /// let mut engine = QueryEngine::new();
     /// let e = g.edges().next().unwrap();
     /// let answer = engine
-    ///     .try_distance(&frozen, VertexId(7), &FaultSpec::One(e))
+    ///     .try_distance(&frozen, VertexId(7), &FaultSpec::from(e))
     ///     .unwrap();
     /// assert!(answer.guarantee().is_approx());
     /// ```
@@ -107,7 +107,7 @@ mod tests {
             mult_den: p.mult_den,
             add: p.add,
         };
-        assert_eq!(frozen.guarantee(&FaultSpec::One(edges[0])), expected);
+        assert_eq!(frozen.guarantee(&FaultSpec::from(edges[0])), expected);
         assert_eq!(
             frozen.guarantee(&FaultSpec::from((edges[0], edges[1]))),
             expected
@@ -126,14 +126,11 @@ mod tests {
         for (i, &a) in edges.iter().enumerate().step_by(5) {
             let b = edges[(i + 3) % edges.len()];
             let spec = if a == b {
-                FaultSpec::One(a)
+                FaultSpec::from(a)
             } else {
                 FaultSpec::from((a, b))
             };
-            let truth = bfs(
-                &GraphView::new(&g).without_faults(&spec.to_fault_set()),
-                v(0),
-            );
+            let truth = bfs(&GraphView::new(&g).without_faults(&spec), v(0));
             for t in g.vertices() {
                 let answer = engine.try_distance(&frozen, t, &spec).unwrap();
                 let got = answer.into_value();
@@ -186,7 +183,7 @@ mod tests {
         let edges: Vec<EdgeId> = g.edges().collect();
         for spec in [
             FaultSpec::None,
-            FaultSpec::One(edges[1]),
+            FaultSpec::from(edges[1]),
             FaultSpec::from((edges[0], edges[edges.len() / 2])),
             FaultSpec::from([edges[0], edges[2], edges[4]]),
         ] {

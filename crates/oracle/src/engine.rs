@@ -75,7 +75,7 @@ pub struct Query {
 impl Query {
     /// A query from the structure's primary source under the given faults
     /// (anything convertible: an [`ftbfs_graph::EdgeId`], a pair, a slice,
-    /// a [`ftbfs_graph::FaultSet`], or a [`FaultSpec`] itself).
+    /// an array, or a [`FaultSpec`] itself).
     pub fn new(target: VertexId, faults: impl Into<FaultSpec>) -> Self {
         Query {
             source: None,
@@ -652,42 +652,14 @@ impl QueryEngine {
 
     /// Translates the spec's original-edge faults into slab-local frozen
     /// indices (dropping faults outside the slab, which cannot affect
-    /// answers), preserving canonical sorted order.
+    /// answers); the spec's edges are sorted and distinct and the index map
+    /// is monotone, so the result is too.
     #[inline]
     fn map_faults(&mut self, slab: &OracleSlab<'_>, spec: &FaultSpec) {
         self.eff.clear();
-        match spec {
-            FaultSpec::None => {}
-            FaultSpec::One(e) => {
-                if let Some(i) = slab.frozen_index(*e) {
-                    self.eff.push(i);
-                }
-            }
-            FaultSpec::Pair(a, b) => {
-                if let Some(i) = slab.frozen_index(*a) {
-                    self.eff.push(i);
-                }
-                if let Some(j) = slab.frozen_index(*b) {
-                    self.eff.push(j);
-                }
-                // Canonical specs are ordered and distinct and the index
-                // map is monotone; re-canonicalise anyway so hand-built
-                // `Pair(b, a)` / `Pair(e, e)` values still hit the same
-                // cache entries as their canonical forms.
-                if self.eff.len() == 2 {
-                    if self.eff[0] > self.eff[1] {
-                        self.eff.swap(0, 1);
-                    } else if self.eff[0] == self.eff[1] {
-                        self.eff.pop();
-                    }
-                }
-            }
-            FaultSpec::Many(set) => {
-                for &e in set.edges() {
-                    if let Some(i) = slab.frozen_index(e) {
-                        self.eff.push(i);
-                    }
-                }
+        for &e in spec.edges() {
+            if let Some(i) = slab.frozen_index(e) {
+                self.eff.push(i);
             }
         }
         debug_assert!(self.eff.windows(2).all(|w| w[0] < w[1]));
@@ -917,7 +889,7 @@ mod tests {
         let removed: Vec<EdgeId> = g.edges().filter(|e| !h.contains(*e)).collect();
         let view = GraphView::new(g)
             .without_edges(removed)
-            .without_faults(&spec.to_fault_set());
+            .without_faults(spec);
         bfs(&view, s).distance(t)
     }
 
@@ -931,8 +903,8 @@ mod tests {
         let edges: Vec<EdgeId> = g.edges().collect();
         let specs = [
             FaultSpec::None,
-            FaultSpec::One(edges[0]),
-            FaultSpec::One(edges[edges.len() / 2]),
+            FaultSpec::from(edges[0]),
+            FaultSpec::from(edges[edges.len() / 2]),
             FaultSpec::from((edges[1], edges[edges.len() - 1])),
             FaultSpec::from((edges[3], edges[7])),
             // Larger than the design resilience: still exact inside H.
@@ -960,7 +932,6 @@ mod tests {
         let e1 = g.edge_between(v(0), v(1)).unwrap();
         let e2 = g.edge_between(v(0), v(5)).unwrap();
         let spec = FaultSpec::from((e1, e2));
-        let faults = spec.to_fault_set();
         for t in g.vertices() {
             let d = engine.try_distance(&frozen, t, &spec).unwrap().into_value();
             let p = engine
@@ -973,7 +944,7 @@ mod tests {
                     assert_eq!(p.source(), v(0));
                     assert_eq!(p.target(), t);
                     assert!(p.is_valid_in(&g));
-                    assert!(!faults.intersects_path(&g, &p));
+                    assert!(!spec.intersects_path(&g, &p));
                 }
                 (None, None) => {}
                 (d, p) => panic!("distance {d:?} and path {p:?} disagree at {t:?}"),
@@ -1021,7 +992,7 @@ mod tests {
         // A fault outside H is equivalent to fault-free: still the tree.
         if let Some(outside) = g.edges().find(|e| !h.contains(*e)) {
             engine
-                .try_distance(&frozen, v(5), &FaultSpec::One(outside))
+                .try_distance(&frozen, v(5), &FaultSpec::from(outside))
                 .unwrap();
             assert_eq!(engine.stats().searches, 0);
         }
@@ -1034,7 +1005,7 @@ mod tests {
             .filter(|&c| tree.parent(c) == Some(v(0)))
             .max_by_key(|&c| below(&g, tree, c).len())
             .unwrap();
-        let spec = FaultSpec::One(g.edge_between(v(0), child).unwrap());
+        let spec = FaultSpec::from(g.edge_between(v(0), child).unwrap());
         let under = below(&g, tree, child);
         assert!(under.len() >= 2, "the cache needs a repeat to show");
         engine.reset_stats();
@@ -1096,11 +1067,7 @@ mod tests {
             for i in 0..6 {
                 let spec = FaultSpec::from((edges[i], edges[i + 6]));
                 for t in [v(3), v(8), v(13)] {
-                    let expected = bfs(
-                        &GraphView::new(&g).without_faults(&spec.to_fault_set()),
-                        v(0),
-                    )
-                    .distance(t);
+                    let expected = bfs(&GraphView::new(&g).without_faults(&spec), v(0)).distance(t);
                     assert_eq!(
                         engine.try_distance(&frozen, t, &spec).unwrap().into_value(),
                         expected
@@ -1123,11 +1090,8 @@ mod tests {
             g.edge_between(v(1), v(2)).unwrap(),
         );
         let canonical = FaultSpec::from((a, b));
-        // Hand-built, deliberately un-ordered variant of the same pair.
-        let backwards = match canonical {
-            FaultSpec::Pair(x, y) => FaultSpec::Pair(y, x),
-            _ => unreachable!("two distinct edges make a pair"),
-        };
+        // The same pair given in the other order.
+        let backwards = FaultSpec::from((b, a));
         let a = engine
             .try_distance(&frozen, v(7), &canonical)
             .unwrap()
@@ -1187,7 +1151,7 @@ mod tests {
         let frozen_sparse = FrozenStructure::from_edges(&g, &[v(0)], 2, tree_edges);
         let mut engine = QueryEngine::new();
         let e = g.edge_between(v(1), v(2));
-        let spec = e.map(FaultSpec::One).unwrap_or(FaultSpec::None);
+        let spec = e.map(FaultSpec::from).unwrap_or(FaultSpec::None);
         let full = engine
             .try_all_distances(&frozen_full, &spec)
             .unwrap()
@@ -1204,7 +1168,7 @@ mod tests {
         assert_eq!(full, full_again);
         assert_eq!(full.len(), g.vertex_count());
         for t in g.vertices() {
-            let view = GraphView::new(&g).without_faults(&spec.to_fault_set());
+            let view = GraphView::new(&g).without_faults(&spec);
             assert_eq!(full[t.index()], bfs(&view, v(0)).distance(t));
         }
         // The sparse structure can only be worse (larger or equal distances).
@@ -1224,7 +1188,7 @@ mod tests {
         let frozen = FrozenStructure::from_edges(&g, &[v(0)], 2, g.edges());
         let mut engine = QueryEngine::new();
         let e = g.edge_between(v(0), v(1));
-        let spec = e.map(FaultSpec::One).unwrap_or(FaultSpec::None);
+        let spec = e.map(FaultSpec::from).unwrap_or(FaultSpec::None);
 
         // Unlimited budget: identical to the unbudgeted form.
         let unbudgeted = engine
@@ -1295,7 +1259,7 @@ mod tests {
         let frozen = FrozenStructure::from_edges(&g, &[v(0), v(15)], 2, g.edges());
         let mut engine = QueryEngine::new();
         let e = g.edge_between(v(0), v(1)).unwrap();
-        let spec = FaultSpec::One(e);
+        let spec = FaultSpec::from(e);
         let answer = engine.try_distance_matrix(&frozen, &spec).unwrap();
         assert!(answer.is_exact());
         let matrix = answer.into_value();
@@ -1348,10 +1312,10 @@ mod tests {
         let frozen = FrozenStructure::from_edges(&g, &[v(0)], 2, g.edges());
         let mut engine = QueryEngine::new();
         let e = g.edge_between(v(0), v(1)).unwrap();
-        // Hand-built non-canonical Pair(e, e): must not panic, must answer
-        // exactly like One(e), and must share its cache entry.
-        let one = FaultSpec::One(e);
-        let degenerate = FaultSpec::Pair(e, e);
+        // A pair of one edge twice: must answer exactly like the single
+        // fault and share its cache entry.
+        let one = FaultSpec::from(e);
+        let degenerate = FaultSpec::from((e, e));
         for t in g.vertices() {
             assert_eq!(
                 engine.try_distance(&frozen, t, &one).unwrap().into_value(),

@@ -12,7 +12,7 @@
 //!   never consults the original graph;
 //! * each arc carries the **slab-local edge index** of its undirected edge,
 //!   so a fault check during traversal is one or two integer compares (the
-//!   original [`EdgeId`]s of a [`ftbfs_graph::FaultSet`] are translated
+//!   original [`EdgeId`]s of a [`ftbfs_graph::FaultSpec`] are translated
 //!   once per query);
 //! * the **fault-free BFS tree** (distance + parent) from every declared
 //!   source is computed at freeze time, making fault-free distance queries

@@ -58,7 +58,7 @@
 //! let mut engine = QueryEngine::new();
 //! let e = g.edge_between(VertexId(0), g.neighbors(VertexId(0))[0].0).unwrap();
 //! let d = engine
-//!     .try_distance(&frozen, VertexId(7), &FaultSpec::One(e))
+//!     .try_distance(&frozen, VertexId(7), &FaultSpec::from(e))
 //!     .expect("in-range query");
 //! assert!(d.is_exact(), "one fault is within the design resilience");
 //! assert!(d.into_value().is_some(), "dual-failure structures keep the graph spanned");

@@ -562,6 +562,21 @@ mod tests {
     }
 
     #[test]
+    fn a_pair_of_one_edge_twice_gets_the_single_fault_guarantee() {
+        let g = generators::cycle(6);
+        let single = FrozenStructure::from_edges(&g, &[v(0)], 1, g.edges());
+        let e = EdgeId(2);
+        let twice = FaultSpec::from((e, e));
+        assert_eq!(
+            single.guarantee(&twice),
+            single.guarantee(&FaultSpec::from(e))
+        );
+        assert_eq!(single.guarantee(&twice), Guarantee::Exact);
+        let pair = FaultSpec::from((e, EdgeId(4)));
+        assert_eq!(single.guarantee(&pair), Guarantee::BestEffort);
+    }
+
+    #[test]
     fn view_answers_identically_to_the_frozen_structure() {
         let (g, frozen) = sample();
         let bytes = frozen.save_with(SnapshotVersion::V2);
@@ -577,7 +592,7 @@ mod tests {
         let edges: Vec<EdgeId> = g.edges().collect();
         let specs = [
             FaultSpec::None,
-            FaultSpec::One(edges[0]),
+            FaultSpec::from(edges[0]),
             FaultSpec::from((edges[1], edges[edges.len() / 2])),
             FaultSpec::from([edges[0], edges[3], edges[7]]),
         ];
@@ -644,7 +659,7 @@ mod tests {
         let edges: Vec<EdgeId> = g.edges().collect();
         for spec in [
             FaultSpec::None,
-            FaultSpec::One(edges[2]),
+            FaultSpec::from(edges[2]),
             FaultSpec::from((edges[0], edges[5])),
         ] {
             assert_eq!(

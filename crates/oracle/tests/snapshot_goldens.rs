@@ -41,7 +41,7 @@ fn assert_view_matches_load(loaded: &FrozenStructure, view: &FrozenView<'_>) {
     assert!(loaded.contains_edge(fault), "edge 0 is in the fixture");
     for t in 0..loaded.vertex_count() {
         let t = VertexId(t as u32);
-        for spec in [FaultSpec::None, FaultSpec::One(fault)] {
+        for spec in [FaultSpec::None, FaultSpec::from(fault)] {
             assert_eq!(
                 ea.try_distance(loaded, t, &spec).unwrap(),
                 eb.try_distance(view, t, &spec).unwrap(),
@@ -113,7 +113,7 @@ fn golden_approx_v2_loads_and_opens_with_the_recorded_fingerprint() {
     // and is what faulted answers declare.
     assert_eq!(view.contract(), Contract::Approx(ApproxParams::DEFAULT));
     assert_eq!(loaded.contract(), view.contract());
-    assert!(view.guarantee(&FaultSpec::One(EdgeId(0))).is_approx());
+    assert!(view.guarantee(&FaultSpec::from(EdgeId(0))).is_approx());
     assert!(view.guarantee(&FaultSpec::None).is_exact());
     assert_view_matches_load(&loaded, &view);
 

@@ -12,7 +12,7 @@
 use crate::detour::{decompose, Decomposition};
 use crate::select::earliest_pi_divergence;
 use ftbfs_graph::{
-    EdgeId, FaultSet, Graph, Path, Search, SearchEngine, SpTree, TieBreak, VertexId,
+    EdgeId, FaultSpec, Graph, Path, Search, SearchEngine, SpTree, TieBreak, VertexId,
 };
 
 /// Computes, for each failed tree edge, the full shortest-path information in
@@ -84,7 +84,7 @@ impl<'a> SingleFailureReplacer<'a> {
             pi.position(ep.v).expect("endpoint on pi"),
         );
         let upper = if pos_u < pos_v { ep.u } else { ep.v };
-        let faults = FaultSet::single(e);
+        let faults = FaultSpec::from(e);
         let choice = earliest_pi_divergence(
             engine, self.graph, self.w, &pi, v, upper, upper, &faults, None,
         )?;

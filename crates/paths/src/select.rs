@@ -22,7 +22,7 @@
 
 use crate::detour::Detour;
 use ftbfs_graph::restrict::{remove_detour_suffix, remove_pi_segment};
-use ftbfs_graph::{FaultSet, Graph, GraphView, Path, SearchEngine, TieBreak, VertexId};
+use ftbfs_graph::{FaultSpec, Graph, GraphView, Path, SearchEngine, TieBreak, VertexId};
 
 /// The outcome of an earliest-divergence search.
 #[derive(Clone, Debug)]
@@ -48,7 +48,7 @@ fn restricted_hops<'g>(
     k: usize,
     segment_end_pos: usize,
     target: VertexId,
-    faults: &FaultSet,
+    faults: &FaultSpec,
 ) -> Option<u32> {
     let (view, ws) = engine.begin(graph);
     remove_pi_segment(view, pi, k, segment_end_pos, target);
@@ -64,7 +64,7 @@ pub fn fault_distance<'g>(
     graph: &'g Graph,
     source: VertexId,
     target: VertexId,
-    faults: &FaultSet,
+    faults: &FaultSpec,
 ) -> Option<u32> {
     let (view, ws) = engine.begin(graph);
     view.remove_faults(faults);
@@ -94,7 +94,7 @@ pub fn earliest_pi_divergence<'g>(
     target: VertexId,
     limit: VertexId,
     segment_end: VertexId,
-    faults: &FaultSet,
+    faults: &FaultSpec,
     known_optimum: Option<u32>,
 ) -> Option<DivergenceChoice> {
     let source = pi.source();
@@ -167,7 +167,7 @@ pub fn earliest_detour_divergence<'g>(
     detour: &Detour,
     target: VertexId,
     fault_on_detour_upper: VertexId,
-    faults: &FaultSet,
+    faults: &FaultSpec,
     known_optimum: Option<u32>,
 ) -> Option<DivergenceChoice> {
     let source = pi.source();
@@ -270,7 +270,7 @@ mod tests {
             v(4),
             a,
             a,
-            &FaultSet::single(failed),
+            &FaultSpec::from(failed),
             None,
         )
         .unwrap();
@@ -303,7 +303,7 @@ mod tests {
             v(4),
             v(3),
             v(3),
-            &FaultSet::single(e34),
+            &FaultSpec::from(e34),
             None,
         )
         .unwrap();
@@ -320,7 +320,7 @@ mod tests {
         let pi = tree.pi(v(4)).unwrap();
         let (a, b) = pi.last_edge().unwrap();
         let failed = g.edge_between(a, b).unwrap();
-        let faults = FaultSet::single(failed);
+        let faults = FaultSpec::from(failed);
         let mut engine = SearchEngine::new();
         let fresh =
             earliest_pi_divergence(&mut engine, &g, &w, &pi, v(4), a, a, &faults, None).unwrap();
@@ -346,7 +346,7 @@ mod tests {
             v(3),
             v(2),
             v(2),
-            &FaultSet::single(e23),
+            &FaultSpec::from(e23),
             None
         )
         .is_none());
@@ -376,7 +376,7 @@ mod tests {
         };
         let e12 = g.edge_between(v(1), v(2)).unwrap();
         let e45 = g.edge_between(v(4), v(5)).unwrap();
-        let faults = FaultSet::pair(e12, e45);
+        let faults = FaultSpec::from((e12, e45));
         // Optimal length avoiding both faults: via 3-6-7-2 (len 4) or via
         // 3-4-8-2 (len 4).  Earliest detour divergence is vertex 3.
         let mut engine = SearchEngine::new();
@@ -416,7 +416,7 @@ mod tests {
         };
         let e12 = g.edge_between(v(1), v(2)).unwrap();
         let e45 = g.edge_between(v(4), v(5)).unwrap();
-        let faults = FaultSet::pair(e12, e45);
+        let faults = FaultSpec::from((e12, e45));
         let mut engine = SearchEngine::new();
         let choice = earliest_detour_divergence(
             &mut engine,

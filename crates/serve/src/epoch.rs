@@ -290,7 +290,7 @@ mod tests {
         assert_eq!(view.vertex_count(), 24);
         let e = g.edges().next().unwrap();
         assert_eq!(view.contract(), frozen.contract());
-        assert!(view.guarantee(&FaultSpec::One(e)).is_approx());
+        assert!(view.guarantee(&FaultSpec::from(e)).is_approx());
         assert_eq!(view.guarantee(&FaultSpec::None), Guarantee::Exact);
         assert!(view.tree_for(VertexId(0)).is_some());
     }

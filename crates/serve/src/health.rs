@@ -116,13 +116,6 @@ pub struct ServeHealth {
     pub rejected_publishes: u64,
 }
 
-impl ServeHealth {
-    /// Total submits turned away at the door (overload + unavailable).
-    pub fn rejected_submits(&self) -> u64 {
-        self.rejected_overloaded + self.rejected_unavailable
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +130,8 @@ mod tests {
         counters.rejected_unavailable.inc();
         let snap = counters.snapshot();
         assert_eq!(snap.worker_restarts, 1);
-        assert_eq!(snap.rejected_submits(), 3);
+        assert_eq!(snap.rejected_overloaded, 1);
+        assert_eq!(snap.rejected_unavailable, 2);
         assert_eq!(snap.publishes, 0);
     }
 

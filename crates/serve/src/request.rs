@@ -161,7 +161,7 @@ mod tests {
         let r = ServeRequest::distance(VertexId(3), EdgeId(1));
         assert_eq!(r.source, None);
         assert_eq!(r.target, ServeTarget::One(VertexId(3)));
-        assert_eq!(r.faults, FaultSpec::One(EdgeId(1)));
+        assert_eq!(r.faults, FaultSpec::from(EdgeId(1)));
         assert!(r.deadline.is_none());
 
         let deadline = Instant::now();

@@ -115,11 +115,6 @@ impl ServeConfig {
         self
     }
 
-    /// The configured worker count.
-    pub fn worker_count(&self) -> usize {
-        self.workers
-    }
-
     /// Bounds each shard's queue to `capacity` items (clamped to ≥ 1);
     /// a submit to a full queue fails with [`SubmitError::Overloaded`].
     /// The default is unbounded.
@@ -304,11 +299,6 @@ impl StreamServer {
     /// The fingerprint of the epoch currently being served.
     pub fn fingerprint(&self) -> u64 {
         self.cell.load().1.fingerprint()
-    }
-
-    /// Number of shard workers.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
     }
 
     /// A snapshot of the self-healing counters: worker restarts, rejected

@@ -379,7 +379,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let counters = EngineCounters::register(&registry);
         let mut engine = QueryEngine::new();
-        let cut = FaultSpec::One(e(0, 1));
+        let cut = FaultSpec::from(e(0, 1));
         for spec in [&FaultSpec::None, &cut, &cut] {
             engine.try_distance(&frozen, VertexId(2), spec).unwrap();
         }
@@ -416,7 +416,7 @@ mod tests {
         let b = EngineCounters::register(&registry);
         let mut engine = QueryEngine::new();
         engine
-            .try_distance(&frozen, VertexId(2), &FaultSpec::One(e(0, 1)))
+            .try_distance(&frozen, VertexId(2), &FaultSpec::from(e(0, 1)))
             .unwrap();
         a.publish(&mut engine);
         assert_eq!(b.searches.get(), 1);

@@ -8,7 +8,8 @@
 //! smoke test on larger instances.
 
 use crate::report::{VerificationReport, Violation};
-use ftbfs_graph::{bfs, EdgeId, FaultSet, Graph, GraphView, VertexId};
+use ftbfs_graph::fault::enumerate_fault_sets;
+use ftbfs_graph::{bfs, EdgeId, FaultSpec, Graph, GraphView, VertexId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -20,7 +21,7 @@ fn check_fault_set(
     graph: &Graph,
     structure: &HashSet<EdgeId>,
     sources: &[VertexId],
-    faults: &FaultSet,
+    faults: &FaultSpec,
     report: &mut VerificationReport,
 ) {
     report.checked_fault_sets += 1;
@@ -49,27 +50,6 @@ fn check_fault_set(
     }
 }
 
-/// Enumerates every fault set of size at most `f` over the edges of `graph`.
-fn all_fault_sets(graph: &Graph, f: usize) -> Vec<FaultSet> {
-    let edges: Vec<EdgeId> = graph.edges().collect();
-    let mut out = vec![FaultSet::empty()];
-    let mut frontier: Vec<Vec<EdgeId>> = vec![vec![]];
-    for _ in 0..f {
-        let mut next = Vec::new();
-        for combo in &frontier {
-            let start = combo.last().map(|e| e.index() + 1).unwrap_or(0);
-            for &e in &edges[start.min(edges.len())..] {
-                let mut c = combo.clone();
-                c.push(e);
-                out.push(FaultSet::from_iter(c.iter().copied()));
-                next.push(c);
-            }
-        }
-        frontier = next;
-    }
-    out
-}
-
 /// Exhaustively verifies that the structure (given by its edge set) is an
 /// `f`-FT-MBFS structure for `sources`.
 ///
@@ -87,7 +67,7 @@ where
 {
     let structure: HashSet<EdgeId> = structure_edges.into_iter().collect();
     let mut report = VerificationReport::default();
-    for faults in all_fault_sets(graph, f) {
+    for faults in enumerate_fault_sets(graph, f) {
         check_fault_set(graph, &structure, sources, &faults, &mut report);
     }
     report
@@ -109,26 +89,20 @@ where
 {
     let structure: HashSet<EdgeId> = structure_edges.into_iter().collect();
     let mut report = VerificationReport::default();
-    check_fault_set(graph, &structure, sources, &FaultSet::empty(), &mut report);
+    check_fault_set(graph, &structure, sources, &FaultSpec::None, &mut report);
     if f >= 1 {
         for e in graph.edges() {
-            check_fault_set(
-                graph,
-                &structure,
-                sources,
-                &FaultSet::single(e),
-                &mut report,
-            );
+            check_fault_set(graph, &structure, sources, &FaultSpec::from(e), &mut report);
         }
     }
     if f >= 2 && graph.edge_count() >= 2 {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let edges: Vec<EdgeId> = graph.edges().collect();
-        let mut seen: HashSet<FaultSet> = HashSet::new();
+        let mut seen: HashSet<FaultSpec> = HashSet::new();
         for _ in 0..samples {
             let mut pick = edges.clone();
             pick.shuffle(&mut rng);
-            let fs = FaultSet::from_iter(pick.into_iter().take(f.min(edges.len())));
+            let fs = FaultSpec::from_edges(pick.into_iter().take(f.min(edges.len())));
             if seen.insert(fs.clone()) {
                 check_fault_set(graph, &structure, sources, &fs, &mut report);
             }

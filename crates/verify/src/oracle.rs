@@ -10,13 +10,13 @@
 //! [`FrozenStructure`], and [`StructureOracle::with_oracle`] wraps any
 //! frozen structure — notably one with per-source slabs
 //! ([`FrozenStructure::freeze_parts`]) — so verification runs through the
-//! *same* query path that production serving uses.  The raw-[`FaultSet`]
-//! methods (`distance`, `route`, `all_distances`) panic on invalid
-//! queries; the checked forms ([`StructureOracle::try_distance`],
-//! [`StructureOracle::try_route`]) surface the exactness guarantee for
-//! fault sets beyond the structure's resilience.
+//! *same* query path that production serving uses.  Every query takes a
+//! [`FaultSpec`]; `distance`, `route` and `all_distances` panic on invalid
+//! queries, while [`StructureOracle::try_distance`] returns a typed error
+//! and surfaces the exactness guarantee for fault sets beyond the
+//! structure's resilience.
 
-use ftbfs_graph::{bfs, EdgeId, FaultSet, FaultSpec, Graph, GraphView, Path, VertexId};
+use ftbfs_graph::{bfs, EdgeId, FaultSpec, Graph, GraphView, Path, VertexId};
 use ftbfs_oracle::{Answer, FrozenStructure, QueryEngine, QueryError};
 use std::cell::RefCell;
 
@@ -71,12 +71,6 @@ impl<'g> StructureOracle<'g> {
         self.oracle.primary_source()
     }
 
-    /// Number of edges in the underlying structure (for per-source slabs,
-    /// the union).
-    pub fn structure_size(&self) -> usize {
-        self.oracle.edge_count()
-    }
-
     /// The frozen structure, for callers that want to run their own
     /// engines (or snapshot it).
     pub fn frozen(&self) -> &FrozenStructure {
@@ -90,9 +84,8 @@ impl<'g> StructureOracle<'g> {
     ///
     /// Panics if `v` is out of range; use [`Self::try_distance`] for a
     /// checked answer carrying its guarantee.
-    pub fn distance(&self, v: VertexId, faults: &FaultSet) -> Option<u32> {
-        let spec = FaultSpec::from(faults);
-        self.try_distance(v, &spec)
+    pub fn distance(&self, v: VertexId, faults: &FaultSpec) -> Option<u32> {
+        self.try_distance(v, faults)
             .unwrap_or_else(|e| panic!("{e}"))
             .into_value()
     }
@@ -112,56 +105,30 @@ impl<'g> StructureOracle<'g> {
     ///
     /// # Panics
     ///
-    /// Panics if `v` is out of range; use [`Self::try_route`] for a checked
-    /// answer.
-    pub fn route(&self, v: VertexId, faults: &FaultSet) -> Option<Path> {
-        let spec = FaultSpec::from(faults);
-        self.try_route(v, &spec)
+    /// Panics if `v` is out of range.
+    pub fn route(&self, v: VertexId, faults: &FaultSpec) -> Option<Path> {
+        self.engine
+            .borrow_mut()
+            .try_shortest_path(&self.oracle, v, faults)
             .unwrap_or_else(|e| panic!("{e}"))
             .into_value()
     }
 
-    /// The checked routing query; see [`Self::try_distance`].
-    pub fn try_route(
-        &self,
-        v: VertexId,
-        spec: &FaultSpec,
-    ) -> Result<Answer<Option<Path>>, QueryError> {
-        self.engine
-            .borrow_mut()
-            .try_shortest_path(&self.oracle, v, spec)
-    }
-
     /// Distances to all vertices under one fault set (one shared
     /// resolution, then `O(1)` per vertex).
-    pub fn all_distances(&self, faults: &FaultSet) -> Vec<Option<u32>> {
-        let spec = FaultSpec::from(faults);
+    pub fn all_distances(&self, faults: &FaultSpec) -> Vec<Option<u32>> {
         self.engine
             .borrow_mut()
-            .try_all_distances(&self.oracle, &spec)
+            .try_all_distances(&self.oracle, faults)
             .unwrap_or_else(|e| panic!("{e}"))
             .into_value()
     }
 
     /// Checks one query against ground truth computed in the full graph:
     /// returns `true` if the structure's answer matches `dist(s, v, G ∖ F)`.
-    pub fn matches_ground_truth(&self, v: VertexId, faults: &FaultSet) -> bool {
-        self.matches_ground_truth_from(self.source(), v, faults)
-    }
-
-    /// [`Self::matches_ground_truth`] from an arbitrary served source — the
-    /// `S × V` form for multi-source structures.
-    pub fn matches_ground_truth_from(&self, s: VertexId, v: VertexId, faults: &FaultSet) -> bool {
+    pub fn matches_ground_truth(&self, v: VertexId, faults: &FaultSpec) -> bool {
         let gview = GraphView::new(self.graph).without_faults(faults);
-        let expected = bfs(&gview, s).distance(v);
-        let spec = FaultSpec::from(faults);
-        let actual = self
-            .engine
-            .borrow_mut()
-            .try_distance_from(&self.oracle, s, v, &spec)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .into_value();
-        actual == expected
+        self.distance(v, faults) == bfs(&gview, self.source()).distance(v)
     }
 }
 
@@ -176,13 +143,13 @@ mod tests {
         let g = generators::grid(3, 4);
         let oracle = StructureOracle::new(&g, VertexId(0), g.edges());
         assert_eq!(oracle.source(), VertexId(0));
-        assert_eq!(oracle.structure_size(), g.edge_count());
+        assert_eq!(oracle.frozen().edge_count(), g.edge_count());
         let plain = bfs(&GraphView::new(&g), VertexId(0));
         for v in g.vertices() {
-            assert_eq!(oracle.distance(v, &FaultSet::empty()), plain.distance(v));
-            assert!(oracle.matches_ground_truth(v, &FaultSet::empty()));
+            assert_eq!(oracle.distance(v, &FaultSpec::None), plain.distance(v));
+            assert!(oracle.matches_ground_truth(v, &FaultSpec::None));
         }
-        let all = oracle.all_distances(&FaultSet::empty());
+        let all = oracle.all_distances(&FaultSpec::None);
         assert_eq!(all.len(), g.vertex_count());
         assert_eq!(all[11], plain.distance(VertexId(11)));
     }
@@ -192,14 +159,14 @@ mod tests {
         let g = generators::cycle(8);
         let oracle = StructureOracle::new(&g, VertexId(0), g.edges());
         let e01 = g.edge_between(VertexId(0), VertexId(1)).unwrap();
-        let f = FaultSet::single(e01);
+        let f = FaultSpec::from(e01);
         let route = oracle.route(VertexId(1), &f).unwrap();
         assert_eq!(route.len(), 7);
         assert!(!route.contains_edge(VertexId(0), VertexId(1)));
         // With two failures splitting the cycle, vertex 4 becomes unreachable.
         let e45 = g.edge_between(VertexId(4), VertexId(5)).unwrap();
         let e34 = g.edge_between(VertexId(3), VertexId(4)).unwrap();
-        let f2 = FaultSet::pair(e45, e34);
+        let f2 = FaultSpec::from((e45, e34));
         assert_eq!(oracle.distance(VertexId(4), &f2), None);
         assert!(oracle.route(VertexId(4), &f2).is_none());
     }
@@ -212,11 +179,11 @@ mod tests {
         // cannot absorb.
         let edges: Vec<EdgeId> = g.edges().filter(|&e| e != EdgeId(0)).collect();
         let oracle = StructureOracle::new(&g, VertexId(0), edges);
-        assert!(oracle.matches_ground_truth(VertexId(3), &FaultSet::empty()));
+        assert!(oracle.matches_ground_truth(VertexId(3), &FaultSpec::None));
         // Failing edge (2,3) cuts vertex 2 off inside H (edge (0,1) is
         // missing from the structure), while G still reaches it via 0-1-2.
         let failed = g.edge_between(VertexId(2), VertexId(3)).unwrap();
-        assert!(!oracle.matches_ground_truth(VertexId(2), &FaultSet::single(failed)));
+        assert!(!oracle.matches_ground_truth(VertexId(2), &FaultSpec::from(failed)));
     }
 
     #[test]
@@ -226,8 +193,8 @@ mod tests {
         let g = generators::cycle(5);
         let edges = g.edges().chain([EdgeId(400), EdgeId(99)]);
         let oracle = StructureOracle::new(&g, VertexId(0), edges);
-        assert_eq!(oracle.structure_size(), g.edge_count());
-        assert!(oracle.matches_ground_truth(VertexId(2), &FaultSet::empty()));
+        assert_eq!(oracle.frozen().edge_count(), g.edge_count());
+        assert!(oracle.matches_ground_truth(VertexId(2), &FaultSpec::None));
     }
 
     #[test]
@@ -247,7 +214,7 @@ mod tests {
         let g = generators::cycle(8);
         let oracle = StructureOracle::new(&g, VertexId(0), g.edges());
         let exact = oracle
-            .try_distance(VertexId(3), &FaultSpec::One(EdgeId(0)))
+            .try_distance(VertexId(3), &FaultSpec::from(EdgeId(0)))
             .unwrap();
         assert_eq!(exact.guarantee(), Guarantee::Exact);
         // Three faults exceed the declared resilience of 2.
@@ -271,15 +238,17 @@ mod tests {
         let oracle = StructureOracle::with_oracle(&g, multi);
         assert_eq!(oracle.source(), VertexId(0));
         let edges: Vec<EdgeId> = g.edges().collect();
-        for &s in &sources {
-            for v in g.vertices() {
-                assert!(oracle.matches_ground_truth_from(s, v, &FaultSet::empty()));
-                assert!(oracle.matches_ground_truth_from(
-                    s,
-                    v,
-                    &FaultSet::pair(edges[1], edges[edges.len() / 2])
-                ));
-            }
+        let pair = FaultSpec::from((edges[1], edges[edges.len() / 2]));
+        for v in g.vertices() {
+            assert!(oracle.matches_ground_truth(v, &FaultSpec::None));
+            assert!(oracle.matches_ground_truth(v, &pair));
+        }
+        // The second source answers through the exposed frozen structure.
+        let mut engine = QueryEngine::new();
+        let truth = bfs(&GraphView::new(&g).without_faults(&pair), sources[1]);
+        for v in g.vertices() {
+            let got = engine.try_distance_from(oracle.frozen(), sources[1], v, &pair);
+            assert_eq!(got.unwrap().into_value(), truth.distance(v));
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Verification reports and counterexamples.
 
-use ftbfs_graph::{FaultSet, VertexId};
+use ftbfs_graph::{FaultSpec, VertexId};
 use std::fmt;
 
 /// A single violation of the FT-MBFS property: a (source, vertex, fault set)
@@ -13,7 +13,7 @@ pub struct Violation {
     /// The target vertex whose distance is wrong.
     pub vertex: VertexId,
     /// The fault set under which the mismatch occurs.
-    pub faults: FaultSet,
+    pub faults: FaultSpec,
     /// `dist(source, vertex, G ∖ F)` (`None` = unreachable).
     pub expected: Option<u32>,
     /// `dist(source, vertex, H ∖ F)` (`None` = unreachable).
@@ -95,7 +95,7 @@ mod tests {
         r.violations.push(Violation {
             source: VertexId(0),
             vertex: VertexId(3),
-            faults: FaultSet::empty(),
+            faults: FaultSpec::None,
             expected: Some(2),
             actual: Some(4),
         });
@@ -117,7 +117,7 @@ mod tests {
             violations: vec![Violation {
                 source: VertexId(0),
                 vertex: VertexId(1),
-                faults: FaultSet::empty(),
+                faults: FaultSpec::None,
                 expected: None,
                 actual: Some(1),
             }],

@@ -4,7 +4,7 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use ftbfs_core::dual::DualFtBfsBuilder;
-use ftbfs_graph::{generators, FaultSet, TieBreak, VertexId};
+use ftbfs_graph::{generators, FaultSpec, TieBreak, VertexId};
 use ftbfs_verify::{verify_exhaustive, StructureOracle};
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
 
     // Query the structure after two concrete failures.
     let oracle = StructureOracle::new(&graph, source, structure.edges());
-    let faults = FaultSet::pair(ftbfs_graph::EdgeId(0), ftbfs_graph::EdgeId(7));
+    let faults = FaultSpec::from((ftbfs_graph::EdgeId(0), ftbfs_graph::EdgeId(7)));
     let target = VertexId(29);
     match oracle.route(target, &faults) {
         Some(route) => println!(

@@ -9,7 +9,7 @@
 //! Run with `cargo run --release --example resilient_routing`.
 
 use ftbfs_core::dual::DualFtBfsBuilder;
-use ftbfs_graph::{bfs, generators, FaultSet, GraphView, TieBreak, VertexId};
+use ftbfs_graph::{bfs, generators, FaultSpec, GraphView, TieBreak, VertexId};
 use ftbfs_verify::StructureOracle;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -34,7 +34,7 @@ fn main() {
     for round in 0..200 {
         let e1 = ftbfs_graph::EdgeId(rng.gen_range(0..graph.edge_count()) as u32);
         let e2 = ftbfs_graph::EdgeId(rng.gen_range(0..graph.edge_count()) as u32);
-        let faults = FaultSet::pair(e1, e2);
+        let faults = FaultSpec::from((e1, e2));
         let target = VertexId(rng.gen_range(1..graph.vertex_count()) as u32);
 
         let in_structure = oracle.distance(target, &faults);
