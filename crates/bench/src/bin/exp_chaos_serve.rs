@@ -43,7 +43,7 @@
 use ftbfs_bench::{build_requests, json, Table};
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_graph::{generators, EdgeId, TieBreak, VertexId};
-use ftbfs_oracle::{Freeze, FrozenStructure, QueryEngine, SnapshotVersion};
+use ftbfs_oracle::{Freeze, FrozenStructure, QueryEngine};
 use ftbfs_serve::{
     ChaosConfig, EpochSnapshot, ServeConfig, ServeError, ServeRequest, StreamServer, SubmitError,
     TimedEvent, TraceEvent, CHAOS_PANIC_MARKER,
@@ -240,8 +240,7 @@ fn main() {
     let frozen_a = frozen_with_seed(1);
     let frozen_b = frozen_with_seed(7);
     let snap_of = |frozen: &FrozenStructure| {
-        EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2))
-            .expect("freshly saved snapshot validates")
+        EpochSnapshot::from_bytes(frozen.save()).expect("freshly saved snapshot validates")
     };
     let (snap_a, snap_b) = (snap_of(&frozen_a), snap_of(&frozen_b));
     assert_ne!(snap_a.fingerprint(), snap_b.fingerprint());

@@ -60,7 +60,7 @@ use ftbfs_corpus::{
 };
 use ftbfs_graph::io::IngestOptions;
 use ftbfs_graph::{bfs, FaultSpec, Graph, GraphView, TieBreak, VertexId};
-use ftbfs_oracle::{FrozenStructure, Guarantee, SnapshotVersion};
+use ftbfs_oracle::{FrozenStructure, Guarantee};
 use ftbfs_serve::{EpochSnapshot, ServeConfig, ServeRequest, StreamServer};
 use ftbfs_telemetry::{names, MetricsRegistry};
 use std::collections::VecDeque;
@@ -450,8 +450,7 @@ fn main() {
     // ingested graph, every faulted answer under its stretch contract.
     let source = VertexId(0);
     let snapshot_bytes = match approx {
-        None => FrozenStructure::from_edges(&graph, &[source], 2, graph.edges())
-            .save_with(SnapshotVersion::V2),
+        None => FrozenStructure::from_edges(&graph, &[source], 2, graph.edges()).save(),
         Some(params) => {
             let w = TieBreak::new(&graph, 0xE13);
             let built = approx_ftbfs(&graph, &w, source, params);
@@ -467,7 +466,7 @@ fn main() {
                 params.add,
                 params.theta
             );
-            FrozenStructure::freeze_approx(&graph, &built).save_with(SnapshotVersion::V2)
+            FrozenStructure::freeze_approx(&graph, &built).save()
         }
     };
     let snapshot =

@@ -56,7 +56,7 @@ use ftbfs_bench::{json, splitmix64, Table};
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::{multi_failure_ftmbfs_parts, FtBfsStructure};
 use ftbfs_graph::{generators, EdgeId, FaultSpec, Graph, TieBreak, VertexId};
-use ftbfs_oracle::{Freeze, FrozenStructure, FrozenView, Query, QueryEngine, SnapshotVersion};
+use ftbfs_oracle::{Freeze, FrozenStructure, FrozenView, Query, QueryEngine};
 use ftbfs_serve::{BatchReport, MetricsRegistry, ThroughputHarness};
 use std::time::Instant;
 
@@ -396,7 +396,7 @@ fn snapshot_bench(
     ];
     let mut rows = Vec::new();
     for (format, structure, freeze) in formats {
-        let bytes = structure.save_with(SnapshotVersion::V2);
+        let bytes = structure.save();
         let source = structure.primary_source();
         let answer = |engine: &mut QueryEngine, oracle: &FrozenView<'_>| {
             engine
@@ -411,7 +411,7 @@ fn snapshot_bench(
             [
                 &mut || answer(on_freeze, &freeze()),
                 &mut || answer(on_load, &FrozenStructure::load(&bytes).expect("loads")),
-                &mut || answer(on_open, &FrozenView::open_bytes(&bytes).expect("opens")),
+                &mut || answer(on_open, &FrozenView::open(&bytes).expect("opens")),
             ],
         );
         rows.push(SnapRow {

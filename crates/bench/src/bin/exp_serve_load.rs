@@ -50,7 +50,7 @@
 use ftbfs_bench::{build_requests, json, percentile_us, Table};
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_graph::{generators, EdgeId, TieBreak, VertexId};
-use ftbfs_oracle::{Freeze, SnapshotVersion};
+use ftbfs_oracle::Freeze;
 use ftbfs_serve::{EpochSnapshot, ServeConfig, ServeRequest, StreamServer, TelemetrySnapshot};
 use ftbfs_telemetry::{names, HistogramData};
 use std::collections::VecDeque;
@@ -71,7 +71,7 @@ const SMOKE_SERVE_QPS_FLOOR: f64 = 200_000.0;
 /// window (window / qps); with a 64-deep window the container measures a
 /// p99 of ≈ 150–300 µs including the epoch swaps.  The ceiling sits a
 /// wide margin above that: it exists to catch a swap-induced stall (a
-/// worker blocking readers while reopening would push p99 by
+/// worker blocking readers while switching epochs would push p99 by
 /// milliseconds), not to police scheduler jitter.
 const SMOKE_SERVE_P99_CEILING_US: f64 = 5_000.0;
 
@@ -384,8 +384,8 @@ fn main() {
         let edges: Vec<EdgeId> = (0..frozen.edge_count())
             .map(|i| frozen.original_edge(i as u32))
             .collect();
-        let snap = EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2))
-            .expect("freshly saved snapshot validates");
+        let snap =
+            EpochSnapshot::from_bytes(frozen.save()).expect("freshly saved snapshot validates");
         (snap, edges)
     };
     let (snap_a, structure_edges) = snapshot_with_seed(1);

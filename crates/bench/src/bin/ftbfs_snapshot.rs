@@ -7,10 +7,10 @@
 //!   snapshot file (format, version, answer contract, fingerprint, base
 //!   range, and the full section table with decoded four-character kind
 //!   tags).  Parsing already validates frame and per-section checksums;
-//!   `--check` additionally opens the snapshot as a serving view, running
-//!   the full semantic validation a server would.
-//! * `verify <snapshot>...` — deep-validates each file (opens it as a
-//!   serving view) and reports one `ok`/`FAIL` line per file; exits
+//!   `--check` additionally loads the snapshot, running the full check a
+//!   server runs on every epoch it installs.
+//! * `verify <snapshot>...` — deep-validates each file (loads it as a
+//!   server would) and reports one `ok`/`FAIL` line per file; exits
 //!   non-zero if any file fails.
 //! * `scrape <telemetry.json> [--json]` — converts a JSON telemetry
 //!   snapshot (as written by [`TelemetrySnapshot::to_json`], e.g. from
@@ -21,7 +21,9 @@
 //! errors.
 
 use ftbfs_bench::Table;
-use ftbfs_oracle::{snapshot_layout, Contract, FrozenView, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC};
+use ftbfs_oracle::{
+    snapshot_layout, Contract, FrozenStructure, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
+};
 use ftbfs_telemetry::TelemetrySnapshot;
 use std::process::ExitCode;
 
@@ -55,10 +57,12 @@ fn contract_line(contract: Contract) -> String {
     }
 }
 
-/// Opens `data` the way a server would, running full semantic validation.
+/// Checks `data` the way a server does before it serves an epoch:
+/// [`FrozenStructure::load`], the frame, certificate and fingerprint
+/// re-hash.
 fn deep_validate(data: &[u8]) -> Result<String, String> {
-    FrozenView::open_bytes(data)
-        .map(|v| format!("view opened, {}", contract_line(v.contract())))
+    FrozenStructure::load(data)
+        .map(|f| format!("loaded, {}", contract_line(f.contract())))
         .map_err(|e| e.to_string())
 }
 
@@ -188,5 +192,50 @@ fn main() -> ExitCode {
         }
         (Some("scrape"), 2) => scrape(positional[1], args.iter().any(|a| a == "--json")),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ftbfs_graph::bytes::fnv1a64_words;
+    use ftbfs_graph::{generators, VertexId};
+
+    /// `data` stamped with `fingerprint` and its frame checksum recomputed
+    /// (frame layout: the `ftbfs_oracle::snapshot` module docs), so every
+    /// checksum passes and only the fingerprint disagrees with the base.
+    fn restamped(data: &[u8], fingerprint: u64) -> Vec<u8> {
+        let layout = snapshot_layout(data).expect("valid snapshot");
+        let frame = layout.base.end + 8;
+        let frame_end = frame + 12 + 28 * layout.sections.len();
+        let mut out = data.to_vec();
+        out[frame..frame + 8].copy_from_slice(&fingerprint.to_le_bytes());
+        let check = fnv1a64_words(&out[frame..frame_end]);
+        out[frame_end..frame_end + 8].copy_from_slice(&check.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn deep_validate_rejects_a_forged_fingerprint() {
+        let g = generators::cycle(8);
+        let bytes = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, g.edges()).save();
+        assert!(deep_validate(&bytes).is_ok());
+        let layout = snapshot_layout(&bytes).unwrap();
+        let forged = restamped(&bytes, layout.fingerprint ^ 1);
+        assert!(snapshot_layout(&forged).is_ok(), "every checksum is valid");
+        let why = deep_validate(&forged).unwrap_err();
+        assert!(why.contains("fingerprint"), "{why}");
+    }
+
+    #[test]
+    fn deep_validate_passes_every_golden() {
+        for golden in [
+            &include_bytes!("../../../oracle/testdata/golden_single_v2.ftbo")[..],
+            &include_bytes!("../../../oracle/testdata/golden_approx_v2.ftbo")[..],
+            &include_bytes!("../../../oracle/testdata/golden_multi_v2.ftbm")[..],
+        ] {
+            let how = deep_validate(golden).unwrap();
+            assert!(how.starts_with("loaded, contract: "), "{how}");
+        }
     }
 }

@@ -15,7 +15,7 @@
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::multi_failure_ftmbfs_parts;
 use ftbfs_graph::{generators, EdgeId, FaultSpec, TieBreak, VertexId};
-use ftbfs_oracle::{Freeze, FrozenStructure, FrozenView, Query, QueryEngine, SnapshotVersion};
+use ftbfs_oracle::{Freeze, FrozenStructure, FrozenView, Query, QueryEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -141,9 +141,9 @@ fn mmap_style_view_queries_allocate_nothing_after_warmup() {
     let g = generators::connected_gnp(120, 0.08, 42);
     let w = TieBreak::new(&g, 42);
     let h = DualFtBfsBuilder::new(&g, &w, VertexId(0)).build().structure;
-    let bytes = h.freeze(&g).save_with(SnapshotVersion::V2);
+    let bytes = h.freeze(&g).save();
     let structure_edges: Vec<EdgeId> = h.edges().collect();
-    let view = FrozenView::open_bytes(&bytes).expect("v2 snapshot opens");
+    let view = FrozenView::open(&bytes).expect("v2 snapshot opens");
 
     let fault_pairs: Vec<FaultSpec> = (0..24)
         .map(|i| {
@@ -366,7 +366,7 @@ fn multi_source_matrix_allocates_nothing_into_a_preallocated_slice() {
     let parts = multi_failure_ftmbfs_parts(&g, &w, &sources, 2);
     let multi = FrozenStructure::freeze_parts(&g, &parts);
     let bytes = multi.save();
-    let view = FrozenView::open_bytes(&bytes).expect("per-source snapshot opens");
+    let view = FrozenView::open(&bytes).expect("per-source snapshot opens");
     let edges: Vec<EdgeId> = g.edges().collect();
     let specs = [
         FaultSpec::None,

@@ -27,7 +27,6 @@ use ftbfs_core::{approx_ftbfs, multi_failure_ftmbfs_parts, ApproxParams};
 use ftbfs_graph::{bfs, generators, EdgeId, FaultSpec, Graph, GraphView, TieBreak, VertexId};
 use ftbfs_oracle::{
     Contract, Freeze, FrozenStructure, FrozenView, Guarantee, Query, QueryEngine, QueryError,
-    SnapshotSource, SnapshotVersion,
 };
 use ftbfs_serve::{
     EpochSnapshot, ServeConfig, ServeOutput, ServeRequest, StreamServer, ThroughputHarness,
@@ -241,8 +240,8 @@ fn approx_view_honours_the_stretch_contract_from_mapped_bytes() {
     // answer identically.
     let g = generators::connected_gnp(30, 0.16, 21);
     let frozen = approx_frozen_for(&g, ApproxParams::DEFAULT, 21);
-    let bytes = frozen.save_with(SnapshotVersion::V2);
-    let view = FrozenView::open_bytes(&bytes).expect("approximate snapshot opens");
+    let bytes = frozen.save();
+    let view = FrozenView::open(&bytes).expect("approximate snapshot opens");
     assert_eq!(view.fingerprint(), frozen.fingerprint());
     assert_eq!(view.contract(), Contract::Approx(ApproxParams::DEFAULT));
     assert_approx_oracle_honours_contract(&g, &view, ApproxParams::DEFAULT, 6);
@@ -329,8 +328,8 @@ fn tree_rule_matches_bfs_on_every_small_fault_set() {
         let last = VertexId(g.vertex_count() as u32 - 1);
         let g_truth = |s: VertexId, spec: &FaultSpec| ground_truth(&g, s, spec);
         let frozen = frozen_for(&g, 5);
-        let bytes = frozen.save_with(SnapshotVersion::V2);
-        let view = FrozenView::open_bytes(&bytes).expect("v2 snapshot opens");
+        let bytes = frozen.save();
+        let view = FrozenView::open(&bytes).expect("v2 snapshot opens");
         let multi = multi_frozen_for(&g, &[VertexId(0), last], 5);
         let w = TieBreak::new(&g, 5);
         let built = approx_ftbfs(&g, &w, VertexId(0), ApproxParams::DEFAULT);
@@ -391,8 +390,8 @@ fn whole_vertex_reads_never_take_the_tree_under_a_faulted_tree_edge() {
         .into_value();
     assert_eq!(matrix.row(0), &expected[..]);
 
-    let snapshot = EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2))
-        .expect("freshly saved v2 snapshot validates");
+    let snapshot =
+        EpochSnapshot::from_bytes(frozen.save()).expect("freshly saved v2 snapshot validates");
     let server = StreamServer::launch(snapshot, ServeConfig::new().workers(2));
     let mut stream = server.open_stream();
     stream
@@ -454,17 +453,16 @@ fn frozen_view_passes_the_full_generic_suite() {
     for seed in [2015u64, 77] {
         let g = generators::connected_gnp(34, 0.14, seed);
         let frozen = frozen_for(&g, seed);
-        let bytes = frozen.save_with(SnapshotVersion::V2);
-        let view = FrozenView::open_bytes(&bytes).expect("v2 snapshot opens");
+        let bytes = frozen.save();
+        let view = FrozenView::open(&bytes).expect("v2 snapshot opens");
         assert_eq!(view.fingerprint(), frozen.fingerprint());
         assert_oracle_matches_ground_truth(&g, &view, 7);
     }
-    // Also through an owned SnapshotSource (the mmap-shaped entry point).
+    // Also through the owned load (the serving boundary's entry point).
     let g = generators::grid(5, 6);
     let frozen = frozen_for(&g, 2);
-    let source = SnapshotSource::owned(frozen.save_with(SnapshotVersion::V2));
-    let view = FrozenView::open(&source).expect("v2 snapshot opens");
-    assert_oracle_matches_ground_truth(&g, &view, 5);
+    let loaded = FrozenStructure::load(&frozen.save()).expect("v2 snapshot loads");
+    assert_oracle_matches_ground_truth(&g, &loaded, 5);
 }
 
 #[test]
@@ -472,8 +470,8 @@ fn frozen_multi_view_passes_the_full_generic_suite() {
     let g = generators::tree_plus_chords(16, 7, 5);
     let sources = [VertexId(0), VertexId(9), VertexId(15)];
     let multi = multi_frozen_for(&g, &sources, 5);
-    let bytes = multi.save_with(SnapshotVersion::V2);
-    let view = FrozenView::open_bytes(&bytes).expect("v2 snapshot opens");
+    let bytes = multi.save();
+    let view = FrozenView::open(&bytes).expect("v2 snapshot opens");
     assert_eq!(view.fingerprint(), multi.fingerprint());
     assert_eq!(view.sources(), &sources[..]);
     assert_oracle_matches_ground_truth(&g, &view, 4);
@@ -493,8 +491,8 @@ fn views_match_rebuilt_structures_beyond_the_resilience_too() {
     // best-effort territory (|F| > f), where answers are defined inside H.
     let g = generators::connected_gnp(28, 0.16, 31);
     let frozen = frozen_for(&g, 31);
-    let bytes = frozen.save_with(SnapshotVersion::V2);
-    let view = FrozenView::open_bytes(&bytes).unwrap();
+    let bytes = frozen.save();
+    let view = FrozenView::open(&bytes).unwrap();
     let edges: Vec<EdgeId> = g.edges().collect();
     let spec = FaultSpec::from([edges[0], edges[edges.len() / 2], edges[edges.len() - 1]]);
     let mut ea = QueryEngine::new();
@@ -511,8 +509,8 @@ fn views_match_rebuilt_structures_beyond_the_resilience_too() {
 fn threaded_harness_serves_views_like_structures() {
     let g = generators::connected_gnp(30, 0.15, 44);
     let frozen = frozen_for(&g, 44);
-    let bytes = frozen.save_with(SnapshotVersion::V2);
-    let view = FrozenView::open_bytes(&bytes).unwrap();
+    let bytes = frozen.save();
+    let view = FrozenView::open(&bytes).unwrap();
     let edges: Vec<EdgeId> = g.edges().collect();
     let queries: Vec<Query> = (0..400)
         .map(|i| {
@@ -647,7 +645,7 @@ proptest! {
         prop_assert_eq!(loaded.fingerprint(), frozen.fingerprint());
         // The bytes also open as a view with the same identity.
         prop_assert_eq!(
-            FrozenView::open_bytes(&bytes).expect("snapshot opens").fingerprint(),
+            FrozenView::open(&bytes).expect("snapshot opens").fingerprint(),
             frozen.fingerprint()
         );
         let mut engine_a = QueryEngine::new();
@@ -675,8 +673,8 @@ proptest! {
     fn approx_is_never_reported_on_exact_backends(n in 10usize..26, p in 0.12f64..0.3, seed in 0u64..400) {
         let g = generators::connected_gnp(n, p, seed);
         let frozen = frozen_for(&g, seed);
-        let v2 = frozen.save_with(SnapshotVersion::V2);
-        let view = FrozenView::open_bytes(&v2).expect("v2 opens");
+        let v2 = frozen.save();
+        let view = FrozenView::open(&v2).expect("v2 opens");
         let edges: Vec<EdgeId> = g.edges().collect();
         let m = edges.len();
         let specs = [
@@ -721,7 +719,7 @@ proptest! {
         prop_assert_eq!(&loaded, &multi);
         prop_assert_eq!(loaded.fingerprint(), multi.fingerprint());
         prop_assert_eq!(
-            FrozenView::open_bytes(&bytes).expect("snapshot opens").fingerprint(),
+            FrozenView::open(&bytes).expect("snapshot opens").fingerprint(),
             multi.fingerprint()
         );
         let mut engine_a = QueryEngine::new();

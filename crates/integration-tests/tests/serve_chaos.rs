@@ -20,7 +20,7 @@
 
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_graph::{generators, EdgeId, FaultSpec, Graph, TieBreak, VertexId};
-use ftbfs_oracle::{Freeze, FrozenStructure, QueryEngine, SnapshotVersion};
+use ftbfs_oracle::{Freeze, FrozenStructure, QueryEngine};
 use ftbfs_serve::{
     ChaosConfig, EpochSnapshot, ServeConfig, ServeError, ServeRequest, StreamServer, SubmitError,
 };
@@ -40,8 +40,7 @@ fn frozen_for(g: &Graph, seed: u64) -> FrozenStructure {
 }
 
 fn epoch_snapshot(frozen: &FrozenStructure) -> EpochSnapshot {
-    EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2))
-        .expect("freshly saved v2 snapshot validates")
+    EpochSnapshot::from_bytes(frozen.save()).expect("freshly saved v2 snapshot validates")
 }
 
 /// A deterministic mixed workload of ≤ 2-fault requests over `g`'s edges.

@@ -13,8 +13,11 @@
 //! must carry the new one.
 
 use ftbfs_core::dual::DualFtBfsBuilder;
+use ftbfs_graph::bytes::fnv1a64_words;
 use ftbfs_graph::{bfs, generators, EdgeId, FaultSpec, Graph, GraphView, TieBreak, VertexId};
-use ftbfs_oracle::{Freeze, FrozenStructure, QueryEngine, QueryError, SnapshotVersion};
+use ftbfs_oracle::{
+    snapshot_layout, Freeze, FrozenStructure, Guarantee, QueryEngine, QueryError, SnapshotError,
+};
 use ftbfs_serve::{
     EpochSnapshot, ServeConfig, ServeError, ServeRequest, ServeResponse, StreamServer,
 };
@@ -37,8 +40,7 @@ fn frozen_for(g: &Graph, seed: u64) -> FrozenStructure {
 }
 
 fn epoch_snapshot(frozen: &FrozenStructure) -> EpochSnapshot {
-    EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2))
-        .expect("freshly saved v2 snapshot validates")
+    EpochSnapshot::from_bytes(frozen.save()).expect("freshly saved v2 snapshot validates")
 }
 
 /// A deterministic mixed workload of ≤ 2-fault requests over `g`'s edges.
@@ -169,6 +171,68 @@ fn publish_is_a_barrier_for_subsequent_submits() {
     }
     drop(stream);
     server.shutdown();
+}
+
+/// `data` stamped with `fingerprint` and its frame checksum recomputed
+/// (frame layout: the `ftbfs_oracle::snapshot` module docs): every
+/// checksum passes and only the fingerprint disagrees with the base, as
+/// from a writer that stamped the wrong structure's fingerprint.
+fn restamped(data: &[u8], fingerprint: u64) -> Vec<u8> {
+    let layout = snapshot_layout(data).expect("valid snapshot");
+    let frame = layout.base.end + 8;
+    let frame_end = frame + 12 + 28 * layout.sections.len();
+    let mut out = data.to_vec();
+    out[frame..frame + 8].copy_from_slice(&fingerprint.to_le_bytes());
+    let check = fnv1a64_words(&out[frame..frame_end]);
+    out[frame_end..frame_end + 8].copy_from_slice(&check.to_le_bytes());
+    out
+}
+
+/// A snapshot stamped with another structure's fingerprint never reaches
+/// the workers.  Installed, it would be served under the old epoch's tag
+/// by engines that keep the old epoch's cache.  A = `cycle(8)` with
+/// H = G answers `dist(0, 1 | {e01}) = 7`; B = the cycle minus {7, 0},
+/// stamped with A's fingerprint, would leave 1 unreachable.
+#[test]
+fn stale_fingerprint_snapshot_is_rejected_and_the_old_epoch_keeps_serving() {
+    let g = generators::cycle(8);
+    let edge = |a, b| g.edge_between(VertexId(a), VertexId(b)).unwrap();
+    let (e01, e70) = (edge(0, 1), edge(7, 0));
+    let frozen_a = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, g.edges());
+    let b_edges = g.edges().filter(|&e| e != e70);
+    let frozen_b = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, b_edges);
+    let forged = restamped(&frozen_b.save(), frozen_a.fingerprint());
+    assert!(snapshot_layout(&forged).is_ok(), "every checksum is valid");
+
+    let snap_a = epoch_snapshot(&frozen_a);
+    let server = StreamServer::launch(snap_a.clone(), ServeConfig::new().workers(1));
+    let mut stream = server.open_stream();
+    let mut ask = |target: u32| {
+        stream
+            .submit(ServeRequest::distance(VertexId(target), e01))
+            .expect("server is live");
+        let resp = stream.recv().expect("response arrives");
+        assert_eq!(resp.epoch, frozen_a.fingerprint(), "served from A");
+        assert_eq!(resp.guarantee(), Some(Guarantee::Exact));
+        resp.distance().expect("a distance answer")
+    };
+    assert_eq!(ask(1), Some(7));
+
+    match EpochSnapshot::from_bytes(forged).unwrap_err() {
+        SnapshotError::Corrupt(why) => assert!(why.contains("fingerprint"), "{why}"),
+        other => panic!("expected Corrupt(fingerprint...), got {other:?}"),
+    }
+    // Nothing was installed: A still serves, from its cache and fresh.
+    assert_eq!(ask(1), Some(7));
+    assert_eq!(ask(7), Some(1), "A's edge {{7, 0}} is still served");
+    drop(stream);
+    assert_eq!(server.health().publishes, 0);
+    server.shutdown();
+    assert_eq!(
+        snap_a.clone().bytes().as_ptr(),
+        snap_a.bytes().as_ptr(),
+        "a clone shares its bytes"
+    );
 }
 
 /// In-stream error semantics survive routing: bad requests are answered
@@ -318,19 +382,19 @@ mod chaos_gated {
 
     /// Lock poisoning is survivable end-to-end: a cell whose slot and
     /// publish locks were all poisoned by panicking holders still loads
-    /// views and accepts publishes (the `into_inner` recovery path),
+    /// snapshots and accepts publishes (the `into_inner` recovery path),
     /// so a poisoned cell can never wedge the serving plane.
     #[test]
     fn poisoned_epoch_cell_still_loads_and_publishes() {
         let g = generators::connected_gnp(20, 0.2, 13);
         let frozen_a = frozen_for(&g, 13);
         let frozen_b = frozen_for(&g, 17);
-        let cell = Arc::new(EpochCell::new(Arc::new(epoch_snapshot(&frozen_a))));
+        let cell = Arc::new(EpochCell::new(epoch_snapshot(&frozen_a)));
         cell.poison_locks();
 
         let (generation, snap) = cell.load();
         assert_eq!(snap.fingerprint(), frozen_a.fingerprint());
-        let published = cell.publish(Arc::new(epoch_snapshot(&frozen_b)));
+        let published = cell.publish(epoch_snapshot(&frozen_b));
         assert!(published > generation, "publish must advance the epoch");
         let (_, snap) = cell.load();
         assert_eq!(

@@ -23,6 +23,7 @@ use ftbfs_oracle::{
     snapshot_layout, Freeze, FrozenStructure, FrozenView, QueryEngine, SnapshotError,
     SNAPSHOT_ALIGN, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC, SNAPSHOT_VERSION,
 };
+use ftbfs_serve::EpochSnapshot;
 use proptest::prelude::*;
 
 /// An exact single-slab snapshot of the paper's dual-failure structure.
@@ -60,7 +61,7 @@ fn assert_rejects(data: &[u8], what: &str) {
         Err(_) => {}
         Ok(_) => panic!("{what}: corrupted snapshot unexpectedly loaded"),
     }
-    if let Ok(view) = FrozenView::open_bytes(data) {
+    if let Ok(view) = FrozenView::open(data) {
         panic!("{what}: corrupted snapshot unexpectedly opened as {view:?}");
     }
 }
@@ -145,7 +146,7 @@ fn with_forged_words(data: &[u8], kind: &[u8; 4], words: &[(usize, u32)]) -> Vec
 /// Both the view open and the owned load reject `data` as corrupt.
 fn assert_corrupt(data: &[u8], what: &str) {
     for err in [
-        FrozenView::open_bytes(data).map(|_| ()).unwrap_err(),
+        FrozenView::open(data).map(|_| ()).unwrap_err(),
         FrozenStructure::load(data).map(|_| ()).unwrap_err(),
     ] {
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{what}: {err:?}");
@@ -320,7 +321,7 @@ fn v2_per_section_checksum_corruption_is_attributed() {
         let mut bytes = single.clone();
         bytes[s.offset] ^= 0x20;
         assert_eq!(
-            FrozenView::open_bytes(&bytes).unwrap_err(),
+            FrozenView::open(&bytes).unwrap_err(),
             SnapshotError::SectionChecksum { kind: s.kind },
             "flip in section {:?}",
             s.kind.to_le_bytes()
@@ -333,7 +334,7 @@ fn v2_per_section_checksum_corruption_is_attributed() {
         let mut bytes = multi.clone();
         bytes[s.offset + s.len - 1] ^= 0x01;
         assert_eq!(
-            FrozenView::open_bytes(&bytes).unwrap_err(),
+            FrozenView::open(&bytes).unwrap_err(),
             SnapshotError::SectionChecksum { kind: s.kind },
         );
         assert_rejects(&bytes, "section corruption");
@@ -351,7 +352,7 @@ fn v2_unknown_sections_are_skipped_forward_compatibly() {
     let plain = FrozenStructure::load(&single).unwrap();
     let with_extra = FrozenStructure::load(&extended).expect("unknown section must be skipped");
     assert_eq!(plain, with_extra);
-    let view = FrozenView::open_bytes(&extended).expect("view skips unknown sections too");
+    let view = FrozenView::open(&extended).expect("view skips unknown sections too");
     assert_eq!(view.fingerprint(), plain.fingerprint());
     // But a flip inside the unknown section is still corruption.
     let layout = snapshot_layout(&extended).unwrap();
@@ -369,7 +370,7 @@ fn v2_unknown_sections_are_skipped_forward_compatibly() {
     let plain = FrozenStructure::load(&multi).unwrap();
     let with_extra = FrozenStructure::load(&extended).expect("unknown section skipped");
     assert_eq!(plain, with_extra);
-    assert!(FrozenView::open_bytes(&extended).is_ok());
+    assert!(FrozenView::open(&extended).is_ok());
 }
 
 #[test]
@@ -390,10 +391,11 @@ fn unknown_sections_survive_a_load_save_round_trip() {
 
 #[test]
 fn v2_forged_fingerprint_is_rejected_on_load() {
-    // The fingerprint is attested by the writer (open trusts it under the
-    // frame checksum), but load recomputes the real value from the base
-    // payload and must reject a file whose base and fingerprint disagree —
-    // the buggy-external-writer case.
+    // The fingerprint is attested by the writer (the borrowed open trusts
+    // it under the frame checksum), but load — and the serving boundary,
+    // `EpochSnapshot`, which loads — recomputes the real value from the
+    // base payload and must reject a file whose base and fingerprint
+    // disagree: the buggy-external-writer case.
     let single = exact_snapshot(23);
     let layout = snapshot_layout(&single).unwrap();
     let base = &single[layout.base.clone()];
@@ -408,9 +410,18 @@ fn v2_forged_fingerprint_is_rejected_on_load() {
         layout.fingerprint ^ 1,
         &sections,
     );
-    match FrozenStructure::load(&forged).unwrap_err() {
-        SnapshotError::Corrupt(why) => assert!(why.contains("fingerprint"), "{why}"),
-        other => panic!("expected Corrupt(fingerprint...), got {other:?}"),
+    assert!(
+        FrozenView::open(&forged).is_ok(),
+        "a borrowed open trusts it"
+    );
+    for err in [
+        FrozenStructure::load(&forged).unwrap_err(),
+        EpochSnapshot::from_bytes(forged).unwrap_err(),
+    ] {
+        match err {
+            SnapshotError::Corrupt(why) => assert!(why.contains("fingerprint"), "{why}"),
+            other => panic!("expected Corrupt(fingerprint...), got {other:?}"),
+        }
     }
 
     let multi = multi_snapshot(23);
@@ -428,6 +439,7 @@ fn v2_forged_fingerprint_is_rejected_on_load() {
         &sections,
     );
     assert!(FrozenStructure::load(&forged).is_err());
+    assert!(EpochSnapshot::from_bytes(forged).is_err());
 }
 
 #[test]
@@ -582,7 +594,7 @@ proptest! {
         let mut mutated = single.clone();
         mutated[offset] ^= xor;
         prop_assert!(FrozenStructure::load(&mutated).is_err());
-        prop_assert!(FrozenView::open_bytes(&mutated).is_err());
+        prop_assert!(FrozenView::open(&mutated).is_err());
         prop_assert!(FrozenStructure::load(&single).is_ok());
 
         let multi = multi_snapshot(seed);
@@ -590,7 +602,7 @@ proptest! {
         let mut mutated = multi.clone();
         mutated[offset] ^= xor;
         prop_assert!(FrozenStructure::load(&mutated).is_err());
-        prop_assert!(FrozenView::open_bytes(&mutated).is_err());
+        prop_assert!(FrozenView::open(&mutated).is_err());
         prop_assert!(FrozenStructure::load(&multi).is_ok());
     }
 }

@@ -7,7 +7,7 @@
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::{approx_ftbfs, ApproxParams};
 use ftbfs_graph::{generators, EdgeId, FaultSpec, Graph, TieBreak, VertexId};
-use ftbfs_oracle::{Freeze, FrozenStructure, Query, QueryEngine, QueryStats, SnapshotVersion};
+use ftbfs_oracle::{Freeze, FrozenStructure, Query, QueryEngine, QueryStats};
 use ftbfs_serve::{
     EpochSnapshot, ServeConfig, ServeRequest, ServeTarget, StreamServer, ThroughputHarness,
 };
@@ -250,7 +250,7 @@ fn published_engine_counters_equal_the_serving_engines_query_stats() {
         assert_eq!(want.approx > 0, backend == "approx");
 
         // A drained stream: every worker published before replying.
-        let snapshot = EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2)).unwrap();
+        let snapshot = EpochSnapshot::from_bytes(frozen.save()).unwrap();
         let server = StreamServer::launch(snapshot, ServeConfig::new().workers(3));
         let mut stream = server.open_stream();
         for r in &requests {

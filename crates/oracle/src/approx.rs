@@ -75,8 +75,8 @@ impl FrozenStructure {
 mod tests {
     use crate::api::{Contract, Guarantee};
     use crate::frozen::FrozenStructure;
-    use crate::snapshot::{snapshot_layout, SnapshotError, SnapshotVersion};
-    use crate::view::{FrozenView, SnapshotSource};
+    use crate::snapshot::{snapshot_layout, SnapshotError};
+    use crate::view::FrozenView;
     use crate::QueryEngine;
     use ftbfs_core::{approx_ftbfs, ApproxParams};
     use ftbfs_graph::{bfs, generators, EdgeId, FaultSpec, Graph, GraphView, TieBreak, VertexId};
@@ -171,7 +171,7 @@ mod tests {
     fn view_answers_identically_to_the_structure() {
         let (g, frozen) = sample();
         let bytes = frozen.save();
-        let view = FrozenView::open_bytes(&bytes).unwrap();
+        let view = FrozenView::open(&bytes).unwrap();
         assert_eq!(view.vertex_count(), frozen.vertex_count());
         assert_eq!(view.edge_count(), frozen.edge_count());
         assert_eq!(view.sources(), frozen.sources());
@@ -200,9 +200,8 @@ mod tests {
     #[test]
     fn layout_reads_the_contract_from_the_header() {
         let (g, frozen) = sample();
-        let bytes = frozen.save_with(SnapshotVersion::V2);
-        let owned = SnapshotSource::owned(bytes.clone());
-        assert!(FrozenView::open(&owned).is_ok());
+        let bytes = frozen.save();
+        assert!(FrozenView::open(&bytes).is_ok());
         let layout = snapshot_layout(&bytes).unwrap();
         assert_eq!(layout.contract, Contract::Approx(ApproxParams::DEFAULT));
         assert_eq!(layout.fingerprint, frozen.fingerprint());
@@ -277,15 +276,15 @@ mod tests {
         let mut v1 = frozen.save();
         v1[4..6].copy_from_slice(&1u16.to_le_bytes());
         assert_eq!(
-            FrozenView::open_bytes(&v1).unwrap_err(),
+            FrozenView::open(&v1).unwrap_err(),
             SnapshotError::UnsupportedVersion(1)
         );
         assert_eq!(
-            FrozenView::open_bytes(b"FTBX....").unwrap_err(),
+            FrozenView::open(b"FTBX....").unwrap_err(),
             SnapshotError::BadMagic
         );
         assert_eq!(
-            FrozenView::open_bytes(b"FTBA....").unwrap_err(),
+            FrozenView::open(b"FTBA....").unwrap_err(),
             SnapshotError::BadMagic,
             "the retired approximate magic is not a snapshot"
         );

@@ -27,11 +27,11 @@
 //!   different structure.
 //!
 //! Freezing writes all of this as a snapshot (see [`crate::snapshot`]) and
-//! opens it: a [`FrozenStructure`] *is* its snapshot bytes, served by the
+//! loads it: a [`FrozenStructure`] *is* its snapshot bytes, served by the
 //! same type that serves borrowed bytes
 //! (`FrozenStructure = FrozenView<'static>`, see [`crate::view`]).
 //! [`FrozenView::save`] hands the bytes back and [`FrozenStructure::load`]
-//! opens a copy, so nothing is compiled twice.
+//! checks and keeps a copy, so nothing is compiled twice.
 //!
 //! ## Slab layouts
 //!
@@ -61,7 +61,6 @@ use crate::view::FrozenView;
 use ftbfs_core::FtBfsStructure;
 use ftbfs_graph::bytes::{fnv1a64, put_u32, put_u32_slice, LeU32s, WordRead};
 use ftbfs_graph::{EdgeId, Graph, Path, VertexId};
-use std::borrow::Cow;
 
 /// Sentinel distance meaning "not reached".
 pub(crate) const UNREACHED: u32 = u32::MAX;
@@ -488,7 +487,7 @@ impl FrozenStructure {
 
     /// Compiles the structure over `ids` (sorted, distinct) — and, for the
     /// per-source layout, each slab's union-edge indices — into snapshot
-    /// sections, encodes them and opens the result.  Opening runs the same
+    /// sections, encodes them and loads the result.  Loading runs the same
     /// invariant checks and certificate as any snapshot, so a malformed
     /// contract, a missing or repeated source, or a bad compile panics
     /// here.
@@ -550,7 +549,7 @@ impl FrozenStructure {
             (SEC_TREES, words(&s.trees)),
         ]);
         let bytes = assemble(magic, &base, fnv1a64(&base), &sections);
-        FrozenView::open_cow(Cow::Owned(bytes)).unwrap_or_else(|e| panic!("cannot freeze: {e}"))
+        FrozenStructure::load(&bytes).unwrap_or_else(|e| panic!("cannot freeze: {e}"))
     }
 }
 
@@ -701,7 +700,7 @@ mod tests {
         let mut engine = QueryEngine::new();
         for (frozen, served) in [(&shared, true), (&single, false), (&multi, false)] {
             let bytes = frozen.save();
-            let view = FrozenView::open_bytes(&bytes).unwrap();
+            let view = FrozenView::open(&bytes).unwrap();
             let from_frozen = engine.try_distance_from(frozen, v(5), v(1), &FaultSpec::None);
             let from_view = engine.try_distance_from(&view, v(5), v(1), &FaultSpec::None);
             assert_eq!(from_frozen, from_view);

@@ -81,7 +81,7 @@ pub use snapshot::{
     snapshot_layout, SectionEntry, SnapshotError, SnapshotLayout, SnapshotVersion, SNAPSHOT_ALIGN,
     SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC, SNAPSHOT_VERSION,
 };
-pub use view::{FrozenView, SnapshotSource};
+pub use view::FrozenView;
 
 use ftbfs_core::FtBfsStructure;
 use ftbfs_graph::Graph;

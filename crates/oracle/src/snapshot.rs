@@ -43,7 +43,8 @@
 //! base         B bytes   the base payload above
 //! base_check   u64       word-stepped FNV-1a over the base payload
 //! fingerprint  u64       the structure fingerprint (= FNV-1a of the base),
-//!                        precomputed so open() never re-hashes the base
+//!                        stored so a borrowed open need not re-hash the
+//!                        base; load() and the serving boundary do
 //! count        u32       number of sections
 //! toc          count × { kind u32, offset u64, len u64, check u64 }
 //! frame_check  u64       word-stepped FNV-1a over fingerprint..toc
@@ -98,8 +99,9 @@ pub const SNAPSHOT_ALIGN: usize = 64;
 /// Header flag: the base carries an approximate [`Contract`].
 const FLAG_APPROX: u16 = 1;
 
-/// Which snapshot format `save_with` writes.  Only v2 exists; the knob
-/// lets callers pin the format they depend on explicitly.
+/// Which snapshot format `save_with` writes.  Only v2 exists, and
+/// `save` writes it; the knob is kept for the standalone `perfbench`
+/// package, which names the format it writes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SnapshotVersion {
     /// Base payload plus aligned derived sections, opened with zero
@@ -677,18 +679,22 @@ mod tests {
     #[test]
     fn v2_save_load_roundtrip_is_identical() {
         let frozen = frozen_sample();
-        let bytes = frozen.save_with(SnapshotVersion::V2);
-        assert_eq!(bytes, frozen.save(), "v2 is the default format");
+        let bytes = frozen.save();
+        assert_eq!(
+            frozen.save_with(SnapshotVersion::V2),
+            bytes,
+            "v2 is the one format"
+        );
         assert_eq!(bytes.len() % SNAPSHOT_ALIGN, 0, "writer pads to 64");
         let loaded = FrozenStructure::load(&bytes).unwrap();
         assert_eq!(loaded, frozen);
-        assert_eq!(loaded.save_with(SnapshotVersion::V2), bytes);
+        assert_eq!(loaded.save(), bytes);
     }
 
     #[test]
     fn v2_layout_exposes_aligned_checksummed_sections() {
         let frozen = frozen_sample();
-        let bytes = frozen.save_with(SnapshotVersion::V2);
+        let bytes = frozen.save();
         let layout = snapshot_layout(&bytes).unwrap();
         assert_eq!(layout.version, SNAPSHOT_VERSION);
         assert_eq!(layout.contract, Contract::Exact);
@@ -766,7 +772,7 @@ mod tests {
     #[test]
     fn v2_section_corruption_is_attributed_to_the_section() {
         let frozen = frozen_sample();
-        let mut bytes = frozen.save_with(SnapshotVersion::V2);
+        let mut bytes = frozen.save();
         let layout = snapshot_layout(&bytes).unwrap();
         let tree = layout
             .sections

@@ -1,5 +1,4 @@
-//! The one frozen type, [`FrozenView`], over snapshot bytes, and the
-//! [`SnapshotSource`] it opens.
+//! The one frozen type, [`FrozenView`], over snapshot bytes.
 //!
 //! A snapshot (see [`crate::snapshot`]) stores not just the determining
 //! edge list but every derived array — CSR offsets and arcs, fault-free
@@ -11,16 +10,16 @@
 //! of the big arrays are copied; open-time allocation is limited to
 //! metadata scratch (the small source list and section table).
 //!
-//! The bytes are borrowed or owned.  Borrowed is the zero-copy serving
-//! path: a server reads a snapshot file into a buffer, or maps it
-//! read-only itself (page-aligned, so the 64-byte section alignment holds
-//! in memory) and borrows the region, wraps the bytes in a
-//! [`SnapshotSource`], opens a view, and serves immediately.  Owned is
-//! [`FrozenStructure`] (`FrozenView<'static>`): freezing encodes a
-//! structure and opens the result, [`FrozenStructure::load`] opens a copy,
-//! and [`FrozenView::save`] hands the bytes back.  Either way one type
-//! serves both slab layouts, so every engine feature (fault LRU, tree fast
-//! path, batched and threaded serving) works the same on both.
+//! The bytes are borrowed or owned, and each has one open.  Borrowed is
+//! the zero-copy path: a caller reads a snapshot file into a buffer, or
+//! maps it read-only itself (page-aligned, so the 64-byte section
+//! alignment holds in memory), and [`FrozenView::open`] serves straight
+//! out of that region.  Owned is [`FrozenStructure`]
+//! (`FrozenView<'static>`): [`FrozenStructure::load`] checks snapshot
+//! bytes and keeps a copy, freezing encodes a structure and loads the
+//! result, and [`FrozenView::save`] hands the bytes back.  Either way one
+//! type serves both slab layouts, so every engine feature (fault LRU, tree
+//! fast path, batched and threaded serving) works the same on both.
 //!
 //! Safety under corruption: the open-time checks guarantee that *any*
 //! byte-level corruption is rejected (every byte is covered by a
@@ -44,12 +43,16 @@
 //! Opening never panics on malformed input; it returns a typed
 //! [`SnapshotError`].
 //!
-//! One field is *attested* rather than recomputed on open: the structure
-//! fingerprint, stored in the (frame-checksummed) header so open need not
-//! re-hash the base.  In-tree writers always store the correct value (the
-//! golden-fixture CI gate pins this), and [`FrozenStructure::load`]
-//! recomputes it from the base payload, rejecting snapshots from writers
-//! that got it wrong.
+//! One field is *attested* rather than recomputed by [`FrozenView::open`]:
+//! the structure fingerprint, stored in the (frame-checksummed) header so
+//! a borrowed open need not re-hash the base.  Checksums do not stop a
+//! writer that stamped the wrong structure's fingerprint, and engines key
+//! their caches (and servers their epoch tags) on it, so the entry points
+//! that take bytes to serve re-hash it: [`FrozenStructure::load`]
+//! recomputes the fingerprint from the base payload and rejects a snapshot
+//! whose base and fingerprint disagree, and `ftbfs_serve::EpochSnapshot`,
+//! the serving boundary, opens every epoch with `load`.  In-tree writers
+//! always store the correct value (the golden-fixture CI gate pins this).
 
 use crate::api::{Contract, Guarantee};
 use crate::frozen::{FrozenStructure, OracleSlab, SlabTable, SourceTree, NO_PARENT, UNREACHED};
@@ -62,75 +65,6 @@ use ftbfs_graph::bytes::{fnv1a64, LeU32s};
 use ftbfs_graph::{EdgeId, FaultSpec, VertexId};
 use std::borrow::Cow;
 use std::ops::Range;
-
-/// Snapshot bytes for a view to open: owned (read from disk or the
-/// network into a `Vec<u8>`) or borrowed (for example a caller-managed
-/// mapped region — any `&[u8]` whose lifetime outlives the views opened
-/// over it, which is the zero-copy path).
-///
-/// The source only carries the bytes; validation happens when a
-/// [`FrozenView`] is opened over it.
-///
-/// # Examples
-///
-/// ```
-/// use ftbfs_graph::generators;
-/// use ftbfs_graph::VertexId;
-/// use ftbfs_oracle::{FrozenStructure, FrozenView, SnapshotSource, SnapshotVersion};
-///
-/// let g = generators::cycle(8);
-/// let frozen = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, g.edges());
-/// let source = SnapshotSource::owned(frozen.save_with(SnapshotVersion::V2));
-/// let view = FrozenView::open(&source).unwrap();
-/// assert_eq!(view.fingerprint(), frozen.fingerprint());
-/// ```
-#[derive(Clone, Debug)]
-pub struct SnapshotSource<'a> {
-    data: Cow<'a, [u8]>,
-}
-
-impl<'a> SnapshotSource<'a> {
-    /// A source that owns its bytes.
-    pub fn owned(data: Vec<u8>) -> SnapshotSource<'static> {
-        SnapshotSource {
-            data: Cow::Owned(data),
-        }
-    }
-
-    /// A source borrowing bytes that live elsewhere (e.g. a mapped file).
-    pub fn borrowed(data: &'a [u8]) -> Self {
-        SnapshotSource {
-            data: Cow::Borrowed(data),
-        }
-    }
-
-    /// The snapshot bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Number of bytes.
-    pub fn len(&self) -> usize {
-        self.bytes().len()
-    }
-
-    /// Returns `true` if the source holds no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.bytes().is_empty()
-    }
-}
-
-impl From<Vec<u8>> for SnapshotSource<'static> {
-    fn from(data: Vec<u8>) -> Self {
-        SnapshotSource::owned(data)
-    }
-}
-
-impl<'a> From<&'a [u8]> for SnapshotSource<'a> {
-    fn from(data: &'a [u8]) -> Self {
-        SnapshotSource::borrowed(data)
-    }
-}
 
 /// Certifies slab `j` and the trees over it against the base (see the
 /// module docs).  `prefix` is the edge count of the slabs before `j`.
@@ -230,9 +164,9 @@ fn le_words(data: &[u8]) -> LeU32s<'_> {
 /// either layout (`"FTBO"`: one shared slab; `"FTBM"`: one slab per
 /// declared source), exact or approximate; see the [module docs](self).
 ///
-/// Opened with [`FrozenView::open`] (from a [`SnapshotSource`]) or
-/// [`FrozenView::open_bytes`] over borrowed bytes; [`FrozenStructure`] is
-/// the same type over owned bytes.  The query engine serves from it: a
+/// Opened with [`FrozenView::open`] over borrowed bytes;
+/// [`FrozenStructure`] is the same type over owned bytes, from
+/// [`FrozenStructure::load`].  The query engine serves from it: a
 /// view answers bit-identically to the structure the snapshot was saved
 /// from — same fingerprint, same contract and guarantees, same servable
 /// sources, same slabs, same precomputed trees.  Two frozen structures are equal
@@ -346,21 +280,16 @@ impl PartialEq for FrozenView<'_> {
 impl Eq for FrozenView<'_> {}
 
 impl<'a> FrozenView<'a> {
-    /// Opens a view over a [`SnapshotSource`], validating the snapshot
-    /// without rebuilding it; see the [module docs](self).
-    pub fn open(source: &'a SnapshotSource<'_>) -> Result<Self, SnapshotError> {
-        Self::open_bytes(source.bytes())
-    }
-
-    /// Opens a view directly over snapshot bytes of either magic.
-    pub fn open_bytes(data: &'a [u8]) -> Result<Self, SnapshotError> {
-        Self::open_cow(Cow::Borrowed(data))
-    }
-
-    /// Opens a view over borrowed or owned bytes.
-    pub(crate) fn open_cow(data: Cow<'a, [u8]>) -> Result<Self, SnapshotError> {
-        let layout = Layout::read(&data)?;
-        Ok(FrozenView { data, layout })
+    /// Opens a view over borrowed snapshot bytes of either magic,
+    /// validating and certifying them without a rebuild or a copy; the
+    /// stored fingerprint is trusted, not re-hashed (see the
+    /// [module docs](self)).
+    pub fn open(data: &'a [u8]) -> Result<Self, SnapshotError> {
+        let layout = Layout::read(data)?;
+        Ok(FrozenView {
+            data: Cow::Borrowed(data),
+            layout,
+        })
     }
 
     /// The serving arrays.
@@ -430,7 +359,10 @@ impl<'a> FrozenView<'a> {
     /// Two frozen structures answer identically iff their fingerprints
     /// (over `n`, resilience, contract, sources, the edge list and any
     /// per-source slab lists) agree; the query engine uses this to
-    /// invalidate its cache when rebound.
+    /// invalidate its cache when rebound.  That holds for structures whose
+    /// fingerprint was checked against their base — every
+    /// [`FrozenStructure`], which [`FrozenStructure::load`] produces; a
+    /// borrowed [`FrozenView::open`] trusts the stored value.
     pub fn fingerprint(&self) -> u64 {
         self.layout.fingerprint
     }
@@ -504,33 +436,40 @@ impl<'a> FrozenView<'a> {
         )
     }
 
-    /// The structure's snapshot (see [`crate::snapshot`] for the layout):
-    /// the bytes it serves from.
-    pub fn save(&self) -> Vec<u8> {
-        self.save_with(SnapshotVersion::V2)
+    /// The snapshot bytes the structure serves from (see
+    /// [`crate::snapshot`] for the layout).  The magic follows the layout:
+    /// `"FTBO"` for one shared slab, `"FTBM"` for per-source slabs.
+    pub fn bytes(&self) -> &[u8] {
+        &self.data
     }
 
-    /// [`Self::save`] in the chosen snapshot format version (v2 is the
-    /// only one).  The magic follows the layout: `"FTBO"` for one shared
-    /// slab, `"FTBM"` for per-source slabs.
+    /// A copy of the structure's snapshot, [`Self::bytes`].
+    pub fn save(&self) -> Vec<u8> {
+        self.bytes().to_vec()
+    }
+
+    /// [`Self::save`]; v2 is the only version.  Kept for the standalone
+    /// `perfbench` package, which names the version it writes; in-tree
+    /// code calls `save`.
     pub fn save_with(&self, version: SnapshotVersion) -> Vec<u8> {
         let SnapshotVersion::V2 = version;
-        self.data.to_vec()
+        self.save()
     }
 }
 
 impl FrozenStructure {
-    /// Opens a copy of snapshot bytes of either magic.  The bytes are
-    /// validated exactly like a [`FrozenView::open`], and the stored
-    /// fingerprint is recomputed from the base payload: a snapshot whose
-    /// base and fingerprint disagree (a buggy external writer, a patched
-    /// file with fixed-up checksums) is rejected rather than silently
-    /// de-syncing engines that key their caches on fingerprint equality.
+    /// Opens a copy of snapshot bytes of either magic: the one owned
+    /// open, and the full check.  The bytes are validated exactly like a
+    /// [`FrozenView::open`], and the stored fingerprint is recomputed from
+    /// the base payload: a snapshot whose base and fingerprint disagree (a
+    /// buggy external writer, a patched file with fixed-up checksums) is
+    /// rejected rather than silently de-syncing engines that key their
+    /// caches on fingerprint equality.
     ///
     /// Malformed input of any kind returns a typed [`SnapshotError`]; this
     /// function never panics.
     pub fn load(data: &[u8]) -> Result<Self, SnapshotError> {
-        let layout = FrozenView::open_bytes(data)?.layout;
+        let layout = Layout::read(data)?;
         if fnv1a64(&data[4..layout.base_end]) != layout.fingerprint {
             return corrupt("stored fingerprint disagrees with the determining data");
         }
@@ -579,8 +518,8 @@ mod tests {
     #[test]
     fn view_answers_identically_to_the_frozen_structure() {
         let (g, frozen) = sample();
-        let bytes = frozen.save_with(SnapshotVersion::V2);
-        let view = FrozenView::open_bytes(&bytes).unwrap();
+        let bytes = frozen.save();
+        let view = FrozenView::open(&bytes).unwrap();
         assert_eq!(view.vertex_count(), frozen.vertex_count());
         assert_eq!(view.edge_count(), frozen.edge_count());
         assert_eq!(view.sources(), frozen.sources());
@@ -622,22 +561,21 @@ mod tests {
     #[test]
     fn view_rejects_v1_bytes_and_owned_and_borrowed_sources_work() {
         let (_g, frozen) = sample();
-        let bytes = frozen.save_with(SnapshotVersion::V2);
+        let bytes = frozen.save();
         let mut v1 = bytes.clone();
         v1[4..6].copy_from_slice(&1u16.to_le_bytes());
         assert_eq!(
-            FrozenView::open_bytes(&v1).unwrap_err(),
+            FrozenView::open(&v1).unwrap_err(),
             SnapshotError::UnsupportedVersion(1)
         );
-        let owned = SnapshotSource::owned(bytes.clone());
-        assert_eq!(owned.len(), bytes.len());
-        assert!(!owned.is_empty());
-        let from_owned = FrozenView::open(&owned).unwrap();
-        let borrowed = SnapshotSource::borrowed(&bytes);
-        let from_borrowed = FrozenView::open(&borrowed).unwrap();
-        assert_eq!(from_owned.fingerprint(), from_borrowed.fingerprint());
-        let via_from: SnapshotSource<'_> = bytes.as_slice().into();
-        assert!(FrozenView::open(&via_from).is_ok());
+        let owned = FrozenStructure::load(&bytes).unwrap();
+        let borrowed = FrozenView::open(&bytes).unwrap();
+        assert_eq!(owned, borrowed);
+        assert_eq!(owned.fingerprint(), borrowed.fingerprint());
+        // The borrowed open serves the caller's bytes; the owned load, a copy.
+        assert_eq!(borrowed.bytes().as_ptr(), bytes.as_ptr());
+        assert_ne!(owned.bytes().as_ptr(), bytes.as_ptr());
+        assert_eq!(owned.bytes(), &bytes[..]);
     }
 
     #[test]
@@ -647,9 +585,9 @@ mod tests {
         let sources = [v(0), v(7)];
         let parts = multi_failure_ftmbfs_parts(&g, &w, &sources, 2);
         let multi = FrozenStructure::freeze_parts(&g, &parts);
-        let bytes = multi.save_with(SnapshotVersion::V2);
+        let bytes = multi.save();
         assert_eq!(&bytes[..4], &SNAPSHOT_MULTI_MAGIC);
-        let view = FrozenView::open_bytes(&bytes).unwrap();
+        let view = FrozenView::open(&bytes).unwrap();
         assert_eq!(view.vertex_count(), multi.vertex_count());
         assert_eq!(view.edge_count(), multi.edge_count());
         assert_eq!(view.sources(), multi.sources());
@@ -676,19 +614,19 @@ mod tests {
     #[test]
     fn open_validates_debug_formats_and_never_panics_on_garbage() {
         let (_g, frozen) = sample();
-        let bytes = frozen.save_with(SnapshotVersion::V2);
-        let view = FrozenView::open_bytes(&bytes).unwrap();
+        let bytes = frozen.save();
+        let view = FrozenView::open(&bytes).unwrap();
         let dbg = format!("{view:?}");
         assert!(dbg.contains("FrozenView"));
         assert_eq!(
-            FrozenView::open_bytes(b"FTBX____").unwrap_err(),
+            FrozenView::open(b"FTBX____").unwrap_err(),
             SnapshotError::BadMagic
         );
         let mut crossed = bytes.clone();
         crossed[..4].copy_from_slice(&SNAPSHOT_MULTI_MAGIC);
-        assert!(FrozenView::open_bytes(&crossed).is_err());
+        assert!(FrozenView::open(&crossed).is_err());
         for cut in [0, 4, 6, bytes.len() / 2, bytes.len() - 1] {
-            assert!(FrozenView::open_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(FrozenView::open(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 }

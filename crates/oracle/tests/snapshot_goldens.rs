@@ -19,7 +19,7 @@ use ftbfs_core::ApproxParams;
 use ftbfs_graph::{EdgeId, FaultSpec, VertexId};
 use ftbfs_oracle::{
     snapshot_layout, Contract, FrozenStructure, FrozenView, QueryEngine, SnapshotError,
-    SnapshotVersion, SNAPSHOT_ALIGN, SNAPSHOT_VERSION,
+    SNAPSHOT_ALIGN, SNAPSHOT_VERSION,
 };
 
 const GOLDEN_SINGLE_V2: &[u8] = include_bytes!("../testdata/golden_single_v2.ftbo");
@@ -57,9 +57,9 @@ fn golden_single_v2_loads_and_opens_with_the_recorded_fingerprint() {
     assert_eq!(loaded.fingerprint(), GOLDEN_SINGLE_FINGERPRINT);
     assert_eq!(loaded.contract(), Contract::Exact);
     // The current encoder reproduces the golden bytes (canonical).
-    assert_eq!(loaded.save_with(SnapshotVersion::V2), GOLDEN_SINGLE_V2);
+    assert_eq!(loaded.save(), GOLDEN_SINGLE_V2);
     // Zero-rebuild open over the same bytes: same identity, same answers.
-    let view = FrozenView::open_bytes(GOLDEN_SINGLE_V2).expect("golden must keep opening");
+    let view = FrozenView::open(GOLDEN_SINGLE_V2).expect("golden must keep opening");
     assert_eq!(view.fingerprint(), GOLDEN_SINGLE_FINGERPRINT);
     assert_view_matches_load(&loaded, &view);
 }
@@ -84,8 +84,8 @@ fn golden_single_v2_layout_is_stable() {
 fn golden_multi_v2_loads_and_opens_with_the_recorded_fingerprint() {
     let loaded = FrozenStructure::load(GOLDEN_MULTI_V2).expect("golden must keep loading");
     assert_eq!(loaded.fingerprint(), GOLDEN_MULTI_FINGERPRINT);
-    assert_eq!(loaded.save_with(SnapshotVersion::V2), GOLDEN_MULTI_V2);
-    let view = FrozenView::open_bytes(GOLDEN_MULTI_V2).expect("golden must keep opening");
+    assert_eq!(loaded.save(), GOLDEN_MULTI_V2);
+    let view = FrozenView::open(GOLDEN_MULTI_V2).expect("golden must keep opening");
     assert_eq!(view.fingerprint(), GOLDEN_MULTI_FINGERPRINT);
     let mut ea = QueryEngine::new();
     let mut eb = QueryEngine::new();
@@ -106,7 +106,7 @@ fn golden_approx_v2_loads_and_opens_with_the_recorded_fingerprint() {
     let loaded = FrozenStructure::load(GOLDEN_APPROX_V2).expect("golden must keep loading");
     assert_eq!(loaded.fingerprint(), GOLDEN_APPROX_FINGERPRINT);
     assert_eq!(loaded.save(), GOLDEN_APPROX_V2);
-    let view = FrozenView::open_bytes(GOLDEN_APPROX_V2).expect("golden must keep opening");
+    let view = FrozenView::open(GOLDEN_APPROX_V2).expect("golden must keep opening");
     assert_eq!(view.fingerprint(), GOLDEN_APPROX_FINGERPRINT);
 
     // The stored stretch contract is the default (α = 3/1, β = 4, θ = 4)

@@ -1,22 +1,25 @@
 //! Epoch-swapped snapshots: [`EpochSnapshot`] and the lock-light two-slot
 //! [`EpochCell`].
 //!
-//! The serving front-end's workers answer out of *snapshots* — snapshot
-//! bytes (owned, or a caller-mapped region promoted to `'static`) that a
-//! zero-rebuild [`FrozenView`] opens over, whichever slab layout they
-//! carry.  Replacing
-//! the live snapshot with a new one is an **epoch swap**:
+//! The serving front-end's workers answer out of *epochs*: each is one
+//! [`FrozenStructure`] (either slab layout), loaded once from snapshot
+//! bytes and shared by every worker through a cheap [`EpochSnapshot`]
+//! handle.  Replacing the live epoch with a new one is an **epoch swap**:
 //!
-//! * the publisher validates the new [`EpochSnapshot`] (a full open:
-//!   bounds, checksums, freeze invariants) *before* installing it, so
-//!   workers never meet malformed bytes;
+//! * the new [`EpochSnapshot`] is checked when it is built — the full
+//!   [`FrozenStructure::load`]: bounds, checksums, freeze invariants, the
+//!   certificate of the derived sections, and the fingerprint re-hashed
+//!   from the base — so workers never meet malformed bytes, and the
+//!   fingerprint that keys their engines' caches and tags their responses
+//!   names the structure they actually serve;
 //! * [`EpochCell::publish`] writes the new snapshot into the inactive slot
 //!   of a two-slot cell and then bumps an atomic generation counter —
 //!   readers of the active slot never wait on a publish in progress;
 //! * each worker re-checks the generation after *receiving* a request and
-//!   before answering it, reopening its view when the generation moved.
-//!   A request already held by a worker is answered by whichever epoch the
-//!   worker has open — requests are never dropped, and every answer is
+//!   before answering it, switching to the new epoch's structure when the
+//!   generation moved (a refcount bump; nothing is validated again).  A
+//!   request already held by a worker is answered by whichever epoch the
+//!   worker holds — requests are never dropped, and every answer is
 //!   consistent with exactly one epoch, whose fingerprint the response
 //!   carries.
 //!
@@ -28,85 +31,63 @@
 //!
 //! The cell is the `ArcSwap` idea rebuilt from safe parts (the workspace
 //! forbids `unsafe`): an [`AtomicU64`] generation plus two mutex-guarded
-//! `Arc` slots, with readers retrying the (cheap) slot clone if a publish
-//! raced them.
+//! snapshot slots, with readers retrying the (cheap) slot clone if a
+//! publish raced them.
 
 use crate::chaos::FaultInjector;
 use crate::error::ServeError;
 use crate::health::HealthCounters;
-use ftbfs_oracle::{FrozenView, SnapshotError, SnapshotSource};
+use ftbfs_oracle::{FrozenStructure, SnapshotError};
 use ftbfs_telemetry::{EventRing, TraceEvent};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One validated, servable generation of snapshot bytes.
+/// One checked, servable epoch: a cheap, cloneable handle on a
+/// [`FrozenStructure`] loaded once from snapshot bytes.
 ///
-/// Construction performs the full open (and is the *only* place it can
-/// fail), so a worker's later [`EpochSnapshot::open`] is infallible: the
-/// bytes are immutable and the validation deterministic.
+/// [`EpochSnapshot::from_bytes`] is the serving boundary's one check, and
+/// the only place an epoch can fail: it runs [`FrozenStructure::load`],
+/// fingerprint re-hash included.  The handle dereferences to the loaded
+/// structure; cloning bumps a reference count, and every clone serves the
+/// same bytes.
 ///
 /// # Examples
 ///
 /// ```
 /// use ftbfs_graph::{generators, VertexId};
-/// use ftbfs_oracle::{FrozenStructure, SnapshotSource, SnapshotVersion};
+/// use ftbfs_oracle::FrozenStructure;
 /// use ftbfs_serve::EpochSnapshot;
 ///
 /// let g = generators::cycle(8);
 /// let frozen = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, g.edges());
-/// let snap = EpochSnapshot::new(SnapshotSource::owned(
-///     frozen.save_with(SnapshotVersion::V2),
-/// ))
-/// .unwrap();
+/// let snap = EpochSnapshot::from_bytes(frozen.save()).unwrap();
 /// assert_eq!(snap.fingerprint(), frozen.fingerprint());
+/// assert_eq!(snap.clone().bytes().as_ptr(), snap.bytes().as_ptr());
 /// ```
 #[derive(Clone, Debug)]
-pub struct EpochSnapshot {
-    source: SnapshotSource<'static>,
-    fingerprint: u64,
-    vertex_count: usize,
-}
+pub struct EpochSnapshot(Arc<FrozenStructure>);
 
 impl EpochSnapshot {
-    /// Validates snapshot bytes (either slab layout) into a servable
-    /// snapshot.
-    pub fn new(source: SnapshotSource<'static>) -> Result<Self, SnapshotError> {
-        let view = FrozenView::open(&source)?;
-        let (fingerprint, vertex_count) = (view.fingerprint(), view.vertex_count());
-        Ok(EpochSnapshot {
-            source,
-            fingerprint,
-            vertex_count,
-        })
-    }
-
-    /// Convenience: validate owned snapshot bytes.
+    /// Loads snapshot bytes (either slab layout) into a servable epoch,
+    /// running the full check of [`FrozenStructure::load`].
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
-        EpochSnapshot::new(SnapshotSource::owned(bytes))
+        FrozenStructure::load(&bytes).map(|frozen| EpochSnapshot(Arc::new(frozen)))
     }
 
-    /// The raw snapshot bytes this epoch serves from.
-    pub fn bytes(&self) -> &[u8] {
-        self.source.bytes()
+    /// The loaded structure this epoch serves, as the handle dereferences
+    /// to: a plain getter, kept under this name for the standalone
+    /// `perfbench` package.
+    pub fn open(&self) -> &FrozenStructure {
+        &self.0
     }
+}
 
-    /// The structural fingerprint responses answered from this snapshot
-    /// carry as their epoch tag.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
+impl Deref for EpochSnapshot {
+    type Target = FrozenStructure;
 
-    /// Number of vertices of the snapshotted structure's graph.
-    pub fn vertex_count(&self) -> usize {
-        self.vertex_count
-    }
-
-    /// Opens a zero-rebuild serving view over the snapshot bytes.
-    ///
-    /// Infallible by construction: `new` already ran the identical
-    /// validation over the same immutable bytes.
-    pub fn open(&self) -> FrozenView<'_> {
-        FrozenView::open(&self.source).expect("bytes were validated at EpochSnapshot construction")
+    fn deref(&self) -> &FrozenStructure {
+        &self.0
     }
 }
 
@@ -115,14 +96,14 @@ impl EpochSnapshot {
 #[derive(Debug)]
 pub struct EpochCell {
     generation: AtomicU64,
-    slots: [Mutex<Arc<EpochSnapshot>>; 2],
+    slots: [Mutex<EpochSnapshot>; 2],
     /// Serialises publishers (readers never take it).
     publish_lock: Mutex<()>,
 }
 
 impl EpochCell {
     /// A cell starting at generation 0 with `initial` in both slots.
-    pub fn new(initial: Arc<EpochSnapshot>) -> Self {
+    pub fn new(initial: EpochSnapshot) -> Self {
         EpochCell {
             generation: AtomicU64::new(0),
             slots: [Mutex::new(initial.clone()), Mutex::new(initial)],
@@ -140,11 +121,11 @@ impl EpochCell {
     /// Readers lock only the *active* slot, which a publisher never
     /// writes; the retry loop discards a read that raced two publishes.
     ///
-    /// Poison-safe: a slot holds a plain `Arc`, which is consistent at
+    /// Poison-safe: a slot holds a plain handle, which is consistent at
     /// every instant, so a reader or publisher that panicked while holding
     /// the lock left nothing half-written — the poison flag is cleared
     /// with [`std::sync::PoisonError::into_inner`] and serving continues.
-    pub fn load(&self) -> (u64, Arc<EpochSnapshot>) {
+    pub fn load(&self) -> (u64, EpochSnapshot) {
         loop {
             let gen = self.generation.load(Ordering::Acquire);
             let snap = self.slots[(gen % 2) as usize]
@@ -166,7 +147,7 @@ impl EpochCell {
     /// *after* a complete slot write, so a publisher that died mid-publish
     /// left the cell serving the old epoch, which is exactly the state the
     /// next publish overwrites.
-    pub fn publish(&self, snapshot: Arc<EpochSnapshot>) -> u64 {
+    pub fn publish(&self, snapshot: EpochSnapshot) -> u64 {
         let _guard = self
             .publish_lock
             .lock()
@@ -213,12 +194,12 @@ pub struct EpochPublisher {
 }
 
 impl EpochPublisher {
-    /// Validates and installs a new snapshot; returns its generation.
+    /// Installs a new snapshot, checked when it was built; returns its
+    /// generation.
     ///
-    /// Validation happens here, before the swap, so workers can open the
-    /// installed bytes infallibly.  The bytes that would be installed are
-    /// re-validated as a unit (under chaos, possibly after injected
-    /// corruption): if they no longer validate, the publish is rejected
+    /// Under chaos the bytes may be corrupted on their way in; the
+    /// corrupted copy is re-checked through [`EpochSnapshot::from_bytes`]
+    /// as a real loader would, and if it fails the publish is rejected
     /// with [`ServeError::SnapshotRejected`], the generation does not
     /// move, and workers keep serving the old epoch.
     pub fn publish(&self, snapshot: EpochSnapshot) -> Result<u64, ServeError> {
@@ -235,7 +216,7 @@ impl EpochPublisher {
         }
         self.health.publishes.inc();
         let fingerprint = snapshot.fingerprint();
-        let epoch = self.cell.publish(Arc::new(snapshot));
+        let epoch = self.cell.publish(snapshot);
         self.events
             .push(TraceEvent::EpochPublished { epoch, fingerprint });
         Ok(epoch)
@@ -256,19 +237,20 @@ impl EpochPublisher {
 mod tests {
     use super::*;
     use ftbfs_graph::{generators, FaultSpec, VertexId};
-    use ftbfs_oracle::{FrozenStructure, Guarantee, SnapshotVersion};
+    use ftbfs_oracle::{FrozenStructure, Guarantee};
 
     fn snapshot(n: usize) -> EpochSnapshot {
         let g = generators::cycle(n);
         let frozen = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, g.edges());
-        EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2)).unwrap()
+        EpochSnapshot::from_bytes(frozen.save()).unwrap()
     }
 
     #[test]
-    fn snapshot_validates_and_reopens() {
+    fn snapshot_is_checked_once_and_clones_share_it() {
         let snap = snapshot(8);
-        assert_eq!(snap.vertex_count(), 8);
         let view = snap.open();
+        // Every clone serves the one loaded structure, with no copy.
+        assert!(std::ptr::eq(&*snap.clone(), view));
         assert_eq!(view.fingerprint(), snap.fingerprint());
         assert_eq!(view.vertex_count(), 8);
         assert_eq!(view.sources(), &[VertexId(0)]);
@@ -284,7 +266,7 @@ mod tests {
         let built =
             ftbfs_core::approx_ftbfs(&g, &w, VertexId(0), ftbfs_core::ApproxParams::DEFAULT);
         let frozen = FrozenStructure::freeze_approx(&g, &built);
-        let snap = EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2)).unwrap();
+        let snap = EpochSnapshot::from_bytes(frozen.save()).unwrap();
         assert_eq!(snap.fingerprint(), frozen.fingerprint());
         let view = snap.open();
         assert_eq!(view.vertex_count(), 24);
@@ -301,11 +283,11 @@ mod tests {
             EpochSnapshot::from_bytes(vec![0, 1, 2]),
             Err(SnapshotError::BadMagic)
         ));
-        // Valid magic, corrupt tail: the open-time validation runs here.
+        // Valid magic, corrupt tail: the load-time validation runs here.
         let mut bytes = {
             let g = generators::cycle(6);
             let f = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, g.edges());
-            f.save_with(SnapshotVersion::V2)
+            f.save()
         };
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
@@ -314,8 +296,8 @@ mod tests {
 
     #[test]
     fn cell_swaps_between_slots() {
-        let a = Arc::new(snapshot(6));
-        let b = Arc::new(snapshot(10));
+        let a = snapshot(6);
+        let b = snapshot(10);
         let cell = EpochCell::new(a.clone());
         assert_eq!(cell.generation(), 0);
         let (g0, s0) = cell.load();
@@ -332,8 +314,8 @@ mod tests {
 
     #[test]
     fn cell_recovers_from_poisoned_locks() {
-        let a = Arc::new(snapshot(6));
-        let b = Arc::new(snapshot(10));
+        let a = snapshot(6);
+        let b = snapshot(10);
         let cell = EpochCell::new(a.clone());
 
         // Poison both slot locks and the publish lock: a thread panics
@@ -366,8 +348,8 @@ mod tests {
 
     #[test]
     fn concurrent_loads_see_only_published_snapshots() {
-        let a = Arc::new(snapshot(6));
-        let b = Arc::new(snapshot(10));
+        let a = snapshot(6);
+        let b = snapshot(10);
         let cell = EpochCell::new(a.clone());
         let fps = [a.fingerprint(), b.fingerprint()];
         std::thread::scope(|scope| {

@@ -1,8 +1,8 @@
 //! # ftbfs-serve
 //!
 //! The sharded serving front-end of the FT-BFS reproduction: a
-//! continuous-stream request/response API over frozen snapshot views
-//! ([`ftbfs_oracle::FrozenView`]), with snapshot epochs that can be
+//! continuous-stream request/response API over frozen structures
+//! ([`ftbfs_oracle::FrozenStructure`]), with snapshot epochs that can be
 //! swapped under live load.
 //!
 //! The `ftbfs-oracle` crate answers *queries*; this crate serves
@@ -19,15 +19,16 @@
 //! * [`StreamServer`] / [`StreamHandle`] (module [`server`]) — the shard
 //!   router: requests with explicit sources pin to `source % workers`
 //!   (fault-LRU affinity), source-less requests round-robin; each worker
-//!   owns a private [`ftbfs_oracle::QueryEngine`] over a shared view of
-//!   the current snapshot; responses are reassembled into submission
+//!   owns a private [`ftbfs_oracle::QueryEngine`] over the current
+//!   epoch's shared structure; responses are reassembled into submission
 //!   order per stream.
 //! * [`EpochSnapshot`] / [`EpochCell`] / [`EpochPublisher`] (module
-//!   [`epoch`]) — safe two-slot epoch swapping: a publisher installs a
-//!   validated v2 snapshot, workers notice the generation move and
-//!   reopen, and every request is answered exactly once, by exactly one
-//!   epoch; requests submitted after `publish` returns are served by the
-//!   new epoch.
+//!   [`epoch`]) — safe two-slot epoch swapping: an epoch is one
+//!   structure loaded and checked once, at this boundary (fingerprint
+//!   re-hash included), a publisher installs it, workers notice the
+//!   generation move and take the new handle, and every request is
+//!   answered exactly once, by exactly one epoch; requests submitted after
+//!   `publish` returns are served by the new epoch.
 //! * [`ThroughputHarness`] (module [`harness`]) — batch driving: a
 //!   trusted list of queries split across per-thread engines by the
 //!   router's shard rule, measuring per-core engine scaling (the serve
@@ -55,12 +56,12 @@
 //!
 //! ```
 //! use ftbfs_graph::{generators, FaultSpec, VertexId};
-//! use ftbfs_oracle::{FrozenStructure, SnapshotVersion};
+//! use ftbfs_oracle::FrozenStructure;
 //! use ftbfs_serve::{EpochSnapshot, ServeConfig, ServeRequest, StreamServer};
 //!
 //! let g = generators::grid(4, 4);
 //! let frozen = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, g.edges());
-//! let snapshot = EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2)).unwrap();
+//! let snapshot = EpochSnapshot::from_bytes(frozen.save()).unwrap();
 //!
 //! let server = StreamServer::launch(snapshot, ServeConfig::new().workers(2));
 //! let mut stream = server.open_stream();

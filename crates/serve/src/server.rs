@@ -9,8 +9,8 @@
 //!   StreamHandle ──submit──▶ shard-by-source ──queue──▶ [supervisor 0] ─┐
 //!   StreamHandle ──submit──▶ (admission +    ──queue──▶ [supervisor 1] ─┤ per-worker
 //!       ⋮                     backpressure      ⋮           ⋮          │ QueryEngine,
-//!                             at submit)     ──queue──▶ [supervisor N] ─┘ view over the
-//!                                                                         epoch snapshot
+//!                             at submit)     ──queue──▶ [supervisor N] ─┘ the epoch's
+//!                                                                         loaded structure
 //!   StreamHandle ◀─recv──── seq-ordered reassembly ◀──mpsc── responses
 //! ```
 //!
@@ -39,11 +39,13 @@
 //!   shard queue survives the restart, so queued requests are never lost
 //!   and streams never hang or desynchronise.  Restarts are counted in
 //!   [`StreamServer::health`].
-//! * **Epochs.**  Workers serve from a [`ftbfs_oracle::FrozenView`] opened over
-//!   the current [`EpochSnapshot`]; after receiving each request they
-//!   re-check the epoch generation and reopen when it moved (see
-//!   [`crate::epoch`] for the exact guarantee).  Publishing never drops or
-//!   reorders requests.
+//! * **Epochs.**  Workers serve the [`ftbfs_oracle::FrozenStructure`]
+//!   held by the current [`EpochSnapshot`], loaded and checked once when
+//!   the snapshot was built; after receiving each request they re-check
+//!   the epoch generation and take the new epoch's handle when it moved
+//!   (see [`crate::epoch`] for the exact guarantee).  No worker opens or
+//!   re-validates snapshot bytes.  Publishing never drops or reorders
+//!   requests.
 //! * **Shutdown.**  [`StreamServer::shutdown`] marks the server closed
 //!   (further submits fail with [`SubmitError::Shutdown`]) and joins the
 //!   workers; already-submitted requests are drained and answered, never
@@ -180,12 +182,12 @@ struct WorkerContext {
 ///
 /// ```
 /// use ftbfs_graph::{generators, FaultSpec, VertexId};
-/// use ftbfs_oracle::{FrozenStructure, SnapshotVersion};
+/// use ftbfs_oracle::FrozenStructure;
 /// use ftbfs_serve::{EpochSnapshot, ServeConfig, ServeRequest, StreamServer};
 ///
 /// let g = generators::cycle(8);
 /// let frozen = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, g.edges());
-/// let snap = EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2)).unwrap();
+/// let snap = EpochSnapshot::from_bytes(frozen.save()).unwrap();
 ///
 /// let server = StreamServer::launch(snap, ServeConfig::new().workers(2));
 /// let mut stream = server.open_stream();
@@ -214,7 +216,7 @@ impl StreamServer {
     /// Spawns the supervised worker threads serving `initial` and returns
     /// the controller handle.
     pub fn launch(initial: EpochSnapshot, config: ServeConfig) -> Self {
-        let cell = Arc::new(EpochCell::new(Arc::new(initial)));
+        let cell = Arc::new(EpochCell::new(initial));
         let closed = Arc::new(AtomicBool::new(false));
         let telemetry = Arc::new(ServeTelemetry::new(config.workers));
         let health = Arc::new(HealthCounters::registered(telemetry.registry()));
@@ -290,7 +292,7 @@ impl StreamServer {
         }
     }
 
-    /// Installs a new (already validated) snapshot epoch; returns its
+    /// Installs a new (already checked) snapshot epoch; returns its
     /// generation.  Equivalent to [`EpochPublisher::publish`].
     pub fn publish(&self, snapshot: EpochSnapshot) -> Result<u64, ServeError> {
         self.publisher().publish(snapshot)
@@ -591,14 +593,15 @@ fn supervised_worker(ctx: &WorkerContext) {
     }
 }
 
-/// One shard's serving loop: open a view over the current epoch, answer
-/// requests until the epoch moves (then reopen) or the queue signals
-/// drain-and-exit.
+/// One shard's serving loop: take the current epoch's structure, answer
+/// requests until the epoch moves (then take the new one) or the queue
+/// signals drain-and-exit.  The structure was checked when its
+/// [`EpochSnapshot`] was built, so nothing here opens or validates bytes.
 ///
 /// The generation is re-checked after *receiving* each request, so a
 /// request submitted after a publish returned is never answered by the
 /// old epoch; a request already received when the publish lands is
-/// answered by the epoch the worker has open.  Either way it is answered
+/// answered by the epoch the worker holds.  Either way it is answered
 /// exactly once.
 ///
 /// `in_flight` is the supervisor's window into this loop: the item
@@ -609,7 +612,6 @@ fn serve_shard(ctx: &WorkerContext, in_flight: &mut Option<WorkItem>) {
     let mut engine = QueryEngine::new();
     'epochs: loop {
         let (generation, snapshot) = ctx.cell.load();
-        let view = snapshot.open();
         let fingerprint = snapshot.fingerprint();
         loop {
             if in_flight.is_none() {
@@ -628,13 +630,14 @@ fn serve_shard(ctx: &WorkerContext, in_flight: &mut Option<WorkItem>) {
                 ctx.injector.panic_point();
             }
             if ctx.cell.generation() != generation {
-                // Epoch moved: reopen, carrying the in-flight item across.
+                // Epoch moved: take the new one, carrying the in-flight
+                // item across.
                 continue 'epochs;
             }
             ctx.injector.stall_point();
             let item = in_flight.as_ref().expect("in-flight item present");
             let start = Instant::now();
-            let outcome = serve_outcome(&mut engine, &view, &item.request);
+            let outcome = serve_outcome(&mut engine, &snapshot, &item.request);
             let response = ServeResponse {
                 seq: item.seq,
                 epoch: fingerprint,
@@ -716,11 +719,11 @@ fn serve_outcome(
 mod tests {
     use super::*;
     use ftbfs_graph::{generators, FaultSpec, VertexId};
-    use ftbfs_oracle::{FrozenStructure, QueryError, SnapshotVersion};
+    use ftbfs_oracle::{FrozenStructure, QueryError};
 
     fn snapshot_of(g: &ftbfs_graph::Graph) -> (EpochSnapshot, FrozenStructure) {
         let frozen = FrozenStructure::from_edges(g, &[VertexId(0)], 2, g.edges());
-        let snap = EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2)).unwrap();
+        let snap = EpochSnapshot::from_bytes(frozen.save()).unwrap();
         (snap, frozen)
     }
 
@@ -914,7 +917,7 @@ mod tests {
         // A sparser structure over the same graph: different fingerprint.
         let tree_edges: Vec<_> = g.edges().take(g.vertex_count() - 1).collect();
         let frozen_b = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, tree_edges);
-        let snap_b = EpochSnapshot::from_bytes(frozen_b.save_with(SnapshotVersion::V2)).unwrap();
+        let snap_b = EpochSnapshot::from_bytes(frozen_b.save()).unwrap();
         assert_ne!(frozen_a.fingerprint(), frozen_b.fingerprint());
 
         let server = StreamServer::launch(snap_a, ServeConfig::new().workers(2));
@@ -1016,7 +1019,7 @@ mod tests {
         // A publish lands in the trace-event ring with its fingerprint.
         let tree_edges: Vec<_> = g.edges().take(g.vertex_count() - 1).collect();
         let frozen_b = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, tree_edges);
-        let snap_b = EpochSnapshot::from_bytes(frozen_b.save_with(SnapshotVersion::V2)).unwrap();
+        let snap_b = EpochSnapshot::from_bytes(frozen_b.save()).unwrap();
         server.publish(snap_b).unwrap();
         let events = server.drain_events();
         assert_eq!(events.len(), 1);
@@ -1160,7 +1163,7 @@ mod tests {
         let (snap_a, frozen_a) = snapshot_of(&g);
         let tree_edges: Vec<_> = g.edges().take(g.vertex_count() - 1).collect();
         let frozen_b = FrozenStructure::from_edges(&g, &[VertexId(0)], 2, tree_edges);
-        let snap_b = EpochSnapshot::from_bytes(frozen_b.save_with(SnapshotVersion::V2)).unwrap();
+        let snap_b = EpochSnapshot::from_bytes(frozen_b.save()).unwrap();
 
         // Every publish is corrupted: each must be rejected, the epoch
         // must never move.
