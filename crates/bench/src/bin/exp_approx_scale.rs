@@ -5,18 +5,20 @@
 //!
 //! The experiment answers the question the `Guarantee::Approx` API
 //! redesign exists for: what does trading exactness for an `(α, β)`
-//! stretch contract buy at scales the exact `Θ(n^{5/3})` construction
-//! cannot reach?
+//! stretch contract buy at corpus scale, where the exact construction
+//! takes seconds per source?
 //!
 //! 1. **Calibrate** — on small instances of both graph families
 //!    (`road_like`, `layered_expander`) the exact construction
 //!    ([`dual_failure_ftbfs`]) and the approximate one ([`approx_ftbfs()`])
 //!    both run; their edge counts and build times are reported side by
 //!    side.
-//! 2. **Scale** — at `n ≥ 5,000` only the approximate construction runs
-//!    (the exact one would need `(n−1)²` BFS passes; the calibration rows
-//!    extrapolate why that is infeasible), and its size must stay inside
-//!    the `O(n·polylog n)` envelope: `edges ≤ n·⌈log₂ n⌉`.
+//! 2. **Scale** — at `n ≥ 5,000` only the approximate construction runs,
+//!    and its size must stay inside the `O(n·polylog n)` envelope:
+//!    `edges ≤ n·⌈log₂ n⌉`.  The exact construction is feasible there
+//!    (on the 72×72 road lattice, `n = 5,184`, it takes about 5.5 s on one
+//!    thread and 3.1 s on two, 2-vCPU host) but is not run; see
+//!    [`EXACT_FEASIBLE_N_CEILING`].
 //! 3. **Stretch audit** — sampled fault specs (`|F| ∈ {0, 1, 2}`) and
 //!    targets are answered by a [`QueryEngine`] over the frozen backend
 //!    and checked against ground-truth BFS on `G ∖ F`: every answer must
@@ -47,11 +49,13 @@ use ftbfs_oracle::{FrozenStructure, Guarantee, QueryEngine};
 use std::time::Instant;
 
 /// Largest `n` the exact dual-failure construction is run at — beyond
-/// this the calibration rows stand in for it.  The exact build performs
-/// `Θ(n²)` BFS passes; at the corpus scale of this experiment
-/// (`n ≥ 5,000`, so > 25 M passes) it is infeasible by orders of
-/// magnitude, which is precisely the regime the approximate backend
-/// exists for.
+/// this the calibration rows stand in for it.  The exact build is
+/// feasible at the corpus scale of this experiment (about 5.5 s on the
+/// 72×72 road lattice, one thread), but on these sparse families its `H`
+/// is nearly `G` (10,567 of 10,624 edges on that lattice from vertex 0,
+/// tie-break seed 1), so a comparison there would say little; comparing
+/// against the exact structure belongs on graphs where `H ≠ G`, such as
+/// `G*₂`.
 const EXACT_FEASIBLE_N_CEILING: usize = 1_000;
 
 /// One graph's measurements.
@@ -298,7 +302,7 @@ fn main() {
             r.approx_edges.to_string(),
             r.exact_edges
                 .map(|e| e.to_string())
-                .unwrap_or_else(|| "infeasible".to_string()),
+                .unwrap_or_else(|| "not run".to_string()),
             ratio,
             r.size_cap.to_string(),
             format!("{:.3}", r.build_secs),
@@ -381,10 +385,8 @@ fn main() {
     );
 
     // Size gate: every structure (calibration and scale) stays inside the
-    // `O(n·polylog n)` envelope.  On the scaled instances this is the
-    // "exact infeasible and approx completes" arm of the acceptance
-    // criterion, with completion made quantitative — the exact build's
-    // `Θ(n²)` BFS passes are out of reach there, while the approximate
+    // `O(n·polylog n)` envelope.  On the scaled instances, where the exact
+    // build is not run, completion is made quantitative: the approximate
     // structure both finishes and stays small.
     for r in &rows {
         if r.approx_edges > r.size_cap {
@@ -400,7 +402,7 @@ fn main() {
                 "exact ran: {e} edges, ratio {:.3}",
                 r.approx_edges as f64 / e as f64
             ),
-            None => "exact infeasible at this n".to_string(),
+            None => "exact not run at this n".to_string(),
         };
         println!(
             "size ok ({}, n={}): {} edges <= polylog cap {} ({exact})",

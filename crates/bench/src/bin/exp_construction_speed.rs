@@ -14,10 +14,14 @@
 //! checked-in full sweep; `--out` overrides the JSON path (default
 //! `BENCH_construction.json` in the current directory).  Every JSON row
 //! carries the provenance fields `{nproc, rustc, commit, mode}`.
+//!
+//! The construction is deterministic at every thread count, so the bin
+//! gates its own rows: if two thread counts of one graph build different
+//! edge sets of `H`, it names them and exits 1 without writing the JSON.
 
 use ftbfs_bench::{json, Table};
 use ftbfs_core::dual::DualFtBfsBuilder;
-use ftbfs_graph::{generators, Graph, TieBreak, VertexId};
+use ftbfs_graph::{generators, EdgeId, Graph, TieBreak, VertexId};
 use std::time::Instant;
 
 /// The tie-breaking seed of every measured graph.
@@ -30,34 +34,36 @@ struct Row {
     m: usize,
     threads: usize,
     wall_ms: f64,
-    structure_edges: usize,
+    /// The edge set of the last build of `H`, sorted.
+    edges: Vec<EdgeId>,
 }
 
 fn measure(name: &str, g: &Graph, threads: usize, repeats: usize) -> Row {
     let w = TieBreak::new(g, W_SEED);
     // One warm-up, then the best of `repeats` timed runs (construction is
     // deterministic, so min wall time is the least-noisy estimator).
-    let mut edges = DualFtBfsBuilder::new(g, &w, VertexId(0))
-        .threads(threads)
-        .build()
-        .structure
-        .edge_count();
+    let build = || {
+        DualFtBfsBuilder::new(g, &w, VertexId(0))
+            .threads(threads)
+            .build()
+            .structure
+    };
+    let mut h = build();
     let mut best = f64::INFINITY;
     for _ in 0..repeats {
         let start = Instant::now();
-        let r = DualFtBfsBuilder::new(g, &w, VertexId(0))
-            .threads(threads)
-            .build();
+        h = build();
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        edges = r.structure.edge_count();
     }
+    let mut edges: Vec<EdgeId> = h.edges().collect();
+    edges.sort_unstable();
     Row {
         generator: name.to_string(),
         n: g.vertex_count(),
         m: g.edge_count(),
         threads,
         wall_ms: best,
-        structure_edges: edges,
+        edges,
     }
 }
 
@@ -111,10 +117,21 @@ fn main() {
         "E9 — dual-failure construction speed",
         &["graph", "n", "m", "threads", "wall_ms", "|E(H)|", "speedup"],
     );
+    let mut disagreements = Vec::new();
     for (name, g, thread_counts) in &workloads {
+        let first = rows.len();
         let mut base_ms = None;
         for &t in thread_counts.iter() {
             let row = measure(name, g, t, repeats);
+            if let Some(base) = rows.get(first).filter(|base| base.edges != row.edges) {
+                disagreements.push(format!(
+                    "{name}: {} thread(s) built {} edges, {} thread(s) {}",
+                    base.threads,
+                    base.edges.len(),
+                    t,
+                    row.edges.len()
+                ));
+            }
             let base = *base_ms.get_or_insert(row.wall_ms);
             table.row(vec![
                 row.generator.clone(),
@@ -122,13 +139,19 @@ fn main() {
                 row.m.to_string(),
                 row.threads.to_string(),
                 format!("{:.2}", row.wall_ms),
-                row.structure_edges.to_string(),
+                row.edges.len().to_string(),
                 format!("{:.2}x", base / row.wall_ms),
             ]);
             rows.push(row);
         }
     }
     print!("{}", table.render());
+    if !disagreements.is_empty() {
+        for d in &disagreements {
+            eprintln!("H DIFFERS ACROSS THREAD COUNTS: {d}");
+        }
+        std::process::exit(1);
+    }
 
     let mut json = String::from("{\n  \"experiment\": \"construction_speed\",\n  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -140,7 +163,7 @@ fn main() {
             r.m,
             r.threads,
             r.wall_ms,
-            r.structure_edges,
+            r.edges.len(),
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }

@@ -21,6 +21,21 @@
 //!
 //! The output structure is `H = T_0(s) ∪ ⋃_v H(v)` where `H(v)` collects the
 //! selected last edges.  Theorem 1.1 bounds `|E(H)|` by `O(n^{5/3})`.
+//!
+//! Most pairs of steps (2) and (3) are settled without a probe, by a path
+//! already chosen for `v` (single-failure monotonicity: deleting a second
+//! edge never shortens a path, so `d(s, v, G ∖ {e, f}) ≥ d(s, v, G ∖ e)`):
+//!
+//! * **Step 2, `(e_i, e_j)`.**  If the step-1 path `P_i` avoids `e_j` (or
+//!   `P_j` avoids `e_i`), then `d(s, v, G ∖ F) = |P_i|`: `P_i` lies in
+//!   `G ∖ F` and is as short as the lower bound `d(s, v, G ∖ e_i)`.  The
+//!   path is then chosen exactly as after a probe.
+//! * **Step 3, `(e, t)`.**  If a chosen path of length `|P_e|` avoids both
+//!   faults, the pair is already satisfied: that path realises the lower
+//!   bound `d(s, v, G ∖ e)` in `G ∖ F`, and its one edge at `v` (its last)
+//!   is already selected, so it survives the restriction to `H(v)`.
+//!
+//! Debug builds run the replaced probes anyway and assert that they agree.
 
 use crate::structure::FtBfsStructure;
 use ftbfs_graph::{EdgeId, FaultSpec, Graph, Path, SearchEngine, SpTree, TieBreak, VertexId};
@@ -28,6 +43,13 @@ use ftbfs_paths::detour::{Decomposition, Detour};
 use ftbfs_paths::replacement::SingleFailureReplacer;
 use ftbfs_paths::select::{earliest_detour_divergence, earliest_pi_divergence, fault_distance};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Targets a build worker claims at a time.
+const BLOCK: usize = 8;
+
+/// What the construction returns for one target: `H(v)` and its record.
+type VertexOutput = (Vec<EdgeId>, VertexRecord);
 
 /// A recorded step-1 detour: which π-edge it protects and the three-segment
 /// decomposition of the chosen replacement path.
@@ -142,9 +164,11 @@ impl<'g> DualFtBfsBuilder<'g> {
 
     /// Number of worker threads for the per-vertex construction loop
     /// (default 1).  The per-target computations of `Cons2FTBFS` are
-    /// independent, so the targets are split into contiguous chunks and the
-    /// partial results merged back in vertex-id order — the produced
-    /// structure and records are identical for every thread count.
+    /// independent, so each worker claims the next small block of targets
+    /// from a shared counter until none are left (no worker waits on a
+    /// slower one's fixed share), and the blocks are merged back in
+    /// vertex-id order — the produced structure and records are identical
+    /// for every thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -161,39 +185,47 @@ impl<'g> DualFtBfsBuilder<'g> {
             .vertices()
             .filter(|&v| v != source && tree.reaches(v))
             .collect();
-        let threads = self.threads.min(targets.len().max(1));
+        let threads = self.threads.min(targets.len().div_ceil(BLOCK).max(1));
 
-        // Each worker owns a replacer and a search engine; targets are split
-        // into contiguous chunks, so concatenating the per-chunk outputs in
-        // spawn order restores the global vertex-id order deterministically.
-        let run_chunk = |chunk: &[VertexId]| -> Vec<(Vec<EdgeId>, VertexRecord)> {
+        // Each worker owns a replacer and a search engine and claims blocks
+        // of `BLOCK` targets until the counter runs past the end; sorting
+        // the claimed blocks by index restores the global vertex-id order.
+        // The counter publishes no data (results come back through `join`),
+        // so `Relaxed` suffices.
+        let next_block = AtomicUsize::new(0);
+        let worker = || -> Vec<(usize, Vec<VertexOutput>)> {
             let replacer = SingleFailureReplacer::new(graph, w, &tree);
             let mut engine = SearchEngine::new();
-            chunk
-                .iter()
-                .map(|&v| self.construct_for_vertex(&mut engine, &tree, &replacer, v))
-                .collect()
-        };
-        let results: Vec<(Vec<EdgeId>, VertexRecord)> = if threads <= 1 {
-            run_chunk(&targets)
-        } else {
-            let chunk_size = targets.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = targets
-                    .chunks(chunk_size)
-                    .map(|chunk| scope.spawn(move || run_chunk(chunk)))
+            let mut claimed = Vec::new();
+            loop {
+                let b = next_block.fetch_add(1, Ordering::Relaxed);
+                let Some(block) = targets.chunks(BLOCK).nth(b) else {
+                    return claimed;
+                };
+                let part = block
+                    .iter()
+                    .map(|&v| self.construct_for_vertex(&mut engine, &tree, &replacer, v))
                     .collect();
+                claimed.push((b, part));
+            }
+        };
+        let mut blocks = if threads <= 1 {
+            worker()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
                 handles
                     .into_iter()
                     .flat_map(|h| h.join().expect("construction worker panicked"))
                     .collect()
             })
         };
+        blocks.sort_unstable_by_key(|&(b, _)| b);
 
         let mut h = FtBfsStructure::new(vec![source], 2);
         h.extend(tree.tree_edges().iter().copied());
         let mut records = Vec::new();
-        for (edges_v, record) in results {
+        for (edges_v, record) in blocks.into_iter().flat_map(|(_, part)| part) {
             h.extend(edges_v);
             if self.record {
                 records.push(record);
@@ -213,7 +245,7 @@ impl<'g> DualFtBfsBuilder<'g> {
         tree: &SpTree,
         replacer: &SingleFailureReplacer<'e>,
         v: VertexId,
-    ) -> (Vec<EdgeId>, VertexRecord)
+    ) -> VertexOutput
     where
         'g: 'e,
     {
@@ -229,11 +261,14 @@ impl<'g> DualFtBfsBuilder<'g> {
             .filter(|e| tree.contains_edge(*e))
             .collect();
         let mut current: HashSet<EdgeId> = tree_incident.iter().copied().collect();
+        // Every path chosen below, whose last edge is then in `current`.
+        let mut known = KnownPaths::default();
 
         // ---- Step (1): single faults on pi(s, v). -------------------------
         // `detour_at_edge[i]` is the index into `detours` of the detour
         // protecting the i-th π edge, so steps (2)/(3) can look a detour up
-        // in O(1) instead of scanning.
+        // in O(1) instead of scanning.  The step-1 paths are the first ones
+        // `known` records, so a detour's index is also its path's id there.
         let mut detours: Vec<DetourRecord> = Vec::new();
         let mut detour_at_edge: Vec<Option<usize>> = vec![None; pi_edges.len()];
         for (idx, &e) in pi_edges.iter().enumerate() {
@@ -242,6 +277,7 @@ impl<'g> DualFtBfsBuilder<'g> {
                 if let Some(last) = full.last_edge_id(graph) {
                     current.insert(last);
                 }
+                known.push(graph, &full);
                 detour_at_edge[idx] = Some(detours.len());
                 detours.push(DetourRecord {
                     protected_edge: e,
@@ -256,7 +292,25 @@ impl<'g> DualFtBfsBuilder<'g> {
         for i in 0..pi_edges.len() {
             for j in (i + 1)..pi_edges.len() {
                 let faults = FaultSpec::from((pi_edges[i], pi_edges[j]));
-                let Some(target_hops) = fault_distance(engine, graph, source, v, &faults) else {
+                // Certificate: a step-1 path P_i that avoids e_j is as short
+                // as d(s, v, G ∖ e_i), a lower bound on d(s, v, G ∖ F).
+                let certified = [i, j]
+                    .into_iter()
+                    .filter_map(|k| detour_at_edge[k])
+                    .find(|&id| known.avoids(id, &faults))
+                    .map(|id| known.len(id) as u32);
+                let probed = match certified {
+                    Some(hops) => {
+                        debug_assert_eq!(
+                            fault_distance(engine, graph, source, v, &faults),
+                            Some(hops),
+                            "step-2 certificate disagrees with the probe at {v:?} under {faults:?}"
+                        );
+                        Some(hops)
+                    }
+                    None => fault_distance(engine, graph, source, v, &faults),
+                };
+                let Some(target_hops) = probed else {
                     continue; // v disconnected under F: nothing to protect.
                 };
                 // First try the stitched path through the two detours.
@@ -284,6 +338,7 @@ impl<'g> DualFtBfsBuilder<'g> {
                         });
                     }
                 }
+                known.push(graph, &chosen);
             }
         }
 
@@ -304,19 +359,29 @@ impl<'g> DualFtBfsBuilder<'g> {
         let mut new_ending: Vec<NewEndingRecord> = Vec::new();
         for &(e_index, e, t, _t_pos) in &pairs {
             let faults = FaultSpec::from((e, t));
+            let d_idx =
+                detour_at_edge[e_index].expect("pair was generated from an existing detour");
+            // Certificate: a chosen path as short as P_e, the lower bound
+            // d(s, v, G ∖ e), that avoids both faults ends in `current`, so
+            // the structure already realises the optimum.
+            let lower = known.len(d_idx);
+            if known.any_avoiding(lower, &faults) {
+                debug_assert!(
+                    fault_distance(engine, graph, source, v, &faults) == Some(lower as u32)
+                        && in_h_distance(engine, graph, source, v, &current, &faults)
+                            == Some(lower as u32),
+                    "step-3 certificate disagrees with the probes at {v:?} under {faults:?}"
+                );
+                continue;
+            }
             let Some(target_hops) = fault_distance(engine, graph, source, v, &faults) else {
                 continue;
             };
             // Is the pair already satisfied by the current structure at v?
-            let (view, ws) = engine.begin(graph);
-            view.restrict_incident(v, current.iter().copied());
-            view.remove_faults(&faults);
-            if ws.bfs_hops(view, source, v) == Some(target_hops) {
+            if in_h_distance(engine, graph, source, v, &current, &faults) == Some(target_hops) {
                 continue;
             }
             // New-ending: select with the divergence-point preferences.
-            let d_idx =
-                detour_at_edge[e_index].expect("pair was generated from an existing detour");
             let detour = &detours[d_idx].decomposition.detour;
             let ep = graph.endpoints(e);
             let upper = upper_on_path(&pi, ep.u, ep.v);
@@ -368,6 +433,7 @@ impl<'g> DualFtBfsBuilder<'g> {
                     });
                 }
             }
+            known.push(graph, &path);
         }
 
         // Sorted, so H(v) and New(v) do not depend on HashSet iteration
@@ -425,6 +491,66 @@ impl<'g> DualFtBfsBuilder<'g> {
             return None;
         }
         Some(stitched)
+    }
+}
+
+/// `d(s, v, H_τ ∖ F)` for step (3): the graph with `v`'s incident edges
+/// restricted to the ones selected so far, minus the faults.
+fn in_h_distance<'g>(
+    engine: &mut SearchEngine<'g>,
+    graph: &'g Graph,
+    source: VertexId,
+    v: VertexId,
+    current: &HashSet<EdgeId>,
+    faults: &FaultSpec,
+) -> Option<u32> {
+    let (view, ws) = engine.begin(graph);
+    view.restrict_incident(v, current.iter().copied());
+    view.remove_faults(faults);
+    ws.bfs_hops(view, source, v)
+}
+
+/// The paths chosen so far for one target, as sorted edge ids indexed by
+/// hop length: the certificates that settle a pair without a probe.
+#[derive(Default)]
+struct KnownPaths {
+    /// Sorted edge ids of each path, by id (push order).
+    edges: Vec<Box<[EdgeId]>>,
+    /// The ids of the paths of each hop length.
+    by_len: Vec<Vec<usize>>,
+}
+
+impl KnownPaths {
+    /// Records a chosen path under the next id.
+    fn push(&mut self, graph: &Graph, path: &Path) {
+        let mut ids = path.edge_ids(graph);
+        ids.sort_unstable();
+        if self.by_len.len() <= ids.len() {
+            self.by_len.resize_with(ids.len() + 1, Vec::new);
+        }
+        self.by_len[ids.len()].push(self.edges.len());
+        self.edges.push(ids.into_boxed_slice());
+    }
+
+    /// Hop length of path `id`.
+    fn len(&self, id: usize) -> usize {
+        self.edges[id].len()
+    }
+
+    /// Whether path `id` avoids every fault.
+    fn avoids(&self, id: usize, faults: &FaultSpec) -> bool {
+        let edges = &self.edges[id];
+        faults
+            .edges()
+            .iter()
+            .all(|e| edges.binary_search(e).is_err())
+    }
+
+    /// Whether some path of `len` hops avoids every fault.
+    fn any_avoiding(&self, len: usize, faults: &FaultSpec) -> bool {
+        self.by_len
+            .get(len)
+            .is_some_and(|ids| ids.iter().any(|&id| self.avoids(id, faults)))
     }
 }
 

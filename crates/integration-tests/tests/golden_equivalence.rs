@@ -71,19 +71,34 @@ fn structure_matches_pre_refactor_golden_fingerprints() {
 }
 
 /// How a pinned instance builds `H`.
-type Construction = fn(&Graph, &TieBreak, VertexId) -> FtBfsStructure;
-
-/// `Cons2FTBFS` with the paper's selection rules, on two threads.
-fn paper(g: &Graph, w: &TieBreak, source: VertexId) -> FtBfsStructure {
-    DualFtBfsBuilder::new(g, w, source)
-        .threads(2)
-        .build()
-        .structure
+#[derive(Clone, Copy)]
+enum Construction {
+    /// `Cons2FTBFS` with the paper's selection rules.
+    Paper,
+    /// The canonical-selection baseline: relevant-fault enumeration at
+    /// `f = 2`.
+    Canonical,
 }
 
-/// The canonical-selection baseline: relevant-fault enumeration at `f = 2`.
-fn canonical(g: &Graph, w: &TieBreak, source: VertexId) -> FtBfsStructure {
-    multi_failure_ftbfs(g, w, source, 2)
+impl Construction {
+    /// Every build of `H` the instance must pin: the paper's construction
+    /// serially and on two threads (the benchmark's shape), the baseline
+    /// once.
+    fn builds(self, g: &Graph, w: &TieBreak, source: VertexId) -> Vec<(usize, FtBfsStructure)> {
+        match self {
+            Construction::Paper => [1, 2]
+                .into_iter()
+                .map(|threads| {
+                    let h = DualFtBfsBuilder::new(g, w, source)
+                        .threads(threads)
+                        .build()
+                        .structure;
+                    (threads, h)
+                })
+                .collect(),
+            Construction::Canonical => vec![(1, multi_failure_ftbfs(g, w, source, 2))],
+        }
+    }
 }
 
 /// One pinned instance: `(label, graph, source, W seed, construction,
@@ -104,7 +119,7 @@ fn golden_cases_at_scale() -> Vec<ScaleCase> {
             generators::connected_gnp(n, 8.0 / n as f64, 1),
             VertexId(0),
             1,
-            paper,
+            Construction::Paper,
             2728,
             0x0be1bb330d3fe543,
         ),
@@ -113,7 +128,7 @@ fn golden_cases_at_scale() -> Vec<ScaleCase> {
             generators::connected_gnp(n, 8.0 / n as f64, 2),
             VertexId(0),
             2,
-            paper,
+            Construction::Paper,
             2731,
             0xae8545a223c90ee3,
         ),
@@ -122,7 +137,7 @@ fn golden_cases_at_scale() -> Vec<ScaleCase> {
             gstar.graph,
             gstar_source,
             3,
-            paper,
+            Construction::Paper,
             2910,
             0x603b688c4d60a918,
         ),
@@ -131,7 +146,7 @@ fn golden_cases_at_scale() -> Vec<ScaleCase> {
             generators::connected_gnp(300, 8.0 / 300.0, 5),
             VertexId(0),
             5,
-            canonical,
+            Construction::Canonical,
             863,
             0x3762f4e7e7a8398e,
         ),
@@ -141,14 +156,48 @@ fn golden_cases_at_scale() -> Vec<ScaleCase> {
 #[test]
 fn structure_matches_golden_fingerprints_at_scale() {
     let mut drifted = Vec::new();
-    for (label, g, source, wseed, build, expect_edges, expect_fnv) in golden_cases_at_scale() {
+    for (label, g, source, wseed, construction, expect_edges, expect_fnv) in golden_cases_at_scale()
+    {
         let w = TieBreak::new(&g, wseed);
-        let (edges, fnv) = fingerprint(&build(&g, &w, source));
-        if (edges, fnv) != (expect_edges, expect_fnv) {
-            drifted.push(format!("{label}: got ({edges}, {fnv:#018x})"));
+        for (threads, h) in construction.builds(&g, &w, source) {
+            let (edges, fnv) = fingerprint(&h);
+            if (edges, fnv) != (expect_edges, expect_fnv) {
+                drifted.push(format!(
+                    "{label}, {threads} thread(s): got ({edges}, {fnv:#018x})"
+                ));
+            }
         }
     }
     assert!(drifted.is_empty(), "H drifted on {drifted:#?}");
+}
+
+/// The record totals of the benchmark's `build` graph at seed 1, pinned
+/// before the probe-free pair certificates: settling a pair without a
+/// probe must not change which paths are selected or recorded.
+#[test]
+fn benchmark_graph_record_totals_are_pinned() {
+    let n = 1_000;
+    let g = generators::connected_gnp(n, 8.0 / n as f64, 1);
+    let w = TieBreak::new(&g, 1);
+    let r = DualFtBfsBuilder::new(&g, &w, VertexId(0))
+        .record_paths(true)
+        .threads(2)
+        .build();
+    let total = |count: fn(&ftbfs_core::dual::VertexRecord) -> usize| -> usize {
+        r.records.iter().map(count).sum()
+    };
+    let totals = (
+        total(|rec| rec.detours.len()),
+        total(|rec| rec.pi_pi_new.len()),
+        total(|rec| rec.new_ending.len()),
+        total(|rec| rec.new_edges.len()),
+        r.structure.edge_count(),
+    );
+    assert_eq!(
+        totals,
+        (3_331, 2, 935, 1_928, 2_728),
+        "(detours, pi_pi_new, new_ending, new_edges, |H|) drifted"
+    );
 }
 
 #[test]
@@ -158,7 +207,9 @@ fn parallel_construction_is_bit_identical_to_serial() {
         let serial = DualFtBfsBuilder::new(&g, &w, VertexId(0))
             .record_paths(true)
             .build();
-        for threads in [2usize, 3, 4, 16] {
+        // The last count exceeds the number of target blocks, so some
+        // workers find no block left to claim.
+        for threads in [2usize, 3, 4, 16, g.vertex_count()] {
             let parallel = DualFtBfsBuilder::new(&g, &w, VertexId(0))
                 .record_paths(true)
                 .threads(threads)
@@ -180,6 +231,11 @@ fn parallel_construction_is_bit_identical_to_serial() {
                     assert_eq!(da.protected_edge, db.protected_edge);
                     assert_eq!(da.decomposition.reassemble(), db.decomposition.reassemble());
                 }
+                assert_eq!(a.pi_pi_new.len(), b.pi_pi_new.len());
+                for (pa, pb) in a.pi_pi_new.iter().zip(b.pi_pi_new.iter()) {
+                    assert_eq!(pa.faults, pb.faults);
+                    assert_eq!(pa.path, pb.path);
+                }
                 assert_eq!(a.new_ending.len(), b.new_ending.len());
                 for (na, nb) in a.new_ending.iter().zip(b.new_ending.iter()) {
                     assert_eq!(na.path, nb.path);
@@ -194,10 +250,10 @@ fn parallel_construction_is_bit_identical_to_serial() {
 #[test]
 fn parallel_ftmbfs_parts_are_bit_identical_to_serial() {
     use ftbfs_core::{multi_failure_ftmbfs_parts, multi_failure_ftmbfs_parts_threads};
-    // The construction-side FT-MBFS parallelisation mirrors
-    // DualFtBfsBuilder::threads: contiguous source chunks, spawn-order
-    // merge, so the parts — and hence the frozen slabs and the union —
-    // must be bit-identical for every thread count.
+    // The construction-side FT-MBFS parallelisation splits the sources
+    // into contiguous chunks and merges them in spawn order, so the parts
+    // — and hence the frozen slabs and the union — must be bit-identical
+    // for every thread count.
     let g = generators::tree_plus_chords(20, 9, 5);
     let w = TieBreak::new(&g, 5);
     let sources: Vec<VertexId> = vec![VertexId(0), VertexId(6), VertexId(13), VertexId(19)];

@@ -461,7 +461,7 @@ fn frozen_view_passes_the_full_generic_suite() {
     // Also through the owned load (the serving boundary's entry point).
     let g = generators::grid(5, 6);
     let frozen = frozen_for(&g, 2);
-    let loaded = FrozenStructure::load(&frozen.save()).expect("v2 snapshot loads");
+    let loaded = FrozenStructure::load(frozen.save()).expect("v2 snapshot loads");
     assert_oracle_matches_ground_truth(&g, &loaded, 5);
 }
 

@@ -384,7 +384,7 @@ fn unknown_sections_survive_a_load_save_round_trip() {
         let loaded = FrozenStructure::load(&extended).expect("unknown section is skipped");
         assert_eq!(loaded, FrozenStructure::load(&plain).unwrap());
         assert_eq!(loaded.save(), extended);
-        let reloaded = FrozenStructure::load(&loaded.save()).unwrap();
+        let reloaded = FrozenStructure::load(loaded.save()).unwrap();
         assert_eq!(reloaded.save(), extended);
     }
 }

@@ -45,7 +45,12 @@
 //! `QueryEngine` — that is exactly what `ftbfs_serve::ThroughputHarness`
 //! does.  The engine notices (via [`FrozenView::fingerprint`]) when it is
 //! handed a different structure and transparently rebinds, invalidating
-//! its cache.  Its [`QueryStats`] are the one count of how queries were
+//! its cache.  It keys that cache on the *stored* fingerprint, which the
+//! borrowed [`FrozenView::open`] trusts without re-hashing the base: two
+//! views stamped with the same fingerprint share cached answers.  Bytes
+//! that are not trusted must therefore be opened through
+//! [`crate::FrozenStructure::load`] or `ftbfs_serve::EpochSnapshot`, which
+//! re-hash the fingerprint and reject a mismatch.  Its [`QueryStats`] are the one count of how queries were
 //! answered; the serving layer publishes them into its metrics.  Every frozen
 //! structure serves from its snapshot bytes, so slab reads are
 //! little-endian word loads through [`ftbfs_graph::bytes::LeU32s`].
@@ -269,7 +274,10 @@ enum Slot {
 ///
 /// All methods take the view by reference, so one engine can be kept per
 /// thread while structures come and go (rebinding to a view with a
-/// different [`FrozenView::fingerprint`] clears the cache).
+/// different [`FrozenView::fingerprint`] clears the cache).  The cache is
+/// keyed on the stored fingerprint, which [`FrozenView::open`] does not
+/// re-hash; open untrusted bytes with [`crate::FrozenStructure::load`] or
+/// `ftbfs_serve::EpochSnapshot` before serving them from a reused engine.
 ///
 /// # Examples
 ///

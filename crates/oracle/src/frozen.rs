@@ -31,7 +31,8 @@
 //! same type that serves borrowed bytes
 //! (`FrozenStructure = FrozenView<'static>`, see [`crate::view`]).
 //! [`FrozenView::save`] hands the bytes back and [`FrozenStructure::load`]
-//! checks and keeps a copy, so nothing is compiled twice.
+//! checks and keeps them (freezing hands over the bytes it encoded, so
+//! nothing is compiled or copied twice).
 //!
 //! ## Slab layouts
 //!
@@ -549,7 +550,7 @@ impl FrozenStructure {
             (SEC_TREES, words(&s.trees)),
         ]);
         let bytes = assemble(magic, &base, fnv1a64(&base), &sections);
-        FrozenStructure::load(&bytes).unwrap_or_else(|e| panic!("cannot freeze: {e}"))
+        FrozenStructure::load(bytes).unwrap_or_else(|e| panic!("cannot freeze: {e}"))
     }
 }
 

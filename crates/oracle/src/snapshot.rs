@@ -791,7 +791,7 @@ mod tests {
         let bytes = frozen_sample().save();
         for version in [0, 1, 3, 42] {
             assert_eq!(
-                FrozenStructure::load(&with_version(&bytes, version)).unwrap_err(),
+                FrozenStructure::load(with_version(&bytes, version)).unwrap_err(),
                 SnapshotError::UnsupportedVersion(version)
             );
         }

@@ -16,8 +16,9 @@
 //! alignment holds in memory), and [`FrozenView::open`] serves straight
 //! out of that region.  Owned is [`FrozenStructure`]
 //! (`FrozenView<'static>`): [`FrozenStructure::load`] checks snapshot
-//! bytes and keeps a copy, freezing encodes a structure and loads the
-//! result, and [`FrozenView::save`] hands the bytes back.  Either way one
+//! bytes and keeps them (an owned `Vec` as it is, a borrowed slice as a
+//! copy), freezing encodes a structure and loads the result, and
+//! [`FrozenView::save`] hands the bytes back.  Either way one
 //! type serves both slab layouts, so every engine feature (fault LRU, tree
 //! fast path, batched and threaded serving) works the same on both.
 //!
@@ -281,9 +282,15 @@ impl Eq for FrozenView<'_> {}
 
 impl<'a> FrozenView<'a> {
     /// Opens a view over borrowed snapshot bytes of either magic,
-    /// validating and certifying them without a rebuild or a copy; the
-    /// stored fingerprint is trusted, not re-hashed (see the
-    /// [module docs](self)).
+    /// validating and certifying them without a rebuild or a copy.
+    ///
+    /// The stored fingerprint is trusted, not re-hashed (see the
+    /// [module docs](self)), and a [`crate::QueryEngine`] keys its cache
+    /// on that fingerprint: an engine reused across two views with the
+    /// same stored fingerprint keeps serving the first one's cached
+    /// answers.  Open only bytes this process wrote or already checked;
+    /// untrusted bytes go through [`FrozenStructure::load`] (or
+    /// `ftbfs_serve::EpochSnapshot`, which loads), which re-hashes it.
     pub fn open(data: &'a [u8]) -> Result<Self, SnapshotError> {
         let layout = Layout::read(data)?;
         Ok(FrozenView {
@@ -458,23 +465,26 @@ impl<'a> FrozenView<'a> {
 }
 
 impl FrozenStructure {
-    /// Opens a copy of snapshot bytes of either magic: the one owned
-    /// open, and the full check.  The bytes are validated exactly like a
-    /// [`FrozenView::open`], and the stored fingerprint is recomputed from
-    /// the base payload: a snapshot whose base and fingerprint disagree (a
-    /// buggy external writer, a patched file with fixed-up checksums) is
-    /// rejected rather than silently de-syncing engines that key their
-    /// caches on fingerprint equality.
+    /// Opens snapshot bytes of either magic into an owned structure: the
+    /// one owned open, and the full check.  Owned bytes (a `Vec<u8>`) are
+    /// kept as they are; borrowed ones (`&[u8]`, `&Vec<u8>`) are copied
+    /// once.  The bytes are validated exactly like a [`FrozenView::open`],
+    /// and the stored fingerprint is recomputed from the base payload: a
+    /// snapshot whose base and fingerprint disagree (a buggy external
+    /// writer, a patched file with fixed-up checksums) is rejected rather
+    /// than silently de-syncing engines that key their caches on
+    /// fingerprint equality.
     ///
     /// Malformed input of any kind returns a typed [`SnapshotError`]; this
     /// function never panics.
-    pub fn load(data: &[u8]) -> Result<Self, SnapshotError> {
-        let layout = Layout::read(data)?;
+    pub fn load<'d>(data: impl Into<Cow<'d, [u8]>>) -> Result<Self, SnapshotError> {
+        let data = data.into();
+        let layout = Layout::read(&data)?;
         if fnv1a64(&data[4..layout.base_end]) != layout.fingerprint {
             return corrupt("stored fingerprint disagrees with the determining data");
         }
         Ok(FrozenView {
-            data: Cow::Owned(data.to_vec()),
+            data: Cow::Owned(data.into_owned()),
             layout,
         })
     }
@@ -572,10 +582,16 @@ mod tests {
         let borrowed = FrozenView::open(&bytes).unwrap();
         assert_eq!(owned, borrowed);
         assert_eq!(owned.fingerprint(), borrowed.fingerprint());
-        // The borrowed open serves the caller's bytes; the owned load, a copy.
+        // The borrowed open serves the caller's bytes; the owned load of a
+        // borrowed slice, a copy; of an owned `Vec`, the `Vec` itself.
         assert_eq!(borrowed.bytes().as_ptr(), bytes.as_ptr());
         assert_ne!(owned.bytes().as_ptr(), bytes.as_ptr());
         assert_eq!(owned.bytes(), &bytes[..]);
+        let handed = bytes.clone();
+        let at = handed.as_ptr();
+        let taken = FrozenStructure::load(handed).unwrap();
+        assert_eq!(taken.bytes().as_ptr(), at);
+        assert_eq!(taken, owned);
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl EpochSnapshot {
     /// Loads snapshot bytes (either slab layout) into a servable epoch,
     /// running the full check of [`FrozenStructure::load`].
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
-        FrozenStructure::load(&bytes).map(|frozen| EpochSnapshot(Arc::new(frozen)))
+        FrozenStructure::load(bytes).map(|frozen| EpochSnapshot(Arc::new(frozen)))
     }
 
     /// The loaded structure this epoch serves, as the handle dereferences

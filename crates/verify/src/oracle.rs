@@ -205,7 +205,7 @@ mod tests {
         assert_eq!(frozen.primary_source(), VertexId(4));
         assert_eq!(frozen.edge_count(), g.edge_count());
         // The snapshot of the frozen structure round-trips.
-        let reloaded = FrozenStructure::load(&frozen.save()).unwrap();
+        let reloaded = FrozenStructure::load(frozen.save()).unwrap();
         assert_eq!(&reloaded, frozen);
     }
 
