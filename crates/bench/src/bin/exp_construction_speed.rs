@@ -15,6 +15,11 @@
 //! `BENCH_construction.json` in the current directory).  Every JSON row
 //! carries the provenance fields `{nproc, rustc, commit, mode}`.
 //!
+//! After one warm-up build, a full-mode row times at least 11 builds and
+//! keeps building until the timed builds add up to at least 1 s; it reports
+//! their median as `wall_ms`, with the quartiles `wall_ms_q1`/`wall_ms_q3`
+//! and the count `runs`.  A smoke row times one build.
+//!
 //! The construction is deterministic at every thread count, so the bin
 //! gates its own rows: if two thread counts of one graph build different
 //! edge sets of `H`, it names them and exits 1 without writing the JSON.
@@ -27,21 +32,38 @@ use std::time::Instant;
 /// The tie-breaking seed of every measured graph.
 const W_SEED: u64 = 1;
 
+/// The fewest timed builds of a full-mode row.
+const MIN_RUNS: usize = 11;
+
+/// The least total time, in seconds, of a full-mode row's timed builds.
+const MIN_TOTAL_S: f64 = 1.0;
+
 /// One measured configuration.
 struct Row {
     generator: String,
     n: usize,
     m: usize,
     threads: usize,
+    /// Median and quartiles of the timed builds, in milliseconds.
     wall_ms: f64,
+    wall_ms_q1: f64,
+    wall_ms_q3: f64,
+    runs: usize,
     /// The edge set of the last build of `H`, sorted.
     edges: Vec<EdgeId>,
 }
 
-fn measure(name: &str, g: &Graph, threads: usize, repeats: usize) -> Row {
+/// The `p`-quantile of the sorted `xs`, interpolated between ranks.
+fn quantile(xs: &[f64], p: f64) -> f64 {
+    let at = p * (xs.len() - 1) as f64;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    xs[lo] + (xs[hi] - xs[lo]) * (at - lo as f64)
+}
+
+/// Times the construction on `g` with `threads` threads: one warm-up, then
+/// at least `min_runs` timed builds lasting at least `min_total_s` in all.
+fn measure(name: &str, g: &Graph, threads: usize, min_runs: usize, min_total_s: f64) -> Row {
     let w = TieBreak::new(g, W_SEED);
-    // One warm-up, then the best of `repeats` timed runs (construction is
-    // deterministic, so min wall time is the least-noisy estimator).
     let build = || {
         DualFtBfsBuilder::new(g, &w, VertexId(0))
             .threads(threads)
@@ -49,12 +71,16 @@ fn measure(name: &str, g: &Graph, threads: usize, repeats: usize) -> Row {
             .structure
     };
     let mut h = build();
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats {
+    let mut times_ms = Vec::new();
+    let mut total_s = 0.0;
+    while times_ms.len() < min_runs || total_s < min_total_s {
         let start = Instant::now();
         h = build();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        let elapsed = start.elapsed().as_secs_f64();
+        total_s += elapsed;
+        times_ms.push(elapsed * 1e3);
     }
+    times_ms.sort_by(f64::total_cmp);
     let mut edges: Vec<EdgeId> = h.edges().collect();
     edges.sort_unstable();
     Row {
@@ -62,7 +88,10 @@ fn measure(name: &str, g: &Graph, threads: usize, repeats: usize) -> Row {
         n: g.vertex_count(),
         m: g.edge_count(),
         threads,
-        wall_ms: best,
+        wall_ms: quantile(&times_ms, 0.5),
+        wall_ms_q1: quantile(&times_ms, 0.25),
+        wall_ms_q3: quantile(&times_ms, 0.75),
+        runs: times_ms.len(),
         edges,
     }
 }
@@ -109,20 +138,26 @@ fn main() {
         }
         w
     };
-    let repeats = if smoke { 1 } else { 3 };
+    let (min_runs, min_total_s) = if smoke {
+        (1, 0.0)
+    } else {
+        (MIN_RUNS, MIN_TOTAL_S)
+    };
     let provenance = json::provenance(if smoke { "smoke" } else { "full" });
 
     let mut rows: Vec<Row> = Vec::new();
     let mut table = Table::new(
         "E9 — dual-failure construction speed",
-        &["graph", "n", "m", "threads", "wall_ms", "|E(H)|", "speedup"],
+        &[
+            "graph", "n", "m", "threads", "wall_ms", "q1", "q3", "runs", "|E(H)|", "speedup",
+        ],
     );
     let mut disagreements = Vec::new();
     for (name, g, thread_counts) in &workloads {
         let first = rows.len();
         let mut base_ms = None;
         for &t in thread_counts.iter() {
-            let row = measure(name, g, t, repeats);
+            let row = measure(name, g, t, min_runs, min_total_s);
             if let Some(base) = rows.get(first).filter(|base| base.edges != row.edges) {
                 disagreements.push(format!(
                     "{name}: {} thread(s) built {} edges, {} thread(s) {}",
@@ -139,6 +174,9 @@ fn main() {
                 row.m.to_string(),
                 row.threads.to_string(),
                 format!("{:.2}", row.wall_ms),
+                format!("{:.2}", row.wall_ms_q1),
+                format!("{:.2}", row.wall_ms_q3),
+                row.runs.to_string(),
                 row.edges.len().to_string(),
                 format!("{:.2}x", base / row.wall_ms),
             ]);
@@ -157,12 +195,16 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"graph\": \"{}\", \"n\": {}, \"m\": {}, \"threads\": {}, \
-             \"wall_ms\": {:.3}, \"structure_edges\": {}, {provenance}}}{}\n",
+             \"wall_ms\": {:.3}, \"wall_ms_q1\": {:.3}, \"wall_ms_q3\": {:.3}, \"runs\": {}, \
+             \"structure_edges\": {}, {provenance}}}{}\n",
             json::escape(&r.generator),
             r.n,
             r.m,
             r.threads,
             r.wall_ms,
+            r.wall_ms_q1,
+            r.wall_ms_q3,
+            r.runs,
             r.edges.len(),
             if i + 1 < rows.len() { "," } else { "" },
         ));

@@ -42,7 +42,6 @@ use ftbfs_graph::{EdgeId, FaultSpec, Graph, Path, SearchEngine, SpTree, TieBreak
 use ftbfs_paths::detour::{Decomposition, Detour};
 use ftbfs_paths::replacement::SingleFailureReplacer;
 use ftbfs_paths::select::{earliest_detour_divergence, earliest_pi_divergence, fault_distance};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Targets a build worker claims at a time.
@@ -260,7 +259,8 @@ impl<'g> DualFtBfsBuilder<'g> {
             .incident_edges(v)
             .filter(|e| tree.contains_edge(*e))
             .collect();
-        let mut current: HashSet<EdgeId> = tree_incident.iter().copied().collect();
+        // H(v) so far: at most deg(v) edges, so a list beats a hash set.
+        let mut current: Vec<EdgeId> = tree_incident;
         // Every path chosen below, whose last edge is then in `current`.
         let mut known = KnownPaths::default();
 
@@ -275,7 +275,7 @@ impl<'g> DualFtBfsBuilder<'g> {
             if let Some(dec) = replacer.earliest_divergence_replacement(engine, v, e) {
                 let full = dec.reassemble();
                 if let Some(last) = full.last_edge_id(graph) {
-                    current.insert(last);
+                    insert(&mut current, last);
                 }
                 known.push(graph, &full);
                 detour_at_edge[idx] = Some(detours.len());
@@ -314,8 +314,7 @@ impl<'g> DualFtBfsBuilder<'g> {
                     continue; // v disconnected under F: nothing to protect.
                 };
                 // First try the stitched path through the two detours.
-                let stitched = self
-                    .stitch_detours(&pi, &detours, &detour_at_edge, i, j, v)
+                let stitched = stitch_detours(&pi, &detours, &detour_at_edge, i, j, v)
                     .filter(|p| p.len() as u32 == target_hops)
                     .filter(|p| !faults.intersects_path(graph, p));
                 let chosen = match stitched {
@@ -330,7 +329,7 @@ impl<'g> DualFtBfsBuilder<'g> {
                     }
                 };
                 if let Some(last) = chosen.last_edge_id(graph) {
-                    let is_new = current.insert(last);
+                    let is_new = insert(&mut current, last);
                     if is_new && self.record {
                         pi_pi_new.push(PiPiRecord {
                             faults: faults.clone(),
@@ -421,7 +420,7 @@ impl<'g> DualFtBfsBuilder<'g> {
                 (choice.path, choice.divergence, None)
             };
             if let Some(last) = path.last_edge_id(graph) {
-                let is_new = current.insert(last);
+                let is_new = insert(&mut current, last);
                 if is_new && self.record {
                     new_ending.push(NewEndingRecord {
                         first_fault: e,
@@ -436,9 +435,9 @@ impl<'g> DualFtBfsBuilder<'g> {
             known.push(graph, &path);
         }
 
-        // Sorted, so H(v) and New(v) do not depend on HashSet iteration
-        // order, which changes from run to run.
-        let mut h_v: Vec<EdgeId> = current.into_iter().collect();
+        // Sorted, so H(v) and New(v) list edges by id, not by the order the
+        // steps selected them.
+        let mut h_v = current;
         h_v.sort_unstable();
         let new_edges: Vec<EdgeId> = h_v
             .iter()
@@ -455,43 +454,49 @@ impl<'g> DualFtBfsBuilder<'g> {
         };
         (h_v, record)
     }
+}
 
-    /// The step-2 "stitched" candidate `π(s,x_i) ∘ D_i[x_i,w] ∘ D_j[w,y_j] ∘ π(y_j,v)`
-    /// where `w` is the last vertex on `D_j` common to `D_i`.  Returns `None`
-    /// when the detours are missing, disjoint, or the stitched walk is not a
-    /// simple path.
-    fn stitch_detours(
-        &self,
-        pi: &Path,
-        detours: &[DetourRecord],
-        detour_at_edge: &[Option<usize>],
-        i: usize,
-        j: usize,
-        v: VertexId,
-    ) -> Option<Path> {
-        let di = &detours[detour_at_edge[i]?];
-        let dj = &detours[detour_at_edge[j]?];
-        let d_i = &di.decomposition.detour;
-        let d_j = &dj.decomposition.detour;
-        let common: HashSet<VertexId> = d_i.path.vertices().iter().copied().collect();
-        // Last vertex on D_j that also lies on D_i.
-        let w = d_j
-            .path
-            .vertices()
-            .iter()
-            .copied()
-            .rev()
-            .find(|x| common.contains(x))?;
-        let prefix = pi.prefix(d_i.x);
-        let along_di = d_i.path.prefix(w);
-        let along_dj = d_j.path.suffix(w);
-        let suffix = pi.suffix(d_j.y);
-        let stitched = prefix.concat(&along_di).concat(&along_dj).concat(&suffix);
-        if !stitched.is_simple() || stitched.target() != v {
-            return None;
-        }
-        Some(stitched)
+/// Adds `e` to the edge list `current` unless it is there already; returns
+/// whether it was added.
+fn insert(current: &mut Vec<EdgeId>, e: EdgeId) -> bool {
+    let is_new = !current.contains(&e);
+    if is_new {
+        current.push(e);
     }
+    is_new
+}
+
+/// The step-2 "stitched" candidate `π(s,x_i) ∘ D_i[x_i,w] ∘ D_j[w,y_j] ∘ π(y_j,v)`
+/// where `w` is the last vertex on `D_j` common to `D_i`.  Returns `None`
+/// when the detours are missing, disjoint, or the stitched walk is not a
+/// simple path.
+fn stitch_detours(
+    pi: &Path,
+    detours: &[DetourRecord],
+    detour_at_edge: &[Option<usize>],
+    i: usize,
+    j: usize,
+    v: VertexId,
+) -> Option<Path> {
+    let d_i = &detours[detour_at_edge[i]?].decomposition.detour;
+    let d_j = &detours[detour_at_edge[j]?].decomposition.detour;
+    let (along_i, along_j) = (d_i.path.vertices(), d_j.path.vertices());
+    // Last vertex on D_j that also lies on D_i.
+    let w = *along_j.iter().rev().find(|x| along_i.contains(x))?;
+    let (at_i, at_j) = (d_i.position(w)?, d_j.position(w)?);
+    let pi_vertices = pi.vertices();
+    let (x_at, y_at) = (pi.position(d_i.x)?, pi.position(d_j.y)?);
+    // One copy: π before x_i, D_i up to w, D_j after w, π after y_j.
+    let mut vertices = Vec::with_capacity(pi_vertices.len() + along_i.len() + along_j.len());
+    vertices.extend_from_slice(&pi_vertices[..x_at]);
+    vertices.extend_from_slice(&along_i[..=at_i]);
+    vertices.extend_from_slice(&along_j[at_j + 1..]);
+    vertices.extend_from_slice(&pi_vertices[y_at + 1..]);
+    let stitched = Path::new(vertices);
+    if !stitched.is_simple() || stitched.target() != v {
+        return None;
+    }
+    Some(stitched)
 }
 
 /// `d(s, v, H_τ ∖ F)` for step (3): the graph with `v`'s incident edges
@@ -501,7 +506,7 @@ fn in_h_distance<'g>(
     graph: &'g Graph,
     source: VertexId,
     v: VertexId,
-    current: &HashSet<EdgeId>,
+    current: &[EdgeId],
     faults: &FaultSpec,
 ) -> Option<u32> {
     let (view, ws) = engine.begin(graph);

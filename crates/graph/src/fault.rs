@@ -418,6 +418,22 @@ impl<'g> GraphView<'g> {
         }
     }
 
+    /// [`Self::allows_edge`] for the adjacency entry `(to, e)` of `from`,
+    /// where the caller knows the view allows `from`: the search's check,
+    /// which needs no endpoint lookup.
+    #[inline]
+    pub(crate) fn allows_arc(&self, from: VertexId, to: VertexId, e: EdgeId) -> bool {
+        debug_assert!(self.allows_vertex(from), "arc out of a removed vertex");
+        self.removed_edge[e.index()] != self.epoch
+            && self.allows_vertex(to)
+            && match self.incident_vertex {
+                Some(iv) if iv == from || iv == to => {
+                    self.incident_allowed[e.index()] == self.incident_serial
+                }
+                _ => true,
+            }
+    }
+
     /// Iterates over the `(neighbour, edge)` pairs of `v` that survive the
     /// restriction.
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
@@ -721,8 +737,17 @@ mod tests {
         }
     }
 
-    fn assert_matches_model(view: &GraphView<'_>, model: &Model<'_>, step: usize) {
+    /// Checks `view` against `model`; returns how many arcs out of an
+    /// allowed vertex it checked with the incident restriction at the arc's
+    /// `from` end and at its `to` end.
+    fn assert_matches_model(
+        view: &GraphView<'_>,
+        model: &Model<'_>,
+        step: usize,
+    ) -> (usize, usize) {
         let g = model.graph;
+        let restricted = model.incident.as_ref().map(|(x, _)| *x);
+        let (mut at_from, mut at_to) = (0, 0);
         assert_eq!(view.vertex_bound(), g.vertex_count(), "step {step}");
         for x in g.vertices() {
             assert_eq!(
@@ -732,6 +757,18 @@ mod tests {
             );
             let got: Vec<_> = view.neighbors(x).collect();
             assert_eq!(got, model.neighbors(x), "neighbors({x:?}) at step {step}");
+            if !model.allows_vertex(x) {
+                continue;
+            }
+            for &(y, e) in g.neighbors(x) {
+                assert_eq!(
+                    view.allows_arc(x, y, e),
+                    model.allows_edge(e),
+                    "allows_arc({x:?}, {y:?}, {e:?}) at step {step}"
+                );
+                at_from += usize::from(restricted == Some(x));
+                at_to += usize::from(restricted == Some(y));
+            }
         }
         for e in g.edges() {
             assert_eq!(
@@ -740,6 +777,7 @@ mod tests {
                 "allows_edge({e:?}) at step {step}"
             );
         }
+        (at_from, at_to)
     }
 
     #[test]
@@ -751,6 +789,7 @@ mod tests {
             crate::generators::cycle(5),
         ];
         let (mut grew, mut shrank, mut double_restricts) = (0, 0, 0);
+        let (mut arcs_at_from, mut arcs_at_to) = (0, 0);
         for seed in 0..6u64 {
             let mut state = seed;
             let mut pick = |bound: usize| (splitmix(&mut state) % bound as u64) as usize;
@@ -793,10 +832,13 @@ mod tests {
                         restricts_this_epoch = 0;
                     }
                 }
-                assert_matches_model(&view, &model, step);
+                let (at_from, at_to) = assert_matches_model(&view, &model, step);
+                arcs_at_from += at_from;
+                arcs_at_to += at_to;
             }
         }
         assert!(grew > 0 && shrank > 0 && double_restricts > 0);
+        assert!(arcs_at_from > 0 && arcs_at_to > 0);
     }
 
     #[test]

@@ -75,6 +75,16 @@ impl TieBreak {
         TieBreak { perturbation, seed }
     }
 
+    /// An assignment whose perturbations are all equal, so every
+    /// hop-shortest path ties: the searches' tie rules decide every path.
+    #[cfg(test)]
+    pub(crate) fn with_equal_perturbations(graph: &Graph) -> Self {
+        TieBreak {
+            perturbation: vec![1; graph.edge_count()],
+            seed: 0,
+        }
+    }
+
     /// The seed this assignment was generated from.
     pub fn seed(&self) -> u64 {
         self.seed

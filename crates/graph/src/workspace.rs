@@ -35,9 +35,14 @@
 //!   than the part of `G'` between `s` and `t`;
 //! * [`SearchWorkspace::canonical_path`] — the single-pair `W`-canonical path
 //!   `SP(s, t, G', W)`, exactly what `dijkstra(view, w, s, Some(t))` would
-//!   extract.  It runs the same bidirectional search, grows the `s–t`
-//!   hop-shortest-path DAG out of the meeting level, and runs the heap
-//!   Dijkstra over DAG vertices only.
+//!   extract.  It runs the same bidirectional search, walks the `s–t`
+//!   hop-shortest-path DAG out of the meeting level while recording its
+//!   arcs, and relaxes those arcs once each, level by level, with no heap.
+//!
+//! The frontiers of every unweighted search are plain vectors read through
+//! a level cursor, and searches test each adjacency entry with one
+//! `GraphView::allows_arc` check: a search only expands vertices the view
+//! allows, so the edge's own endpoints need not be looked up.
 
 use crate::dijkstra::ShortestPaths;
 use crate::fault::GraphView;
@@ -46,10 +51,21 @@ use crate::graph::{EdgeId, VertexId};
 use crate::path::Path;
 use crate::tiebreak::TieBreak;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Sentinel meaning "no parent" in the packed parent arrays.
 const NO_PARENT: u32 = u32::MAX;
+
+/// One arc of a hop-shortest-path DAG, oriented from the source to the
+/// target, with the hop level of its head; see
+/// [`SearchWorkspace::canonical_path`].
+#[derive(Clone, Copy, Debug)]
+struct DagArc {
+    tail: u32,
+    head: u32,
+    edge: u32,
+    level: u32,
+}
 
 /// Reusable search state; see the module docs.
 ///
@@ -81,17 +97,15 @@ pub struct SearchWorkspace {
     parent_v: Vec<u32>,
     parent_e: Vec<u32>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
-    queue: VecDeque<u32>,
+    /// Every vertex an unweighted search (or the forward side of a
+    /// bidirectional one) has labelled, in the order it was labelled.
+    queue: Vec<u32>,
     /// Visit stamps of the backward side of a bidirectional search.
     back_visited: Vec<u64>,
     /// Hop distances to the target of the backward side.
     back_dist: Vec<u64>,
-    back_queue: VecDeque<u32>,
-    /// Stamp of the last bidirectional search whose hop-shortest-path DAG
-    /// contained the vertex; see [`SearchWorkspace::canonical_path`].
-    in_dag: Vec<u64>,
-    /// Worklist of DAG vertices, starting with the meeting level.
-    dag: Vec<u32>,
+    back_queue: Vec<u32>,
+    dag: Dag,
     n: usize,
     source: VertexId,
     weighted: bool,
@@ -107,12 +121,11 @@ impl Default for SearchWorkspace {
             parent_v: Vec::new(),
             parent_e: Vec::new(),
             heap: BinaryHeap::new(),
-            queue: VecDeque::new(),
+            queue: Vec::new(),
             back_visited: Vec::new(),
             back_dist: Vec::new(),
-            back_queue: VecDeque::new(),
-            in_dag: Vec::new(),
-            dag: Vec::new(),
+            back_queue: Vec::new(),
+            dag: Dag::default(),
             n: 0,
             source: VertexId(0),
             weighted: false,
@@ -175,21 +188,6 @@ impl SearchWorkspace {
         source: VertexId,
         target: Option<VertexId>,
     ) -> Search<'ws> {
-        self.run_dijkstra(view, w, source, target, None);
-        Search { ws: self }
-    }
-
-    /// The heap Dijkstra behind [`Self::dijkstra`].  With `dag = Some(stamp)`
-    /// it only labels vertices whose `in_dag` slot holds `stamp`.
-    #[inline]
-    fn run_dijkstra(
-        &mut self,
-        view: &GraphView<'_>,
-        w: &TieBreak,
-        source: VertexId,
-        target: Option<VertexId>,
-        dag: Option<u64>,
-    ) {
         self.prepare(view.vertex_bound(), source, true);
         let epoch = self.epoch;
         self.label(source, 0, None);
@@ -207,10 +205,7 @@ impl SearchWorkspace {
             }
             for &(x, e) in view.graph().neighbors(u) {
                 let xi = x.index();
-                if self.settled[xi] == epoch
-                    || dag.is_some_and(|stamp| self.in_dag[xi] != stamp)
-                    || !view.allows_edge(e)
-                {
+                if self.settled[xi] == epoch || !view.allows_arc(u, x, e) {
                     continue;
                 }
                 let nd = d + w.weight(e);
@@ -220,6 +215,7 @@ impl SearchWorkspace {
                 }
             }
         }
+        Search { ws: self }
     }
 
     /// Runs the unweighted hop-bucket search (a BFS) from `source`, reusing
@@ -232,19 +228,21 @@ impl SearchWorkspace {
         self.label(source, 0, None);
         self.settled[source.index()] = epoch;
         if view.allows_vertex(source) {
-            self.queue.push_back(source.0);
+            self.queue.push(source.0);
         }
-        while let Some(u_raw) = self.queue.pop_front() {
+        let mut next = 0;
+        while let Some(&u_raw) = self.queue.get(next) {
+            next += 1;
             let u = VertexId(u_raw);
             let du = self.dist[u.index()];
             for &(x, e) in view.graph().neighbors(u) {
                 let xi = x.index();
-                if self.visited[xi] == epoch || !view.allows_edge(e) {
+                if self.visited[xi] == epoch || !view.allows_arc(u, x, e) {
                     continue;
                 }
                 self.label(x, du + 1, Some((u, e)));
                 self.settled[xi] = epoch;
-                self.queue.push_back(x.0);
+                self.queue.push(x.0);
             }
         }
         Search { ws: self }
@@ -274,13 +272,24 @@ impl SearchWorkspace {
     /// `target` is unreachable.
     ///
     /// Returns exactly what `self.dijkstra(view, w, source,
-    /// Some(target)).path_to(target)` returns, but the heap search only
-    /// visits the hop-shortest `source–target` DAG.  That is exact because
-    /// `W` is hop-dominated: every vertex that offers a DAG vertex its final
-    /// weight is itself one hop closer to `source` on a shortest path, so it
-    /// is in the DAG, and the heap pops DAG vertices in the same `(weight,
-    /// id)` order as the full search.  Labels, parents and tie outcomes are
-    /// therefore the full search's, even where `W` has a tie.
+    /// Some(target)).path_to(target)` returns, ties included, without a
+    /// heap.  The bidirectional search of [`Self::bfs_hops`] finds the
+    /// meeting level.  Walking out of it along hop labels (forward labels
+    /// toward `source`, backward labels toward `target`) visits the
+    /// hop-shortest `source–target` DAG and records each of its arcs once,
+    /// oriented toward `target` and tagged with its head's hop level from
+    /// `source` (`d − back_dist` on the target side).  The arcs are then
+    /// relaxed once each in level order, and every head keeps the tail that
+    /// minimises `(w(tail) + W(e), w(tail), tail)`.
+    ///
+    /// That is the heap's answer.  `W` is hop-dominated, so every vertex
+    /// that offers a DAG vertex its final weight is a DAG vertex one level
+    /// closer to `source`, and the heap settles every vertex of level `L − 1`
+    /// before any of level `L`; the level order likewise hands each arc its
+    /// tail's final weight.  The heap changes a label only on a strict
+    /// improvement and pops tails in `(weight, id)` order, so among the
+    /// tails that offer the least weight, the one with the least `(weight,
+    /// id)` becomes the parent: the rule above.
     #[inline]
     pub fn canonical_path(
         &mut self,
@@ -292,10 +301,9 @@ impl SearchWorkspace {
         if source == target {
             return Some(Path::singleton(source));
         }
-        self.meet(view, source, target, true)?;
-        let dag = self.epoch;
-        self.grow_dag(view);
-        self.run_dijkstra(view, w, source, Some(target), Some(dag));
+        let d = self.meet(view, source, target, true)?;
+        self.walk_dag(view, d);
+        self.relax_arcs(w);
         Search { ws: self }.path_to(target)
     }
 
@@ -307,7 +315,7 @@ impl SearchWorkspace {
     /// and `b`, so the first meeting found while expanding a level is exact.
     /// With `collect`, the meeting level is finished and every meeting
     /// vertex — every vertex at that position of the hop-shortest-path DAG
-    /// — is left in `self.dag`.
+    /// — is left in the DAG worklist.
     #[inline]
     fn meet(
         &mut self,
@@ -321,10 +329,9 @@ impl SearchWorkspace {
         if self.back_visited.len() < n {
             self.back_visited.resize(n, 0);
             self.back_dist.resize(n, 0);
-            self.in_dag.resize(n, 0);
+            self.dag.member.resize(n, 0);
         }
-        self.back_queue.clear();
-        self.dag.clear();
+        self.dag.walk.clear();
         if !view.allows_vertex(source) || !view.allows_vertex(target) {
             return None;
         }
@@ -333,17 +340,19 @@ impl SearchWorkspace {
             stamp: &mut self.visited,
             dist: &mut self.dist,
             queue: &mut self.queue,
+            level: 0,
         };
         let mut backward = Side {
             stamp: &mut self.back_visited,
             dist: &mut self.back_dist,
             queue: &mut self.back_queue,
+            level: 0,
         };
         forward.start(source, epoch);
         backward.start(target, epoch);
-        let mut meets = collect.then_some(&mut self.dag);
-        while !forward.queue.is_empty() && !backward.queue.is_empty() {
-            let met = if forward.queue.len() <= backward.queue.len() {
+        let mut meets = collect.then_some(&mut self.dag.walk);
+        while forward.frontier() > 0 && backward.frontier() > 0 {
+            let met = if forward.frontier() <= backward.frontier() {
                 forward.expand_level(view, epoch, &backward, meets.as_deref_mut())
             } else {
                 backward.expand_level(view, epoch, &forward, meets.as_deref_mut())
@@ -355,39 +364,63 @@ impl SearchWorkspace {
         None
     }
 
-    /// Grows the meeting level left in `self.dag` by [`Self::meet`] into the
-    /// whole hop-shortest-path DAG, stamping each of its vertices in
-    /// `in_dag`: forward-labelled neighbours one level closer to the source,
-    /// then back-labelled neighbours one level closer to the target.
+    /// Walks the meeting level that [`Self::meet`] left in the DAG worklist
+    /// out to both ends of the hop-shortest-path DAG of a pair at hop
+    /// distance `d`, leaving the DAG's arcs sorted by the level of their
+    /// heads.
     #[inline]
-    fn grow_dag(&mut self, view: &GraphView<'_>) {
+    fn walk_dag(&mut self, view: &GraphView<'_>, d: u64) {
         let epoch = self.epoch;
-        for &x in &self.dag {
-            self.in_dag[x as usize] = epoch;
+        let dag = &mut self.dag;
+        for &x in &dag.walk {
+            dag.member[x as usize] = epoch;
         }
-        let meeting = self.dag.len();
-        grow_layers(
-            view,
-            epoch,
-            &self.visited,
-            &self.dist,
-            &mut self.in_dag,
-            &mut self.dag,
-            0,
-        );
-        // Re-queue the meeting level to grow the target side from it; the
-        // duplicates are harmless because membership lives in `in_dag`.
-        let toward_target = self.dag.len();
-        self.dag.extend_from_within(..meeting);
-        grow_layers(
+        dag.arcs.clear();
+        let meeting = dag.walk.len();
+        // Toward the source, each arc's head is the walked vertex, and the
+        // walk reaches the levels in decreasing order.
+        dag.walk_side(view, epoch, &self.visited, &self.dist, 0, |y, z, e, dy| {
+            (z, y, e, dy)
+        });
+        dag.arcs.reverse();
+        // Toward the target, from the meeting level again: each arc's tail
+        // is the walked vertex, reached in increasing level order.
+        let toward_target = dag.walk.len();
+        dag.walk.extend_from_within(..meeting);
+        dag.walk_side(
             view,
             epoch,
             &self.back_visited,
             &self.back_dist,
-            &mut self.in_dag,
-            &mut self.dag,
             toward_target,
+            |y, z, e, dy| (y, z, e, d + 1 - dy),
         );
+        debug_assert!(dag.arcs.windows(2).all(|a| a[0].level <= a[1].level));
+    }
+
+    /// Relaxes the walked DAG's arcs in level order (see
+    /// [`Self::canonical_path`]), leaving every DAG vertex but the source
+    /// settled with its `W`-weight and canonical parent.
+    #[inline]
+    fn relax_arcs(&mut self, w: &TieBreak) {
+        let epoch = self.epoch;
+        // The source is never a head, and its forward hop label, 0, is its
+        // weight; every other tail is the head of an earlier level's arc.
+        for a in &self.dag.arcs {
+            let (tail, head) = (a.tail as usize, a.head as usize);
+            let wt = self.dist[tail];
+            let nd = wt + w.weight(EdgeId(a.edge));
+            if self.settled[head] == epoch {
+                let p = self.parent_v[head];
+                if (nd, wt, a.tail) >= (self.dist[head], self.dist[p as usize], p) {
+                    continue;
+                }
+            }
+            self.settled[head] = epoch;
+            self.dist[head] = nd;
+            self.parent_v[head] = a.tail;
+            self.parent_e[head] = a.edge;
+        }
     }
 
     /// Returns `true` if `v`'s distance is final in the current search.
@@ -398,12 +431,14 @@ impl SearchWorkspace {
 }
 
 /// One side of a bidirectional search, borrowed out of the workspace: hop
-/// labels (valid where `stamp` holds the epoch) and a FIFO frontier that
-/// always holds exactly one level.
+/// labels (valid where `stamp` holds the epoch) and every vertex labelled so
+/// far, in order, of which `queue[level..]` is the frontier: exactly one
+/// level.
 struct Side<'a> {
     stamp: &'a mut [u64],
     dist: &'a mut [u64],
-    queue: &'a mut VecDeque<u32>,
+    queue: &'a mut Vec<u32>,
+    level: usize,
 }
 
 impl Side<'_> {
@@ -411,7 +446,13 @@ impl Side<'_> {
     fn start(&mut self, root: VertexId, epoch: u64) {
         self.stamp[root.index()] = epoch;
         self.dist[root.index()] = 0;
-        self.queue.push_back(root.0);
+        self.queue.clear();
+        self.queue.push(root.0);
+    }
+
+    /// The number of vertices on the frontier.
+    fn frontier(&self) -> usize {
+        self.queue.len() - self.level
     }
 
     /// Expands the whole current level, labelling each newly reached vertex
@@ -427,17 +468,18 @@ impl Side<'_> {
         mut meets: Option<&mut Vec<u32>>,
     ) -> Option<u64> {
         let mut met = None;
-        for _ in 0..self.queue.len() {
-            let u = self.queue.pop_front().expect("the level is non-empty");
-            let du = self.dist[u as usize];
-            for &(x, e) in view.graph().neighbors(VertexId(u)) {
+        let end = self.queue.len();
+        for i in std::mem::replace(&mut self.level, end)..end {
+            let u = VertexId(self.queue[i]);
+            let du = self.dist[u.index()];
+            for &(x, e) in view.graph().neighbors(u) {
                 let xi = x.index();
-                if self.stamp[xi] == epoch || !view.allows_edge(e) {
+                if self.stamp[xi] == epoch || !view.allows_arc(u, x, e) {
                     continue;
                 }
                 self.stamp[xi] = epoch;
                 self.dist[xi] = du + 1;
-                self.queue.push_back(x.0);
+                self.queue.push(x.0);
                 if other.stamp[xi] == epoch {
                     let d = du + 1 + other.dist[xi];
                     match meets.as_deref_mut() {
@@ -454,32 +496,53 @@ impl Side<'_> {
     }
 }
 
-/// Walks `dag[from..]`, appending every unmarked neighbour one hop closer to
-/// the root of the side whose labels are `stamp`/`dist`, until the walk
-/// reaches that root.
-#[inline]
-fn grow_layers(
-    view: &GraphView<'_>,
-    epoch: u64,
-    stamp: &[u64],
-    dist: &[u64],
-    in_dag: &mut [u64],
-    dag: &mut Vec<u32>,
-    from: usize,
-) {
-    let mut i = from;
-    while i < dag.len() {
-        let y = VertexId(dag[i]);
-        i += 1;
-        let dy = dist[y.index()];
-        for &(z, e) in view.graph().neighbors(y) {
-            let zi = z.index();
-            if in_dag[zi] == epoch || stamp[zi] != epoch || dist[zi] + 1 != dy {
-                continue;
-            }
-            if view.allows_edge(e) {
-                in_dag[zi] = epoch;
-                dag.push(z.0);
+/// The hop-shortest-path DAG of the last [`SearchWorkspace::canonical_path`].
+#[derive(Clone, Debug, Default)]
+struct Dag {
+    /// Stamp of the last bidirectional search whose DAG contained the vertex.
+    member: Vec<u64>,
+    /// Worklist of DAG vertices, starting with the meeting level.
+    walk: Vec<u32>,
+    /// The DAG's arcs, oriented toward the target.
+    arcs: Vec<DagArc>,
+}
+
+impl Dag {
+    /// Walks `walk[from..]` toward the root of the side whose hop labels are
+    /// `stamp`/`dist`.  Every allowed arc from a walked vertex `y` to a
+    /// neighbour `z` one hop closer to that root is recorded as the
+    /// `(tail, head, edge, head level)` that `orient(y, z, e, dist[y])`
+    /// returns, and `z` joins the walk unless it is already in the DAG.
+    #[inline]
+    fn walk_side(
+        &mut self,
+        view: &GraphView<'_>,
+        epoch: u64,
+        stamp: &[u64],
+        dist: &[u64],
+        from: usize,
+        orient: impl Fn(u32, u32, u32, u64) -> (u32, u32, u32, u64),
+    ) {
+        let mut i = from;
+        while let Some(&y) = self.walk.get(i) {
+            i += 1;
+            let dy = dist[y as usize];
+            for &(z, e) in view.graph().neighbors(VertexId(y)) {
+                let zi = z.index();
+                if stamp[zi] != epoch || dist[zi] + 1 != dy || !view.allows_arc(VertexId(y), z, e) {
+                    continue;
+                }
+                let (tail, head, edge, level) = orient(y, z.0, e.0, dy);
+                self.arcs.push(DagArc {
+                    tail,
+                    head,
+                    edge,
+                    level: level as u32,
+                });
+                if self.member[zi] != epoch {
+                    self.member[zi] = epoch;
+                    self.walk.push(z.0);
+                }
             }
         }
     }
@@ -789,14 +852,14 @@ mod tests {
         connected: usize,
     }
 
-    /// Checks `bfs_hops` and `canonical_path` against the one-sided `bfs`
-    /// and the full `dijkstra(…, Some(t)).path_to(t)` from a random source
-    /// to every target, under `trials` random restrictions of `g`.  Each one
-    /// removes a few vertices (sometimes the source or a target), fails a
-    /// few edges and sometimes restricts the edges incident to one vertex.
-    fn cross_check(g: &Graph, wseed: u64, trials: usize, cov: &mut Coverage) {
-        let w = TieBreak::new(g, wseed);
-        let mut state = wseed;
+    /// Checks `bfs_hops` and `canonical_path` under weights `w` against the
+    /// one-sided `bfs` and the full `dijkstra(…, Some(t)).path_to(t)` from a
+    /// random source to every target, under `trials` random restrictions of
+    /// `g` drawn from `seed`.  Each one removes a few vertices (sometimes the
+    /// source or a target), fails a few edges and sometimes restricts the
+    /// edges incident to one vertex.
+    fn cross_check(g: &Graph, w: &TieBreak, seed: u64, trials: usize, cov: &mut Coverage) {
+        let mut state = seed;
         let mut pick = |bound: usize| (splitmix(&mut state) % bound as u64) as usize;
         let n = g.vertex_count();
         let mut view = GraphView::new(g);
@@ -826,14 +889,14 @@ mod tests {
                 g.vertices().map(|t| full.hops(t)).collect()
             };
             for t in g.vertices() {
-                let expected = reference.dijkstra(&view, &w, s, Some(t)).path_to(t);
+                let expected = reference.dijkstra(&view, w, s, Some(t)).path_to(t);
                 assert_eq!(
                     ws.bfs_hops(&view, s, t),
                     hops[t.index()],
                     "bfs_hops({s:?}, {t:?}) differs from bfs"
                 );
                 assert_eq!(
-                    ws.canonical_path(&view, &w, s, t),
+                    ws.canonical_path(&view, w, s, t),
                     expected,
                     "canonical_path({s:?}, {t:?}) differs from dijkstra"
                 );
@@ -860,22 +923,15 @@ mod tests {
     #[test]
     fn bidirectional_searches_match_their_references_under_random_overlays() {
         let mut cov = Coverage::default();
+        let mut check = |g: &Graph, seed: u64, trials: usize| {
+            cross_check(g, &TieBreak::new(g, seed), seed, trials, &mut cov);
+        };
         for seed in 1..=3u64 {
-            cross_check(
-                &generators::connected_gnp(60, 0.05, seed),
-                seed,
-                12,
-                &mut cov,
-            );
-            cross_check(
-                &generators::connected_gnp(40, 0.2, seed),
-                seed + 10,
-                8,
-                &mut cov,
-            );
+            check(&generators::connected_gnp(60, 0.05, seed), seed, 12);
+            check(&generators::connected_gnp(40, 0.2, seed), seed + 10, 8);
         }
-        cross_check(&generators::grid(6, 9), 21, 12, &mut cov);
-        cross_check(&generators::grid(1, 12), 22, 6, &mut cov);
+        check(&generators::grid(6, 9), 21, 12);
+        check(&generators::grid(1, 12), 22, 6);
         // Every corner the restrictions can produce was exercised.
         for (corner, count) in [
             ("removed source", cov.removed_source),
@@ -887,6 +943,34 @@ mod tests {
         ] {
             assert!(count > 0, "no case covered a {corner}");
         }
+    }
+
+    #[test]
+    fn canonical_path_breaks_full_ties_like_the_heap() {
+        // Equal perturbations make every hop-shortest path tie, so only the
+        // tie rules pick the path: the least `(weight, id)` tail wins.
+        let mut cov = Coverage::default();
+        for (g, seed) in [
+            (generators::grid(6, 9), 31),
+            (generators::grid(4, 4), 32),
+            (generators::connected_gnp(40, 0.2, 3), 33),
+            (generators::connected_gnp(60, 0.05, 4), 34),
+        ] {
+            let w = TieBreak::with_equal_perturbations(&g);
+            cross_check(&g, &w, seed, 10, &mut cov);
+        }
+        assert!(cov.connected > 0 && cov.restricted > 0);
+        // On a grid the tie rule is visible: from the corner 0 of a 3×3 grid
+        // both 2-hop paths to 4 tie, and the one through the smaller tail,
+        // 1, wins.
+        let g = generators::grid(3, 3);
+        let w = TieBreak::with_equal_perturbations(&g);
+        let view = GraphView::new(&g);
+        let mut ws = SearchWorkspace::new();
+        assert_eq!(
+            ws.canonical_path(&view, &w, v(0), v(4)),
+            Some(Path::new(vec![v(0), v(1), v(4)]))
+        );
     }
 
     #[test]

@@ -134,11 +134,9 @@ pub fn decompose(pi: &Path, p: &Path) -> Option<Decomposition> {
         return None;
     }
     let detour_vertices = &p_vertices[x_pos..=y_pos];
-    let pi_set: std::collections::HashSet<VertexId> = pi_vertices.iter().copied().collect();
-    for &u in &detour_vertices[1..detour_vertices.len().saturating_sub(1)] {
-        if pi_set.contains(&u) {
-            return None;
-        }
+    let interior = &detour_vertices[1..detour_vertices.len().saturating_sub(1)];
+    if interior.iter().any(|u| pi_vertices.contains(u)) {
+        return None;
     }
     let prefix = Path::new(pi_vertices[..=x_pos].to_vec());
     let detour_path = if detour_vertices.len() == 1 {
