@@ -254,13 +254,12 @@ impl<'g> DualFtBfsBuilder<'g> {
         let pi = tree.pi(v).expect("reachable vertex has a canonical path");
         let pi_edges: Vec<EdgeId> = pi.edge_ids(graph);
 
-        // E(v, T_0): tree edges incident to v.
-        let tree_incident: Vec<EdgeId> = graph
+        // H(v) so far, starting from E(v, T_0), the tree edges incident to
+        // v: at most deg(v) edges, so a list beats a hash set.
+        let mut current: Vec<EdgeId> = graph
             .incident_edges(v)
             .filter(|e| tree.contains_edge(*e))
             .collect();
-        // H(v) so far: at most deg(v) edges, so a list beats a hash set.
-        let mut current: Vec<EdgeId> = tree_incident;
         // Every path chosen below, whose last edge is then in `current`.
         let mut known = KnownPaths::default();
 
