@@ -187,17 +187,9 @@ impl Path {
         Path { vertices }
     }
 
-    /// Returns `true` if the path visits no vertex twice.  Short paths are
-    /// scanned pairwise; longer ones go through a hash set.
+    /// Returns `true` if the path visits no vertex twice (a pairwise scan).
     pub fn is_simple(&self) -> bool {
-        /// The longest path checked by the quadratic scan.
-        const SCAN_MAX: usize = 24;
-        if self.vertices.len() <= SCAN_MAX {
-            return (1..self.vertices.len())
-                .all(|i| !self.vertices[..i].contains(&self.vertices[i]));
-        }
-        let mut seen = std::collections::HashSet::with_capacity(self.vertices.len());
-        self.vertices.iter().all(|v| seen.insert(*v))
+        (1..self.vertices.len()).all(|i| !self.vertices[..i].contains(&self.vertices[i]))
     }
 
     /// Returns `true` if every consecutive pair of vertices is an edge of
@@ -330,16 +322,11 @@ mod tests {
     fn simplicity_and_reversal() {
         assert!(path(&[0, 1, 2]).is_simple());
         assert!(!path(&[0, 1, 2, 0]).is_simple());
-        // Past the pairwise scan's length the hash set decides.
         let long: Vec<u32> = (0..30).collect();
         assert!(path(&long).is_simple());
         let mut revisits = long.clone();
         revisits.push(3);
         assert!(!path(&revisits).is_simple());
-        // 24 vertices: the longest path the scan decides.
-        let mut at_the_limit: Vec<u32> = (0..23).collect();
-        at_the_limit.push(20);
-        assert!(!path(&at_the_limit).is_simple());
         assert_eq!(path(&[0, 1, 2]).reversed(), path(&[2, 1, 0]));
     }
 
