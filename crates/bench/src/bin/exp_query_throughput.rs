@@ -10,7 +10,7 @@
 //! Usage:
 //!
 //! ```text
-//! exp_query_throughput [--smoke] [--lru-sweep] [--snapshot-bench] [--out PATH]
+//! exp_query_throughput [--smoke] [--out PATH]
 //! ```
 //!
 //! `--smoke` shrinks the workloads to seconds-scale sizes for CI **and
@@ -23,14 +23,18 @@
 //! ([`SMOKE_TELEMETRY_OVERHEAD_MAX`], on the median of interleaved
 //! pairs).  If any is violated the binary exits non-zero so a serving- or
 //! load-path regression fails the build instead of silently landing.
-//! `--lru-sweep` additionally runs the cache-policy experiment: qps across
-//! per-partition LRU capacities {2, 4, 8, 16, 32} under tight and wide
-//! fault-pair locality, recorded in a `lru_sweep` section of the JSON.
-//! `--snapshot-bench` (implied by `--smoke`) measures time to a servable
-//! structure for both formats — freeze (compile the CSR and trees from the
-//! edges, encode, open), owned load (open a copy of the bytes and re-hash
-//! the base) and view open (validate only, zero rebuild) — into a
-//! `snapshot_bench` JSON section.
+//! Every mode writes every section of the JSON:
+//!
+//! * `results` — qps and latency per workload, backend and thread count;
+//! * `lru_sweep` — the cache-policy experiment: qps across per-partition
+//!   LRU capacities {2, 4, 8, 16, 32} under tight and wide fault-pair
+//!   locality;
+//! * `snapshot_bench` — time to a servable structure for both formats:
+//!   freeze (compile the CSR and trees from the edges, encode, open),
+//!   owned load (open a copy of the bytes and re-hash the base) and view
+//!   open (validate only, zero rebuild);
+//! * `telemetry_overhead` — the instrumented-vs-baseline pairs.
+//!
 //! The JSON goes to `BENCH_query.json`, or under `--smoke` to
 //! `target/BENCH_query.smoke.json` so a smoke run never overwrites the
 //! checked-in full sweep; `--out` overrides either.  Every result row
@@ -375,8 +379,8 @@ fn time_us<const K: usize>(
 /// (view open: validate only, serve from the bytes).
 ///
 /// One long-lived `QueryEngine` per measurement models the server shape —
-/// per-thread engines persist across snapshot (re)loads; the reloaded
-/// structure keeps its fingerprint, so the engine does not even rebind —
+/// per-thread engines persist across snapshot (re)loads, and rebind only
+/// when a structure serves from bytes at another address —
 /// and keeps the measured cycle at exactly input → servable → answered.
 fn snapshot_bench(
     g: &Graph,
@@ -431,8 +435,6 @@ fn snapshot_bench(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let sweep = args.iter().any(|a| a == "--lru-sweep");
-    let snap = smoke || args.iter().any(|a| a == "--snapshot-bench");
     let out_path = json::out_path(&args, "BENCH_query.json");
 
     // The acceptance workload of the query-serving PR is
@@ -491,10 +493,8 @@ fn main() {
         if smoke_qps.is_none() {
             smoke_qps = rows.iter().find(|r| r.threads == 1).map(|r| r.qps);
         }
-        if sweep && sweep_rows.is_empty() {
-            sweep_rows = lru_sweep(g, &frozen, &structure_edges, query_count, &mut wrong);
-        }
         if first_frozen.is_none() {
+            sweep_rows = lru_sweep(g, &frozen, &structure_edges, query_count, &mut wrong);
             first_frozen = Some(frozen);
             first_queries = Some(queries);
         }
@@ -533,45 +533,40 @@ fn main() {
 
     // The snapshot experiment: freeze, owned load and zero-rebuild open,
     // time-to-first-answer on the first workload's structures.
-    let snap_rows: Vec<SnapRow> = if snap {
-        let (_, g) = &workloads[0];
-        let reps = if smoke { 400 } else { 100 };
-        let measured = snapshot_bench(
-            g,
-            first_frozen.as_ref().expect("first workload was measured"),
-            (&multi, &parts),
-            reps,
-        );
-        let mut snap_table = Table::new(
-            "E10b — time to a servable structure: freeze vs owned load vs view open (+1 query)",
-            &[
-                "format",
-                "n",
-                "|E|",
-                "bytes",
-                "freeze_us",
-                "load_us",
-                "open_us",
-                "freeze/open",
-            ],
-        );
-        for r in &measured {
-            snap_table.row(vec![
-                r.format.to_string(),
-                r.n.to_string(),
-                r.structure_edges.to_string(),
-                r.bytes.to_string(),
-                format!("{:.2}", r.freeze_us),
-                format!("{:.2}", r.load_us),
-                format!("{:.2}", r.open_us),
-                format!("{:.1}x", r.speedup),
-            ]);
-        }
-        print!("{}", snap_table.render());
-        measured
-    } else {
-        Vec::new()
-    };
+    let (_, g) = &workloads[0];
+    let reps = if smoke { 400 } else { 100 };
+    let snap_rows = snapshot_bench(
+        g,
+        first_frozen.as_ref().expect("first workload was measured"),
+        (&multi, &parts),
+        reps,
+    );
+    let mut snap_table = Table::new(
+        "E10b — time to a servable structure: freeze vs owned load vs view open (+1 query)",
+        &[
+            "format",
+            "n",
+            "|E|",
+            "bytes",
+            "freeze_us",
+            "load_us",
+            "open_us",
+            "freeze/open",
+        ],
+    );
+    for r in &snap_rows {
+        snap_table.row(vec![
+            r.format.to_string(),
+            r.n.to_string(),
+            r.structure_edges.to_string(),
+            r.bytes.to_string(),
+            format!("{:.2}", r.freeze_us),
+            format!("{:.2}", r.load_us),
+            format!("{:.2}", r.open_us),
+            format!("{:.1}x", r.speedup),
+        ]);
+    }
+    print!("{}", snap_table.render());
 
     // The telemetry-overhead experiment: the cost of publishing the
     // engine counts and recording the batch histogram on the
@@ -603,21 +598,19 @@ fn main() {
          instrumented {overhead_inst:.0} qps\n"
     );
 
-    if !sweep_rows.is_empty() {
-        let mut sweep_table = Table::new(
-            "E10a — fault-LRU capacity sweep (1 thread, single backend)",
-            &["locality", "active_pairs", "capacity", "qps"],
-        );
-        for r in &sweep_rows {
-            sweep_table.row(vec![
-                r.locality.to_string(),
-                r.active_pairs.to_string(),
-                r.capacity.to_string(),
-                format!("{:.0}", r.qps),
-            ]);
-        }
-        print!("{}", sweep_table.render());
+    let mut sweep_table = Table::new(
+        "E10a — fault-LRU capacity sweep (1 thread, single backend)",
+        &["locality", "active_pairs", "capacity", "qps"],
+    );
+    for r in &sweep_rows {
+        sweep_table.row(vec![
+            r.locality.to_string(),
+            r.active_pairs.to_string(),
+            r.capacity.to_string(),
+            format!("{:.0}", r.qps),
+        ]);
     }
+    print!("{}", sweep_table.render());
 
     if !wrong.is_empty() {
         for w in &wrong {
@@ -648,41 +641,37 @@ fn main() {
         ));
     }
     json.push_str("  ]");
-    if !sweep_rows.is_empty() {
-        json.push_str(",\n  \"lru_sweep\": [\n");
-        for (i, r) in sweep_rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"locality\": \"{}\", \"active_pairs\": {}, \"capacity\": {}, \
-                 \"qps\": {:.1}}}{}\n",
-                r.locality,
-                r.active_pairs,
-                r.capacity,
-                r.qps,
-                if i + 1 < sweep_rows.len() { "," } else { "" },
-            ));
-        }
-        json.push_str("  ]");
+    json.push_str(",\n  \"lru_sweep\": [\n");
+    for (i, r) in sweep_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"locality\": \"{}\", \"active_pairs\": {}, \"capacity\": {}, \
+             \"qps\": {:.1}}}{}\n",
+            r.locality,
+            r.active_pairs,
+            r.capacity,
+            r.qps,
+            if i + 1 < sweep_rows.len() { "," } else { "" },
+        ));
     }
-    if !snap_rows.is_empty() {
-        json.push_str(",\n  \"snapshot_bench\": [\n");
-        for (i, r) in snap_rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"format\": \"{}\", \"n\": {}, \"structure_edges\": {}, \
-                 \"bytes\": {}, \"freeze_us\": {:.3}, \"load_us\": {:.3}, \
-                 \"open_us\": {:.3}, \"speedup\": {:.2}}}{}\n",
-                r.format,
-                r.n,
-                r.structure_edges,
-                r.bytes,
-                r.freeze_us,
-                r.load_us,
-                r.open_us,
-                r.speedup,
-                if i + 1 < snap_rows.len() { "," } else { "" },
-            ));
-        }
-        json.push_str("  ]");
+    json.push_str("  ]");
+    json.push_str(",\n  \"snapshot_bench\": [\n");
+    for (i, r) in snap_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"format\": \"{}\", \"n\": {}, \"structure_edges\": {}, \
+             \"bytes\": {}, \"freeze_us\": {:.3}, \"load_us\": {:.3}, \
+             \"open_us\": {:.3}, \"speedup\": {:.2}}}{}\n",
+            r.format,
+            r.n,
+            r.structure_edges,
+            r.bytes,
+            r.freeze_us,
+            r.load_us,
+            r.open_us,
+            r.speedup,
+            if i + 1 < snap_rows.len() { "," } else { "" },
+        ));
     }
+    json.push_str("  ]");
     json.push_str(&format!(
         ",\n  \"telemetry_overhead\": {{\"pairs\": {OVERHEAD_PAIRS}, \
          \"baseline_qps\": {overhead_base:.1}, \"instrumented_qps\": {overhead_inst:.1}, \
@@ -706,7 +695,7 @@ fn main() {
         let single = snap_rows
             .iter()
             .find(|r| r.format == "single")
-            .expect("smoke mode ran the snapshot bench");
+            .expect("the snapshot bench measured the single format");
         if single.speedup < SMOKE_SNAPSHOT_SPEEDUP_FLOOR {
             eprintln!(
                 "SMOKE SNAPSHOT FLOOR VIOLATION: view open {:.2}us is only {:.1}x faster \

@@ -4,10 +4,10 @@
 //! aligned table printing, log–log exponent fitting, and the serving
 //! experiments' deterministic choices ([`splitmix64`]), latency percentiles
 //! and request mix ([`build_requests`]).  The experiment
-//! binaries in `src/bin/` (E1–E9, see `DESIGN.md` and `EXPERIMENTS.md`) use
-//! these helpers to regenerate the quantities behind every theorem and
-//! figure of the paper; the Criterion benches in `benches/` measure wall
-//! clock costs (B1–B4).
+//! binaries in `src/bin/` (E1–E14, see the README) use these helpers to
+//! regenerate the quantities behind every theorem and figure of the paper
+//! and to measure wall-clock costs: E9 writes `BENCH_construction.json`,
+//! E10–E14 write `BENCH_query.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -43,14 +43,18 @@
 //! Engines are cheap and thread-local by design: share one view across
 //! threads (`&FrozenView` is `Sync`) and give each thread its own
 //! `QueryEngine` — that is exactly what `ftbfs_serve::ThroughputHarness`
-//! does.  The engine notices (via [`FrozenView::fingerprint`]) when it is
-//! handed a different structure and transparently rebinds, invalidating
-//! its cache.  It keys that cache on the *stored* fingerprint, which the
-//! borrowed [`FrozenView::open`] trusts without re-hashing the base: two
-//! views stamped with the same fingerprint share cached answers.  Bytes
-//! that are not trusted must therefore be opened through
-//! [`crate::FrozenStructure::load`] or `ftbfs_serve::EpochSnapshot`, which
-//! re-hash the fingerprint and reject a mismatch.  Its [`QueryStats`] are the one count of how queries were
+//! does.  The engine keys its cache on the view's [`FrozenView::fingerprint`]
+//! together with the address and length of its [`FrozenView::bytes`], and
+//! transparently rebinds, invalidating the cache, when any of the three
+//! changes.  Clones of one `ftbfs_serve::EpochSnapshot` share their bytes,
+//! so serving keeps its cache across them, while a view over other live
+//! bytes never reads the last view's cached answers, whatever fingerprint
+//! it is stamped with.  The borrowed [`FrozenView::open`] trusts the
+//! stored fingerprint without re-hashing the base (and freed bytes can be
+//! reallocated at the same address), so bytes that are not trusted must
+//! still be opened through [`crate::FrozenStructure::load`] or
+//! `ftbfs_serve::EpochSnapshot`, which re-hash it and reject a mismatch.
+//! The engine's [`QueryStats`] are the one count of how queries were
 //! answered; the serving layer publishes them into its metrics.  Every frozen
 //! structure serves from its snapshot bytes, so slab reads are
 //! little-endian word loads through [`ftbfs_graph::bytes::LeU32s`].
@@ -273,11 +277,12 @@ enum Slot {
 /// Per-thread query answering over a [`FrozenView`]; see the module docs.
 ///
 /// All methods take the view by reference, so one engine can be kept per
-/// thread while structures come and go (rebinding to a view with a
-/// different [`FrozenView::fingerprint`] clears the cache).  The cache is
-/// keyed on the stored fingerprint, which [`FrozenView::open`] does not
-/// re-hash; open untrusted bytes with [`crate::FrozenStructure::load`] or
-/// `ftbfs_serve::EpochSnapshot` before serving them from a reused engine.
+/// thread while structures come and go: handed a view with a different
+/// [`FrozenView::fingerprint`], or one serving from other bytes (another
+/// address or length of [`FrozenView::bytes`]), the engine rebinds and
+/// clears its cache.  [`FrozenView::open`] does not re-hash the stored
+/// fingerprint; open untrusted bytes with [`crate::FrozenStructure::load`]
+/// or `ftbfs_serve::EpochSnapshot` instead.
 ///
 /// # Examples
 ///
@@ -299,8 +304,8 @@ enum Slot {
 /// ```
 #[derive(Clone, Debug)]
 pub struct QueryEngine {
-    /// Fingerprint of the structure the scratch state is sized for.
-    bound: Option<u64>,
+    /// The [`binding`] of the structure the scratch state is sized for.
+    bound: Option<(u64, usize, usize)>,
     n: usize,
     epoch: u64,
     stamp: Vec<u64>,
@@ -325,14 +330,13 @@ pub struct QueryEngine {
 
 /// The default per-partition fault-LRU capacity.
 ///
-/// Chosen by the `exp_query_throughput --lru-sweep` experiment (see
-/// `BENCH_query.json` and the README's Serving API section).  A
-/// persisting-outage mix of ~8 live fault pairs produces ~16 distinct
-/// cache keys (each pair also appears as its single-fault prefixes), so
-/// the old default of 8 thrashed (~2.1M qps) while 16 holds the working
-/// set (~8.8M qps).  32 buys another ~20–30% in the microbench but
-/// doubles the resident footprint per partition and mostly caches the
-/// churn tail; 16 is the knee.
+/// Chosen by E10's LRU sweep (`exp_query_throughput`, the `lru_sweep`
+/// section of `BENCH_query.json`; see the README's Cache policy section)
+/// before the tree fast path landed.  A persisting-outage mix of ~8 live
+/// fault pairs produces ~16 distinct cache keys (each pair also appears
+/// as its single-fault prefixes), so the old default of 8 thrashed
+/// (~2.1M qps) while 16 held the working set (~8.8M qps); 32 doubles the
+/// resident footprint per partition and mostly caches the churn tail.
 pub const DEFAULT_CACHE_CAPACITY: usize = 16;
 
 /// How many per-target reads
@@ -341,6 +345,14 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 16;
 /// off the per-read critical path, fine enough that an overrun is noticed
 /// within microseconds.
 pub const BUDGET_CHECK_STRIDE: usize = 256;
+
+/// What an engine binds to: the structure's fingerprint and the address
+/// and length of the bytes it serves from.  Clones of one
+/// `ftbfs_serve::EpochSnapshot` share their bytes, so they share a binding.
+fn binding(oracle: &FrozenView<'_>) -> (u64, usize, usize) {
+    let bytes = oracle.bytes();
+    (oracle.fingerprint(), bytes.as_ptr() as usize, bytes.len())
+}
 
 impl Default for QueryEngine {
     fn default() -> Self {
@@ -612,11 +624,11 @@ impl QueryEngine {
         Ok((slab, slot))
     }
 
-    /// Rebinds the scratch state to `oracle` if it is a different structure
-    /// than the last query's.
+    /// Rebinds the scratch state to `oracle` unless it serves the same
+    /// bytes, under the same fingerprint, as the last query's.
     #[inline]
     fn bind(&mut self, oracle: &FrozenView<'_>) {
-        if self.bound != Some(oracle.fingerprint()) {
+        if self.bound != Some(binding(oracle)) {
             self.rebind(oracle);
         }
     }
@@ -625,7 +637,7 @@ impl QueryEngine {
     #[cold]
     #[inline(never)]
     fn rebind(&mut self, oracle: &FrozenView<'_>) {
-        self.bound = Some(oracle.fingerprint());
+        self.bound = Some(binding(oracle));
         self.n = oracle.vertex_count();
         if self.stamp.len() < self.n {
             self.stamp.resize(self.n, 0);
@@ -1188,6 +1200,40 @@ mod tests {
                 (None, None) => {}
             }
         }
+    }
+
+    #[test]
+    fn a_forged_fingerprint_does_not_share_another_structures_cache() {
+        // The path 0-1-…-7 (the cycle minus {7, 0}) stamped with the
+        // cycle's fingerprint, every checksum valid: a borrowed open
+        // trusts the stamp, so only the bytes' address tells them apart.
+        let g = generators::cycle(8);
+        let cycle = FrozenStructure::from_edges(&g, &[v(0)], 2, g.edges());
+        let e70 = g.edge_between(v(7), v(0)).unwrap();
+        let path = FrozenStructure::from_edges(&g, &[v(0)], 2, g.edges().filter(|&e| e != e70));
+        let bytes = path.save();
+        let layout = crate::snapshot_layout(&bytes).unwrap();
+        let sections: Vec<(u32, Vec<u8>)> = layout
+            .sections
+            .iter()
+            .map(|s| (s.kind, bytes[s.offset..s.offset + s.len].to_vec()))
+            .collect();
+        let magic = bytes[..4].try_into().unwrap();
+        let forged =
+            crate::snapshot::assemble(magic, &bytes[layout.base], cycle.fingerprint(), &sections);
+        let forged = FrozenView::open(&forged).expect("every checksum is valid");
+        assert_eq!(forged.fingerprint(), cycle.fingerprint());
+
+        let spec = FaultSpec::from(g.edge_between(v(0), v(1)).unwrap());
+        let mut engine = QueryEngine::new();
+        let on_cycle = engine.try_distance(&cycle, v(1), &spec).unwrap();
+        assert_eq!(on_cycle.into_value(), Some(7));
+        let on_forged = engine.try_distance(&forged, v(1), &spec).unwrap();
+        assert_eq!(
+            on_forged.into_value(),
+            None,
+            "answered from the cycle's cache"
+        );
     }
 
     #[test]

@@ -48,7 +48,8 @@
 //! the structure fingerprint, stored in the (frame-checksummed) header so
 //! a borrowed open need not re-hash the base.  Checksums do not stop a
 //! writer that stamped the wrong structure's fingerprint, and engines key
-//! their caches (and servers their epoch tags) on it, so the entry points
+//! their caches on it (with the bytes' address and length) and servers
+//! their epoch tags, so the entry points
 //! that take bytes to serve re-hash it: [`FrozenStructure::load`]
 //! recomputes the fingerprint from the base payload and rejects a snapshot
 //! whose base and fingerprint disagree, and `ftbfs_serve::EpochSnapshot`,
@@ -285,10 +286,10 @@ impl<'a> FrozenView<'a> {
     /// validating and certifying them without a rebuild or a copy.
     ///
     /// The stored fingerprint is trusted, not re-hashed (see the
-    /// [module docs](self)), and a [`crate::QueryEngine`] keys its cache
-    /// on that fingerprint: an engine reused across two views with the
-    /// same stored fingerprint keeps serving the first one's cached
-    /// answers.  Open only bytes this process wrote or already checked;
+    /// [module docs](self)).  A [`crate::QueryEngine`] keys its cache on
+    /// that fingerprint together with the address and length of `data`,
+    /// so a view over other live bytes does not read another view's
+    /// cached answers.  Open only bytes this process wrote or already checked;
     /// untrusted bytes go through [`FrozenStructure::load`] (or
     /// `ftbfs_serve::EpochSnapshot`, which loads), which re-hashes it.
     pub fn open(data: &'a [u8]) -> Result<Self, SnapshotError> {

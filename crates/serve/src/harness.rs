@@ -97,7 +97,7 @@ impl ThroughputHarness {
     }
 
     /// Overrides the per-partition fault-LRU capacity of each share's
-    /// engine (the knob behind the `--lru-sweep` cache-policy
+    /// engine (the knob behind E10's `lru_sweep` cache-policy
     /// experiment).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = Some(capacity);
