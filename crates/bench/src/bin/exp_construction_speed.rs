@@ -26,7 +26,9 @@
 
 use ftbfs_bench::{json, Table};
 use ftbfs_core::dual::DualFtBfsBuilder;
+use ftbfs_corpus::gen::road_like;
 use ftbfs_graph::{generators, EdgeId, Graph, TieBreak, VertexId};
+use ftbfs_lowerbound::GStarGraph;
 use std::time::Instant;
 
 /// The tie-breaking seed of every measured graph.
@@ -60,12 +62,24 @@ fn quantile(xs: &[f64], p: f64) -> f64 {
     xs[lo] + (xs[hi] - xs[lo]) * (at - lo as f64)
 }
 
-/// Times the construction on `g` with `threads` threads: one warm-up, then
-/// at least `min_runs` timed builds lasting at least `min_total_s` in all.
-fn measure(name: &str, g: &Graph, threads: usize, min_runs: usize, min_total_s: f64) -> Row {
+/// One measured graph: its label, the graph, the source and the thread
+/// counts.
+type Workload = (String, Graph, VertexId, &'static [usize]);
+
+/// Times the construction from `source` on `g` with `threads` threads: one
+/// warm-up, then at least `min_runs` timed builds lasting at least
+/// `min_total_s` in all.
+fn measure(
+    name: &str,
+    g: &Graph,
+    source: VertexId,
+    threads: usize,
+    min_runs: usize,
+    min_total_s: f64,
+) -> Row {
     let w = TieBreak::new(g, W_SEED);
     let build = || {
-        DualFtBfsBuilder::new(g, &w, VertexId(0))
+        DualFtBfsBuilder::new(g, &w, source)
             .threads(threads)
             .build()
             .structure
@@ -104,28 +118,52 @@ fn main() {
     // The acceptance workload of the reusable-engine PR is
     // connected_gnp(n=120, p=0.08); smoke mode keeps the same shape tiny.
     // The sparse connected_gnp(n, 8/n) rows are the benchmark's `build`
-    // graph (n = 1,000) and two larger sizes up to n = 10⁴.
-    let workloads: Vec<(String, Graph, &[usize])> = if smoke {
+    // graph (n = 1,000) and two larger sizes up to n = 10⁴.  The road
+    // lattice (E13's and E14's shape) and the Section 4 lower-bound graph
+    // G*₂ are the high-diameter rows; smoke mode keeps small copies of both,
+    // so its thread-identity gate covers a high-diameter graph.
+    let high_diameter = |rows: usize, shortcuts: usize, gstar_n: usize| -> Vec<Workload> {
+        let gstar = GStarGraph::for_target_size(2, gstar_n);
+        vec![
+            (
+                format!("road_like({rows},{rows},{shortcuts})"),
+                road_like(rows, rows, shortcuts, 0xE14).graph,
+                VertexId(0),
+                &[1, 2],
+            ),
+            (
+                format!("G*_2({gstar_n})"),
+                gstar.graph,
+                gstar.sources[0],
+                &[1, 2],
+            ),
+        ]
+    };
+    let mut workloads: Vec<Workload> = if smoke {
         vec![(
             "connected_gnp(24,0.25)".to_string(),
             generators::connected_gnp(24, 0.25, 42),
+            VertexId(0),
             &[1, 2],
         )]
     } else {
-        let mut w: Vec<(String, Graph, &[usize])> = vec![
+        let mut w: Vec<Workload> = vec![
             (
                 "connected_gnp(60,0.12)".to_string(),
                 generators::connected_gnp(60, 0.12, 42),
+                VertexId(0),
                 &[1, 2, 4, 8],
             ),
             (
                 "connected_gnp(120,0.08)".to_string(),
                 generators::connected_gnp(120, 0.08, 42),
+                VertexId(0),
                 &[1, 2, 4, 8],
             ),
             (
                 "connected_gnp(200,0.05)".to_string(),
                 generators::connected_gnp(200, 0.05, 42),
+                VertexId(0),
                 &[1, 2, 4, 8],
             ),
         ];
@@ -133,11 +171,17 @@ fn main() {
             w.push((
                 format!("connected_gnp({n},8/n)"),
                 generators::connected_gnp(n, 8.0 / n as f64, 1),
+                VertexId(0),
                 &[1, 2],
             ));
         }
         w
     };
+    workloads.extend(if smoke {
+        high_diameter(12, 30, 100)
+    } else {
+        high_diameter(72, 400, 800)
+    });
     let (min_runs, min_total_s) = if smoke {
         (1, 0.0)
     } else {
@@ -153,11 +197,11 @@ fn main() {
         ],
     );
     let mut disagreements = Vec::new();
-    for (name, g, thread_counts) in &workloads {
+    for (name, g, source, thread_counts) in &workloads {
         let first = rows.len();
         let mut base_ms = None;
         for &t in thread_counts.iter() {
-            let row = measure(name, g, t, min_runs, min_total_s);
+            let row = measure(name, g, *source, t, min_runs, min_total_s);
             if let Some(base) = rows.get(first).filter(|base| base.edges != row.edges) {
                 disagreements.push(format!(
                     "{name}: {} thread(s) built {} edges, {} thread(s) {}",

@@ -22,6 +22,21 @@
 //! The output structure is `H = T_0(s) ∪ ⋃_v H(v)` where `H(v)` collects the
 //! selected last edges.  Theorem 1.1 bounds `|E(H)|` by `O(n^{5/3})`.
 //!
+//! Each divergence search extracts its earliest candidate's path first and
+//! stops there when that path realises the optimum, as it almost always
+//! does (see [`ftbfs_paths::select`]).  Two more selections reuse one path:
+//!
+//! * **Step 1, `e_{i+1}`.**  If the path `P_i` chosen for `e_i` left
+//!   `π(s, v)` at `s` and avoids `u_{i+1}`, it is the canonical path of
+//!   candidate 0 for `e_{i+1}` too: that Eq. (3) graph is a subgraph of the
+//!   one `P_i` was extracted from and still contains `P_i`.  It is chosen
+//!   without a search when `|P_i| = |π(s, v)|` or `|P_i|` equals the
+//!   probed `d(s, v, G ∖ e_{i+1})`.
+//! * **Step 3, `x = s`.**  One extraction in the view without `π` below `s`
+//!   and the detour below `x` stands for both preference searches: if its
+//!   path is `d(s, v, G ∖ F)` long, the π search picks `b = s = x`, and the
+//!   detour search then picks `c = x` with this same path.
+//!
 //! Most pairs of steps (2) and (3) are settled without a probe, by a path
 //! already chosen for `v` (single-failure monotonicity: deleting a second
 //! edge never shortens a path, so `d(s, v, G ∖ {e, f}) ≥ d(s, v, G ∖ e)`):
@@ -35,9 +50,11 @@
 //!   bound `d(s, v, G ∖ e)` in `G ∖ F`, and its one edge at `v` (its last)
 //!   is already selected, so it survives the restriction to `H(v)`.
 //!
-//! Debug builds run the replaced probes anyway and assert that they agree.
+//! Debug builds run the replaced probes and searches anyway and assert
+//! that they agree.
 
 use crate::structure::FtBfsStructure;
+use ftbfs_graph::restrict::{remove_detour_suffix, remove_pi_segment};
 use ftbfs_graph::{EdgeId, FaultSpec, Graph, Path, SearchEngine, SpTree, TieBreak, VertexId};
 use ftbfs_paths::detour::{Decomposition, Detour};
 use ftbfs_paths::replacement::SingleFailureReplacer;
@@ -270,8 +287,9 @@ impl<'g> DualFtBfsBuilder<'g> {
         // `known` records, so a detour's index is also its path's id there.
         let mut detours: Vec<DetourRecord> = Vec::new();
         let mut detour_at_edge: Vec<Option<usize>> = vec![None; pi_edges.len()];
-        for (idx, &e) in pi_edges.iter().enumerate() {
-            if let Some(dec) = replacer.earliest_divergence_replacement(engine, v, e) {
+        let step1 = replacer.earliest_divergence_replacements(engine, v);
+        for (idx, (&e, dec)) in pi_edges.iter().zip(step1).enumerate() {
+            if let Some(dec) = dec {
                 let full = dec.reassemble();
                 if let Some(last) = full.last_edge_id(graph) {
                     insert(&mut current, last);
@@ -381,42 +399,10 @@ impl<'g> DualFtBfsBuilder<'g> {
             }
             // New-ending: select with the divergence-point preferences.
             let detour = &detours[d_idx].decomposition.detour;
-            let ep = graph.endpoints(e);
-            let upper = upper_on_path(&pi, ep.u, ep.v);
-            let Some(choice) = earliest_pi_divergence(
-                engine,
-                graph,
-                w,
-                &pi,
-                v,
-                upper,
-                v,
-                &faults,
-                Some(target_hops),
-            ) else {
+            let Some((path, pi_div, d_div)) =
+                select_new_ending(engine, graph, w, &pi, detour, e, t, &faults, target_hops)
+            else {
                 continue;
-            };
-            let (path, pi_div, d_div) = if choice.divergence == detour.x {
-                // The path leaves pi exactly where the detour does: impose the
-                // earliest detour-divergence preference.
-                let tp = graph.endpoints(t);
-                let upper_t = upper_on_detour(detour, tp.u, tp.v);
-                match earliest_detour_divergence(
-                    engine,
-                    graph,
-                    w,
-                    &pi,
-                    detour,
-                    v,
-                    upper_t,
-                    &faults,
-                    Some(target_hops),
-                ) {
-                    Some(c2) => (c2.path, choice.divergence, Some(c2.divergence)),
-                    None => (choice.path, choice.divergence, None),
-                }
-            } else {
-                (choice.path, choice.divergence, None)
             };
             if let Some(last) = path.last_edge_id(graph) {
                 let is_new = insert(&mut current, last);
@@ -496,6 +482,79 @@ fn stitch_detours(
         return None;
     }
     Some(stitched)
+}
+
+/// Step (3)'s selection for a new-ending pair `F = {e, t}` at distance
+/// `target_hops`: the path with the earliest π-divergence point `b` and,
+/// when `b` is the detour's start `x`, the earliest detour-divergence point
+/// `c`.  Returns the path, `b` and `c`.
+///
+/// When `x = s`, one extraction stands for both searches.  The view that
+/// removes `π` below `s` and the detour below `x` is candidate 0 of the
+/// detour search and a subgraph of candidate 0 of the π search.  If its
+/// canonical path is `target_hops` long, the π search picks `b = s = x`,
+/// and the detour search then picks `c = x` with this same path.
+#[allow(clippy::too_many_arguments)]
+fn select_new_ending<'g>(
+    engine: &mut SearchEngine<'g>,
+    graph: &'g Graph,
+    w: &TieBreak,
+    pi: &Path,
+    detour: &Detour,
+    e: EdgeId,
+    t: EdgeId,
+    faults: &FaultSpec,
+    target_hops: u32,
+) -> Option<(Path, VertexId, Option<VertexId>)> {
+    let (source, v) = (pi.source(), pi.target());
+    let searched = |engine: &mut SearchEngine<'g>| {
+        let ep = graph.endpoints(e);
+        let upper = upper_on_path(pi, ep.u, ep.v);
+        let choice =
+            earliest_pi_divergence(engine, graph, w, pi, v, upper, v, faults, Some(target_hops))?;
+        if choice.divergence != detour.x {
+            return Some((choice.path, choice.divergence, None));
+        }
+        // The path leaves pi exactly where the detour does: impose the
+        // earliest detour-divergence preference.
+        let tp = graph.endpoints(t);
+        let upper_t = upper_on_detour(detour, tp.u, tp.v);
+        Some(
+            match earliest_detour_divergence(
+                engine,
+                graph,
+                w,
+                pi,
+                detour,
+                v,
+                upper_t,
+                faults,
+                Some(target_hops),
+            ) {
+                Some(c2) => (c2.path, choice.divergence, Some(c2.divergence)),
+                None => (choice.path, choice.divergence, None),
+            },
+        )
+    };
+    if detour.x == source {
+        let (view, ws) = engine.begin(graph);
+        remove_pi_segment(view, pi, 0, pi.len(), v);
+        remove_detour_suffix(view, &detour.path, 0, v);
+        view.remove_faults(faults);
+        if let Some(path) = ws
+            .canonical_path(view, w, source, v)
+            .filter(|p| p.len() as u32 == target_hops)
+        {
+            let chosen = (path, source, Some(source));
+            debug_assert_eq!(
+                searched(engine).as_ref(),
+                Some(&chosen),
+                "one extraction disagrees with the two searches at {v:?} under {faults:?}"
+            );
+            return Some(chosen);
+        }
+    }
+    searched(engine)
 }
 
 /// `d(s, v, H_τ ∖ F)` for step (3): the graph with `v`'s incident edges

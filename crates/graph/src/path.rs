@@ -211,11 +211,9 @@ impl Path {
     /// on `other`.  Returns `None` when no such vertex exists (for instance
     /// when `self` is a prefix of `other` or the paths never meet).
     pub fn first_divergence_from(&self, other: &Path) -> Option<VertexId> {
-        let other_set: std::collections::HashSet<VertexId> =
-            other.vertices.iter().copied().collect();
         for w in self.vertices.windows(2) {
             let (cur, next) = (w[0], w[1]);
-            if other_set.contains(&cur) && !other_set.contains(&next) {
+            if other.contains_vertex(cur) && !other.contains_vertex(next) {
                 return Some(cur);
             }
         }

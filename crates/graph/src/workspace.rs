@@ -974,6 +974,67 @@ mod tests {
     }
 
     #[test]
+    fn canonical_path_survives_removing_what_lies_off_it() {
+        // A canonical path stays canonical in every subgraph that keeps
+        // it, even when every hop-shortest path ties: each vertex on it
+        // keeps its weight, other tails' keys only grow, and the key ends
+        // in the tail's id.  Step 1 of the dual construction carries paths
+        // down π on this.
+        let mut state = 0x5eed_c4a2u64;
+        let mut pick = |bound: usize| (splitmix(&mut state) % bound as u64) as usize;
+        let mut checked = 0;
+        for (g, seed) in [
+            (generators::connected_gnp(60, 0.08, 1), 41),
+            (generators::connected_gnp(40, 0.2, 2), 42),
+            (generators::grid(6, 9), 43),
+            (generators::tree_plus_chords(50, 30, 3), 44),
+        ] {
+            let n = g.vertex_count();
+            for w in [
+                TieBreak::with_equal_perturbations(&g),
+                TieBreak::new(&g, seed),
+            ] {
+                let mut ws = SearchWorkspace::new();
+                for _ in 0..40 {
+                    let (s, t) = (VertexId::new(pick(n)), VertexId::new(pick(n)));
+                    let removed_vertices: Vec<VertexId> =
+                        (0..pick(4)).map(|_| VertexId::new(pick(n))).collect();
+                    let removed_edges: Vec<EdgeId> = (0..pick(5))
+                        .map(|_| EdgeId::new(pick(g.edge_count())))
+                        .collect();
+                    let view = GraphView::new(&g)
+                        .without_vertices(removed_vertices.iter().copied())
+                        .without_edges(removed_edges.iter().copied());
+                    let Some(p) = ws.canonical_path(&view, &w, s, t) else {
+                        continue;
+                    };
+                    // Remove about a third of what lies off the path.
+                    let off_vertices: Vec<VertexId> = g
+                        .vertices()
+                        .filter(|&x| !p.contains_vertex(x) && pick(3) == 0)
+                        .collect();
+                    let on_path = p.edge_ids(&g);
+                    let off_edges: Vec<EdgeId> = (0..g.edge_count())
+                        .map(EdgeId::new)
+                        .filter(|e| !on_path.contains(e) && pick(3) == 0)
+                        .collect();
+                    let sub = view
+                        .clone()
+                        .without_vertices(off_vertices)
+                        .without_edges(off_edges);
+                    assert_eq!(
+                        ws.canonical_path(&sub, &w, s, t),
+                        Some(p),
+                        "the canonical {s:?}–{t:?} path moved in a subgraph that keeps it"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 200, "only {checked} paths checked");
+    }
+
+    #[test]
     fn canonical_path_handles_trivial_and_unreachable_pairs() {
         let g = generators::path(5);
         let w = TieBreak::new(&g, 4);

@@ -5,12 +5,16 @@
 //! `Cons2FTBFS` selects the *earliest-divergence* one: among all shortest
 //! paths it prefers the one whose divergence point from `π(s, v)` is closest
 //! to `s`, and which therefore admits the three-segment decomposition of
-//! Claim 3.4.  The single-failure construction instead reads the canonical
-//! paths `SP(s, v, G ∖ {e}, W)` of all targets at once from one Dijkstra per
-//! tree edge.
+//! Claim 3.4.  [`SingleFailureReplacer::earliest_divergence_replacements`]
+//! runs step (1) for every edge of `π(s, v)` in order from the source and
+//! carries a path that left `π` at `s` down to the next edges, where it is
+//! the canonical path of candidate 0's restricted graph again; one length
+//! check, at most one probe, replaces the search.  The single-failure
+//! construction instead reads the canonical paths `SP(s, v, G ∖ {e}, W)` of
+//! all targets at once from one Dijkstra per tree edge.
 
 use crate::detour::{decompose, Decomposition};
-use crate::select::earliest_pi_divergence;
+use crate::select::{earliest_pi_divergence, fault_distance};
 use ftbfs_graph::{
     EdgeId, FaultSpec, Graph, Path, Search, SearchEngine, SpTree, TieBreak, VertexId,
 };
@@ -84,22 +88,107 @@ impl<'a> SingleFailureReplacer<'a> {
             pi.position(ep.v).expect("endpoint on pi"),
         );
         let upper = if pos_u < pos_v { ep.u } else { ep.v };
-        let faults = FaultSpec::from(e);
+        self.select(engine, &pi, upper, &FaultSpec::from(e), None)
+            .map(|(dec, _)| dec)
+    }
+
+    /// Step (1) for every edge of `π(s, v)`: entry `i` is what
+    /// [`Self::earliest_divergence_replacement`] returns for the `i`-th edge
+    /// `e_i = (u_i, u_{i+1})` from the source.
+    ///
+    /// A chosen path is carried down `π` without a search.  Candidate 0's
+    /// Eq. (3) graph for `e_i` is `G_i = G ∖ (V(π[u_1, u_i]) ∪ {e_i})`, and
+    /// `G_{i+1} = G_i ∖ {u_{i+1}}`, so `G_i` is a subgraph of every graph
+    /// searched for an earlier edge.  If a path `P` chosen earlier leaves
+    /// `π` at `s` and re-joins it below `u_i`, it lies in `G_i`, so
+    /// `canonical_path` returns `P` there too, even under full ties: every
+    /// vertex on `P` keeps its weight, the keys of other tails only grow,
+    /// and the key ends in the tail's id.  `P` is therefore the answer for
+    /// `e_i` exactly when candidate 0 wins: when `|P| = |π(s, v)|` or `|P|`
+    /// equals the probed `d(s, v, G ∖ e_i)`.  Otherwise the full search
+    /// runs, with that probe as its optimum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is unreachable in `G`.
+    pub fn earliest_divergence_replacements<'g>(
+        &self,
+        engine: &mut SearchEngine<'g>,
+        v: VertexId,
+    ) -> Vec<Option<Decomposition>>
+    where
+        'a: 'g,
+    {
+        let pi = self.tree.pi(v).expect("target must be reachable in G");
+        let source = pi.source();
+        let edges = pi.edge_ids(self.graph);
+        let mut chosen = Vec::with_capacity(edges.len());
+        // The last chosen path that left π at s: its decomposition, its hop
+        // length and the π position at which it re-joins π.
+        let mut carried: Option<(Decomposition, usize, usize)> = None;
+        for (i, &e) in edges.iter().enumerate() {
+            let faults = FaultSpec::from(e);
+            let mut optimum = None;
+            if let Some((dec, hops, _)) = carried.as_ref().filter(|c| c.2 > i) {
+                let wins = *hops == pi.len() || {
+                    optimum = fault_distance(engine, self.graph, source, v, &faults);
+                    optimum == Some(*hops as u32)
+                };
+                if wins {
+                    debug_assert_eq!(
+                        self.earliest_divergence_replacement(engine, v, e).as_ref(),
+                        Some(dec),
+                        "a carried step-1 path disagrees with the search at {v:?}, edge {i}"
+                    );
+                    chosen.push(Some(dec.clone()));
+                    continue;
+                }
+            }
+            let found = self.select(engine, &pi, pi.vertices()[i], &faults, optimum);
+            if let Some((dec, true)) = &found {
+                if dec.detour.x == source {
+                    let hops = dec.detour.len() + dec.suffix.len();
+                    carried = Some((dec.clone(), hops, pi.len() - dec.suffix.len()));
+                }
+            }
+            chosen.push(found.map(|(dec, _)| dec));
+        }
+        chosen
+    }
+
+    /// The earliest-divergence replacement path of `π = pi` for the single
+    /// fault `faults` on the π edge below `upper`, decomposed, with whether
+    /// the decomposition is the clean Claim-3.4 one.
+    fn select<'g>(
+        &self,
+        engine: &mut SearchEngine<'g>,
+        pi: &Path,
+        upper: VertexId,
+        faults: &FaultSpec,
+        known_optimum: Option<u32>,
+    ) -> Option<(Decomposition, bool)>
+    where
+        'a: 'g,
+    {
         let choice = earliest_pi_divergence(
-            engine, self.graph, self.w, &pi, v, upper, upper, &faults, None,
+            engine,
+            self.graph,
+            self.w,
+            pi,
+            pi.target(),
+            upper,
+            upper,
+            faults,
+            known_optimum,
         )?;
         // The selected path has a unique divergence point and therefore
-        // decomposes into prefix ∘ detour ∘ suffix (Claim 3.4).  If the path
-        // came from the canonical fallback it may not decompose; in that case
-        // we still return a decomposition-like object by treating the entire
-        // off-π excursion conservatively.
-        decompose(&pi, &choice.path).or_else(|| {
-            // Fallback: canonical replacement that re-enters π several times.
-            // Decompose it as prefix up to the first divergence point, a
-            // "detour" consisting of everything until the last return to π,
-            // and the remaining π suffix.
-            fallback_decomposition(&pi, &choice.path)
-        })
+        // decomposes into prefix ∘ detour ∘ suffix (Claim 3.4).  A path from
+        // the canonical fallback may re-enter π several times; it is then
+        // decomposed conservatively.
+        match decompose(pi, &choice.path) {
+            Some(dec) => Some((dec, true)),
+            None => fallback_decomposition(pi, &choice.path).map(|dec| (dec, false)),
+        }
     }
 }
 
@@ -107,7 +196,6 @@ impl<'a> SingleFailureReplacer<'a> {
 /// clean three-segment form: the detour is taken to span from the first
 /// divergence point to the last vertex at which the path re-joins `π`.
 fn fallback_decomposition(pi: &Path, p: &Path) -> Option<Decomposition> {
-    let pi_set: std::collections::HashSet<VertexId> = pi.vertices().iter().copied().collect();
     let verts = p.vertices();
     // First divergence: last common prefix vertex.
     let mut i = 0;
@@ -121,7 +209,7 @@ fn fallback_decomposition(pi: &Path, p: &Path) -> Option<Decomposition> {
     // Last vertex of p that lies on pi.
     let j = (0..verts.len())
         .rev()
-        .find(|&k| pi_set.contains(&verts[k]))?;
+        .find(|&k| pi.contains_vertex(verts[k]))?;
     let y = verts[j];
     let prefix = Path::new(pi.vertices()[..i].to_vec());
     let detour_path = if j >= i {

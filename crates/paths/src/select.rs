@@ -5,17 +5,22 @@
 //! whose divergence point from `π(s, v)` is as close to the source as
 //! possible, and (when relevant) whose divergence point from the detour is as
 //! close to the detour's start as possible.  Both preferences are expressed
-//! through the restricted graphs of Eq. (3)/(4) and located here by binary
-//! search, exploiting that removing *less* of the path/detour can only
-//! shorten distances (distances are monotone non-increasing in the candidate
-//! index).
+//! through the restricted graphs of Eq. (3)/(4): candidate `c` keeps a
+//! shortest path iff the view that removes the path or detour below it
+//! does, and removing *less* can only shorten distances, so the restricted
+//! distance is monotone non-increasing in `c`.
+//!
+//! The earliest candidate almost always wins, so its path is extracted
+//! first and doubles as its probe: it is the answer when its length is
+//! `|π(s, v)|` (no path is shorter) or the optimum `dist(s, v, G ∖ F)`.
+//! Only when it is not are the later candidates located by binary search.
 //!
 //! All searches run through a caller-provided [`SearchEngine`]: each probe
 //! resets the engine's view in `O(1)`, marks the restriction on it, and
 //! allocates nothing.  The
 //! binary-search predicates compare *unweighted* distances, so they use the
-//! bidirectional hop probe [`ftbfs_graph::SearchWorkspace::bfs_hops`]; the
-//! final path extraction (and the rare fallback) uses
+//! bidirectional hop probe [`ftbfs_graph::SearchWorkspace::bfs_hops`]; path
+//! extraction uses
 //! [`ftbfs_graph::SearchWorkspace::canonical_path`], which returns the
 //! `W`-canonical path of the full weighted Dijkstra while running the heap
 //! search over the `s–v` hop-shortest-path DAG only.
@@ -34,28 +39,6 @@ pub struct DivergenceChoice {
     pub path: Path,
 }
 
-/// Hop distance of the shortest `s → target` path in
-/// `G(u_k, segment_end) ∖ faults`, where `u_k` is `pi.vertices()[k]`.
-///
-/// The divergence-point preferences of the paper compare *unweighted*
-/// distances (`dist(s, v, ·)`); the tie-breaking weights only select a single
-/// path once the divergence point is fixed — so this runs the engine's
-/// unweighted fast path, not a weighted Dijkstra.
-fn restricted_hops<'g>(
-    engine: &mut SearchEngine<'g>,
-    graph: &'g Graph,
-    pi: &Path,
-    k: usize,
-    segment_end_pos: usize,
-    target: VertexId,
-    faults: &FaultSpec,
-) -> Option<u32> {
-    let (view, ws) = engine.begin(graph);
-    remove_pi_segment(view, pi, k, segment_end_pos, target);
-    view.remove_faults(faults);
-    ws.bfs_hops(view, pi.source(), target)
-}
-
 /// The hop distance `dist(source, target, G ∖ faults)`, or `None` if
 /// disconnected — a pure-distance query on the engine's unweighted fast
 /// path.
@@ -69,6 +52,97 @@ pub fn fault_distance<'g>(
     let (view, ws) = engine.begin(graph);
     view.remove_faults(faults);
     ws.bfs_hops(view, source, target)
+}
+
+/// Where an earliest-candidate search lands.
+enum Earliest {
+    /// The smallest candidate whose restricted view realises the optimum,
+    /// with that view's canonical path.
+    At(usize, Path),
+    /// No candidate realises the optimum.
+    Nowhere,
+    /// The target is unreachable in `G ∖ faults`.
+    Unreachable,
+}
+
+/// The smallest candidate `c ∈ 0..=last` whose restricted view still
+/// realises the optimum `dist(s, target, G ∖ faults)`, where `mark(view, c)`
+/// marks candidate `c`'s restriction and the faults on a fresh view and
+/// `pi = π(s, target)`.  A larger candidate removes fewer vertices, so the
+/// restricted distance is non-increasing in `c`.
+///
+/// Candidate 0's path is extracted first, and it is the answer without a
+/// probe in two cases:
+/// * its length is `|π(s, target)|`, a lower bound on every `s–target`
+///   path, so it realises the optimum;
+/// * `last == 0` and `last_unrestricted` (candidate `last` removes no vertex)
+///   — the view is `G ∖ faults` itself.
+///
+/// Otherwise it is the answer when its length equals the optimum, which
+/// `known_optimum` supplies or one probe finds.  Only when it is not are
+/// candidates `1..=last` binary-searched with hop probes; `last` is probed
+/// first unless `last_unrestricted`.
+#[allow(clippy::too_many_arguments)]
+fn earliest_candidate<'g>(
+    engine: &mut SearchEngine<'g>,
+    graph: &'g Graph,
+    w: &TieBreak,
+    pi: &Path,
+    target: VertexId,
+    faults: &FaultSpec,
+    known_optimum: Option<u32>,
+    last: usize,
+    last_unrestricted: bool,
+    mark: impl Fn(&mut GraphView<'g>, usize),
+) -> Earliest {
+    let source = pi.source();
+    let extract = |engine: &mut SearchEngine<'g>, c: usize| {
+        let (view, ws) = engine.begin(graph);
+        mark(view, c);
+        ws.canonical_path(view, w, source, target)
+    };
+    let first = extract(engine, 0);
+    if let Some(p) = &first {
+        if p.len() == pi.len() || (last == 0 && last_unrestricted) {
+            debug_assert_eq!(
+                known_optimum.or_else(|| fault_distance(engine, graph, source, target, faults)),
+                Some(p.len() as u32),
+                "candidate 0 is not optimal for {target:?} under {faults:?}"
+            );
+            return Earliest::At(0, first.expect("checked above"));
+        }
+    }
+    let optimum = match known_optimum {
+        Some(h) => h,
+        None => match fault_distance(engine, graph, source, target, faults) {
+            Some(h) => h,
+            None => return Earliest::Unreachable,
+        },
+    };
+    if let Some(p) = first.filter(|p| p.len() as u32 == optimum) {
+        return Earliest::At(0, p);
+    }
+    let pred = |engine: &mut SearchEngine<'g>, c: usize| -> bool {
+        let (view, ws) = engine.begin(graph);
+        mark(view, c);
+        ws.bfs_hops(view, source, target) == Some(optimum)
+    };
+    if last == 0 || (!last_unrestricted && !pred(engine, last)) {
+        return Earliest::Nowhere;
+    }
+    let (mut lo, mut hi) = (1, last);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if pred(engine, mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    match extract(engine, lo) {
+        Some(path) => Earliest::At(lo, path),
+        None => Earliest::Unreachable,
+    }
 }
 
 /// Finds the replacement path for `faults` whose first divergence point from
@@ -97,54 +171,43 @@ pub fn earliest_pi_divergence<'g>(
     faults: &FaultSpec,
     known_optimum: Option<u32>,
 ) -> Option<DivergenceChoice> {
-    let source = pi.source();
-    let optimum = match known_optimum {
-        Some(h) => h,
-        None => fault_distance(engine, graph, source, target, faults)?,
-    };
-
     let limit_pos = pi.position(limit).expect("divergence limit must lie on pi");
     let segment_end_pos = pi
         .position(segment_end)
         .expect("segment end must lie on pi");
-
-    // Binary search the smallest k in 0..=limit_pos whose restricted distance
-    // equals the optimum.  The predicate is monotone: larger k removes fewer
-    // vertices, so the restricted distance is non-increasing in k.
-    let pred = |engine: &mut SearchEngine<'g>, k: usize| -> bool {
-        restricted_hops(engine, graph, pi, k, segment_end_pos, target, faults) == Some(optimum)
-    };
-    let mut lo = 0usize;
-    let mut hi = limit_pos;
-    // At `limit == segment_end` the restriction removes no vertex, so the
-    // probe would repeat the optimum search: it holds by definition.
-    if limit_pos != segment_end_pos && !pred(engine, hi) {
-        // No divergence point up to `limit` realises the optimum (the optimal
-        // path re-joins π below the failing edge in a way the restriction
-        // forbids).  Fall back to the canonical optimal path.
-        let (view, ws) = engine.begin(graph);
-        view.remove_faults(faults);
-        let path = ws.canonical_path(view, w, source, target)?;
-        let divergence = path.first_divergence_from(pi).unwrap_or(source);
-        return Some(DivergenceChoice { divergence, path });
-    }
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if pred(engine, mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
+    // At `limit == segment_end` the restriction removes no vertex.
+    let found = earliest_candidate(
+        engine,
+        graph,
+        w,
+        pi,
+        target,
+        faults,
+        known_optimum,
+        limit_pos,
+        limit_pos == segment_end_pos,
+        |view, k| {
+            remove_pi_segment(view, pi, k, segment_end_pos, target);
+            view.remove_faults(faults);
+        },
+    );
+    match found {
+        Earliest::At(k, path) => Some(DivergenceChoice {
+            divergence: pi.vertices()[k],
+            path,
+        }),
+        Earliest::Nowhere => {
+            // No divergence point up to `limit` realises the optimum (the
+            // optimal path re-joins π below the failing edge in a way the
+            // restriction forbids).  Fall back to the canonical optimal path.
+            let (view, ws) = engine.begin(graph);
+            view.remove_faults(faults);
+            let path = ws.canonical_path(view, w, pi.source(), target)?;
+            let divergence = path.first_divergence_from(pi).unwrap_or(pi.source());
+            Some(DivergenceChoice { divergence, path })
         }
+        Earliest::Unreachable => None,
     }
-    let k = lo;
-    let (view, ws) = engine.begin(graph);
-    remove_pi_segment(view, pi, k, segment_end_pos, target);
-    view.remove_faults(faults);
-    let path = ws.canonical_path(view, w, source, target)?;
-    Some(DivergenceChoice {
-        divergence: pi.vertices()[k],
-        path,
-    })
 }
 
 /// Given that the replacement path must diverge from `π(s, v)` at
@@ -170,12 +233,6 @@ pub fn earliest_detour_divergence<'g>(
     faults: &FaultSpec,
     known_optimum: Option<u32>,
 ) -> Option<DivergenceChoice> {
-    let source = pi.source();
-    let optimum = match known_optimum {
-        Some(h) => h,
-        None => fault_distance(engine, graph, source, target, faults)?,
-    };
-
     let upper_pos = detour
         .position(fault_on_detour_upper)
         .expect("second fault's upper endpoint must lie on the detour");
@@ -191,48 +248,44 @@ pub fn earliest_detour_divergence<'g>(
         }
         view.remove_faults(faults);
     };
-    let pred = |engine: &mut SearchEngine<'g>, l: usize| -> bool {
-        let (view, ws) = engine.begin(graph);
-        mark(view, Some(l));
-        ws.bfs_hops(view, source, target) == Some(optimum)
-    };
-
-    let mut lo = 0usize;
-    let mut hi = upper_pos;
-    if !pred(engine, hi) {
-        // No divergence point on the detour realises the optimum; fall back
-        // to the π-restricted optimum (divergence at x, ignoring the detour
-        // preference).  This mirrors the algorithm's behaviour of only
-        // imposing the detour preference "under certain conditions".
-        let (view, ws) = engine.begin(graph);
-        mark(view, None);
-        let path = ws.canonical_path(view, w, source, target)?;
-        let divergence = path.first_divergence_from(&detour.path).unwrap_or(detour.x);
-        return Some(DivergenceChoice { divergence, path });
-    }
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if pred(engine, mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
+    let found = earliest_candidate(
+        engine,
+        graph,
+        w,
+        pi,
+        target,
+        faults,
+        known_optimum,
+        upper_pos,
+        false,
+        |view, l| mark(view, Some(l)),
+    );
+    match found {
+        Earliest::At(l, path) => Some(DivergenceChoice {
+            divergence: detour.path.vertices()[l],
+            path,
+        }),
+        Earliest::Nowhere => {
+            // No divergence point on the detour realises the optimum; fall
+            // back to the π-restricted optimum (divergence at x, ignoring
+            // the detour preference).  This mirrors the algorithm's
+            // behaviour of only imposing the detour preference "under
+            // certain conditions".
+            let (view, ws) = engine.begin(graph);
+            mark(view, None);
+            let path = ws.canonical_path(view, w, pi.source(), target)?;
+            let divergence = path.first_divergence_from(&detour.path).unwrap_or(detour.x);
+            Some(DivergenceChoice { divergence, path })
         }
+        Earliest::Unreachable => None,
     }
-    let l = lo;
-    let (view, ws) = engine.begin(graph);
-    mark(view, Some(l));
-    let path = ws.canonical_path(view, w, source, target)?;
-    Some(DivergenceChoice {
-        divergence: detour.path.vertices()[l],
-        path,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detour::decompose;
-    use ftbfs_graph::{GraphBuilder, SpTree};
+    use ftbfs_graph::{generators, GraphBuilder, SpTree};
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -395,6 +448,246 @@ mod tests {
         assert_eq!(choice.divergence, v(3));
         assert!(choice.path.contains_vertex(v(6)));
         assert_eq!(choice.path.len(), 4);
+    }
+
+    /// The plain binary search over candidates `0..=last` for the smallest
+    /// one whose view (marked by `mark`) keeps `optimum`; `None` when
+    /// candidate `last` misses it.  `last` is not probed when
+    /// `last_unrestricted`.
+    #[allow(clippy::too_many_arguments)]
+    fn plain_search<'g>(
+        engine: &mut SearchEngine<'g>,
+        graph: &'g Graph,
+        source: VertexId,
+        target: VertexId,
+        optimum: u32,
+        last: usize,
+        last_unrestricted: bool,
+        mark: impl Fn(&mut GraphView<'g>, usize),
+    ) -> Option<usize> {
+        let mut pred = |c: usize| {
+            let (view, ws) = engine.begin(graph);
+            mark(view, c);
+            ws.bfs_hops(view, source, target) == Some(optimum)
+        };
+        if !last_unrestricted && !pred(last) {
+            return None;
+        }
+        let (mut lo, mut hi) = (0, last);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if pred(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(lo)
+    }
+
+    /// The canonical path of the view `mark` marks.
+    fn extract<'g>(
+        engine: &mut SearchEngine<'g>,
+        graph: &'g Graph,
+        w: &TieBreak,
+        pi: &Path,
+        mark: impl FnOnce(&mut GraphView<'g>),
+    ) -> Option<Path> {
+        let (view, ws) = engine.begin(graph);
+        mark(view);
+        ws.canonical_path(view, w, pi.source(), pi.target())
+    }
+
+    /// A plain search's answer: the winning candidate (`None` for the
+    /// fallback), the divergence point and the path.
+    type Plain = Option<(Option<usize>, VertexId, Path)>;
+
+    /// [`earliest_pi_divergence`] as a plain binary search from candidate
+    /// 0 on, with a probed optimum.
+    fn plain_pi_divergence<'g>(
+        engine: &mut SearchEngine<'g>,
+        graph: &'g Graph,
+        w: &TieBreak,
+        pi: &Path,
+        (limit_pos, segment_end_pos): (usize, usize),
+        faults: &FaultSpec,
+    ) -> Plain {
+        let (source, target) = (pi.source(), pi.target());
+        let optimum = fault_distance(engine, graph, source, target, faults)?;
+        let mark = |view: &mut GraphView<'g>, k: usize| {
+            remove_pi_segment(view, pi, k, segment_end_pos, target);
+            view.remove_faults(faults);
+        };
+        let unrestricted = limit_pos == segment_end_pos;
+        match plain_search(
+            engine,
+            graph,
+            source,
+            target,
+            optimum,
+            limit_pos,
+            unrestricted,
+            mark,
+        ) {
+            Some(k) => {
+                let path = extract(engine, graph, w, pi, |view| mark(view, k))?;
+                Some((Some(k), pi.vertices()[k], path))
+            }
+            None => {
+                let path = extract(engine, graph, w, pi, |view| view.remove_faults(faults))?;
+                Some((None, path.first_divergence_from(pi).unwrap_or(source), path))
+            }
+        }
+    }
+
+    /// [`earliest_detour_divergence`] as a plain binary search from
+    /// candidate 0 on, with a probed optimum.
+    fn plain_detour_divergence<'g>(
+        engine: &mut SearchEngine<'g>,
+        graph: &'g Graph,
+        w: &TieBreak,
+        pi: &Path,
+        detour: &Detour,
+        upper_pos: usize,
+        faults: &FaultSpec,
+    ) -> Plain {
+        let (source, target) = (pi.source(), pi.target());
+        let optimum = fault_distance(engine, graph, source, target, faults)?;
+        let x_pos = pi.position(detour.x).unwrap();
+        let mark = |view: &mut GraphView<'g>, l: Option<usize>| {
+            remove_pi_segment(view, pi, x_pos, pi.len(), target);
+            if let Some(l) = l {
+                remove_detour_suffix(view, &detour.path, l, target);
+            }
+            view.remove_faults(faults);
+        };
+        let found = plain_search(
+            engine,
+            graph,
+            source,
+            target,
+            optimum,
+            upper_pos,
+            false,
+            |v, l| mark(v, Some(l)),
+        );
+        match found {
+            Some(l) => {
+                let path = extract(engine, graph, w, pi, |view| mark(view, Some(l)))?;
+                Some((Some(l), detour.path.vertices()[l], path))
+            }
+            None => {
+                let path = extract(engine, graph, w, pi, |view| mark(view, None))?;
+                let divergence = path.first_divergence_from(&detour.path).unwrap_or(detour.x);
+                Some((None, divergence, path))
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_first_matches_the_plain_binary_search() {
+        // How often candidate 0 won, a later candidate won, or no
+        // candidate did (the fallback), over the π and detour searches.
+        let mut seen = [0usize; 3];
+        let check = |got: Option<DivergenceChoice>, plain: &Plain, what: &str| {
+            let got = got.map(|c| (c.divergence, c.path));
+            let want = plain.as_ref().map(|(_, d, p)| (*d, p.clone()));
+            assert_eq!(got, want, "{what}");
+        };
+        for seed in 1..=4u64 {
+            for g in [
+                generators::connected_gnp(40, 0.1, seed),
+                generators::tree_plus_chords(40, 25, seed),
+                generators::grid(5, 6),
+            ] {
+                for w in [TieBreak::new(&g, seed), TieBreak::new(&g, seed + 100)] {
+                    let tree = SpTree::new(&g, &w, v(0));
+                    let mut engine = SearchEngine::new();
+                    for t in g.vertices().filter(|&t| t != v(0)) {
+                        let pi = tree.pi(t).unwrap();
+                        for (i, e) in pi.edge_ids(&g).into_iter().enumerate() {
+                            let u_i = pi.vertices()[i];
+                            // Step (1): limit = segment end = u_i.
+                            let faults = FaultSpec::from(e);
+                            let plain =
+                                plain_pi_divergence(&mut engine, &g, &w, &pi, (i, i), &faults);
+                            let opt = fault_distance(&mut engine, &g, v(0), t, &faults);
+                            for known in [None, opt] {
+                                let got = earliest_pi_divergence(
+                                    &mut engine,
+                                    &g,
+                                    &w,
+                                    &pi,
+                                    t,
+                                    u_i,
+                                    u_i,
+                                    &faults,
+                                    known,
+                                );
+                                check(got, &plain, &format!("step 1 at {t:?}, edge {i}"));
+                            }
+                            // Step (3): a second fault on the step-1 detour.
+                            let Some(dec) = plain.and_then(|(_, _, p)| decompose(&pi, &p)) else {
+                                continue;
+                            };
+                            for (j, f) in dec.detour.edge_ids(&g).into_iter().enumerate() {
+                                let faults = FaultSpec::from((e, f));
+                                let opt = fault_distance(&mut engine, &g, v(0), t, &faults);
+                                let ends = (i, pi.len());
+                                let plain_pi =
+                                    plain_pi_divergence(&mut engine, &g, &w, &pi, ends, &faults);
+                                let plain_d = plain_detour_divergence(
+                                    &mut engine,
+                                    &g,
+                                    &w,
+                                    &pi,
+                                    &dec.detour,
+                                    j,
+                                    &faults,
+                                );
+                                for plain in [&plain_pi, &plain_d] {
+                                    match plain {
+                                        Some((Some(0), _, _)) => seen[0] += 1,
+                                        Some((Some(_), _, _)) => seen[1] += 1,
+                                        Some((None, _, _)) => seen[2] += 1,
+                                        None => {}
+                                    }
+                                }
+                                let w_j = dec.detour.path.vertices()[j];
+                                for known in [None, opt] {
+                                    let what = format!("step 3 at {t:?} under {faults:?}");
+                                    let got = earliest_pi_divergence(
+                                        &mut engine,
+                                        &g,
+                                        &w,
+                                        &pi,
+                                        t,
+                                        u_i,
+                                        t,
+                                        &faults,
+                                        known,
+                                    );
+                                    check(got, &plain_pi, &what);
+                                    let got = earliest_detour_divergence(
+                                        &mut engine,
+                                        &g,
+                                        &w,
+                                        &pi,
+                                        &dec.detour,
+                                        t,
+                                        w_j,
+                                        &faults,
+                                        known,
+                                    );
+                                    check(got, &plain_d, &format!("detour search, {what}"));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&c| c > 0), "uncovered case: {seen:?}");
     }
 
     #[test]
