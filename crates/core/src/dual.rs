@@ -24,7 +24,11 @@
 //!
 //! Each divergence search extracts its earliest candidate's path first and
 //! stops there when that path realises the optimum, as it almost always
-//! does (see [`ftbfs_paths::select`]).  Two more selections reuse one path:
+//! does on sparse random graphs (see [`ftbfs_paths::select`]).  Where it
+//! does not, as on lattices, a floor rules it out unextracted: the Eq. (3)
+//! graphs of `s` shrink down `π`, so step 1's paths bound their distances
+//! from below, for later π edges and for step 3's searches.  Two more
+//! selections reuse one path:
 //!
 //! * **Step 1, `e_{i+1}`.**  If the path `P_i` chosen for `e_i` left
 //!   `π(s, v)` at `s` and avoids `u_{i+1}`, it is the canonical path of
@@ -285,10 +289,14 @@ impl<'g> DualFtBfsBuilder<'g> {
         // protecting the i-th π edge, so steps (2)/(3) can look a detour up
         // in O(1) instead of scanning.  The step-1 paths are the first ones
         // `known` records, so a detour's index is also its path's id there.
+        // `first_floor[i]` bounds from below the distance in the Eq. (3)
+        // graph of s for e_i, which contains step 3's for (e_i, t).
         let mut detours: Vec<DetourRecord> = Vec::new();
         let mut detour_at_edge: Vec<Option<usize>> = vec![None; pi_edges.len()];
+        let mut first_floor: Vec<u32> = Vec::with_capacity(pi_edges.len());
         let step1 = replacer.earliest_divergence_replacements(engine, v);
-        for (idx, (&e, dec)) in pi_edges.iter().zip(step1).enumerate() {
+        for (idx, (&e, (dec, floor))) in pi_edges.iter().zip(step1).enumerate() {
+            first_floor.push(floor);
             if let Some(dec) = dec {
                 let full = dec.reassemble();
                 if let Some(last) = full.last_edge_id(graph) {
@@ -399,9 +407,16 @@ impl<'g> DualFtBfsBuilder<'g> {
             }
             // New-ending: select with the divergence-point preferences.
             let detour = &detours[d_idx].decomposition.detour;
-            let Some((path, pi_div, d_div)) =
-                select_new_ending(engine, graph, w, &pi, detour, e, t, &faults, target_hops)
-            else {
+            let Some((path, pi_div, d_div)) = select_new_ending(
+                engine,
+                graph,
+                w,
+                &pi,
+                detour,
+                (e, t),
+                target_hops,
+                first_floor[e_index],
+            ) else {
                 continue;
             };
             if let Some(last) = path.last_edge_id(graph) {
@@ -487,13 +502,16 @@ fn stitch_detours(
 /// Step (3)'s selection for a new-ending pair `F = {e, t}` at distance
 /// `target_hops`: the path with the earliest π-divergence point `b` and,
 /// when `b` is the detour's start `x`, the earliest detour-divergence point
-/// `c`.  Returns the path, `b` and `c`.
+/// `c`.  Returns the path, `b` and `c`.  `floor` is step 1's floor for `e`:
+/// the π search's candidate `s` and, when `x = s`, the detour search's
+/// candidate `x` restrict subgraphs of the graph it bounds.
 ///
 /// When `x = s`, one extraction stands for both searches.  The view that
 /// removes `π` below `s` and the detour below `x` is candidate 0 of the
 /// detour search and a subgraph of candidate 0 of the π search.  If its
 /// canonical path is `target_hops` long, the π search picks `b = s = x`,
-/// and the detour search then picks `c = x` with this same path.
+/// and the detour search then picks `c = x` with this same path.  If not,
+/// the path is longer, which is the detour search's floor.
 #[allow(clippy::too_many_arguments)]
 fn select_new_ending<'g>(
     engine: &mut SearchEngine<'g>,
@@ -501,17 +519,27 @@ fn select_new_ending<'g>(
     w: &TieBreak,
     pi: &Path,
     detour: &Detour,
-    e: EdgeId,
-    t: EdgeId,
-    faults: &FaultSpec,
+    (e, t): (EdgeId, EdgeId),
     target_hops: u32,
+    floor: u32,
 ) -> Option<(Path, VertexId, Option<VertexId>)> {
     let (source, v) = (pi.source(), pi.target());
-    let searched = |engine: &mut SearchEngine<'g>| {
+    let faults = FaultSpec::from((e, t));
+    let searched = |engine: &mut SearchEngine<'g>, pi_floor: u32, detour_floor: u32| {
         let ep = graph.endpoints(e);
         let upper = upper_on_path(pi, ep.u, ep.v);
-        let choice =
-            earliest_pi_divergence(engine, graph, w, pi, v, upper, v, faults, Some(target_hops))?;
+        let choice = earliest_pi_divergence(
+            engine,
+            graph,
+            w,
+            pi,
+            v,
+            upper,
+            v,
+            &faults,
+            Some(target_hops),
+            pi_floor,
+        )?;
         if choice.divergence != detour.x {
             return Some((choice.path, choice.divergence, None));
         }
@@ -528,33 +556,37 @@ fn select_new_ending<'g>(
                 detour,
                 v,
                 upper_t,
-                faults,
+                &faults,
                 Some(target_hops),
+                detour_floor,
             ) {
                 Some(c2) => (c2.path, choice.divergence, Some(c2.divergence)),
                 None => (choice.path, choice.divergence, None),
             },
         )
     };
-    if detour.x == source {
-        let (view, ws) = engine.begin(graph);
-        remove_pi_segment(view, pi, 0, pi.len(), v);
-        remove_detour_suffix(view, &detour.path, 0, v);
-        view.remove_faults(faults);
-        if let Some(path) = ws
-            .canonical_path(view, w, source, v)
-            .filter(|p| p.len() as u32 == target_hops)
-        {
+    if detour.x != source {
+        return searched(engine, floor, 0);
+    }
+    if target_hops < floor {
+        return searched(engine, floor, floor);
+    }
+    let (view, ws) = engine.begin(graph);
+    remove_pi_segment(view, pi, 0, pi.len(), v);
+    remove_detour_suffix(view, &detour.path, 0, v);
+    view.remove_faults(&faults);
+    match ws.canonical_path(view, w, source, v) {
+        Some(path) if path.len() as u32 == target_hops => {
             let chosen = (path, source, Some(source));
             debug_assert_eq!(
-                searched(engine).as_ref(),
+                searched(engine, 0, 0).as_ref(),
                 Some(&chosen),
                 "one extraction disagrees with the two searches at {v:?} under {faults:?}"
             );
-            return Some(chosen);
+            Some(chosen)
         }
+        _ => searched(engine, floor, target_hops + 1),
     }
-    searched(engine)
 }
 
 /// `d(s, v, H_τ ∖ F)` for step (3): the graph with `v`'s incident edges

@@ -88,25 +88,31 @@ impl<'a> SingleFailureReplacer<'a> {
             pi.position(ep.v).expect("endpoint on pi"),
         );
         let upper = if pos_u < pos_v { ep.u } else { ep.v };
-        self.select(engine, &pi, upper, &FaultSpec::from(e), None)
+        self.select(engine, &pi, upper, &FaultSpec::from(e), None, 0)
             .map(|(dec, _)| dec)
     }
 
-    /// Step (1) for every edge of `π(s, v)`: entry `i` is what
+    /// Step (1) for every edge of `π(s, v)`: entry `i` holds what
     /// [`Self::earliest_divergence_replacement`] returns for the `i`-th edge
-    /// `e_i = (u_i, u_{i+1})` from the source.
+    /// `e_i = (u_i, u_{i+1})` from the source, and a floor: a lower bound on
+    /// the hop distance `d(s, v, G_i)` in candidate 0's Eq. (3) graph
+    /// `G_i = G ∖ (V(π[u_1, u_i]) ∪ {e_i})` (`u32::MAX` when `v` is cut off).
     ///
-    /// A chosen path is carried down `π` without a search.  Candidate 0's
-    /// Eq. (3) graph for `e_i` is `G_i = G ∖ (V(π[u_1, u_i]) ∪ {e_i})`, and
     /// `G_{i+1} = G_i ∖ {u_{i+1}}`, so `G_i` is a subgraph of every graph
-    /// searched for an earlier edge.  If a path `P` chosen earlier leaves
-    /// `π` at `s` and re-joins it below `u_i`, it lies in `G_i`, so
-    /// `canonical_path` returns `P` there too, even under full ties: every
-    /// vertex on `P` keeps its weight, the keys of other tails only grow,
-    /// and the key ends in the tail's id.  `P` is therefore the answer for
-    /// `e_i` exactly when candidate 0 wins: when `|P| = |π(s, v)|` or `|P|`
-    /// equals the probed `d(s, v, G ∖ e_i)`.  Otherwise the full search
-    /// runs, with that probe as its optimum.
+    /// searched for an earlier edge, and two facts carry down `π`:
+    /// * **Floors.**  `d(s, v, G_i) ≥ d(s, v, G_j)` for `j < i`, and
+    ///   `d(s, v, G_j) ≥ |P_j|`, plus one when the path `P_j` chosen for
+    ///   `e_j` leaves `π` below `s` (candidate 0 lost there).  A floor above
+    ///   `d(s, v, G ∖ e_i)` rules candidate 0 out without extracting it.
+    /// * **Paths.**  If a path `P` chosen earlier leaves `π` at `s` and
+    ///   re-joins it below `u_i`, it lies in `G_i`, so `canonical_path`
+    ///   returns `P` there too, even under full ties: every vertex on `P`
+    ///   keeps its weight, the keys of other tails only grow, and the key
+    ///   ends in the tail's id.  `P` is therefore the answer for `e_i`
+    ///   exactly when candidate 0 wins: when `|P| = |π(s, v)|` or `|P|`
+    ///   equals the probed `d(s, v, G ∖ e_i)`.  Otherwise `d(s, v, G_i) =
+    ///   |P|` is the floor, and the search runs with the probe as its
+    ///   optimum.
     ///
     /// # Panics
     ///
@@ -115,24 +121,28 @@ impl<'a> SingleFailureReplacer<'a> {
         &self,
         engine: &mut SearchEngine<'g>,
         v: VertexId,
-    ) -> Vec<Option<Decomposition>>
+    ) -> Vec<(Option<Decomposition>, u32)>
     where
         'a: 'g,
     {
         let pi = self.tree.pi(v).expect("target must be reachable in G");
         let source = pi.source();
         let edges = pi.edge_ids(self.graph);
+        let hops = |dec: &Decomposition| dec.prefix.len() + dec.detour.len() + dec.suffix.len();
         let mut chosen = Vec::with_capacity(edges.len());
-        // The last chosen path that left π at s: its decomposition, its hop
-        // length and the π position at which it re-joins π.
-        let mut carried: Option<(Decomposition, usize, usize)> = None;
+        // The last chosen path that left π at s, with the π position at
+        // which it re-joins π; and the floor on d(s, v, G_i).
+        let mut carried: Option<(Decomposition, usize)> = None;
+        let mut floor = 0u32;
         for (i, &e) in edges.iter().enumerate() {
             let faults = FaultSpec::from(e);
             let mut optimum = None;
-            if let Some((dec, hops, _)) = carried.as_ref().filter(|c| c.2 > i) {
-                let wins = *hops == pi.len() || {
+            if let Some((dec, _)) = carried.as_ref().filter(|c| c.1 > i) {
+                let len = hops(dec);
+                floor = len as u32;
+                let wins = len == pi.len() || {
                     optimum = fault_distance(engine, self.graph, source, v, &faults);
-                    optimum == Some(*hops as u32)
+                    optimum == Some(floor)
                 };
                 if wins {
                     debug_assert_eq!(
@@ -140,25 +150,29 @@ impl<'a> SingleFailureReplacer<'a> {
                         Some(dec),
                         "a carried step-1 path disagrees with the search at {v:?}, edge {i}"
                     );
-                    chosen.push(Some(dec.clone()));
+                    chosen.push((Some(dec.clone()), floor));
                     continue;
                 }
             }
-            let found = self.select(engine, &pi, pi.vertices()[i], &faults, optimum);
+            let found = self.select(engine, &pi, pi.vertices()[i], &faults, optimum, floor);
+            floor = match &found {
+                None => u32::MAX,
+                Some((dec, _)) => floor.max(hops(dec) as u32 + u32::from(dec.detour.x != source)),
+            };
             if let Some((dec, true)) = &found {
                 if dec.detour.x == source {
-                    let hops = dec.detour.len() + dec.suffix.len();
-                    carried = Some((dec.clone(), hops, pi.len() - dec.suffix.len()));
+                    carried = Some((dec.clone(), pi.len() - dec.suffix.len()));
                 }
             }
-            chosen.push(found.map(|(dec, _)| dec));
+            chosen.push((found.map(|(dec, _)| dec), floor));
         }
         chosen
     }
 
     /// The earliest-divergence replacement path of `π = pi` for the single
     /// fault `faults` on the π edge below `upper`, decomposed, with whether
-    /// the decomposition is the clean Claim-3.4 one.
+    /// the decomposition is the clean Claim-3.4 one; `known_optimum` and
+    /// `first_floor` as for [`earliest_pi_divergence`].
     fn select<'g>(
         &self,
         engine: &mut SearchEngine<'g>,
@@ -166,6 +180,7 @@ impl<'a> SingleFailureReplacer<'a> {
         upper: VertexId,
         faults: &FaultSpec,
         known_optimum: Option<u32>,
+        first_floor: u32,
     ) -> Option<(Decomposition, bool)>
     where
         'a: 'g,
@@ -180,6 +195,7 @@ impl<'a> SingleFailureReplacer<'a> {
             upper,
             faults,
             known_optimum,
+            first_floor,
         )?;
         // The selected path has a unique divergence point and therefore
         // decomposes into prefix ∘ detour ∘ suffix (Claim 3.4).  A path from

@@ -71,15 +71,19 @@ enum Earliest {
 /// `pi = π(s, target)`.  A larger candidate removes fewer vertices, so the
 /// restricted distance is non-increasing in `c`.
 ///
-/// Candidate 0's path is extracted first, and it is the answer without a
-/// probe in two cases:
-/// * its length is `|π(s, target)|`, a lower bound on every `s–target`
-///   path, so it realises the optimum;
-/// * `last == 0` and `last_unrestricted` (candidate `last` removes no vertex)
-///   — the view is `G ∖ faults` itself.
+/// Candidate 0 realises the optimum iff its canonical path is that long,
+/// so its extraction doubles as its probe.  `first_floor` is a lower bound
+/// on candidate 0's restricted distance that the caller knows (0 for none);
+/// `|π(s, target)|` bounds every path.  Candidate 0 is extracted first, and
+/// its path is the answer without a probe, when
+/// * its length is `|π(s, target)|`, so it realises the optimum; or
+/// * `last == 0` and `last_unrestricted` (candidate `last` removes no
+///   vertex): the view is `G ∖ faults` itself.
 ///
-/// Otherwise it is the answer when its length equals the optimum, which
-/// `known_optimum` supplies or one probe finds.  Only when it is not are
+/// When the floor is above `|π(s, target)|`, only the second case can
+/// apply, so the optimum, supplied as `known_optimum` or found by one
+/// probe, comes first, and candidate 0 is extracted only if the optimum is
+/// not below the floor.  Only when candidate 0 misses the optimum are
 /// candidates `1..=last` binary-searched with hop probes; `last` is probed
 /// first unless `last_unrestricted`.
 #[allow(clippy::too_many_arguments)]
@@ -91,6 +95,7 @@ fn earliest_candidate<'g>(
     target: VertexId,
     faults: &FaultSpec,
     known_optimum: Option<u32>,
+    first_floor: u32,
     last: usize,
     last_unrestricted: bool,
     mark: impl Fn(&mut GraphView<'g>, usize),
@@ -101,15 +106,20 @@ fn earliest_candidate<'g>(
         mark(view, c);
         ws.canonical_path(view, w, source, target)
     };
-    let first = extract(engine, 0);
-    if let Some(p) = &first {
-        if p.len() == pi.len() || (last == 0 && last_unrestricted) {
-            debug_assert_eq!(
-                known_optimum.or_else(|| fault_distance(engine, graph, source, target, faults)),
-                Some(p.len() as u32),
-                "candidate 0 is not optimal for {target:?} under {faults:?}"
-            );
-            return Earliest::At(0, first.expect("checked above"));
+    let floor = first_floor.max(pi.len() as u32);
+    let unrestricted = last == 0 && last_unrestricted;
+    let mut first = None;
+    if floor as usize == pi.len() || unrestricted {
+        match extract(engine, 0) {
+            Some(p) if p.len() == pi.len() || unrestricted => {
+                debug_assert_eq!(
+                    known_optimum.or_else(|| fault_distance(engine, graph, source, target, faults)),
+                    Some(p.len() as u32),
+                    "candidate 0 is not optimal for {target:?} under {faults:?}"
+                );
+                return Earliest::At(0, p);
+            }
+            p => first = Some(p),
         }
     }
     let optimum = match known_optimum {
@@ -118,6 +128,18 @@ fn earliest_candidate<'g>(
             Some(h) => h,
             None => return Earliest::Unreachable,
         },
+    };
+    let first = match first {
+        Some(p) => p,
+        None if optimum >= floor => extract(engine, 0),
+        None => {
+            debug_assert_ne!(
+                extract(engine, 0).map(|p| p.len() as u32),
+                Some(optimum),
+                "candidate 0 beats its floor for {target:?} under {faults:?}"
+            );
+            None
+        }
     };
     if let Some(p) = first.filter(|p| p.len() as u32 == optimum) {
         return Earliest::At(0, p);
@@ -156,7 +178,10 @@ fn earliest_candidate<'g>(
 /// * `target` — the vertex `v` the replacement path must reach;
 /// * `known_optimum` — the hop distance `dist(s, target, G ∖ faults)` when
 ///   the caller has already computed it (e.g. via a `fault_distance` check);
-///   passing it skips the base-view search entirely.
+///   passing it skips the base-view search entirely;
+/// * `first_floor` — a lower bound the caller knows on the hop distance in
+///   the restricted graph of the source itself (`k = 0`), or 0.  A floor
+///   above the optimum rules that candidate out without a search.
 ///
 /// Returns `None` if `target` is unreachable in `G ∖ faults`.
 #[allow(clippy::too_many_arguments)]
@@ -170,6 +195,7 @@ pub fn earliest_pi_divergence<'g>(
     segment_end: VertexId,
     faults: &FaultSpec,
     known_optimum: Option<u32>,
+    first_floor: u32,
 ) -> Option<DivergenceChoice> {
     let limit_pos = pi.position(limit).expect("divergence limit must lie on pi");
     let segment_end_pos = pi
@@ -184,6 +210,7 @@ pub fn earliest_pi_divergence<'g>(
         target,
         faults,
         known_optimum,
+        first_floor,
         limit_pos,
         limit_pos == segment_end_pos,
         |view, k| {
@@ -218,7 +245,9 @@ pub fn earliest_pi_divergence<'g>(
 /// `fault_on_detour_upper` must be the upper endpoint `w_j` of the second
 /// failing edge `t_τ = (w_j, w_{j+1})` on the detour: candidate divergence
 /// points are `w_0, …, w_j`.  `known_optimum` is the hop distance
-/// `dist(s, target, G ∖ faults)` when the caller already has it.
+/// `dist(s, target, G ∖ faults)` when the caller already has it, and
+/// `first_floor` a lower bound it knows on the hop distance in the Eq. (4)
+/// graph of `w_0 = x`, or 0.
 ///
 /// Returns `None` if `target` is unreachable in `G ∖ faults`.
 #[allow(clippy::too_many_arguments)]
@@ -232,6 +261,7 @@ pub fn earliest_detour_divergence<'g>(
     fault_on_detour_upper: VertexId,
     faults: &FaultSpec,
     known_optimum: Option<u32>,
+    first_floor: u32,
 ) -> Option<DivergenceChoice> {
     let upper_pos = detour
         .position(fault_on_detour_upper)
@@ -256,6 +286,7 @@ pub fn earliest_detour_divergence<'g>(
         target,
         faults,
         known_optimum,
+        first_floor,
         upper_pos,
         false,
         |view, l| mark(view, Some(l)),
@@ -325,6 +356,7 @@ mod tests {
             a,
             &FaultSpec::from(failed),
             None,
+            0,
         )
         .unwrap();
         assert_eq!(choice.divergence, v(0));
@@ -358,6 +390,7 @@ mod tests {
             v(3),
             &FaultSpec::from(e34),
             None,
+            0,
         )
         .unwrap();
         assert_eq!(choice.divergence, v(2));
@@ -376,9 +409,10 @@ mod tests {
         let faults = FaultSpec::from(failed);
         let mut engine = SearchEngine::new();
         let fresh =
-            earliest_pi_divergence(&mut engine, &g, &w, &pi, v(4), a, a, &faults, None).unwrap();
+            earliest_pi_divergence(&mut engine, &g, &w, &pi, v(4), a, a, &faults, None, 0).unwrap();
         let seeded =
-            earliest_pi_divergence(&mut engine, &g, &w, &pi, v(4), a, a, &faults, Some(4)).unwrap();
+            earliest_pi_divergence(&mut engine, &g, &w, &pi, v(4), a, a, &faults, Some(4), 0)
+                .unwrap();
         assert_eq!(fresh.divergence, seeded.divergence);
         assert_eq!(fresh.path, seeded.path);
     }
@@ -400,7 +434,8 @@ mod tests {
             v(2),
             v(2),
             &FaultSpec::from(e23),
-            None
+            None,
+            0
         )
         .is_none());
     }
@@ -443,6 +478,7 @@ mod tests {
             v(4),
             &faults,
             None,
+            0,
         )
         .unwrap();
         assert_eq!(choice.divergence, v(3));
@@ -584,6 +620,26 @@ mod tests {
         }
     }
 
+    /// The hop distance in the view `mark` marks, `u32::MAX` if none: the
+    /// tightest floor a caller can pass for candidate 0.
+    fn first_hops<'g>(
+        engine: &mut SearchEngine<'g>,
+        graph: &'g Graph,
+        pi: &Path,
+        mark: impl FnOnce(&mut GraphView<'g>),
+    ) -> u32 {
+        let (view, ws) = engine.begin(graph);
+        mark(view);
+        ws.bfs_hops(view, pi.source(), pi.target())
+            .unwrap_or(u32::MAX)
+    }
+
+    /// Every `(known_optimum, first_floor)` a caller may pass: each of the
+    /// optimum and the floor either known or not.
+    fn bounds(optimum: Option<u32>, floor: u32) -> [(Option<u32>, u32); 4] {
+        [(None, 0), (optimum, 0), (None, floor), (optimum, floor)]
+    }
+
     #[test]
     fn candidate_first_matches_the_plain_binary_search() {
         // How often candidate 0 won, a later candidate won, or no
@@ -612,7 +668,11 @@ mod tests {
                             let plain =
                                 plain_pi_divergence(&mut engine, &g, &w, &pi, (i, i), &faults);
                             let opt = fault_distance(&mut engine, &g, v(0), t, &faults);
-                            for known in [None, opt] {
+                            let floor = first_hops(&mut engine, &g, &pi, |view| {
+                                remove_pi_segment(view, &pi, 0, i, t);
+                                view.remove_faults(&faults);
+                            });
+                            for (known, floor) in bounds(opt, floor) {
                                 let got = earliest_pi_divergence(
                                     &mut engine,
                                     &g,
@@ -623,6 +683,7 @@ mod tests {
                                     u_i,
                                     &faults,
                                     known,
+                                    floor,
                                 );
                                 check(got, &plain, &format!("step 1 at {t:?}, edge {i}"));
                             }
@@ -654,7 +715,19 @@ mod tests {
                                     }
                                 }
                                 let w_j = dec.detour.path.vertices()[j];
-                                for known in [None, opt] {
+                                let pi_floor = first_hops(&mut engine, &g, &pi, |view| {
+                                    remove_pi_segment(view, &pi, 0, pi.len(), t);
+                                    view.remove_faults(&faults);
+                                });
+                                let x_pos = pi.position(dec.detour.x).unwrap();
+                                let d_floor = first_hops(&mut engine, &g, &pi, |view| {
+                                    remove_pi_segment(view, &pi, x_pos, pi.len(), t);
+                                    remove_detour_suffix(view, &dec.detour.path, 0, t);
+                                    view.remove_faults(&faults);
+                                });
+                                let floors =
+                                    bounds(opt, pi_floor).into_iter().zip(bounds(opt, d_floor));
+                                for ((known, pi_floor), (_, d_floor)) in floors {
                                     let what = format!("step 3 at {t:?} under {faults:?}");
                                     let got = earliest_pi_divergence(
                                         &mut engine,
@@ -666,6 +739,7 @@ mod tests {
                                         t,
                                         &faults,
                                         known,
+                                        pi_floor,
                                     );
                                     check(got, &plain_pi, &what);
                                     let got = earliest_detour_divergence(
@@ -678,6 +752,7 @@ mod tests {
                                         w_j,
                                         &faults,
                                         known,
+                                        d_floor,
                                     );
                                     check(got, &plain_d, &format!("detour search, {what}"));
                                 }
@@ -721,6 +796,7 @@ mod tests {
             v(4),
             &faults,
             None,
+            0,
         )
         .unwrap();
         assert_eq!(choice.path.len(), 2);
