@@ -16,8 +16,8 @@
 //! 2. **Scale** — at `n ≥ 5,000` only the approximate construction runs,
 //!    and its size must stay inside the `O(n·polylog n)` envelope:
 //!    `edges ≤ n·⌈log₂ n⌉`.  The exact construction is feasible there
-//!    (on the 72×72 road lattice, `n = 5,184`, it takes about 4.2 s on one
-//!    thread and 2.2 s on two, 2-vCPU host) but is not run; see
+//!    (on the 72×72 road lattice, `n = 5,184`, it takes about 2.6 s on one
+//!    thread and 1.4 s on two, 2-vCPU host; E9 times it) but is not run; see
 //!    [`EXACT_FEASIBLE_N_CEILING`].
 //! 3. **Stretch audit** — sampled fault specs (`|F| ∈ {0, 1, 2}`) and
 //!    targets are answered by a [`QueryEngine`] over the frozen backend
@@ -50,7 +50,7 @@ use std::time::Instant;
 
 /// Largest `n` the exact dual-failure construction is run at — beyond
 /// this the calibration rows stand in for it.  The exact build is
-/// feasible at the corpus scale of this experiment (about 4.2 s on the
+/// feasible at the corpus scale of this experiment (about 2.6 s on the
 /// 72×72 road lattice, one thread), but on these sparse families its `H`
 /// is nearly `G` (10,567 of 10,624 edges on that lattice from vertex 0,
 /// tie-break seed 1), so a comparison there would say little; comparing

@@ -12,6 +12,7 @@
 
 use ftbfs_core::dual::DualFtBfsBuilder;
 use ftbfs_core::{multi_failure_ftbfs, FtBfsStructure};
+use ftbfs_graph::bytes::fnv1a64;
 use ftbfs_graph::{generators, Graph, TieBreak, VertexId};
 use ftbfs_lowerbound::GStarGraph;
 
@@ -200,31 +201,6 @@ fn benchmark_graph_record_totals_are_pinned() {
     );
 }
 
-/// FNV-1a over a stream of `u32` words.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn word(&mut self, x: u32) {
-        for b in x.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    /// A length-prefixed vertex sequence.
-    fn path(&mut self, p: &ftbfs_graph::Path) {
-        self.word(p.vertices().len() as u32);
-        for x in p.vertices() {
-            self.word(x.0);
-        }
-    }
-}
-
 /// A digest of every record of the benchmark's `build` graph at seed 1,
 /// pinned before the earliest candidate was extracted first and step-1
 /// paths were carried down π: each step-1 decomposition, each `(π, π)`
@@ -240,35 +216,38 @@ fn benchmark_graph_records_are_pinned_by_digest() {
         .record_paths(true)
         .threads(2)
         .build();
-    let mut h = Fnv::new();
+    // Every record as a stream of `u32` words, each path length-prefixed.
+    let mut words: Vec<u32> = Vec::new();
+    let path = |words: &mut Vec<u32>, p: &ftbfs_graph::Path| {
+        words.push(p.vertices().len() as u32);
+        words.extend(p.vertices().iter().map(|x| x.0));
+    };
     for rec in &r.records {
-        h.word(rec.vertex.0);
-        h.word(rec.detours.len() as u32);
+        words.extend([rec.vertex.0, rec.detours.len() as u32]);
         for dr in &rec.detours {
             let dec = &dr.decomposition;
-            h.word(dr.protected_edge.0);
-            h.word(dec.detour.x.0);
-            h.word(dec.detour.y.0);
-            h.path(&dec.reassemble());
+            words.extend([dr.protected_edge.0, dec.detour.x.0, dec.detour.y.0]);
+            path(&mut words, &dec.reassemble());
         }
-        h.word(rec.pi_pi_new.len() as u32);
+        words.push(rec.pi_pi_new.len() as u32);
         for pp in &rec.pi_pi_new {
-            for e in pp.faults.edges() {
-                h.word(e.0);
-            }
-            h.path(&pp.path);
+            words.extend(pp.faults.edges().iter().map(|e| e.0));
+            path(&mut words, &pp.path);
         }
-        h.word(rec.new_ending.len() as u32);
+        words.push(rec.new_ending.len() as u32);
         for ne in &rec.new_ending {
-            h.word(ne.first_fault.0);
-            h.word(ne.second_fault.0);
-            h.path(&ne.path);
-            h.word(ne.pi_divergence.0);
-            h.word(ne.detour_divergence.map_or(u32::MAX, |c| c.0));
+            words.extend([ne.first_fault.0, ne.second_fault.0]);
+            path(&mut words, &ne.path);
+            words.extend([
+                ne.pi_divergence.0,
+                ne.detour_divergence.map_or(u32::MAX, |c| c.0),
+            ]);
         }
     }
+    let bytes: Vec<u8> = words.iter().flat_map(|x| x.to_le_bytes()).collect();
     assert_eq!(
-        h.0, 0x45f4_9491_5664_febd,
+        fnv1a64(&bytes),
+        0x45f4_9491_5664_febd,
         "a selected path or divergence point of the benchmark graph drifted"
     );
 }

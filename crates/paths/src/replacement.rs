@@ -252,6 +252,7 @@ fn fallback_decomposition(pi: &Path, p: &Path) -> Option<Decomposition> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftbfs_graph::restrict::remove_pi_segment;
     use ftbfs_graph::{bfs, generators, GraphView};
 
     fn v(i: u32) -> VertexId {
@@ -301,6 +302,44 @@ mod tests {
         assert_eq!(dec.detour.x, v(0));
         assert_eq!(dec.detour.y, v(4));
         assert_eq!(dec.reassemble().len(), 4);
+    }
+
+    #[test]
+    fn step_one_for_every_pi_edge_matches_one_search_per_edge() {
+        // Carried paths and floors change how a path is found, never which
+        // one: every entry is what the single-edge search returns, and its
+        // floor bounds the hop distance in candidate 0's Eq. (3) graph.
+        let mut carried = 0;
+        for seed in 1..=3u64 {
+            for g in [
+                generators::connected_gnp(60, 0.08, seed),
+                generators::tree_plus_chords(60, 30, seed),
+                generators::grid(6, 7),
+            ] {
+                let w = TieBreak::new(&g, seed);
+                let tree = SpTree::new(&g, &w, v(0));
+                let rep = SingleFailureReplacer::new(&g, &w, &tree);
+                let mut engine = SearchEngine::new();
+                for t in g.vertices().filter(|&t| t != v(0)) {
+                    let pi = tree.pi(t).unwrap();
+                    let edges = pi.edge_ids(&g);
+                    let all = rep.earliest_divergence_replacements(&mut engine, t);
+                    assert_eq!(all.len(), edges.len());
+                    for (i, (&e, (dec, floor))) in edges.iter().zip(&all).enumerate() {
+                        let one = rep.earliest_divergence_replacement(&mut engine, t, e);
+                        assert_eq!(dec, &one, "{t:?}, edge {i}");
+                        let (view, ws) = engine.begin(&g);
+                        remove_pi_segment(view, &pi, 0, i, t);
+                        view.remove_faults(&FaultSpec::from(e));
+                        let first = ws.bfs_hops(view, v(0), t).unwrap_or(u32::MAX);
+                        assert!(*floor <= first, "{t:?}, edge {i}: {floor} > {first}");
+                        let prev = i.checked_sub(1).and_then(|j| all[j].0.as_ref());
+                        carried += usize::from(dec.is_some() && dec.as_ref() == prev);
+                    }
+                }
+            }
+        }
+        assert!(carried > 100, "only {carried} paths repeated down π");
     }
 
     #[test]
